@@ -1,0 +1,1 @@
+//! Empty on purpose: the benchmarked crates declare this dependency but never call it.

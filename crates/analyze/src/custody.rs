@@ -19,8 +19,8 @@
 //! hands a pooled buffer out (e.g. `run_local_sort` returning
 //! `(out, true)`) is marked *returns-custody*, propagated to wrappers by
 //! fixpoint, and every `let` whose right-hand side calls such a function
-//! starts a new tracked binding at the caller (e.g. `sort_impl`'s
-//! `let (sorted, sorted_pooled) = ctx.step(.. run_local_sort ..)`).
+//! starts a new tracked binding at the caller (e.g. `sort_batches`'
+//! `let (mut sorted, pooled) = run_local_sort(..)`).
 //!
 //! Known approximations (kept deliberately, documented in DESIGN.md):
 //! tracking is name-based within one function body, so shadowing a

@@ -7,7 +7,7 @@ use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd_baselines::bitonic::bitonic_sort_dist;
 use pgxd_baselines::radix::radix_sort_dist;
 use pgxd_bench::runner::{run_pgxd_sort, Workload, DEFAULT_SEED};
-use pgxd_core::SortConfig;
+use pgxd_core::{FinalMergeAlgo, SortConfig};
 use pgxd_datagen::{generate_partitioned, Distribution};
 
 fn bench_investigator(c: &mut Criterion) {
@@ -38,19 +38,12 @@ fn bench_final_merge(c: &mut Criterion) {
         n: 100_000,
         seed: DEFAULT_SEED,
     };
-    for balanced in [true, false] {
+    for algo in [FinalMergeAlgo::Balanced, FinalMergeAlgo::SequentialKway] {
         group.bench_with_input(
-            BenchmarkId::new("balanced", balanced),
-            &balanced,
-            |b, &balanced| {
-                b.iter(|| {
-                    run_pgxd_sort(
-                        &workload,
-                        8,
-                        2,
-                        SortConfig::default().balanced_final_merge(balanced),
-                    )
-                });
+            BenchmarkId::new("final_merge", algo.name()),
+            &algo,
+            |b, &algo| {
+                b.iter(|| run_pgxd_sort(&workload, 8, 2, SortConfig::default().final_merge(algo)));
             },
         );
     }

@@ -64,50 +64,6 @@ fn bench_exchange_buffer_sizes(c: &mut Criterion) {
     group.finish();
 }
 
-/// The pooled/overlapped exchange pipeline against the legacy per-element
-/// path, same workload and split. Each [`Cluster::run`] builds fresh
-/// machine contexts (and thus a cold chunk pool), so every iteration does
-/// one warm-up exchange and then three measured-together rounds — the
-/// steady state the pool is designed for.
-fn bench_exchange_pooled_vs_legacy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("exchange_pipeline");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    let n_per_machine = 250_000usize;
-    for legacy in [false, true] {
-        let name = if legacy { "legacy" } else { "pooled" };
-        group.bench_function(BenchmarkId::new("p4_w2_250k_each_x3", name), |b| {
-            let cluster = Cluster::new(
-                ClusterConfig::new(4).workers_per_machine(2).buffer_bytes(256 << 10),
-            );
-            b.iter(|| {
-                cluster.run(|ctx| {
-                    let data: Vec<u64> =
-                        (0..n_per_machine as u64).map(|i| i + ctx.id() as u64).collect();
-                    let quarter = n_per_machine / 4;
-                    let offsets: Vec<usize> = (0..=4).map(|j| j * quarter).collect();
-                    let exchange = |ctx: &mut pgxd::MachineCtx| {
-                        if legacy {
-                            ctx.exchange_by_offsets_legacy(&data, &offsets)
-                        } else {
-                            ctx.exchange_by_offsets(&data, &offsets)
-                        }
-                    };
-                    let warm = exchange(ctx); // fills the pool
-                    ctx.barrier();
-                    let mut placed = warm.0.len();
-                    for _ in 0..3 {
-                        placed += exchange(ctx).0.len();
-                    }
-                    placed
-                })
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Step-1 kernels head-to-head on one machine's shard of uniform u64:
 /// the legacy chunk-quicksort path vs the in-place samplesort and the
 /// LSD radix fast path, plus the two k-way merge combiners.
@@ -218,7 +174,6 @@ criterion_group!(
     benches,
     bench_collectives,
     bench_exchange_buffer_sizes,
-    bench_exchange_pooled_vs_legacy,
     bench_local_sort_kernels,
     bench_task_manager
 );

@@ -12,7 +12,6 @@
 //! exp fig10   [--scale=S] [--ef=E] [--procs=...]
 //! exp fig11   [--scale=S] [--ef=E]
 //! exp ablation [--n=N] [--procs=P]
-//! exp exchange [--n=N] [--procs=P] [--workers=W]
 //! exp trace   [--n=N] [--procs=P] [--workers=W]
 //! exp chaos   [--n=N] [--procs=P] [--workers=W] [--seed=S]
 //! exp localsort [--n=N] [--procs=P] [--workers=W] [--seed=S]
@@ -21,9 +20,7 @@
 //! ```
 //!
 //! Every experiment prints a paper-style table and writes raw results to
-//! `results/<name>.json`. `exp exchange` benchmarks the §IV-C offset
-//! exchange in isolation — pooled/overlapped pipeline vs the legacy
-//! per-element path — and writes `results/bench_exchange.json`.
+//! `results/<name>.json`.
 //!
 //! `exp trace` runs one sort with the structured trace layer on and writes
 //! `results/trace_sort.json` (Chrome `trace_event` format — load it in
@@ -57,11 +54,10 @@
 
 use pgxd::trace::TraceConfig;
 use pgxd_bench::runner::{
-    fmt_secs, run_exchange_bench, run_pgxd_sort, run_pgxd_sort_traced, run_spark_sort,
-    ExchangeBenchResult, ExpResult, Workload,
+    fmt_secs, run_pgxd_sort, run_pgxd_sort_traced, run_spark_sort, ExpResult, Workload,
 };
 use pgxd_bench::table::Table;
-use pgxd_core::{LoadStats, SortConfig};
+use pgxd_core::{FinalMergeAlgo, LoadStats, SortConfig};
 use pgxd_datagen::Distribution;
 use std::collections::HashMap;
 
@@ -654,20 +650,18 @@ fn ablation(opts: &Opts) {
 
     println!("\n--- balanced merge vs sequential k-way final merge ---");
     let mut t2 = Table::new(vec!["final merge", "wall", "final_merge step"]);
-    for balanced in [true, false] {
+    for (label, algo) in [
+        ("balanced (Fig. 2)", FinalMergeAlgo::Balanced),
+        ("sequential k-way", FinalMergeAlgo::SequentialKway),
+    ] {
         let r = run_pgxd_sort(
             &dist_workload(Distribution::Uniform, opts),
             p,
             opts.workers,
-            SortConfig::default().balanced_final_merge(balanced),
+            SortConfig::default().final_merge(algo),
         );
         t2.row(vec![
-            if balanced {
-                "balanced (Fig. 2)"
-            } else {
-                "sequential k-way"
-            }
-            .to_string(),
+            label.to_string(),
             fmt_secs(r.wall_secs),
             fmt_secs(r.step_secs[5].1),
         ]);
@@ -733,112 +727,6 @@ fn buffer_sweep(opts: &Opts) {
          count stops falling — the paper's tuning plateau)"
     );
     save_json("buffer", &results);
-}
-
-// ---------------------------------------------------------------------------
-// Exchange microbenchmark: the PR's perf claim. Pooled/overlapped exchange
-// pipeline vs the legacy per-element path, identical workload and offsets.
-// ---------------------------------------------------------------------------
-
-/// Default knobs for `exp exchange` (overridable via flags): the
-/// acceptance workload of 2^22 uniform keys on 4 machines x 2 workers.
-fn exchange_defaults() -> Opts {
-    Opts {
-        n: 4 << 20,
-        procs: vec![4],
-        ..Opts::default()
-    }
-}
-
-fn exchange(opts: &Opts) {
-    let p = *opts.procs.first().unwrap_or(&4);
-    let rounds = 5;
-    let buffer = pgxd::DEFAULT_BUFFER_BYTES;
-    println!(
-        "\n=== Exchange microbenchmark: chunk pool + memcpy + overlap vs legacy ===\n\
-         (n = {} keys, p = {p}, {} workers/machine, {} buffers, {rounds} timed rounds)\n",
-        opts.n,
-        opts.workers,
-        pgxd_memtrack::fmt_bytes(buffer)
-    );
-    let legacy = run_exchange_bench(opts.n, p, opts.workers, buffer, rounds, true);
-    let pooled = run_exchange_bench(opts.n, p, opts.workers, buffer, rounds, false);
-    let mut table = Table::new(vec![
-        "variant",
-        "wall",
-        "keys/s",
-        "chunks sent",
-        "recycled",
-        "pool hit rate",
-    ]);
-    for r in [&legacy, &pooled] {
-        table.row(vec![
-            r.variant.clone(),
-            fmt_secs(r.wall_secs),
-            format!("{:.2}M", r.keys_per_sec / 1e6),
-            r.chunks_sent.to_string(),
-            r.chunks_recycled.to_string(),
-            format!("{:.1}%", 100.0 * r.pool_hit_rate()),
-        ]);
-    }
-    table.print();
-    let speedup = pooled.keys_per_sec / legacy.keys_per_sec.max(1e-12);
-    println!("pooled/legacy exchange throughput: {speedup:.2}x");
-    save_exchange_json(&legacy, &pooled, speedup);
-}
-
-/// Field-for-field JSON view of one exchange-bench variant, spelled out
-/// so the document's shape is visible here rather than implied by the
-/// struct's derive.
-fn exchange_bench_value(r: &ExchangeBenchResult) -> serde_json::Value {
-    serde_json::json!({
-        "variant": r.variant,
-        "machines": r.machines,
-        "workers": r.workers,
-        "buffer_bytes": r.buffer_bytes,
-        "total_keys": r.total_keys,
-        "rounds": r.rounds,
-        "wall_secs": r.wall_secs,
-        "keys_per_sec": r.keys_per_sec,
-        "chunks_sent": r.chunks_sent,
-        "chunks_recycled": r.chunks_recycled,
-        "pool_hits": r.pool_hits,
-        "pool_misses": r.pool_misses,
-        "bytes_placed": r.bytes_placed,
-    })
-}
-
-fn save_exchange_json(legacy: &ExchangeBenchResult, pooled: &ExchangeBenchResult, speedup: f64) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join("bench_exchange.json");
-    let doc = serde_json::json!({
-        "legacy": exchange_bench_value(legacy),
-        "pooled": exchange_bench_value(pooled),
-        "speedup": speedup,
-    });
-    match serde_json::to_string_pretty(&doc) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("(raw results → {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize results: {e}"),
-    }
-    bench_summary_insert(
-        "exchange",
-        serde_json::json!({
-            "legacy_keys_per_sec": legacy.keys_per_sec,
-            "pooled_keys_per_sec": pooled.keys_per_sec,
-            "pooled_pool_hit_rate": pooled.pool_hit_rate(),
-            "pooled_bytes_placed": pooled.bytes_placed,
-            "speedup": speedup,
-        }),
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -976,7 +864,7 @@ fn localsort_defaults() -> Opts {
 
 fn localsort(opts: &Opts) {
     use pgxd::trace::EventKind;
-    use pgxd_core::{FinalMergeAlgo, LocalSortAlgo};
+    use pgxd_core::LocalSortAlgo;
     use std::collections::BTreeMap;
 
     let p = *opts.procs.first().unwrap_or(&4);
@@ -1468,9 +1356,7 @@ fn main() {
         "fig11" => fig11(&opts),
         "ablation" => ablation(&opts),
         "buffer" => buffer_sweep(&opts),
-        // Own defaults (2^22 keys, p=4): re-parse the flags on top of them.
-        "exchange" => exchange(&parse_opts_from(exchange_defaults(), &args[1.min(args.len())..])),
-        // Own defaults (2^20 keys, p=4), same flag re-parse.
+        // Own defaults (2^20 keys, p=4): re-parse the flags on top of them.
         "trace" => trace_cmd(&parse_opts_from(trace_defaults(), &args[1.min(args.len())..])),
         // Own defaults (2 × 10^5 keys, p=8), same flag re-parse.
         "chaos" => chaos_cmd(&parse_opts_from(chaos_defaults(), &args[1.min(args.len())..])),
@@ -1492,7 +1378,6 @@ fn main() {
             fig11(&opts);
             ablation(&opts);
             buffer_sweep(&opts);
-            exchange(&exchange_defaults());
             trace_cmd(&trace_defaults());
             chaos_cmd(&chaos_defaults());
             localsort(&localsort_defaults());
@@ -1500,7 +1385,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: exp <fig5|fig6|fig7|table2|fig8|table3|fig9|fig10|fig11|ablation|buffer|exchange|trace|chaos|localsort|health|all> \
+                "usage: exp <fig5|fig6|fig7|table2|fig8|table3|fig9|fig10|fig11|ablation|buffer|trace|chaos|localsort|health|all> \
                  [--n=N] [--procs=8,16,32,52] [--workers=W] [--seed=S] [--scale=S] [--ef=E] [--trace]"
             );
             std::process::exit(2);

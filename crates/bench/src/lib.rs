@@ -28,6 +28,5 @@ pub mod runner;
 pub mod table;
 
 pub use runner::{
-    run_exchange_bench, run_pgxd_sort, run_spark_sort, ExchangeBenchResult, ExpResult, Workload,
-    DEFAULT_SEED, DEFAULT_WORKERS,
+    run_pgxd_sort, run_spark_sort, ExpResult, Workload, DEFAULT_SEED, DEFAULT_WORKERS,
 };

@@ -313,112 +313,6 @@ pub fn run_spark_sort(workload: &Workload, machines: usize, workers: usize) -> E
     }
 }
 
-/// One measured leg of the exchange microbenchmark (`exp exchange`):
-/// repeated all-to-all redistributions of a uniform workload through
-/// either the pooled/overlapped pipeline or the legacy per-element path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExchangeBenchResult {
-    /// "pooled" (production path) or "legacy" (pre-rework reference).
-    pub variant: String,
-    /// Machine count.
-    pub machines: usize,
-    /// Worker threads per machine.
-    pub workers: usize,
-    /// Data-manager buffer capacity, bytes.
-    pub buffer_bytes: usize,
-    /// Keys redistributed per round (cluster-wide).
-    pub total_keys: usize,
-    /// Timed rounds (after one untimed warm-up round).
-    pub rounds: usize,
-    /// Critical-path seconds across machines for all timed rounds.
-    pub wall_secs: f64,
-    /// Exchange throughput: keys moved per second across timed rounds.
-    pub keys_per_sec: f64,
-    /// Data chunks handed to the fabric (includes the warm-up round).
-    pub chunks_sent: u64,
-    /// Spent chunk buffers returned to the pool.
-    pub chunks_recycled: u64,
-    /// Chunk-buffer acquisitions served from recycled memory.
-    pub pool_hits: u64,
-    /// Chunk-buffer acquisitions that allocated fresh memory.
-    pub pool_misses: u64,
-    /// Payload bytes memcpy-placed into output buffers.
-    pub bytes_placed: u64,
-}
-
-impl ExchangeBenchResult {
-    /// Fraction of chunk-buffer acquisitions served from the pool.
-    pub fn pool_hit_rate(&self) -> f64 {
-        let total = self.pool_hits + self.pool_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.pool_hits as f64 / total as f64
-        }
-    }
-}
-
-/// Benchmarks the §IV-C offset exchange in isolation: every machine
-/// redistributes an even share of a uniform workload to all peers,
-/// `rounds` times after one warm-up round (which fills the chunk pool).
-/// `legacy = true` routes through the pre-rework per-element path.
-pub fn run_exchange_bench(
-    n_total: usize,
-    machines: usize,
-    workers: usize,
-    buffer_bytes: usize,
-    rounds: usize,
-    legacy: bool,
-) -> ExchangeBenchResult {
-    let parts = generate_partitioned(Distribution::Uniform, n_total, machines, DEFAULT_SEED);
-    let total_keys: usize = parts.iter().map(|p| p.len()).sum();
-    let cluster = Cluster::new(
-        ClusterConfig::new(machines)
-            .workers_per_machine(workers)
-            .buffer_bytes(buffer_bytes),
-    );
-    let report = cluster.run(|ctx| {
-        let data = parts[ctx.id()].clone();
-        let p = ctx.num_machines();
-        // Even destination split; the uniform workload keeps receive-side
-        // volume balanced too.
-        let per = data.len() / p;
-        let mut offsets: Vec<usize> = (0..p).map(|j| j * per).collect();
-        offsets.push(data.len());
-        let run_once = |ctx: &mut pgxd::MachineCtx| {
-            let (out, bounds) = if legacy {
-                ctx.exchange_by_offsets_legacy(&data, &offsets)
-            } else {
-                ctx.exchange_by_offsets(&data, &offsets)
-            };
-            std::hint::black_box((out.len(), bounds.len()))
-        };
-        run_once(ctx);
-        ctx.barrier();
-        for _ in 0..rounds {
-            ctx.step("exchange_round", |c| run_once(c));
-            ctx.barrier();
-        }
-    });
-    let wall = report.steps.max_across_machines("exchange_round").as_secs_f64();
-    let ex = report.comm.exchange;
-    ExchangeBenchResult {
-        variant: if legacy { "legacy" } else { "pooled" }.into(),
-        machines,
-        workers,
-        buffer_bytes,
-        total_keys,
-        rounds,
-        wall_secs: wall,
-        keys_per_sec: total_keys as f64 * rounds as f64 / wall.max(1e-12),
-        chunks_sent: ex.chunks_sent,
-        chunks_recycled: ex.chunks_recycled,
-        pool_hits: ex.pool_hits,
-        pool_misses: ex.pool_misses,
-        bytes_placed: ex.bytes_placed,
-    }
-}
-
 /// Format a `Duration`-in-seconds compactly for tables.
 pub fn fmt_secs(secs: f64) -> String {
     if secs >= 1.0 {
@@ -510,20 +404,6 @@ mod tests {
             ranges: vec![],
         };
         assert!(mk(8).scaled_time() > mk(16).scaled_time());
-    }
-
-    #[test]
-    fn exchange_bench_runs_both_variants() {
-        let pooled = run_exchange_bench(8_192, 3, 2, 4 * 1024, 2, false);
-        assert_eq!(pooled.variant, "pooled");
-        assert_eq!(pooled.total_keys, 8_192);
-        assert!(pooled.wall_secs > 0.0 && pooled.keys_per_sec > 0.0);
-        assert!(pooled.chunks_sent > 0);
-        assert!(pooled.pool_hits > 0, "timed rounds should hit the warm pool");
-        assert!(pooled.bytes_placed > 0);
-        let legacy = run_exchange_bench(8_192, 3, 2, 4 * 1024, 2, true);
-        assert_eq!(legacy.variant, "legacy");
-        assert_eq!(legacy.pool_hits + legacy.pool_misses, 0);
     }
 
     #[test]

@@ -139,19 +139,6 @@ impl SortConfig {
         self
     }
 
-    /// Toggles the balanced final merge: `true` is the Fig. 2 tree,
-    /// `false` the sequential k-way ablation. Kept for the pre-existing
-    /// boolean ablation surface; [`Self::final_merge`] selects among all
-    /// strategies.
-    pub fn balanced_final_merge(mut self, on: bool) -> Self {
-        self.final_merge = if on {
-            FinalMergeAlgo::Balanced
-        } else {
-            FinalMergeAlgo::SequentialKway
-        };
-        self
-    }
-
     /// Selects the final-merge strategy.
     pub fn final_merge(mut self, algo: FinalMergeAlgo) -> Self {
         self.final_merge = algo;
@@ -216,24 +203,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_factor_rejected() {
         let _ = SortConfig::default().sample_factor(0.0);
-    }
-
-    #[test]
-    fn balanced_final_merge_bool_maps_to_enum() {
-        assert_eq!(
-            SortConfig::default().balanced_final_merge(true).final_merge,
-            FinalMergeAlgo::Balanced
-        );
-        assert_eq!(
-            SortConfig::default().balanced_final_merge(false).final_merge,
-            FinalMergeAlgo::SequentialKway
-        );
-        assert_eq!(
-            SortConfig::default()
-                .final_merge(FinalMergeAlgo::ParallelKway)
-                .final_merge,
-            FinalMergeAlgo::ParallelKway
-        );
     }
 
     #[test]

@@ -25,7 +25,8 @@ use crate::config::{FinalMergeAlgo, LocalSortAlgo, SortConfig, AUTO_RADIX_MIN};
 use crate::investigator::splitter_offsets;
 use crate::item::{tag_with_provenance, Keyed};
 use crate::sampling::{select_regular_samples, select_splitters};
-use pgxd::machine::MachineCtx;
+use pgxd::comm::Tag;
+use pgxd::machine::{MachineCtx, MASTER};
 use pgxd::metrics::labeled;
 use pgxd::task::TaskManager;
 use pgxd_algos::exec::{even_chunk_bounds, MIN_ITEMS_PER_WORKER};
@@ -86,14 +87,20 @@ fn resolve_local_algo<T: Key>(algo: LocalSortAlgo, n: usize) -> LocalSortAlgo {
 /// splitter-planned parallel k-way merge.
 ///
 /// Returns `(sorted, pooled)`: when `pooled` the buffer was acquired from
-/// the machine's [`ChunkPool`](pgxd::pool::ChunkPool) and the caller must
-/// hand it back with `ctx.pool().release(..)` once the exchange has
-/// consumed it (the custody checker treats an unreleased chunk at teardown
-/// as a protocol bug). No barrier sits between step 1 and the exchange, so
-/// holding the chunk across steps 2–5 is legal.
+/// the machine's [`ChunkPool`](pgxd::pool::ChunkPool) — with room for
+/// `capacity` elements, so the caller can append to it without moving the
+/// chunk — and the caller must hand it back with `ctx.pool().release(..)`
+/// once the exchange has consumed it (the custody checker treats an
+/// unreleased chunk at teardown as a protocol bug). No barrier sits between
+/// step 1 and the exchange, so holding the chunk across steps 2–5 is legal.
 // analyze: allow(panic-surface): the `chunked[0]` seed read is guarded by
 // the n < 2 early return above it.
-fn run_local_sort<T: Key>(ctx: &MachineCtx, algo: LocalSortAlgo, data: Vec<T>) -> (Vec<T>, bool) {
+fn run_local_sort<T: Key>(
+    ctx: &MachineCtx,
+    algo: LocalSortAlgo,
+    data: Vec<T>,
+    capacity: usize,
+) -> (Vec<T>, bool) {
     let n = data.len();
     if n < 2 {
         return (data, false);
@@ -113,7 +120,7 @@ fn run_local_sort<T: Key>(ctx: &MachineCtx, algo: LocalSortAlgo, data: Vec<T>) -
     if bounds.len() <= 2 {
         return (chunked, false);
     }
-    let mut out = ctx.pool().acquire::<T>(n);
+    let mut out = ctx.pool().acquire::<T>(n.max(capacity));
     out.resize(n, chunked[0]);
     ctx.phase_scope("local.merge", || {
         merge_runs_with_tasks(ctx.tasks(), &chunked, &bounds, &mut out, workers)
@@ -258,8 +265,9 @@ fn final_merge_runs<T: Key>(
 
 /// Registers this machine's load statistics into the run's always-on
 /// metrics registry: shard sizes before and after the sort (the Table II /
-/// Fig. 10 balance numbers), the sample budget spent, and the step-4
-/// send-range sizes showing how evenly the splitters cut the local data.
+/// Fig. 10 balance numbers, summed over the batches), the samples shipped
+/// to the master, and the step-4 send-range sizes showing how evenly the
+/// splitters cut the local data.
 fn record_sort_metrics(
     ctx: &MachineCtx,
     input: usize,
@@ -380,7 +388,7 @@ impl DistSorter {
     /// Sorts the union of every machine's `local` data globally.
     /// SPMD: every machine calls this with its own shard.
     pub fn sort<K: Key>(&self, ctx: &mut MachineCtx, local: Vec<K>) -> SortedPartition<K> {
-        self.sort_impl(ctx, local)
+        self.sort_one(ctx, local)
     }
 
     /// Sorts while tracking provenance: each output element knows its
@@ -392,7 +400,7 @@ impl DistSorter {
         local: &[K],
     ) -> SortedPartition<Keyed<K>> {
         let tagged = tag_with_provenance(local, ctx.id());
-        self.sort_impl(ctx, tagged)
+        self.sort_one(ctx, tagged)
     }
 
     /// Sorts `(key, payload)` pairs by key — the paper's "sort multiple
@@ -403,7 +411,7 @@ impl DistSorter {
         ctx: &mut MachineCtx,
         local: Vec<(K, V)>,
     ) -> SortedPartition<(K, V)> {
-        self.sort_impl(ctx, local)
+        self.sort_one(ctx, local)
     }
 
     /// Sorts in descending global order (machine 0 ends with the largest
@@ -417,7 +425,7 @@ impl DistSorter {
         local: Vec<K>,
     ) -> SortedPartition<K> {
         let wrapped: Vec<pgxd_algos::Desc<K>> = local.into_iter().map(pgxd_algos::Desc).collect();
-        let part = self.sort_impl(ctx, wrapped);
+        let part = self.sort_one(ctx, wrapped);
         SortedPartition {
             data: part.data.into_iter().map(|d| d.0).collect(),
             splitters: part.splitters.into_iter().map(|d| d.0).collect(),
@@ -445,7 +453,7 @@ impl DistSorter {
                 record: r,
             })
             .collect();
-        let part = self.sort_impl(ctx, keyed);
+        let part = self.sort_one(ctx, keyed);
         SortedPartition {
             data: part.data.into_iter().map(|kr| (kr.key, kr.record)).collect(),
             splitters: part
@@ -460,206 +468,125 @@ impl DistSorter {
     /// claim "is able to sort different data simultaneously" taken
     /// literally: all batches share one sample gather, one splitter
     /// broadcast, and one data exchange, instead of paying the collective
-    /// latencies once per dataset.
+    /// latencies once per dataset. Keys travel untagged: which batch a key
+    /// belongs to is carried by its position in the exchange's count
+    /// matrix, never by the payload.
     ///
     /// Every machine must pass the same number of batches (SPMD
     /// contract). Returns one [`SortedPartition`] per batch.
-    // analyze: allow(panic-surface): batch and destination indexing is
-    // bounded by the SPMD contract — per-batch offsets, send offsets, and
-    // source bounds are all built from the same batch set in this call.
-    // analyze: allow(hot-path-alloc): §IV step orchestration — sample,
-    // splitter, and per-destination staging buffers are the step outputs
-    // themselves, allocated at batch (not element) granularity.
     pub fn sort_batch<K: Key>(
         &self,
         ctx: &mut MachineCtx,
         locals: Vec<Vec<K>>,
     ) -> Vec<SortedPartition<K>> {
-        let p = ctx.num_machines();
-        let workers = ctx.workers();
-        let num_batches = locals.len();
-        if num_batches == 0 {
+        if locals.is_empty() {
             return Vec::new();
         }
-
-        // Step 1: local sort, per batch. Each entry keeps its "pooled"
-        // flag so the buffers can be returned to the chunk pool once the
-        // combined send array has been built.
-        let local_algo = self.config.local_sort;
-        let sorted: Vec<(Vec<K>, bool)> = ctx.step(steps::LOCAL_SORT, move |ctx| {
-            locals
-                .into_iter()
-                .map(|batch| run_local_sort(ctx, local_algo, batch))
-                .collect()
-        });
-
-        // Step 2: ONE gather carrying every batch's samples, batch-tagged.
-        let sample_runs = ctx.step(steps::SAMPLING, |ctx| {
-            let mut tagged: Vec<(u32, K)> = Vec::new();
-            for (b, (batch, _)) in sorted.iter().enumerate() {
-                let count = self.config.samples_per_machine(
-                    ctx.buffer_bytes(),
-                    p * num_batches, // the buffer budget is shared
-                    std::mem::size_of::<K>(),
-                );
-                for s in select_regular_samples(batch, count) {
-                    tagged.push((b as u32, s));
-                }
-            }
-            ctx.gather_to_master(tagged)
-        });
-
-        // Step 3: ONE broadcast carrying every batch's splitters.
-        let all_splitters: Vec<Vec<K>> = ctx.step(steps::SPLITTERS, |ctx| {
-            let selected = sample_runs.map(|runs| {
-                let mut out: Vec<(u32, K)> = Vec::new();
-                for b in 0..num_batches as u32 {
-                    // Extract batch b's sorted sample run from each machine.
-                    let batch_runs: Vec<Vec<K>> = runs
-                        .iter()
-                        .map(|run| {
-                            let lo = run.partition_point(|&(rb, _)| rb < b);
-                            let hi = run.partition_point(|&(rb, _)| rb <= b);
-                            run[lo..hi].iter().map(|&(_, k)| k).collect()
-                        })
-                        .collect();
-                    for s in select_splitters(&batch_runs, p) {
-                        out.push((b, s));
-                    }
-                }
-                out
-            });
-            let flat = ctx.broadcast_from_master(selected);
-            (0..num_batches as u32)
-                .map(|b| {
-                    flat.iter()
-                        .filter(|&&(rb, _)| rb == b)
-                        .map(|&(_, k)| k)
-                        .collect()
-                })
-                .collect()
-        });
-
-        // Step 4: partition each batch; build ONE combined send array of
-        // batch-tagged keys, destination-major.
-        let (combined, send_offsets) = ctx.step(steps::PARTITION, |_| {
-            let per_batch_offsets: Vec<Vec<usize>> = sorted
-                .iter()
-                .zip(&all_splitters)
-                .map(|((batch, _), splitters)| {
-                    if splitters.is_empty() && p > 1 {
-                        let mut off = vec![0usize; p + 1];
-                        for slot in off.iter_mut().skip(1) {
-                            *slot = batch.len();
-                        }
-                        off
-                    } else {
-                        splitter_offsets(batch, splitters, self.config.investigator)
-                    }
-                })
-                .collect();
-            let total: usize = sorted.iter().map(|(s, _)| s.len()).sum();
-            let mut combined: Vec<(u32, K)> = Vec::with_capacity(total);
-            let mut send_offsets = Vec::with_capacity(p + 1);
-            send_offsets.push(0);
-            for dst in 0..p {
-                for (b, (batch, _)) in sorted.iter().enumerate() {
-                    let off = &per_batch_offsets[b];
-                    let tag = b as u32;
-                    combined.extend(batch[off[dst]..off[dst + 1]].iter().map(|&k| (tag, k)));
-                }
-                send_offsets.push(combined.len());
-            }
-            (combined, send_offsets)
-        });
-        // The combined send array owns a copy of every batch: pooled
-        // step-1 buffers can go back to the chunk pool now.
-        for (buf, pooled) in sorted {
-            if pooled {
-                ctx.pool().release(buf);
-            }
-        }
-
-        // Step 5: ONE exchange for all batches.
-        let (received, source_bounds) = ctx.step(steps::EXCHANGE, |ctx| {
-            ctx.exchange_by_offsets(&combined, &send_offsets)
-        });
-        drop(combined);
-
-        // Step 6: split each source run by batch tag, then merge each
-        // batch's per-source runs with the configured strategy.
-        ctx.step(steps::FINAL_MERGE, move |ctx| {
-            (0..num_batches)
-                .map(|b| {
-                    let tag = b as u32;
-                    let mut data: Vec<K> = Vec::new();
-                    let mut bounds = vec![0usize];
-                    for w in source_bounds.windows(2) {
-                        let run = &received[w[0]..w[1]];
-                        let lo = run.partition_point(|&(rb, _)| rb < tag);
-                        let hi = run.partition_point(|&(rb, _)| rb <= tag);
-                        data.extend(run[lo..hi].iter().map(|&(_, k)| k));
-                        bounds.push(data.len());
-                    }
-                    let merged =
-                        final_merge_runs(ctx, self.config.final_merge, data, &bounds, workers);
-                    SortedPartition {
-                        data: merged,
-                        splitters: all_splitters[b].clone(),
-                    }
-                })
-                .collect()
-        })
+        self.sort_batches(ctx, locals)
     }
 
-    // analyze: allow(hot-path-alloc): top-level driver staging (the local
-    // batch vector) handed straight into the step pipeline.
-    fn sort_impl<T: Key>(&self, ctx: &mut MachineCtx, local: Vec<T>) -> SortedPartition<T> {
+    /// A single dataset is a batch of one.
+    // analyze: allow(panic-surface): the pipeline returns one partition
+    // per batch it was given.
+    fn sort_one<T: Key>(&self, ctx: &mut MachineCtx, local: Vec<T>) -> SortedPartition<T> {
+        self.sort_batches(ctx, vec![local])
+            .pop()
+            .expect("one batch in, one partition out")
+    }
+
+    /// The six §IV steps, written once, over `B ≥ 1` batches. The batches
+    /// sit back to back in one array from step 1 on, so every later step
+    /// addresses batch `b` by position: its slice of the sorted array, its
+    /// run in the sample and splitter messages, its `p` ranges of the
+    /// exchange.
+    // analyze: allow(panic-surface): batch, destination and run indexing is
+    // bounded by the SPMD contract — batch ends, send offsets, and
+    // receive bounds are all built from the same batch list in this call.
+    // analyze: allow(hot-path-alloc): §IV step orchestration — sample,
+    // splitter, and offset vectors are the step outputs themselves,
+    // allocated at batch (not element) granularity.
+    fn sort_batches<T: Key>(
+        &self,
+        ctx: &mut MachineCtx,
+        locals: Vec<Vec<T>>,
+    ) -> Vec<SortedPartition<T>> {
         let p = ctx.num_machines();
         let workers = ctx.workers();
-        let input_items = local.len();
+        let batches = locals.len();
+        let input_items: usize = locals.iter().map(Vec::len).sum();
 
-        // Step 1: local parallel sort (chunk → kernel → parallel k-way
-        // merge into a pool-recycled buffer).
+        // Step 1: local parallel sort of each batch (chunk → kernel →
+        // parallel k-way merge into a pool-recycled buffer). The first
+        // batch's buffer, given room for all of them, is the array the
+        // exchange will read; later batches are appended to it.
         let local_algo = self.config.local_sort;
-        let (sorted, sorted_pooled) = ctx.step(steps::LOCAL_SORT, move |ctx| {
-            run_local_sort(ctx, local_algo, local)
-        });
-
-        // Step 2: regular samples to master (buffer-sized rule, §IV-B).
-        let sample_count =
-            self.config
-                .samples_per_machine(ctx.buffer_bytes(), p, std::mem::size_of::<T>());
-        let sample_runs = ctx.step(steps::SAMPLING, |ctx| {
-            let samples = select_regular_samples(&sorted, sample_count);
-            ctx.gather_to_master(samples)
-        });
-
-        // Step 3: master merges sample runs, selects and broadcasts the
-        // p − 1 splitters.
-        let splitters = ctx.step(steps::SPLITTERS, |ctx| {
-            let selected = sample_runs.map(|runs| select_splitters(&runs, p));
-            ctx.broadcast_from_master(selected)
-        });
-
-        // Step 4: investigator partitioning into p send ranges.
-        let offsets = ctx.step(steps::PARTITION, |_| {
-            if splitters.is_empty() && p > 1 {
-                // Degenerate tiny input: no samples anywhere. Route
-                // everything to machine 0.
-                let mut off = vec![0usize; p + 1];
-                for slot in off.iter_mut().skip(1) {
-                    *slot = sorted.len();
+        let (sorted, sorted_pooled, batch_bounds) = ctx.step(steps::LOCAL_SORT, move |ctx| {
+            let mut locals = locals.into_iter();
+            let first = locals.next().unwrap_or_default();
+            let (mut sorted, pooled) = run_local_sort(ctx, local_algo, first, input_items);
+            let mut bounds = vec![0, sorted.len()];
+            for batch in locals {
+                let (run, run_pooled) = run_local_sort(ctx, local_algo, batch, 0);
+                sorted.extend_from_slice(&run);
+                bounds.push(sorted.len());
+                if run_pooled {
+                    ctx.pool().release(run);
                 }
-                off
-            } else {
-                splitter_offsets(&sorted, &splitters, self.config.investigator)
             }
+            (sorted, pooled, bounds)
+        });
+        let batch = |b: usize| &sorted[batch_bounds[b]..batch_bounds[b + 1]];
+
+        // Step 2: regular samples to master (buffer-sized rule, §IV-B):
+        // the batches share the one read buffer the master receives.
+        let sample_count = self.config.samples_per_machine(
+            ctx.buffer_bytes(),
+            p * batches,
+            std::mem::size_of::<T>(),
+        );
+        let (sample_runs, samples_sent) = ctx.step(steps::SAMPLING, |ctx| {
+            let samples: Vec<Vec<T>> = (0..batches)
+                .map(|b| select_regular_samples(batch(b), sample_count))
+                .collect();
+            let sent: usize = samples.iter().map(Vec::len).sum();
+            (gather_runs(ctx, samples), sent)
+        });
+
+        // Step 3: master merges each batch's sample runs, selects its
+        // p − 1 splitters, and broadcasts them all.
+        let mut splitters = ctx.step(steps::SPLITTERS, |ctx| {
+            let selected = sample_runs.map(|mut by_source| {
+                (0..batches)
+                    .map(|b| {
+                        let runs: Vec<Vec<T>> = by_source
+                            .iter_mut()
+                            .map(|runs| std::mem::take(&mut runs[b]))
+                            .collect();
+                        select_splitters(&runs, p)
+                    })
+                    .collect()
+            });
+            broadcast_runs(ctx, selected)
+        });
+
+        // Step 4: investigator partitioning of each batch into p send
+        // ranges. A batch with no samples anywhere has no splitters and a
+        // single range, which the padding routes to machine 0.
+        let send_offsets = ctx.step(steps::PARTITION, |_| {
+            let mut send_offsets = Vec::with_capacity(batches * p + 1);
+            send_offsets.push(0);
+            for (b, splitters) in splitters.iter().enumerate() {
+                let mut offsets = splitter_offsets(batch(b), splitters, self.config.investigator);
+                offsets.resize(p + 1, batch(b).len());
+                send_offsets.extend(offsets[1..].iter().map(|o| batch_bounds[b] + o));
+            }
+            send_offsets
         });
 
         // Step 5: asynchronous offset-addressed exchange.
-        let (received, source_bounds) =
-            ctx.step(steps::EXCHANGE, |ctx| ctx.exchange_by_offsets(&sorted, &offsets));
+        let (mut received, bounds) = ctx.step(steps::EXCHANGE, |ctx| {
+            ctx.exchange_by_offsets(&sorted, &send_offsets)
+        });
         if sorted_pooled {
             // The exchange consumed the pooled step-1 buffer: hand the
             // chunk back before the teardown quiescence check.
@@ -667,19 +594,97 @@ impl DistSorter {
         } else {
             drop(sorted);
         }
+        let output_items = received.len();
 
-        // Step 6: merge of the per-source sorted runs.
-        let merged = ctx.step(steps::FINAL_MERGE, move |ctx| {
-            final_merge_runs(ctx, self.config.final_merge, received, &source_bounds, workers)
+        // Step 6: merge of each batch's p per-source sorted runs. The
+        // batches arrived back to back: the later ones are split off the
+        // tail, the first keeps the received buffer.
+        let final_algo = self.config.final_merge;
+        let parts = ctx.step(steps::FINAL_MERGE, move |ctx| {
+            let mut parts: Vec<SortedPartition<T>> = (0..batches)
+                .rev()
+                .map(|b| {
+                    let runs = &bounds[b * p..=(b + 1) * p];
+                    let data = match runs[0] {
+                        // `split_off(0)` would allocate a second buffer.
+                        0 => std::mem::take(&mut received),
+                        start => received.split_off(start),
+                    };
+                    let run_bounds: Vec<usize> = runs.iter().map(|r| r - runs[0]).collect();
+                    SortedPartition {
+                        data: final_merge_runs(ctx, final_algo, data, &run_bounds, workers),
+                        splitters: std::mem::take(&mut splitters[b]),
+                    }
+                })
+                .collect();
+            parts.reverse();
+            parts
         });
 
-        record_sort_metrics(ctx, input_items, sample_count, &offsets, merged.len());
-
-        SortedPartition {
-            data: merged,
-            splitters,
-        }
+        record_sort_metrics(ctx, input_items, samples_sent, &send_offsets, output_items);
+        parts
     }
+}
+
+/// Wire size of per-batch runs shipped as one message: the keys, plus the
+/// `B − 1` interior run boundaries (the message length implies the last).
+fn runs_wire_bytes<T>(runs: &[Vec<T>]) -> usize {
+    let keys: usize = runs.iter().map(Vec::len).sum();
+    keys * std::mem::size_of::<T>() + runs.len().saturating_sub(1) * std::mem::size_of::<usize>()
+}
+
+/// User tag kinds of the two per-batch collectives below. Sequence 0
+/// always: a machine cannot send its next sort's samples before it has
+/// this sort's splitters, which the master sends only once it holds
+/// every machine's samples.
+const SAMPLE_RUNS: u16 = 0x5a;
+const SPLITTER_RUNS: u16 = 0x5b;
+
+/// [`MachineCtx::gather_to_master`] for one run per batch: each machine's
+/// runs reach the master in a single message; `Some([source][batch])`
+/// there, `None` elsewhere.
+// analyze: allow(hot-path-alloc): O(p) control-plane bookkeeping per sort.
+// analyze: allow(panic-surface): sources are machine ids < p.
+fn gather_runs<T: Send + 'static>(
+    ctx: &mut MachineCtx,
+    runs: Vec<Vec<T>>,
+) -> Option<Vec<Vec<Vec<T>>>> {
+    let tag = Tag::user(SAMPLE_RUNS, 0);
+    if !ctx.is_master() {
+        let bytes = runs_wire_bytes(&runs);
+        let sender = ctx.comm_mut().sender();
+        sender.send_value_with_bytes(MASTER, tag, runs, bytes);
+        return None;
+    }
+    let mut by_source: Vec<Vec<Vec<T>>> = (0..ctx.num_machines()).map(|_| Vec::new()).collect();
+    by_source[MASTER] = runs;
+    for _ in 1..by_source.len() {
+        let (src, runs) = ctx.comm_mut().recv_value(tag);
+        by_source[src] = runs;
+    }
+    Some(by_source)
+}
+
+/// [`MachineCtx::broadcast_from_master`] for one run per batch: the master
+/// passes `Some(runs)`, everyone returns them.
+// analyze: allow(hot-path-alloc): O(p) clones of the B·(p − 1) splitters.
+// analyze: allow(panic-surface): the master supplying no splitters is a
+// caller bug.
+fn broadcast_runs<T: Clone + Send + 'static>(
+    ctx: &mut MachineCtx,
+    runs: Option<Vec<Vec<T>>>,
+) -> Vec<Vec<T>> {
+    let tag = Tag::user(SPLITTER_RUNS, 0);
+    if !ctx.is_master() {
+        return ctx.comm_mut().recv_value(tag).1;
+    }
+    let runs = runs.expect("master must supply the splitters");
+    let bytes = runs_wire_bytes(&runs);
+    let sender = ctx.comm_mut().sender();
+    for dst in 1..ctx.num_machines() {
+        sender.send_value_with_bytes(dst, tag, runs.clone(), bytes);
+    }
+    runs
 }
 
 #[cfg(test)]
@@ -861,7 +866,7 @@ mod tests {
             2,
             Distribution::RightSkewed,
             20_000,
-            SortConfig::default().balanced_final_merge(false),
+            SortConfig::default().final_merge(FinalMergeAlgo::SequentialKway),
             9,
         );
         assert_eq!(expect, expect2);
@@ -985,7 +990,6 @@ mod tests {
 
     #[test]
     fn parallel_kway_final_merge_agrees() {
-        use crate::config::FinalMergeAlgo;
         for dist in [Distribution::Uniform, Distribution::Exponential] {
             let (results, expect) = run_sort(
                 4,
@@ -1003,35 +1007,17 @@ mod tests {
 
     #[test]
     fn batch_sort_with_new_algos_and_parallel_merge() {
-        use crate::config::FinalMergeAlgo;
         let machines = 3;
-        let batches = [
+        let inputs = [
             generate_partitioned(Distribution::Uniform, 30_000, machines, 75),
             generate_partitioned(Distribution::Exponential, 20_000, machines, 76),
         ];
-        let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(4));
-        let sorter = DistSorter::new(
-            SortConfig::default()
-                .local_sort(LocalSortAlgo::Auto)
-                .final_merge(FinalMergeAlgo::ParallelKway),
-        );
-        let batches_ref = &batches;
-        let report = cluster.run(|ctx| {
-            let locals: Vec<Vec<u64>> =
-                batches_ref.iter().map(|b| b[ctx.id()].clone()).collect();
-            let parts = sorter.sort_batch(ctx, locals);
-            parts.into_iter().map(|p| p.data).collect::<Vec<_>>()
-        });
-        for (b, batch) in batches.iter().enumerate() {
-            let mut expect: Vec<u64> = batch.concat();
-            expect.sort_unstable();
-            let got: Vec<u64> = report
-                .results
-                .iter()
-                .flat_map(|outs| outs[b].clone())
-                .collect();
-            assert_eq!(got, expect, "batch {b}");
-        }
+        let config = SortConfig::default()
+            .local_sort(LocalSortAlgo::Auto)
+            .final_merge(FinalMergeAlgo::ParallelKway);
+        let cluster = ClusterConfig::new(machines).workers_per_machine(4);
+        let report = run_batches_with(cluster, config, &inputs);
+        assert_batches_sorted(&report, &inputs, "auto + parallel k-way");
     }
 
     #[test]
@@ -1079,77 +1065,168 @@ mod tests {
     #[test]
     fn batch_sort_sorts_every_batch() {
         let machines = 4;
-        let batches = [
+        let inputs = [
             generate_partitioned(Distribution::Uniform, 8000, machines, 51),
             generate_partitioned(Distribution::Exponential, 6000, machines, 52),
             generate_partitioned(Distribution::RightSkewed, 4000, machines, 53),
         ];
-        let expects: Vec<Vec<u64>> = batches
-            .iter()
-            .map(|b| {
-                let mut v: Vec<u64> = b.concat();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
-        let sorter = DistSorter::default();
-        let batches_ref = &batches;
-        let report = cluster.run(|ctx| {
-            let locals: Vec<Vec<u64>> =
-                batches_ref.iter().map(|b| b[ctx.id()].clone()).collect();
-            let parts = sorter.sort_batch(ctx, locals);
-            parts.into_iter().map(|p| p.data).collect::<Vec<_>>()
-        });
-        for (b, expect) in expects.iter().enumerate() {
+        assert_batches_sorted(&run_batches(machines, &inputs), &inputs, "three batches");
+    }
+
+    type BatchReport = pgxd::cluster::RunReport<Vec<SortedPartition<u64>>>;
+
+    /// Runs `sort_batch` over `inputs[batch][machine]` in a fresh cluster.
+    fn run_batches_with(
+        cluster: ClusterConfig,
+        config: SortConfig,
+        inputs: &[Vec<Vec<u64>>],
+    ) -> BatchReport {
+        let sorter = DistSorter::new(config);
+        Cluster::new(cluster).run(|ctx| {
+            let locals = inputs.iter().map(|b| b[ctx.id()].clone()).collect();
+            sorter.sort_batch(ctx, locals)
+        })
+    }
+
+    fn run_batches(machines: usize, inputs: &[Vec<Vec<u64>>]) -> BatchReport {
+        let cluster = ClusterConfig::new(machines).workers_per_machine(2);
+        run_batches_with(cluster, SortConfig::default(), inputs)
+    }
+
+    /// Every batch, concatenated in machine order, equals its sorted input:
+    /// sorted, a permutation, and machine ranges ascending.
+    fn assert_batches_sorted(report: &BatchReport, inputs: &[Vec<Vec<u64>>], what: &str) {
+        for (b, input) in inputs.iter().enumerate() {
+            let mut expect: Vec<u64> = input.concat();
+            expect.sort_unstable();
             let got: Vec<u64> = report
                 .results
                 .iter()
-                .flat_map(|outs| outs[b].clone())
+                .flat_map(|parts| parts[b].data.iter().copied())
                 .collect();
-            assert_eq!(&got, expect, "batch {b}");
+            assert_eq!(got, expect, "{what}: batch {b}");
+        }
+    }
+
+    /// Runs `sort` over `parts[machine]` in a fresh cluster.
+    fn run_plain(
+        machines: usize,
+        parts: &[Vec<u64>],
+    ) -> pgxd::cluster::RunReport<SortedPartition<u64>> {
+        let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
+        let sorter = DistSorter::default();
+        cluster.run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()))
+    }
+
+    /// Messages that are not exchange data chunks: the sample gather, the
+    /// splitter broadcast and the count all-gather.
+    fn control_messages<R>(report: &pgxd::cluster::RunReport<R>) -> u64 {
+        report.comm.messages_sent - report.comm.exchange.chunks_sent
+    }
+
+    #[test]
+    fn batch_of_one_is_the_plain_sort() {
+        let machines = 3;
+        let parts = generate_partitioned(Distribution::Normal, 6000, machines, 55);
+        let plain = run_plain(machines, &parts);
+        let batched = run_batches(machines, &[parts]);
+        for (one, many) in plain.results.iter().zip(&batched.results) {
+            assert_eq!(std::slice::from_ref(one), &many[..]);
+        }
+        assert_eq!(plain.comm.bytes_sent, batched.comm.bytes_sent);
+        assert_eq!(plain.comm.messages_sent, batched.comm.messages_sent);
+        // No batches: nothing sorted, nothing sent.
+        let none = run_batches(machines, &[]);
+        assert!(none.results.iter().all(Vec::is_empty));
+        assert_eq!(none.comm.messages_sent, 0);
+    }
+
+    #[test]
+    fn batching_shares_collectives_and_never_costs_wire_bytes() {
+        let machines = 4;
+        let a = generate_partitioned(Distribution::Uniform, 40_000, machines, 81);
+        let b = generate_partitioned(Distribution::Exponential, 40_000, machines, 82);
+        let alone_a = run_plain(machines, &a);
+        let alone_b = run_plain(machines, &b);
+        let together = run_batches(machines, &[a, b]);
+        assert!(
+            together.comm.bytes_sent <= alone_a.comm.bytes_sent + alone_b.comm.bytes_sent,
+            "batched {} B > {} B + {} B",
+            together.comm.bytes_sent,
+            alone_a.comm.bytes_sent,
+            alone_b.comm.bytes_sent
+        );
+        // One gather, one broadcast, one count all-gather whatever B is.
+        let p = machines as u64;
+        assert_eq!(control_messages(&alone_a), 2 * (p - 1) + p * (p - 1));
+        assert_eq!(control_messages(&together), control_messages(&alone_a));
+    }
+
+    #[test]
+    fn sample_budget_is_one_read_buffer_for_any_batch_count() {
+        let machines = 4;
+        let buffer_bytes = 16 * 1024;
+        for batches in [1usize, 4] {
+            let inputs: Vec<Vec<Vec<u64>>> = (0..batches)
+                .map(|b| generate_partitioned(Distribution::Uniform, 8000, machines, 90 + b as u64))
+                .collect();
+            let cluster = ClusterConfig::new(machines).buffer_bytes(buffer_bytes);
+            let report = run_batches_with(cluster, SortConfig::default(), &inputs);
+            let samples: u64 = report
+                .metrics
+                .counters_of_family("pgxd_sort_samples_total")
+                .map(|(_, n)| n)
+                .sum();
+            let sample_bytes = samples as usize * std::mem::size_of::<u64>();
+            assert!(
+                0 < sample_bytes && sample_bytes <= buffer_bytes,
+                "B = {batches}: {sample_bytes} B of samples against a {buffer_bytes} B buffer"
+            );
         }
     }
 
     #[test]
-    fn batch_sort_single_batch_matches_plain_sort() {
-        let machines = 3;
-        let parts = generate_partitioned(Distribution::Normal, 6000, machines, 55);
-        let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
-        let sorter = DistSorter::default();
-        let report = cluster.run(|ctx| {
-            let plain = sorter.sort(ctx, parts[ctx.id()].clone()).data;
-            let batched = sorter
-                .sort_batch(ctx, vec![parts[ctx.id()].clone()])
-                .pop()
-                .unwrap()
-                .data;
-            (plain, batched)
-        });
-        let flat_plain: Vec<u64> = report.results.iter().flat_map(|(p, _)| p.clone()).collect();
-        let flat_batch: Vec<u64> = report.results.iter().flat_map(|(_, b)| b.clone()).collect();
-        assert_eq!(flat_plain, flat_batch);
-    }
-
-    #[test]
-    fn batch_sort_with_empty_and_zero_batches() {
-        let machines = 3;
-        let parts = generate_partitioned(Distribution::Uniform, 3000, machines, 57);
-        let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(1));
-        let sorter = DistSorter::default();
-        let report = cluster.run(|ctx| {
-            let zero = sorter.sort_batch::<u64>(ctx, vec![]);
-            assert!(zero.is_empty());
-            // One real batch, one empty batch.
-            let locals = vec![parts[ctx.id()].clone(), Vec::new()];
-            let out = sorter.sort_batch(ctx, locals);
-            (out[0].data.clone(), out[1].data.clone())
-        });
-        let mut expect: Vec<u64> = parts.concat();
-        expect.sort_unstable();
-        let got: Vec<u64> = report.results.iter().flat_map(|(a, _)| a.clone()).collect();
-        assert_eq!(got, expect);
-        assert!(report.results.iter().all(|(_, b)| b.is_empty()));
+    fn hostile_shapes_through_the_single_driver() {
+        // Batch 0 takes the hostile shape; any further batches are plain
+        // uniform data riding the same collectives.
+        type Shape = fn(usize) -> Vec<Vec<u64>>;
+        let shapes: [(&str, Shape); 5] = [
+            ("empty everywhere", |p| vec![Vec::new(); p]),
+            ("empty on odd machines", |p| {
+                let odd_empty = |m: usize| vec![m as u64 + 3; 400 * ((m + 1) % 2)];
+                (0..p).map(odd_empty).collect()
+            }),
+            ("all-equal keys", |p| vec![vec![9; 700]; p]),
+            ("fewer keys than machines", |p| {
+                (0..p)
+                    .map(|m| vec![(p - m) as u64; usize::from(m + 1 < p)])
+                    .collect()
+            }),
+            ("one machine holds everything", |p| {
+                let mut parts = vec![Vec::new(); p];
+                parts[p - 1] = (0..3000u64)
+                    .map(|i| i.wrapping_mul(0x9e37_79b9) % 5000)
+                    .collect();
+                parts
+            }),
+        ];
+        for machines in [1usize, 3, 5] {
+            for batches in [1usize, 3] {
+                for (name, shape) in shapes {
+                    let mut inputs = vec![shape(machines)];
+                    for b in 1..batches {
+                        inputs.push(generate_partitioned(
+                            Distribution::Uniform,
+                            2000,
+                            machines,
+                            b as u64,
+                        ));
+                    }
+                    let what = format!("{name}: p = {machines}, B = {batches}");
+                    assert_batches_sorted(&run_batches(machines, &inputs), &inputs, &what);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1157,18 +1234,8 @@ mod tests {
         let machines = 5;
         let heavy: Vec<Vec<u64>> = (0..machines).map(|_| vec![3u64; 2000]).collect();
         let mixed = generate_partitioned(Distribution::Uniform, 10_000, machines, 59);
-        let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(1));
-        let sorter = DistSorter::default();
-        let heavy_ref = &heavy;
-        let mixed_ref = &mixed;
-        let report = cluster.run(|ctx| {
-            let out = sorter.sort_batch(
-                ctx,
-                vec![heavy_ref[ctx.id()].clone(), mixed_ref[ctx.id()].clone()],
-            );
-            (out[0].len(), out[1].len())
-        });
-        let heavy_sizes: Vec<usize> = report.results.iter().map(|r| r.0).collect();
+        let report = run_batches(machines, &[heavy, mixed]);
+        let heavy_sizes: Vec<usize> = report.results.iter().map(|r| r[0].len()).collect();
         assert_eq!(heavy_sizes.iter().sum::<usize>(), machines * 2000);
         let max = heavy_sizes.iter().max().unwrap();
         let min = heavy_sizes.iter().min().unwrap();
@@ -1194,29 +1261,27 @@ mod tests {
     fn sort_registers_load_metrics() {
         let machines = 3;
         let parts = generate_partitioned(Distribution::Uniform, 9000, machines, 77);
-        let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
-        let sorter = DistSorter::default();
-        let report = cluster.run(|ctx| {
-            let local = parts[ctx.id()].clone();
-            sorter.sort(ctx, local).data.len()
-        });
-        // Output gauges cover every element exactly once.
-        let out_total: u64 = (0..machines)
-            .map(|m| {
-                report
-                    .metrics
-                    .gauge(&format!("pgxd_sort_output_items{{machine=\"{m}\"}}"))
-                    .expect("output gauge registered")
-            })
-            .sum();
-        assert_eq!(out_total, 9000);
-        // One send range per (machine, destination) pair.
-        let ranges = report
-            .metrics
-            .histogram("pgxd_sort_send_range_items")
-            .expect("send-range histogram registered");
-        assert_eq!(ranges.count, (machines * machines) as u64);
-        assert_eq!(ranges.sum, 9000);
+        let more = generate_partitioned(Distribution::Normal, 6000, machines, 78);
+        for (inputs, total) in [(vec![parts.clone()], 9000), (vec![parts, more], 15_000)] {
+            let report = run_batches(machines, &inputs);
+            // Output gauges cover every element of every batch exactly once.
+            let out_total: u64 = (0..machines)
+                .map(|m| {
+                    report
+                        .metrics
+                        .gauge(&format!("pgxd_sort_output_items{{machine=\"{m}\"}}"))
+                        .expect("output gauge registered")
+                })
+                .sum();
+            assert_eq!(out_total, total);
+            // One send range per (machine, destination) pair per batch.
+            let ranges = report
+                .metrics
+                .histogram("pgxd_sort_send_range_items")
+                .expect("send-range histogram registered");
+            assert_eq!(ranges.count, (inputs.len() * machines * machines) as u64);
+            assert_eq!(ranges.sum, total);
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use crate::comm::{CommSender, Tag};
 use crate::pool::ChunkPool;
 use crate::trace::EventKind;
-use std::sync::Arc;
 
 /// A chunk of exchange data addressed to a receiver-side element offset,
 /// so the receiver can write it straight into its preallocated output
@@ -22,8 +21,11 @@ pub struct OffsetChunk<T> {
     pub data: Vec<T>,
 }
 
-/// Per-destination outgoing buffer that flushes at a byte capacity.
-pub struct RequestBuffer<T> {
+/// Per-destination outgoing buffer that flushes at a byte capacity. Chunk
+/// backing stores are acquired from the machine's [`ChunkPool`] — in a
+/// steady-state exchange the receiver releases consumed chunks back, so
+/// the same allocations circulate for the whole run.
+pub struct RequestBuffer<'p, T> {
     dst: usize,
     tag: Tag,
     /// Elements per chunk under the byte capacity (at least 1), computed
@@ -33,35 +35,18 @@ pub struct RequestBuffer<T> {
     next_offset: usize,
     buf: Vec<T>,
     flushed_chunks: usize,
-    /// Recycled backing stores for flushed chunks; `None` ⇒ allocate fresh.
-    pool: Option<Arc<ChunkPool>>,
+    /// Recycled backing stores for flushed chunks.
+    pool: &'p ChunkPool,
 }
 
-impl<T: Send + Copy + 'static> RequestBuffer<T> {
+impl<'p, T: Send + Copy + 'static> RequestBuffer<'p, T> {
     /// A buffer for `dst`, starting at receiver-side offset `base_offset`.
-    pub fn new(dst: usize, tag: Tag, capacity_bytes: usize, base_offset: usize) -> Self {
-        let cap_elems = Self::capacity_elems(capacity_bytes);
-        RequestBuffer {
-            dst,
-            tag,
-            cap_elems,
-            next_offset: base_offset,
-            buf: Vec::with_capacity(cap_elems),
-            flushed_chunks: 0,
-            pool: None,
-        }
-    }
-
-    /// Like [`new`](RequestBuffer::new), but chunk backing stores are
-    /// acquired from `pool` instead of allocated — in a steady-state
-    /// exchange the receiver releases consumed chunks back, so the same
-    /// allocations circulate for the whole run.
-    pub fn with_pool(
+    pub fn new(
         dst: usize,
         tag: Tag,
         capacity_bytes: usize,
         base_offset: usize,
-        pool: Arc<ChunkPool>,
+        pool: &'p ChunkPool,
     ) -> Self {
         let cap_elems = Self::capacity_elems(capacity_bytes);
         RequestBuffer {
@@ -71,7 +56,7 @@ impl<T: Send + Copy + 'static> RequestBuffer<T> {
             next_offset: base_offset,
             buf: pool.acquire(cap_elems),
             flushed_chunks: 0,
-            pool: Some(pool),
+            pool,
         }
     }
 
@@ -109,10 +94,7 @@ impl<T: Send + Copy + 'static> RequestBuffer<T> {
         if self.buf.is_empty() {
             return;
         }
-        let fresh = match &self.pool {
-            Some(pool) => pool.acquire(self.cap_elems),
-            None => Vec::with_capacity(self.cap_elems),
-        };
+        let fresh = self.pool.acquire(self.cap_elems);
         let data = std::mem::replace(&mut self.buf, fresh);
         let offset = self.next_offset;
         self.next_offset += data.len();
@@ -123,17 +105,15 @@ impl<T: Send + Copy + 'static> RequestBuffer<T> {
 
     /// Flushes any remainder and retires the buffer. Unlike
     /// [`flush`](RequestBuffer::flush), no replacement backing store is
-    /// acquired — and an unused pooled backing store is returned to the
-    /// pool — so a steady-state exchange's acquires and releases balance
-    /// exactly (the protocol checker's chunk-custody ledger verifies this
-    /// balance at every barrier in debug builds).
+    /// acquired — and an unused backing store is returned to the pool — so
+    /// a steady-state exchange's acquires and releases balance exactly (the
+    /// protocol checker's chunk-custody ledger verifies this balance at
+    /// every barrier in debug builds).
     pub fn finish(mut self, sender: &CommSender) {
         let data = std::mem::take(&mut self.buf);
         if data.is_empty() {
-            if let Some(pool) = &self.pool {
-                if data.capacity() > 0 {
-                    pool.release(data);
-                }
+            if data.capacity() > 0 {
+                self.pool.release(data);
             }
             return;
         }
@@ -181,18 +161,20 @@ mod tests {
     use crate::metrics::CommStats;
     use std::sync::Arc;
 
-    fn fabric2() -> Vec<CommManager> {
-        CommManager::fabric(2, Arc::new(CommStats::new(2, Default::default())))
+    /// A two-machine fabric plus a chunk pool on the same stats.
+    fn fabric2() -> (Vec<CommManager>, ChunkPool) {
+        let stats = Arc::new(CommStats::new(2, Default::default()));
+        (CommManager::fabric(2, stats.clone()), ChunkPool::new(stats))
     }
 
     #[test]
     fn flushes_on_capacity() {
-        let mut f = fabric2();
+        let (mut f, pool) = fabric2();
         let mut m1 = f.pop().unwrap();
         let m0 = f.pop().unwrap();
         let tag = Tag::user(0, 0);
         // capacity = 32 bytes = 4 u64 elements
-        let mut buf: RequestBuffer<u64> = RequestBuffer::new(1, tag, 32, 100);
+        let mut buf: RequestBuffer<u64> = RequestBuffer::new(1, tag, 32, 100, &pool);
         let sender = m0.sender();
         for v in 0..10u64 {
             buf.push(v, &sender);
@@ -216,11 +198,11 @@ mod tests {
 
     #[test]
     fn push_slice_spans_multiple_chunks() {
-        let mut f = fabric2();
+        let (mut f, pool) = fabric2();
         let mut m1 = f.pop().unwrap();
         let m0 = f.pop().unwrap();
         let tag = Tag::user(0, 1);
-        let mut buf: RequestBuffer<u32> = RequestBuffer::new(1, tag, 16, 0); // 4 elems
+        let mut buf: RequestBuffer<u32> = RequestBuffer::new(1, tag, 16, 0, &pool); // 4 elems
         let values: Vec<u32> = (0..11).collect();
         buf.push_slice(&values, &m0.sender());
         buf.flush(&m0.sender());
@@ -239,9 +221,9 @@ mod tests {
         let mut m1 = f.pop().unwrap();
         let m0 = f.pop().unwrap();
         let tag = Tag::user(0, 9);
-        let pool = Arc::new(ChunkPool::new(stats.clone()));
+        let pool = ChunkPool::new(stats.clone());
         // 32 bytes = 4 u64 elements per chunk.
-        let mut buf: RequestBuffer<u64> = RequestBuffer::with_pool(1, tag, 32, 0, pool.clone());
+        let mut buf: RequestBuffer<u64> = RequestBuffer::new(1, tag, 32, 0, &pool);
         let sender = m0.sender();
         for round in 0..3u64 {
             for v in 0..4u64 {
@@ -262,22 +244,22 @@ mod tests {
 
     #[test]
     fn empty_flush_is_noop() {
-        let mut f = fabric2();
+        let (mut f, pool) = fabric2();
         let _m1 = f.pop().unwrap();
         let m0 = f.pop().unwrap();
-        let mut buf: RequestBuffer<u64> = RequestBuffer::new(1, Tag::user(0, 2), 64, 0);
+        let mut buf: RequestBuffer<u64> = RequestBuffer::new(1, Tag::user(0, 2), 64, 0, &pool);
         buf.flush(&m0.sender());
         assert_eq!(buf.flushed_chunks(), 0);
     }
 
     #[test]
     fn tiny_capacity_still_makes_progress() {
-        let mut f = fabric2();
+        let (mut f, pool) = fabric2();
         let mut m1 = f.pop().unwrap();
         let m0 = f.pop().unwrap();
         let tag = Tag::user(0, 3);
         // capacity smaller than one element: every push flushes.
-        let mut buf: RequestBuffer<u64> = RequestBuffer::new(1, tag, 1, 0);
+        let mut buf: RequestBuffer<u64> = RequestBuffer::new(1, tag, 1, 0, &pool);
         buf.push(5, &m0.sender());
         buf.push(6, &m0.sender());
         assert_eq!(buf.flushed_chunks(), 2);

@@ -494,22 +494,6 @@ impl CommManager {
         }
     }
 
-    /// Non-blocking receive of any already-delivered packet with `tag`.
-    pub fn try_recv_packet(&mut self, tag: Tag) -> Option<Packet> {
-        if let Some(pkt) = self.take_parked(tag) {
-            self.note_delivered(&pkt);
-            return Some(pkt);
-        }
-        while let Ok(pkt) = self.inbox.try_recv() {
-            if pkt.tag == tag {
-                self.note_delivered(&pkt);
-                return Some(pkt);
-            }
-            self.mailbox.entry(pkt.tag).or_default().push_back(pkt);
-        }
-        None
-    }
-
     /// Receives a `Vec<T>` with `tag` from any source; returns `(src, data)`.
     pub fn recv_vec<T: Send + 'static>(&mut self, tag: Tag) -> (usize, Vec<T>) {
         let pkt = self.recv_packet(tag);
@@ -634,14 +618,6 @@ mod tests {
         let _ = m0.recv_vec::<u64>(tag);
         assert_eq!(stats.summary().bytes_sent, 800);
         assert_eq!(stats.summary().messages_sent, 1);
-    }
-
-    #[test]
-    fn try_recv_returns_none_when_empty() {
-        let mut f = fabric2();
-        let _m1 = f.pop().unwrap();
-        let mut m0 = f.pop().unwrap();
-        assert!(m0.try_recv_packet(Tag::user(0, 0)).is_none());
     }
 
     #[test]

@@ -488,22 +488,27 @@ impl MachineCtx {
     }
 
     /// The §IV-C asynchronous exchange. `data` is this machine's local
-    /// array; `send_offsets` (`p + 1` entries) assigns
-    /// `data[send_offsets[j]..send_offsets[j+1]]` to destination `j`.
+    /// array; `send_offsets` cuts it into `B·p` consecutive ranges
+    /// (`B·p + 1` entries, `B ≥ 1` batches), range `i` going to machine
+    /// `i % p` as part of batch `i / p`. A plain all-to-all is `B = 1`:
+    /// `p + 1` offsets, `data[send_offsets[j]..send_offsets[j+1]]` to
+    /// destination `j`. Every machine must pass the same `B`.
     ///
     /// Semantics reproduced from the paper:
-    /// 1. per-destination element counts are exchanged first, so every
-    ///    receiver can preallocate its output and every sender knows the
-    ///    receiver-side offset to address its chunks at;
+    /// 1. per-range element counts are exchanged first, so every receiver
+    ///    can preallocate its output and every sender knows the
+    ///    receiver-side offset to address its chunks at — the counts are
+    ///    also all the batch identity that travels: keys ship untagged;
     /// 2. data moves in data-manager buffer-sized chunks
     ///    ([`MachineCtx::buffer_bytes`]) addressed to absolute offsets, so
     ///    the receiver writes each arriving chunk straight into place
     ///    while still sending its own outgoing data (no barrier between
     ///    send and receive);
-    /// 3. returns `(assembled, source_bounds)` where
-    ///    `assembled[source_bounds[s]..source_bounds[s+1]]` is the run
-    ///    received from machine `s` (runs stay contiguous so the final
-    ///    merge can consume them and provenance stays recoverable).
+    /// 3. returns `(assembled, bounds)` laid out batch-major, source-minor
+    ///    (`B·p + 1` bounds): `assembled[bounds[b·p + s]..bounds[b·p + s + 1]]`
+    ///    is the batch-`b` run received from machine `s` (runs stay
+    ///    contiguous so the final merge can consume them and provenance
+    ///    stays recoverable).
     // analyze: allow(panic-surface): offset arithmetic is verified by the
     // count phase (and the debug checker's offset tiling); bounds checks
     // panicking here catch corruption rather than writing stray bytes.
@@ -512,7 +517,12 @@ impl MachineCtx {
         data: &[T],
         send_offsets: &[usize],
     ) -> (Vec<T>, Vec<usize>) {
-        assert_eq!(send_offsets.len(), self.p + 1, "need p+1 send offsets");
+        let (id, p) = (self.id, self.p);
+        let ranges = send_offsets.len().saturating_sub(1);
+        assert!(
+            ranges > 0 && ranges.is_multiple_of(p),
+            "need B·p+1 send offsets (B ≥ 1 batches)"
+        );
         assert_eq!(*send_offsets.last().unwrap(), data.len());
 
         // --- 1. count exchange ------------------------------------------------
@@ -520,9 +530,8 @@ impl MachineCtx {
             kind: kinds::EXCHANGE_COUNTS,
             seq: self.next_seq(),
         };
-        let (matrix, source_bounds, my_base_at) =
-            self.exchange_count_phase(send_offsets, counts_tag);
-        let total = source_bounds[self.p];
+        let (bounds, send_bases) = self.exchange_count_phase(send_offsets, counts_tag);
+        let total = bounds[ranges];
 
         // --- 2. overlapped send/receive --------------------------------------
         let data_tag = Tag {
@@ -531,21 +540,23 @@ impl MachineCtx {
         };
         let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(total);
         // SAFETY: MaybeUninit slots carry no validity invariant; every slot
-        // is written exactly once below (self-copy + per-source chunks tile
+        // is written exactly once below (self-copies + per-source chunks tile
         // [0, total) by construction of the count matrix), asserted by the
         // placement accounting before the final transmute (and verified
         // span-by-span by the protocol checker's offset ledger in debug
         // builds).
         unsafe { out.set_len(total) };
-        let mut ledger = self.comm.checker().offset_ledger(self.id, data_tag, total);
+        let mut ledger = self.comm.checker().offset_ledger(id, data_tag, total);
 
-        // Self part: one memcpy straight into place, no fabric involved.
-        let self_len = {
-            let self_slice = &data[send_offsets[self.id]..send_offsets[self.id + 1]];
-            let base = source_bounds[self.id];
-            // SAFETY: `base + len <= total` by construction of
-            // `source_bounds`; `MaybeUninit<T>` is layout-identical to `T`,
-            // and `data` cannot alias the freshly allocated `out`.
+        // Self parts: one memcpy per batch straight into place, no fabric
+        // involved.
+        let mut self_len = 0usize;
+        for own in (id..ranges).step_by(p) {
+            let self_slice = &data[send_offsets[own]..send_offsets[own + 1]];
+            let base = bounds[own];
+            // SAFETY: `base + len <= total` by construction of `bounds`;
+            // `MaybeUninit<T>` is layout-identical to `T`, and `data`
+            // cannot alias the freshly allocated `out`.
             unsafe {
                 std::ptr::copy_nonoverlapping(
                     self_slice.as_ptr(),
@@ -565,27 +576,29 @@ impl MachineCtx {
                     std::mem::size_of_val(self_slice) as u64,
                 );
             }
-            self_slice.len()
-        };
+            self_len += self_slice.len();
+        }
 
-        let expected_remote = total - (matrix[self.id][self.id] as usize);
+        let expected_remote = total - self_len;
         let sender = self.comm.sender();
         // analyze: allow(hot-path-alloc): one worker-pool handle clone per
         // exchange — the Arc bump detaches the manager from `self` so the
         // receive loop below can borrow the comm manager mutably.
         let task = self.task.clone();
         let buffer_bytes = self.buffer_bytes;
-        let (id, p) = (self.id, self.p);
 
         // One send task per destination (staggered so machine 0 is not
-        // everyone's first target). The workers run these while the
-        // receive loop below drains arrivals — true send-while-receive.
+        // everyone's first target), streaming that destination's range of
+        // every batch. The workers run these while the receive loop below
+        // drains arrivals — true send-while-receive.
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
             Vec::with_capacity(p.saturating_sub(1));
         for step in 1..p {
             let dst = (id + step) % p;
-            let slice = &data[send_offsets[dst]..send_offsets[dst + 1]];
-            if slice.is_empty() {
+            if (dst..ranges)
+                .step_by(p)
+                .all(|i| send_offsets[i] == send_offsets[i + 1])
+            {
                 continue;
             }
             // analyze: allow(hot-path-alloc): one fabric-handle clone per
@@ -594,7 +607,7 @@ impl MachineCtx {
             // analyze: allow(hot-path-alloc): one pool-handle clone per
             // destination task; the chunks inside are recycled, not allocated.
             let pool = self.pool.clone();
-            let base = my_base_at[dst];
+            let send_bases = &send_bases;
             let lane = 1 + tasks.len() as u32;
             let index = tasks.len() as u64;
             tasks.push(task::traced_task(
@@ -607,10 +620,16 @@ impl MachineCtx {
                 // analyze: allow(hot-path-alloc): one boxed send task per
                 // destination per exchange — task granularity, not chunk.
                 Box::new(move || {
-                    let mut buf: RequestBuffer<T> =
-                        RequestBuffer::with_pool(dst, data_tag, buffer_bytes, base, pool);
-                    buf.push_slice(slice, &sender);
-                    buf.finish(&sender);
+                    for i in (dst..ranges).step_by(p) {
+                        let slice = &data[send_offsets[i]..send_offsets[i + 1]];
+                        if slice.is_empty() {
+                            continue;
+                        }
+                        let mut buf: RequestBuffer<T> =
+                            RequestBuffer::new(dst, data_tag, buffer_bytes, send_bases[i], &pool);
+                        buf.push_slice(slice, &sender);
+                        buf.finish(&sender);
+                    }
                     // Fault plans may have parked a chunk of this stream
                     // (drop-with-redelivery); the stream is over, so force
                     // it out. No-op without a plan.
@@ -684,114 +703,17 @@ impl MachineCtx {
             // Vec<MaybeUninit<T>> and Vec<T> share layout for the same T.
             unsafe { Vec::from_raw_parts(ptr as *mut T, len, cap) }
         };
-        (out, source_bounds)
+        (out, bounds)
     }
 
-    /// The pre-rework exchange: sequential per-destination sends from the
-    /// receive thread, a freshly allocated `Vec` per chunk, and
-    /// element-wise placement loops. Kept verbatim as the *before* case
-    /// for the `exp exchange` microbenchmark and the regression tests;
-    /// production callers use
-    /// [`exchange_by_offsets`](MachineCtx::exchange_by_offsets).
-    // analyze: allow(panic-surface): reference implementation kept for
-    // equivalence tests; same bounded-by-count-phase indexing as the
-    // pooled path.
-    pub fn exchange_by_offsets_legacy<T: Copy + Send + Sync + 'static>(
-        &mut self,
-        data: &[T],
-        send_offsets: &[usize],
-    ) -> (Vec<T>, Vec<usize>) {
-        assert_eq!(send_offsets.len(), self.p + 1, "need p+1 send offsets");
-        assert_eq!(*send_offsets.last().unwrap(), data.len());
-
-        let counts_tag = Tag {
-            kind: kinds::EXCHANGE_COUNTS,
-            seq: self.next_seq(),
-        };
-        let (matrix, source_bounds, my_base_at) =
-            self.exchange_count_phase(send_offsets, counts_tag);
-        let total = source_bounds[self.p];
-
-        let data_tag = Tag {
-            kind: kinds::EXCHANGE_DATA,
-            seq: self.next_seq(),
-        };
-        let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(total);
-        // SAFETY: every slot is written exactly once below; asserted by the
-        // `written` accounting before the final transmute.
-        unsafe { out.set_len(total) };
-        let mut written = 0usize;
-        let mut ledger = self.comm.checker().offset_ledger(self.id, data_tag, total);
-
-        // Self part: copied straight into place, no fabric involved.
-        {
-            let self_slice = &data[send_offsets[self.id]..send_offsets[self.id + 1]];
-            let base = source_bounds[self.id];
-            for (i, &v) in self_slice.iter().enumerate() {
-                out[base + i] = MaybeUninit::new(v);
-            }
-            ledger.record(base, self_slice.len());
-            written += self_slice.len();
-        }
-
-        let expected_remote = total - (matrix[self.id][self.id] as usize);
-        let sender = self.comm.sender();
-        let mut remote_received = 0usize;
-
-        // Send to each destination in staggered order, draining arrivals
-        // between flushes.
-        for step in 1..self.p {
-            let dst = (self.id + step) % self.p;
-            let slice = &data[send_offsets[dst]..send_offsets[dst + 1]];
-            if !slice.is_empty() {
-                let mut buf: RequestBuffer<T> =
-                    RequestBuffer::new(dst, data_tag, self.buffer_bytes, my_base_at[dst]);
-                buf.push_slice(slice, &sender);
-                buf.flush(&sender);
-                // Redeliver any chunk a fault plan parked for this stream.
-                sender.flush_held_chunks(dst, data_tag);
-            }
-            while let Some(pkt) = self.comm.try_recv_packet(data_tag) {
-                let (offset, chunk) = pkt.into_value::<(usize, Vec<T>)>();
-                for (i, &v) in chunk.iter().enumerate() {
-                    out[offset + i] = MaybeUninit::new(v);
-                }
-                ledger.record(offset, chunk.len());
-                remote_received += chunk.len();
-                written += chunk.len();
-            }
-        }
-
-        // Block for the rest.
-        while remote_received < expected_remote {
-            let pkt = self.comm.recv_packet(data_tag);
-            let (offset, chunk) = pkt.into_value::<(usize, Vec<T>)>();
-            for (i, &v) in chunk.iter().enumerate() {
-                out[offset + i] = MaybeUninit::new(v);
-            }
-            ledger.record(offset, chunk.len());
-            remote_received += chunk.len();
-            written += chunk.len();
-        }
-        ledger.finish();
-        assert_eq!(written, total, "exchange did not fill the output buffer");
-
-        let out = {
-            let mut md = ManuallyDrop::new(out);
-            let (ptr, len, cap) = (md.as_mut_ptr(), md.len(), md.capacity());
-            // SAFETY: all `total` slots initialized (asserted above);
-            // Vec<MaybeUninit<T>> and Vec<T> share layout for the same T.
-            unsafe { Vec::from_raw_parts(ptr as *mut T, len, cap) }
-        };
-        (out, source_bounds)
-    }
-
-    /// Shared count phase of both exchange variants: all-gathers the
-    /// per-destination counts and derives (count matrix, receiver-side
-    /// source bounds, this sender's base offset at each destination).
-    // analyze: allow(panic-surface): the count matrix is dense p×p by
-    // construction; indexing by machine id cannot miss.
-    // analyze: allow(hot-path-alloc): O(p) control-plane allocations per
+    /// Count phase of the exchange: all-gathers every machine's per-range
+    /// counts and derives the receiver-side run bounds (batch-major,
+    /// source-minor) and the receiver-side base offset of each of this
+    /// machine's send ranges.
+    // analyze: allow(panic-surface): the count matrix is dense p×B·p (the
+    // row-length assert rejects a peer with another batch count); indexing
+    // by machine id and range cannot miss.
+    // analyze: allow(hot-path-alloc): O(B·p) control-plane allocations per
     // collective call — gather/broadcast bookkeeping scales with the
     // machine count, not the element count, and the payloads escape to
     // the caller.
@@ -799,25 +721,39 @@ impl MachineCtx {
         &mut self,
         send_offsets: &[usize],
         counts_tag: Tag,
-    ) -> (Vec<Vec<u64>>, Vec<usize>, Vec<usize>) {
-        let my_counts: Vec<u64> = (0..self.p)
-            .map(|j| (send_offsets[j + 1] - send_offsets[j]) as u64)
+    ) -> (Vec<usize>, Vec<usize>) {
+        let my_counts: Vec<u64> = send_offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as u64)
             .collect();
+        let ranges = my_counts.len();
         let matrix = self.all_gather_with_tag(my_counts, counts_tag);
+        assert!(
+            matrix.iter().all(|row| row.len() == ranges),
+            "every machine must exchange the same number of batches"
+        );
 
-        // Receiver layout: arrivals from lower-numbered sources first.
-        let mut source_bounds = Vec::with_capacity(self.p + 1);
-        source_bounds.push(0usize);
-        for src in 0..self.p {
-            let c = matrix[src][self.id] as usize;
-            source_bounds.push(source_bounds[src] + c);
+        // Every receiver lays its runs out batch by batch, arrivals from
+        // lower-numbered sources first; walking each destination's layout
+        // gives this machine's own bounds and where its ranges land.
+        let mut bounds = Vec::with_capacity(ranges + 1);
+        bounds.push(0usize);
+        let mut send_bases = vec![0usize; ranges];
+        for dst in 0..self.p {
+            let mut at = 0usize;
+            for batch in (0..ranges).step_by(self.p) {
+                for (src, row) in matrix.iter().enumerate() {
+                    if src == self.id {
+                        send_bases[batch + dst] = at;
+                    }
+                    at += row[batch + dst] as usize;
+                    if dst == self.id {
+                        bounds.push(at);
+                    }
+                }
+            }
         }
-
-        // Sender-side base offset at each destination.
-        let my_base_at: Vec<usize> = (0..self.p)
-            .map(|dst| (0..self.id).map(|s| matrix[s][dst] as usize).sum())
-            .collect();
-        (matrix, source_bounds, my_base_at)
+        (bounds, send_bases)
     }
 
     /// All-gather with a caller-provided tag (used by the exchange's count

@@ -6,6 +6,22 @@ use pgxd::cluster::{Cluster, ClusterConfig};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
+/// Deterministic pseudo-random monotone offsets cutting `0..len` into
+/// `ranges` consecutive (possibly empty) ranges.
+fn monotone_cuts(len: usize, ranges: usize, seed: u64) -> Vec<usize> {
+    let mut offsets = vec![0usize];
+    let mut x = seed | 1;
+    for _ in 1..ranges {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let prev = *offsets.last().unwrap();
+        offsets.push(prev + (x as usize % (len - prev + 1)));
+    }
+    offsets.push(len);
+    offsets
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -88,17 +104,7 @@ proptest! {
         let shards_ref = &shards;
         let report = cluster.run(|ctx| {
             let data = shards_ref[ctx.id()].clone();
-            // Deterministic pseudo-random monotone offsets.
-            let mut offsets = vec![0usize];
-            let mut x = cuts_seed | 1;
-            for _ in 0..ctx.num_machines() - 1 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let prev = *offsets.last().unwrap();
-                offsets.push(prev + (x as usize % (data.len() - prev + 1)));
-            }
-            offsets.push(data.len());
+            let offsets = monotone_cuts(data.len(), ctx.num_machines(), cuts_seed);
             let mut result = ctx.exchange_by_offsets(&data, &offsets);
             for _ in 1..rounds {
                 result = ctx.exchange_by_offsets(&data, &offsets);
@@ -130,44 +136,41 @@ proptest! {
     }
 
     #[test]
-    fn exchange_matches_legacy_path(
+    fn exchange_places_every_range_where_the_layout_says(
         p in 1usize..5,
+        batches in 1usize..4,
         shard_len in 0usize..200,
         cuts_seed in any::<u64>(),
     ) {
-        // The reworked pipeline must be observably identical to the
-        // pre-rework exchange: same outputs, same source bounds.
+        // The closed-form model of the exchange: send range `b·p + dst` of
+        // source `s` is, verbatim, run `b·p + s` of destination `dst`.
         let shards: Vec<Vec<u64>> = (0..p)
             .map(|m| (0..shard_len as u64).map(|i| i * 5 + m as u64).collect())
             .collect();
-        let run_one = |legacy: bool| {
-            let cluster = Cluster::new(
-                ClusterConfig::new(p).buffer_bytes(64).workers_per_machine(2),
-            );
-            let shards_ref = &shards;
-            cluster.run(move |ctx| {
-                let data = shards_ref[ctx.id()].clone();
-                let mut offsets = vec![0usize];
-                let mut x = cuts_seed | 1;
-                for _ in 0..ctx.num_machines() - 1 {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let prev = *offsets.last().unwrap();
-                    offsets.push(prev + (x as usize % (data.len() - prev + 1)));
+        let offsets: Vec<Vec<usize>> = (0..p)
+            .map(|m| monotone_cuts(shard_len, batches * p, cuts_seed ^ m as u64))
+            .collect();
+        let cluster = Cluster::new(
+            ClusterConfig::new(p).buffer_bytes(64).workers_per_machine(2),
+        );
+        let (shards_ref, offsets_ref) = (&shards, &offsets);
+        let report = cluster.run(move |ctx| {
+            ctx.exchange_by_offsets(&shards_ref[ctx.id()], &offsets_ref[ctx.id()])
+        });
+        for (dst, (out, bounds)) in report.results.iter().enumerate() {
+            prop_assert_eq!(bounds.len(), batches * p + 1);
+            prop_assert_eq!((bounds[0], bounds[batches * p]), (0, out.len()));
+            for batch in 0..batches {
+                for src in 0..p {
+                    let sent = &offsets[src][batch * p + dst..];
+                    let run = &bounds[batch * p + src..];
+                    prop_assert_eq!(
+                        &out[run[0]..run[1]],
+                        &shards[src][sent[0]..sent[1]],
+                        "batch {} from {} at {}", batch, src, dst
+                    );
                 }
-                offsets.push(data.len());
-                if legacy {
-                    ctx.exchange_by_offsets_legacy(&data, &offsets)
-                } else {
-                    ctx.exchange_by_offsets(&data, &offsets)
-                }
-            })
-        };
-        let new = run_one(false);
-        let old = run_one(true);
-        for (n, o) in new.results.iter().zip(&old.results) {
-            prop_assert_eq!(n, o);
+            }
         }
     }
 

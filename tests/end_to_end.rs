@@ -225,7 +225,10 @@ fn sort_config_matrix_all_correct() {
     let parts = generate_partitioned(Distribution::Exponential, 8000, machines, 12);
     let expect = flat_sorted(&parts);
     for investigator in [true, false] {
-        for balanced in [true, false] {
+        for final_merge in [
+            pgxd_core::FinalMergeAlgo::Balanced,
+            pgxd_core::FinalMergeAlgo::SequentialKway,
+        ] {
             for algo in [
                 pgxd_core::LocalSortAlgo::ParallelQuicksort,
                 pgxd_core::LocalSortAlgo::Timsort,
@@ -233,7 +236,7 @@ fn sort_config_matrix_all_correct() {
             ] {
                 let config = SortConfig::default()
                     .investigator(investigator)
-                    .balanced_final_merge(balanced)
+                    .final_merge(final_merge)
                     .local_sort(algo);
                 let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
                 let sorter = DistSorter::new(config);
@@ -242,7 +245,7 @@ fn sort_config_matrix_all_correct() {
                 assert_eq!(
                     report.results.concat(),
                     expect,
-                    "inv={investigator} bal={balanced} algo={algo:?}"
+                    "inv={investigator} merge={final_merge:?} algo={algo:?}"
                 );
             }
         }

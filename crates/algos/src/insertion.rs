@@ -1,19 +1,4 @@
-//! Insertion sorts: the base case of the quicksort and the run-bulking
-//! step of TimSort.
-
-/// Plain insertion sort. `O(n²)` worst case but unbeatable on the short
-/// slices the quicksort bottoms out on.
-pub fn insertion_sort<T: Ord + Copy>(data: &mut [T]) {
-    for i in 1..data.len() {
-        let value = data[i];
-        let mut j = i;
-        while j > 0 && data[j - 1] > value {
-            data[j] = data[j - 1];
-            j -= 1;
-        }
-        data[j] = value;
-    }
-}
+//! Binary insertion sort: the run-bulking step of TimSort.
 
 /// Binary insertion sort over `data[..len]` assuming `data[..sorted]` is
 /// already sorted. This is TimSort's run-extension primitive: the position
@@ -40,34 +25,6 @@ pub fn binary_insertion_sort<T: Ord + Copy>(data: &mut [T], sorted: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn is_sorted<T: Ord>(v: &[T]) -> bool {
-        v.windows(2).all(|w| w[0] <= w[1])
-    }
-
-    #[test]
-    fn insertion_sorts_reverse() {
-        let mut v: Vec<i32> = (0..64).rev().collect();
-        insertion_sort(&mut v);
-        assert!(is_sorted(&v));
-        assert_eq!(v.len(), 64);
-    }
-
-    #[test]
-    fn insertion_empty_and_single() {
-        let mut empty: Vec<u8> = vec![];
-        insertion_sort(&mut empty);
-        let mut one = vec![42u8];
-        insertion_sort(&mut one);
-        assert_eq!(one, vec![42]);
-    }
-
-    #[test]
-    fn insertion_all_equal() {
-        let mut v = vec![7u32; 33];
-        insertion_sort(&mut v);
-        assert!(v.iter().all(|&x| x == 7));
-    }
 
     #[test]
     fn binary_insertion_with_sorted_prefix() {

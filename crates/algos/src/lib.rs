@@ -4,9 +4,8 @@
 //! The distributed algorithm (crate `pgxd-core`) and the baselines (crate
 //! `pgxd-baselines`) are built on top of the algorithms here:
 //!
-//! - [`quicksort`] — sequential introsort-flavoured quicksort (median-of-
-//!   three partitioning, insertion-sort base case, heapsort depth fallback),
-//!   the paper's per-worker local sort.
+//! - [`quicksort`] — the paper's per-worker local sort: the standard
+//!   library's pattern-defeating quicksort (`sort_unstable`).
 //! - [`pquicksort`] — the paper's *parallel quick sort* (§IV step 1): data
 //!   is divided equally among worker threads, each sorts its chunk, and the
 //!   chunks are combined with the balanced merge handler.
@@ -15,18 +14,11 @@
 //!   (almost) equal size at every level to keep caches warm and work even.
 //! - [`kway`] — loser-tree k-way merge used by the master to combine sample
 //!   runs, with a provenance-carrying variant.
-//! - [`ipssort`] — ips4o-style **in-place** parallel samplesort: the same
-//!   branchless splitter-tree classification as [`ssssort`] but flushing
-//!   through constant-size bucket blocks and permuting blocks in place, so
-//!   the peak extra memory is constant in `n`; the runtime's default fast
-//!   local path.
 //! - [`timsort`] — a from-scratch TimSort (run detection, binary insertion
-//!   bulking to min-run, galloping merges) as used by Spark's `sortByKey`;
-//!   this is the baseline's local sort.
+//!   ([`insertion`]) bulking to min-run, galloping merges) as used by
+//!   Spark's `sortByKey`; this is the baseline's local sort.
 //! - [`radix`] — LSD radix sort, the classic comparison-free baseline the
-//!   paper discusses in §II, now reachable from generic code through
-//!   [`radix::RadixDispatch`] (the runtime's `LocalSortAlgo::{Radix, Auto}`
-//!   fast path).
+//!   paper discusses in §II; the distributed radix baseline's kernel.
 //! - [`bitonic`] — Batcher's bitonic sorting network, the other classical
 //!   baseline of §II.
 //! - [`search`] — `lower_bound`/`upper_bound` and the splitter-range
@@ -44,14 +36,12 @@
 pub mod bitonic;
 pub mod exec;
 pub mod insertion;
-pub mod ipssort;
 pub mod kway;
 pub mod merge;
 pub mod pquicksort;
 pub mod quicksort;
 pub mod radix;
 pub mod search;
-pub mod ssssort;
 pub mod timsort;
 
 /// Marker trait for sortable plain-data keys.

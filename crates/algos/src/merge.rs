@@ -15,6 +15,9 @@ use crate::exec::{self, even_chunk_bounds};
 ///
 /// `out.len()` must equal `a.len() + b.len()`. Stable: on ties, elements
 /// of `a` come first.
+// analyze: allow(panic-surface): `i` and `j` are checked against the run
+// lengths before either run is read, and together they advance exactly
+// `out.len()` times (asserted equal to the two lengths).
 pub fn merge_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
     assert_eq!(a.len() + b.len(), out.len(), "output size mismatch");
     let (mut i, mut j) = (0, 0);
@@ -35,6 +38,8 @@ pub fn merge_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
 /// the larger run so both halves have balanced work, running the halves on
 /// scoped threads until the `workers` budget is exhausted or the problem
 /// is below [`PARALLEL_MERGE_CUTOFF`].
+// analyze: allow(panic-surface): the midpoint of the longer run exists
+// because the output is past the cutoff, so that run is non-empty.
 pub fn parallel_merge_into<T: Ord + Copy + Send + Sync>(
     a: &[T],
     b: &[T],
@@ -78,6 +83,9 @@ pub const PARALLEL_MERGE_CUTOFF: usize = 1 << 14;
 /// `workers` caps the threads used *per step*: the pair-merges of one step
 /// run concurrently, and leftover worker budget parallelizes the
 /// individual merges of the later (wider) steps.
+// analyze: allow(panic-surface): pair indices are below the run count the
+// bounds were cut into, the bounds are asserted to cover `data`, and a
+// merge worker's panic is re-raised on join.
 // analyze: allow(hot-path-alloc): per-part staging buffers at batch
 // scale — each part is merged once into its slot and escapes as the
 // call's output; algos has no pool access by layering.
@@ -208,6 +216,9 @@ const SPLIT_OVERSAMPLE: usize = 8;
 /// greedily distributing elements equal to the boundary value, so equal
 /// keys may change run-relative order *across* part boundaries (within a
 /// part the merge stays stable in run order).
+// analyze: allow(panic-surface): sample positions are scaled into their
+// run's length, `cands` is non-empty once any run is (total > 0), and
+// `ties` has one entry per run like the row it is zipped against.
 // analyze: allow(hot-path-alloc): O(parts × k) split plan — the plan is
 // the function's product, sized by run/part counts, not elements.
 pub fn plan_multiway_splits<T: Ord + Copy>(runs: &[&[T]], parts: usize) -> Vec<Vec<usize>> {
@@ -272,6 +283,8 @@ pub fn plan_multiway_splits<T: Ord + Copy>(runs: &[&[T]], parts: usize) -> Vec<V
 /// independently on a scoped thread — one pass over the data, each worker
 /// streaming into its own contiguous, cache-local output segment. Small
 /// inputs fall through to the sequential [`kway_merge_into`].
+// analyze: allow(panic-surface): `windows(2)` yields pairs, and the plan's
+// rows are monotone per run and end at the run lengths.
 // analyze: allow(hot-path-alloc): O(parts) slice bookkeeping around the
 // in-place merge of caller-owned memory.
 pub fn parallel_kway_merge_into<T: Ord + Copy + Send + Sync>(
@@ -306,27 +319,10 @@ pub fn parallel_kway_merge_into<T: Ord + Copy + Send + Sync>(
     });
 }
 
-/// Convenience wrapper: parallel k-way merge of the runs stored
-/// back-to-back in `data` (run `r` at `data[bounds[r]..bounds[r + 1]]`).
-/// The flat-k-way alternative to the Fig. 2 [`balanced_merge`] tree.
-pub fn parallel_kway_merge<T: Ord + Copy + Send + Sync>(
-    data: Vec<T>,
-    bounds: &[usize],
-    workers: usize,
-) -> Vec<T> {
-    assert!(!bounds.is_empty(), "bounds must contain at least [0]");
-    assert_eq!(*bounds.last().unwrap(), data.len(), "bounds must cover data");
-    if bounds.len() <= 2 {
-        return data; // zero or one run: already sorted
-    }
-    let mut out = data.clone();
-    let runs: Vec<&[T]> = bounds.windows(2).map(|w| &data[w[0]..w[1]]).collect();
-    parallel_kway_merge_into(&runs, &mut out, workers);
-    out
-}
-
 /// Sequential form of the Fig. 2 tree: identical merge schedule, no
 /// thread spawns. Used automatically for small inputs.
+// analyze: allow(panic-surface): same pair indexing as `balanced_merge`,
+// over bounds its caller asserted non-empty and covering `data`.
 // analyze: allow(hot-path-alloc): fallback path ping-pong buffer at
 // batch scale; the result escapes as the merged output.
 fn balanced_merge_sequential<T: Ord + Copy>(mut data: Vec<T>, bounds: &[usize]) -> Vec<T> {
@@ -625,23 +621,5 @@ mod tests {
         let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
         expect.sort_unstable();
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn parallel_kway_vec_wrapper() {
-        let mut data = xorshift_vec(60_000, 1 << 30);
-        let bounds = even_chunk_bounds(data.len(), 5);
-        for w in bounds.windows(2) {
-            data[w[0]..w[1]].sort_unstable();
-        }
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        let merged = parallel_kway_merge(data, &bounds, 4);
-        assert_eq!(merged, expect);
-        // Degenerate bounds: zero or one run returns input as-is.
-        let merged = parallel_kway_merge(vec![3u64, 1, 2], &[0, 3], 4);
-        assert_eq!(merged, vec![3, 1, 2]);
-        let merged = parallel_kway_merge(Vec::<u64>::new(), &[0], 4);
-        assert!(merged.is_empty());
     }
 }

@@ -1,123 +1,29 @@
 //! Sequential quicksort — the per-worker local sort of §IV step 1.
 //!
-//! Introsort-flavoured for robustness: median-of-three pivot selection,
-//! insertion sort below [`INSERTION_THRESHOLD`], and a heapsort fallback
-//! once recursion depth exceeds `2·log2(n)` so adversarial inputs cannot
-//! degrade to `O(n²)`.
+//! The kernel is the standard library's `sort_unstable`: a
+//! pattern-defeating quicksort (branchless partitioning, small-sort
+//! networks, a heapsort fallback that bounds the worst case at
+//! `O(n log n)`, and run detection that finishes already-ordered input in
+//! one pass). It is a quicksort, in place and allocation-free, so the
+//! paper's "every worker quicksorts its chunk" holds as written.
 
-use crate::insertion::insertion_sort;
-
-/// Below this length quicksort hands over to insertion sort.
-pub const INSERTION_THRESHOLD: usize = 24;
-
-/// Sorts `data` in place with introsort (quicksort + insertion base +
-/// heapsort depth fallback).
+/// Sorts `data` in place.
 pub fn quicksort<T: Ord + Copy>(data: &mut [T]) {
-    let depth_limit = 2 * (usize::BITS - data.len().leading_zeros()) as usize;
-    introsort(data, depth_limit);
-}
-
-fn introsort<T: Ord + Copy>(data: &mut [T], depth_limit: usize) {
-    let mut slice = data;
-    let mut depth = depth_limit;
-    // Tail-recurse into the larger half iteratively to bound stack depth.
-    loop {
-        if slice.len() <= INSERTION_THRESHOLD {
-            insertion_sort(slice);
-            return;
-        }
-        if depth == 0 {
-            heapsort(slice);
-            return;
-        }
-        depth -= 1;
-        let pivot_index = partition(slice);
-        let (lo, rest) = slice.split_at_mut(pivot_index);
-        let hi = &mut rest[1..];
-        if lo.len() < hi.len() {
-            introsort(lo, depth);
-            slice = hi;
-        } else {
-            introsort(hi, depth);
-            slice = lo;
-        }
-    }
-}
-
-/// Hoare-style partition around a median-of-three pivot; returns the final
-/// pivot position. The pivot is swapped to the end during partitioning, so
-/// `data[returned]` equals the pivot and both sides exclude it.
-fn partition<T: Ord + Copy>(data: &mut [T]) -> usize {
-    let len = data.len();
-    let (a, b, c) = (0, len / 2, len - 1);
-    // Order the three samples so the median lands at `b`.
-    if data[a] > data[b] {
-        data.swap(a, b);
-    }
-    if data[b] > data[c] {
-        data.swap(b, c);
-    }
-    if data[a] > data[b] {
-        data.swap(a, b);
-    }
-    data.swap(b, len - 2); // stash pivot just before the (>= pivot) sentinel
-    let pivot = data[len - 2];
-    let mut i = a;
-    let mut j = len - 2;
-    loop {
-        i += 1;
-        while data[i] < pivot {
-            i += 1;
-        }
-        j -= 1;
-        while data[j] > pivot {
-            j -= 1;
-        }
-        if i >= j {
-            break;
-        }
-        data.swap(i, j);
-    }
-    data.swap(i, len - 2);
-    i
-}
-
-/// Bottom-up heapsort used as the introsort depth fallback.
-pub fn heapsort<T: Ord + Copy>(data: &mut [T]) {
-    let len = data.len();
-    for start in (0..len / 2).rev() {
-        sift_down(data, start, len);
-    }
-    for end in (1..len).rev() {
-        data.swap(0, end);
-        sift_down(data, 0, end);
-    }
-}
-
-fn sift_down<T: Ord + Copy>(data: &mut [T], mut root: usize, end: usize) {
-    loop {
-        let mut child = 2 * root + 1;
-        if child >= end {
-            return;
-        }
-        if child + 1 < end && data[child] < data[child + 1] {
-            child += 1;
-        }
-        if data[root] >= data[child] {
-            return;
-        }
-        data.swap(root, child);
-        root = child;
-    }
+    data.sort_unstable();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TotalF64;
+    use std::cell::Cell;
+    use std::cmp::Ordering;
 
+    /// `sort_unstable` is the kernel under test, so the oracle is the
+    /// (independent, stable) merge sort.
     fn check_sorts(mut v: Vec<u64>) {
         let mut expect = v.clone();
-        expect.sort_unstable();
+        expect.sort();
         quicksort(&mut v);
         assert_eq!(v, expect);
     }
@@ -157,11 +63,14 @@ mod tests {
 
     #[test]
     fn sorts_organ_pipe() {
-        let mut v: Vec<u64> = (0..2500).chain((0..2500).rev()).collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        quicksort(&mut v);
-        assert_eq!(v, expect);
+        check_sorts((0..2500).chain((0..2500).rev()).collect());
+    }
+
+    #[test]
+    fn sorts_sawtooth() {
+        // Ascending and descending teeth of a period that divides nothing.
+        check_sorts((0..10_000).map(|i| i % 37).collect());
+        check_sorts((0..10_000).map(|i| 36 - i % 37).collect());
     }
 
     #[test]
@@ -173,20 +82,74 @@ mod tests {
     }
 
     #[test]
-    fn heapsort_standalone() {
-        let mut v = xorshift_vec(3000, 1000);
+    fn sorts_floats_with_nans_by_the_total_order() {
+        // The kernel requires a total order; `TotalF64` is one, NaNs and
+        // signed zeros included.
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut v: Vec<TotalF64> = xorshift_vec(5000, 1 << 20)
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| match i % 50 {
+                0 => specials[i / 50 % specials.len()],
+                _ => x as f64 - 524_288.0,
+            })
+            .map(TotalF64)
+            .collect();
         let mut expect = v.clone();
-        expect.sort_unstable();
-        heapsort(&mut v);
-        assert_eq!(v, expect);
+        expect.sort();
+        quicksort(&mut v);
+        assert!(v.windows(2).all(|w| w[0].cmp(&w[1]) != Ordering::Greater));
+        let bits = |v: &[TotalF64]| v.iter().map(|x| x.0.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&v), bits(&expect));
+        assert!(v[0].0.is_nan() && v[0].0.is_sign_negative());
+        assert!(v[v.len() - 1].0.is_nan() && v[v.len() - 1].0.is_sign_positive());
+    }
+
+    thread_local! {
+        static COMPARISONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// A key whose every comparison is counted.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    struct Counted(u64);
+
+    impl PartialOrd for Counted {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Counted {
+        fn cmp(&self, other: &Self) -> Ordering {
+            COMPARISONS.with(|c| c.set(c.get() + 1));
+            self.0.cmp(&other.0)
+        }
     }
 
     #[test]
-    fn partition_separates() {
-        let mut v = xorshift_vec(500, 100);
-        let p = partition(&mut v);
-        let pivot = v[p];
-        assert!(v[..p].iter().all(|&x| x <= pivot));
-        assert!(v[p + 1..].iter().all(|&x| x >= pivot));
+    fn ordered_input_costs_a_linear_number_of_comparisons() {
+        // The shapes graph-derived keys arrive in (Fig. 4d, degree
+        // arrays): a kernel that spends n·log n on them wastes step 1.
+        let n = 1u64 << 16;
+        let shapes: [(&str, fn(u64) -> u64); 3] = [
+            ("all equal", |_| 7),
+            ("ascending", |i| i),
+            ("descending", |i| u64::MAX - i),
+        ];
+        for (name, key) in shapes {
+            let mut v: Vec<Counted> = (0..n).map(|i| Counted(key(i))).collect();
+            COMPARISONS.with(|c| c.set(0));
+            quicksort(&mut v);
+            let spent = COMPARISONS.with(Cell::get);
+            assert!(v.windows(2).all(|w| w[0].0 <= w[1].0), "{name}: not sorted");
+            assert!(spent <= 2 * n, "{name}: {spent} comparisons for {n} keys");
+        }
     }
 }

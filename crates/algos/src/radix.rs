@@ -3,14 +3,6 @@
 //! The paper notes radix sort "highly depends on the data characteristics"
 //! and suffers irregular communication in its distributed form; the
 //! distributed variant in `pgxd-baselines` is built on this local kernel.
-//! [`RadixDispatch`] lets generic `Key` code reach this fast path without
-//! specialization: the runtime's `LocalSortAlgo::{Radix, Auto}` route
-//! through it and fall back to comparison sorting for non-radix keys.
-
-use std::any::{Any, TypeId};
-
-use crate::exec::{self, even_chunk_bounds};
-use crate::Key;
 
 /// Keys that expose a fixed-width unsigned radix image whose order matches
 /// their `Ord` order.
@@ -111,97 +103,6 @@ fn radix_pass<T: RadixKey>(src: &[T], dst: &mut [T], pass: usize) -> bool {
         offsets[d] += 1;
     }
     true
-}
-
-/// Specialization-free bridge from generic [`Key`] code to the radix fast
-/// path. The blanket impl probes the concrete type at runtime (`TypeId`
-/// against the [`RadixKey`] impls) and round-trips the owned buffer
-/// through `Box<dyn Any>` — no unsafe, no nightly specialization, and the
-/// probe is one comparison per *call*, not per element.
-pub trait RadixDispatch: Key {
-    /// Whether this key type has a radix image ([`RadixKey`] impl).
-    fn radix_capable() -> bool;
-
-    /// Radix-sorts `data` split into `workers` even chunks (each chunk
-    /// sorted independently; combine with a k-way merge). On success
-    /// returns the chunk-sorted buffer plus the chunk bounds; for
-    /// non-radix key types returns the input untouched as `Err`.
-    fn radix_sort_chunks(data: Vec<Self>, workers: usize) -> Result<(Vec<Self>, Vec<usize>), Vec<Self>>;
-}
-
-impl<K: Key> RadixDispatch for K {
-    fn radix_capable() -> bool {
-        let id = TypeId::of::<K>();
-        id == TypeId::of::<u64>() || id == TypeId::of::<u32>() || id == TypeId::of::<i64>()
-    }
-
-    // analyze: allow(panic-surface): every downcast is guarded by the
-    // TypeId comparison on the line above it — the box always holds the
-    // type named in the expect.
-    // analyze: allow(hot-path-alloc): per-worker chunk staging at batch
-    // scale — the chunks escape as the distributed exchange payload.
-    fn radix_sort_chunks(data: Vec<K>, workers: usize) -> Result<(Vec<K>, Vec<usize>), Vec<K>> {
-        fn go<T: RadixKey + Key>(data: Vec<T>, workers: usize) -> (Vec<T>, Vec<usize>) {
-            let mut data = data;
-            let n = data.len();
-            let workers = workers
-                .max(1)
-                .min((n / exec::MIN_ITEMS_PER_WORKER).max(1));
-            let bounds = even_chunk_bounds(n, workers);
-            if workers <= 1 {
-                radix_sort(&mut data);
-                return (data, bounds);
-            }
-            exec::for_each_chunk_mut(&mut data, workers, |_, chunk| {
-                let mut scratch = Vec::new();
-                radix_sort_with_scratch(chunk, &mut scratch);
-            });
-            (data, bounds)
-        }
-
-        fn reclaim<K: 'static>(boxed: Box<dyn Any>) -> Vec<K> {
-            *boxed
-                .downcast::<Vec<K>>()
-                .expect("radix dispatch round-trip changed the buffer type")
-        }
-
-        let id = TypeId::of::<K>();
-        let boxed: Box<dyn Any> = Box::new(data);
-        if id == TypeId::of::<u64>() {
-            let v = reclaim::<u64>(boxed);
-            let (v, bounds) = go(v, workers);
-            return Ok((reclaim::<K>(Box::new(v)), bounds));
-        }
-        if id == TypeId::of::<u32>() {
-            let v = reclaim::<u32>(boxed);
-            let (v, bounds) = go(v, workers);
-            return Ok((reclaim::<K>(Box::new(v)), bounds));
-        }
-        if id == TypeId::of::<i64>() {
-            let v = reclaim::<i64>(boxed);
-            let (v, bounds) = go(v, workers);
-            return Ok((reclaim::<K>(Box::new(v)), bounds));
-        }
-        Err(reclaim::<K>(boxed))
-    }
-}
-
-/// Convenience: full parallel radix sort (chunk passes + parallel k-way
-/// merge). `Err` returns the input untouched for non-radix key types.
-// analyze: allow(panic-surface): run bounds come from even_chunk_bounds
-// over the data length, so every bounds window indexes in range.
-// analyze: allow(hot-path-alloc): merge staging for the per-chunk
-// results; the output vector is what the caller takes ownership of.
-pub fn try_parallel_radix_sort<K: Key>(data: Vec<K>, workers: usize) -> Result<Vec<K>, Vec<K>> {
-    let (chunked, bounds) = K::radix_sort_chunks(data, workers)?;
-    if bounds.len() <= 2 {
-        return Ok(chunked);
-    }
-    let workers = bounds.len() - 1;
-    let mut out = chunked.clone();
-    let runs: Vec<&[K]> = bounds.windows(2).map(|w| &chunked[w[0]..w[1]]).collect();
-    crate::merge::parallel_kway_merge_into(&runs, &mut out, workers);
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -307,60 +208,5 @@ mod tests {
             assert_eq!(v, expect);
         }
         assert!(scratch.capacity() >= 4096);
-    }
-
-    #[test]
-    fn dispatch_capability_probe() {
-        assert!(<u64 as RadixDispatch>::radix_capable());
-        assert!(<u32 as RadixDispatch>::radix_capable());
-        assert!(<i64 as RadixDispatch>::radix_capable());
-        assert!(!<crate::FixedStr<8> as RadixDispatch>::radix_capable());
-        assert!(!<(u64, u64) as RadixDispatch>::radix_capable());
-    }
-
-    #[test]
-    fn dispatch_chunks_are_sorted_at_bounds() {
-        let v = xorshift_vec(0xabc, 100_000, u64::MAX);
-        let (chunked, bounds) = u64::radix_sort_chunks(v.clone(), 4).expect("u64 is radix-capable");
-        assert_eq!(bounds.first(), Some(&0));
-        assert_eq!(bounds.last(), Some(&v.len()));
-        for w in bounds.windows(2) {
-            assert!(chunked[w[0]..w[1]].windows(2).all(|p| p[0] <= p[1]));
-        }
-        let mut expect = v;
-        expect.sort_unstable();
-        let mut flat = chunked;
-        flat.sort_unstable();
-        assert_eq!(flat, expect); // same multiset
-    }
-
-    #[test]
-    fn dispatch_refuses_non_radix_keys() {
-        let v: Vec<(u64, u64)> = (0..100).map(|i| (i, i)).collect();
-        let back = <(u64, u64)>::radix_sort_chunks(v.clone(), 4).expect_err("tuples have no radix image");
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn parallel_radix_agrees() {
-        for modulus in [u64::MAX, 255, 1] {
-            let v = xorshift_vec(0xdead, 80_000, modulus);
-            let mut expect = v.clone();
-            expect.sort_unstable();
-            let got = try_parallel_radix_sort(v, 4).expect("u64 is radix-capable");
-            assert_eq!(got, expect, "modulus={modulus}");
-        }
-    }
-
-    #[test]
-    fn parallel_radix_i64() {
-        let v: Vec<i64> = xorshift_vec(0xbeef, 60_000, u64::MAX)
-            .into_iter()
-            .map(|x| x as i64)
-            .collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        let got = try_parallel_radix_sort(v, 8).expect("i64 is radix-capable");
-        assert_eq!(got, expect);
     }
 }

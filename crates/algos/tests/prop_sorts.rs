@@ -3,18 +3,16 @@
 //! with their `std` reference implementations.
 
 use pgxd_algos::bitonic::{bitonic_sort_padded, compare_split};
-use pgxd_algos::insertion::{binary_insertion_sort, insertion_sort};
-use pgxd_algos::ipssort::{in_place_sample_sort, in_place_sample_sort_par};
+use pgxd_algos::insertion::binary_insertion_sort;
 use pgxd_algos::kway::{kway_merge, kway_merge_into, kway_merge_tagged};
 use pgxd_algos::merge::{
     balanced_merge, merge_into, parallel_kway_merge_into, parallel_merge_into,
     plan_multiway_splits, sort_chunks_and_merge,
 };
 use pgxd_algos::pquicksort::parallel_quicksort;
-use pgxd_algos::quicksort::{heapsort, quicksort};
-use pgxd_algos::radix::{radix_sort, radix_sort_with_scratch, try_parallel_radix_sort, RadixDispatch};
+use pgxd_algos::quicksort::quicksort;
+use pgxd_algos::radix::{radix_sort, radix_sort_with_scratch};
 use pgxd_algos::search::{lower_bound, upper_bound};
-use pgxd_algos::ssssort::{super_scalar_sample_sort, super_scalar_sample_sort_with_scratch};
 use pgxd_algos::timsort::{gallop_left, gallop_right, timsort};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -43,13 +41,6 @@ proptest! {
     }
 
     #[test]
-    fn heapsort_sorts_anything(mut v in pvec(any::<u64>(), 0..1500)) {
-        let expect = sorted_copy(&v);
-        heapsort(&mut v);
-        prop_assert_eq!(v, expect);
-    }
-
-    #[test]
     fn timsort_sorts_anything(mut v in pvec(any::<u64>(), 0..2000)) {
         let expect = sorted_copy(&v);
         timsort(&mut v);
@@ -73,13 +64,6 @@ proptest! {
         }
         let expect = sorted_copy(&v);
         timsort(&mut v);
-        prop_assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn insertion_sorts_small(mut v in pvec(any::<u64>(), 0..200)) {
-        let expect = sorted_copy(&v);
-        insertion_sort(&mut v);
         prop_assert_eq!(v, expect);
     }
 
@@ -114,42 +98,6 @@ proptest! {
     }
 
     #[test]
-    fn ssssort_matches_std(v in pvec(any::<u64>(), 0..4000)) {
-        let expect = sorted_copy(&v);
-        prop_assert_eq!(super_scalar_sample_sort(v), expect);
-    }
-
-    #[test]
-    fn ssssort_heavy_duplicates(v in pvec(0u64..3, 0..4000)) {
-        let expect = sorted_copy(&v);
-        prop_assert_eq!(super_scalar_sample_sort(v), expect);
-    }
-
-    #[test]
-    fn ipssort_matches_std(mut v in pvec(any::<u64>(), 0..6000)) {
-        let expect = sorted_copy(&v);
-        in_place_sample_sort(&mut v);
-        prop_assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn ipssort_heavy_duplicates(mut v in pvec(0u64..3, 0..6000)) {
-        let expect = sorted_copy(&v);
-        in_place_sample_sort(&mut v);
-        prop_assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn ipssort_parallel_matches_std(
-        mut v in pvec(any::<u64>(), 0..8000),
-        workers in 1usize..9,
-    ) {
-        let expect = sorted_copy(&v);
-        in_place_sample_sort_par(&mut v, workers);
-        prop_assert_eq!(v, expect);
-    }
-
-    #[test]
     fn radix_scratch_matches_std(v in pvec(any::<u64>(), 0..2000)) {
         let expect = sorted_copy(&v);
         let mut got = v;
@@ -173,18 +121,6 @@ proptest! {
         prop_assert_eq!(&v[..h], &head[..]);
         prop_assert_eq!(&v[h..t], &expect_mid[..]);
         prop_assert_eq!(&v[t..], &tail[..]);
-    }
-
-    #[test]
-    fn radix_dispatch_parallel_matches_std(
-        v in pvec(any::<i64>(), 0..5000),
-        workers in 1usize..9,
-    ) {
-        prop_assert!(<i64 as RadixDispatch>::radix_capable());
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        let got = try_parallel_radix_sort(v, workers).unwrap();
-        prop_assert_eq!(got, expect);
     }
 
     #[test]
@@ -247,15 +183,6 @@ proptest! {
         let mut out = vec![0u64; expect.len()];
         parallel_kway_merge_into(&refs, &mut out, workers);
         prop_assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn ssssort_scratch_matches_vec_api(v in pvec(any::<u64>(), 0..4000)) {
-        let expect = sorted_copy(&v);
-        let mut got = v;
-        let mut scratch = Vec::new();
-        super_scalar_sample_sort_with_scratch(&mut got, &mut scratch);
-        prop_assert_eq!(got, expect);
     }
 
     #[test]

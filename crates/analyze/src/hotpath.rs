@@ -14,8 +14,9 @@
 //!
 //! * **step** — every `ctx.step(steps::X, ..)` body in a workspace file
 //!   (the same regions `waitgraph.rs` inventories), named `step:x`;
-//! * **kernel** — every function in the local-sort kernels and the
-//!   request buffer (`ipssort.rs`, `radix.rs`, `kway.rs`, `buffer.rs`);
+//! * **kernel** — every function in the local-sort kernel, the merges
+//!   and the request buffer (`quicksort.rs`, `merge.rs`, `kway.rs`,
+//!   `buffer.rs`);
 //! * **exchange / fabric / trace-emit / metrics-emit** — functions in
 //!   `machine.rs`, `comm.rs`, `trace.rs`, `metrics.rs` whose bare name
 //!   matches the per-file hot prefixes below (collectives, send/recv,
@@ -58,12 +59,12 @@ pub const SCOPE_MARKER: &str = "analyze: scope(hot-path-alloc)";
 /// Inline escape hatch, panic-surface coverage rules.
 pub const ALLOW_MARKER: &str = "analyze: allow(hot-path-alloc)";
 
-/// Files where *every* function is a hot root: the local-sort kernels
-/// and the exchange request buffer.
+/// Files where *every* function is a hot root: the local-sort kernel,
+/// the step-1 and step-6 merges, and the exchange request buffer.
 const KERNEL_FILES: [&str; 4] = [
     "crates/pgxd/src/buffer.rs",
-    "crates/algos/src/ipssort.rs",
-    "crates/algos/src/radix.rs",
+    "crates/algos/src/quicksort.rs",
+    "crates/algos/src/merge.rs",
     "crates/algos/src/kway.rs",
 ];
 

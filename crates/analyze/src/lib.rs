@@ -14,7 +14,7 @@
 //!    findings unless `analyze.allow` carries a justified entry.
 //! 3. **panic-surface** — `unwrap`/`expect`/direct indexing in the
 //!    exchange and local-sort hot paths (machine.rs, comm.rs, pool.rs,
-//!    sorter.rs, ipssort.rs, radix.rs) must carry an
+//!    sorter.rs, quicksort.rs, merge.rs, kway.rs) must carry an
 //!    `analyze: allow(panic-surface): <reason>` annotation.
 //! 4. **chunk-custody** — every `ChunkPool::acquire` must reach exactly
 //!    one release/drop/hand-off on every control-flow path, tracked
@@ -79,8 +79,9 @@ pub const PANIC_SURFACE_FILES: &[&str] = &[
     "crates/pgxd/src/comm.rs",
     "crates/pgxd/src/pool.rs",
     "crates/core/src/sorter.rs",
-    "crates/algos/src/ipssort.rs",
-    "crates/algos/src/radix.rs",
+    "crates/algos/src/quicksort.rs",
+    "crates/algos/src/merge.rs",
+    "crates/algos/src/kway.rs",
 ];
 
 /// The sync shim: excluded from analysis — it is the one place allowed to

@@ -1,5 +1,5 @@
-//! Criterion bench for the single-machine kernels: quicksort vs TimSort
-//! vs radix vs std, and the balanced merge.
+//! Criterion bench for the single-machine kernels: quicksort (step 1) vs
+//! TimSort and radix (the baselines' kernels), and the balanced merge.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgxd_algos::exec::even_chunk_bounds;
@@ -36,16 +36,6 @@ fn bench_local_sorts(c: &mut Criterion) {
         b.iter(|| {
             let mut v = data.clone();
             radix_sort(&mut v);
-            v
-        });
-    });
-    group.bench_function(BenchmarkId::new("ssssort", n), |b| {
-        b.iter(|| pgxd_algos::ssssort::super_scalar_sample_sort(data.clone()));
-    });
-    group.bench_function(BenchmarkId::new("std_unstable", n), |b| {
-        b.iter(|| {
-            let mut v = data.clone();
-            v.sort_unstable();
             v
         });
     });

@@ -64,11 +64,10 @@ fn bench_exchange_buffer_sizes(c: &mut Criterion) {
     group.finish();
 }
 
-/// Step-1 kernels head-to-head on one machine's shard of uniform u64:
-/// the legacy chunk-quicksort path vs the in-place samplesort and the
-/// LSD radix fast path, plus the two k-way merge combiners.
+/// One machine's shard of uniform u64: the step-1 quicksort next to the
+/// LSD radix the distributed-radix baseline uses, plus the two k-way merge
+/// combiners.
 fn bench_local_sort_kernels(c: &mut Criterion) {
-    use pgxd_algos::ipssort::in_place_sample_sort;
     use pgxd_algos::kway::kway_merge_into;
     use pgxd_algos::merge::parallel_kway_merge_into;
     use pgxd_algos::quicksort::quicksort;
@@ -85,13 +84,6 @@ fn bench_local_sort_kernels(c: &mut Criterion) {
         b.iter(|| {
             let mut v = base.clone();
             quicksort(&mut v);
-            v
-        });
-    });
-    group.bench_function("ipssort_1m", |b| {
-        b.iter(|| {
-            let mut v = base.clone();
-            in_place_sample_sort(&mut v);
             v
         });
     });

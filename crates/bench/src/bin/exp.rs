@@ -14,7 +14,6 @@
 //! exp ablation [--n=N] [--procs=P]
 //! exp trace   [--n=N] [--procs=P] [--workers=W]
 //! exp chaos   [--n=N] [--procs=P] [--workers=W] [--seed=S]
-//! exp localsort [--n=N] [--procs=P] [--workers=W] [--seed=S]
 //! exp health  [--n=N] [--procs=P] [--workers=W] [--seed=S]
 //! exp all     — run everything with defaults
 //! ```
@@ -33,13 +32,6 @@
 //! across seeds on a skew-storm workload, recording survival, structured
 //! failures, and latency degradation vs a fault-free baseline
 //! (`results/chaos_sweep.json`).
-//!
-//! `exp localsort` sweeps every step-1 kernel (`LocalSortAlgo`) on
-//! uniform u64 keys under the structured trace layer, reporting keys/s,
-//! `local_sort` p50/p95, the local_sort+final_merge share of wall time,
-//! and the classify/permute/merge phase spans, all against the
-//! `pquick+balanced` baseline from the same batch
-//! (`results/bench_localsort.json`).
 //!
 //! `exp health` drives a skewed chaos run (skew-storm keys, amplified
 //! straggler plan) with the in-flight health monitor armed and asserts
@@ -846,166 +838,6 @@ fn trace_cmd(opts: &Opts) {
 }
 
 // ---------------------------------------------------------------------------
-// `exp localsort`: the step-1 kernel sweep — every LocalSortAlgo variant
-// on uniform u64, keys/s and local_sort+final_merge trace share vs the
-// ParallelQuicksort baseline from the same run batch.
-// ---------------------------------------------------------------------------
-
-/// Default knobs for `exp localsort`: 2^21 uniform keys on 4 machines —
-/// big enough that every machine's shard crosses the Auto radix
-/// threshold and the parallel merge cutoff.
-fn localsort_defaults() -> Opts {
-    Opts {
-        n: 1 << 21,
-        procs: vec![4],
-        ..Opts::default()
-    }
-}
-
-fn localsort(opts: &Opts) {
-    use pgxd::trace::EventKind;
-    use pgxd_core::LocalSortAlgo;
-    use std::collections::BTreeMap;
-
-    let p = *opts.procs.first().unwrap_or(&4);
-    println!(
-        "\n=== Local sort path: step-1 kernels + merge strategies (uniform u64) ===\n\
-         (n = {} keys, p = {p}, {} workers/machine; baseline = pquick+balanced)\n",
-        opts.n, opts.workers
-    );
-
-    // The legacy path first (it is the baseline every row compares to),
-    // then the new kernels riding the splitter-planned parallel merge.
-    let variants: [(LocalSortAlgo, FinalMergeAlgo); 6] = [
-        (LocalSortAlgo::ParallelQuicksort, FinalMergeAlgo::Balanced),
-        (LocalSortAlgo::Timsort, FinalMergeAlgo::Balanced),
-        (LocalSortAlgo::SuperScalarSampleSort, FinalMergeAlgo::Balanced),
-        (LocalSortAlgo::InPlaceSampleSort, FinalMergeAlgo::ParallelKway),
-        (LocalSortAlgo::Radix, FinalMergeAlgo::ParallelKway),
-        (LocalSortAlgo::Auto, FinalMergeAlgo::ParallelKway),
-    ];
-
-    let workload = dist_workload(Distribution::Uniform, opts);
-    let mut table = Table::new(vec![
-        "variant",
-        "wall",
-        "keys/s",
-        "local p50",
-        "local p95",
-        "merge p50",
-        "sort share",
-        "vs pquick",
-    ]);
-    let mut cells = Vec::new();
-    let mut baseline: Option<(f64, f64)> = None; // (wall, sort share)
-    for (local, fmerge) in variants {
-        let config = SortConfig::default().local_sort(local).final_merge(fmerge);
-        let (r, log) = run_pgxd_sort_traced(
-            &workload,
-            p,
-            opts.workers,
-            config,
-            pgxd::DEFAULT_BUFFER_BYTES,
-            TraceConfig::enabled(),
-        );
-        let variant = format!("{}+{}", local.name(), fmerge.name());
-        assert!(r.ranges_ascending(), "variant {variant} out of order");
-        assert_eq!(
-            r.sizes.iter().sum::<usize>(),
-            r.total_keys,
-            "variant {variant} lost keys"
-        );
-
-        let pick = |series: &[(String, f64)], name: &str| {
-            series
-                .iter()
-                .find(|(n2, _)| n2 == name)
-                .map(|&(_, s)| s)
-                .unwrap_or(0.0)
-        };
-        let wall = r.wall_secs.max(1e-12);
-        let sort_share =
-            (pick(&r.step_secs, "local_sort") + pick(&r.step_secs, "final_merge")) / wall;
-        let keys_per_sec = r.total_keys as f64 / wall;
-
-        // Phase spans (classify/permute/merge) from the structured trace:
-        // spans carry their length in dur_ns, kernel-reported instants in
-        // the detail argument.
-        let log = log.expect("tracing was enabled");
-        let mut phase_ns: BTreeMap<String, u64> = BTreeMap::new();
-        for ev in &log.events {
-            if ev.kind == EventKind::SortPhase {
-                let ns = if ev.dur_ns > 0 { ev.dur_ns } else { ev.b };
-                *phase_ns.entry(log.event_name(ev)).or_insert(0) += ns;
-            }
-        }
-
-        let (base_wall, base_share) = *baseline.get_or_insert((wall, sort_share));
-        table.row(vec![
-            variant.clone(),
-            fmt_secs(r.wall_secs),
-            format!("{:.1}M", keys_per_sec / 1e6),
-            fmt_secs(pick(&r.step_secs_p50, "local_sort")),
-            fmt_secs(pick(&r.step_secs_p95, "local_sort")),
-            fmt_secs(pick(&r.step_secs_p50, "final_merge")),
-            format!("{:.1}%", 100.0 * sort_share),
-            format!("{:.2}x", base_wall / wall),
-        ]);
-        if !phase_ns.is_empty() {
-            let detail: Vec<String> = phase_ns
-                .iter()
-                .map(|(name, ns)| format!("{name} {}", fmt_secs(*ns as f64 / 1e9)))
-                .collect();
-            println!("  {variant}: {}", detail.join(", "));
-        }
-        cells.push(serde_json::json!({
-            "variant": variant,
-            "local_sort": local.name(),
-            "final_merge": fmerge.name(),
-            "wall_secs": r.wall_secs,
-            "keys_per_sec": keys_per_sec,
-            "sort_share": sort_share,
-            "sort_share_vs_baseline": sort_share - base_share,
-            "speedup_vs_baseline": base_wall / wall,
-            "local_sort_p50_secs": pick(&r.step_secs_p50, "local_sort"),
-            "local_sort_p95_secs": pick(&r.step_secs_p95, "local_sort"),
-            "final_merge_p50_secs": pick(&r.step_secs_p50, "final_merge"),
-            "final_merge_p95_secs": pick(&r.step_secs_p95, "final_merge"),
-            "phase_ns": phase_ns,
-            "sizes": r.sizes,
-        }));
-    }
-    println!();
-    table.print();
-
-    let doc = serde_json::json!({
-        "experiment": "localsort",
-        "n": opts.n,
-        "machines": p,
-        "workers": opts.workers,
-        "seed": opts.seed,
-        "distribution": "uniform",
-        "baseline": "pquick+balanced",
-        "variants": cells,
-    });
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join("bench_localsort.json");
-        match serde_json::to_string_pretty(&doc) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("warning: could not write {}: {e}", path.display());
-                } else {
-                    println!("(raw results → {})", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: could not serialize results: {e}"),
-        }
-    }
-    bench_summary_insert("localsort", doc["variants"].clone());
-}
-
-// ---------------------------------------------------------------------------
 // Environment report (our analogue of the paper's Table I).
 // ---------------------------------------------------------------------------
 // ---------------------------------------------------------------------------
@@ -1360,8 +1192,6 @@ fn main() {
         "trace" => trace_cmd(&parse_opts_from(trace_defaults(), &args[1.min(args.len())..])),
         // Own defaults (2 × 10^5 keys, p=8), same flag re-parse.
         "chaos" => chaos_cmd(&parse_opts_from(chaos_defaults(), &args[1.min(args.len())..])),
-        // Own defaults (2^21 keys, p=4), same flag re-parse.
-        "localsort" => localsort(&parse_opts_from(localsort_defaults(), &args[1.min(args.len())..])),
         // Own defaults (2 × 10^5 keys, p=4), same flag re-parse.
         "health" => health_cmd(&parse_opts_from(health_defaults(), &args[1.min(args.len())..])),
         "env" => env_report(&opts),
@@ -1380,12 +1210,11 @@ fn main() {
             buffer_sweep(&opts);
             trace_cmd(&trace_defaults());
             chaos_cmd(&chaos_defaults());
-            localsort(&localsort_defaults());
             health_cmd(&health_defaults());
         }
         _ => {
             eprintln!(
-                "usage: exp <fig5|fig6|fig7|table2|fig8|table3|fig9|fig10|fig11|ablation|buffer|trace|chaos|localsort|health|all> \
+                "usage: exp <fig5|fig6|fig7|table2|fig8|table3|fig9|fig10|fig11|ablation|buffer|trace|chaos|health|all> \
                  [--n=N] [--procs=8,16,32,52] [--workers=W] [--seed=S] [--scale=S] [--ef=E] [--trace]"
             );
             std::process::exit(2);

@@ -2,63 +2,9 @@
 //!
 //! The defaults are the paper's choices: buffer-sized sampling
 //! (`X = 256 KiB / p` per machine, §IV-B), the duplicate-splitter
-//! investigator enabled, parallel quicksort for the local sort, and the
-//! Fig. 2 balanced merge for both the local and the final merge. Every
-//! knob exists because an experiment or ablation in DESIGN.md sweeps it.
-
-/// Which algorithm sorts each machine's data locally (step 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LocalSortAlgo {
-    /// The paper's choice: per-worker quicksort + balanced merge handler.
-    ParallelQuicksort,
-    /// TimSort (what Spark uses) — for like-for-like local-sort ablations.
-    Timsort,
-    /// Super scalar sample sort (the paper's reference \[21\]) — the
-    /// cache/branch-friendly sample-sort kernel, as a local-sort ablation.
-    SuperScalarSampleSort,
-    /// ips4o-style in-place parallel samplesort: the same splitter-tree
-    /// classification as [`SuperScalarSampleSort`](Self::SuperScalarSampleSort)
-    /// but permuting constant-memory bucket blocks in place — the fast
-    /// comparison path.
-    InPlaceSampleSort,
-    /// LSD radix fast path for radix-capable key types (u64/u32/i64);
-    /// silently falls back to [`InPlaceSampleSort`](Self::InPlaceSampleSort)
-    /// for key types without a radix image.
-    Radix,
-    /// Pick automatically: radix for radix-capable keys past
-    /// [`AUTO_RADIX_MIN`] elements per machine, in-place samplesort
-    /// otherwise.
-    Auto,
-}
-
-/// Below this per-machine element count, `LocalSortAlgo::Auto` prefers the
-/// comparison path even for radix-capable keys: at small `n` the fixed
-/// 8-pass cost of LSD radix dominates the `n log n` advantage.
-pub const AUTO_RADIX_MIN: usize = 1 << 16;
-
-impl LocalSortAlgo {
-    /// Every variant, for sweeps and benches.
-    pub const ALL: [LocalSortAlgo; 6] = [
-        LocalSortAlgo::ParallelQuicksort,
-        LocalSortAlgo::Timsort,
-        LocalSortAlgo::SuperScalarSampleSort,
-        LocalSortAlgo::InPlaceSampleSort,
-        LocalSortAlgo::Radix,
-        LocalSortAlgo::Auto,
-    ];
-
-    /// Stable short name (bench tables, JSON results).
-    pub fn name(self) -> &'static str {
-        match self {
-            LocalSortAlgo::ParallelQuicksort => "pquick",
-            LocalSortAlgo::Timsort => "timsort",
-            LocalSortAlgo::SuperScalarSampleSort => "ssss",
-            LocalSortAlgo::InPlaceSampleSort => "ipssort",
-            LocalSortAlgo::Radix => "radix",
-            LocalSortAlgo::Auto => "auto",
-        }
-    }
-}
+//! investigator enabled, and the Fig. 2 balanced merge for the final
+//! merge. Every knob exists because an experiment or ablation in DESIGN.md
+//! sweeps it; step 1 has none — every worker quicksorts its chunk.
 
 /// Which algorithm combines the per-source sorted runs in step 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,8 +44,6 @@ pub struct SortConfig {
     pub investigator: bool,
     /// Final-merge strategy for step 6.
     pub final_merge: FinalMergeAlgo,
-    /// Local sort algorithm for step 1.
-    pub local_sort: LocalSortAlgo,
 }
 
 impl Default for SortConfig {
@@ -109,7 +53,6 @@ impl Default for SortConfig {
             fixed_samples_per_machine: None,
             investigator: true,
             final_merge: FinalMergeAlgo::Balanced,
-            local_sort: LocalSortAlgo::ParallelQuicksort,
         }
     }
 }
@@ -142,12 +85,6 @@ impl SortConfig {
     /// Selects the final-merge strategy.
     pub fn final_merge(mut self, algo: FinalMergeAlgo) -> Self {
         self.final_merge = algo;
-        self
-    }
-
-    /// Selects the local sort algorithm.
-    pub fn local_sort(mut self, algo: LocalSortAlgo) -> Self {
-        self.local_sort = algo;
         self
     }
 
@@ -203,13 +140,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_factor_rejected() {
         let _ = SortConfig::default().sample_factor(0.0);
-    }
-
-    #[test]
-    fn algo_names_are_unique() {
-        let mut names: Vec<&str> = LocalSortAlgo::ALL.iter().map(|a| a.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), LocalSortAlgo::ALL.len());
     }
 }

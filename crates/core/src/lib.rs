@@ -49,7 +49,7 @@ pub mod sampling;
 pub mod sorter;
 pub mod stats;
 
-pub use config::{FinalMergeAlgo, LocalSortAlgo, SortConfig, AUTO_RADIX_MIN};
+pub use config::{FinalMergeAlgo, SortConfig};
 pub use distvec::DistVec;
 pub use item::Keyed;
 pub use sorter::{steps, DistSorter, SortedPartition};

@@ -1,10 +1,9 @@
 //! The six-step distributed sample sort (§IV).
 //!
 //! 1. **local sort** — data divided evenly among the machine's worker
-//!    threads, per-worker kernel (quicksort, TimSort, super scalar sample
-//!    sort, in-place samplesort, or LSD radix for radix-capable keys —
-//!    [`LocalSortAlgo`]), chunks combined with a splitter-planned parallel
-//!    k-way merge into a pool-recycled buffer.
+//!    threads, every worker quicksorts its chunk
+//!    ([`pgxd_algos::quicksort`]), chunks combined with a splitter-planned
+//!    parallel k-way merge into a pool-recycled buffer.
 //! 2. **sampling** — regular samples (buffer-sized rule) sent to master.
 //! 3. **splitters** — master merges the sample runs and broadcasts the
 //!    `p − 1` regular splitters.
@@ -21,7 +20,7 @@
 //! smallest keys, machine `p − 1` the largest, every machine's slice
 //! locally sorted.
 
-use crate::config::{FinalMergeAlgo, LocalSortAlgo, SortConfig, AUTO_RADIX_MIN};
+use crate::config::{FinalMergeAlgo, SortConfig};
 use crate::investigator::splitter_offsets;
 use crate::item::{tag_with_provenance, Keyed};
 use crate::sampling::{select_regular_samples, select_splitters};
@@ -30,13 +29,9 @@ use pgxd::machine::{MachineCtx, MASTER};
 use pgxd::metrics::labeled;
 use pgxd::task::TaskManager;
 use pgxd_algos::exec::{even_chunk_bounds, MIN_ITEMS_PER_WORKER};
-use pgxd_algos::ipssort::{in_place_sample_sort_stats_into, IpsStats};
 use pgxd_algos::kway::{kway_merge, kway_merge_into};
 use pgxd_algos::merge::{balanced_merge, plan_multiway_splits, PARALLEL_MERGE_CUTOFF};
 use pgxd_algos::quicksort::quicksort;
-use pgxd_algos::radix::RadixDispatch;
-use pgxd_algos::ssssort::super_scalar_sample_sort_with_scratch;
-use pgxd_algos::timsort::timsort;
 use pgxd_algos::Key;
 
 /// Step names recorded in the machine's [`StepTimer`](pgxd::metrics::StepTimer),
@@ -66,25 +61,9 @@ pub mod steps {
     ];
 }
 
-/// Resolves [`LocalSortAlgo::Auto`] against the key type and input size:
-/// radix for radix-capable keys past [`AUTO_RADIX_MIN`] elements, in-place
-/// samplesort otherwise. Concrete algorithms pass through unchanged.
-fn resolve_local_algo<T: Key>(algo: LocalSortAlgo, n: usize) -> LocalSortAlgo {
-    match algo {
-        LocalSortAlgo::Auto => {
-            if <T as RadixDispatch>::radix_capable() && n >= AUTO_RADIX_MIN {
-                LocalSortAlgo::Radix
-            } else {
-                LocalSortAlgo::InPlaceSampleSort
-            }
-        }
-        other => other,
-    }
-}
-
-/// Step 1 driver: sorts `data` with the configured kernel across the
-/// machine's worker pool and combines the per-worker runs with a
-/// splitter-planned parallel k-way merge.
+/// Step 1 driver: quicksorts `data` in even chunks across the machine's
+/// worker pool and combines the per-worker runs with a splitter-planned
+/// parallel k-way merge.
 ///
 /// Returns `(sorted, pooled)`: when `pooled` the buffer was acquired from
 /// the machine's [`ChunkPool`](pgxd::pool::ChunkPool) — with room for
@@ -93,96 +72,32 @@ fn resolve_local_algo<T: Key>(algo: LocalSortAlgo, n: usize) -> LocalSortAlgo {
 /// once the exchange has consumed it (the custody checker treats an
 /// unreleased chunk at teardown as a protocol bug). No barrier sits between
 /// step 1 and the exchange, so holding the chunk across steps 2–5 is legal.
-// analyze: allow(panic-surface): the `chunked[0]` seed read is guarded by
-// the n < 2 early return above it.
-fn run_local_sort<T: Key>(
-    ctx: &MachineCtx,
-    algo: LocalSortAlgo,
-    data: Vec<T>,
-    capacity: usize,
-) -> (Vec<T>, bool) {
+// analyze: allow(panic-surface): the `data[0]` seed read sits past the
+// one-worker return, so `data` holds at least two workers' minimum chunks.
+fn run_local_sort<T: Key>(ctx: &MachineCtx, mut data: Vec<T>, capacity: usize) -> (Vec<T>, bool) {
     let n = data.len();
-    if n < 2 {
+    let workers = ctx.workers().max(1).min((n / MIN_ITEMS_PER_WORKER).max(1));
+    if workers == 1 {
+        // One chunk: sorted inline — no task, no merge, no pooled buffer.
+        quicksort(&mut data);
         return (data, false);
     }
-    let algo = resolve_local_algo::<T>(algo, n);
-    let workers = ctx.workers().max(1).min((n / MIN_ITEMS_PER_WORKER).max(1));
-    let (chunked, bounds) = match algo {
-        LocalSortAlgo::Radix => match T::radix_sort_chunks(data, workers) {
-            Ok(pair) => pair,
-            // Key type without a radix image: comparison fast path.
-            Err(data) => {
-                sort_comparison_chunks(ctx, LocalSortAlgo::InPlaceSampleSort, data, workers)
-            }
-        },
-        other => sort_comparison_chunks(ctx, other, data, workers),
-    };
-    if bounds.len() <= 2 {
-        return (chunked, false);
+    let bounds = even_chunk_bounds(n, workers);
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(workers);
+    let mut rest: &mut [T] = &mut data;
+    for (lo, hi) in bounds.iter().zip(bounds.iter().skip(1)) {
+        let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+        rest = tail;
+        // analyze: allow(hot-path-alloc): one task closure per worker chunk.
+        tasks.push(Box::new(move || quicksort(chunk)));
     }
+    ctx.tasks().run_tasks(tasks);
     let mut out = ctx.pool().acquire::<T>(n.max(capacity));
-    out.resize(n, chunked[0]);
+    out.resize(n, data[0]);
     ctx.phase_scope("local.merge", || {
-        merge_runs_with_tasks(ctx.tasks(), &chunked, &bounds, &mut out, workers)
+        merge_runs_with_tasks(ctx.tasks(), &data, &bounds, &mut out, workers)
     });
     (out, true)
-}
-
-/// Sorts `data` in `workers` even chunks, each chunk by the given
-/// comparison kernel on the machine's task pool. Returns the chunk-sorted
-/// buffer and the chunk bounds.
-// analyze: allow(panic-surface): the "one task" expect is guarded by the
-// len == 1 check, and the Radix/Auto arms are unreachable because
-// resolve_local_algo runs before kernel dispatch.
-// analyze: allow(hot-path-alloc): per-chunk run descriptors and task
-// closures at batch scale — one task per chunk, not per element.
-fn sort_comparison_chunks<T: Key>(
-    ctx: &MachineCtx,
-    algo: LocalSortAlgo,
-    mut data: Vec<T>,
-    workers: usize,
-) -> (Vec<T>, Vec<usize>) {
-    let bounds = even_chunk_bounds(data.len(), workers);
-    let chunks = bounds.len() - 1;
-    let mut stats = vec![IpsStats::default(); chunks];
-    {
-        let pool = ctx.pool();
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(chunks);
-        let mut rest: &mut [T] = &mut data;
-        for (w, stat) in bounds.windows(2).zip(stats.iter_mut()) {
-            let taken = std::mem::take(&mut rest);
-            let (chunk, tail) = taken.split_at_mut(w[1] - w[0]);
-            rest = tail;
-            tasks.push(Box::new(move || match algo {
-                LocalSortAlgo::ParallelQuicksort => quicksort(chunk),
-                LocalSortAlgo::Timsort => timsort(chunk),
-                LocalSortAlgo::SuperScalarSampleSort => {
-                    let mut scratch = pool.acquire::<T>(chunk.len());
-                    super_scalar_sample_sort_with_scratch(chunk, &mut scratch);
-                    pool.release(scratch);
-                }
-                LocalSortAlgo::InPlaceSampleSort => in_place_sample_sort_stats_into(chunk, stat),
-                LocalSortAlgo::Radix | LocalSortAlgo::Auto => {
-                    unreachable!("resolved before kernel dispatch")
-                }
-            }));
-        }
-        if tasks.len() == 1 {
-            // One chunk: run inline instead of shipping it to the pool.
-            tasks.pop().expect("one task")();
-        } else {
-            ctx.tasks().run_tasks(tasks);
-        }
-    }
-    if algo == LocalSortAlgo::InPlaceSampleSort {
-        let mut total = IpsStats::default();
-        for s in &stats {
-            total.merge(s);
-        }
-        ctx.phase_note("local.classify", total.classify_ns);
-        ctx.phase_note("local.permute", total.permute_ns);
-    }
-    (data, bounds)
 }
 
 /// Merges the sorted runs `data[bounds[i]..bounds[i+1]]` into `out`
@@ -515,18 +430,17 @@ impl DistSorter {
         let batches = locals.len();
         let input_items: usize = locals.iter().map(Vec::len).sum();
 
-        // Step 1: local parallel sort of each batch (chunk → kernel →
+        // Step 1: local parallel sort of each batch (chunk → quicksort →
         // parallel k-way merge into a pool-recycled buffer). The first
         // batch's buffer, given room for all of them, is the array the
         // exchange will read; later batches are appended to it.
-        let local_algo = self.config.local_sort;
         let (sorted, sorted_pooled, batch_bounds) = ctx.step(steps::LOCAL_SORT, move |ctx| {
             let mut locals = locals.into_iter();
             let first = locals.next().unwrap_or_default();
-            let (mut sorted, pooled) = run_local_sort(ctx, local_algo, first, input_items);
+            let (mut sorted, pooled) = run_local_sort(ctx, first, input_items);
             let mut bounds = vec![0, sorted.len()];
             for batch in locals {
-                let (run, run_pooled) = run_local_sort(ctx, local_algo, batch, 0);
+                let (run, run_pooled) = run_local_sort(ctx, batch, 0);
                 sorted.extend_from_slice(&run);
                 bounds.push(sorted.len());
                 if run_pooled {
@@ -875,120 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn timsort_local_sort_agrees() {
-        let (results, expect) = run_sort(
-            3,
-            2,
-            Distribution::Exponential,
-            15_000,
-            SortConfig::default().local_sort(LocalSortAlgo::Timsort),
-            13,
-        );
-        assert_globally_sorted(&results, &expect);
-    }
-
-    #[test]
-    fn ssssort_local_sort_agrees() {
-        for dist in [Distribution::Uniform, Distribution::RightSkewed] {
-            let (results, expect) = run_sort(
-                3,
-                2,
-                dist,
-                15_000,
-                SortConfig::default().local_sort(LocalSortAlgo::SuperScalarSampleSort),
-                19,
-            );
-            assert_globally_sorted(&results, &expect);
-        }
-    }
-
-    #[test]
-    fn ipssort_local_sort_agrees() {
-        for dist in Distribution::ALL {
-            let (results, expect) = run_sort(
-                3,
-                2,
-                dist,
-                25_000,
-                SortConfig::default().local_sort(LocalSortAlgo::InPlaceSampleSort),
-                61,
-            );
-            assert_globally_sorted(&results, &expect);
-        }
-    }
-
-    #[test]
-    fn radix_local_sort_agrees() {
-        for dist in [Distribution::Uniform, Distribution::Exponential] {
-            let (results, expect) = run_sort(
-                3,
-                4,
-                dist,
-                60_000,
-                SortConfig::default().local_sort(LocalSortAlgo::Radix),
-                63,
-            );
-            assert_globally_sorted(&results, &expect);
-        }
-    }
-
-    #[test]
-    fn auto_local_sort_agrees_across_sizes() {
-        // Below and above AUTO_RADIX_MIN per machine: both routes of the
-        // Auto heuristic must agree with the expected order.
-        for n in [6_000usize, 150_000] {
-            let (results, expect) = run_sort(
-                2,
-                4,
-                Distribution::RightSkewed,
-                n,
-                SortConfig::default().local_sort(LocalSortAlgo::Auto),
-                65,
-            );
-            assert_globally_sorted(&results, &expect);
-        }
-    }
-
-    #[test]
-    fn radix_falls_back_for_non_radix_keys() {
-        // (u64, u64) pairs have no radix image: Radix must silently take
-        // the comparison path and still sort correctly.
-        let machines = 3;
-        let parts = generate_partitioned(Distribution::Uniform, 30_000, machines, 67);
-        let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
-        let sorter =
-            DistSorter::new(SortConfig::default().local_sort(LocalSortAlgo::Radix));
-        let report = cluster.run(|ctx| {
-            let local: Vec<(u64, u64)> = parts[ctx.id()]
-                .iter()
-                .map(|&k| (k, k ^ 0xabcd))
-                .collect();
-            sorter.sort_pairs(ctx, local).data
-        });
-        let flat: Vec<(u64, u64)> = report.results.concat();
-        assert_eq!(flat.len(), 30_000);
-        assert!(flat.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(flat.iter().all(|&(k, v)| v == k ^ 0xabcd));
-    }
-
-    #[test]
-    fn every_local_algo_sorts_tiny_inputs() {
-        for algo in LocalSortAlgo::ALL {
-            for n in [0usize, 1, 5] {
-                let (results, expect) = run_sort(
-                    3,
-                    2,
-                    Distribution::Uniform,
-                    n,
-                    SortConfig::default().local_sort(algo),
-                    71,
-                );
-                assert_globally_sorted(&results, &expect);
-            }
-        }
-    }
-
-    #[test]
     fn parallel_kway_final_merge_agrees() {
         for dist in [Distribution::Uniform, Distribution::Exponential] {
             let (results, expect) = run_sort(
@@ -996,9 +796,7 @@ mod tests {
                 4,
                 dist,
                 80_000,
-                SortConfig::default()
-                    .final_merge(FinalMergeAlgo::ParallelKway)
-                    .local_sort(LocalSortAlgo::InPlaceSampleSort),
+                SortConfig::default().final_merge(FinalMergeAlgo::ParallelKway),
                 73,
             );
             assert_globally_sorted(&results, &expect);
@@ -1006,18 +804,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_sort_with_new_algos_and_parallel_merge() {
+    fn batch_sort_with_parallel_merges() {
         let machines = 3;
         let inputs = [
             generate_partitioned(Distribution::Uniform, 30_000, machines, 75),
             generate_partitioned(Distribution::Exponential, 20_000, machines, 76),
         ];
-        let config = SortConfig::default()
-            .local_sort(LocalSortAlgo::Auto)
-            .final_merge(FinalMergeAlgo::ParallelKway);
+        let config = SortConfig::default().final_merge(FinalMergeAlgo::ParallelKway);
         let cluster = ClusterConfig::new(machines).workers_per_machine(4);
         let report = run_batches_with(cluster, config, &inputs);
-        assert_batches_sorted(&report, &inputs, "auto + parallel k-way");
+        assert_batches_sorted(&report, &inputs, "4 workers + parallel k-way");
     }
 
     #[test]

@@ -226,8 +226,8 @@ impl MachineCtx {
     }
 
     /// Times `f` as a [`EventKind::SortPhase`] span under `name` on the
-    /// mainline lane — a sub-step phase (classify/permute/merge) nested
-    /// inside a [`Self::step`] Gantt row. Free when tracing is off.
+    /// mainline lane — a sub-step phase (the step-1 or step-6 k-way merge)
+    /// nested inside a [`Self::step`] Gantt row. Free when tracing is off.
     pub fn phase_scope<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let start = std::time::Instant::now();
         let out = if let Some(t) = &self.trace {
@@ -243,20 +243,6 @@ impl MachineCtx {
             .histogram(&labeled("pgxd_sort_phase_ns", &[("phase", name)]))
             .record_duration(start.elapsed());
         out
-    }
-
-    /// Records an already-aggregated phase duration (e.g. classify time
-    /// summed across worker chunks) as a [`EventKind::SortPhase`] instant
-    /// with the nanoseconds in the detail payload. No-op when tracing is
-    /// off.
-    pub fn phase_note(&self, name: &'static str, ns: u64) {
-        self.registry
-            .histogram(&labeled("pgxd_sort_phase_ns", &[("phase", name)]))
-            .record(ns);
-        if let Some(t) = &self.trace {
-            let name_id = t.intern(name);
-            t.instant(LANE_MAIN, EventKind::SortPhase, name_id, ns);
-        }
     }
 
     /// This machine's recorded step timings.

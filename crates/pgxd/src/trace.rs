@@ -150,9 +150,7 @@ pub enum EventKind {
     /// A protocol-checker verdict (`a` = [`violation`] code), emitted
     /// just before the checker panics.
     Checker,
-    /// One local-sort phase within a step (`a` = interned name id,
-    /// `b` = kind-specific detail in nanoseconds for aggregated notes).
-    /// Span when emitted via `span_since`, instant for accumulated notes.
+    /// One sub-step phase span within a step (`a` = interned name id).
     SortPhase,
 }
 
@@ -250,7 +248,7 @@ impl EventKind {
             EventKind::ChunkPlace => ("offset", "bytes"),
             EventKind::PoolHit | EventKind::PoolMiss => ("bytes", "unused"),
             EventKind::Checker => ("violation", "unused"),
-            EventKind::SortPhase => ("name_id", "detail_ns"),
+            EventKind::SortPhase => ("name_id", "unused"),
         }
     }
 }
@@ -1183,32 +1181,22 @@ mod tests {
         let c = TraceCollector::new(1, 1, TraceConfig::enabled().ring_capacity(8));
         let m = c.machine(0);
         let step_id = m.intern("local_sort");
-        let phase_id = m.intern("local.classify");
+        let phase_id = m.intern("local.merge");
         let t0 = m.now_ns();
         m.span_since(LANE_MAIN, EventKind::SortPhase, t0, phase_id, 0);
         m.span_since(LANE_MAIN, EventKind::Step, t0, step_id, 0);
-        m.instant(LANE_MAIN, EventKind::SortPhase, phase_id, 1234);
         let log = c.collect();
-        assert_eq!(log.events.len(), 3);
+        assert_eq!(log.events.len(), 2);
         let phase_spans: Vec<&TraceEvent> = log
             .events
             .iter()
             .filter(|e| e.kind == EventKind::SortPhase)
             .collect();
-        assert_eq!(phase_spans.len(), 2);
-        for e in &phase_spans {
-            assert_eq!(log.event_name(e), "local.classify");
-        }
+        assert_eq!(phase_spans.len(), 1);
+        assert_eq!(log.event_name(phase_spans[0]), "local.merge");
         // The step Gantt view stays a pure §IV step view.
         let gantt = log.step_gantt();
         assert_eq!(gantt.len(), 1);
         assert_eq!(gantt[0].name, "local_sort");
-        // Instants carry the aggregated nanoseconds in the detail payload.
-        let note = log
-            .events
-            .iter()
-            .find(|e| e.kind == EventKind::SortPhase && e.dur_ns == 0)
-            .expect("phase note present");
-        assert_eq!(note.b, 1234);
     }
 }

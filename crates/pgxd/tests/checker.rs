@@ -11,6 +11,7 @@
 use pgxd::checker::{OffsetLedger, ProtocolChecker};
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd::comm::Tag;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 #[test]
 fn clean_run_passes_barriers_and_teardown() {
@@ -32,10 +33,18 @@ fn clean_run_passes_barriers_and_teardown() {
 fn undelivered_packet_reported_at_teardown() {
     // Machine 0 sends a packet nobody ever receives; every machine exits
     // normally, and the teardown sweep on the calling thread reports it.
+    // Machine 1 outlives the send (its inbox must exist to be sent to) but
+    // does not meet machine 0 at a barrier, which would report it first.
+    let sent = AtomicBool::new(false);
     let cluster = Cluster::new(ClusterConfig::new(2));
     let _ = cluster.run(|ctx| {
         if ctx.id() == 0 {
             ctx.comm_mut().send_vec(1, Tag::user(7, 7), vec![1u64, 2, 3]);
+            sent.store(true, Ordering::Release);
+        } else {
+            while !sent.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
         }
     });
 }

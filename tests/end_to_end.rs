@@ -229,25 +229,17 @@ fn sort_config_matrix_all_correct() {
             pgxd_core::FinalMergeAlgo::Balanced,
             pgxd_core::FinalMergeAlgo::SequentialKway,
         ] {
-            for algo in [
-                pgxd_core::LocalSortAlgo::ParallelQuicksort,
-                pgxd_core::LocalSortAlgo::Timsort,
-                pgxd_core::LocalSortAlgo::SuperScalarSampleSort,
-            ] {
-                let config = SortConfig::default()
-                    .investigator(investigator)
-                    .final_merge(final_merge)
-                    .local_sort(algo);
-                let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
-                let sorter = DistSorter::new(config);
-                let report =
-                    cluster.run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()).data);
-                assert_eq!(
-                    report.results.concat(),
-                    expect,
-                    "inv={investigator} merge={final_merge:?} algo={algo:?}"
-                );
-            }
+            let config = SortConfig::default()
+                .investigator(investigator)
+                .final_merge(final_merge);
+            let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
+            let sorter = DistSorter::new(config);
+            let report = cluster.run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()).data);
+            assert_eq!(
+                report.results.concat(),
+                expect,
+                "inv={investigator} merge={final_merge:?}"
+            );
         }
     }
 }

@@ -60,25 +60,6 @@ where
     });
 }
 
-/// Runs the provided closures on scoped threads and waits for all of them.
-/// With one closure, runs it inline.
-pub fn join_all<F>(tasks: Vec<F>)
-where
-    F: FnOnce() + Send,
-{
-    if tasks.len() == 1 {
-        for t in tasks {
-            t();
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for t in tasks {
-            scope.spawn(t);
-        }
-    });
-}
-
 /// Classic binary fork-join: runs `a` and `b` potentially in parallel and
 /// waits for both.
 pub fn join2<A, B>(parallel: bool, a: A, b: B)
@@ -159,21 +140,6 @@ mod tests {
             seen.fetch_add(chunk.len(), Ordering::Relaxed);
         });
         assert_eq!(seen.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn join_all_runs_everything() {
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<_> = (0..8)
-            .map(|_| {
-                let c = &counter;
-                move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .collect();
-        join_all(tasks);
-        assert_eq!(counter.load(Ordering::Relaxed), 8);
     }
 
     #[test]

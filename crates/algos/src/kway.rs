@@ -2,8 +2,9 @@
 //!
 //! Used by the master to combine the `p` sorted sample runs it gathers in
 //! §IV step 3 (one comparison per emitted element instead of the
-//! `log₂ p`-swap churn of a binary heap), and by the ablation benches as
-//! the non-balanced alternative to the Fig. 2 merge tree.
+//! `log₂ p`-swap churn of a binary heap), by step 1 to combine the
+//! per-worker runs, and by the ablation benches as the non-balanced
+//! alternative to the Fig. 2 merge tree.
 
 /// A tournament loser tree over `k` sorted runs.
 ///
@@ -168,21 +169,6 @@ pub fn kway_merge_into<T: Ord + Copy>(runs: &[&[T]], out: &mut [T]) {
     }
 }
 
-/// Merges `k` sorted runs, also reporting for every output element which
-/// run it came from. Used where provenance matters (e.g. tracing samples
-/// back to their processor).
-// analyze: allow(hot-path-alloc): O(k) run-slice copy plus the tagged
-// output vector the verifier consumes.
-pub fn kway_merge_tagged<T: Ord + Copy>(runs: &[&[T]]) -> Vec<(T, usize)> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut tree = LoserTree::new(runs.to_vec());
-    while let Some(pair) = tree.pop() {
-        out.push(pair);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,19 +226,19 @@ mod tests {
     }
 
     #[test]
-    fn tagged_provenance_is_correct() {
-        let runs = [vec![1u64, 3], vec![2, 3]];
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let tagged = kway_merge_tagged(&refs);
-        assert_eq!(tagged, vec![(1, 0), (2, 1), (3, 0), (3, 1)]);
-    }
-
-    #[test]
-    fn stability_ties_prefer_lower_run() {
-        let runs = [vec![5u64, 5], vec![5, 5], vec![5]];
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let tagged = kway_merge_tagged(&refs);
-        let sources: Vec<usize> = tagged.iter().map(|&(_, s)| s).collect();
+    fn pop_reports_source_run_and_ties_prefer_lower_run() {
+        let popped = |runs: &[Vec<u64>]| {
+            let mut tree = LoserTree::new(runs.iter().map(|r| r.as_slice()).collect());
+            std::iter::from_fn(|| tree.pop()).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            popped(&[vec![1, 3], vec![2, 3]]),
+            vec![(1, 0), (2, 1), (3, 0), (3, 1)]
+        );
+        let sources: Vec<usize> = popped(&[vec![5, 5], vec![5, 5], vec![5]])
+            .iter()
+            .map(|&(_, s)| s)
+            .collect();
         assert_eq!(sources, vec![0, 0, 1, 1, 2]);
     }
 

@@ -6,14 +6,13 @@
 //!
 //! - [`quicksort`] — the paper's per-worker local sort: the standard
 //!   library's pattern-defeating quicksort (`sort_unstable`).
-//! - [`pquicksort`] — the paper's *parallel quick sort* (§IV step 1): data
-//!   is divided equally among worker threads, each sorts its chunk, and the
-//!   chunks are combined with the balanced merge handler.
-//! - [`merge`] — the **balanced merge handler** of Fig. 2: a power-of-two
-//!   pairwise merge tree whose steps each run in parallel, merging runs of
-//!   (almost) equal size at every level to keep caches warm and work even.
-//! - [`kway`] — loser-tree k-way merge used by the master to combine sample
-//!   runs, with a provenance-carrying variant.
+//! - [`merge`] — the **balanced merge handler** of Fig. 2 (§IV step 6): a
+//!   power-of-two pairwise merge tree whose steps each run in parallel,
+//!   merging runs of (almost) equal size at every level to keep caches warm
+//!   and work even; and the splitter planner that cuts a k-way merge into
+//!   independent parts (§IV step 1 merges its per-worker runs that way).
+//! - [`kway`] — loser-tree k-way merge: the master's merge of the sample
+//!   runs, and the per-part merge of step 1.
 //! - [`timsort`] — a from-scratch TimSort (run detection, binary insertion
 //!   ([`insertion`]) bulking to min-run, galloping merges) as used by
 //!   Spark's `sortByKey`; this is the baseline's local sort.
@@ -38,7 +37,6 @@ pub mod exec;
 pub mod insertion;
 pub mod kway;
 pub mod merge;
-pub mod pquicksort;
 pub mod quicksort;
 pub mod radix;
 pub mod search;

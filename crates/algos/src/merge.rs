@@ -277,48 +277,6 @@ pub fn plan_multiway_splits<T: Ord + Copy>(runs: &[&[T]], parts: usize) -> Vec<V
     rows
 }
 
-/// Parallel k-way merge of sorted `runs` into `out` (whose length must
-/// equal the total run length): the output is split into `workers`
-/// near-equal parts by [`plan_multiway_splits`], and each part is merged
-/// independently on a scoped thread — one pass over the data, each worker
-/// streaming into its own contiguous, cache-local output segment. Small
-/// inputs fall through to the sequential [`kway_merge_into`].
-// analyze: allow(panic-surface): `windows(2)` yields pairs, and the plan's
-// rows are monotone per run and end at the run lengths.
-// analyze: allow(hot-path-alloc): O(parts) slice bookkeeping around the
-// in-place merge of caller-owned memory.
-pub fn parallel_kway_merge_into<T: Ord + Copy + Send + Sync>(
-    runs: &[&[T]],
-    out: &mut [T],
-    workers: usize,
-) {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    assert_eq!(total, out.len(), "output size mismatch");
-    if workers <= 1 || total < PARALLEL_MERGE_CUTOFF {
-        crate::kway::kway_merge_into(runs, out);
-        return;
-    }
-    let rows = plan_multiway_splits(runs, workers);
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        for pair in rows.windows(2) {
-            let (lo, hi) = (&pair[0], &pair[1]);
-            let part_len: usize = lo.iter().zip(hi.iter()).map(|(&a, &b)| b - a).sum();
-            let (segment, tail) = rest.split_at_mut(part_len);
-            rest = tail;
-            if part_len == 0 {
-                continue;
-            }
-            let part_runs: Vec<&[T]> = runs
-                .iter()
-                .zip(lo.iter().zip(hi.iter()))
-                .map(|(run, (&a, &b))| &run[a..b])
-                .collect();
-            scope.spawn(move || crate::kway::kway_merge_into(&part_runs, segment));
-        }
-    });
-}
-
 /// Sequential form of the Fig. 2 tree: identical merge schedule, no
 /// thread spawns. Used automatically for small inputs.
 // analyze: allow(panic-surface): same pair indexing as `balanced_merge`,
@@ -351,9 +309,10 @@ fn balanced_merge_sequential<T: Ord + Copy>(mut data: Vec<T>, bounds: &[usize]) 
 }
 
 /// Convenience: sorts each even chunk with the provided sorter and then
-/// combines the chunks with [`balanced_merge`]. This is exactly the §IV
-/// step-1 pipeline (chunk → local sort → balanced merge) and is reused by
-/// both the parallel quicksort and the distributed final merge.
+/// combines the chunks with [`balanced_merge`] — the paper's *parallel
+/// quick sort* when `sorter` is [`quicksort`](crate::quicksort::quicksort).
+/// The baselines' local sort; the distributed sorter's step 1 runs its
+/// chunks on the machine's task pool instead.
 ///
 /// The worker count is clamped so each chunk holds at least
 /// [`exec::MIN_ITEMS_PER_WORKER`] items — spawning threads for tiny
@@ -583,43 +542,5 @@ mod tests {
                 "part size {size} vs ideal {ideal}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_kway_matches_flat_sort() {
-        for (k, modulus) in [(2usize, u64::MAX), (5, 1000), (8, 3), (7, 1)] {
-            let runs = sorted_runs(k, 20_000, modulus);
-            let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-            let total: usize = refs.iter().map(|r| r.len()).sum();
-            let mut out = vec![0u64; total];
-            parallel_kway_merge_into(&refs, &mut out, 4);
-            let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
-            expect.sort_unstable();
-            assert_eq!(out, expect, "k={k} modulus={modulus}");
-        }
-    }
-
-    #[test]
-    fn parallel_kway_with_empty_and_tiny_runs() {
-        let runs: Vec<Vec<u64>> = vec![vec![], vec![5], vec![], (0..40_000).collect(), vec![2, 9]];
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let total: usize = refs.iter().map(|r| r.len()).sum();
-        let mut out = vec![0u64; total];
-        parallel_kway_merge_into(&refs, &mut out, 4);
-        let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
-        expect.sort_unstable();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn parallel_kway_small_input_sequential_path() {
-        let runs = sorted_runs(3, 100, 50);
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let total: usize = refs.iter().map(|r| r.len()).sum();
-        let mut out = vec![0u64; total];
-        parallel_kway_merge_into(&refs, &mut out, 8);
-        let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
-        expect.sort_unstable();
-        assert_eq!(out, expect);
     }
 }

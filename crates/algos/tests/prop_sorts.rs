@@ -4,12 +4,10 @@
 
 use pgxd_algos::bitonic::{bitonic_sort_padded, compare_split};
 use pgxd_algos::insertion::binary_insertion_sort;
-use pgxd_algos::kway::{kway_merge, kway_merge_into, kway_merge_tagged};
+use pgxd_algos::kway::{kway_merge, kway_merge_into, LoserTree};
 use pgxd_algos::merge::{
-    balanced_merge, merge_into, parallel_kway_merge_into, parallel_merge_into,
-    plan_multiway_splits, sort_chunks_and_merge,
+    balanced_merge, merge_into, parallel_merge_into, plan_multiway_splits, sort_chunks_and_merge,
 };
-use pgxd_algos::pquicksort::parallel_quicksort;
 use pgxd_algos::quicksort::quicksort;
 use pgxd_algos::radix::{radix_sort, radix_sort_with_scratch};
 use pgxd_algos::search::{lower_bound, upper_bound};
@@ -170,31 +168,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_kway_matches_std(
-        mut runs in pvec(pvec(any::<u64>(), 0..600), 0..8),
-        workers in 1usize..6,
-    ) {
-        for r in &mut runs {
-            r.sort();
-        }
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
-        expect.sort();
-        let mut out = vec![0u64; expect.len()];
-        parallel_kway_merge_into(&refs, &mut out, workers);
-        prop_assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn parallel_quicksort_matches_std(
-        v in pvec(any::<u64>(), 0..3000),
-        workers in 1usize..9,
-    ) {
-        let expect = sorted_copy(&v);
-        prop_assert_eq!(parallel_quicksort(v, workers), expect);
-    }
-
-    #[test]
     fn merge_into_merges(mut a in pvec(any::<u64>(), 0..500), mut b in pvec(any::<u64>(), 0..500)) {
         a.sort();
         b.sort();
@@ -261,16 +234,15 @@ proptest! {
     }
 
     #[test]
-    fn kway_tagged_provenance_valid(mut runs in pvec(pvec(any::<u64>(), 0..100), 1..8)) {
+    fn loser_tree_provenance_valid(mut runs in pvec(pvec(any::<u64>(), 0..100), 1..8)) {
         for r in &mut runs {
             r.sort();
         }
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let tagged = kway_merge_tagged(&refs);
+        let mut tree = LoserTree::new(runs.iter().map(|r| r.as_slice()).collect());
         // Each output element exists in its claimed source run, consumed
         // in order.
         let mut cursors = vec![0usize; runs.len()];
-        for (value, src) in tagged {
+        while let Some((value, src)) = tree.pop() {
             prop_assert_eq!(runs[src][cursors[src]], value);
             cursors[src] += 1;
         }

@@ -1,14 +1,17 @@
 //! Criterion bench for the DESIGN.md ablations: investigator on/off,
-//! balanced vs k-way final merge, and the distributed baselines
-//! (bitonic, radix) against the PGX.D sort.
+//! the Fig. 2 balanced merge vs one k-way pass over the same sorted runs,
+//! and the distributed baselines (bitonic, radix) against the PGX.D sort.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgxd::cluster::{Cluster, ClusterConfig};
+use pgxd_algos::exec::even_chunk_bounds;
+use pgxd_algos::kway::kway_merge_into;
+use pgxd_algos::merge::balanced_merge;
 use pgxd_baselines::bitonic::bitonic_sort_dist;
 use pgxd_baselines::radix::radix_sort_dist;
 use pgxd_bench::runner::{run_pgxd_sort, Workload, DEFAULT_SEED};
-use pgxd_core::{FinalMergeAlgo, SortConfig};
-use pgxd_datagen::{generate_partitioned, Distribution};
+use pgxd_core::SortConfig;
+use pgxd_datagen::{generate, generate_partitioned, Distribution};
 
 fn bench_investigator(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_investigator");
@@ -28,25 +31,30 @@ fn bench_investigator(c: &mut Criterion) {
     group.finish();
 }
 
+/// Step 6 alone: the `p = 8` sorted runs a machine holds after the
+/// exchange, combined by the Fig. 2 tree (what `DistSorter` runs) and by
+/// one loser-tree k-way pass.
 fn bench_final_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_final_merge");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_secs(1));
-    let workload = Workload::Dist {
-        dist: Distribution::Uniform,
-        n: 100_000,
-        seed: DEFAULT_SEED,
-    };
-    for algo in [FinalMergeAlgo::Balanced, FinalMergeAlgo::SequentialKway] {
-        group.bench_with_input(
-            BenchmarkId::new("final_merge", algo.name()),
-            &algo,
-            |b, &algo| {
-                b.iter(|| run_pgxd_sort(&workload, 8, 2, SortConfig::default().final_merge(algo)));
-            },
-        );
+    let mut data = generate(Distribution::Uniform, 200_000, DEFAULT_SEED);
+    let bounds = even_chunk_bounds(data.len(), 8);
+    for w in bounds.windows(2) {
+        data[w[0]..w[1]].sort_unstable();
     }
+    group.bench_function("balanced", |b| {
+        b.iter(|| balanced_merge(data.clone(), &bounds, 2));
+    });
+    group.bench_function("kway", |b| {
+        b.iter(|| {
+            let runs: Vec<&[u64]> = bounds.windows(2).map(|w| &data[w[0]..w[1]]).collect();
+            let mut out = vec![0u64; data.len()];
+            kway_merge_into(&runs, &mut out);
+            out
+        });
+    });
     group.finish();
 }
 

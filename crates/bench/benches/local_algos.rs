@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgxd_algos::exec::even_chunk_bounds;
 use pgxd_algos::merge::balanced_merge;
-use pgxd_algos::pquicksort::parallel_quicksort;
 use pgxd_algos::quicksort::quicksort;
 use pgxd_algos::radix::radix_sort;
 use pgxd_algos::timsort::timsort;
@@ -38,9 +37,6 @@ fn bench_local_sorts(c: &mut Criterion) {
             radix_sort(&mut v);
             v
         });
-    });
-    group.bench_function(BenchmarkId::new("parallel_quicksort_w4", n), |b| {
-        b.iter(|| parallel_quicksort(data.clone(), 4));
     });
     group.finish();
 }

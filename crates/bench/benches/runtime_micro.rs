@@ -65,11 +65,10 @@ fn bench_exchange_buffer_sizes(c: &mut Criterion) {
 }
 
 /// One machine's shard of uniform u64: the step-1 quicksort next to the
-/// LSD radix the distributed-radix baseline uses, plus the two k-way merge
-/// combiners.
+/// LSD radix the distributed-radix baseline uses, plus the sequential k-way
+/// merge each step-1 merge part runs.
 fn bench_local_sort_kernels(c: &mut Criterion) {
     use pgxd_algos::kway::kway_merge_into;
-    use pgxd_algos::merge::parallel_kway_merge_into;
     use pgxd_algos::quicksort::quicksort;
     use pgxd_algos::radix::radix_sort_with_scratch;
 
@@ -96,7 +95,7 @@ fn bench_local_sort_kernels(c: &mut Criterion) {
         });
     });
 
-    // Merge combiners over 8 pre-sorted runs of the same total size.
+    // The k-way merge over 8 pre-sorted runs of the same total size.
     let runs_flat: Vec<u64> = {
         let mut v = base.clone();
         let chunk = n / 8;
@@ -112,15 +111,6 @@ fn bench_local_sort_kernels(c: &mut Criterion) {
             let runs: Vec<&[u64]> =
                 bounds.windows(2).map(|w| &runs_flat[w[0]..w[1]]).collect();
             kway_merge_into(&runs, &mut out);
-            out.last().copied()
-        });
-    });
-    group.bench_function("par_kway_merge_8x128k_w4", |b| {
-        let mut out = vec![0u64; n];
-        b.iter(|| {
-            let runs: Vec<&[u64]> =
-                bounds.windows(2).map(|w| &runs_flat[w[0]..w[1]]).collect();
-            parallel_kway_merge_into(&runs, &mut out, 4);
             out.last().copied()
         });
     });
@@ -146,17 +136,6 @@ fn bench_task_manager(c: &mut Criterion) {
                 .collect();
             tm.run_tasks(tasks);
             assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 1000);
-        });
-    });
-    group.bench_function("par_chunks_1m_w4", |b| {
-        let tm = pgxd::task::TaskManager::new(4);
-        let mut data: Vec<u64> = (0..1_000_000).collect();
-        b.iter(|| {
-            tm.par_chunks_mut(&mut data, |_, chunk| {
-                for x in chunk.iter_mut() {
-                    *x = x.wrapping_mul(2654435761);
-                }
-            });
         });
     });
     group.finish();

@@ -45,13 +45,16 @@
 //! perf trajectory across PRs is machine-trackable from one file.
 
 use pgxd::trace::TraceConfig;
+use pgxd_algos::kway::kway_merge_into;
+use pgxd_algos::merge::balanced_merge;
 use pgxd_bench::runner::{
     fmt_secs, run_pgxd_sort, run_pgxd_sort_traced, run_spark_sort, ExpResult, Workload,
 };
 use pgxd_bench::table::Table;
-use pgxd_core::{FinalMergeAlgo, LoadStats, SortConfig};
+use pgxd_core::{LoadStats, SortConfig};
 use pgxd_datagen::Distribution;
 use std::collections::HashMap;
+use std::time::Instant;
 
 // Fig. 11 needs heap accounting: install the tracking allocator for the
 // whole harness (negligible overhead for the other experiments).
@@ -640,25 +643,25 @@ fn ablation(opts: &Opts) {
     }
     t1.print();
 
-    println!("\n--- balanced merge vs sequential k-way final merge ---");
-    let mut t2 = Table::new(vec!["final merge", "wall", "final_merge step"]);
-    for (label, algo) in [
-        ("balanced (Fig. 2)", FinalMergeAlgo::Balanced),
-        ("sequential k-way", FinalMergeAlgo::SequentialKway),
-    ] {
-        let r = run_pgxd_sort(
-            &dist_workload(Distribution::Uniform, opts),
-            p,
-            opts.workers,
-            SortConfig::default().final_merge(algo),
-        );
-        t2.row(vec![
-            label.to_string(),
-            fmt_secs(r.wall_secs),
-            fmt_secs(r.step_secs[5].1),
-        ]);
-        results.push(r);
+    println!("\n--- step 6 alone: balanced merge vs one k-way pass over the same p runs ---");
+    let mut runs = dist_workload(Distribution::Uniform, opts).generate(p);
+    runs.iter_mut().for_each(|run| run.sort_unstable());
+    let mut bounds = vec![0];
+    for run in &runs {
+        bounds.push(bounds[bounds.len() - 1] + run.len());
     }
+    let started = Instant::now();
+    let balanced = balanced_merge(runs.concat(), &bounds, opts.workers);
+    let balanced_secs = started.elapsed().as_secs_f64();
+    let refs: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
+    let started = Instant::now();
+    let mut kway = vec![0; balanced.len()];
+    kway_merge_into(&refs, &mut kway);
+    let kway_secs = started.elapsed().as_secs_f64();
+    assert_eq!(balanced, kway);
+    let mut t2 = Table::new(vec!["merge", "wall"]);
+    t2.row(vec!["balanced (Fig. 2)".to_string(), fmt_secs(balanced_secs)]);
+    t2.row(vec!["sequential k-way".to_string(), fmt_secs(kway_secs)]);
     t2.print();
 
     println!("\n--- buffer-sized sampling vs tiny fixed sample count ---");
@@ -860,7 +863,7 @@ fn chaos_cmd(opts: &Opts) {
     use pgxd::{FaultPlan, RunErrorKind};
     use pgxd_core::DistSorter;
     use pgxd_datagen::generate_partitioned;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     let p = opts.procs.first().copied().unwrap_or(8);
     let n = opts.n;

@@ -1,33 +1,11 @@
 //! Configuration of the distributed sort.
 //!
 //! The defaults are the paper's choices: buffer-sized sampling
-//! (`X = 256 KiB / p` per machine, §IV-B), the duplicate-splitter
-//! investigator enabled, and the Fig. 2 balanced merge for the final
-//! merge. Every knob exists because an experiment or ablation in DESIGN.md
-//! sweeps it; step 1 has none — every worker quicksorts its chunk.
-
-/// Which algorithm combines the per-source sorted runs in step 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FinalMergeAlgo {
-    /// The paper's Fig. 2 balanced pairwise merge tree (default).
-    Balanced,
-    /// Sequential loser-tree k-way merge (ablation baseline).
-    SequentialKway,
-    /// Splitter-planned parallel k-way merge: one pass over the data,
-    /// output split across workers by binary-searched splitter ranges.
-    ParallelKway,
-}
-
-impl FinalMergeAlgo {
-    /// Stable short name (bench tables, JSON results).
-    pub fn name(self) -> &'static str {
-        match self {
-            FinalMergeAlgo::Balanced => "balanced",
-            FinalMergeAlgo::SequentialKway => "kway",
-            FinalMergeAlgo::ParallelKway => "par_kway",
-        }
-    }
-}
+//! (`X = 256 KiB / p` per machine, §IV-B) and the duplicate-splitter
+//! investigator enabled. Every knob exists because an experiment or
+//! ablation in DESIGN.md sweeps it; steps 1 and 6 have none — every worker
+//! quicksorts its chunk, and the final merge is the Fig. 2 balanced merge
+//! handler.
 
 /// Tuning knobs for [`DistSorter`](crate::DistSorter).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,8 +20,6 @@ pub struct SortConfig {
     /// Disabling reverts to naive `upper_bound` partitioning (Fig. 3b) —
     /// the load-imbalance ablation.
     pub investigator: bool,
-    /// Final-merge strategy for step 6.
-    pub final_merge: FinalMergeAlgo,
 }
 
 impl Default for SortConfig {
@@ -52,7 +28,6 @@ impl Default for SortConfig {
             sample_factor: 1.0,
             fixed_samples_per_machine: None,
             investigator: true,
-            final_merge: FinalMergeAlgo::Balanced,
         }
     }
 }
@@ -82,18 +57,13 @@ impl SortConfig {
         self
     }
 
-    /// Selects the final-merge strategy.
-    pub fn final_merge(mut self, algo: FinalMergeAlgo) -> Self {
-        self.final_merge = algo;
-        self
-    }
-
     /// Samples each machine contributes: the §IV-B rule
     /// `factor · (buffer_bytes / p) / key_size`, at least 1 (when any data
-    /// exists), or the fixed override.
+    /// exists), or the fixed override — also held to at least 1: with no
+    /// samples there are no splitters and every key lands on machine 0.
     pub fn samples_per_machine(&self, buffer_bytes: usize, p: usize, key_size: usize) -> usize {
         if let Some(fixed) = self.fixed_samples_per_machine {
-            return fixed;
+            return fixed.max(1);
         }
         let x_bytes = buffer_bytes as f64 / p.max(1) as f64;
         let samples = (self.sample_factor * x_bytes / key_size.max(1) as f64).round() as usize;
@@ -134,6 +104,15 @@ mod tests {
     fn never_zero_samples() {
         let cfg = SortConfig::default().sample_factor(1e-9);
         assert_eq!(cfg.samples_per_machine(256 * 1024, 64, 8), 1);
+        // The fixed override is clamped too, through the builder and
+        // through the pub field.
+        let fixed = SortConfig::default().fixed_samples(0);
+        assert_eq!(fixed.samples_per_machine(256 * 1024, 8, 8), 1);
+        let field = SortConfig {
+            fixed_samples_per_machine: Some(0),
+            ..SortConfig::default()
+        };
+        assert_eq!(field.samples_per_machine(256 * 1024, 8, 8), 1);
     }
 
     #[test]

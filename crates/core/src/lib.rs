@@ -7,10 +7,11 @@
 //!
 //! The three mechanisms from the paper:
 //!
-//! - **Balanced merging** (§IV-A, Fig. 2) — both the local sort and the
-//!   final merge combine sorted runs pairwise in a power-of-two tree whose
-//!   merges all run in parallel and always combine near-equal runs
-//!   (implemented in [`pgxd_algos::merge`]).
+//! - **Balanced merging** (§IV-A, Fig. 2) — the final merge combines the
+//!   `p` received runs pairwise in a power-of-two tree whose merges all run
+//!   in parallel and always combine near-equal runs (implemented in
+//!   [`pgxd_algos::merge`]). The local sort merges its per-worker runs in
+//!   one splitter-planned k-way pass instead.
 //! - **Buffer-sized sampling** (§IV-B) — every machine sends exactly
 //!   `256 KiB / p` of regular samples to the master, so the master always
 //!   receives one read-buffer of samples: enough for good splitters,
@@ -49,7 +50,7 @@ pub mod sampling;
 pub mod sorter;
 pub mod stats;
 
-pub use config::{FinalMergeAlgo, SortConfig};
+pub use config::SortConfig;
 pub use distvec::DistVec;
 pub use item::Keyed;
 pub use sorter::{steps, DistSorter, SortedPartition};

@@ -11,16 +11,15 @@
 //!    locally sorted data → `p` contiguous send ranges.
 //! 5. **exchange** — asynchronous offset-addressed all-to-all through the
 //!    data-manager buffers (send while receive).
-//! 6. **final merge** — per-source sorted runs combined by the configured
-//!    [`FinalMergeAlgo`]: Fig. 2 balanced merge tree (default), a
-//!    sequential loser-tree k-way merge, or the splitter-planned parallel
-//!    k-way merge.
+//! 6. **final merge** — the `p` per-source sorted runs combined by the
+//!    §IV-A balanced merge handler (Fig. 2,
+//!    [`pgxd_algos::merge::balanced_merge`]).
 //!
 //! The result is globally sorted across machines: machine 0 holds the
 //! smallest keys, machine `p − 1` the largest, every machine's slice
 //! locally sorted.
 
-use crate::config::{FinalMergeAlgo, SortConfig};
+use crate::config::SortConfig;
 use crate::investigator::splitter_offsets;
 use crate::item::{tag_with_provenance, Keyed};
 use crate::sampling::{select_regular_samples, select_splitters};
@@ -29,7 +28,7 @@ use pgxd::machine::{MachineCtx, MASTER};
 use pgxd::metrics::labeled;
 use pgxd::task::TaskManager;
 use pgxd_algos::exec::{even_chunk_bounds, MIN_ITEMS_PER_WORKER};
-use pgxd_algos::kway::{kway_merge, kway_merge_into};
+use pgxd_algos::kway::kway_merge_into;
 use pgxd_algos::merge::{balanced_merge, plan_multiway_splits, PARALLEL_MERGE_CUTOFF};
 use pgxd_algos::quicksort::quicksort;
 use pgxd_algos::Key;
@@ -142,40 +141,6 @@ fn merge_runs_with_tasks<T: Key>(
         boxed.push(Box::new(move || kway_merge_into(&part_runs, segment)));
     }
     tasks.run_tasks(boxed);
-}
-
-/// Step 6 driver: combines the per-source sorted runs
-/// `data[bounds[i]..bounds[i+1]]` by the configured strategy. The output
-/// is always a plain (non-pooled) `Vec` — it leaves the machine as the
-/// sort result, past the pool's custody horizon.
-// analyze: allow(panic-surface): the `data[0]` seed read is guarded by the
-// data.len() < 2 early return, and run bounds mirror the exchange output.
-// analyze: allow(hot-path-alloc): run-slice collection plus the merged
-// output buffer, once per machine per run.
-fn final_merge_runs<T: Key>(
-    ctx: &MachineCtx,
-    algo: FinalMergeAlgo,
-    data: Vec<T>,
-    bounds: &[usize],
-    workers: usize,
-) -> Vec<T> {
-    match algo {
-        FinalMergeAlgo::Balanced => balanced_merge(data, bounds, workers),
-        FinalMergeAlgo::SequentialKway => {
-            let runs: Vec<&[T]> = bounds.windows(2).map(|w| &data[w[0]..w[1]]).collect();
-            kway_merge(&runs)
-        }
-        FinalMergeAlgo::ParallelKway => {
-            if data.len() < 2 || bounds.len() <= 2 {
-                return data;
-            }
-            let mut out = vec![data[0]; data.len()];
-            ctx.phase_scope("final.merge", || {
-                merge_runs_with_tasks(ctx.tasks(), &data, bounds, &mut out, workers)
-            });
-            out
-        }
-    }
 }
 
 /// Registers this machine's load statistics into the run's always-on
@@ -510,11 +475,10 @@ impl DistSorter {
         }
         let output_items = received.len();
 
-        // Step 6: merge of each batch's p per-source sorted runs. The
-        // batches arrived back to back: the later ones are split off the
-        // tail, the first keeps the received buffer.
-        let final_algo = self.config.final_merge;
-        let parts = ctx.step(steps::FINAL_MERGE, move |ctx| {
+        // Step 6: balanced merge (Fig. 2) of each batch's p per-source
+        // sorted runs. The batches arrived back to back: the later ones
+        // are split off the tail, the first keeps the received buffer.
+        let parts = ctx.step(steps::FINAL_MERGE, move |_| {
             let mut parts: Vec<SortedPartition<T>> = (0..batches)
                 .rev()
                 .map(|b| {
@@ -526,7 +490,7 @@ impl DistSorter {
                     };
                     let run_bounds: Vec<usize> = runs.iter().map(|r| r - runs[0]).collect();
                     SortedPartition {
-                        data: final_merge_runs(ctx, final_algo, data, &run_bounds, workers),
+                        data: balanced_merge(data, &run_bounds, workers),
                         splitters: std::mem::take(&mut splitters[b]),
                     }
                 })
@@ -766,54 +730,18 @@ mod tests {
     }
 
     #[test]
-    fn kway_final_merge_ablation_agrees() {
-        let (balanced, expect) = run_sort(
-            4,
-            2,
-            Distribution::RightSkewed,
-            20_000,
-            SortConfig::default(),
-            9,
-        );
-        let (kway, expect2) = run_sort(
-            4,
-            2,
-            Distribution::RightSkewed,
-            20_000,
-            SortConfig::default().final_merge(FinalMergeAlgo::SequentialKway),
-            9,
-        );
-        assert_eq!(expect, expect2);
-        assert_globally_sorted(&balanced, &expect);
-        assert_globally_sorted(&kway, &expect);
-    }
-
-    #[test]
-    fn parallel_kway_final_merge_agrees() {
-        for dist in [Distribution::Uniform, Distribution::Exponential] {
-            let (results, expect) = run_sort(
-                4,
-                4,
-                dist,
-                80_000,
-                SortConfig::default().final_merge(FinalMergeAlgo::ParallelKway),
-                73,
-            );
-            assert_globally_sorted(&results, &expect);
-        }
-    }
-
-    #[test]
     fn batch_sort_with_parallel_merges() {
+        // Batch 0 is past PARALLEL_MERGE_CUTOFF per machine, batch 1 is not:
+        // one call takes the parallel and the sequential merges of steps 1
+        // and 6.
         let machines = 3;
         let inputs = [
-            generate_partitioned(Distribution::Uniform, 30_000, machines, 75),
+            generate_partitioned(Distribution::Uniform, 60_000, machines, 75),
             generate_partitioned(Distribution::Exponential, 20_000, machines, 76),
         ];
-        let config = SortConfig::default().final_merge(FinalMergeAlgo::ParallelKway);
         let cluster = ClusterConfig::new(machines).workers_per_machine(4);
-        let report = run_batches_with(cluster, config, &inputs);
-        assert_batches_sorted(&report, &inputs, "4 workers + parallel k-way");
+        let report = run_batches_with(cluster, &inputs);
+        assert_batches_sorted(&report, &inputs, "4 workers");
     }
 
     #[test]
@@ -872,12 +800,8 @@ mod tests {
     type BatchReport = pgxd::cluster::RunReport<Vec<SortedPartition<u64>>>;
 
     /// Runs `sort_batch` over `inputs[batch][machine]` in a fresh cluster.
-    fn run_batches_with(
-        cluster: ClusterConfig,
-        config: SortConfig,
-        inputs: &[Vec<Vec<u64>>],
-    ) -> BatchReport {
-        let sorter = DistSorter::new(config);
+    fn run_batches_with(cluster: ClusterConfig, inputs: &[Vec<Vec<u64>>]) -> BatchReport {
+        let sorter = DistSorter::default();
         Cluster::new(cluster).run(|ctx| {
             let locals = inputs.iter().map(|b| b[ctx.id()].clone()).collect();
             sorter.sort_batch(ctx, locals)
@@ -886,7 +810,7 @@ mod tests {
 
     fn run_batches(machines: usize, inputs: &[Vec<Vec<u64>>]) -> BatchReport {
         let cluster = ClusterConfig::new(machines).workers_per_machine(2);
-        run_batches_with(cluster, SortConfig::default(), inputs)
+        run_batches_with(cluster, inputs)
     }
 
     /// Every batch, concatenated in machine order, equals its sorted input:
@@ -967,7 +891,7 @@ mod tests {
                 .map(|b| generate_partitioned(Distribution::Uniform, 8000, machines, 90 + b as u64))
                 .collect();
             let cluster = ClusterConfig::new(machines).buffer_bytes(buffer_bytes);
-            let report = run_batches_with(cluster, SortConfig::default(), &inputs);
+            let report = run_batches_with(cluster, &inputs);
             let samples: u64 = report
                 .metrics
                 .counters_of_family("pgxd_sort_samples_total")
@@ -1114,5 +1038,16 @@ mod tests {
             31,
         );
         assert_globally_sorted(&results, &expect);
+    }
+
+    #[test]
+    fn zero_fixed_samples_still_partitions() {
+        // Zero samples would mean no splitters and every key on machine 0.
+        let n = 20_000;
+        let config = SortConfig::default().fixed_samples(0);
+        let (results, expect) = run_sort(4, 2, Distribution::Uniform, n, config, 37);
+        assert_globally_sorted(&results, &expect);
+        let sizes: Vec<usize> = results.iter().map(Vec::len).collect();
+        assert!(sizes.iter().all(|&len| len < n), "shards: {sizes:?}");
     }
 }

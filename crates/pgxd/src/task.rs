@@ -90,32 +90,14 @@ impl TaskManager {
         if tasks.is_empty() {
             return;
         }
-        let workers = self.workers.min(tasks.len());
-        if workers == 1 {
+        if self.workers.min(tasks.len()) == 1 {
             for t in tasks {
                 self.before_pickup();
                 t();
             }
             return;
         }
-        let (tx, rx) = channel::unbounded::<Box<dyn FnOnce() + Send + 'env>>();
-        for t in tasks {
-            tx.send(t).expect("task queue closed");
-        }
-        drop(tx); // workers exit when the list drains
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                // analyze: allow(hot-path-alloc): one channel-handle
-                // clone per worker per task batch, not per task.
-                let rx = rx.clone();
-                scope.spawn(move || {
-                    while let Ok(task) = rx.recv() {
-                        self.before_pickup();
-                        task();
-                    }
-                });
-            }
-        });
+        self.drain_on_workers(tasks, || ());
     }
 
     /// Executes `tasks` on the worker pool while `foreground` runs on the
@@ -137,12 +119,23 @@ impl TaskManager {
         if tasks.is_empty() {
             return foreground();
         }
+        self.drain_on_workers(tasks, foreground)
+    }
+
+    /// Puts `tasks` on a shared list, drains it on scoped worker threads
+    /// (one per task, at most the pool size; each grabs the next task as it
+    /// frees up) and runs `foreground` on the calling thread meanwhile.
+    fn drain_on_workers<'env, R>(
+        &self,
+        tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
+        foreground: impl FnOnce() -> R,
+    ) -> R {
         let workers = self.workers.min(tasks.len());
         let (tx, rx) = channel::unbounded::<Box<dyn FnOnce() + Send + 'env>>();
         for t in tasks {
             tx.send(t).expect("task queue closed");
         }
-        drop(tx);
+        drop(tx); // workers exit when the list drains
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 // analyze: allow(hot-path-alloc): one channel-handle
@@ -157,70 +150,6 @@ impl TaskManager {
             }
             foreground()
         })
-    }
-
-    /// Runs one closure per item on the pool and collects the results in
-    /// input order.
-    pub fn run_tasks_collecting<I, R, F>(&self, items: Vec<I>, f: F) -> Vec<R>
-    where
-        I: Send,
-        R: Send + Default,
-        F: Fn(usize, I) -> R + Sync,
-    {
-        let mut out: Vec<R> = Vec::with_capacity(items.len());
-        out.resize_with(items.len(), R::default);
-        {
-            let f = &f;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-                .iter_mut()
-                .zip(items)
-                .enumerate()
-                .map(|(i, (slot, item))| {
-                    Box::new(move || *slot = f(i, item)) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            self.run_tasks(tasks);
-        }
-        out
-    }
-
-    /// Parallel-for over `count` indices: `f(i)` runs as `count` tasks on
-    /// the pool.
-    pub fn parallel_for<F>(&self, count: usize, f: F)
-    where
-        F: Fn(usize) + Sync + Send,
-    {
-        let f = &f;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..count)
-            .map(|i| Box::new(move || f(i)) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
-        self.run_tasks(tasks);
-    }
-
-    /// Splits `data` into one even chunk per worker and runs
-    /// `f(worker_index, chunk)` on the pool.
-    pub fn par_chunks_mut<T, F>(&self, data: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync + Send,
-    {
-        let parts = self.workers.min(data.len()).max(1);
-        if parts == 1 {
-            f(0, data);
-            return;
-        }
-        let base = data.len() / parts;
-        let extra = data.len() % parts;
-        let f = &f;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(parts);
-        let mut rest = data;
-        for w in 0..parts {
-            let take = base + usize::from(w < extra);
-            let (chunk, tail) = rest.split_at_mut(take);
-            rest = tail;
-            tasks.push(Box::new(move || f(w, chunk)));
-        }
-        self.run_tasks(tasks);
     }
 }
 
@@ -277,53 +206,6 @@ mod tests {
         let t: Vec<Box<dyn FnOnce() + Send + '_>> = vec![Box::new(|| touched = true)];
         tm.run_tasks(t);
         assert!(touched);
-    }
-
-    #[test]
-    fn run_tasks_collecting_preserves_order() {
-        let tm = TaskManager::new(4);
-        let items: Vec<u64> = (0..200).collect();
-        let out = tm.run_tasks_collecting(items, |i, x| {
-            assert_eq!(i as u64, x);
-            x * 3
-        });
-        assert!(out.iter().enumerate().all(|(i, &r)| r == 3 * i as u64));
-    }
-
-    #[test]
-    fn run_tasks_collecting_empty() {
-        let tm = TaskManager::new(2);
-        let out: Vec<u8> = tm.run_tasks_collecting(Vec::<u8>::new(), |_, x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn parallel_for_covers_range() {
-        let tm = TaskManager::new(3);
-        let hits = AtomicUsize::new(0);
-        tm.parallel_for(57, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 57);
-    }
-
-    #[test]
-    fn par_chunks_mut_transforms_everything() {
-        let tm = TaskManager::new(4);
-        let mut v: Vec<u64> = (0..1003).collect();
-        tm.par_chunks_mut(&mut v, |_, chunk| {
-            for x in chunk {
-                *x *= 2;
-            }
-        });
-        assert!(v.iter().enumerate().all(|(i, &x)| x == 2 * i as u64));
-    }
-
-    #[test]
-    fn par_chunks_empty() {
-        let tm = TaskManager::new(4);
-        let mut v: Vec<u64> = vec![];
-        tm.par_chunks_mut(&mut v, |_, c| assert!(c.is_empty()));
     }
 
     #[test]

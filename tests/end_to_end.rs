@@ -225,21 +225,10 @@ fn sort_config_matrix_all_correct() {
     let parts = generate_partitioned(Distribution::Exponential, 8000, machines, 12);
     let expect = flat_sorted(&parts);
     for investigator in [true, false] {
-        for final_merge in [
-            pgxd_core::FinalMergeAlgo::Balanced,
-            pgxd_core::FinalMergeAlgo::SequentialKway,
-        ] {
-            let config = SortConfig::default()
-                .investigator(investigator)
-                .final_merge(final_merge);
-            let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
-            let sorter = DistSorter::new(config);
-            let report = cluster.run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()).data);
-            assert_eq!(
-                report.results.concat(),
-                expect,
-                "inv={investigator} merge={final_merge:?}"
-            );
-        }
+        let config = SortConfig::default().investigator(investigator);
+        let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
+        let sorter = DistSorter::new(config);
+        let report = cluster.run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()).data);
+        assert_eq!(report.results.concat(), expect, "inv={investigator}");
     }
 }

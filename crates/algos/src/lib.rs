@@ -9,8 +9,10 @@
 //! - [`merge`] — the **balanced merge handler** of Fig. 2 (§IV step 6): a
 //!   power-of-two pairwise merge tree whose steps each run in parallel,
 //!   merging runs of (almost) equal size at every level to keep caches warm
-//!   and work even; and the splitter planner that cuts a k-way merge into
-//!   independent parts (§IV step 1 merges its per-worker runs that way).
+//!   and work even, over one branchless two-lane merge kernel with a
+//!   galloping escape; and the splitter planner that cuts a k-way merge
+//!   into independent parts (§IV step 1 merges its per-worker runs that
+//!   way).
 //! - [`kway`] — loser-tree k-way merge: the master's merge of the sample
 //!   runs, and the per-part merge of step 1.
 //! - [`timsort`] — a from-scratch TimSort (run detection, binary insertion
@@ -20,8 +22,9 @@
 //!   paper discusses in §II; the distributed radix baseline's kernel.
 //! - [`bitonic`] — Batcher's bitonic sorting network, the other classical
 //!   baseline of §II.
-//! - [`search`] — `lower_bound`/`upper_bound` and the splitter-range
-//!   machinery shared with the investigator.
+//! - [`search`] — `lower_bound`/`upper_bound`, their galloping forms, the
+//!   merge co-rank, and the splitter-range machinery shared with the
+//!   investigator.
 //! - [`exec`] — a minimal scoped fork-join helper so the algorithms can be
 //!   parallel without depending on the distributed runtime.
 //!

@@ -7,39 +7,129 @@
 //! combines two runs of (almost) equal size — the "balanced merging" that
 //! the paper credits with avoiding cache misses. All merges of one step
 //! run in parallel, and each individual merge can itself be split across
-//! workers by median partitioning.
+//! workers at the co-rank of its two runs.
+//!
+//! Every merge in the tree — and the two-run case of
+//! [`kway_merge_into`](crate::kway::kway_merge_into) — is the one kernel
+//! [`merge_into`]: branchless steps, two lanes in lock-step, and a
+//! galloping escape for one-sided stretches. The tree ping-pongs between
+//! the data and one scratch buffer the caller may already own
+//! ([`balanced_merge_with`]); it never clones its input.
 
 use crate::exec::{self, even_chunk_bounds};
+use crate::search::{co_rank, gallop_left, gallop_right};
+
+/// Steps a merge lane takes between two looks at how far its runs reach,
+/// and the length of a one-sided stretch that switches it to galloping.
+const BLOCK: usize = 64;
+
+/// One branchless merge step: the smaller head of `a[*i..]` and `b[*j..]`
+/// goes to `slot`, ties taking `a`. The comparison becomes an index (the
+/// sign bit of `b`'s head against `a`'s) that selects between the two head
+/// *references* and advances one cursor; written as `y < x`, LLVM turns
+/// the select back into a jump that mispredicts every other key on
+/// multi-word items.
+// analyze: allow(panic-surface): the caller steps at most
+// `min(a.len() - *i, b.len() - *j)` times between two looks at the lengths,
+// and a step advances one cursor by one.
+#[inline(always)]
+fn step<T: Ord + Copy>(a: &[T], b: &[T], i: &mut usize, j: &mut usize, slot: &mut T) {
+    let (x, y) = (&a[*i], &b[*j]);
+    let take_b = usize::from(y.cmp(x) as i8 as u8 >> 7);
+    *slot = *[x, y][take_b];
+    *i += 1 - take_b;
+    *j += take_b;
+}
+
+/// The galloping escape: a lane whose last [`BLOCK`] steps all drew from
+/// one run (`a`'s cursor stood at `was` before them) copies the rest of
+/// that one-sided stretch wholesale instead of comparing key by key.
+// analyze: allow(panic-surface): the run that gave nothing to the block
+// still has the head it had before it, and a gallop count is at most the
+// length of the tail it searched.
+#[inline]
+fn gallop<T: Ord + Copy>(
+    a: &[T],
+    b: &[T],
+    out: &mut [T],
+    i: &mut usize,
+    j: &mut usize,
+    was: usize,
+) {
+    let at = *i + *j;
+    if *i - was == BLOCK {
+        // Ties take `a`: everything in `a` up to and including `b`'s head.
+        let n = gallop_right(&b[*j], &a[*i..]);
+        out[at..at + n].copy_from_slice(&a[*i..*i + n]);
+        *i += n;
+    } else if *i == was {
+        let n = gallop_left(&a[*i], &b[*j..]);
+        out[at..at + n].copy_from_slice(&b[*j..*j + n]);
+        *j += n;
+    }
+}
 
 /// Sequential two-run merge of sorted `a` and `b` into `out`.
 ///
 /// `out.len()` must equal `a.len() + b.len()`. Stable: on ties, elements
 /// of `a` come first.
-// analyze: allow(panic-surface): `i` and `j` are checked against the run
-// lengths before either run is read, and together they advance exactly
-// `out.len()` times (asserted equal to the two lengths).
+///
+/// The output is cut in half at its [`co_rank`] and the two halves are
+/// merged as two independent lanes in lock-step, which hides the
+/// load → compare → advance latency chain of a single merge. Each lane
+/// takes branchless steps in blocks of 64 and gallops when a whole block
+/// came from one run, so duplicate-heavy and disjoint runs move at copy
+/// speed.
+// analyze: allow(panic-surface): a cursor never passes the length of its
+// run (see `steps`), a lane's output position is the sum of its cursors,
+// and the two lanes' lengths add up to the asserted `out.len()`.
 pub fn merge_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
     assert_eq!(a.len() + b.len(), out.len(), "output size mismatch");
-    let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        // Take from `a` while its head is <= b's head (stability).
-        let take_a = i < a.len() && (j >= b.len() || a[i] <= b[j]);
-        if take_a {
-            *slot = a[i];
-            i += 1;
-        } else {
-            *slot = b[j];
-            j += 1;
+    if a.is_empty() || b.is_empty() {
+        let (from_a, from_b) = out.split_at_mut(a.len());
+        from_a.copy_from_slice(a);
+        from_b.copy_from_slice(b);
+        return;
+    }
+    let half = out.len() / 2;
+    let (a_cut, b_cut) = co_rank(a, b, half);
+    let (a0, a1) = a.split_at(a_cut);
+    let (b0, b1) = b.split_at(b_cut);
+    let (out0, out1) = out.split_at_mut(half);
+    let (mut i0, mut j0, mut i1, mut j1) = (0, 0, 0, 0);
+    loop {
+        // A step takes one key from one run, so neither lane can run off
+        // the end of a run in fewer steps than its shorter tail is long.
+        let steps = BLOCK
+            .min(a0.len() - i0)
+            .min(b0.len() - j0)
+            .min(a1.len() - i1)
+            .min(b1.len() - j1);
+        if steps == 0 {
+            break;
+        }
+        let (at0, at1, was0, was1) = (i0 + j0, i1 + j1, i0, i1);
+        let block0 = &mut out0[at0..at0 + steps];
+        let block1 = &mut out1[at1..at1 + steps];
+        for (slot0, slot1) in block0.iter_mut().zip(block1) {
+            step(a0, b0, &mut i0, &mut j0, slot0);
+            step(a1, b1, &mut i1, &mut j1, slot1);
+        }
+        if steps == BLOCK {
+            gallop(a0, b0, out0, &mut i0, &mut j0, was0);
+            gallop(a1, b1, out1, &mut i1, &mut j1, was1);
         }
     }
+    // A lane ran one of its runs dry, which leaves that lane a copy. What
+    // is left of the other is a smaller merge of its own: two lanes again.
+    merge_into(&a0[i0..], &b0[j0..], &mut out0[i0 + j0..]);
+    merge_into(&a1[i1..], &b1[j1..], &mut out1[i1 + j1..]);
 }
 
-/// Parallel two-run merge: recursively splits (`a`, `b`) at the median of
-/// the larger run so both halves have balanced work, running the halves on
-/// scoped threads until the `workers` budget is exhausted or the problem
-/// is below [`PARALLEL_MERGE_CUTOFF`].
-// analyze: allow(panic-surface): the midpoint of the longer run exists
-// because the output is past the cutoff, so that run is non-empty.
+/// Parallel two-run merge: recursively halves the output at its
+/// [`co_rank`], so both halves have the same work whatever the two run
+/// lengths are, running the halves on scoped threads until the `workers`
+/// budget is exhausted or the problem is below [`PARALLEL_MERGE_CUTOFF`].
 pub fn parallel_merge_into<T: Ord + Copy + Send + Sync>(
     a: &[T],
     b: &[T],
@@ -51,17 +141,7 @@ pub fn parallel_merge_into<T: Ord + Copy + Send + Sync>(
         merge_into(a, b, out);
         return;
     }
-    // Split the larger run in half; binary-search its midpoint key in the
-    // smaller run. Everything left of the two split points merges into the
-    // left half of `out`, the rest into the right half.
-    let (a_mid, b_mid) = if a.len() >= b.len() {
-        let am = a.len() / 2;
-        (am, crate::search::lower_bound(b, &a[am]))
-    } else {
-        let bm = b.len() / 2;
-        // Use upper_bound here so equal keys go left with `a` (stability).
-        (crate::search::upper_bound(a, &b[bm]), bm)
-    };
+    let (a_mid, b_mid) = co_rank(a, b, out.len() / 2);
     let (out_lo, out_hi) = out.split_at_mut(a_mid + b_mid);
     let (a_lo, a_hi) = a.split_at(a_mid);
     let (b_lo, b_hi) = b.split_at(b_mid);
@@ -80,117 +160,119 @@ pub const PARALLEL_MERGE_CUTOFF: usize = 1 << 14;
 /// `data` (run `r` occupies `data[bounds[r]..bounds[r+1]]`) with the
 /// Fig. 2 balanced pairwise tree. Returns the fully sorted data.
 ///
-/// `workers` caps the threads used *per step*: the pair-merges of one step
-/// run concurrently, and leftover worker budget parallelizes the
-/// individual merges of the later (wider) steps.
-// analyze: allow(panic-surface): pair indices are below the run count the
-// bounds were cut into, the bounds are asserted to cover `data`, and a
-// merge worker's panic is re-raised on join.
-// analyze: allow(hot-path-alloc): per-part staging buffers at batch
-// scale — each part is merged once into its slot and escapes as the
-// call's output; algos has no pool access by layering.
+/// Allocates the tree's second buffer; a caller that owns a spent one
+/// hands it to [`balanced_merge_with`] instead.
+// analyze: allow(hot-path-alloc): the tree's second buffer, for callers
+// with no spent one to lend; step 6 lends the one step 1 left behind.
 pub fn balanced_merge<T: Ord + Copy + Send + Sync>(
+    data: Vec<T>,
+    bounds: &[usize],
+    workers: usize,
+) -> Vec<T> {
+    balanced_merge_with(data, &mut Vec::new(), bounds, workers)
+}
+
+/// [`balanced_merge`] ping-ponging between `data` and the caller's
+/// `scratch`: every level merges the runs of one buffer pairwise into the
+/// other, so no level allocates and nothing is copied that is not merged.
+///
+/// `scratch` may come in with any length and contents; it is only
+/// truncated or grown to `data.len()`. On return it holds whichever of the
+/// two allocations the result did not end up in, contents unspecified, so
+/// one spare serves any number of merges.
+///
+/// `workers` caps the threads used *per step*: the pair-merges of one step
+/// run concurrently (the caller's thread takes its share), and leftover
+/// worker budget parallelizes the individual merges of the later (wider)
+/// steps. Below [`PARALLEL_MERGE_CUTOFF`] the same tree runs on the
+/// caller's thread alone: spawns would dominate.
+// analyze: allow(panic-surface): the bounds are asserted to start at 0,
+// never decrease and end at `data.len()`; pair indices are below the run
+// count they were cut into, and a merge worker's panic is re-raised when
+// its scope closes.
+// analyze: allow(hot-path-alloc): O(runs) bookkeeping per level — the run
+// bounds and one (run, run, region) job per pair; never per element.
+pub fn balanced_merge_with<T: Ord + Copy + Send + Sync>(
     mut data: Vec<T>,
+    scratch: &mut Vec<T>,
     bounds: &[usize],
     workers: usize,
 ) -> Vec<T> {
     assert!(!bounds.is_empty(), "bounds must contain at least [0]");
-    assert_eq!(*bounds.last().unwrap(), data.len(), "bounds must cover data");
-    let mut cur_bounds: Vec<usize> = bounds.to_vec();
-    if cur_bounds.len() <= 2 {
+    assert_eq!(
+        bounds[0], 0,
+        "bounds[0] must be 0: no merge writes the slots before it"
+    );
+    assert_eq!(
+        *bounds.last().unwrap(),
+        data.len(),
+        "bounds must cover data"
+    );
+    if let Some(r) = bounds.windows(2).position(|w| w[0] > w[1]) {
+        panic!(
+            "bounds must not decrease: bounds[{}] = {} after bounds[{r}] = {}",
+            r + 1,
+            bounds[r + 1],
+            bounds[r]
+        );
+    }
+    if bounds.len() <= 2 {
         return data; // zero or one run: already sorted
     }
-    // Small data: thread spawns would dominate; run the same pairwise
-    // tree sequentially.
-    if workers <= 1 || data.len() < PARALLEL_MERGE_CUTOFF {
-        return balanced_merge_sequential(data, &cur_bounds);
-    }
-    let mut scratch: Vec<T> = Vec::with_capacity(data.len());
-    // SAFETY-free alternative: initialize scratch by cloning data; every
-    // slot is overwritten by the first merge step anyway, and one extra
-    // memcpy keeps the implementation entirely safe.
-    scratch.extend_from_slice(&data);
+    let Some(&fill) = data.first() else {
+        return data; // only empty runs
+    };
+    // Every slot is written by the first level before anything reads it;
+    // the fill value only gives a grown tail *some* initialised content.
+    scratch.resize(data.len(), fill);
+    let workers = if data.len() < PARALLEL_MERGE_CUTOFF {
+        1
+    } else {
+        workers.max(1)
+    };
 
-    while cur_bounds.len() > 2 {
-        let num_runs = cur_bounds.len() - 1;
-        let num_pairs = num_runs / 2;
-        let has_orphan = num_runs % 2 == 1;
-
-        // Plan this step's merges: pair (2k, 2k+1) -> output run k.
-        let mut next_bounds = Vec::with_capacity(num_pairs + 2);
-        next_bounds.push(0);
-        for k in 0..num_pairs {
-            next_bounds.push(cur_bounds[2 * k + 2]);
+    let mut cur: Vec<usize> = bounds.to_vec();
+    while cur.len() > 2 {
+        // Plan this step's merges: pair (2k, 2k+1) of `data` -> run k of
+        // `scratch`, each pair with its own output region.
+        let mut jobs: Vec<(&[T], &[T], &mut [T])> = Vec::with_capacity(cur.len() / 2);
+        let mut rest: &mut [T] = scratch;
+        for pair in cur.windows(3).step_by(2) {
+            let (lo, mid, hi) = (pair[0], pair[1], pair[2]);
+            let (region, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+            rest = tail;
+            jobs.push((&data[lo..mid], &data[mid..hi], region));
         }
-        if has_orphan {
-            next_bounds.push(*cur_bounds.last().unwrap());
-        }
+        // Odd run out (or nothing): carried to the next level unchanged.
+        rest.copy_from_slice(&data[data.len() - rest.len()..]);
 
-        // Execute all pair merges of this step in parallel, spawning at
-        // most `workers` threads: with many pairs, each thread handles a
-        // contiguous group of pairs sequentially; with few pairs, the
-        // surplus budget parallelizes inside each merge.
-        {
-            let data_ref = &data;
-            let cur = &cur_bounds;
-            // Split scratch into per-pair output regions (+ orphan tail).
-            let mut regions: Vec<&mut [T]> = Vec::with_capacity(num_pairs + 1);
-            let mut rest: &mut [T] = &mut scratch;
-            let mut offset = 0;
-            for k in 0..num_pairs {
-                let end = cur[2 * k + 2];
-                let (region, tail) = rest.split_at_mut(end - offset);
-                regions.push(region);
-                offset = end;
-                rest = tail;
+        // With many pairs, each thread handles a contiguous group of pairs
+        // sequentially; with few pairs, the surplus budget parallelizes
+        // inside each merge.
+        let per_thread = jobs.len().div_ceil(workers);
+        let per_merge = (workers / jobs.len()).max(1);
+        let run = |group: &mut [(&[T], &[T], &mut [T])]| {
+            for (a, b, region) in group {
+                parallel_merge_into(a, b, region, per_merge);
             }
-            let orphan_region = has_orphan.then_some(rest);
+        };
+        std::thread::scope(|scope| {
+            let mut groups = jobs.chunks_mut(per_thread);
+            let mine = groups.next();
+            for group in groups {
+                scope.spawn(move || run(group));
+            }
+            if let Some(group) = mine {
+                run(group);
+            }
+        });
 
-            let merge_pair = |k: usize, region: &mut [T], merge_workers: usize| {
-                let a = &data_ref[cur[2 * k]..cur[2 * k + 1]];
-                let b = &data_ref[cur[2 * k + 1]..cur[2 * k + 2]];
-                parallel_merge_into(a, b, region, merge_workers);
-            };
-            let merge_pair = &merge_pair; // shared by all spawned closures
-
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers + 1);
-                if num_pairs >= workers {
-                    // Group pairs into ≤ workers contiguous batches.
-                    let per_group = num_pairs.div_ceil(workers);
-                    let mut iter = regions.into_iter().enumerate();
-                    loop {
-                        let group: Vec<(usize, &mut [T])> = iter.by_ref().take(per_group).collect();
-                        if group.is_empty() {
-                            break;
-                        }
-                        handles.push(scope.spawn(move || {
-                            for (k, region) in group {
-                                merge_pair(k, region, 1);
-                            }
-                        }));
-                    }
-                } else {
-                    let per_merge_workers = (workers / num_pairs.max(1)).max(1);
-                    for (k, region) in regions.into_iter().enumerate() {
-                        handles.push(scope.spawn(move || {
-                            merge_pair(k, region, per_merge_workers);
-                        }));
-                    }
-                }
-                if let Some(region) = orphan_region {
-                    // Odd run out: copy through unchanged this step.
-                    let start = cur[2 * num_pairs];
-                    region.copy_from_slice(&data_ref[start..]);
-                }
-                for h in handles {
-                    h.join().expect("merge worker panicked");
-                }
-            });
-        }
-
-        std::mem::swap(&mut data, &mut scratch);
-        cur_bounds = next_bounds;
+        // Output run k spans input runs 2k and 2k + 1, so every other bound
+        // survives; the end of an odd run out has an odd index and is put
+        // back.
+        let orphan_end = cur.len().is_multiple_of(2).then_some(data.len());
+        cur = cur.iter().copied().step_by(2).chain(orphan_end).collect();
+        std::mem::swap(&mut data, scratch);
     }
     data
 }
@@ -275,37 +357,6 @@ pub fn plan_multiway_splits<T: Ord + Copy>(runs: &[&[T]], parts: usize) -> Vec<V
     }
     rows.push(runs.iter().map(|r| r.len()).collect());
     rows
-}
-
-/// Sequential form of the Fig. 2 tree: identical merge schedule, no
-/// thread spawns. Used automatically for small inputs.
-// analyze: allow(panic-surface): same pair indexing as `balanced_merge`,
-// over bounds its caller asserted non-empty and covering `data`.
-// analyze: allow(hot-path-alloc): fallback path ping-pong buffer at
-// batch scale; the result escapes as the merged output.
-fn balanced_merge_sequential<T: Ord + Copy>(mut data: Vec<T>, bounds: &[usize]) -> Vec<T> {
-    let mut cur_bounds: Vec<usize> = bounds.to_vec();
-    let mut scratch: Vec<T> = data.clone();
-    while cur_bounds.len() > 2 {
-        let num_runs = cur_bounds.len() - 1;
-        let num_pairs = num_runs / 2;
-        let mut next_bounds = Vec::with_capacity(num_pairs + 2);
-        next_bounds.push(0);
-        for k in 0..num_pairs {
-            let (a0, a1, b1) = (cur_bounds[2 * k], cur_bounds[2 * k + 1], cur_bounds[2 * k + 2]);
-            merge_into(&data[a0..a1], &data[a1..b1], &mut scratch[a0..b1]);
-            next_bounds.push(b1);
-        }
-        if num_runs % 2 == 1 {
-            let start = cur_bounds[2 * num_pairs];
-            let end = *cur_bounds.last().unwrap();
-            scratch[start..end].copy_from_slice(&data[start..end]);
-            next_bounds.push(end);
-        }
-        std::mem::swap(&mut data, &mut scratch);
-        cur_bounds = next_bounds;
-    }
-    data
 }
 
 /// Convenience: sorts each even chunk with the provided sorter and then
@@ -457,6 +508,19 @@ mod tests {
         assert!(merged.is_empty());
         let merged = balanced_merge(Vec::<u64>::new(), &[0, 0, 0], 4);
         assert!(merged.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "bounds[0] must be 0")]
+    fn balanced_merge_rejects_bounds_that_skip_a_prefix() {
+        // No merge writes `data[..2]`; it must not come back as scratch.
+        balanced_merge(vec![9u64, 8, 1, 3, 2, 4], &[2, 4, 6], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "bounds must not decrease: bounds[2] = 1 after bounds[1] = 3")]
+    fn balanced_merge_rejects_decreasing_bounds() {
+        balanced_merge(vec![1u64, 2, 3, 4], &[0, 3, 1, 4], 1);
     }
 
     #[test]

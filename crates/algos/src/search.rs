@@ -1,5 +1,8 @@
 //! Binary-search range utilities shared by the merges, the partitioning
-//! step (§IV step 4), and the duplicate-splitter investigator.
+//! step (§IV step 4), and the duplicate-splitter investigator: bounds,
+//! their galloping (exponential-then-binary) forms for searches that
+//! expect to end near the front, and the co-rank that cuts a two-run merge
+//! at an output position.
 
 /// Index of the first element `>= key` in sorted `data` (0..=len).
 pub fn lower_bound<T: Ord>(data: &[T], key: &T) -> usize {
@@ -29,6 +32,62 @@ pub fn upper_bound<T: Ord>(data: &[T], key: &T) -> usize {
         }
     }
     lo
+}
+
+/// Exponential-then-binary search: number of elements of `arr` that are
+/// `< key` (i.e. `lower_bound`), probing from the left.
+pub fn gallop_left<T: Ord>(key: &T, arr: &[T]) -> usize {
+    if arr.is_empty() || arr[0] >= *key {
+        return 0;
+    }
+    // Invariant: arr[prev] < key.
+    let mut prev = 0;
+    let mut ofs = 1;
+    while ofs < arr.len() && arr[ofs] < *key {
+        prev = ofs;
+        ofs = ofs.saturating_mul(2).saturating_add(1);
+    }
+    let hi = ofs.min(arr.len());
+    prev + 1 + lower_bound(&arr[prev + 1..hi], key)
+}
+
+/// Exponential-then-binary search: number of elements of `arr` that are
+/// `<= key` (i.e. `upper_bound`), probing from the left.
+pub fn gallop_right<T: Ord>(key: &T, arr: &[T]) -> usize {
+    if arr.is_empty() || arr[0] > *key {
+        return 0;
+    }
+    let mut prev = 0;
+    let mut ofs = 1;
+    while ofs < arr.len() && arr[ofs] <= *key {
+        prev = ofs;
+        ofs = ofs.saturating_mul(2).saturating_add(1);
+    }
+    let hi = ofs.min(arr.len());
+    prev + 1 + upper_bound(&arr[prev + 1..hi], key)
+}
+
+/// The stable co-rank of output position `r`: the `(i, j)` with
+/// `i + j == r` such that the first `r` keys of the stable merge of sorted
+/// `a` and `b` (ties take `a`) are exactly `a[..i]` and `b[..j]`.
+///
+/// `r` must not exceed `a.len() + b.len()`.
+pub fn co_rank<T: Ord>(a: &[T], b: &[T], r: usize) -> (usize, usize) {
+    assert!(r <= a.len() + b.len(), "rank past the merged length");
+    // The smallest `i` whose next key `a[i]` has to wait for `b[r - i - 1]`,
+    // i.e. is strictly greater: ties take `a`, so an equal `a[i]` goes first.
+    // In range: `mid < hi <= a.len()`, and `r - mid - 1 < r - lo <= b.len()`.
+    let mut lo = r.saturating_sub(b.len());
+    let mut hi = r.min(a.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if a[mid] <= b[r - mid - 1] {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, r - lo)
 }
 
 /// Half-open range of positions holding `key` in sorted `data`
@@ -131,6 +190,24 @@ mod tests {
         for key in 0..41 {
             assert_eq!(lower_bound(&v, &key), v.partition_point(|&e| e < key));
             assert_eq!(upper_bound(&v, &key), v.partition_point(|&e| e <= key));
+        }
+    }
+
+    #[test]
+    fn gallop_matches_bounds() {
+        let v = vec![1u64, 2, 2, 2, 5, 8, 8, 13];
+        for key in 0..15 {
+            assert_eq!(gallop_left(&key, &v), lower_bound(&v, &key), "key={key}");
+            assert_eq!(gallop_right(&key, &v), upper_bound(&v, &key), "key={key}");
+        }
+    }
+
+    #[test]
+    fn gallop_long_arrays() {
+        let v: Vec<u64> = (0..10_000).map(|i| i * 2).collect();
+        for key in [0u64, 1, 2, 9999, 10_000, 19_998, 19_999, 30_000] {
+            assert_eq!(gallop_left(&key, &v), lower_bound(&v, &key));
+            assert_eq!(gallop_right(&key, &v), upper_bound(&v, &key));
         }
     }
 }

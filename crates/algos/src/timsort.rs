@@ -8,7 +8,7 @@
 //! `MIN_GALLOP` threshold. Stable.
 
 use crate::insertion::binary_insertion_sort;
-use crate::search::{lower_bound, upper_bound};
+use crate::search::{gallop_left, gallop_right};
 
 /// Runs shorter than this are extended by binary insertion.
 pub const MIN_MERGE: usize = 32;
@@ -93,39 +93,6 @@ pub fn count_run_make_ascending<T: Ord + Copy>(data: &mut [T]) -> usize {
         }
     }
     end + 1
-}
-
-/// Exponential-then-binary search: number of elements of `arr` that are
-/// `< key` (i.e. `lower_bound`), probing from the left.
-pub fn gallop_left<T: Ord>(key: &T, arr: &[T]) -> usize {
-    if arr.is_empty() || arr[0] >= *key {
-        return 0;
-    }
-    // Invariant: arr[prev] < key.
-    let mut prev = 0;
-    let mut ofs = 1;
-    while ofs < arr.len() && arr[ofs] < *key {
-        prev = ofs;
-        ofs = ofs.saturating_mul(2).saturating_add(1);
-    }
-    let hi = ofs.min(arr.len());
-    prev + 1 + lower_bound(&arr[prev + 1..hi], key)
-}
-
-/// Exponential-then-binary search: number of elements of `arr` that are
-/// `<= key` (i.e. `upper_bound`), probing from the left.
-pub fn gallop_right<T: Ord>(key: &T, arr: &[T]) -> usize {
-    if arr.is_empty() || arr[0] > *key {
-        return 0;
-    }
-    let mut prev = 0;
-    let mut ofs = 1;
-    while ofs < arr.len() && arr[ofs] <= *key {
-        prev = ofs;
-        ofs = ofs.saturating_mul(2).saturating_add(1);
-    }
-    let hi = ofs.min(arr.len());
-    prev + 1 + upper_bound(&arr[prev + 1..hi], key)
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -467,24 +434,6 @@ mod tests {
         assert_eq!(desc, vec![3, 4, 5, 9]);
         let mut single = vec![7];
         assert_eq!(count_run_make_ascending(&mut single), 1);
-    }
-
-    #[test]
-    fn gallop_matches_bounds() {
-        let v = vec![1u64, 2, 2, 2, 5, 8, 8, 13];
-        for key in 0..15 {
-            assert_eq!(gallop_left(&key, &v), lower_bound(&v, &key), "key={key}");
-            assert_eq!(gallop_right(&key, &v), upper_bound(&v, &key), "key={key}");
-        }
-    }
-
-    #[test]
-    fn gallop_long_arrays() {
-        let v: Vec<u64> = (0..10_000).map(|i| i * 2).collect();
-        for key in [0u64, 1, 2, 9999, 10_000, 19_998, 19_999, 30_000] {
-            assert_eq!(gallop_left(&key, &v), lower_bound(&v, &key));
-            assert_eq!(gallop_right(&key, &v), upper_bound(&v, &key));
-        }
     }
 
     #[test]

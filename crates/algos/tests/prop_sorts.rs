@@ -10,8 +10,8 @@ use pgxd_algos::merge::{
 };
 use pgxd_algos::quicksort::quicksort;
 use pgxd_algos::radix::{radix_sort, radix_sort_with_scratch};
-use pgxd_algos::search::{lower_bound, upper_bound};
-use pgxd_algos::timsort::{gallop_left, gallop_right, timsort};
+use pgxd_algos::search::{gallop_left, gallop_right, lower_bound, upper_bound};
+use pgxd_algos::timsort::timsort;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 

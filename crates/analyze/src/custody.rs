@@ -12,15 +12,16 @@
 //!   shape.
 //! * **double-release** — two release-kind consumptions of the same
 //!   binding that are not in mutually exclusive `if`/`else` or `match`
-//!   arms. PR 7's `(buf, pooled)` carry relies on the
-//!   `if pooled { release } else { drop }` split staying exclusive.
+//!   arms. The sorter's `(sorted, leftover)` carry relies on the
+//!   `match leftover { Some(..) => release(sorted), None => sorted }`
+//!   split staying exclusive.
 //!
 //! Custody is interprocedural: a function whose tail or `return`
 //! hands a pooled buffer out (e.g. `run_local_sort` returning
-//! `(out, true)`) is marked *returns-custody*, propagated to wrappers by
-//! fixpoint, and every `let` whose right-hand side calls such a function
-//! starts a new tracked binding at the caller (e.g. `sort_batches`'
-//! `let (mut sorted, pooled) = run_local_sort(..)`).
+//! `(out, Some(data))`) is marked *returns-custody*, propagated to
+//! wrappers by fixpoint, and every `let` whose right-hand side calls such
+//! a function starts a new tracked binding at the caller (e.g.
+//! `sort_batches`' `let (mut sorted, leftover) = run_local_sort(..)`).
 //!
 //! Known approximations (kept deliberately, documented in DESIGN.md):
 //! tracking is name-based within one function body, so shadowing a

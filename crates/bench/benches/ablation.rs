@@ -2,11 +2,11 @@
 //! the Fig. 2 balanced merge vs one k-way pass over the same sorted runs,
 //! and the distributed baselines (bitonic, radix) against the PGX.D sort.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd_algos::exec::even_chunk_bounds;
 use pgxd_algos::kway::kway_merge_into;
-use pgxd_algos::merge::balanced_merge;
+use pgxd_algos::merge::balanced_merge_with;
 use pgxd_baselines::bitonic::bitonic_sort_dist;
 use pgxd_baselines::radix::radix_sort_dist;
 use pgxd_bench::runner::{run_pgxd_sort, Workload, DEFAULT_SEED};
@@ -33,7 +33,8 @@ fn bench_investigator(c: &mut Criterion) {
 
 /// Step 6 alone: the `p = 8` sorted runs a machine holds after the
 /// exchange, combined by the Fig. 2 tree (what `DistSorter` runs) and by
-/// one loser-tree k-way pass.
+/// one loser-tree k-way pass. Both sides get their buffers from the set-up
+/// and return them, so only merging is timed.
 fn bench_final_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_final_merge");
     group.sample_size(10);
@@ -45,15 +46,22 @@ fn bench_final_merge(c: &mut Criterion) {
         data[w[0]..w[1]].sort_unstable();
     }
     group.bench_function("balanced", |b| {
-        b.iter(|| balanced_merge(data.clone(), &bounds, 2));
+        b.iter_batched(
+            || (data.clone(), vec![0u64; data.len()]),
+            |(runs, mut spare)| (balanced_merge_with(runs, &mut spare, &bounds, 2), spare),
+            BatchSize::LargeInput,
+        );
     });
     group.bench_function("kway", |b| {
-        b.iter(|| {
-            let runs: Vec<&[u64]> = bounds.windows(2).map(|w| &data[w[0]..w[1]]).collect();
-            let mut out = vec![0u64; data.len()];
-            kway_merge_into(&runs, &mut out);
-            out
-        });
+        let runs: Vec<&[u64]> = bounds.windows(2).map(|w| &data[w[0]..w[1]]).collect();
+        b.iter_batched(
+            || vec![0u64; data.len()],
+            |mut out| {
+                kway_merge_into(&runs, &mut out);
+                out
+            },
+            BatchSize::LargeInput,
+        );
     });
     group.finish();
 }

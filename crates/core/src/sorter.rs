@@ -13,7 +13,8 @@
 //!    data-manager buffers (send while receive).
 //! 6. **final merge** — the `p` per-source sorted runs combined by the
 //!    §IV-A balanced merge handler (Fig. 2,
-//!    [`pgxd_algos::merge::balanced_merge`]).
+//!    [`pgxd_algos::merge::balanced_merge_with`]), ping-ponging between the
+//!    received buffer and the spent buffer step 1 left behind.
 //!
 //! The result is globally sorted across machines: machine 0 holds the
 //! smallest keys, machine `p − 1` the largest, every machine's slice
@@ -29,7 +30,7 @@ use pgxd::metrics::labeled;
 use pgxd::task::TaskManager;
 use pgxd_algos::exec::{even_chunk_bounds, MIN_ITEMS_PER_WORKER};
 use pgxd_algos::kway::kway_merge_into;
-use pgxd_algos::merge::{balanced_merge, plan_multiway_splits, PARALLEL_MERGE_CUTOFF};
+use pgxd_algos::merge::{balanced_merge_with, plan_multiway_splits, PARALLEL_MERGE_CUTOFF};
 use pgxd_algos::quicksort::quicksort;
 use pgxd_algos::Key;
 
@@ -64,22 +65,30 @@ pub mod steps {
 /// worker pool and combines the per-worker runs with a splitter-planned
 /// parallel k-way merge.
 ///
-/// Returns `(sorted, pooled)`: when `pooled` the buffer was acquired from
-/// the machine's [`ChunkPool`](pgxd::pool::ChunkPool) — with room for
+/// Returns `(sorted, leftover)`. With several chunks `sorted` was acquired
+/// from the machine's [`ChunkPool`](pgxd::pool::ChunkPool) — with room for
 /// `capacity` elements, so the caller can append to it without moving the
-/// chunk — and the caller must hand it back with `ctx.pool().release(..)`
-/// once the exchange has consumed it (the custody checker treats an
-/// unreleased chunk at teardown as a protocol bug). No barrier sits between
-/// step 1 and the exchange, so holding the chunk across steps 2–5 is legal.
+/// chunk — and `leftover` is the chunk-sorted input it was merged from: a
+/// spent allocation of the same size the machine still owns. The caller
+/// must hand `sorted` back with `ctx.pool().release(..)` once the exchange
+/// has consumed it (the custody checker treats an unreleased chunk at
+/// teardown as a protocol bug). No barrier sits between step 1 and the
+/// exchange, so holding the chunk across steps 2–5 is legal. With one chunk
+/// the input is sorted in place: `sorted` is the caller's own allocation
+/// and there is no `leftover`.
 // analyze: allow(panic-surface): the `data[0]` seed read sits past the
 // one-worker return, so `data` holds at least two workers' minimum chunks.
-fn run_local_sort<T: Key>(ctx: &MachineCtx, mut data: Vec<T>, capacity: usize) -> (Vec<T>, bool) {
+fn run_local_sort<T: Key>(
+    ctx: &MachineCtx,
+    mut data: Vec<T>,
+    capacity: usize,
+) -> (Vec<T>, Option<Vec<T>>) {
     let n = data.len();
     let workers = ctx.workers().max(1).min((n / MIN_ITEMS_PER_WORKER).max(1));
     if workers == 1 {
         // One chunk: sorted inline — no task, no merge, no pooled buffer.
         quicksort(&mut data);
-        return (data, false);
+        return (data, None);
     }
     let bounds = even_chunk_bounds(n, workers);
     let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(workers);
@@ -96,7 +105,7 @@ fn run_local_sort<T: Key>(ctx: &MachineCtx, mut data: Vec<T>, capacity: usize) -
     ctx.phase_scope("local.merge", || {
         merge_runs_with_tasks(ctx.tasks(), &data, &bounds, &mut out, workers)
     });
-    (out, true)
+    (out, Some(data))
 }
 
 /// Merges the sorted runs `data[bounds[i]..bounds[i+1]]` into `out`
@@ -399,20 +408,20 @@ impl DistSorter {
         // parallel k-way merge into a pool-recycled buffer). The first
         // batch's buffer, given room for all of them, is the array the
         // exchange will read; later batches are appended to it.
-        let (sorted, sorted_pooled, batch_bounds) = ctx.step(steps::LOCAL_SORT, move |ctx| {
+        let (sorted, leftover, batch_bounds) = ctx.step(steps::LOCAL_SORT, move |ctx| {
             let mut locals = locals.into_iter();
             let first = locals.next().unwrap_or_default();
-            let (mut sorted, pooled) = run_local_sort(ctx, first, input_items);
+            let (mut sorted, leftover) = run_local_sort(ctx, first, input_items);
             let mut bounds = vec![0, sorted.len()];
             for batch in locals {
-                let (run, run_pooled) = run_local_sort(ctx, batch, 0);
+                let (run, run_leftover) = run_local_sort(ctx, batch, 0);
                 sorted.extend_from_slice(&run);
                 bounds.push(sorted.len());
-                if run_pooled {
+                if run_leftover.is_some() {
                     ctx.pool().release(run);
                 }
             }
-            (sorted, pooled, bounds)
+            (sorted, leftover, bounds)
         });
         let batch = |b: usize| &sorted[batch_bounds[b]..batch_bounds[b + 1]];
 
@@ -466,18 +475,23 @@ impl DistSorter {
         let (mut received, bounds) = ctx.step(steps::EXCHANGE, |ctx| {
             ctx.exchange_by_offsets(&sorted, &send_offsets)
         });
-        if sorted_pooled {
-            // The exchange consumed the pooled step-1 buffer: hand the
-            // chunk back before the teardown quiescence check.
-            ctx.pool().release(sorted);
-        } else {
-            drop(sorted);
-        }
+        // The exchange consumed the step-1 array. A pooled chunk goes back
+        // before the teardown quiescence check; either way the machine is
+        // left owning one spent buffer of its input's size, which is the
+        // second buffer step 6 needs.
+        let mut spare = match leftover {
+            Some(input) => {
+                ctx.pool().release(sorted);
+                input
+            }
+            None => sorted,
+        };
         let output_items = received.len();
 
         // Step 6: balanced merge (Fig. 2) of each batch's p per-source
         // sorted runs. The batches arrived back to back: the later ones
-        // are split off the tail, the first keeps the received buffer.
+        // are split off the tail, the first keeps the received buffer. Each
+        // merge ping-pongs with the spare and leaves it for the next.
         let parts = ctx.step(steps::FINAL_MERGE, move |_| {
             let mut parts: Vec<SortedPartition<T>> = (0..batches)
                 .rev()
@@ -490,7 +504,7 @@ impl DistSorter {
                     };
                     let run_bounds: Vec<usize> = runs.iter().map(|r| r - runs[0]).collect();
                     SortedPartition {
-                        data: balanced_merge(data, &run_bounds, workers),
+                        data: balanced_merge_with(data, &mut spare, &run_bounds, workers),
                         splitters: std::mem::take(&mut splitters[b]),
                     }
                 })

@@ -7,6 +7,13 @@
 //! of the tree: 2 is a single pair, 3 and 5 leave an orphan run at the
 //! first level, and 5 has as many first-level pairs as two workers (pairs
 //! grouped per thread) but fewer than three or four (each merge split).
+//!
+//! The batch leg sends three unequal batches through the same grid in one
+//! `sort_batch`, so a debug build's protocol checker sees every custody
+//! path of the step-1 buffers: the first batch's pooled chunk released
+//! after the exchange, a later batch's released inside step 1, an unpooled
+//! single-chunk batch, and the one spare buffer step 6 hands from batch to
+//! batch (shrinking and growing on the way).
 
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd::metrics::labeled;
@@ -58,6 +65,43 @@ fn every_machine_and_worker_count_sorts_every_shape() {
                     .map_or(0, |h| h.count);
                 let chunked = workers > 1 && parts[0].len() == SHARD;
                 assert_eq!(merged, if chunked { machines as u64 } else { 0 }, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_machine_and_worker_count_sorts_a_batch_of_three() {
+    for machines in [2usize, 3, 5] {
+        let batch = |dist, per_machine: usize, seed| {
+            generate_partitioned(dist, machines * per_machine, machines, seed)
+        };
+        // Middling first, so the spare it leaves is too small for the
+        // second; the third is a single chunk at any worker count.
+        let inputs = [
+            batch(Distribution::Uniform, 3 * MIN_ITEMS_PER_WORKER, 4),
+            batch(Distribution::duplicate_heavy(4), SHARD, 5),
+            batch(Distribution::Uniform, 100, 6),
+        ];
+        for workers in 1..=4 {
+            let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(workers));
+            let sorter = DistSorter::default();
+            let report = cluster.run(|ctx| {
+                let locals = inputs.iter().map(|b| b[ctx.id()].clone()).collect();
+                sorter.sort_batch(ctx, locals)
+            });
+            for (b, input) in inputs.iter().enumerate() {
+                let mut expect = input.concat();
+                expect.sort_unstable();
+                let got: Vec<u64> = report
+                    .results
+                    .iter()
+                    .flat_map(|parts| parts[b].data.iter().copied())
+                    .collect();
+                assert_eq!(
+                    got, expect,
+                    "batch {b}: {machines} machines, {workers} workers"
+                );
             }
         }
     }

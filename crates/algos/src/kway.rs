@@ -1,10 +1,13 @@
 //! Loser-tree k-way merge.
 //!
-//! Used by the master to combine the `p` sorted sample runs it gathers in
-//! §IV step 3 (one comparison per emitted element instead of the
-//! `log₂ p`-swap churn of a binary heap), by step 1 to combine the
-//! per-worker runs, and by the ablation benches as the non-balanced
-//! alternative to the Fig. 2 merge tree.
+//! Used by step 1 to combine the per-worker runs (one comparison per tree
+//! level per emitted element instead of the `log₂ k`-swap churn of a binary
+//! heap), each worker merging one part of the
+//! [`plan_multiway_splits`](crate::merge::plan_multiway_splits) plan. The
+//! master's step 3 does *not* merge its sample runs: the splitters are read
+//! off their k-way co-rank ([`crate::search::multi_co_ranks`]), and the
+//! owned-output [`kway_merge`] is kept as the reference that selection is
+//! tested against.
 
 /// A tournament loser tree over `k` sorted runs.
 ///
@@ -129,7 +132,10 @@ impl<'a, T: Ord + Copy> LoserTree<'a, T> {
     }
 }
 
-/// Merges `k` sorted runs into one sorted vector with a loser tree.
+/// Merges `k` sorted runs into one sorted vector with a loser tree, ties
+/// taking the lower run. No caller outside tests: it is the stable merge
+/// spelled out, the reference [`crate::search::multi_co_rank`] and the
+/// master's splitter selection are checked against.
 // analyze: allow(hot-path-alloc): O(k) run-slice copies plus the output
 // vector — the output IS the merge result handed back to the caller.
 pub fn kway_merge<T: Ord + Copy>(runs: &[&[T]]) -> Vec<T> {

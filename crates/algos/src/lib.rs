@@ -10,11 +10,11 @@
 //!   power-of-two pairwise merge tree whose steps each run in parallel,
 //!   merging runs of (almost) equal size at every level to keep caches warm
 //!   and work even, over one branchless two-lane merge kernel with a
-//!   galloping escape; and the splitter planner that cuts a k-way merge
-//!   into independent parts (§IV step 1 merges its per-worker runs that
-//!   way).
-//! - [`kway`] — loser-tree k-way merge: the master's merge of the sample
-//!   runs, and the per-part merge of step 1.
+//!   galloping escape; and the planner that cuts a k-way merge into
+//!   independent parts of equal size at exact co-ranks (§IV step 1 merges
+//!   its per-worker runs that way).
+//! - [`kway`] — loser-tree k-way merge: the per-part merge of step 1, and
+//!   the reference the rank selection is tested against.
 //! - [`timsort`] — a from-scratch TimSort (run detection, binary insertion
 //!   ([`insertion`]) bulking to min-run, galloping merges) as used by
 //!   Spark's `sortByKey`; this is the baseline's local sort.
@@ -23,8 +23,9 @@
 //! - [`bitonic`] — Batcher's bitonic sorting network, the other classical
 //!   baseline of §II.
 //! - [`search`] — `lower_bound`/`upper_bound`, their galloping forms, the
-//!   merge co-rank, and the splitter-range machinery shared with the
-//!   investigator.
+//!   merge co-rank for two runs and for `k` (how step 3 reads its splitters
+//!   and step 1 plans its merge, without merging), and the splitter-range
+//!   machinery shared with the investigator.
 //! - [`exec`] — a minimal scoped fork-join helper so the algorithms can be
 //!   parallel without depending on the distributed runtime.
 //!

@@ -15,9 +15,13 @@
 //! galloping escape for one-sided stretches. The tree ping-pongs between
 //! the data and one scratch buffer the caller may already own
 //! ([`balanced_merge_with`]); it never clones its input.
+//!
+//! Step 1's merge of the per-worker runs is planned here too:
+//! [`plan_multiway_splits`] cuts a k-way merge into parts of equal size at
+//! exact output ranks, one k-way co-rank per boundary.
 
 use crate::exec::{self, even_chunk_bounds};
-use crate::search::{co_rank, gallop_left, gallop_right};
+use crate::search::{co_rank, gallop_left, gallop_right, multi_co_ranks};
 
 /// Steps a merge lane takes between two looks at how far its runs reach,
 /// and the length of a one-sided stretch that switches it to galloping.
@@ -277,86 +281,27 @@ pub fn balanced_merge_with<T: Ord + Copy + Send + Sync>(
     data
 }
 
-/// Oversampling factor for the multiway split planner: candidates per run
-/// per output part. Higher values tighten part-size balance at the cost of
-/// a slightly larger (still tiny) planning sort.
-const SPLIT_OVERSAMPLE: usize = 8;
-
 /// Plans a `parts`-way partition of a k-way merge: returns `parts + 1`
 /// rows of per-run cut positions, where output part `i` is the merge of
-/// `runs[j][rows[i][j]..rows[i + 1][j]]` over all `j`. The rows satisfy
+/// `runs[j][rows[i][j]..rows[i + 1][j]]` over all `j`. Row `i` is the
+/// stable k-way co-rank ([`multi_co_ranks`]) of output position
+/// `i · total / parts`, so
 ///
 /// * **monotonicity** — `rows[i][j] <= rows[i + 1][j]` for every run, with
-///   `rows[0]` all zeros and `rows[parts]` the run lengths, and
-/// * **cross-part order** — every element of part `i` is `<=` every
-///   element of part `i + 1`,
+///   `rows[0]` all zeros and `rows[parts]` the run lengths,
+/// * **balance** — the parts differ by at most one key, and
+/// * **order** — part `i` is exactly the `i`-th such stretch of the stable
+///   merge of the runs (ties take the lower run),
 ///
 /// so the parts can be merged independently into disjoint output segments
-/// and the concatenation is sorted. Boundary values are picked from a
-/// regular sample of each run (splitter-style, like the §IV distributed
-/// partition but within one machine); exact target ranks are approached by
-/// greedily distributing elements equal to the boundary value, so equal
-/// keys may change run-relative order *across* part boundaries (within a
-/// part the merge stays stable in run order).
-// analyze: allow(panic-surface): sample positions are scaled into their
-// run's length, `cands` is non-empty once any run is (total > 0), and
-// `ties` has one entry per run like the row it is zipped against.
-// analyze: allow(hot-path-alloc): O(parts × k) split plan — the plan is
-// the function's product, sized by run/part counts, not elements.
+/// and their concatenation *is* the stable merge.
+// analyze: allow(hot-path-alloc): the parts + 1 target ranks, next to the
+// O(parts × k) plan they are solved into — sized by run and part counts.
 pub fn plan_multiway_splits<T: Ord + Copy>(runs: &[&[T]], parts: usize) -> Vec<Vec<usize>> {
     let parts = parts.max(1);
     let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut rows: Vec<Vec<usize>> = Vec::with_capacity(parts + 1);
-    rows.push(vec![0; runs.len()]);
-    if total == 0 {
-        rows.resize(parts + 1, vec![0; runs.len()]);
-        return rows;
-    }
-
-    // Regular sample of boundary candidates from every run.
-    let mut cands: Vec<T> = Vec::new();
-    for run in runs {
-        if run.is_empty() {
-            continue;
-        }
-        let s = (parts * SPLIT_OVERSAMPLE).min(run.len());
-        for t in 0..s {
-            cands.push(run[(t * run.len()) / s + run.len() / (2 * s)]);
-        }
-    }
-    cands.sort_unstable();
-
-    for i in 1..parts {
-        let target = (i * total) / parts;
-        let v = cands[((i * cands.len()) / parts).min(cands.len() - 1)];
-        // Everything strictly below `v` must land in parts <= i; elements
-        // equal to `v` are distributed greedily to hit the target rank.
-        let mut row: Vec<usize> = Vec::with_capacity(runs.len());
-        let mut below = 0usize;
-        let mut ties: Vec<usize> = Vec::with_capacity(runs.len());
-        for run in runs {
-            let lo = crate::search::lower_bound(run, &v);
-            let hi = crate::search::upper_bound(run, &v);
-            row.push(lo);
-            ties.push(hi - lo);
-            below += lo;
-        }
-        let mut deficit = target.saturating_sub(below);
-        for (j, cut) in row.iter_mut().enumerate() {
-            let take = deficit.min(ties[j]);
-            *cut += take;
-            deficit -= take;
-        }
-        // Clamp against the previous row: candidate values are sorted so
-        // the cuts are already monotone, but make it structural.
-        let prev = rows.last().expect("rows starts non-empty");
-        for (cut, &p) in row.iter_mut().zip(prev.iter()) {
-            *cut = (*cut).max(p);
-        }
-        rows.push(row);
-    }
-    rows.push(runs.iter().map(|r| r.len()).collect());
-    rows
+    let ranks: Vec<usize> = (0..=parts).map(|i| i * total / parts).collect();
+    multi_co_ranks(runs, &ranks)
 }
 
 /// Convenience: sorts each even chunk with the provided sorter and then
@@ -600,11 +545,8 @@ mod tests {
                 .zip(pair[1].iter())
                 .map(|(&a, &b)| b - a)
                 .sum();
-            // Regular sampling keeps parts within a loose factor of ideal.
-            assert!(
-                size < ideal * 2 + SPLIT_OVERSAMPLE * parts,
-                "part size {size} vs ideal {ideal}"
-            );
+            // Cut at exact ranks: no part is more than one key over.
+            assert!(size <= ideal + 1, "part size {size} vs ideal {ideal}");
         }
     }
 }

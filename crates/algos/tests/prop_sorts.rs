@@ -10,7 +10,7 @@ use pgxd_algos::merge::{
 };
 use pgxd_algos::quicksort::quicksort;
 use pgxd_algos::radix::{radix_sort, radix_sort_with_scratch};
-use pgxd_algos::search::{gallop_left, gallop_right, lower_bound, upper_bound};
+use pgxd_algos::search::{gallop_left, gallop_right, lower_bound, multi_co_ranks, upper_bound};
 use pgxd_algos::timsort::timsort;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -248,6 +248,55 @@ proptest! {
         }
         for (src, c) in cursors.iter().enumerate() {
             prop_assert_eq!(*c, runs[src].len());
+        }
+    }
+
+    #[test]
+    fn multi_co_ranks_cuts_follow_the_stable_merge(
+        keys in pvec(pvec(any::<u64>(), 0..40), 1..10),
+        modulus in prop::sample::select(vec![1u64, 2, 5, 300, u64::MAX]),
+    ) {
+        // (key, run) compared by key alone: only a stable merge says which
+        // run an equal key is taken from.
+        #[derive(Clone, Copy, Debug)]
+        struct Tagged(u64, usize);
+        impl PartialEq for Tagged {
+            fn eq(&self, o: &Self) -> bool {
+                self.0 == o.0
+            }
+        }
+        impl Eq for Tagged {}
+        impl PartialOrd for Tagged {
+            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(o))
+            }
+        }
+        impl Ord for Tagged {
+            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+                self.0.cmp(&o.0)
+            }
+        }
+        let runs: Vec<Vec<Tagged>> = keys
+            .iter()
+            .enumerate()
+            .map(|(run, keys)| {
+                let mut keys: Vec<u64> = keys.iter().map(|k| k % modulus).collect();
+                keys.sort();
+                keys.into_iter().map(|k| Tagged(k, run)).collect()
+            })
+            .collect();
+        let refs: Vec<&[Tagged]> = runs.iter().map(|r| r.as_slice()).collect();
+        let merged = kway_merge(&refs);
+        let all_ranks: Vec<usize> = (0..=merged.len()).collect();
+        let rows = multi_co_ranks(&refs, &all_ranks);
+        // The cuts of rank r: how many of the merge's first r each run gave.
+        let mut taken = vec![0usize; runs.len()];
+        for (r, row) in rows.iter().enumerate() {
+            prop_assert_eq!(row.iter().sum::<usize>(), r);
+            prop_assert_eq!(row, &taken, "rank {} of {}", r, merged.len());
+            if let Some(next) = merged.get(r) {
+                taken[next.1] += 1;
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Microbenchmarks of the runtime substrate itself: collective latency,
-//! exchange throughput across buffer sizes, and the task manager's
-//! scheduling overhead. These quantify the framework costs the paper's
-//! §III claims PGX.D keeps low.
+//! exchange throughput across buffer sizes, the task manager's scheduling
+//! overhead, and the master's splitter selection. These quantify the
+//! per-sort fixed costs the paper's §III claims PGX.D keeps low.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgxd::cluster::{Cluster, ClusterConfig};
@@ -141,11 +141,56 @@ fn bench_task_manager(c: &mut Criterion) {
     group.finish();
 }
 
+/// §IV step 3 on the master: `p − 1` splitters out of `p` sorted sample
+/// runs that together fill one 256 KiB read buffer (32 Ki `u64`), at the
+/// benchmark's machine counts and at Fig. 5's maximum. Uniform runs overlap
+/// everywhere; pairwise-disjoint ones (an already range-partitioned input)
+/// are the worst case of a rank selection, which then has to walk the runs
+/// one by one where a merge would only copy.
+fn bench_select_splitters(c: &mut Criterion) {
+    use pgxd_core::sampling::select_splitters;
+
+    let mut group = c.benchmark_group("select_splitters");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.warm_up_time(std::time::Duration::from_secs(1));
+    let sample_runs = |p: usize, per_run: usize, disjoint: bool| -> Vec<Vec<u64>> {
+        let mut x: u64 = 0x9e3779b97f4a7c15;
+        (0..p as u64)
+            .map(|i| {
+                let mut run: Vec<u64> = (0..per_run)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        if disjoint {
+                            (i << 40) | (x >> 24)
+                        } else {
+                            x
+                        }
+                    })
+                    .collect();
+                run.sort_unstable();
+                run
+            })
+            .collect()
+    };
+    for (p, per_run) in [(4usize, 8192usize), (8, 4096), (52, 630)] {
+        for (shape, disjoint) in [("uniform", false), ("disjoint", true)] {
+            let runs = sample_runs(p, per_run, disjoint);
+            let id = BenchmarkId::new(shape, format!("p{p}_x{per_run}"));
+            group.bench_with_input(id, &runs, |b, runs| b.iter(|| select_splitters(runs, p)));
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_collectives,
     bench_exchange_buffer_sizes,
     bench_local_sort_kernels,
-    bench_task_manager
+    bench_task_manager,
+    bench_select_splitters
 );
 criterion_main!(benches);

@@ -810,7 +810,9 @@ fn trace_cmd(opts: &Opts) {
     println!("\nexchange send/receive overlap: {}", overlaps.join(", "));
     assert!(
         ratios.iter().any(|&r| r > 0.0),
-        "no machine overlapped sends with receives"
+        "no machine overlapped sends with receives (a machine whose every \
+         stream fits one request buffer flushes before it receives: the \
+         audit needs n/p² keys to exceed a buffer, as the default n does)"
     );
 
     // Barrier skew: spread between first and last arrival, per barrier.

@@ -16,9 +16,12 @@ use serde_json::Value;
 const MACHINES: usize = 4;
 
 fn traced_log() -> pgxd::TraceLog {
+    // 2^20 keys on 4 machines is 512 KiB per destination — two request
+    // buffers. Streams that fit one buffer are flushed by the machine
+    // thread before it receives, and would overlap nothing.
     let workload = Workload::Dist {
         dist: Distribution::Uniform,
-        n: 100_000,
+        n: 1 << 20,
         seed: 11,
     };
     let (result, log) = run_pgxd_sort_traced(

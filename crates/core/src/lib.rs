@@ -11,7 +11,7 @@
 //!   `p` received runs pairwise in a power-of-two tree whose merges all run
 //!   in parallel and always combine near-equal runs (implemented in
 //!   [`pgxd_algos::merge`]). The local sort merges its per-worker runs in
-//!   one splitter-planned k-way pass instead.
+//!   one k-way pass instead, cut into equal parts at exact co-ranks.
 //! - **Buffer-sized sampling** (§IV-B) — every machine sends exactly
 //!   `256 KiB / p` of regular samples to the master, so the master always
 //!   receives one read-buffer of samples: enough for good splitters,

@@ -2,11 +2,13 @@
 //!
 //! 1. **local sort** — data divided evenly among the machine's worker
 //!    threads, every worker quicksorts its chunk
-//!    ([`pgxd_algos::quicksort`]), chunks combined with a splitter-planned
-//!    parallel k-way merge into a pool-recycled buffer.
+//!    ([`pgxd_algos::quicksort`]), chunks combined with a parallel k-way
+//!    merge, cut into equal parts at exact co-ranks, into a pool-recycled
+//!    buffer.
 //! 2. **sampling** — regular samples (buffer-sized rule) sent to master.
-//! 3. **splitters** — master merges the sample runs and broadcasts the
-//!    `p − 1` regular splitters.
+//! 3. **splitters** — master selects the `p − 1` regular splitters out of
+//!    the sorted sample runs by rank, without merging them, and broadcasts
+//!    them.
 //! 4. **partition** — investigator binary search of the splitters on the
 //!    locally sorted data → `p` contiguous send ranges.
 //! 5. **exchange** — asynchronous offset-addressed all-to-all through the
@@ -62,8 +64,8 @@ pub mod steps {
 }
 
 /// Step 1 driver: quicksorts `data` in even chunks across the machine's
-/// worker pool and combines the per-worker runs with a splitter-planned
-/// parallel k-way merge.
+/// worker pool and combines the per-worker runs with a parallel k-way
+/// merge cut at exact co-ranks.
 ///
 /// Returns `(sorted, leftover)`. With several chunks `sorted` was acquired
 /// from the machine's [`ChunkPool`](pgxd::pool::ChunkPool) — with room for
@@ -110,7 +112,7 @@ fn run_local_sort<T: Key>(
 
 /// Merges the sorted runs `data[bounds[i]..bounds[i+1]]` into `out`
 /// (same total length) using the machine's task pool: the output is cut
-/// into `workers` splitter-planned ranges
+/// into `workers` ranges of equal length at their k-way co-ranks
 /// ([`plan_multiway_splits`]) and each range is k-way merged
 /// independently. Small inputs fall back to one sequential merge.
 // analyze: allow(panic-surface): run and segment indexing follows
@@ -186,9 +188,9 @@ fn record_sort_metrics(
 /// no `Ord`. Equality follows the key too (consistent with `Ord`);
 /// payloads of equal-keyed records are deliberately not compared.
 #[derive(Debug, Clone, Copy)]
-struct KeyedRecord<K, R> {
-    key: K,
-    record: R,
+pub(crate) struct KeyedRecord<K, R> {
+    pub(crate) key: K,
+    pub(crate) record: R,
 }
 
 impl<K: Ord, R> PartialEq for KeyedRecord<K, R> {
@@ -440,8 +442,8 @@ impl DistSorter {
             (gather_runs(ctx, samples), sent)
         });
 
-        // Step 3: master merges each batch's sample runs, selects its
-        // p − 1 splitters, and broadcasts them all.
+        // Step 3: master selects each batch's p − 1 splitters out of its
+        // sample runs, and broadcasts them all.
         let mut splitters = ctx.step(steps::SPLITTERS, |ctx| {
             let selected = sample_runs.map(|mut by_source| {
                 (0..batches)

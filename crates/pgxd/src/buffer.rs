@@ -60,8 +60,10 @@ impl<'p, T: Send + Copy + 'static> RequestBuffer<'p, T> {
         }
     }
 
-    /// Elements that fit under the byte capacity (at least 1).
-    fn capacity_elems(capacity_bytes: usize) -> usize {
+    /// Elements that fit under the byte capacity (at least 1). The exchange
+    /// reads it too: a range no longer than this leaves its stream in one
+    /// chunk.
+    pub(crate) fn capacity_elems(capacity_bytes: usize) -> usize {
         (capacity_bytes / std::mem::size_of::<T>().max(1)).max(1)
     }
 

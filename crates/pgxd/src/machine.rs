@@ -489,7 +489,12 @@ impl MachineCtx {
     ///    ([`MachineCtx::buffer_bytes`]) addressed to absolute offsets, so
     ///    the receiver writes each arriving chunk straight into place
     ///    while still sending its own outgoing data (no barrier between
-    ///    send and receive);
+    ///    send and receive). A machine none of whose remote ranges exceeds
+    ///    one buffer has nothing to overlap — each stream is a single
+    ///    flush — so it flushes them itself and then receives, instead of
+    ///    handing them to its workers. The fabric is unbounded, a send
+    ///    never waits for a receive, so every machine decides this for
+    ///    itself from its own offsets;
     /// 3. returns `(assembled, bounds)` laid out batch-major, source-minor
     ///    (`B·p + 1` bounds): `assembled[bounds[b·p + s]..bounds[b·p + s + 1]]`
     ///    is the batch-`b` run received from machine `s` (runs stay
@@ -567,16 +572,11 @@ impl MachineCtx {
 
         let expected_remote = total - self_len;
         let sender = self.comm.sender();
-        // analyze: allow(hot-path-alloc): one worker-pool handle clone per
-        // exchange — the Arc bump detaches the manager from `self` so the
-        // receive loop below can borrow the comm manager mutably.
-        let task = self.task.clone();
         let buffer_bytes = self.buffer_bytes;
 
         // One send task per destination (staggered so machine 0 is not
         // everyone's first target), streaming that destination's range of
-        // every batch. The workers run these while the receive loop below
-        // drains arrivals — true send-while-receive.
+        // every batch.
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
             Vec::with_capacity(p.saturating_sub(1));
         for step in 1..p {
@@ -631,11 +631,9 @@ impl MachineCtx {
         let comm = &mut self.comm;
         let pool = &self.pool;
         let stats = &self.stats;
-        // analyze: allow(hot-path-alloc): one trace-sink handle for the
-        // whole receive loop.
-        let trace = self.trace.clone();
+        let trace = &self.trace;
         let out_ptr = out.as_mut_ptr();
-        let placed = task.run_tasks_overlapping(tasks, move || {
+        let receive = move || {
             let loop_start = trace.as_ref().map(|t| t.now_ns());
             let mut remote_received = 0usize;
             while remote_received < expected_remote {
@@ -656,7 +654,7 @@ impl MachineCtx {
                 remote_received += chunk.len();
                 let bytes = chunk.len() * std::mem::size_of::<T>();
                 stats.exchange.record_bytes_placed(bytes);
-                if let Some(t) = &trace {
+                if let Some(t) = trace {
                     t.instant(LANE_MAIN, EventKind::ChunkRecv, src as u64, bytes as u64);
                     t.instant(LANE_MAIN, EventKind::ChunkPlace, offset as u64, bytes as u64);
                 }
@@ -665,7 +663,7 @@ impl MachineCtx {
             // Debug builds: prove the self-copy and the arrived chunks
             // tiled [0, total) exactly once (§IV-C disjoint placement).
             ledger.finish();
-            if let (Some(t), Some(t0)) = (&trace, loop_start) {
+            if let (Some(t), Some(t0)) = (trace, loop_start) {
                 t.span_since(
                     LANE_MAIN,
                     EventKind::RecvLoop,
@@ -675,7 +673,21 @@ impl MachineCtx {
                 );
             }
             remote_received
-        });
+        };
+        // The workers run the send tasks while the receive loop drains
+        // arrivals — true send-while-receive — unless every remote range
+        // fits one request buffer: then a task is one flush, a thread
+        // costs more than all of them, and the caller runs them first.
+        let one_buffer = RequestBuffer::<T>::capacity_elems(buffer_bytes);
+        let single_flushes = (0..ranges)
+            .filter(|i| i % p != id)
+            .all(|i| send_offsets[i + 1] - send_offsets[i] <= one_buffer);
+        let placed = if single_flushes {
+            self.task.run_tasks_on_caller(tasks);
+            receive()
+        } else {
+            self.task.run_tasks_overlapping(tasks, receive)
+        };
         assert_eq!(
             self_len + placed,
             total,

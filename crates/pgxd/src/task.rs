@@ -91,13 +91,20 @@ impl TaskManager {
             return;
         }
         if self.workers.min(tasks.len()) == 1 {
-            for t in tasks {
-                self.before_pickup();
-                t();
-            }
+            self.run_tasks_on_caller(tasks);
             return;
         }
         self.drain_on_workers(tasks, || ());
+    }
+
+    /// Executes every task on the calling thread, in list order, whatever
+    /// the pool size: for a step whose tasks are too short to be worth a
+    /// thread. Each pickup still passes the fault plane and the counter.
+    pub(crate) fn run_tasks_on_caller<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+        for t in tasks {
+            self.before_pickup();
+            t();
+        }
     }
 
     /// Executes `tasks` on the worker pool while `foreground` runs on the

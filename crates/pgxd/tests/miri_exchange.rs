@@ -58,6 +58,30 @@ fn small_exchange_places_every_element_exactly_once() {
 }
 
 #[test]
+fn one_buffer_exchange_flushed_by_the_machine_thread() {
+    // The same nine elements under the default 256 KiB buffer: every
+    // stream fits one chunk, so the machine thread flushes its own sends
+    // and then receives — the other route through the same unsafe blocks
+    // (the two cases around this one only ever send from worker threads).
+    let p = 3;
+    let cluster = Cluster::new(ClusterConfig::new(p).workers_per_machine(2));
+    let report = cluster.run(|ctx| {
+        let id = ctx.id() as u64;
+        let data: Vec<u64> = (0..9).map(|i| id * 100 + i).collect();
+        let offsets = vec![0usize, 3, 6, 9];
+        let _ = ctx.exchange_by_offsets(&data, &offsets);
+        ctx.exchange_by_offsets(&data, &offsets)
+    });
+    for (m, (out, bounds)) in report.results.iter().enumerate() {
+        assert_eq!(bounds, &vec![0, 3, 6, 9]);
+        let expect: Vec<u64> = (0..p as u64)
+            .flat_map(|src| (0..3).map(move |i| src * 100 + m as u64 * 3 + i))
+            .collect();
+        assert_eq!(out, &expect, "machine {m}");
+    }
+}
+
+#[test]
 fn exchange_with_empty_and_lopsided_ranges() {
     // Some machines send nothing to some destinations (empty chunk paths),
     // machine 2 receives nothing at all (zero-length MaybeUninit output).

@@ -20,6 +20,15 @@ use pgxd_datagen::{generate_partitioned, partition_even, Distribution};
 const MACHINES: usize = 4;
 const N: usize = 6_000;
 
+/// Both shapes of the exchange. An even share of these `N`-key sorts is 375
+/// keys per destination: 1 KiB buffers cut every such stream into three
+/// chunks, which the worker pool sends while the machine receives. At the
+/// default 256 KiB a stream is a single chunk whatever the skew, and the
+/// machine thread flushes it itself before it receives — the shape in which
+/// drop-with-redelivery parks a stream's *only* chunk and the end-of-stream
+/// flush alone delivers it.
+const BUFFERS: [usize; 2] = [1024, pgxd::DEFAULT_BUFFER_BYTES];
+
 /// The adversarial input set: the two new chaos distributions plus the
 /// classic pathological orders and a uniform control.
 fn inputs(data_seed: u64) -> Vec<(&'static str, Vec<Vec<u64>>)> {
@@ -59,11 +68,11 @@ fn flat_sorted(parts: &[Vec<u64>]) -> Vec<u64> {
     all
 }
 
-fn sort_under(plan: FaultPlan, parts: &[Vec<u64>]) -> Vec<u64> {
+fn sort_under(plan: FaultPlan, buffer_bytes: usize, parts: &[Vec<u64>]) -> Vec<u64> {
     let cluster = Cluster::new(
         ClusterConfig::new(MACHINES)
             .workers_per_machine(2)
-            .buffer_bytes(4096)
+            .buffer_bytes(buffer_bytes)
             .fault(plan),
     );
     let sorter = DistSorter::default();
@@ -75,15 +84,17 @@ fn sort_under(plan: FaultPlan, parts: &[Vec<u64>]) -> Vec<u64> {
 
 #[test]
 fn fault_matrix_sorts_exactly() {
-    // 5 plans × 5 distributions = 25 cells, all seeded.
+    // 5 plans × 5 distributions × 2 buffer sizes = 50 cells, all seeded.
     for (dist_name, parts) in inputs(101) {
         let expect = flat_sorted(&parts);
         for (plan_name, plan) in plans(17) {
-            let got = sort_under(plan, &parts);
-            assert_eq!(
-                got, expect,
-                "cell plan={plan_name} dist={dist_name} corrupted the sort"
-            );
+            for buffer_bytes in BUFFERS {
+                let got = sort_under(plan, buffer_bytes, &parts);
+                assert_eq!(
+                    got, expect,
+                    "cell plan={plan_name} dist={dist_name} buffer={buffer_bytes} corrupted the sort"
+                );
+            }
         }
     }
 }
@@ -124,27 +135,32 @@ fn kill_mid_exchange_is_a_structured_error_not_a_hang() {
     let plan = FaultPlan::chaos(31)
         .kill(1, 3)
         .step_timeout(Duration::from_secs(5));
-    let cluster = Cluster::new(
-        ClusterConfig::new(MACHINES)
-            .workers_per_machine(2)
-            .buffer_bytes(4096)
-            .fault(plan),
-    );
-    let sorter = DistSorter::default();
-    let parts_ref = &parts;
-    let started = Instant::now();
-    let err = cluster
-        .try_run(|ctx| sorter.sort(ctx, parts_ref[ctx.id()].clone()).data)
-        .expect_err("killed machine must fail the run");
-    let elapsed = started.elapsed();
-    assert_eq!(err.kind, RunErrorKind::InjectedKill);
-    assert_eq!(err.machine, Some(1));
-    assert!(
-        elapsed < Duration::from_secs(60),
-        "survivors must not hang; took {elapsed:?}"
-    );
-    if cfg!(debug_assertions) {
-        assert!(err.residual.is_some(), "checker must report teardown residue");
+    for buffer_bytes in BUFFERS {
+        let cluster = Cluster::new(
+            ClusterConfig::new(MACHINES)
+                .workers_per_machine(2)
+                .buffer_bytes(buffer_bytes)
+                .fault(plan),
+        );
+        let sorter = DistSorter::default();
+        let parts_ref = &parts;
+        let started = Instant::now();
+        let err = cluster
+            .try_run(|ctx| sorter.sort(ctx, parts_ref[ctx.id()].clone()).data)
+            .expect_err("killed machine must fail the run");
+        let elapsed = started.elapsed();
+        assert_eq!(err.kind, RunErrorKind::InjectedKill);
+        assert_eq!(err.machine, Some(1));
+        assert!(
+            elapsed < Duration::from_secs(60),
+            "survivors must not hang; took {elapsed:?} with {buffer_bytes}-byte buffers"
+        );
+        if cfg!(debug_assertions) {
+            assert!(
+                err.residual.is_some(),
+                "checker must report teardown residue"
+            );
+        }
     }
 }
 

@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn fixed_str_orders_lexicographically() {
-        let mut v = vec![
+        let mut v = [
             FixedStr::<8>::new("pear"),
             FixedStr::<8>::new("apple"),
             FixedStr::<8>::new("app"),

@@ -508,8 +508,8 @@ mod tests {
             let lens: Vec<usize> = refs.iter().map(|r| r.len()).collect();
             assert_eq!(rows[parts], lens);
             for i in 0..parts {
-                for j in 0..refs.len() {
-                    assert!(rows[i][j] <= rows[i + 1][j], "row {i} run {j} not monotone");
+                for (j, (lo, hi)) in rows[i].iter().zip(&rows[i + 1]).enumerate() {
+                    assert!(lo <= hi, "row {i} run {j} not monotone");
                 }
                 // cross-part order: max of part i <= min of part i+1
                 let part_max = (0..refs.len())

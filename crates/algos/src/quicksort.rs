@@ -138,7 +138,8 @@ mod tests {
         // The shapes graph-derived keys arrive in (Fig. 4d, degree
         // arrays): a kernel that spends n·log n on them wastes step 1.
         let n = 1u64 << 16;
-        let shapes: [(&str, fn(u64) -> u64); 3] = [
+        type KeyOf = fn(u64) -> u64;
+        let shapes: [(&str, KeyOf); 3] = [
             ("all equal", |_| 7),
             ("ascending", |i| i),
             ("descending", |i| u64::MAX - i),

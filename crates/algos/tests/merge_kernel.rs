@@ -9,8 +9,7 @@
 
 use pgxd_algos::merge::{balanced_merge, balanced_merge_with, merge_into, PARALLEL_MERGE_CUTOFF};
 use pgxd_algos::search::co_rank;
-use proptest::collection::vec as pvec;
-use proptest::prelude::*;
+use pgxd_datagen::cases::{check, Gen};
 
 /// A key with the side and position it came from; only the key orders.
 #[derive(Clone, Copy, Debug)]
@@ -222,25 +221,25 @@ fn one_spare_serves_merge_after_merge() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Cases per property.
+const CASES: u32 = 64;
 
-    #[test]
-    fn merge_into_is_the_reference_stable_merge(
-        a in pvec(any::<u64>(), 0..400),
-        b in pvec(any::<u64>(), 0..400),
-        modulus in prop::sample::select(vec![1u64, 2, 5, 300, u64::MAX]),
+#[test]
+fn merge_into_is_the_reference_stable_merge() {
+    check(CASES, |g| {
+        let a = g.vec(0..400, Gen::u64);
+        let b = g.vec(0..400, Gen::u64);
+        let modulus = g.select(&[1u64, 2, 5, 300, u64::MAX]);
         // Lifts `b` (or `a`) clear of the other side: the gallop's shape.
-        lift in prop::sample::select(vec![(0u64, 0u64), (300, 0), (0, 300)]),
-    ) {
+        let lift = g.select(&[(0u64, 0u64), (300, 0), (0, 300)]);
         let keys = |v: Vec<u64>, up: u64| v.into_iter().map(|k| (k % modulus).saturating_add(up)).collect();
         let a = tagged_run(0, keys(a, lift.0));
         let b = tagged_run(1, keys(b, lift.1));
         let (expect, from_a) = reference_merge(&a, &b);
         let mut out = vec![Tagged { key: 0, tag: (9, 0) }; a.len() + b.len()];
         merge_into(&a, &b, &mut out);
-        prop_assert_eq!(bits(&out), bits(&expect));
+        assert_eq!(bits(&out), bits(&expect));
         let r = from_a.len() / 2;
-        prop_assert_eq!(co_rank(&a, &b, r), (from_a[r], r - from_a[r]));
-    }
+        assert_eq!(co_rank(&a, &b, r), (from_a[r], r - from_a[r]));
+    });
 }

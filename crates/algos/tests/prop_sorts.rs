@@ -12,8 +12,7 @@ use pgxd_algos::quicksort::quicksort;
 use pgxd_algos::radix::{radix_sort, radix_sort_with_scratch};
 use pgxd_algos::search::{gallop_left, gallop_right, lower_bound, multi_co_ranks, upper_bound};
 use pgxd_algos::timsort::timsort;
-use proptest::collection::vec as pvec;
-use proptest::prelude::*;
+use pgxd_datagen::cases::{check, Gen};
 
 fn sorted_copy(v: &[u64]) -> Vec<u64> {
     let mut s = v.to_vec();
@@ -21,35 +20,44 @@ fn sorted_copy(v: &[u64]) -> Vec<u64> {
     s
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Cases per property.
+const CASES: u32 = 64;
 
-    #[test]
-    fn quicksort_sorts_anything(mut v in pvec(any::<u64>(), 0..2000)) {
+#[test]
+fn quicksort_sorts_anything() {
+    check(CASES, |g| {
+        let mut v = g.vec(0..2000, Gen::u64);
         let expect = sorted_copy(&v);
         quicksort(&mut v);
-        prop_assert_eq!(v, expect);
-    }
+        assert_eq!(v, expect);
+    });
+}
 
-    #[test]
-    fn quicksort_heavy_duplicates(mut v in pvec(0u64..4, 0..2000)) {
+#[test]
+fn quicksort_heavy_duplicates() {
+    check(CASES, |g| {
+        let mut v = g.vec(0..2000, |g| g.u64_in(0..4));
         let expect = sorted_copy(&v);
         quicksort(&mut v);
-        prop_assert_eq!(v, expect);
-    }
+        assert_eq!(v, expect);
+    });
+}
 
-    #[test]
-    fn timsort_sorts_anything(mut v in pvec(any::<u64>(), 0..2000)) {
+#[test]
+fn timsort_sorts_anything() {
+    check(CASES, |g| {
+        let mut v = g.vec(0..2000, Gen::u64);
         let expect = sorted_copy(&v);
         timsort(&mut v);
-        prop_assert_eq!(v, expect);
-    }
+        assert_eq!(v, expect);
+    });
+}
 
-    #[test]
-    fn timsort_sorts_runny_data(
-        runs in pvec(pvec(any::<u64>(), 1..100), 1..20),
-        reverse_mask in any::<u32>(),
-    ) {
+#[test]
+fn timsort_sorts_runny_data() {
+    check(CASES, |g| {
+        let runs = g.vec(1..20, |g| g.vec(1..100, Gen::u64));
+        let reverse_mask = g.u32();
         // Concatenated pre-sorted (possibly reversed) runs — the natural-
         // run detector's home turf.
         let mut v = Vec::new();
@@ -62,67 +70,81 @@ proptest! {
         }
         let expect = sorted_copy(&v);
         timsort(&mut v);
-        prop_assert_eq!(v, expect);
-    }
+        assert_eq!(v, expect);
+    });
+}
 
-    #[test]
-    fn binary_insertion_respects_sorted_prefix(
-        mut prefix in pvec(any::<u64>(), 0..100),
-        suffix in pvec(any::<u64>(), 0..100),
-    ) {
+#[test]
+fn binary_insertion_respects_sorted_prefix() {
+    check(CASES, |g| {
+        let mut prefix = g.vec(0..100, Gen::u64);
+        let suffix = g.vec(0..100, Gen::u64);
         prefix.sort();
         let sorted_len = prefix.len();
         let mut v = prefix;
         v.extend(suffix);
         let expect = sorted_copy(&v);
         binary_insertion_sort(&mut v, sorted_len);
-        prop_assert_eq!(v, expect);
-    }
+        assert_eq!(v, expect);
+    });
+}
 
-    #[test]
-    fn radix_matches_std(v in pvec(any::<u64>(), 0..2000)) {
+#[test]
+fn radix_matches_std() {
+    check(CASES, |g| {
+        let v = g.vec(0..2000, Gen::u64);
         let expect = sorted_copy(&v);
         let mut got = v;
         radix_sort(&mut got);
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(got, expect);
+    });
+}
 
-    #[test]
-    fn bitonic_matches_std(v in pvec(any::<u64>(), 0..600)) {
+#[test]
+fn bitonic_matches_std() {
+    check(CASES, |g| {
+        let v = g.vec(0..600, Gen::u64);
         let expect = sorted_copy(&v);
         let mut got = v;
         bitonic_sort_padded(&mut got, u64::MAX);
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(got, expect);
+    });
+}
 
-    #[test]
-    fn radix_scratch_matches_std(v in pvec(any::<u64>(), 0..2000)) {
+#[test]
+fn radix_scratch_matches_std() {
+    check(CASES, |g| {
+        let v = g.vec(0..2000, Gen::u64);
         let expect = sorted_copy(&v);
         let mut got = v;
         let mut scratch = Vec::new();
         radix_sort_with_scratch(&mut got, &mut scratch);
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(got, expect);
+    });
+}
 
-    #[test]
-    fn radix_slice_leaves_surroundings(
-        head in pvec(any::<u64>(), 0..50),
-        mid in pvec(any::<u64>(), 0..500),
-        tail in pvec(any::<u64>(), 0..50),
-    ) {
+#[test]
+fn radix_slice_leaves_surroundings() {
+    check(CASES, |g| {
+        let head = g.vec(0..50, Gen::u64);
+        let mid = g.vec(0..500, Gen::u64);
+        let tail = g.vec(0..50, Gen::u64);
         let mut v = head.clone();
         v.extend(&mid);
         v.extend(&tail);
         let expect_mid = sorted_copy(&mid);
         let (h, t) = (head.len(), head.len() + mid.len());
         radix_sort(&mut v[h..t]);
-        prop_assert_eq!(&v[..h], &head[..]);
-        prop_assert_eq!(&v[h..t], &expect_mid[..]);
-        prop_assert_eq!(&v[t..], &tail[..]);
-    }
+        assert_eq!(&v[..h], &head[..]);
+        assert_eq!(&v[h..t], &expect_mid[..]);
+        assert_eq!(&v[t..], &tail[..]);
+    });
+}
 
-    #[test]
-    fn kway_merge_into_matches_kway_merge(mut runs in pvec(pvec(any::<u64>(), 0..200), 0..10)) {
+#[test]
+fn kway_merge_into_matches_kway_merge() {
+    check(CASES, |g| {
+        let mut runs = g.vec(0..10, |g| g.vec(0..200, Gen::u64));
         for r in &mut runs {
             r.sort();
         }
@@ -130,26 +152,27 @@ proptest! {
         let expect = kway_merge(&refs);
         let mut out = vec![0u64; expect.len()];
         kway_merge_into(&refs, &mut out);
-        prop_assert_eq!(out, expect);
-    }
+        assert_eq!(out, expect);
+    });
+}
 
-    #[test]
-    fn multiway_split_plan_invariants(
-        mut runs in pvec(pvec(any::<u64>(), 0..400), 1..8),
-        parts in 1usize..9,
-    ) {
+#[test]
+fn multiway_split_plan_invariants() {
+    check(CASES, |g| {
+        let mut runs = g.vec(1..8, |g| g.vec(0..400, Gen::u64));
+        let parts = g.usize_in(1..9);
         for r in &mut runs {
             r.sort();
         }
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
         let rows = plan_multiway_splits(&refs, parts);
-        prop_assert_eq!(rows.len(), parts + 1);
-        prop_assert_eq!(&rows[0], &vec![0usize; refs.len()]);
+        assert_eq!(rows.len(), parts + 1);
+        assert_eq!(&rows[0], &vec![0usize; refs.len()]);
         let lens: Vec<usize> = refs.iter().map(|r| r.len()).collect();
-        prop_assert_eq!(&rows[parts], &lens);
+        assert_eq!(&rows[parts], &lens);
         for i in 0..parts {
             for (lo, hi) in rows[i].iter().zip(&rows[i + 1]) {
-                prop_assert!(lo <= hi);
+                assert!(lo <= hi);
             }
             let part_max = (0..refs.len())
                 .filter(|&j| rows[i + 1][j] > rows[i][j])
@@ -161,14 +184,18 @@ proptest! {
                     .map(|j| refs[j][rows[i + 1][j]])
                     .min();
                 if let (Some(mx), Some(mn)) = (part_max, next_min) {
-                    prop_assert!(mx <= mn);
+                    assert!(mx <= mn);
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn merge_into_merges(mut a in pvec(any::<u64>(), 0..500), mut b in pvec(any::<u64>(), 0..500)) {
+#[test]
+fn merge_into_merges() {
+    check(CASES, |g| {
+        let mut a = g.vec(0..500, Gen::u64);
+        let mut b = g.vec(0..500, Gen::u64);
         a.sort();
         b.sort();
         let mut out = vec![0u64; a.len() + b.len()];
@@ -176,29 +203,31 @@ proptest! {
         let mut expect = a.clone();
         expect.extend(&b);
         expect.sort();
-        prop_assert_eq!(out, expect);
-    }
+        assert_eq!(out, expect);
+    });
+}
 
-    #[test]
-    fn parallel_merge_matches_sequential(
-        mut a in pvec(any::<u64>(), 0..2000),
-        mut b in pvec(any::<u64>(), 0..2000),
-        workers in 1usize..8,
-    ) {
+#[test]
+fn parallel_merge_matches_sequential() {
+    check(CASES, |g| {
+        let mut a = g.vec(0..2000, Gen::u64);
+        let mut b = g.vec(0..2000, Gen::u64);
+        let workers = g.usize_in(1..8);
         a.sort();
         b.sort();
         let mut seq = vec![0u64; a.len() + b.len()];
         merge_into(&a, &b, &mut seq);
         let mut par = vec![0u64; a.len() + b.len()];
         parallel_merge_into(&a, &b, &mut par, workers);
-        prop_assert_eq!(seq, par);
-    }
+        assert_eq!(seq, par);
+    });
+}
 
-    #[test]
-    fn balanced_merge_of_sorted_runs(
-        mut runs in pvec(pvec(any::<u64>(), 0..300), 1..12),
-        workers in 1usize..5,
-    ) {
+#[test]
+fn balanced_merge_of_sorted_runs() {
+    check(CASES, |g| {
+        let mut runs = g.vec(1..12, |g| g.vec(0..300, Gen::u64));
+        let workers = g.usize_in(1..5);
         for r in &mut runs {
             r.sort();
         }
@@ -209,32 +238,39 @@ proptest! {
             bounds.push(data.len());
         }
         let expect = sorted_copy(&data);
-        prop_assert_eq!(balanced_merge(data, &bounds, workers), expect);
-    }
+        assert_eq!(balanced_merge(data, &bounds, workers), expect);
+    });
+}
 
-    #[test]
-    fn sort_chunks_and_merge_matches_std(
-        v in pvec(any::<u64>(), 0..3000),
-        workers in 1usize..7,
-    ) {
+#[test]
+fn sort_chunks_and_merge_matches_std() {
+    check(CASES, |g| {
+        let v = g.vec(0..3000, Gen::u64);
+        let workers = g.usize_in(1..7);
         let expect = sorted_copy(&v);
         let got = sort_chunks_and_merge(v, workers, |c| c.sort_unstable());
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(got, expect);
+    });
+}
 
-    #[test]
-    fn kway_merge_matches_std(mut runs in pvec(pvec(any::<u64>(), 0..200), 0..10)) {
+#[test]
+fn kway_merge_matches_std() {
+    check(CASES, |g| {
+        let mut runs = g.vec(0..10, |g| g.vec(0..200, Gen::u64));
         for r in &mut runs {
             r.sort();
         }
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
         let mut expect: Vec<u64> = runs.iter().flatten().copied().collect();
         expect.sort();
-        prop_assert_eq!(kway_merge(&refs), expect);
-    }
+        assert_eq!(kway_merge(&refs), expect);
+    });
+}
 
-    #[test]
-    fn loser_tree_provenance_valid(mut runs in pvec(pvec(any::<u64>(), 0..100), 1..8)) {
+#[test]
+fn loser_tree_provenance_valid() {
+    check(CASES, |g| {
+        let mut runs = g.vec(1..8, |g| g.vec(0..100, Gen::u64));
         for r in &mut runs {
             r.sort();
         }
@@ -243,19 +279,20 @@ proptest! {
         // in order.
         let mut cursors = vec![0usize; runs.len()];
         while let Some((value, src)) = tree.pop() {
-            prop_assert_eq!(runs[src][cursors[src]], value);
+            assert_eq!(runs[src][cursors[src]], value);
             cursors[src] += 1;
         }
         for (src, c) in cursors.iter().enumerate() {
-            prop_assert_eq!(*c, runs[src].len());
+            assert_eq!(*c, runs[src].len());
         }
-    }
+    });
+}
 
-    #[test]
-    fn multi_co_ranks_cuts_follow_the_stable_merge(
-        keys in pvec(pvec(any::<u64>(), 0..40), 1..10),
-        modulus in prop::sample::select(vec![1u64, 2, 5, 300, u64::MAX]),
-    ) {
+#[test]
+fn multi_co_ranks_cuts_follow_the_stable_merge() {
+    check(CASES, |g| {
+        let keys = g.vec(1..10, |g| g.vec(0..40, Gen::u64));
+        let modulus = g.select(&[1u64, 2, 5, 300, u64::MAX]);
         // (key, run) compared by key alone: only a stable merge says which
         // run an equal key is taken from.
         #[derive(Clone, Copy, Debug)]
@@ -292,52 +329,64 @@ proptest! {
         // The cuts of rank r: how many of the merge's first r each run gave.
         let mut taken = vec![0usize; runs.len()];
         for (r, row) in rows.iter().enumerate() {
-            prop_assert_eq!(row.iter().sum::<usize>(), r);
-            prop_assert_eq!(row, &taken, "rank {} of {}", r, merged.len());
+            assert_eq!(row.iter().sum::<usize>(), r);
+            assert_eq!(row, &taken, "rank {} of {}", r, merged.len());
             if let Some(next) = merged.get(r) {
                 taken[next.1] += 1;
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn gallops_match_bounds(mut v in pvec(0u64..100, 0..400), key in 0u64..110) {
+#[test]
+fn gallops_match_bounds() {
+    check(CASES, |g| {
+        let mut v = g.vec(0..400, |g| g.u64_in(0..100));
+        let key = g.u64_in(0..110);
         v.sort();
-        prop_assert_eq!(gallop_left(&key, &v), lower_bound(&v, &key));
-        prop_assert_eq!(gallop_right(&key, &v), upper_bound(&v, &key));
-    }
+        assert_eq!(gallop_left(&key, &v), lower_bound(&v, &key));
+        assert_eq!(gallop_right(&key, &v), upper_bound(&v, &key));
+    });
+}
 
-    #[test]
-    fn bounds_match_partition_point(mut v in pvec(0u64..50, 0..300), key in 0u64..55) {
+#[test]
+fn bounds_match_partition_point() {
+    check(CASES, |g| {
+        let mut v = g.vec(0..300, |g| g.u64_in(0..50));
+        let key = g.u64_in(0..55);
         v.sort();
-        prop_assert_eq!(lower_bound(&v, &key), v.partition_point(|&x| x < key));
-        prop_assert_eq!(upper_bound(&v, &key), v.partition_point(|&x| x <= key));
-    }
+        assert_eq!(lower_bound(&v, &key), v.partition_point(|&x| x < key));
+        assert_eq!(upper_bound(&v, &key), v.partition_point(|&x| x <= key));
+    });
+}
 
-    #[test]
-    fn compare_split_is_order_preserving(
-        mut a in pvec(any::<u64>(), 0..300),
-        mut b in pvec(any::<u64>(), 0..300),
-    ) {
+#[test]
+fn compare_split_is_order_preserving() {
+    check(CASES, |g| {
+        let mut a = g.vec(0..300, Gen::u64);
+        let mut b = g.vec(0..300, Gen::u64);
         a.sort();
         b.sort();
         let (lo, hi) = compare_split(&a, &b);
-        prop_assert_eq!(lo.len(), a.len());
-        prop_assert_eq!(hi.len(), b.len());
+        assert_eq!(lo.len(), a.len());
+        assert_eq!(hi.len(), b.len());
         // Partitioned: everything low <= everything high.
         if let (Some(&lmax), Some(&hmin)) = (lo.last(), hi.first()) {
-            prop_assert!(lmax <= hmin);
+            assert!(lmax <= hmin);
         }
         // Multiset preserved.
         let mut merged: Vec<u64> = lo.into_iter().chain(hi).collect();
         let mut expect: Vec<u64> = a.into_iter().chain(b).collect();
         merged.sort();
         expect.sort();
-        prop_assert_eq!(merged, expect);
-    }
+        assert_eq!(merged, expect);
+    });
+}
 
-    #[test]
-    fn timsort_stability(v in pvec(0u32..16, 0..1500)) {
+#[test]
+fn timsort_stability() {
+    check(CASES, |g| {
+        let v = g.vec(0..1500, |g| g.u32_in(0..16));
         #[derive(Clone, Copy, PartialEq, Eq, Debug)]
         struct Tagged(u32, u32);
         impl PartialOrd for Tagged {
@@ -357,10 +406,10 @@ proptest! {
             .collect();
         timsort(&mut tagged);
         for w in tagged.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
+            assert!(w[0].0 <= w[1].0);
             if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1);
+                assert!(w[0].1 < w[1].1);
             }
         }
-    }
+    });
 }

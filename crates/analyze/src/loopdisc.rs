@@ -183,7 +183,7 @@ fn let_bound(pf: &ParsedFile, range: (usize, usize)) -> HashSet<String> {
 }
 
 /// The innermost loop (smallest body) containing token `i`, if any.
-fn innermost<'a>(loops: &'a [Loop], i: usize) -> Option<&'a Loop> {
+fn innermost(loops: &[Loop], i: usize) -> Option<&Loop> {
     loops
         .iter()
         .filter(|l| i >= l.body.0 && i < l.body.1)

@@ -5,8 +5,6 @@
 //! round-trips every record through this codec at the map→reduce boundary,
 //! while the PGX.D path ships `Vec<T>` by ownership.
 
-use bytes::{Buf, BufMut};
-
 /// Records with a fixed-width byte encoding whose decoded form compares
 /// like the original.
 pub trait Record: Copy + Ord + Send + Sync + 'static {
@@ -18,44 +16,39 @@ pub trait Record: Copy + Ord + Send + Sync + 'static {
     fn decode(buf: &mut &[u8]) -> Self;
 }
 
-impl Record for u64 {
-    const WIDTH: usize = 8;
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.put_u64_le(*self);
-    }
-    fn decode(buf: &mut &[u8]) -> Self {
-        buf.get_u64_le()
-    }
+/// Takes the first `N` bytes off `buf`. [`decode_all`] checks the buffer
+/// against the record width first, so a short buffer is a caller's bug.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf.split_first_chunk().expect("truncated record buffer");
+    *buf = rest;
+    *head
 }
 
-impl Record for u32 {
-    const WIDTH: usize = 4;
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.put_u32_le(*self);
-    }
-    fn decode(buf: &mut &[u8]) -> Self {
-        buf.get_u32_le()
-    }
+/// Little-endian, fixed width: what the primitive's own `to_le_bytes` writes.
+macro_rules! le_record {
+    ($($int:ty),*) => {$(
+        impl Record for $int {
+            const WIDTH: usize = std::mem::size_of::<$int>();
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn decode(buf: &mut &[u8]) -> Self {
+                <$int>::from_le_bytes(take(buf))
+            }
+        }
+    )*};
 }
 
-impl Record for i64 {
-    const WIDTH: usize = 8;
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.put_i64_le(*self);
-    }
-    fn decode(buf: &mut &[u8]) -> Self {
-        buf.get_i64_le()
-    }
-}
+le_record!(u64, u32, i64);
 
 impl Record for (u64, u64) {
     const WIDTH: usize = 16;
     fn encode(&self, out: &mut Vec<u8>) {
-        out.put_u64_le(self.0);
-        out.put_u64_le(self.1);
+        self.0.encode(out);
+        self.1.encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Self {
-        (buf.get_u64_le(), buf.get_u64_le())
+        (u64::decode(buf), u64::decode(buf))
     }
 }
 
@@ -100,6 +93,19 @@ mod tests {
     fn pair_roundtrip() {
         let v = vec![(1u64, 2u64), (u64::MAX, 0)];
         assert_eq!(decode_all::<(u64, u64)>(&encode_all(&v)), v);
+    }
+
+    #[test]
+    fn extremes_and_byte_order_roundtrip() {
+        assert_eq!(decode_all::<u64>(&encode_all(&[u64::MAX])), [u64::MAX]);
+        assert_eq!(decode_all::<i64>(&encode_all(&[i64::MIN])), [i64::MIN]);
+        // Distinct halves, distinct bytes: a swapped half or a big-endian
+        // byte order cannot round-trip by accident.
+        let pair = (0x0102_0304_0506_0708u64, 0x1112_1314_1516_1718u64);
+        let bytes = encode_all(&[pair]);
+        assert_eq!(bytes[0], 0x08, "little-endian, first half first");
+        assert_eq!(bytes[8], 0x18);
+        assert_eq!(decode_all::<(u64, u64)>(&bytes), [pair]);
     }
 
     #[test]

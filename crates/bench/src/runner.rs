@@ -16,7 +16,7 @@ pub const DEFAULT_SEED: u64 = 20170529; // IPPS 2017 kickoff, why not
 pub const DEFAULT_WORKERS: usize = 2;
 
 /// What data a run sorts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Workload {
     /// `n` keys from one of the Fig. 4 distributions.
     Dist {

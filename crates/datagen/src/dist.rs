@@ -7,12 +7,10 @@
 //! exponential datasets owe their difficulty to massive duplication, which
 //! quantization reproduces deterministically.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use crate::rng::{fill_chunked, generator_threads, SplitMix64};
 
 /// Key distribution selector, mirroring Fig. 4 (a)–(d).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Distribution {
     /// (a) Uniform over `[0, 2^40)`.
     Uniform,
@@ -77,9 +75,9 @@ impl Distribution {
     }
 
     /// Draws one key.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
+    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
         match self {
-            Distribution::Uniform => rng.random_range(0..1u64 << 40),
+            Distribution::Uniform => rng.range_u64(0..1u64 << 40),
             Distribution::Normal => {
                 let z = standard_normal(rng);
                 let value = (1u64 << 39) as f64 + z * (1u64 << 36) as f64;
@@ -103,49 +101,51 @@ impl Distribution {
                 // P(0) ≈ 39%, P(1) ≈ 24%, … — the "many duplicated data
                 // entries" dataset of Fig. 4d, scaled to key units of 1000
                 // so values remain visibly spread.
-                let u: f64 = rng.random_range(f64::EPSILON..1.0);
+                let u = rng.range_f64(f64::EPSILON..1.0);
                 let value = (-u.ln() * 2.0) as u64;
                 value * 1000
             }
             Distribution::SkewStorm { hot_key_permille } => {
                 // Hot key sits mid-range so both splitter halves see it.
-                if rng.random_range(0..1000u32) < (*hot_key_permille).min(1000) {
+                if rng.range_u32(0..1000) < (*hot_key_permille).min(1000) {
                     1u64 << 39
                 } else {
-                    rng.random_range(0..1u64 << 40)
+                    rng.range_u64(0..1u64 << 40)
                 }
             }
             Distribution::DuplicateHeavy { distinct } => {
                 // Spread by a large odd stride so the distinct values are
                 // not all adjacent integers (exercises splitter search).
-                rng.random_range(0..(*distinct).max(1)).wrapping_mul(0x9e37_79b9) & ((1 << 40) - 1)
+                rng.range_u64(0..(*distinct).max(1)).wrapping_mul(0x9e37_79b9) & ((1 << 40) - 1)
             }
         }
     }
 }
 
 /// One standard-normal draw via Box–Muller (uses one of the pair).
-fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.random_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.random_range(0.0..1.0);
+fn standard_normal(rng: &mut SplitMix64) -> f64 {
+    let u1 = rng.range_f64(f64::EPSILON..1.0);
+    let u2 = rng.range_f64(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
+/// Keys per generation chunk; each chunk draws from its own stream.
+const CHUNK: usize = 1 << 16;
+
 /// Generates `n` keys from `dist`, deterministic under `seed`.
-/// Chunked across the rayon pool; each chunk derives its own stream so
+/// Chunked across the host's threads; each chunk derives its own stream so
 /// results are identical regardless of thread count.
 pub fn generate(dist: Distribution, n: usize, seed: u64) -> Vec<u64> {
-    const CHUNK: usize = 1 << 16;
-    let chunks = n.div_ceil(CHUNK.max(1)).max(1);
-    (0..chunks)
-        .into_par_iter()
-        .flat_map_iter(|c| {
-            let start = c * CHUNK;
-            let len = CHUNK.min(n - start);
-            let mut rng = StdRng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9e3779b97f4a7c15));
-            (0..len).map(move |_| dist.sample(&mut rng)).collect::<Vec<_>>()
-        })
-        .collect()
+    generate_on(dist, n, seed, generator_threads())
+}
+
+fn generate_on(dist: Distribution, n: usize, seed: u64, threads: usize) -> Vec<u64> {
+    let mut keys = vec![0u64; n];
+    fill_chunked(&mut keys, CHUNK, threads, |c, chunk| {
+        let mut rng = SplitMix64::new(seed ^ (c as u64).wrapping_mul(0x9e3779b97f4a7c15));
+        chunk.fill_with(|| dist.sample(&mut rng));
+    });
+    keys
 }
 
 /// Generates `n` keys split evenly across `machines` partitions — the
@@ -170,6 +170,40 @@ mod tests {
         let mean = v.iter().map(|&x| x as f64).sum::<f64>() / v.len() as f64;
         let var = v.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / v.len() as f64;
         (mean, var.sqrt())
+    }
+
+    #[test]
+    fn first_keys_at_the_ledger_seed_are_pinned() {
+        // An edit to the generator or to a distribution's arithmetic changes
+        // every committed result produced from it; it has to show here.
+        const HOT: u64 = 1 << 39;
+        #[rustfmt::skip]
+        let pins: [(Distribution, [u64; 8]); 6] = [
+            (Distribution::Uniform, [988927715071, 882755414131, 947051155027, 286211458905,
+                                     287444897359, 675464478291, 41880995867, 383176626760]),
+            (Distribution::Normal, [560072753152, 547325214720, 465006755840, 447839469568,
+                                    545433583616, 494903754752, 569932513280, 434990219264]),
+            (Distribution::RightSkewed, [16, 16, 0, 0, 16, 0, 16, 0]),
+            (Distribution::Exponential, [0, 0, 0, 2000, 2000, 0, 6000, 2000]),
+            (Distribution::skew_storm(0.5), [882755414131, 286211458905, HOT, 41880995867,
+                                             HOT, 811826207085, 492740137175, HOT]),
+            (Distribution::duplicate_heavy(16), [37162100766, 31853229228, 34507664997, 10617743076,
+                                                 10617743076, 23889921921, 0, 13272178845]),
+        ];
+        for (dist, keys) in pins {
+            assert_eq!(generate(dist, 8, 20170529), keys, "{}", dist.name());
+        }
+    }
+
+    #[test]
+    fn thread_count_does_not_change_the_keys() {
+        // Three chunks and a bit: one thread evaluates them in order.
+        let n = 3 * CHUNK + 17;
+        for dist in [Distribution::Uniform, Distribution::Exponential] {
+            let one = generate_on(dist, n, 9, 1);
+            assert_eq!(generate(dist, n, 9), one, "{}", dist.name());
+            assert_eq!(generate_on(dist, n, 9, 3), one, "{}", dist.name());
+        }
     }
 
     #[test]

@@ -8,16 +8,23 @@
 //! we stand in for with an R-MAT power-law generator (see DESIGN.md for
 //! the substitution argument).
 //!
-//! Everything is deterministic under a seed and parallelized per chunk so
-//! billion-scale-style generation stays fast on a laptop.
+//! Everything is deterministic under a seed and generated chunk by chunk
+//! on scoped threads, so billion-scale-style generation stays fast on a
+//! laptop and the keys do not depend on how many threads produced them.
+//! All randomness is the in-tree [`SplitMix64`]; the crate has no
+//! dependency. The same generator drives [`cases`], the deterministic case
+//! loop the workspace's property tests run on.
 
 #![forbid(unsafe_code)]
 
+pub mod cases;
 pub mod dist;
 pub mod rmat;
+pub mod rng;
 
 pub use dist::{generate, generate_partitioned, Distribution};
 pub use rmat::{rmat_edges, twitter_like_keys, RmatConfig};
+pub use rng::SplitMix64;
 
 /// Splits `data` into `parts` even contiguous chunks — the initial
 /// "data already resident per machine" layout every experiment starts

@@ -8,12 +8,10 @@
 //! a load-balanced sort. R-MAT (Chakrabarti et al.) is the standard
 //! synthetic generator with the same property.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use crate::rng::{fill_chunked, generator_threads, SplitMix64};
 
 /// R-MAT parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RmatConfig {
     /// log2 of the vertex count.
     pub scale: u32,
@@ -54,31 +52,31 @@ impl RmatConfig {
     }
 }
 
+/// Edges per generation chunk; each chunk draws from its own stream.
+const CHUNK: usize = 1 << 14;
+
 /// Generates the R-MAT edge list. Deterministic under the seed,
 /// independent of thread count.
 pub fn rmat_edges(config: &RmatConfig) -> Vec<(u32, u32)> {
-    let total = config.num_edges();
-    const CHUNK: usize = 1 << 14;
-    let chunks = total.div_ceil(CHUNK).max(1);
-    (0..chunks)
-        .into_par_iter()
-        .flat_map_iter(|ci| {
-            let start = ci * CHUNK;
-            let len = CHUNK.min(total - start);
-            let mut rng =
-                StdRng::seed_from_u64(config.seed ^ (ci as u64).wrapping_mul(0xd1342543de82ef95));
-            let cfg = *config;
-            (0..len).map(move |_| one_edge(&cfg, &mut rng)).collect::<Vec<_>>()
-        })
-        .collect()
+    rmat_edges_on(config, generator_threads())
 }
 
-fn one_edge(config: &RmatConfig, rng: &mut StdRng) -> (u32, u32) {
+fn rmat_edges_on(config: &RmatConfig, threads: usize) -> Vec<(u32, u32)> {
+    let mut edges = vec![(0u32, 0u32); config.num_edges()];
+    fill_chunked(&mut edges, CHUNK, threads, |c, chunk| {
+        let mut rng =
+            SplitMix64::new(config.seed ^ (c as u64).wrapping_mul(0xd1342543de82ef95));
+        chunk.fill_with(|| one_edge(config, &mut rng));
+    });
+    edges
+}
+
+fn one_edge(config: &RmatConfig, rng: &mut SplitMix64) -> (u32, u32) {
     let (mut src, mut dst) = (0u32, 0u32);
     for _ in 0..config.scale {
         src <<= 1;
         dst <<= 1;
-        let r: f64 = rng.random_range(0.0..1.0);
+        let r = rng.range_f64(0.0..1.0);
         if r < config.a {
             // upper-left: neither bit set
         } else if r < config.a + config.b {
@@ -116,6 +114,21 @@ mod tests {
         let edges = rmat_edges(&cfg);
         assert_eq!(edges.len(), 1024 * 8);
         assert!(edges.iter().all(|&(s, d)| s < 1024 && d < 1024));
+    }
+
+    #[test]
+    fn first_edges_at_the_ledger_seed_are_pinned() {
+        let edges = rmat_edges(&RmatConfig::new(10, 8, 20170529));
+        assert_eq!(edges[..4], [(896, 19), (8, 516), (401, 776), (41, 520)]);
+    }
+
+    #[test]
+    fn thread_count_does_not_change_the_edges() {
+        // 2^16 edges are four chunks: one thread evaluates them in order.
+        let cfg = RmatConfig::new(12, 16, 6);
+        let one = rmat_edges_on(&cfg, 1);
+        assert_eq!(rmat_edges(&cfg), one);
+        assert_eq!(rmat_edges_on(&cfg, 3), one);
     }
 
     #[test]

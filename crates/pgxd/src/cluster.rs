@@ -215,12 +215,17 @@ impl Cluster {
     /// protocol checker's leftover ledger state rides along as
     /// [`RunError::residual`] so tests can assert what a dead machine
     /// stranded.
+    // The error is the run's whole post-mortem (ledger residue, health
+    // report) and is built once per failed run; boxing it would change the
+    // signature the benchmark and every caller pin.
+    #[allow(clippy::result_large_err)]
     pub fn try_run<R, F>(&self, f: F) -> Result<RunReport<R>, RunError>
     where
         R: Send,
         F: Fn(&mut MachineCtx) -> R + Sync,
     {
         self.run_inner(f).map_err(|failed| {
+            let failed = *failed;
             let machine = failed.primary.machine;
             let payload = &failed.primary.payload;
             let (kind, message) = match payload.downcast_ref::<InjectedFailure>() {
@@ -260,7 +265,7 @@ impl Cluster {
     /// machine's unwind so the *first* failure aborts the run (instead of
     /// the scope's opaque "a scoped thread panicked"), and classifies the
     /// surviving wreckage.
-    fn run_inner<R, F>(&self, f: F) -> Result<RunReport<R>, FailedRun>
+    fn run_inner<R, F>(&self, f: F) -> Result<RunReport<R>, Box<FailedRun>>
     where
         R: Send,
         F: Fn(&mut MachineCtx) -> R + Sync,
@@ -323,7 +328,6 @@ impl Cluster {
                     let machine_id = comm.id();
                     let barrier = barrier.clone();
                     let checker = comm.checker().clone();
-                    let stats = stats.clone();
                     let workers = self.config.workers_per_machine;
                     let buffer_bytes = self.config.buffer_bytes;
                     let injector = injector.clone();
@@ -337,7 +341,6 @@ impl Cluster {
                                 TaskManager::with_fault(workers, machine_id, injector),
                                 barrier.clone(),
                                 buffer_bytes,
-                                stats,
                                 trace,
                                 registry,
                                 monitor,
@@ -403,12 +406,12 @@ impl Cluster {
                 .unwrap_or(0);
             let primary = failures.swap_remove(idx);
             let residual = checker::ENABLED.then(|| fabric_checker.residual());
-            return Err(FailedRun {
+            return Err(Box::new(FailedRun {
                 primary,
                 peer_aborts,
                 residual,
                 health,
-            });
+            }));
         }
 
         // Every machine has exited and dropped its context: any packet

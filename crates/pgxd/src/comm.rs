@@ -2,11 +2,12 @@
 //! between simulated machines, with byte accounting against the network
 //! model.
 //!
-//! Machines exchange [`Packet`]s over unbounded crossbeam channels (the
-//! fabric). Payloads move by ownership — no serialization — which models
-//! PGX.D's zero-copy native transport; the *Spark* baseline deliberately
-//! serializes instead (see `pgxd-baselines`), which is one of the
-//! mechanisms behind the paper's 2–3× gap.
+//! Machines exchange [`Packet`]s over the unbounded queues of
+//! [`crate::sync`], one inbox per machine (the fabric). Payloads move by
+//! ownership — no serialization — which models PGX.D's zero-copy native
+//! transport; the *Spark* baseline deliberately serializes instead (see
+//! `pgxd-baselines`), which is one of the mechanisms behind the paper's
+//! 2–3× gap.
 //!
 //! Tag discipline: collectives stamp every packet with a sequence number
 //! managed by [`MachineCtx`](crate::machine::MachineCtx) so that two
@@ -16,8 +17,8 @@
 use crate::checker::ProtocolChecker;
 use crate::fault::{ClusterBarrier, FaultInjector, InjectedFailure};
 use crate::metrics::SharedCommStats;
+use crate::sync::{Receiver, Sender};
 use crate::trace::{EventKind, MachineTrace};
-use crossbeam::channel::{Receiver, Sender};
 use std::any::Any;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -294,7 +295,7 @@ impl CommManager {
         let mut txs = Vec::with_capacity(p);
         let mut rxs = Vec::with_capacity(p);
         for _ in 0..p {
-            let (tx, rx) = crossbeam::channel::unbounded();
+            let (tx, rx) = crate::sync::unbounded();
             txs.push(tx);
             rxs.push(rx);
         }
@@ -335,6 +336,11 @@ impl CommManager {
     /// runs; standalone fabrics stay on the legacy path.
     pub(crate) fn set_control(&mut self, control: Arc<ClusterBarrier>) {
         self.control = Some(control);
+    }
+
+    /// The statistics cells every sender on this fabric counts into.
+    pub(crate) fn stats(&self) -> &SharedCommStats {
+        &self.sender.stats
     }
 
     /// The run's fault plane, if a plan is armed.
@@ -425,7 +431,7 @@ impl CommManager {
     // tag listing assembled for the timeout panic diagnostic.
     fn recv_packet_legacy(&mut self, tag: Tag) -> Packet {
         loop {
-            let pkt = self.inbox.recv_timeout(RECV_TIMEOUT).unwrap_or_else(|_| {
+            let pkt = self.inbox.recv_timeout(RECV_TIMEOUT).unwrap_or_else(|| {
                 let mut parked: Vec<Tag> = self
                     .mailbox
                     .iter()
@@ -468,14 +474,14 @@ impl CommManager {
                 std::panic::panic_any(InjectedFailure::PeerAborted);
             }
             match self.inbox.recv_timeout(slice) {
-                Ok(pkt) => {
+                Some(pkt) => {
                     if pkt.tag == tag {
                         self.note_delivered(&pkt);
                         return pkt;
                     }
                     self.mailbox.entry(pkt.tag).or_default().push_back(pkt);
                 }
-                Err(_) => {
+                None => {
                     if Instant::now() >= deadline {
                         // This machine is starved past the step budget: a
                         // peer died or stalled. Abort the run (waking every

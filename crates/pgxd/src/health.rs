@@ -547,8 +547,7 @@ impl HealthMonitor {
                 .enumerate()
                 .any(|(m, (done, waiting, _))| m != skip && !done && *waiting)
         };
-        for m in 0..self.p {
-            let (done, waiting, at) = progress[m];
+        for (m, &(done, waiting, at)) in progress.iter().enumerate() {
             if done || waiting || st.stall_flagged[m] {
                 continue;
             }

@@ -31,8 +31,10 @@
 //! The runtime's concurrency invariants are enforced by tooling, not
 //! convention (see `DESIGN.md` § *Verification & analysis*):
 //!
-//! - [`sync`] — all runtime synchronization goes through one shim, so
-//!   `RUSTFLAGS="--cfg loom"` swaps in [loom](https://docs.rs/loom) and the
+//! - [`sync`] — all runtime synchronization goes through one std-only
+//!   shim, which also owns the fabric's queue, so `RUSTFLAGS="--cfg loom"`
+//!   (built through `modelcheck/Cargo.toml`, the one manifest that names
+//!   the crate) swaps in [loom](https://docs.rs/loom) and the
 //!   `loom_pool`/`loom_exchange` tests model-check the chunk pool and the
 //!   overlapped exchange across every interleaving.
 //! - [`checker`] — a debug-mode protocol checker keeps a per-fabric ledger

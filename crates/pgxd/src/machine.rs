@@ -83,11 +83,12 @@ impl MachineCtx {
         mut task: TaskManager,
         barrier: Arc<ClusterBarrier>,
         buffer_bytes: usize,
-        stats: SharedCommStats,
         trace: Option<Arc<MachineTrace>>,
         registry: SharedMetrics,
         health: Option<Arc<HealthMonitor>>,
     ) -> Self {
+        // The cells the fabric already counts into: one set per run.
+        let stats = comm.stats().clone();
         let mut pool = ChunkPool::with_checker(stats.clone(), comm.checker().clone(), comm.id());
         if let Some(t) = &trace {
             // Attach the sink before the pool is shared and before any

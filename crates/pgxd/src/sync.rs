@@ -2,18 +2,21 @@
 //! runtime synchronizes through, swappable between the production
 //! implementations and [loom]'s model-checked versions.
 //!
-//! Compiled normally, every export resolves to `std`/`parking_lot` with
-//! zero overhead over using them directly. Compiled with `--cfg loom`
-//! (`RUSTFLAGS="--cfg loom" cargo test -p pgxd --release --test loom_pool
-//! --test loom_exchange`), every export resolves to the `loom` equivalent,
-//! so the loom tests can exhaustively explore thread interleavings of the
-//! chunk pool and the overlapped-exchange protocol instead of sampling
-//! whichever schedule the OS happens to produce.
+//! Compiled normally, every export is `std`, wrapped only where the runtime
+//! needs a different contract: [`Mutex`] and [`Condvar`] never poison, and
+//! the fabric queue ([`unbounded`]) is a `VecDeque` behind that pair. The
+//! crate has no dependency outside the workspace. Compiled with
+//! `--cfg loom` through `crates/pgxd/modelcheck/Cargo.toml` (the manifest
+//! that names the `loom` crate, so the default workspace never resolves
+//! it), every export resolves to the `loom` equivalent, so the loom tests
+//! can exhaustively explore thread interleavings of the chunk pool and the
+//! overlapped-exchange protocol instead of sampling whichever schedule the
+//! OS happens to produce.
 //!
 //! Everything in `pgxd` that synchronizes between threads must go through
 //! this module or through [`TaskManager`](crate::task::TaskManager) —
 //! `cargo xtask lint` enforces that `std::sync::Mutex`,
-//! `parking_lot::Mutex`, and `std::thread::spawn` do not appear anywhere
+//! `std::sync::mpsc`, and `std::thread::spawn` do not appear anywhere
 //! else in the crate, so no code path can silently opt out of model
 //! checking.
 //!
@@ -23,14 +26,20 @@
 //!   `std::sync::atomic` — they are monotonic statistics with `Relaxed`
 //!   ordering that never gate control flow, and keeping them invisible to
 //!   loom keeps the model state space tractable.
-//! - The fabric channels ([`comm`](crate::comm)) are crossbeam channels;
-//!   loom cannot model them, so the loom tests exercise a miniature
-//!   queue-based fabric built from this module's `Mutex`/`Condvar`
-//!   instead (`tests/loom_exchange.rs`). The cluster barrier
+//! - The fabric's queues ([`unbounded`], used by [`comm`](crate::comm))
+//!   receive with a deadline, and loom has no time model, so the loom
+//!   tests exercise a miniature fabric of the same shape — a queue behind
+//!   this module's `Mutex`/`Condvar` — instead
+//!   (`tests/loom_exchange.rs`). The cluster barrier
 //!   ([`ClusterBarrier`](crate::fault::ClusterBarrier)) is built on this
 //!   module's primitives directly.
 //!
 //! [loom]: https://docs.rs/loom
+
+use std::collections::VecDeque;
+#[cfg(not(loom))]
+use std::sync::PoisonError;
+use std::time::{Duration, Instant};
 
 #[cfg(not(loom))]
 pub use std::sync::atomic;
@@ -49,20 +58,23 @@ pub use loom::thread;
 
 /// Guard type returned by [`Mutex::lock`].
 #[cfg(not(loom))]
-pub type MutexGuard<'a, T> = parking_lot::MutexGuard<'a, T>;
+pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 /// Guard type returned by [`Mutex::lock`].
 #[cfg(loom)]
 pub type MutexGuard<'a, T> = loom::sync::MutexGuard<'a, T>;
 
-/// Mutual exclusion for the pool shards and checker ledgers:
-/// `parking_lot::Mutex` in production builds, `loom::sync::Mutex` under
-/// `--cfg loom`.
+/// Mutual exclusion for the pool shards, the checker ledgers and the fabric
+/// queues: `std::sync::Mutex` in production builds, `loom::sync::Mutex`
+/// under `--cfg loom`.
 ///
-/// The API is the infallible `parking_lot` one — under loom, poisoning
-/// cannot be observed because a panicking model execution aborts the run.
+/// `lock` is infallible: a holder that panicked does not poison the lock.
+/// The checker's shared verdict makes several machines panic while others
+/// still lock, and every structure guarded here is valid between any two
+/// of its updates. Under loom, poisoning cannot be observed because a
+/// panicking model execution aborts the run.
 pub struct Mutex<T> {
     #[cfg(not(loom))]
-    inner: parking_lot::Mutex<T>,
+    inner: std::sync::Mutex<T>,
     #[cfg(loom)]
     inner: loom::sync::Mutex<T>,
 }
@@ -72,7 +84,7 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex {
             #[cfg(not(loom))]
-            inner: parking_lot::Mutex::new(value),
+            inner: std::sync::Mutex::new(value),
             #[cfg(loom)]
             inner: loom::sync::Mutex::new(value),
         }
@@ -82,7 +94,7 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         #[cfg(not(loom))]
         {
-            self.inner.lock()
+            self.inner.lock().unwrap_or_else(PoisonError::into_inner)
         }
         #[cfg(loom)]
         {
@@ -103,13 +115,12 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
     }
 }
 
-/// Condition variable paired with [`Mutex`]: `parking_lot::Condvar` in
-/// production builds, `loom::sync::Condvar` under `--cfg loom`. Used by
-/// the loom tests' miniature fabric; exported here so test code does not
-/// have to name the backing crate.
+/// Condition variable paired with [`Mutex`]: `std::sync::Condvar` in
+/// production builds, `loom::sync::Condvar` under `--cfg loom`. Like the
+/// mutex, its waits ignore poisoning.
 pub struct Condvar {
     #[cfg(not(loom))]
-    inner: parking_lot::Condvar,
+    inner: std::sync::Condvar,
     #[cfg(loom)]
     inner: loom::sync::Condvar,
 }
@@ -119,7 +130,7 @@ impl Condvar {
     pub fn new() -> Self {
         Condvar {
             #[cfg(not(loom))]
-            inner: parking_lot::Condvar::new(),
+            inner: std::sync::Condvar::new(),
             #[cfg(loom)]
             inner: loom::sync::Condvar::new(),
         }
@@ -129,9 +140,9 @@ impl Condvar {
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         #[cfg(not(loom))]
         {
-            let mut guard = guard;
-            self.inner.wait(&mut guard);
-            guard
+            self.inner
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner)
         }
         #[cfg(loom)]
         {
@@ -143,9 +154,9 @@ impl Condvar {
     /// the lock on wake. Returns the guard and whether the wait timed out.
     ///
     /// Under loom this degrades to an untimed [`Condvar::wait`] that never
-    /// reports a timeout: loom has no time model, and the only caller
-    /// (the cluster barrier's fault-plan step timeout) is not exercised by
-    /// the loom suites.
+    /// reports a timeout: loom has no time model, and the callers (the
+    /// cluster barrier's fault-plan step timeout, the fabric's receive)
+    /// are not exercised by the loom suites.
     pub fn wait_for<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,
@@ -153,8 +164,10 @@ impl Condvar {
     ) -> (MutexGuard<'a, T>, bool) {
         #[cfg(not(loom))]
         {
-            let mut guard = guard;
-            let result = self.inner.wait_for(&mut guard, timeout);
+            let (guard, result) = self
+                .inner
+                .wait_timeout(guard, timeout)
+                .unwrap_or_else(PoisonError::into_inner);
             (guard, result.timed_out())
         }
         #[cfg(loom)]
@@ -178,6 +191,95 @@ impl Condvar {
 impl Default for Condvar {
     fn default() -> Self {
         Condvar::new()
+    }
+}
+
+/// One fabric queue: the values in flight and whether anyone can still
+/// receive them.
+struct Queue<T> {
+    inner: Mutex<QueueState<T>>,
+    ready: Condvar,
+}
+
+struct QueueState<T> {
+    values: VecDeque<T>,
+    receiver_gone: bool,
+}
+
+/// An unbounded queue from any number of [`Sender`]s to one [`Receiver`],
+/// first in first out per sender: a machine's inbox on the fabric.
+pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+    let queue = Arc::new(Queue {
+        inner: Mutex::new(QueueState {
+            values: VecDeque::new(),
+            receiver_gone: false,
+        }),
+        ready: Condvar::new(),
+    });
+    (
+        Sender {
+            queue: queue.clone(),
+        },
+        Receiver { queue },
+    )
+}
+
+/// The sending half of [`unbounded`]; clones feed the same queue.
+pub struct Sender<T> {
+    queue: Arc<Queue<T>>,
+}
+
+/// The receiving half of [`unbounded`].
+pub struct Receiver<T> {
+    queue: Arc<Queue<T>>,
+}
+
+impl<T> Sender<T> {
+    /// Queues `value` and wakes the receiver. Once the receiver has been
+    /// dropped nothing can read the queue, and the value comes back as the
+    /// error.
+    pub fn send(&self, value: T) -> Result<(), T> {
+        let mut state = self.queue.inner.lock();
+        if state.receiver_gone {
+            return Err(value);
+        }
+        state.values.push_back(value);
+        drop(state);
+        self.queue.ready.notify_one();
+        Ok(())
+    }
+}
+
+impl<T> Clone for Sender<T> {
+    fn clone(&self) -> Self {
+        Sender {
+            queue: self.queue.clone(),
+        }
+    }
+}
+
+impl<T> Receiver<T> {
+    /// The next value, waiting for at most `timeout` — parked on the
+    /// condition variable, not polling. `None` when the time is up.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
+        let deadline = Instant::now() + timeout;
+        let mut state = self.queue.inner.lock();
+        loop {
+            if let Some(value) = state.values.pop_front() {
+                return Some(value);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            state = self.queue.ready.wait_for(state, left).0;
+        }
+    }
+}
+
+impl<T> Drop for Receiver<T> {
+    fn drop(&mut self) {
+        self.queue.inner.lock().receiver_gone = true;
     }
 }
 
@@ -215,5 +317,70 @@ mod tests {
         let (_guard, timed_out) =
             cv.wait_for(m.lock(), std::time::Duration::from_millis(10));
         assert!(timed_out);
+    }
+
+    #[test]
+    fn lock_survives_a_panicking_holder() {
+        let m = Arc::new(Mutex::new(1));
+        let m2 = m.clone();
+        let holder = std::thread::spawn(move || {
+            let mut g = m2.lock();
+            *g = 2;
+            panic!("holder dies with the lock held");
+        });
+        assert!(holder.join().is_err());
+        assert_eq!(*m.lock(), 2);
+    }
+
+    #[test]
+    fn send_fails_once_the_receiver_is_dropped() {
+        let (tx, rx) = unbounded::<u32>();
+        let tx2 = tx.clone();
+        assert_eq!(tx.send(1), Ok(()));
+        drop(rx);
+        assert_eq!(tx.send(2), Err(2));
+        assert_eq!(tx2.send(3), Err(3));
+    }
+
+    #[test]
+    fn recv_timeout_blocks_for_the_timeout() {
+        let (_tx, rx) = unbounded::<u32>();
+        let start = Instant::now();
+        let timeout = Duration::from_millis(30);
+        assert_eq!(rx.recv_timeout(timeout), None);
+        assert!(start.elapsed() >= timeout);
+    }
+
+    #[test]
+    fn recv_timeout_returns_a_value_sent_meanwhile() {
+        let (tx, rx) = unbounded::<u32>();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| rx.recv_timeout(Duration::from_secs(30)));
+            tx.send(7).unwrap();
+            assert_eq!(waiter.join().unwrap(), Some(7));
+        });
+    }
+
+    #[test]
+    fn values_arrive_in_each_senders_order() {
+        const PER_SENDER: u64 = 500;
+        let (tx, rx) = unbounded::<(u64, u64)>();
+        std::thread::scope(|scope| {
+            for sender in 0..3 {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    for i in 0..PER_SENDER {
+                        tx.send((sender, i)).unwrap();
+                    }
+                });
+            }
+            let mut next = [0u64; 3];
+            for _ in 0..3 * PER_SENDER {
+                let (sender, i) = rx.recv_timeout(Duration::from_secs(30)).expect("a value");
+                assert_eq!(i, next[sender as usize], "sender {sender}");
+                next[sender as usize] += 1;
+            }
+            assert_eq!(rx.recv_timeout(Duration::ZERO), None);
+        });
     }
 }

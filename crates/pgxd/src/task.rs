@@ -5,7 +5,9 @@
 //! Faithful to the paper's description at the level that matters for the
 //! sort: work is expressed as a task list, every worker pulls the next
 //! task when it finishes its current one (so uneven tasks self-balance),
-//! and a parallel step completes when the list is drained.
+//! and a parallel step completes when the list is drained. The list is
+//! complete before the first worker starts, so it is nothing more than an
+//! iterator behind a [`crate::sync::Mutex`].
 //!
 //! This module and [`crate::sync`] are the only sanctioned ways to put
 //! work on another thread inside `pgxd` — `cargo xtask lint` bans raw
@@ -16,7 +18,6 @@
 use crate::fault::FaultInjector;
 use crate::metrics::Counter;
 use crate::trace::{EventKind, MachineTrace};
-use crossbeam::channel;
 use std::sync::Arc;
 
 /// A machine's worker-pool handle. Cloneable and cheap; the workers are
@@ -138,21 +139,19 @@ impl TaskManager {
         foreground: impl FnOnce() -> R,
     ) -> R {
         let workers = self.workers.min(tasks.len());
-        let (tx, rx) = channel::unbounded::<Box<dyn FnOnce() + Send + 'env>>();
-        for t in tasks {
-            tx.send(t).expect("task queue closed");
-        }
-        drop(tx); // workers exit when the list drains
+        // Every task is listed before the first worker starts, so the list
+        // only shrinks: a worker that finds it empty is done.
+        let list = crate::sync::Mutex::new(tasks.into_iter());
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                // analyze: allow(hot-path-alloc): one channel-handle
-                // clone per worker per task batch, not per task.
-                let rx = rx.clone();
-                scope.spawn(move || {
-                    while let Ok(task) = rx.recv() {
-                        self.before_pickup();
-                        task();
-                    }
+                scope.spawn(|| loop {
+                    // analyze: allow(loop-discipline): the per-pickup lock
+                    // is the work list — whichever worker frees up first
+                    // takes the next task, so uneven tasks self-balance.
+                    let next = list.lock().next();
+                    let Some(task) = next else { break };
+                    self.before_pickup();
+                    task();
                 });
             }
             foreground()
@@ -240,20 +239,16 @@ mod tests {
         // something — only sound if tasks genuinely run off-thread, even
         // on a one-worker pool.
         let tm = TaskManager::new(1);
-        let (tx, rx) = crossbeam::channel::unbounded::<u64>();
+        let (tx, rx) = crate::sync::unbounded::<u64>();
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..10u64)
             .map(|i| {
                 let tx = tx.clone();
                 Box::new(move || tx.send(i).unwrap()) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        drop(tx);
         let got = tm.run_tasks_overlapping(tasks, || {
-            let mut sum = 0;
-            while let Ok(v) = rx.recv() {
-                sum += v;
-            }
-            sum
+            let wait = std::time::Duration::from_secs(30);
+            (0..10).map(|_| rx.recv_timeout(wait).expect("a task's value")).sum::<u64>()
         });
         assert_eq!(got, 45);
     }

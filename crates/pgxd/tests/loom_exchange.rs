@@ -4,13 +4,14 @@
 //! Compiled only under `--cfg loom`:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom" cargo test -p pgxd --release --test loom_exchange
+//! RUSTFLAGS="--cfg loom" cargo test --release \
+//!     --manifest-path crates/pgxd/modelcheck/Cargo.toml --test loom_exchange
 //! ```
 //!
-//! The real fabric runs on crossbeam channels, which loom cannot model, so
-//! this test drives a miniature single-destination fabric built from
-//! [`pgxd::sync`]'s `Mutex`/`Condvar` — the same primitives the chunk pool
-//! and checker ledger use. The protocol under test is the exchange's
+//! The real fabric receives with a deadline, which loom (it has no clock)
+//! cannot model, so this test drives a miniature single-destination fabric
+//! of the same shape: a queue behind [`pgxd::sync`]'s `Mutex`/`Condvar`,
+//! the primitives the real queues, the chunk pool and the checker ledger use. The protocol under test is the exchange's
 //! essential concurrency: a sender thread acquiring chunk backing stores
 //! from a shared [`ChunkPool`] and publishing offset-addressed chunks,
 //! while the receiving thread concurrently drains them, writes each into

@@ -3,7 +3,8 @@
 //! Compiled only under `--cfg loom`:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom" cargo test -p pgxd --release --test loom_pool
+//! RUSTFLAGS="--cfg loom" cargo test --release \
+//!     --manifest-path crates/pgxd/modelcheck/Cargo.toml --test loom_pool
 //! ```
 //!
 //! Loom exhaustively explores the thread interleavings of each model

@@ -3,7 +3,8 @@
 //! Compiled only under `--cfg loom`:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom" cargo test -p pgxd --release --test loom_trace
+//! RUSTFLAGS="--cfg loom" cargo test --release \
+//!     --manifest-path crates/pgxd/modelcheck/Cargo.toml --test loom_trace
 //! ```
 //!
 //! The ring is the one lock-free structure tracing adds, and its seqlock

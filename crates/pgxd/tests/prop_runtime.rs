@@ -3,33 +3,30 @@
 //! machine counts, and buffer sizes.
 
 use pgxd::cluster::{Cluster, ClusterConfig};
-use proptest::collection::vec as pvec;
-use proptest::prelude::*;
+use pgxd_datagen::cases::{check, Gen};
+use pgxd_datagen::SplitMix64;
 
 /// Deterministic pseudo-random monotone offsets cutting `0..len` into
 /// `ranges` consecutive (possibly empty) ranges.
 fn monotone_cuts(len: usize, ranges: usize, seed: u64) -> Vec<usize> {
     let mut offsets = vec![0usize];
-    let mut x = seed | 1;
+    let mut rng = SplitMix64::new(seed);
     for _ in 1..ranges {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
         let prev = *offsets.last().unwrap();
-        offsets.push(prev + (x as usize % (len - prev + 1)));
+        offsets.push(rng.range_u64(prev as u64..len as u64 + 1) as usize);
     }
     offsets.push(len);
     offsets
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Cases per property.
+const CASES: u32 = 24;
 
-    #[test]
-    fn all_to_all_is_exact_transpose(
-        p in 1usize..7,
-        payload in pvec(any::<u64>(), 0..50),
-    ) {
+#[test]
+fn all_to_all_is_exact_transpose() {
+    check(CASES, |g| {
+        let p = g.usize_in(1..7);
+        let payload = g.vec(0..50, Gen::u64);
         let cluster = Cluster::new(ClusterConfig::new(p));
         let payload_ref = &payload;
         let report = cluster.run(|ctx| {
@@ -44,22 +41,23 @@ proptest! {
             ctx.all_to_all(parts)
         });
         for (dst, received) in report.results.iter().enumerate() {
-            prop_assert_eq!(received.len(), p);
+            assert_eq!(received.len(), p);
             for (src, block) in received.iter().enumerate() {
                 let expect: Vec<u64> = payload
                     .iter()
                     .map(|&x| x ^ (src as u64) << 32 ^ dst as u64)
                     .collect();
-                prop_assert_eq!(block, &expect);
+                assert_eq!(block, &expect);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn gather_then_broadcast_roundtrips(
-        p in 1usize..8,
-        data in pvec(any::<u32>(), 0..40),
-    ) {
+#[test]
+fn gather_then_broadcast_roundtrips() {
+    check(CASES, |g| {
+        let p = g.usize_in(1..8);
+        let data = g.vec(0..40, Gen::u32);
         let cluster = Cluster::new(ClusterConfig::new(p));
         let data_ref = &data;
         let report = cluster.run(|ctx| {
@@ -72,19 +70,20 @@ proptest! {
             .flat_map(|m| data.iter().map(move |&x| x ^ m as u32))
             .collect();
         for r in &report.results {
-            prop_assert_eq!(r, &expect);
+            assert_eq!(r, &expect);
         }
-    }
+    });
+}
 
-    #[test]
-    fn exchange_preserves_multiset_and_run_order(
-        p in 1usize..6,
-        workers in 1usize..4,
-        rounds in 1usize..3,
-        shard_lens in pvec(0usize..120, 1..6),
-        cuts_seed in any::<u64>(),
-        buffer_bytes in prop::sample::select(vec![8usize, 16, 64, 256, 256 * 1024]),
-    ) {
+#[test]
+fn exchange_preserves_multiset_and_run_order() {
+    check(CASES, |g| {
+        let p = g.usize_in(1..6);
+        let workers = g.usize_in(1..4);
+        let rounds = g.usize_in(1..3);
+        let shard_lens = g.vec(1..6, |g| g.usize_in(0..120));
+        let cuts_seed = g.u64();
+        let buffer_bytes = g.select(&[8usize, 16, 64, 256, 256 * 1024]);
         // Build per-machine shards of sorted data and random cut points.
         // `workers` exercises the worker-driven send path; `rounds > 1`
         // exercises a warm chunk pool (the second exchange reuses the
@@ -121,27 +120,28 @@ proptest! {
         let mut sent_all: Vec<u64> = shards.iter().flatten().copied().collect();
         received_all.sort_unstable();
         sent_all.sort_unstable();
-        prop_assert_eq!(received_all, sent_all);
+        assert_eq!(received_all, sent_all);
 
         // Per-source runs arrive contiguous and in source order (the data
         // was sorted per machine, so each received run must be sorted).
         for (out, bounds) in &report.results {
-            prop_assert_eq!(bounds.len(), p + 1);
-            prop_assert_eq!(*bounds.last().unwrap(), out.len());
+            assert_eq!(bounds.len(), p + 1);
+            assert_eq!(*bounds.last().unwrap(), out.len());
             for w in bounds.windows(2) {
                 let run = &out[w[0]..w[1]];
-                prop_assert!(run.windows(2).all(|x| x[0] <= x[1]));
+                assert!(run.windows(2).all(|x| x[0] <= x[1]));
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn exchange_places_every_range_where_the_layout_says(
-        p in 1usize..5,
-        batches in 1usize..4,
-        shard_len in 0usize..200,
-        cuts_seed in any::<u64>(),
-    ) {
+#[test]
+fn exchange_places_every_range_where_the_layout_says() {
+    check(CASES, |g| {
+        let p = g.usize_in(1..5);
+        let batches = g.usize_in(1..4);
+        let shard_len = g.usize_in(0..200);
+        let cuts_seed = g.u64();
         // The closed-form model of the exchange: send range `b·p + dst` of
         // source `s` is, verbatim, run `b·p + s` of destination `dst`.
         let shards: Vec<Vec<u64>> = (0..p)
@@ -158,13 +158,13 @@ proptest! {
             ctx.exchange_by_offsets(&shards_ref[ctx.id()], &offsets_ref[ctx.id()])
         });
         for (dst, (out, bounds)) in report.results.iter().enumerate() {
-            prop_assert_eq!(bounds.len(), batches * p + 1);
-            prop_assert_eq!((bounds[0], bounds[batches * p]), (0, out.len()));
+            assert_eq!(bounds.len(), batches * p + 1);
+            assert_eq!((bounds[0], bounds[batches * p]), (0, out.len()));
             for batch in 0..batches {
                 for src in 0..p {
                     let sent = &offsets[src][batch * p + dst..];
                     let run = &bounds[batch * p + src..];
-                    prop_assert_eq!(
+                    assert_eq!(
                         &out[run[0]..run[1]],
                         &shards[src][sent[0]..sent[1]],
                         "batch {} from {} at {}", batch, src, dst
@@ -172,13 +172,14 @@ proptest! {
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn all_gather_identical_everywhere(
-        p in 1usize..8,
-        data in pvec(any::<u16>(), 0..30),
-    ) {
+#[test]
+fn all_gather_identical_everywhere() {
+    check(CASES, |g| {
+        let p = g.usize_in(1..8);
+        let data = g.vec(0..30, |g| g.u32() as u16);
         let cluster = Cluster::new(ClusterConfig::new(p));
         let data_ref = &data;
         let report = cluster.run(|ctx| {
@@ -190,10 +191,10 @@ proptest! {
         });
         let reference = &report.results[0];
         for r in &report.results {
-            prop_assert_eq!(r, reference);
+            assert_eq!(r, reference);
         }
-        prop_assert_eq!(reference.len(), p);
-    }
+        assert_eq!(reference.len(), p);
+    });
 }
 
 #[test]

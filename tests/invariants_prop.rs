@@ -8,8 +8,7 @@ use pgxd_baselines::SparkEngine;
 use pgxd_core::investigator::splitter_offsets_investigated;
 use pgxd_core::{DistSorter, SortConfig};
 use pgxd_datagen::partition_even;
-use proptest::collection::vec as pvec;
-use proptest::prelude::*;
+use pgxd_datagen::cases::{check, Gen};
 
 fn sorted_copy(v: &[u64]) -> Vec<u64> {
     let mut s = v.to_vec();
@@ -17,62 +16,71 @@ fn sorted_copy(v: &[u64]) -> Vec<u64> {
     s
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Cases per property.
+const CASES: u32 = 24;
 
-    #[test]
-    fn distributed_sort_is_sorted_permutation(
-        data in pvec(any::<u64>(), 0..3000),
-        machines in 1usize..7,
-        workers in 1usize..3,
-    ) {
+/// A word of `[a-z]{0,12}`.
+fn lowercase_word(g: &mut Gen) -> String {
+    let letters = g.vec(0..13, |g| b'a' + g.u32_in(0..26) as u8);
+    String::from_utf8(letters).expect("ASCII letters")
+}
+
+#[test]
+fn distributed_sort_is_sorted_permutation() {
+    check(CASES, |g| {
+        let data = g.vec(0..3000, Gen::u64);
+        let machines = g.usize_in(1..7);
+        let workers = g.usize_in(1..3);
         let parts = partition_even(&data, machines);
         let expect = sorted_copy(&data);
         let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(workers));
         let sorter = DistSorter::default();
         let report = cluster.run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()).data);
-        prop_assert_eq!(report.results.concat(), expect);
-    }
+        assert_eq!(report.results.concat(), expect);
+    });
+}
 
-    #[test]
-    fn distributed_sort_heavy_duplicates(
-        data in pvec(0u64..6, 0..3000),
-        machines in 1usize..7,
-    ) {
+#[test]
+fn distributed_sort_heavy_duplicates() {
+    check(CASES, |g| {
+        let data = g.vec(0..3000, |g| g.u64_in(0..6));
+        let machines = g.usize_in(1..7);
         let parts = partition_even(&data, machines);
         let expect = sorted_copy(&data);
         let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(1));
         let sorter = DistSorter::default();
         let report = cluster.run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()).data);
-        prop_assert_eq!(report.results.concat(), expect);
-    }
+        assert_eq!(report.results.concat(), expect);
+    });
+}
 
-    #[test]
-    fn spark_sim_is_sorted_permutation(
-        data in pvec(any::<u64>(), 0..2000),
-        machines in 1usize..6,
-    ) {
+#[test]
+fn spark_sim_is_sorted_permutation() {
+    check(CASES, |g| {
+        let data = g.vec(0..2000, Gen::u64);
+        let machines = g.usize_in(1..6);
         let parts = partition_even(&data, machines);
         let expect = sorted_copy(&data);
         let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(1));
         let engine = SparkEngine::default();
         let report = cluster.run(|ctx| engine.sort_by_key(ctx, parts[ctx.id()].clone()).data);
-        prop_assert_eq!(report.results.concat(), expect);
-    }
+        assert_eq!(report.results.concat(), expect);
+    });
+}
 
-    #[test]
-    fn investigator_offsets_tile_any_sorted_input(
-        mut data in pvec(0u64..50, 0..500),
-        mut splitters in pvec(0u64..50, 0..12),
-    ) {
+#[test]
+fn investigator_offsets_tile_any_sorted_input() {
+    check(CASES, |g| {
+        let mut data = g.vec(0..500, |g| g.u64_in(0..50));
+        let mut splitters = g.vec(0..12, |g| g.u64_in(0..50));
         data.sort_unstable();
         splitters.sort_unstable();
         let offsets = splitter_offsets_investigated(&data, &splitters);
-        prop_assert_eq!(offsets.len(), splitters.len() + 2);
-        prop_assert_eq!(offsets[0], 0);
-        prop_assert_eq!(*offsets.last().unwrap(), data.len());
+        assert_eq!(offsets.len(), splitters.len() + 2);
+        assert_eq!(offsets[0], 0);
+        assert_eq!(*offsets.last().unwrap(), data.len());
         for w in offsets.windows(2) {
-            prop_assert!(w[0] <= w[1]);
+            assert!(w[0] <= w[1]);
         }
         // Range contents respect the splitter order: everything sent to
         // destination j is <= everything sent to destination j+1.
@@ -80,16 +88,17 @@ proptest! {
             let a = &data[offsets[j]..offsets[j + 1]];
             let b = &data[offsets[j + 1]..offsets[j + 2]];
             if let (Some(&amax), Some(&bmin)) = (a.last(), b.first()) {
-                prop_assert!(amax <= bmin);
+                assert!(amax <= bmin);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn provenance_is_a_bijection(
-        data in pvec(any::<u64>(), 1..1500),
-        machines in 1usize..5,
-    ) {
+#[test]
+fn provenance_is_a_bijection() {
+    check(CASES, |g| {
+        let data = g.vec(1..1500, Gen::u64);
+        let machines = g.usize_in(1..5);
         let parts = partition_even(&data, machines);
         let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(1));
         let sorter = DistSorter::default();
@@ -98,18 +107,19 @@ proptest! {
         let mut count = 0;
         for item in report.results.iter().flatten() {
             // Every provenance pair unique, every key correct.
-            prop_assert!(seen.insert((item.origin, item.index)));
-            prop_assert_eq!(parts[item.origin as usize][item.index as usize], item.key);
+            assert!(seen.insert((item.origin, item.index)));
+            assert_eq!(parts[item.origin as usize][item.index as usize], item.key);
             count += 1;
         }
-        prop_assert_eq!(count, data.len());
-    }
+        assert_eq!(count, data.len());
+    });
+}
 
-    #[test]
-    fn investigator_never_worse_balance_than_naive_on_uniform_splitters(
-        data in pvec(0u64..8, 50..800),
-        machines in 2usize..8,
-    ) {
+#[test]
+fn investigator_never_worse_balance_than_naive_on_uniform_splitters() {
+    check(CASES, |g| {
+        let data = g.vec(50..800, |g| g.u64_in(0..8));
+        let machines = g.usize_in(2..8);
         // On heavily duplicated data, the investigator's max share must
         // not exceed the naive partitioner's max share.
         let mut sorted = data.clone();
@@ -123,15 +133,16 @@ proptest! {
         let max_share = |off: &[usize]| {
             off.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
         };
-        prop_assert!(max_share(&inv) <= max_share(&naive));
-    }
+        assert!(max_share(&inv) <= max_share(&naive));
+    });
+}
 
-    #[test]
-    fn batch_sort_each_batch_is_sorted_permutation(
-        batch_a in pvec(any::<u64>(), 0..1200),
-        batch_b in pvec(0u64..5, 0..1200),
-        machines in 1usize..5,
-    ) {
+#[test]
+fn batch_sort_each_batch_is_sorted_permutation() {
+    check(CASES, |g| {
+        let batch_a = g.vec(0..1200, Gen::u64);
+        let batch_b = g.vec(0..1200, |g| g.u64_in(0..5));
+        let machines = g.usize_in(1..5);
         let parts_a = partition_even(&batch_a, machines);
         let parts_b = partition_even(&batch_b, machines);
         let expect_a = sorted_copy(&batch_a);
@@ -147,37 +158,43 @@ proptest! {
         });
         let got_a: Vec<u64> = report.results.iter().flat_map(|(a, _)| a.clone()).collect();
         let got_b: Vec<u64> = report.results.iter().flat_map(|(_, b)| b.clone()).collect();
-        prop_assert_eq!(got_a, expect_a);
-        prop_assert_eq!(got_b, expect_b);
-    }
+        assert_eq!(got_a, expect_a);
+        assert_eq!(got_b, expect_b);
+    });
+}
 
-    #[test]
-    fn string_keys_sort_like_strings(
-        words in pvec("[a-z]{0,12}", 0..600),
-        machines in 1usize..5,
-    ) {
+#[test]
+fn string_keys_sort_like_strings() {
+    check(CASES, |g| {
+        let words = g.vec(0..600, lowercase_word);
+        let machines = g.usize_in(1..5);
         use pgxd_algos::FixedStr;
         let keys: Vec<FixedStr<12>> = words.iter().map(|w| FixedStr::new(w)).collect();
         let mut expect = keys.clone();
         expect.sort();
         let sorted = pgxd_core::sort_all(keys, machines, 1);
-        prop_assert_eq!(sorted, expect);
-    }
+        assert_eq!(sorted, expect);
+    });
+}
 
-    #[test]
-    fn sort_all_matches_std(data in pvec(any::<u64>(), 0..2000), machines in 1usize..6) {
+#[test]
+fn sort_all_matches_std() {
+    check(CASES, |g| {
+        let data = g.vec(0..2000, Gen::u64);
+        let machines = g.usize_in(1..6);
         let expect = sorted_copy(&data);
-        prop_assert_eq!(pgxd_core::sort_all(data, machines, 2), expect);
-    }
+        assert_eq!(pgxd_core::sort_all(data, machines, 2), expect);
+    });
+}
 
-    #[test]
-    fn fault_plan_without_drops_is_output_equivalent(
-        data in pvec(any::<u64>(), 0..2000),
-        machines in 1usize..6,
-        fault_seed in any::<u64>(),
-        delay_permille in 0u32..400,
-        reorder_permille in 0u32..600,
-    ) {
+#[test]
+fn fault_plan_without_drops_is_output_equivalent() {
+    check(CASES, |g| {
+        let data = g.vec(0..2000, Gen::u64);
+        let machines = g.usize_in(1..6);
+        let fault_seed = g.u64();
+        let delay_permille = g.u32_in(0..400);
+        let reorder_permille = g.u32_in(0..600);
         // Any drop-free fault plan only perturbs *timing* (send delays,
         // mailbox drain order); the sorted output must be identical to a
         // fault-free run on the same input. Drops are excluded here
@@ -200,16 +217,17 @@ proptest! {
         };
         let faulted = run(plan);
         let clean = run(FaultPlan::disabled());
-        prop_assert_eq!(&faulted.results.concat(), &expect);
-        prop_assert_eq!(faulted.results, clean.results);
-        prop_assert_eq!(faulted.comm.exchange.chunks_sent, clean.comm.exchange.chunks_sent);
-    }
+        assert_eq!(&faulted.results.concat(), &expect);
+        assert_eq!(faulted.results, clean.results);
+        assert_eq!(faulted.comm.exchange.chunks_sent, clean.comm.exchange.chunks_sent);
+    });
+}
 
-    #[test]
-    fn sample_factor_sweep_stays_correct(
-        data in pvec(any::<u64>(), 0..1200),
-        factor_milli in 1u64..2000,
-    ) {
+#[test]
+fn sample_factor_sweep_stays_correct() {
+    check(CASES, |g| {
+        let data = g.vec(0..1200, Gen::u64);
+        let factor_milli = g.u64_in(1..2000);
         let machines = 4;
         let parts = partition_even(&data, machines);
         let expect = sorted_copy(&data);
@@ -217,6 +235,6 @@ proptest! {
         let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(1));
         let sorter = DistSorter::new(config);
         let report = cluster.run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()).data);
-        prop_assert_eq!(report.results.concat(), expect);
-    }
+        assert_eq!(report.results.concat(), expect);
+    });
 }

@@ -38,23 +38,20 @@
 //! the resulting verdicts name the straggler machine; the structured
 //! health report goes to `results/health_report.json` and the final
 //! registry snapshot to `results/health_metrics.prom` (Prometheus text).
-//!
-//! Every experiment additionally folds a compact per-run summary
-//! (keys/s, step p50/p95, pool hit rate, exchange bytes) into
-//! `results/bench_summary.json` (schema `pgxd-bench-summary/1`) so the
-//! perf trajectory across PRs is machine-trackable from one file.
 
+use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd::trace::TraceConfig;
+use pgxd::{FaultPlan, HealthConfig, RunErrorKind};
 use pgxd_algos::kway::kway_merge_into;
 use pgxd_algos::merge::balanced_merge;
+use pgxd_bench::json::Json;
 use pgxd_bench::runner::{
     fmt_secs, run_pgxd_sort, run_pgxd_sort_traced, run_spark_sort, ExpResult, Workload,
 };
 use pgxd_bench::table::Table;
-use pgxd_core::{LoadStats, SortConfig};
-use pgxd_datagen::Distribution;
-use std::collections::HashMap;
-use std::time::Instant;
+use pgxd_core::{DistSorter, LoadStats, SortConfig};
+use pgxd_datagen::{generate_partitioned, Distribution};
+use std::time::{Duration, Instant};
 
 // Fig. 11 needs heap accounting: install the tracking allocator for the
 // whole harness (negligible overhead for the other experiments).
@@ -93,115 +90,44 @@ fn parse_opts(args: &[String]) -> Opts {
 
 /// [`parse_opts`] starting from subcommand-specific defaults.
 fn parse_opts_from(mut opts: Opts, args: &[String]) -> Opts {
-    let mut flags: HashMap<String, String> = HashMap::new();
     for arg in args {
-        if let Some(rest) = arg.strip_prefix("--") {
-            if let Some((k, v)) = rest.split_once('=') {
-                flags.insert(k.to_string(), v.to_string());
-            } else if rest == "trace" {
-                opts.trace = true;
-            } else {
-                eprintln!("ignoring flag without value: {arg} (use --key=value)");
+        let Some(rest) = arg.strip_prefix("--") else {
+            continue;
+        };
+        match rest.split_once('=') {
+            Some(("n", v)) => opts.n = v.parse().expect("--n must be an integer"),
+            Some(("procs", v)) => {
+                opts.procs = v
+                    .split(',')
+                    .map(|s| s.trim().parse().expect("--procs must be a comma list"))
+                    .collect();
             }
+            Some(("workers", v)) => opts.workers = v.parse().expect("--workers must be an integer"),
+            Some(("seed", v)) => opts.seed = v.parse().expect("--seed must be an integer"),
+            Some(("scale", v)) => opts.scale = v.parse().expect("--scale must be an integer"),
+            Some(("ef", v)) => opts.edge_factor = v.parse().expect("--ef must be an integer"),
+            Some(_) => {}
+            None if rest == "trace" => opts.trace = true,
+            None => eprintln!("ignoring flag without value: {arg} (use --key=value)"),
         }
-    }
-    if let Some(v) = flags.get("n") {
-        opts.n = v.parse().expect("--n must be an integer");
-    }
-    if let Some(v) = flags.get("procs") {
-        opts.procs = v
-            .split(',')
-            .map(|s| s.trim().parse().expect("--procs must be a comma list"))
-            .collect();
-    }
-    if let Some(v) = flags.get("workers") {
-        opts.workers = v.parse().expect("--workers must be an integer");
-    }
-    if let Some(v) = flags.get("seed") {
-        opts.seed = v.parse().expect("--seed must be an integer");
-    }
-    if let Some(v) = flags.get("scale") {
-        opts.scale = v.parse().expect("--scale must be an integer");
-    }
-    if let Some(v) = flags.get("ef") {
-        opts.edge_factor = v.parse().expect("--ef must be an integer");
     }
     opts
 }
 
+/// Writes `body` to `results/<file>`. A failure is a warning: the tables
+/// the run printed are its result either way.
+fn write_result_file(file: &str, what: &str, body: String) {
+    let dir = std::path::Path::new("results");
+    let path = dir.join(file);
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body)) {
+        Ok(()) => println!("({what} → {})", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
+}
+
 fn save_json(name: &str, results: &[ExpResult]) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(results) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("(raw results → {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize results: {e}"),
-    }
-    let summaries: Vec<serde_json::Value> = results.iter().map(run_summary).collect();
-    bench_summary_insert(name, serde_json::Value::Array(summaries));
-}
-
-/// The compact per-run view `results/bench_summary.json` tracks across
-/// PRs: throughput, the step tail, pool efficiency, and exchange volume.
-fn run_summary(r: &ExpResult) -> serde_json::Value {
-    let steps: serde_json::Map<String, serde_json::Value> = r
-        .step_secs_p50
-        .iter()
-        .zip(&r.step_secs_p95)
-        .map(|((name, p50), (_, p95))| {
-            (name.clone(), serde_json::json!({ "p50_secs": p50, "p95_secs": p95 }))
-        })
-        .collect();
-    serde_json::json!({
-        "system": r.system,
-        "workload": r.workload,
-        "machines": r.machines,
-        "workers": r.workers,
-        "total_keys": r.total_keys,
-        "wall_secs": r.wall_secs,
-        "keys_per_sec": r.total_keys as f64 / r.wall_secs.max(1e-12),
-        "steps": steps,
-        "pool_hit_rate": r.exchange_pool_hit_rate(),
-        "exchange_bytes_placed": r.exchange_bytes_placed,
-        "comm_bytes": r.comm_bytes,
-    })
-}
-
-/// Read-modify-writes `results/bench_summary.json`: each experiment owns
-/// one key under `"experiments"`, so repeated/partial harness runs
-/// accumulate into one schema-versioned document instead of scattering
-/// per-figure files only.
-fn bench_summary_insert(experiment: &str, value: serde_json::Value) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join("bench_summary.json");
-    let mut doc = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-        .filter(|d| d.get("schema").and_then(|s| s.as_str()) == Some("pgxd-bench-summary/1"))
-        .unwrap_or_else(|| serde_json::json!({ "schema": "pgxd-bench-summary/1", "experiments": {} }));
-    if !doc["experiments"].is_object() {
-        doc["experiments"] = serde_json::json!({});
-    }
-    doc["experiments"][experiment] = value;
-    match serde_json::to_string_pretty(&doc) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize bench summary: {e}"),
-    }
+    let records: Vec<Json> = results.iter().map(ExpResult::to_json).collect();
+    write_result_file(&format!("{name}.json"), "raw results", Json::from(records).pretty());
 }
 
 fn dist_workload(dist: Distribution, opts: &Opts) -> Workload {
@@ -551,13 +477,12 @@ fn fig11(opts: &Opts) {
         let input_bytes: usize = parts.iter().map(|v| v.len() * 8).sum();
         let region = pgxd_memtrack::MemRegion::new();
         let report = {
-            use pgxd::cluster::{Cluster, ClusterConfig};
-            use pgxd_core::DistSorter;
             let cluster = Cluster::new(ClusterConfig::new(p).workers_per_machine(opts.workers));
             let sorter = DistSorter::default();
             cluster.run(|ctx| {
                 let local = parts[ctx.id()].clone();
-                sorter.sort(ctx, local).len()
+                let part = sorter.sort(ctx, local);
+                (part.len(), part.range().map(|(a, b)| (*a, *b)))
             })
         };
         let stats = region.finish();
@@ -568,37 +493,15 @@ fn fig11(opts: &Opts) {
             pgxd_memtrack::fmt_bytes(stats.temporary()),
             pgxd_memtrack::fmt_bytes(stats.peak_above_start()),
         ]);
-        let total: usize = report.results.iter().sum();
-        assert_eq!(total * 8, input_bytes, "sort must conserve elements");
-        results.push(ExpResult {
-            system: "pgxd".into(),
-            workload: workload.label(),
-            sample_factor: 1.0,
-            machines: p,
-            workers: opts.workers,
-            total_keys: total,
-            wall_secs: report.wall_time.as_secs_f64(),
-            step_secs: vec![
-                ("retained_bytes".into(), stats.retained() as f64),
-                ("temporary_bytes".into(), stats.temporary() as f64),
-                ("peak_bytes".into(), stats.peak_above_start() as f64),
-            ],
-            step_secs_p50: vec![],
-            step_secs_p95: vec![],
-            comm_bytes: report.comm.bytes_sent,
-            comm_messages: report.comm.messages_sent,
-            modeled_comm_secs: report.comm.modeled_wire_time.as_secs_f64(),
-            max_recv_bytes: report.comm.max_recv_bytes,
-            bottleneck_comm_secs: report.comm.bottleneck_wire_time.as_secs_f64(),
-            exchange_chunks_sent: report.comm.exchange.chunks_sent,
-            exchange_chunks_recycled: report.comm.exchange.chunks_recycled,
-            exchange_pool_hits: report.comm.exchange.pool_hits,
-            exchange_pool_misses: report.comm.exchange.pool_misses,
-            exchange_bytes_placed: report.comm.exchange.bytes_placed,
-            per_dst_bytes: report.per_dst_bytes.clone(),
-            sizes: vec![],
-            ranges: vec![],
-        });
+        // The record's step series carries the three memory figures.
+        let mut r = ExpResult::from_report("pgxd", &workload, 1.0, opts.workers, &[], &report);
+        assert_eq!(r.total_keys * 8, input_bytes, "sort must conserve elements");
+        r.step_secs = vec![
+            ("retained_bytes".into(), stats.retained() as f64),
+            ("temporary_bytes".into(), stats.temporary() as f64),
+            ("peak_bytes".into(), stats.peak_above_start() as f64),
+        ];
+        results.push(r);
     }
     table.print();
     save_json("fig11", &results);
@@ -742,17 +645,8 @@ fn trace_defaults() -> Opts {
 /// Writes `log` as `results/trace_<tag>.json` (Chrome `trace_event`) and
 /// `results/trace_<tag>.jsonl` (one event per line).
 fn save_trace(tag: &str, log: &pgxd::TraceLog) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
     for (ext, body) in [("json", log.to_chrome_json()), ("jsonl", log.to_jsonl())] {
-        let path = dir.join(format!("trace_{tag}.{ext}"));
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("(trace → {})", path.display());
-        }
+        write_result_file(&format!("trace_{tag}.{ext}"), "trace", body);
     }
 }
 
@@ -843,9 +737,6 @@ fn trace_cmd(opts: &Opts) {
 }
 
 // ---------------------------------------------------------------------------
-// Environment report (our analogue of the paper's Table I).
-// ---------------------------------------------------------------------------
-// ---------------------------------------------------------------------------
 // `exp chaos`: fault-plan sweep — survival, timeouts, latency degradation.
 // ---------------------------------------------------------------------------
 fn chaos_defaults() -> Opts {
@@ -861,12 +752,6 @@ fn chaos_defaults() -> Opts {
 /// error) and latency degradation against a fault-free baseline. Every
 /// cell is replayable from its printed seed.
 fn chaos_cmd(opts: &Opts) {
-    use pgxd::cluster::{Cluster, ClusterConfig};
-    use pgxd::{FaultPlan, RunErrorKind};
-    use pgxd_core::DistSorter;
-    use pgxd_datagen::generate_partitioned;
-    use std::time::Duration;
-
     let p = opts.procs.first().copied().unwrap_or(8);
     let n = opts.n;
     let seeds: Vec<u64> = (0..5).map(|i| opts.seed + i).collect();
@@ -932,7 +817,7 @@ fn chaos_cmd(opts: &Opts) {
     let mut cells = Vec::new();
     let mut summary = Vec::new();
     for (name, make) in &plans {
-        let (mut survived, mut killed, mut timed_out, mut panicked) = (0u32, 0u32, 0u32, 0u32);
+        let (mut survived, mut killed, mut timed_out, mut panicked) = (0u64, 0u64, 0u64, 0u64);
         let mut wall_sum = 0.0;
         for &seed in &seeds {
             let (verdict, wall, ok) = run_cell(make(seed));
@@ -956,13 +841,13 @@ fn chaos_cmd(opts: &Opts) {
                     "machine-panic"
                 }
             };
-            cells.push(serde_json::json!({
-                "plan": name,
-                "seed": seed,
-                "verdict": verdict_str,
-                "wall_secs": wall,
-                "slowdown": wall / baseline,
-            }));
+            cells.push(Json::Object(vec![
+                ("plan", (*name).into()),
+                ("seed", seed.into()),
+                ("verdict", verdict_str.into()),
+                ("wall_secs", wall.into()),
+                ("slowdown", (wall / baseline).into()),
+            ]));
         }
         let mean_wall = wall_sum / seeds.len() as f64;
         table.row(vec![
@@ -974,47 +859,33 @@ fn chaos_cmd(opts: &Opts) {
             fmt_secs(mean_wall),
             format!("{:.2}x", mean_wall / baseline),
         ]);
-        summary.push(serde_json::json!({
-            "plan": name,
-            "survived": survived,
-            "injected_kills": killed,
-            "step_timeouts": timed_out,
-            "machine_panics": panicked,
-            "mean_wall_secs": mean_wall,
-            "mean_slowdown": mean_wall / baseline,
-        }));
+        summary.push(Json::Object(vec![
+            ("plan", (*name).into()),
+            ("survived", survived.into()),
+            ("injected_kills", killed.into()),
+            ("step_timeouts", timed_out.into()),
+            ("machine_panics", panicked.into()),
+            ("mean_wall_secs", mean_wall.into()),
+            ("mean_slowdown", (mean_wall / baseline).into()),
+        ]));
     }
     table.print();
 
     // Non-kill plans must always survive; the kill plan must always fail
     // with a structured error (never a hang — try_run returned at all).
-    let doc = serde_json::json!({
-        "experiment": "chaos_sweep",
-        "n": n,
-        "machines": p,
-        "workers": opts.workers,
-        "distribution": dist.name(),
-        "data_seed": opts.seed,
-        "plan_seeds": seeds,
-        "baseline_wall_secs": baseline,
-        "cells": cells,
-        "summary": summary,
-    });
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join("chaos_sweep.json");
-        match serde_json::to_string_pretty(&doc) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("warning: could not write {}: {e}", path.display());
-                } else {
-                    println!("(raw results → {})", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: could not serialize results: {e}"),
-        }
-    }
-    bench_summary_insert("chaos", doc["summary"].clone());
+    let doc = Json::Object(vec![
+        ("experiment", "chaos_sweep".into()),
+        ("n", n.into()),
+        ("machines", p.into()),
+        ("workers", opts.workers.into()),
+        ("distribution", dist.name().into()),
+        ("data_seed", opts.seed.into()),
+        ("plan_seeds", seeds.into()),
+        ("baseline_wall_secs", baseline.into()),
+        ("cells", cells.into()),
+        ("summary", summary.into()),
+    ]);
+    write_result_file("chaos_sweep.json", "raw results", doc.pretty());
 }
 
 // ---------------------------------------------------------------------------
@@ -1035,12 +906,6 @@ fn health_defaults() -> Opts {
 /// final registry snapshot in Prometheus text format
 /// (`results/health_metrics.prom`).
 fn health_cmd(opts: &Opts) {
-    use pgxd::cluster::{Cluster, ClusterConfig};
-    use pgxd::{FaultPlan, HealthConfig};
-    use pgxd_core::DistSorter;
-    use pgxd_datagen::generate_partitioned;
-    use std::time::Duration;
-
     let p = opts.procs.first().copied().unwrap_or(4);
     let straggler = 1 % p.max(1);
     let n = opts.n;
@@ -1108,36 +973,17 @@ fn health_cmd(opts: &Opts) {
         .unwrap_or_else(|| panic!("no straggler verdict for machine {straggler}: {health}"));
     println!("caught: {caught}");
 
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let json_path = dir.join("health_report.json");
-        if let Err(e) = std::fs::write(&json_path, health.to_json()) {
-            eprintln!("warning: could not write {}: {e}", json_path.display());
-        } else {
-            println!("(health report → {})", json_path.display());
-        }
-        let prom_path = dir.join("health_metrics.prom");
-        if let Err(e) = std::fs::write(&prom_path, report.metrics.to_prometheus_text()) {
-            eprintln!("warning: could not write {}: {e}", prom_path.display());
-        } else {
-            println!("(registry snapshot → {})", prom_path.display());
-        }
-    }
-    bench_summary_insert(
-        "health",
-        serde_json::json!({
-            "machines": p,
-            "workers": opts.workers,
-            "total_keys": n,
-            "wall_secs": report.wall_time.as_secs_f64(),
-            "samples": health.samples,
-            "verdicts": health.verdicts.len(),
-            "straggler_machine": straggler,
-            "straggler_step": caught.step(),
-        }),
+    write_result_file("health_report.json", "health report", health.to_json());
+    write_result_file(
+        "health_metrics.prom",
+        "registry snapshot",
+        report.metrics.to_prometheus_text(),
     );
 }
 
+// ---------------------------------------------------------------------------
+// Environment report (our analogue of the paper's Table I).
+// ---------------------------------------------------------------------------
 fn env_report(opts: &Opts) {
     println!("\n=== Simulation environment (cf. paper Table I) ===\n");
     let mut table = Table::new(vec!["item", "paper", "this harness"]);
@@ -1179,7 +1025,8 @@ fn env_report(opts: &Opts) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let opts = parse_opts(&args[1.min(args.len())..]);
+    let flags = &args[1.min(args.len())..];
+    let opts = parse_opts(flags);
 
     match cmd {
         "fig5" => fig5(&opts),
@@ -1194,11 +1041,11 @@ fn main() {
         "ablation" => ablation(&opts),
         "buffer" => buffer_sweep(&opts),
         // Own defaults (2^20 keys, p=4): re-parse the flags on top of them.
-        "trace" => trace_cmd(&parse_opts_from(trace_defaults(), &args[1.min(args.len())..])),
+        "trace" => trace_cmd(&parse_opts_from(trace_defaults(), flags)),
         // Own defaults (2 × 10^5 keys, p=8), same flag re-parse.
-        "chaos" => chaos_cmd(&parse_opts_from(chaos_defaults(), &args[1.min(args.len())..])),
+        "chaos" => chaos_cmd(&parse_opts_from(chaos_defaults(), flags)),
         // Own defaults (2 × 10^5 keys, p=4), same flag re-parse.
-        "health" => health_cmd(&parse_opts_from(health_defaults(), &args[1.min(args.len())..])),
+        "health" => health_cmd(&parse_opts_from(health_defaults(), flags)),
         "env" => env_report(&opts),
         "all" => {
             env_report(&opts);

@@ -1,5 +1,4 @@
-//! Experiment harness shared by the `exp` binary and the Criterion
-//! benches.
+//! Experiment harness behind the `exp` binary.
 //!
 //! One function per experiment family, each returning structured results
 //! ([`ExpResult`]) that the binary renders as paper-style tables and
@@ -24,6 +23,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod json;
 pub mod runner;
 pub mod table;
 

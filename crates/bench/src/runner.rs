@@ -1,12 +1,12 @@
 //! Experiment execution: generate a workload, run a sorter on a simulated
 //! cluster, collect timing/communication/load results.
 
-use pgxd::cluster::{Cluster, ClusterConfig};
+use crate::json::Json;
+use pgxd::cluster::{Cluster, ClusterConfig, RunReport};
 use pgxd::trace::{TraceConfig, TraceLog};
 use pgxd_baselines::SparkEngine;
 use pgxd_core::{DistSorter, SortConfig};
 use pgxd_datagen::{generate_partitioned, partition_even, twitter_like_keys, Distribution};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Seed used by every experiment unless overridden.
@@ -61,8 +61,12 @@ impl Workload {
     }
 }
 
+/// What each machine's closure returns from a measured run: its final
+/// element count and `(min, max)` key.
+pub type MachineOutput = (usize, Option<(u64, u64)>);
+
 /// Everything one run produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExpResult {
     /// Which sorter ("pgxd" or "spark").
     pub system: String,
@@ -80,12 +84,9 @@ pub struct ExpResult {
     pub wall_secs: f64,
     /// Per-step wall time (max across machines), seconds, in step order.
     pub step_secs: Vec<(String, f64)>,
-    /// Per-step median across machines, seconds, in step order. Empty in
-    /// results recorded before percentile aggregation existed.
-    #[serde(default)]
+    /// Per-step median across machines, seconds, in step order.
     pub step_secs_p50: Vec<(String, f64)>,
     /// Per-step 95th percentile across machines, seconds, in step order.
-    #[serde(default)]
     pub step_secs_p95: Vec<(String, f64)>,
     /// Bytes the fabric carried.
     pub comm_bytes: u64,
@@ -100,26 +101,18 @@ pub struct ExpResult {
     /// Fig. 9 communication-overhead metric (bad splitters overload one
     /// link even when aggregate volume is unchanged).
     pub bottleneck_comm_secs: f64,
-    /// Exchange data chunks handed to the fabric. Zero in results recorded
-    /// before the pooled exchange pipeline existed.
-    #[serde(default)]
+    /// Exchange data chunks handed to the fabric.
     pub exchange_chunks_sent: u64,
     /// Spent chunk buffers returned to the pool after placement.
-    #[serde(default)]
     pub exchange_chunks_recycled: u64,
     /// Chunk-buffer acquisitions served from recycled memory.
-    #[serde(default)]
     pub exchange_pool_hits: u64,
     /// Chunk-buffer acquisitions that fell back to a fresh allocation.
-    #[serde(default)]
     pub exchange_pool_misses: u64,
     /// Payload bytes memcpy-placed into exchange output buffers.
-    #[serde(default)]
     pub exchange_bytes_placed: u64,
     /// Bytes addressed to each receiving machine, by id — the Fig. 9
-    /// per-receiver skew view. Empty in results recorded before the
-    /// metrics plane exported it.
-    #[serde(default)]
+    /// per-receiver skew view.
     pub per_dst_bytes: Vec<u64>,
     /// Final element count per machine (load balance).
     pub sizes: Vec<usize>,
@@ -128,6 +121,82 @@ pub struct ExpResult {
 }
 
 impl ExpResult {
+    /// The record of one measured run: the one place a [`RunReport`]
+    /// becomes an `ExpResult`. The max / p50 / p95 series of `step_names`
+    /// all come from [`pgxd::StepReport`], which shares its nearest-rank
+    /// percentile with the registry histograms — the harness computes no
+    /// percentiles of its own.
+    pub fn from_report(
+        system: &str,
+        workload: &Workload,
+        sample_factor: f64,
+        workers: usize,
+        step_names: &[&'static str],
+        report: &RunReport<MachineOutput>,
+    ) -> ExpResult {
+        let series = |of: fn(&pgxd::StepReport, &str) -> Duration| -> Vec<(String, f64)> {
+            step_names
+                .iter()
+                .map(|&n| (n.to_string(), of(&report.steps, n).as_secs_f64()))
+                .collect()
+        };
+        ExpResult {
+            system: system.into(),
+            workload: workload.label(),
+            sample_factor,
+            machines: report.results.len(),
+            workers,
+            total_keys: report.results.iter().map(|r| r.0).sum(),
+            wall_secs: report.wall_time.as_secs_f64(),
+            step_secs: series(pgxd::StepReport::max_across_machines),
+            step_secs_p50: series(pgxd::StepReport::p50_across_machines),
+            step_secs_p95: series(pgxd::StepReport::p95_across_machines),
+            comm_bytes: report.comm.bytes_sent,
+            comm_messages: report.comm.messages_sent,
+            modeled_comm_secs: report.comm.modeled_wire_time.as_secs_f64(),
+            max_recv_bytes: report.comm.max_recv_bytes,
+            bottleneck_comm_secs: report.comm.bottleneck_wire_time.as_secs_f64(),
+            exchange_chunks_sent: report.comm.exchange.chunks_sent,
+            exchange_chunks_recycled: report.comm.exchange.chunks_recycled,
+            exchange_pool_hits: report.comm.exchange.pool_hits,
+            exchange_pool_misses: report.comm.exchange.pool_misses,
+            exchange_bytes_placed: report.comm.exchange.bytes_placed,
+            per_dst_bytes: report.per_dst_bytes.clone(),
+            sizes: report.results.iter().map(|r| r.0).collect(),
+            ranges: report.results.iter().map(|r| r.1).collect(),
+        }
+    }
+
+    /// The record as `results/*.json` holds it, every field under its own
+    /// name.
+    pub fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("system", self.system.as_str().into()),
+            ("workload", self.workload.as_str().into()),
+            ("sample_factor", self.sample_factor.into()),
+            ("machines", self.machines.into()),
+            ("workers", self.workers.into()),
+            ("total_keys", self.total_keys.into()),
+            ("wall_secs", self.wall_secs.into()),
+            ("step_secs", self.step_secs.clone().into()),
+            ("step_secs_p50", self.step_secs_p50.clone().into()),
+            ("step_secs_p95", self.step_secs_p95.clone().into()),
+            ("comm_bytes", self.comm_bytes.into()),
+            ("comm_messages", self.comm_messages.into()),
+            ("modeled_comm_secs", self.modeled_comm_secs.into()),
+            ("max_recv_bytes", self.max_recv_bytes.into()),
+            ("bottleneck_comm_secs", self.bottleneck_comm_secs.into()),
+            ("exchange_chunks_sent", self.exchange_chunks_sent.into()),
+            ("exchange_chunks_recycled", self.exchange_chunks_recycled.into()),
+            ("exchange_pool_hits", self.exchange_pool_hits.into()),
+            ("exchange_pool_misses", self.exchange_pool_misses.into()),
+            ("exchange_bytes_placed", self.exchange_bytes_placed.into()),
+            ("per_dst_bytes", self.per_dst_bytes.clone().into()),
+            ("sizes", self.sizes.clone().into()),
+            ("ranges", self.ranges.clone().into()),
+        ])
+    }
+
     /// Perfect-overlap scaling model for Fig. 6 shape on small hosts:
     /// `wall / p + modeled_comm`. See the crate docs.
     pub fn scaled_time(&self) -> f64 {
@@ -159,29 +228,6 @@ impl ExpResult {
             self.exchange_pool_hits as f64 / total as f64
         }
     }
-}
-
-/// One pass over the step report: `(max, p50, p95)` series for `names`,
-/// in seconds. All three views come from [`pgxd::StepReport`], which
-/// shares its nearest-rank percentile definition with the registry
-/// histograms (`pgxd::metrics::nearest_rank_index`) — the bench harness
-/// computes no percentiles of its own.
-type StepSeries = (
-    Vec<(String, f64)>,
-    Vec<(String, f64)>,
-    Vec<(String, f64)>,
-);
-
-fn step_series(steps: &pgxd::StepReport, names: &[&'static str]) -> StepSeries {
-    let mut max = Vec::with_capacity(names.len());
-    let mut p50 = Vec::with_capacity(names.len());
-    let mut p95 = Vec::with_capacity(names.len());
-    for &n in names {
-        max.push((n.to_string(), steps.max_across_machines(n).as_secs_f64()));
-        p50.push((n.to_string(), steps.p50_across_machines(n).as_secs_f64()));
-        p95.push((n.to_string(), steps.p95_across_machines(n).as_secs_f64()));
-    }
-    (max, p50, p95)
 }
 
 /// Runs the PGX.D distributed sort on `workload` and collects results.
@@ -226,7 +272,6 @@ pub fn run_pgxd_sort_traced(
     trace: TraceConfig,
 ) -> (ExpResult, Option<TraceLog>) {
     let parts = workload.generate(machines);
-    let total_keys = parts.iter().map(|p| p.len()).sum();
     let cluster = Cluster::new(
         ClusterConfig::new(machines)
             .workers_per_machine(workers)
@@ -239,40 +284,20 @@ pub fn run_pgxd_sort_traced(
         let part = sorter.sort(ctx, local);
         (part.len(), part.range().map(|(a, b)| (*a, *b)))
     });
-    let (step_secs, step_secs_p50, step_secs_p95) =
-        step_series(&report.steps, &pgxd_core::steps::ALL);
-    let result = ExpResult {
-        system: "pgxd".into(),
-        workload: workload.label(),
-        sample_factor: config.sample_factor,
-        machines,
+    let result = ExpResult::from_report(
+        "pgxd",
+        workload,
+        config.sample_factor,
         workers,
-        total_keys,
-        wall_secs: report.wall_time.as_secs_f64(),
-        step_secs,
-        step_secs_p50,
-        step_secs_p95,
-        comm_bytes: report.comm.bytes_sent,
-        comm_messages: report.comm.messages_sent,
-        modeled_comm_secs: report.comm.modeled_wire_time.as_secs_f64(),
-        max_recv_bytes: report.comm.max_recv_bytes,
-        bottleneck_comm_secs: report.comm.bottleneck_wire_time.as_secs_f64(),
-        exchange_chunks_sent: report.comm.exchange.chunks_sent,
-        exchange_chunks_recycled: report.comm.exchange.chunks_recycled,
-        exchange_pool_hits: report.comm.exchange.pool_hits,
-        exchange_pool_misses: report.comm.exchange.pool_misses,
-        exchange_bytes_placed: report.comm.exchange.bytes_placed,
-        per_dst_bytes: report.per_dst_bytes.clone(),
-        sizes: report.results.iter().map(|r| r.0).collect(),
-        ranges: report.results.iter().map(|r| r.1).collect(),
-    };
+        &pgxd_core::steps::ALL,
+        &report,
+    );
     (result, report.trace)
 }
 
 /// Runs the Spark-sim `sortByKey` on `workload` and collects results.
 pub fn run_spark_sort(workload: &Workload, machines: usize, workers: usize) -> ExpResult {
     let parts = workload.generate(machines);
-    let total_keys = parts.iter().map(|p| p.len()).sum();
     let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(workers));
     let engine = SparkEngine::default();
     let report = cluster.run(|ctx| {
@@ -284,33 +309,14 @@ pub fn run_spark_sort(workload: &Workload, machines: usize, workers: usize) -> E
             .map(|lo| (*lo, *out.data.last().unwrap()));
         (out.data.len(), range)
     });
-    let (step_secs, step_secs_p50, step_secs_p95) =
-        step_series(&report.steps, &pgxd_baselines::spark::stages::ALL);
-    ExpResult {
-        system: "spark".into(),
-        workload: workload.label(),
-        sample_factor: 0.0,
-        machines,
+    ExpResult::from_report(
+        "spark",
+        workload,
+        0.0,
         workers,
-        total_keys,
-        wall_secs: report.wall_time.as_secs_f64(),
-        step_secs,
-        step_secs_p50,
-        step_secs_p95,
-        comm_bytes: report.comm.bytes_sent,
-        comm_messages: report.comm.messages_sent,
-        modeled_comm_secs: report.comm.modeled_wire_time.as_secs_f64(),
-        max_recv_bytes: report.comm.max_recv_bytes,
-        bottleneck_comm_secs: report.comm.bottleneck_wire_time.as_secs_f64(),
-        exchange_chunks_sent: report.comm.exchange.chunks_sent,
-        exchange_chunks_recycled: report.comm.exchange.chunks_recycled,
-        exchange_pool_hits: report.comm.exchange.pool_hits,
-        exchange_pool_misses: report.comm.exchange.pool_misses,
-        exchange_bytes_placed: report.comm.exchange.bytes_placed,
-        per_dst_bytes: report.per_dst_bytes.clone(),
-        sizes: report.results.iter().map(|r| r.0).collect(),
-        ranges: report.results.iter().map(|r| r.1).collect(),
-    }
+        &pgxd_baselines::spark::stages::ALL,
+        &report,
+    )
 }
 
 /// Format a `Duration`-in-seconds compactly for tables.
@@ -322,11 +328,6 @@ pub fn fmt_secs(secs: f64) -> String {
     } else {
         format!("{:.1}µs", secs * 1e6)
     }
-}
-
-/// Convenience duration conversion.
-pub fn to_secs(d: Duration) -> f64 {
-    d.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -348,6 +349,53 @@ mod tests {
         assert!(r.wall_secs > 0.0);
         let shares: f64 = r.shares().iter().sum();
         assert!((shares - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn result_json_keeps_every_field_name() {
+        let workload = Workload::Dist {
+            dist: Distribution::Uniform,
+            n: 10_000,
+            seed: 1,
+        };
+        let r = run_pgxd_sort(&workload, 4, 1, SortConfig::default());
+        let Json::Object(fields) = r.to_json() else {
+            panic!("a result is a JSON object");
+        };
+        let names: Vec<&str> = fields.iter().map(|(name, _)| *name).collect();
+        // The names the committed `results/*.json` have always carried, in
+        // their order, then the ones later PRs appended.
+        let expected = [
+            "system",
+            "workload",
+            "sample_factor",
+            "machines",
+            "workers",
+            "total_keys",
+            "wall_secs",
+            "step_secs",
+            "step_secs_p50",
+            "step_secs_p95",
+            "comm_bytes",
+            "comm_messages",
+            "modeled_comm_secs",
+            "max_recv_bytes",
+            "bottleneck_comm_secs",
+            "exchange_chunks_sent",
+            "exchange_chunks_recycled",
+            "exchange_pool_hits",
+            "exchange_pool_misses",
+            "exchange_bytes_placed",
+            "per_dst_bytes",
+            "sizes",
+            "ranges",
+        ];
+        assert_eq!(names, expected);
+        let text = r.to_json().pretty();
+        assert!(text.contains("\"system\": \"pgxd\""));
+        assert!(text.contains("\"workload\": \"uniform (n=10000)\""));
+        assert!(text.contains("\"total_keys\": 10000"));
+        assert!(text.contains("\"local_sort\","));
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Validates the trace exporters against a real JSON parser.
+//! A traced 4-machine sort through the harness, checked on the
+//! [`pgxd::TraceLog`] it returns: one span per machine for each §IV step,
+//! exchange send and receive instants from every machine, a positive
+//! send/receive overlap ratio, and one JSONL line per event.
 //!
-//! `pgxd` writes Chrome `trace_event` JSON and JSONL by hand (it has no
-//! serde dependency); this test runs a traced 4-machine sort and checks,
-//! with `serde_json`, that the output actually parses and has the shape
-//! Perfetto / chrome://tracing expects: a top-level `traceEvents` array,
-//! one `"X"` (complete) span per machine for each §IV step, exchange
-//! send/receive instants, and a positive send/receive overlap ratio.
+//! That the exported text parses, and has the shape Perfetto /
+//! chrome://tracing expects, is checked with an independent parser by CI's
+//! `trace-smoke` job (python's `json` over `exp trace`'s output).
 
-use pgxd::trace::TraceConfig;
+use pgxd::trace::{EventKind, TraceConfig};
 use pgxd_bench::runner::{run_pgxd_sort_traced, Workload};
 use pgxd_core::SortConfig;
 use pgxd_datagen::Distribution;
-use serde_json::Value;
 
 const MACHINES: usize = 4;
 
@@ -37,44 +36,30 @@ fn traced_log() -> pgxd::TraceLog {
 }
 
 #[test]
-fn chrome_export_parses_and_covers_all_steps() {
+fn trace_covers_all_steps_and_both_exchange_directions() {
     let log = traced_log();
-    let doc: Value = serde_json::from_str(&log.to_chrome_json())
-        .expect("chrome trace output must be valid JSON");
-    let events = doc["traceEvents"]
-        .as_array()
-        .expect("traceEvents must be an array");
-    assert!(!events.is_empty());
+    assert!(!log.events.is_empty());
 
-    // One complete ("X") span per machine for each of the six §IV steps.
+    // One step span per machine for each of the six §IV steps.
+    let gantt = log.step_gantt();
     for step in pgxd_core::steps::ALL {
-        for m in 0..MACHINES as u64 {
+        for m in 0..MACHINES as u32 {
             assert!(
-                events.iter().any(|e| e["ph"] == "X"
-                    && e["name"] == step
-                    && e["pid"] == m
-                    && e["dur"].as_f64().is_some_and(|d| d >= 0.0)),
-                "no complete span for step {step} on machine {m}"
+                gantt.iter().any(|row| row.machine == m && row.name == step),
+                "no span for step {step} on machine {m}"
             );
         }
     }
 
     // Exchange send/receive instants from every machine.
-    for m in 0..MACHINES as u64 {
-        for name in ["chunk_send", "chunk_recv"] {
+    for kind in [EventKind::ChunkSend, EventKind::ChunkRecv] {
+        for m in 0..MACHINES as u32 {
             assert!(
-                events
-                    .iter()
-                    .any(|e| e["ph"] == "i" && e["name"] == name && e["pid"] == m),
-                "machine {m} recorded no {name} instant"
+                log.events_of_kind(kind).any(|e| e.machine == m && e.dur_ns == 0),
+                "machine {m} recorded no {kind:?} instant"
             );
         }
     }
-
-    // Spans carry microsecond timestamps and machine-named processes.
-    assert!(events.iter().any(|e| e["ph"] == "M"
-        && e["name"] == "process_name"
-        && e["args"]["name"].as_str().is_some_and(|n| n.starts_with("machine "))));
 
     // The §IV-C claim the trace exists to audit: sends overlap receives.
     let ratios = log.exchange_overlap_ratios();
@@ -86,16 +71,14 @@ fn chrome_export_parses_and_covers_all_steps() {
 }
 
 #[test]
-fn jsonl_export_parses_line_by_line() {
+fn jsonl_export_has_one_line_per_event() {
     let log = traced_log();
     let jsonl = log.to_jsonl();
-    let mut lines = 0usize;
+    assert_eq!(jsonl.lines().count(), log.events.len());
     for line in jsonl.lines() {
-        let v: Value = serde_json::from_str(line).expect("every JSONL line must parse");
-        assert!(v["t_ns"].as_u64().is_some());
-        assert!(v["machine"].as_u64().is_some_and(|m| m < MACHINES as u64));
-        assert!(v["name"].as_str().is_some());
-        lines += 1;
+        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+        for key in ["\"t_ns\":", "\"machine\":", "\"name\":"] {
+            assert!(line.contains(key), "line lacks {key}: {line}");
+        }
     }
-    assert_eq!(lines, log.events.len());
 }

@@ -51,7 +51,7 @@
 //! [`crate::sync`] shim.
 
 use crate::metrics::{
-    labeled, CommStats, ExchangeSummary, Gauge, MetricsSnapshot, SharedMetrics,
+    json_escape, labeled, CommStats, ExchangeSummary, Gauge, MetricsSnapshot, SharedMetrics,
 };
 use crate::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -231,14 +231,16 @@ impl HealthVerdict {
                 step,
                 slowdown_x100,
             } => format!(
-                "{{\"kind\":\"straggler\",\"machine\":{machine},\"step\":\"{step}\",\"slowdown_x100\":{slowdown_x100}}}"
+                "{{\"kind\":\"straggler\",\"machine\":{machine},\"step\":\"{}\",\"slowdown_x100\":{slowdown_x100}}}",
+                json_escape(step)
             ),
             HealthVerdict::StalledStep {
                 machine,
                 step,
                 stalled_for,
             } => format!(
-                "{{\"kind\":\"stalled_step\",\"machine\":{machine},\"step\":\"{step}\",\"stalled_for_ns\":{}}}",
+                "{{\"kind\":\"stalled_step\",\"machine\":{machine},\"step\":\"{}\",\"stalled_for_ns\":{}}}",
+                json_escape(step),
                 stalled_for.as_nanos()
             ),
             HealthVerdict::PoolMissStorm { misses, rate_x100 } => format!(
@@ -885,5 +887,17 @@ mod tests {
         assert!(json.contains("\"kind\":\"straggler\""));
         assert!(json.contains("\"metrics\":{\"schema\":\"pgxd-metrics/1\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn report_json_escapes_the_step_name() {
+        // The step name is whatever the caller handed `ctx.step`.
+        let cfg = HealthConfig::enabled().straggler(1.5, Duration::from_millis(1));
+        let (mon, _stats) = monitor(2, cfg);
+        mon.note_step_end(0, "a\"b", Duration::from_millis(50));
+        mon.note_step_end(1, "a\"b", Duration::from_millis(2));
+        let json = mon.report().to_json();
+        assert!(json.contains("\"kind\":\"straggler\""));
+        assert!(json.contains("\"step\":\"a\\\"b\","), "{json}");
     }
 }

@@ -493,7 +493,11 @@ fn split_labels(name: &str) -> (&str, &str) {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` with the characters a JSON string may not hold verbatim escaped
+/// (quote, backslash, control characters); the caller adds the quotes.
+/// The one escaper behind every hand-written exporter: this module,
+/// [`crate::trace`], [`crate::health`] and the `exp` result writer.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -978,8 +982,7 @@ pub struct StepReport {
 }
 
 impl StepReport {
-    fn durations_of(&self, step: &str) -> impl Iterator<Item = Duration> + '_ {
-        let step = step.to_string();
+    fn durations_of<'a>(&'a self, step: &'a str) -> impl Iterator<Item = Duration> + 'a {
         self.per_machine.iter().map(move |steps| {
             steps
                 .iter()
@@ -1416,6 +1419,11 @@ mod tests {
         assert!(text.contains("pgxd_lat_ns_bucket{step=\"x\",le=\"+Inf\"} 2\n"));
         assert!(text.contains("pgxd_lat_ns_sum{step=\"x\"} 1100\n"));
         assert!(text.contains("pgxd_lat_ns_count{step=\"x\"} 2\n"));
+    }
+
+    #[test]
+    fn json_escape_handles_specials() {
+        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 
     #[test]

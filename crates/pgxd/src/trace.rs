@@ -35,6 +35,7 @@
 //! is built from [`crate::sync::atomic`] — no `unsafe`, and `--cfg loom`
 //! model-checks the emit/drain handoff (`tests/loom_trace.rs`).
 
+use crate::metrics::json_escape;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{thread, Mutex};
 use std::collections::BTreeMap;
@@ -802,7 +803,7 @@ impl TraceLog {
             );
         }
         for ev in &self.events {
-            let name = escape_json(&self.event_name(ev));
+            let name = json_escape(&self.event_name(ev));
             let (an, bn) = ev.kind.arg_names();
             let args = format!("{{\"{an}\":{},\"{bn}\":{}}}", ev.a, ev.b);
             let ts = ev.t_ns as f64 / 1000.0;
@@ -843,7 +844,7 @@ impl TraceLog {
                 ev.machine,
                 ev.lane,
                 ev.kind.label(),
-                escape_json(&self.event_name(ev)),
+                json_escape(&self.event_name(ev)),
                 ev.a,
                 ev.b,
             ));
@@ -855,19 +856,6 @@ impl TraceLog {
     pub fn events_of_kind(&self, kind: EventKind) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.kind == kind)
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Merges overlapping `(start, end)` intervals.
@@ -1147,11 +1135,6 @@ mod tests {
         assert_eq!(intersect_len(&[(0, 10)], &[(5, 20)]), 5);
         assert_eq!(intersect_len(&[(0, 5)], &[(5, 10)]), 0);
         assert_eq!(union_len(&[(0, 10)], &[(5, 20), (30, 40)]), 30);
-    }
-
-    #[test]
-    fn escape_json_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
     }
 
     #[test]

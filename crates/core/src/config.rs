@@ -2,7 +2,11 @@
 //!
 //! The defaults are the paper's choices: buffer-sized sampling
 //! (`X = 256 KiB / p` per machine, §IV-B) and the duplicate-splitter
-//! investigator enabled. Every knob exists because an experiment or
+//! investigator enabled. The sample size computed here is a *budget*:
+//! [`select_regular_samples`](crate::sampling::select_regular_samples) never
+//! samples a shard more densely than one key in eight, which binds when the
+//! whole dataset is smaller than eight read buffers and moves no machine's
+//! share by more than `p · 8` keys. Every knob exists because an experiment or
 //! ablation in DESIGN.md sweeps it; steps 1 and 6 have none — every worker
 //! quicksorts its chunk, and the final merge is the Fig. 2 balanced merge
 //! handler.
@@ -57,10 +61,11 @@ impl SortConfig {
         self
     }
 
-    /// Samples each machine contributes: the §IV-B rule
-    /// `factor · (buffer_bytes / p) / key_size`, at least 1 (when any data
-    /// exists), or the fixed override — also held to at least 1: with no
-    /// samples there are no splitters and every key lands on machine 0.
+    /// The sample budget of each machine: the §IV-B rule
+    /// `factor · (buffer_bytes / p) / key_size`, at least 1, or the fixed
+    /// override — also held to at least 1: with no samples there are no
+    /// splitters and every key lands on machine 0. A shard of fewer than
+    /// eight budgets' keys contributes one sample per eight keys instead.
     pub fn samples_per_machine(&self, buffer_bytes: usize, p: usize, key_size: usize) -> usize {
         if let Some(fixed) = self.fixed_samples_per_machine {
             return fixed.max(1);

@@ -5,7 +5,8 @@
 //!    ([`pgxd_algos::quicksort`]), chunks combined with a parallel k-way
 //!    merge, cut into equal parts at exact co-ranks, into a pool-recycled
 //!    buffer.
-//! 2. **sampling** — regular samples (buffer-sized rule) sent to master.
+//! 2. **sampling** — regular samples (the buffer-sized rule is their
+//!    budget, one key in eight their densest) sent to master.
 //! 3. **splitters** — master selects the `p − 1` regular splitters out of
 //!    the sorted sample runs by rank, without merging them, and broadcasts
 //!    them.
@@ -427,16 +428,17 @@ impl DistSorter {
         });
         let batch = |b: usize| &sorted[batch_bounds[b]..batch_bounds[b + 1]];
 
-        // Step 2: regular samples to master (buffer-sized rule, §IV-B):
-        // the batches share the one read buffer the master receives.
-        let sample_count = self.config.samples_per_machine(
+        // Step 2: regular samples to master. The buffer-sized rule (§IV-B)
+        // is their budget — the batches share the one read buffer the master
+        // receives — and a shard short of eight budgets sends fewer.
+        let sample_budget = self.config.samples_per_machine(
             ctx.buffer_bytes(),
             p * batches,
             std::mem::size_of::<T>(),
         );
         let (sample_runs, samples_sent) = ctx.step(steps::SAMPLING, |ctx| {
             let samples: Vec<Vec<T>> = (0..batches)
-                .map(|b| select_regular_samples(batch(b), sample_count))
+                .map(|b| select_regular_samples(batch(b), sample_budget))
                 .collect();
             let sent: usize = samples.iter().map(Vec::len).sum();
             (gather_runs(ctx, samples), sent)
@@ -885,15 +887,20 @@ mod tests {
         let alone_a = run_plain(machines, &a);
         let alone_b = run_plain(machines, &b);
         let together = run_batches(machines, &[a, b]);
+        // What a batch adds on the wire is its B − 1 run boundaries in each
+        // sample and splitter message. (Halving the sample budget used to
+        // pay for them; at one sample in eight keys both runs are capped.)
+        let p = machines as u64;
+        let run_boundaries = 2 * (p - 1) * std::mem::size_of::<usize>() as u64;
         assert!(
-            together.comm.bytes_sent <= alone_a.comm.bytes_sent + alone_b.comm.bytes_sent,
-            "batched {} B > {} B + {} B",
+            together.comm.bytes_sent
+                <= alone_a.comm.bytes_sent + alone_b.comm.bytes_sent + run_boundaries,
+            "batched {} B > {} B + {} B + {run_boundaries} B",
             together.comm.bytes_sent,
             alone_a.comm.bytes_sent,
             alone_b.comm.bytes_sent
         );
         // One gather, one broadcast, one count all-gather whatever B is.
-        let p = machines as u64;
         assert_eq!(control_messages(&alone_a), 2 * (p - 1) + p * (p - 1));
         assert_eq!(control_messages(&together), control_messages(&alone_a));
     }

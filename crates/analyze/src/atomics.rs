@@ -20,14 +20,13 @@
 //!
 //! Scope: `trace.rs`, `pool.rs`, `checker.rs` — the files whose atomics
 //! form cross-thread publication protocols — plus `metrics.rs`, where the
-//! always-on registry's counters/gauges/histograms are *deliberately*
-//! `Relaxed` (monotone statistics with no happens-before obligation) and
-//! every site must carry an annotated reason, so the policy is enforced
-//! rather than assumed. Any file carrying an
-//! `analyze: scope(atomics-ordering)` comment (fixtures) also joins the
-//! scope. `fault.rs` and `health.rs` route their counters through
-//! `metrics::Counter`/`Gauge` and hold no raw atomics protocols of their
-//! own, so they stay out; widening the list is a one-line change here.
+//! comm counters are *deliberately* `Relaxed` (monotone statistics with no
+//! happens-before obligation) and every site must carry an annotated
+//! reason, so the policy is enforced rather than assumed. Any file carrying
+//! an `analyze: scope(atomics-ordering)` comment (fixtures) also joins the
+//! scope. `fault.rs` and `health.rs` hold counters and advisory flags but
+//! no publication protocols of their own, so they stay out; widening the
+//! list is a one-line change here.
 //!
 //! The check is syntactic: any `Ordering::Relaxed` argument to an
 //! atomic method (`load` / `store` / `swap` / `fetch_*` /
@@ -39,8 +38,8 @@ use crate::analysis::marker_allowed_lines;
 use crate::items::{matching_paren, ParsedFile};
 use crate::report::Finding;
 
-/// Files whose atomics implement publication protocols, plus the metrics
-/// registry whose Relaxed-only policy is enforced via annotations.
+/// Files whose atomics implement publication protocols, plus the comm
+/// counters whose Relaxed-only policy is enforced via annotations.
 const ATOMICS_FILES: [&str; 4] = [
     "crates/pgxd/src/trace.rs",
     "crates/pgxd/src/pool.rs",

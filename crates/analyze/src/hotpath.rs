@@ -3,7 +3,7 @@
 //! The paper's §IV-C speedup rests on a steady-state exchange path that
 //! *recycles* buffers: once a run is warm, the per-batch work — the six
 //! `ctx.step(steps::…)` bodies, the exchange send/recv machinery, the
-//! local-sort kernels, and the always-on trace/metrics emit paths —
+//! local-sort kernels, and the trace/metrics emit paths —
 //! must draw scratch from `ChunkPool`, not the global allocator. The
 //! pool/memtrack suites check this *dynamically*; this pass is the
 //! static twin: it inventories **hot regions**, walks the resolved call

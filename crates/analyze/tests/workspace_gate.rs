@@ -165,7 +165,7 @@ fn v3_inventories_cover_the_runtime() {
         ]
     );
     // Every root class is populated: the sort kernels, the fabric
-    // send/recv surface, and the always-on emit paths.
+    // send/recv surface, and the trace and counter emit paths.
     for kind in ["kernel", "fabric", "exchange", "metrics-emit", "trace-emit"] {
         assert!(r.hot_regions.iter().any(|h| h.kind == kind), "no {kind} roots: {:?}", r.hot_regions);
     }

@@ -36,8 +36,8 @@
 //! `exp health` drives a skewed chaos run (skew-storm keys, amplified
 //! straggler plan) with the in-flight health monitor armed and asserts
 //! the resulting verdicts name the straggler machine; the structured
-//! health report goes to `results/health_report.json` and the final
-//! registry snapshot to `results/health_metrics.prom` (Prometheus text).
+//! health report (verdicts, comm totals, per-destination bytes) goes to
+//! `results/health_report.json`.
 
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd::trace::TraceConfig;
@@ -902,9 +902,7 @@ fn health_defaults() -> Opts {
 /// Drives one skew-storm sort under an amplified straggler plan with the
 /// health monitor armed: the run must survive, sort correctly, and the
 /// attached [`pgxd::HealthReport`] must name the straggler machine.
-/// Exports the structured report (`results/health_report.json`) and the
-/// final registry snapshot in Prometheus text format
-/// (`results/health_metrics.prom`).
+/// Exports the structured report (`results/health_report.json`).
 fn health_cmd(opts: &Opts) {
     let p = opts.procs.first().copied().unwrap_or(4);
     let straggler = 1 % p.max(1);
@@ -974,11 +972,6 @@ fn health_cmd(opts: &Opts) {
     println!("caught: {caught}");
 
     write_result_file("health_report.json", "health report", health.to_json());
-    write_result_file(
-        "health_metrics.prom",
-        "registry snapshot",
-        report.metrics.to_prometheus_text(),
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -123,8 +123,7 @@ pub struct ExpResult {
 impl ExpResult {
     /// The record of one measured run: the one place a [`RunReport`]
     /// becomes an `ExpResult`. The max / p50 / p95 series of `step_names`
-    /// all come from [`pgxd::StepReport`], which shares its nearest-rank
-    /// percentile with the registry histograms — the harness computes no
+    /// all come from [`pgxd::StepReport`] — the harness computes no
     /// percentiles of its own.
     pub fn from_report(
         system: &str,

@@ -29,7 +29,6 @@ use crate::item::{tag_with_provenance, Keyed};
 use crate::sampling::{select_regular_samples, select_splitters};
 use pgxd::comm::Tag;
 use pgxd::machine::{MachineCtx, MASTER};
-use pgxd::metrics::labeled;
 use pgxd::task::TaskManager;
 use pgxd_algos::exec::{even_chunk_bounds, MIN_ITEMS_PER_WORKER};
 use pgxd_algos::kway::kway_merge_into;
@@ -37,8 +36,8 @@ use pgxd_algos::merge::{balanced_merge_with, plan_multiway_splits, PARALLEL_MERG
 use pgxd_algos::quicksort::quicksort;
 use pgxd_algos::Key;
 
-/// Step names recorded in the machine's [`StepTimer`](pgxd::metrics::StepTimer),
-/// matching the Fig. 7 breakdown.
+/// Step names recorded in the machine's [`StepTimer`](pgxd::metrics::StepTimer)
+/// by `ctx.step`, matching the Fig. 7 breakdown.
 pub mod steps {
     /// Step 1: local parallel sort.
     pub const LOCAL_SORT: &str = "local_sort";
@@ -153,36 +152,6 @@ fn merge_runs_with_tasks<T: Key>(
         boxed.push(Box::new(move || kway_merge_into(&part_runs, segment)));
     }
     tasks.run_tasks(boxed);
-}
-
-/// Registers this machine's load statistics into the run's always-on
-/// metrics registry: shard sizes before and after the sort (the Table II /
-/// Fig. 10 balance numbers, summed over the batches), the samples shipped
-/// to the master, and the step-4 send-range sizes showing how evenly the
-/// splitters cut the local data.
-fn record_sort_metrics(
-    ctx: &MachineCtx,
-    input: usize,
-    samples: usize,
-    offsets: &[usize],
-    output: usize,
-) {
-    let metrics = ctx.metrics();
-    let machine = ctx.id().to_string();
-    let labels = [("machine", machine.as_str())];
-    metrics
-        .gauge(&labeled("pgxd_sort_input_items", &labels))
-        .set(input as u64);
-    metrics
-        .gauge(&labeled("pgxd_sort_output_items", &labels))
-        .set(output as u64);
-    metrics
-        .counter(&labeled("pgxd_sort_samples_total", &labels))
-        .add(samples as u64);
-    let ranges = metrics.histogram("pgxd_sort_send_range_items");
-    for (lo, hi) in offsets.iter().zip(offsets.iter().skip(1)) {
-        ranges.record((hi - lo) as u64);
-    }
 }
 
 /// Internal record wrapper ordering *only* by key, so payload types need
@@ -436,12 +405,11 @@ impl DistSorter {
             p * batches,
             std::mem::size_of::<T>(),
         );
-        let (sample_runs, samples_sent) = ctx.step(steps::SAMPLING, |ctx| {
+        let sample_runs = ctx.step(steps::SAMPLING, |ctx| {
             let samples: Vec<Vec<T>> = (0..batches)
                 .map(|b| select_regular_samples(batch(b), sample_budget))
                 .collect();
-            let sent: usize = samples.iter().map(Vec::len).sum();
-            (gather_runs(ctx, samples), sent)
+            gather_runs(ctx, samples)
         });
 
         // Step 3: master selects each batch's p − 1 splitters out of its
@@ -490,13 +458,12 @@ impl DistSorter {
             }
             None => sorted,
         };
-        let output_items = received.len();
 
         // Step 6: balanced merge (Fig. 2) of each batch's p per-source
         // sorted runs. The batches arrived back to back: the later ones
         // are split off the tail, the first keeps the received buffer. Each
         // merge ping-pongs with the spare and leaves it for the next.
-        let parts = ctx.step(steps::FINAL_MERGE, move |_| {
+        ctx.step(steps::FINAL_MERGE, move |_| {
             let mut parts: Vec<SortedPartition<T>> = (0..batches)
                 .rev()
                 .map(|b| {
@@ -515,10 +482,7 @@ impl DistSorter {
                 .collect();
             parts.reverse();
             parts
-        });
-
-        record_sort_metrics(ctx, input_items, samples_sent, &send_offsets, output_items);
-        parts
+        })
     }
 }
 
@@ -906,29 +870,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_budget_is_one_read_buffer_for_any_batch_count() {
-        let machines = 4;
-        let buffer_bytes = 16 * 1024;
-        for batches in [1usize, 4] {
-            let inputs: Vec<Vec<Vec<u64>>> = (0..batches)
-                .map(|b| generate_partitioned(Distribution::Uniform, 8000, machines, 90 + b as u64))
-                .collect();
-            let cluster = ClusterConfig::new(machines).buffer_bytes(buffer_bytes);
-            let report = run_batches_with(cluster, &inputs);
-            let samples: u64 = report
-                .metrics
-                .counters_of_family("pgxd_sort_samples_total")
-                .map(|(_, n)| n)
-                .sum();
-            let sample_bytes = samples as usize * std::mem::size_of::<u64>();
-            assert!(
-                0 < sample_bytes && sample_bytes <= buffer_bytes,
-                "B = {batches}: {sample_bytes} B of samples against a {buffer_bytes} B buffer"
-            );
-        }
-    }
-
-    #[test]
     fn hostile_shapes_through_the_single_driver() {
         // Batch 0 takes the hostile shape; any further batches are plain
         // uniform data riding the same collectives.
@@ -997,33 +938,6 @@ mod tests {
         let names = report.steps.step_names();
         for step in steps::ALL {
             assert!(names.contains(&step), "missing step {step}");
-        }
-    }
-
-    #[test]
-    fn sort_registers_load_metrics() {
-        let machines = 3;
-        let parts = generate_partitioned(Distribution::Uniform, 9000, machines, 77);
-        let more = generate_partitioned(Distribution::Normal, 6000, machines, 78);
-        for (inputs, total) in [(vec![parts.clone()], 9000), (vec![parts, more], 15_000)] {
-            let report = run_batches(machines, &inputs);
-            // Output gauges cover every element of every batch exactly once.
-            let out_total: u64 = (0..machines)
-                .map(|m| {
-                    report
-                        .metrics
-                        .gauge(&format!("pgxd_sort_output_items{{machine=\"{m}\"}}"))
-                        .expect("output gauge registered")
-                })
-                .sum();
-            assert_eq!(out_total, total);
-            // One send range per (machine, destination) pair per batch.
-            let ranges = report
-                .metrics
-                .histogram("pgxd_sort_send_range_items")
-                .expect("send-range histogram registered");
-            assert_eq!(ranges.count, (inputs.len() * machines * machines) as u64);
-            assert_eq!(ranges.sum, total);
         }
     }
 

@@ -16,7 +16,7 @@
 //! batch (shrinking and growing on the way).
 
 use pgxd::cluster::{Cluster, ClusterConfig};
-use pgxd::metrics::labeled;
+use pgxd::trace::{EventKind, TraceConfig};
 use pgxd_algos::exec::MIN_ITEMS_PER_WORKER;
 use pgxd_algos::merge::PARALLEL_MERGE_CUTOFF;
 use pgxd_core::DistSorter;
@@ -27,9 +27,12 @@ use pgxd_datagen::{generate_partitioned, Distribution};
 const SHARD: usize = 5 * MIN_ITEMS_PER_WORKER;
 const _: () = assert!(SHARD >= PARALLEL_MERGE_CUTOFF);
 
+/// Per-lane trace ring for the traced runs: room for every event of one
+/// sort's mainline lane here, a sliver of the default.
+const RING_EVENTS: usize = 512;
+
 #[test]
 fn every_machine_and_worker_count_sorts_every_shape() {
-    let merge_phase = labeled("pgxd_sort_phase_ns", &[("phase", "local.merge")]);
     for machines in [2usize, 3, 5] {
         let large = |dist, seed| generate_partitioned(dist, machines * SHARD, machines, seed);
         let mut single = vec![Vec::new(); machines];
@@ -51,20 +54,31 @@ fn every_machine_and_worker_count_sorts_every_shape() {
             let mut expect = parts.concat();
             expect.sort_unstable();
             for workers in 1..=4 {
-                let cluster =
-                    Cluster::new(ClusterConfig::new(machines).workers_per_machine(workers));
+                let config = ClusterConfig::new(machines).workers_per_machine(workers);
                 let sorter = DistSorter::default();
-                let report = cluster.run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()).data);
+                let sort = |ctx: &mut pgxd::MachineCtx| sorter.sort(ctx, parts[ctx.id()].clone());
                 let what = format!("{name}: {machines} machines, {workers} workers");
+                let report = Cluster::new(config).run(|ctx| sort(ctx).data);
                 assert_eq!(report.results.concat(), expect, "{what}");
-                // The step-1 merge ran on every machine exactly when there
-                // was more than one chunk to merge.
-                let merged = report
-                    .metrics
-                    .histogram(&merge_phase)
-                    .map_or(0, |h| h.count);
+                // The same cell traced: the step-1 merge ran on every
+                // machine exactly when there was more than one chunk to
+                // merge.
+                let traced = config.trace(TraceConfig::enabled().ring_capacity(RING_EVENTS));
+                let log = Cluster::new(traced)
+                    .run(|ctx| {
+                        sort(ctx);
+                    })
+                    .trace
+                    .expect("the run was traced");
+                assert_eq!(log.dropped, 0, "{what}");
                 let chunked = workers > 1 && parts[0].len() == SHARD;
-                assert_eq!(merged, if chunked { machines as u64 } else { 0 }, "{what}");
+                for m in 0..machines as u32 {
+                    let merges = log
+                        .events_of_kind(EventKind::SortPhase)
+                        .filter(|e| e.machine == m && log.event_name(e) == "local.merge")
+                        .count();
+                    assert_eq!(merges, usize::from(chunked), "{what}: machine {m}");
+                }
             }
         }
     }

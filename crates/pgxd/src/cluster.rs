@@ -7,7 +7,7 @@ use crate::fault::{
 };
 use crate::health::{HealthConfig, HealthMonitor, HealthReport};
 use crate::machine::MachineCtx;
-use crate::metrics::{CommStats, CommSummary, MetricsRegistry, MetricsSnapshot, StepReport};
+use crate::metrics::{CommStats, CommSummary, StepReport};
 use crate::net::NetworkModel;
 use crate::sync::Mutex;
 use crate::task::TaskManager;
@@ -35,7 +35,6 @@ pub struct ClusterConfig {
     /// Fault-injection plan (off by default; see [`crate::fault`]).
     pub fault: FaultPlan,
     /// In-flight health monitoring (off by default; see [`crate::health`]).
-    /// The metrics registry itself is always on regardless.
     pub health: HealthConfig,
 }
 
@@ -98,20 +97,16 @@ impl ClusterConfig {
 pub struct RunReport<R> {
     /// Per-machine return values, indexed by machine id.
     pub results: Vec<R>,
-    /// Cluster-wide communication totals for the run.
+    /// Cluster-wide communication totals for the run, from the
+    /// [`CommStats`] cells the fabric and the exchange count into.
     pub comm: CommSummary,
-    /// Per-machine step timings.
+    /// Per-machine step timings, from each machine's
+    /// [`MachineCtx::step`] timer.
     pub steps: StepReport,
     /// Wall time from first machine start to last machine finish.
     pub wall_time: Duration,
     /// The merged event trace, when the run's [`TraceConfig`] enabled it.
     pub trace: Option<TraceLog>,
-    /// Final snapshot of the run's always-on metrics registry — the
-    /// single source of truth the comm/exchange/step numbers above are
-    /// derived from, exportable via
-    /// [`MetricsSnapshot::to_prometheus_text`] /
-    /// [`MetricsSnapshot::to_json`].
-    pub metrics: MetricsSnapshot,
     /// The health monitor's verdicts, when the run's [`HealthConfig`]
     /// enabled it.
     pub health: Option<HealthReport>,
@@ -276,11 +271,6 @@ impl Cluster {
         assert!(p > 0, "need at least one machine");
         let plan = self.config.fault;
         let stats = Arc::new(CommStats::new(p, self.config.net));
-        // The always-on metrics plane: the registry shares the comm/
-        // exchange cells (no second hot-path fetch_add) and everything
-        // else registers into it as the machines come up.
-        let registry = Arc::new(MetricsRegistry::new());
-        stats.register_into(&registry);
         // The barrier doubles as the run's control plane: abort flag and
         // (with an armed plan) the per-step timeout.
         let barrier = Arc::new(ClusterBarrier::new(
@@ -290,20 +280,14 @@ impl Cluster {
         let injector = plan
             .enabled
             .then(|| Arc::new(FaultInjector::new(plan, p, self.config.net, barrier.clone())));
-        if let Some(inj) = &injector {
-            inj.register_metrics(&registry);
-        }
-        // The optional in-flight sampler over the registry, plus its
-        // interval watchdog (which catches stalls nothing else is awake
-        // to report).
-        let monitor = self.config.health.enabled.then(|| {
-            Arc::new(HealthMonitor::new(
-                self.config.health,
-                p,
-                registry.clone(),
-                stats.clone(),
-            ))
-        });
+        // The optional in-flight sampler over the comm counters and the
+        // step/barrier hooks, plus its interval watchdog (which catches
+        // stalls nothing else is awake to report).
+        let monitor = self
+            .config
+            .health
+            .enabled
+            .then(|| Arc::new(HealthMonitor::new(self.config.health, p, stats.clone())));
         let watchdog = monitor.as_ref().map(|m| {
             let m = m.clone();
             crate::sync::thread::spawn(move || m.watchdog_loop())
@@ -332,7 +316,6 @@ impl Cluster {
                     let buffer_bytes = self.config.buffer_bytes;
                     let injector = injector.clone();
                     let trace = collector.as_ref().map(|c| c.machine(machine_id));
-                    let registry = registry.clone();
                     let monitor = monitor.clone();
                     handles.push(scope.spawn(move || {
                         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -342,7 +325,6 @@ impl Cluster {
                                 barrier.clone(),
                                 buffer_bytes,
                                 trace,
-                                registry,
                                 monitor,
                             );
                             let r = f(&mut ctx);
@@ -368,7 +350,7 @@ impl Cluster {
                     match outcome {
                         Ok((r, timer)) => {
                             results[id] = Some(r);
-                            timers[id] = timer.steps().to_vec();
+                            timers[id] = timer.into_steps();
                         }
                         Err(payload) => failures.push(MachineFailure {
                             machine: id,
@@ -430,7 +412,6 @@ impl Cluster {
             },
             wall_time: start.elapsed(),
             trace: collector.map(|c| c.collect()),
-            metrics: registry.snapshot(),
             health,
             per_dst_bytes: stats.per_dst_snapshot(),
         })

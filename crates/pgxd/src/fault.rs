@@ -344,7 +344,8 @@ pub struct RunError {
     /// teardown path reports it here instead of panicking.
     pub residual: Option<ResidualReport>,
     /// The health monitor's flight-recorder view of the run up to the
-    /// failure (verdicts + last registry snapshot), when
+    /// failure (verdicts + what had moved: comm totals and per-destination
+    /// bytes), when
     /// [`HealthConfig`](crate::health::HealthConfig) was enabled — the
     /// abort path is exactly where the in-flight record matters most.
     pub health: Option<crate::health::HealthReport>,
@@ -496,21 +497,6 @@ pub struct FaultInjector {
     pickups: Vec<AtomicU64>,
     /// Chunks parked by drop-with-redelivery, keyed (src, dst, tag).
     held: Mutex<HashMap<(usize, usize, Tag), HeldChunk>>,
-    /// Injection counters, registrable into the run's metrics registry.
-    metrics: FaultMetrics,
-}
-
-/// What the fault plane actually did to a run, as registry counters
-/// (`pgxd_fault_*_total`): the chaos harness and the health exporter read
-/// these to correlate verdicts with injected adversity.
-#[derive(Debug, Default)]
-struct FaultMetrics {
-    delays: crate::metrics::Counter,
-    drops: crate::metrics::Counter,
-    reorders: crate::metrics::Counter,
-    pauses: crate::metrics::Counter,
-    pickup_delays: crate::metrics::Counter,
-    kills: crate::metrics::Counter,
 }
 
 impl std::fmt::Debug for FaultInjector {
@@ -536,23 +522,12 @@ impl FaultInjector {
             steps: counters(p),
             pickups: counters(p),
             held: Mutex::new(HashMap::new()),
-            metrics: FaultMetrics::default(),
         }
     }
 
     /// The plan this injector executes.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// Shares the injection counters with the run's metrics registry.
-    pub(crate) fn register_metrics(&self, registry: &crate::metrics::MetricsRegistry) {
-        registry.register_counter("pgxd_fault_delays_total", &self.metrics.delays);
-        registry.register_counter("pgxd_fault_drops_total", &self.metrics.drops);
-        registry.register_counter("pgxd_fault_reorders_total", &self.metrics.reorders);
-        registry.register_counter("pgxd_fault_pauses_total", &self.metrics.pauses);
-        registry.register_counter("pgxd_fault_pickup_delays_total", &self.metrics.pickup_delays);
-        registry.register_counter("pgxd_fault_kills_total", &self.metrics.kills);
     }
 
     fn stream(&self, src: usize, dst: usize) -> usize {
@@ -591,7 +566,6 @@ impl FaultInjector {
         }
         let h = decision(self.plan.seed, site::DELAY_LEN, stream, seq);
         let uniform = Duration::from_micros(h % (self.plan.chunk_delay_max_micros + 1));
-        self.metrics.delays.inc();
         Some(uniform + self.net.jittered_packet_time(wire_bytes, h))
     }
 
@@ -607,7 +581,6 @@ impl FaultInjector {
         }
         if chance(self.plan.seed, site::DROP, s as u64, seq, self.plan.drop_permille) {
             self.drops_done[s].fetch_add(1, Ordering::Relaxed);
-            self.metrics.drops.inc();
             return true;
         }
         false
@@ -646,12 +619,7 @@ impl FaultInjector {
         ) {
             return 0;
         }
-        let pick =
-            (decision(self.plan.seed, site::REORDER_PICK, machine as u64, recv_seq) % len as u64) as usize;
-        if pick != 0 {
-            self.metrics.reorders.inc();
-        }
-        pick
+        (decision(self.plan.seed, site::REORDER_PICK, machine as u64, recv_seq) % len as u64) as usize
     }
 
     /// A mainline fault point (one per blocking receive). Fires the
@@ -661,7 +629,6 @@ impl FaultInjector {
         if self.plan.kill_machine == Some(machine) {
             let crossed = self.events[machine].fetch_add(1, Ordering::Relaxed) + 1;
             if crossed == self.plan.kill_after_events.max(1) {
-                self.metrics.kills.inc();
                 std::panic::panic_any(InjectedFailure::Kill { machine });
             }
         }
@@ -676,7 +643,6 @@ impl FaultInjector {
         let seq = self.steps[machine].fetch_add(1, Ordering::Relaxed);
         if chance(self.plan.seed, site::PAUSE, machine as u64, seq, self.plan.step_pause_permille) {
             let h = decision(self.plan.seed, site::PAUSE_LEN, machine as u64, seq);
-            self.metrics.pauses.inc();
             std::thread::sleep(Duration::from_micros(h % (self.plan.step_pause_micros + 1)));
         }
     }
@@ -689,7 +655,6 @@ impl FaultInjector {
         }
         let seq = self.pickups[machine].fetch_add(1, Ordering::Relaxed);
         let h = decision(self.plan.seed, site::PICKUP, machine as u64, seq);
-        self.metrics.pickup_delays.inc();
         std::thread::sleep(Duration::from_micros(h % (self.plan.straggler_delay_micros + 1)));
     }
 }

@@ -1,7 +1,6 @@
-//! In-flight health monitoring: an optional sampler over the always-on
-//! [`MetricsRegistry`](crate::metrics::MetricsRegistry) that watches a
-//! run *while it executes* and turns registry deltas into structured
-//! verdicts.
+//! In-flight health monitoring: an optional sampler over the run's
+//! [`CommStats`] and its own step/barrier hooks that watches a run *while
+//! it executes* and turns what it sees into structured verdicts.
 //!
 //! # How it samples
 //!
@@ -41,22 +40,23 @@
 //! [`RunReport::health`](crate::cluster::RunReport::health), and to
 //! [`RunError::health`](crate::fault::RunError) when the run aborts.
 //!
+//! Each report also carries what had moved when the monitor last looked
+//! ([`HealthReport::comm`], [`HealthReport::per_dst_bytes`]), so an
+//! aborted run's flight record still says who sent how much to whom.
+//!
 //! # Ordering policy
 //!
 //! Progress clocks and done-flags are `std::sync::atomic` `Relaxed`
-//! statistics like the rest of the metrics plane (see
-//! [`crate::metrics`]): a late-observed tick can only delay a verdict by
-//! one sample, never corrupt control flow. The shutdown handshake with
-//! the watchdog thread is real synchronization and goes through the
-//! [`crate::sync`] shim.
+//! statistics like the comm counters (see [`crate::metrics`]): a
+//! late-observed tick can only delay a verdict by one sample, never
+//! corrupt control flow. The shutdown handshake with the watchdog thread
+//! is real synchronization and goes through the [`crate::sync`] shim.
 
-use crate::metrics::{
-    json_escape, labeled, CommStats, ExchangeSummary, Gauge, MetricsSnapshot, SharedMetrics,
-};
+use crate::metrics::{json_escape, CommStats, CommSummary, ExchangeSummary};
 use crate::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Configuration of the in-flight health monitor. Disabled by default;
 /// [`HealthConfig::enabled`] turns it on with thresholds sized for the
@@ -304,9 +304,13 @@ pub struct HealthReport {
     pub samples: u64,
     /// Every detector firing, in detection order, deduplicated.
     pub verdicts: Vec<HealthVerdict>,
-    /// The registry as the monitor last saw it (the final snapshot on a
-    /// clean finish; the last pre-abort view on failure).
-    pub metrics: MetricsSnapshot,
+    /// Communication totals as the monitor last saw them (the whole run
+    /// on a clean finish; everything that moved before the abort on
+    /// failure).
+    pub comm: CommSummary,
+    /// Bytes addressed to each machine at the same instant, indexed by
+    /// destination; they sum to `comm.bytes_sent`.
+    pub per_dst_bytes: Vec<u64>,
 }
 
 impl HealthReport {
@@ -329,15 +333,31 @@ impl HealthReport {
             .filter(|v| matches!(v, HealthVerdict::StalledStep { .. }))
     }
 
-    /// JSON export (schema `pgxd-health/1`): samples, verdicts, and the
-    /// embedded metrics snapshot.
+    /// JSON export (schema `pgxd-health/2`): samples, verdicts, the comm
+    /// totals and the per-destination bytes.
     pub fn to_json(&self) -> String {
         let verdicts: Vec<String> = self.verdicts.iter().map(|v| v.to_json()).collect();
+        let per_dst: Vec<String> = self.per_dst_bytes.iter().map(u64::to_string).collect();
+        let (c, x) = (&self.comm, &self.comm.exchange);
         format!(
-            "{{\"schema\":\"pgxd-health/1\",\"samples\":{},\"verdicts\":[{}],\"metrics\":{}}}",
+            "{{\"schema\":\"pgxd-health/2\",\"samples\":{},\"verdicts\":[{}],\
+             \"comm\":{{\"bytes_sent\":{},\"messages_sent\":{},\"modeled_wire_ns\":{},\
+             \"max_recv_bytes\":{},\"bottleneck_wire_ns\":{},\"exchange\":{{\"chunks_sent\":{},\
+             \"chunks_recycled\":{},\"pool_hits\":{},\"pool_misses\":{},\"bytes_placed\":{}}}}},\
+             \"per_dst_bytes\":[{}]}}",
             self.samples,
             verdicts.join(","),
-            self.metrics.to_json()
+            c.bytes_sent,
+            c.messages_sent,
+            c.modeled_wire_time.as_nanos(),
+            c.max_recv_bytes,
+            c.bottleneck_wire_time.as_nanos(),
+            x.chunks_sent,
+            x.chunks_recycled,
+            x.pool_hits,
+            x.pool_misses,
+            x.bytes_placed,
+            per_dst.join(",")
         )
     }
 }
@@ -355,18 +375,26 @@ impl std::fmt::Display for HealthReport {
     }
 }
 
+/// One step name's durations, summed per machine as machines complete
+/// it: the straggler detector's table.
+struct StepTally {
+    step: &'static str,
+    /// Total ns per machine; `None` until the machine first reports.
+    ns: Vec<Option<u64>>,
+    /// Dedup: machines already flagged as stragglers on this step.
+    flagged: Vec<bool>,
+}
+
 /// Aggregated mutable monitor state, one lock.
 struct MonitorState {
     samples: u64,
     verdicts: Vec<HealthVerdict>,
-    /// `(machine, step)` step durations as machines complete them.
-    step_ns: Vec<(usize, &'static str, u64)>,
+    /// One tally per step name, in first-seen order.
+    steps: Vec<StepTally>,
     /// Last step each machine entered (`None` before its first).
     current_step: Vec<Option<&'static str>>,
     /// Dedup: machines already flagged as stalled.
     stall_flagged: Vec<bool>,
-    /// Dedup: `(machine, step)` pairs already flagged as stragglers.
-    straggler_flagged: Vec<(usize, &'static str)>,
     /// Dedup: receivers already flagged for byte skew.
     skew_flagged: Vec<bool>,
     /// Dedup: one storm verdict per run.
@@ -381,10 +409,11 @@ struct MonitorState {
 pub struct HealthMonitor {
     cfg: HealthConfig,
     p: usize,
-    registry: SharedMetrics,
     stats: Arc<CommStats>,
-    /// Per-machine progress clock: registry-ns of the last step/barrier
-    /// boundary. Relaxed statistics — see the module docs.
+    /// The monitor's clock: progress stamps are ns since this instant.
+    epoch: Instant,
+    /// Per-machine progress clock: ns since `epoch` of the last
+    /// step/barrier boundary. Relaxed statistics — see the module docs.
     progress_ns: Vec<AtomicU64>,
     /// Per-machine "closure returned" flags: a finished machine is
     /// excluded from stall detection.
@@ -395,9 +424,6 @@ pub struct HealthMonitor {
     /// progress clocks stop too, so clocks alone cannot tell a straggler
     /// from a cluster-wide long step).
     waiting: Vec<AtomicBool>,
-    /// Mirrors of the progress clocks in the registry (exported).
-    progress_gauges: Vec<Gauge>,
-    verdict_counter: crate::metrics::Counter,
     state: Mutex<MonitorState>,
     shutdown: Mutex<bool>,
     wake: Condvar,
@@ -412,53 +438,41 @@ impl std::fmt::Debug for HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// A monitor over `p` machines sampling `registry` and `stats`.
-    pub(crate) fn new(
-        cfg: HealthConfig,
-        p: usize,
-        registry: SharedMetrics,
-        stats: Arc<CommStats>,
-    ) -> Self {
-        let progress_gauges = (0..p)
-            .map(|m| {
-                let m = m.to_string();
-                registry.gauge(&labeled("pgxd_machine_progress_ns", &[("machine", &m)]))
-            })
-            .collect();
-        let verdict_counter = registry.counter("pgxd_health_verdicts_total");
+    /// A monitor over `p` machines sampling `stats`.
+    pub(crate) fn new(cfg: HealthConfig, p: usize, stats: Arc<CommStats>) -> Self {
         HealthMonitor {
             cfg,
             p,
             stats,
+            epoch: Instant::now(),
             progress_ns: (0..p).map(|_| AtomicU64::new(0)).collect(),
             done: (0..p).map(|_| AtomicBool::new(false)).collect(),
             waiting: (0..p).map(|_| AtomicBool::new(false)).collect(),
-            progress_gauges,
-            verdict_counter,
             state: Mutex::new(MonitorState {
                 samples: 0,
                 verdicts: Vec::new(),
-                step_ns: Vec::new(),
+                steps: Vec::new(),
                 current_step: vec![None; p],
                 stall_flagged: vec![false; p],
-                straggler_flagged: Vec::new(),
                 skew_flagged: vec![false; p],
                 storm_flagged: false,
                 last_exchange: ExchangeSummary::default(),
             }),
             shutdown: Mutex::new(false),
             wake: Condvar::new(),
-            registry,
         }
+    }
+
+    /// Nanoseconds since the monitor was created.
+    fn now_ns(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Marks machine `machine` as making progress *now*.
     // analyze: allow(atomics-ordering): progress clock is a statistic; a
     // stale read delays a verdict by one sample at most.
     pub(crate) fn note_progress(&self, machine: usize) {
-        let now = self.registry.now_ns();
-        self.progress_ns[machine].store(now, Ordering::Relaxed);
-        self.progress_gauges[machine].set(now);
+        self.progress_ns[machine].store(self.now_ns(), Ordering::Relaxed);
     }
 
     /// A step began on `machine`.
@@ -467,14 +481,29 @@ impl HealthMonitor {
         self.state.lock().current_step[machine] = Some(step);
     }
 
-    /// A step completed on `machine` in `elapsed` — records the duration
-    /// for straggler analysis and runs a boundary-driven sample.
+    /// A step completed on `machine` in `elapsed` — adds the duration to
+    /// the machine's sum for that step (straggler analysis) and runs a
+    /// boundary-driven sample.
+    // analyze: allow(hot-path-alloc): one tally per distinct step name,
+    // allocated the first time any machine reports it.
     pub(crate) fn note_step_end(&self, machine: usize, step: &'static str, elapsed: Duration) {
         self.note_progress(machine);
         {
             let mut st = self.state.lock();
-            st.step_ns
-                .push((machine, step, elapsed.as_nanos().min(u64::MAX as u128) as u64));
+            let at = match st.steps.iter().position(|t| t.step == step) {
+                Some(at) => at,
+                None => {
+                    st.steps.push(StepTally {
+                        step,
+                        ns: vec![None; self.p],
+                        flagged: vec![false; self.p],
+                    });
+                    st.steps.len() - 1
+                }
+            };
+            let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+            let sum = &mut st.steps[at].ns[machine];
+            *sum = Some(sum.unwrap_or(0).saturating_add(ns));
         }
         self.sample();
     }
@@ -504,14 +533,14 @@ impl HealthMonitor {
         self.note_progress(machine);
     }
 
-    /// One evaluation pass over the current registry/stat state. Called
+    /// One evaluation pass over the current progress and comm state. Called
     /// from step boundaries and the watchdog; also exposed for tests.
     // analyze: allow(atomics-ordering): reads of progress/done statistic
     // cells; the stall detector tolerates staleness by construction.
     // analyze: allow(hot-path-alloc): sampling-cadence snapshot — runs once
     // per step end / watchdog tick, O(p) cells, never per element.
     pub fn sample(&self) {
-        let now = self.registry.now_ns();
+        let now = self.now_ns();
         let stall_ns = self.cfg.stall_after.as_nanos().min(u64::MAX as u128) as u64;
         let progress: Vec<(bool, bool, u64)> = (0..self.p)
             .map(|m| {
@@ -562,7 +591,7 @@ impl HealthMonitor {
                     step,
                     stalled_for: Duration::from_nanos(age),
                 };
-                self.push_verdict(&mut st, v);
+                st.verdicts.push(v);
             }
         }
 
@@ -580,7 +609,7 @@ impl HealthMonitor {
                 misses: delta.pool_misses,
                 rate_x100: delta.pool_misses * 100 / acquisitions,
             };
-            self.push_verdict(&mut st, v);
+            st.verdicts.push(v);
         }
 
         // Per-destination byte skew.
@@ -598,7 +627,7 @@ impl HealthMonitor {
                         bytes,
                         mean_bytes: mean,
                     };
-                    self.push_verdict(&mut st, v);
+                    st.verdicts.push(v);
                 }
             }
         }
@@ -607,37 +636,21 @@ impl HealthMonitor {
         self.eval_stragglers(&mut st);
     }
 
-    fn push_verdict(&self, st: &mut MonitorState, v: HealthVerdict) {
-        self.verdict_counter.inc();
-        st.verdicts.push(v);
-    }
-
     /// Flags steps where one machine took `straggler_ratio`× the median.
     /// Only evaluates steps every machine has reported, so a step still
     /// running somewhere is not judged on partial data.
     // analyze: allow(hot-path-alloc): straggler evaluation scratch — O(p)
     // per sampled step at watchdog cadence, not on the data path.
     fn eval_stragglers(&self, st: &mut MonitorState) {
-        let min_ns = self.cfg.straggler_min.as_nanos().min(u64::MAX as u128) as u64;
-        let mut steps: Vec<&'static str> = Vec::new();
-        for (_, s, _) in &st.step_ns {
-            if !steps.contains(s) {
-                steps.push(s);
-            }
+        if self.p < 2 {
+            return;
         }
-        let mut fired: Vec<(usize, &'static str, u64)> = Vec::new();
-        for step in steps {
-            let mut per_machine = vec![0u64; self.p];
-            let mut reported = vec![false; self.p];
-            for (m, s, ns) in &st.step_ns {
-                if *s == step {
-                    per_machine[*m] += ns;
-                    reported[*m] = true;
-                }
-            }
-            if self.p < 2 || !reported.iter().all(|&r| r) {
+        let min_ns = self.cfg.straggler_min.as_nanos().min(u64::MAX as u128) as u64;
+        let MonitorState { steps, verdicts, .. } = st;
+        for tally in steps.iter_mut() {
+            let Some(per_machine) = tally.ns.iter().copied().collect::<Option<Vec<u64>>>() else {
                 continue;
-            }
+            };
             let mut sorted = per_machine.clone();
             sorted.sort_unstable();
             // Lower median: with an even machine count the upper middle
@@ -647,20 +660,16 @@ impl HealthMonitor {
             for (m, &ns) in per_machine.iter().enumerate() {
                 if ns >= min_ns
                     && ns as f64 > self.cfg.straggler_ratio * median as f64
-                    && !st.straggler_flagged.contains(&(m, step))
+                    && !tally.flagged[m]
                 {
-                    fired.push((m, step, ns * 100 / median));
+                    tally.flagged[m] = true;
+                    verdicts.push(HealthVerdict::Straggler {
+                        machine: m,
+                        step: tally.step,
+                        slowdown_x100: ns * 100 / median,
+                    });
                 }
             }
-        }
-        for (m, step, slowdown) in fired {
-            st.straggler_flagged.push((m, step));
-            let v = HealthVerdict::Straggler {
-                machine: m,
-                step,
-                slowdown_x100: slowdown,
-            };
-            self.push_verdict(st, v);
         }
     }
 
@@ -696,14 +705,14 @@ impl HealthMonitor {
     /// down and joined.
     pub(crate) fn report(&self) -> HealthReport {
         self.sample();
-        // Snapshot before taking the state lock: the registry has its own
-        // internal lock and nothing orders it against `state`.
-        let metrics = self.registry.snapshot();
+        let comm = self.stats.summary();
+        let per_dst_bytes = self.stats.per_dst_snapshot();
         let st = self.state.lock();
         HealthReport {
             samples: st.samples,
             verdicts: st.verdicts.clone(),
-            metrics,
+            comm,
+            per_dst_bytes,
         }
     }
 }
@@ -711,14 +720,11 @@ impl HealthMonitor {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
     use crate::net::NetworkModel;
 
     fn monitor(p: usize, cfg: HealthConfig) -> (HealthMonitor, Arc<CommStats>) {
-        let registry = Arc::new(MetricsRegistry::new());
         let stats = Arc::new(CommStats::new(p, NetworkModel::default()));
-        stats.register_into(&registry);
-        (HealthMonitor::new(cfg, p, registry, stats.clone()), stats)
+        (HealthMonitor::new(cfg, p, stats.clone()), stats)
     }
 
     #[test]
@@ -732,7 +738,7 @@ mod tests {
         let report = mon.report();
         assert!(report.is_quiet(), "verdicts: {:?}", report.verdicts);
         assert!(report.samples >= 2);
-        assert!(report.metrics.counter("pgxd_health_verdicts_total").is_some());
+        assert_eq!(report.per_dst_bytes, vec![0, 0]);
     }
 
     #[test]
@@ -763,6 +769,30 @@ mod tests {
         assert!(mon.report().is_quiet());
         mon.note_step_end(2, "s", Duration::from_millis(5));
         assert_eq!(mon.report().stragglers().count(), 1);
+    }
+
+    #[test]
+    fn step_sums_stay_bounded_over_a_long_run() {
+        // 4 machines × 6 steps × 1 000 rounds leave one sum per (step,
+        // machine), and a machine 10× slower on one step is flagged once.
+        // (Mid-round, a machine one step ahead reads at most 2× the
+        // median, below the 5× ratio.)
+        let cfg = HealthConfig::enabled().straggler(5.0, Duration::from_millis(1));
+        let (mon, _stats) = monitor(4, cfg);
+        let steps = ["s0", "s1", "s2", "s3", "s4", "s5"];
+        for _ in 0..1000 {
+            for step in steps {
+                for m in 0..4 {
+                    let ms = if (m, step) == (2, "s3") { 10 } else { 1 };
+                    mon.note_step_end(m, step, Duration::from_millis(ms));
+                }
+            }
+        }
+        let sums: usize = mon.state.lock().steps.iter().map(|t| t.ns.len()).sum();
+        assert_eq!(sums, 24);
+        let report = mon.report();
+        let flagged: Vec<_> = report.stragglers().map(|v| (v.machine(), v.step())).collect();
+        assert_eq!(flagged, [(Some(2), Some("s3"))], "{report}");
     }
 
     #[test]
@@ -882,10 +912,11 @@ mod tests {
         mon.note_step_end(0, "s", Duration::from_millis(50));
         mon.note_step_end(1, "s", Duration::from_millis(2));
         let json = mon.report().to_json();
-        assert!(json.starts_with("{\"schema\":\"pgxd-health/1\""));
+        assert!(json.starts_with("{\"schema\":\"pgxd-health/2\""));
         assert!(json.contains("\"verdicts\":["));
         assert!(json.contains("\"kind\":\"straggler\""));
-        assert!(json.contains("\"metrics\":{\"schema\":\"pgxd-metrics/1\""));
+        assert!(json.contains("\"comm\":{\"bytes_sent\":0,"));
+        assert!(json.ends_with("\"per_dst_bytes\":[0,0]}"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

@@ -26,6 +26,18 @@
 //! wall-clock timer ([`metrics::StepTimer`]) so experiments can report the
 //! Fig. 7 step breakdown.
 //!
+//! # Observability
+//!
+//! One record per fact, each read back typed on [`cluster::RunReport`]:
+//! the [`metrics::CommStats`] counters the fabric and exchange bump
+//! (`comm`, `per_dst_bytes`), the step timer `ctx.step` writes (`steps`),
+//! the opt-in [`trace`] rings for when each event happened (`trace`), and
+//! the opt-in [`health::HealthMonitor`], which watches the same counters
+//! and the step/barrier hooks *during* the run and turns them into
+//! structured verdicts (stragglers, stalled steps, pool-miss storms,
+//! per-receiver byte skew) on [`cluster::RunReport::health`] and
+//! [`fault::RunError::health`].
+//!
 //! # Verification layers
 //!
 //! The runtime's concurrency invariants are enforced by tooling, not
@@ -47,16 +59,6 @@
 //!   merged on a unified clock and exported as Chrome `trace_event` JSON
 //!   (Perfetto / `chrome://tracing`) plus derived views. Off by default;
 //!   disabled runs pay ~one branch per event site.
-//! - [`metrics`] + [`health`] — the always-on metrics plane: a lock-free
-//!   [`metrics::MetricsRegistry`] of named counters, gauges, and
-//!   log₂-bucketed histograms every runtime layer registers into
-//!   (`Relaxed` statistics, invisible to loom; one `fetch_add` per
-//!   event), snapshot-exportable as Prometheus text or JSON. An opt-in
-//!   [`health::HealthMonitor`] samples the registry *during* the run —
-//!   from step/barrier boundaries plus an interval watchdog — and turns
-//!   deltas into structured verdicts (stragglers, stalled steps,
-//!   pool-miss storms, per-receiver byte skew) on
-//!   [`cluster::RunReport::health`] and [`fault::RunError::health`].
 //! - [`fault`] — an opt-in deterministic fault-injection plane: a seeded
 //!   [`fault::FaultPlan`] on [`cluster::ClusterConfig`] arms per-chunk
 //!   delays/jitter, mailbox reordering, bounded drop-with-redelivery,
@@ -105,10 +107,7 @@ pub use cluster::{Cluster, ClusterConfig, RunReport};
 pub use fault::{FaultPlan, RunError, RunErrorKind};
 pub use health::{HealthConfig, HealthReport, HealthVerdict};
 pub use machine::MachineCtx;
-pub use metrics::{
-    CommSummary, Counter, ExchangeSummary, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
-    StepReport,
-};
+pub use metrics::{CommSummary, Counter, ExchangeSummary, StepReport};
 pub use pool::ChunkPool;
 pub use net::NetworkModel;
 pub use trace::{TraceConfig, TraceLog};

@@ -11,7 +11,7 @@ use crate::checker;
 use crate::comm::{kinds, CommManager, Tag};
 use crate::fault::{BarrierWait, ClusterBarrier, FaultInjector, InjectedFailure};
 use crate::health::HealthMonitor;
-use crate::metrics::{labeled, CommSummary, Counter, Histogram, SharedCommStats, SharedMetrics, StepTimer};
+use crate::metrics::{CommSummary, SharedCommStats, StepTimer};
 use crate::pool::ChunkPool;
 use crate::task::{self, TaskManager};
 use crate::trace::{EventKind, MachineTrace, LANE_MAIN};
@@ -40,19 +40,9 @@ pub struct MachineCtx {
     /// This machine's trace sink; `None` (one branch per event site) when
     /// the run is untraced.
     trace: Option<Arc<MachineTrace>>,
-    /// The run's always-on metrics registry (see [`crate::metrics`]).
-    registry: SharedMetrics,
     /// The in-flight health monitor; `None` (one branch per hook) when
     /// [`HealthConfig`](crate::health::HealthConfig) is disabled.
     health: Option<Arc<HealthMonitor>>,
-    /// `pgxd_steps_total{machine}` — steps this machine completed.
-    steps_counter: Counter,
-    /// `pgxd_barriers_total{machine}` — barriers this machine crossed.
-    barriers_counter: Counter,
-    /// Cached `pgxd_step_ns{step}` histogram handles, one per step name
-    /// seen, so steady-state steps record without re-rendering the
-    /// labeled metric name or taking the registry lock.
-    step_hists: Vec<(&'static str, Histogram)>,
     collective_seq: u64,
 }
 
@@ -80,11 +70,10 @@ impl Drop for MachineCtx {
 impl MachineCtx {
     pub(crate) fn new(
         mut comm: CommManager,
-        mut task: TaskManager,
+        task: TaskManager,
         barrier: Arc<ClusterBarrier>,
         buffer_bytes: usize,
         trace: Option<Arc<MachineTrace>>,
-        registry: SharedMetrics,
         health: Option<Arc<HealthMonitor>>,
     ) -> Self {
         // The cells the fabric already counts into: one set per run.
@@ -101,14 +90,6 @@ impl MachineCtx {
         comm.set_control(barrier.clone());
         let fault = comm.fault().cloned();
         let pool = Arc::new(pool);
-        let id_label = comm.id().to_string();
-        let steps_counter =
-            registry.counter(&labeled("pgxd_steps_total", &[("machine", &id_label)]));
-        let barriers_counter =
-            registry.counter(&labeled("pgxd_barriers_total", &[("machine", &id_label)]));
-        task.set_pickup_counter(
-            registry.counter(&labeled("pgxd_task_pickups_total", &[("machine", &id_label)])),
-        );
         if let Some(h) = &health {
             h.note_progress(comm.id());
         }
@@ -117,18 +98,14 @@ impl MachineCtx {
             p: comm.num_machines(),
             comm,
             task,
-            timer: StepTimer::new(),
+            timer: StepTimer::default(),
             barrier,
             buffer_bytes,
             pool,
             stats,
             fault,
             trace,
-            registry,
             health,
-            steps_counter,
-            barriers_counter,
-            step_hists: Vec::new(),
             collective_seq: 0,
         }
     }
@@ -174,10 +151,13 @@ impl MachineCtx {
         &mut self.comm
     }
 
-    /// Times `f` under `name` in this machine's step timer. Traced runs
+    /// Times `f` under `name` in this machine's step timer — the one
+    /// record of a step's duration, read back as
+    /// [`RunReport::steps`](crate::cluster::RunReport::steps). Traced runs
     /// also get a [`EventKind::Step`] span on the mainline lane, so the
     /// six §IV steps appear as Gantt rows without the algorithm layer
-    /// knowing about tracing.
+    /// knowing about tracing, and a monitored run tells the health
+    /// monitor.
     pub fn step<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
         if let Some(f) = &self.fault {
             // Pause/resume at the step boundary (straggler machines).
@@ -191,7 +171,9 @@ impl MachineCtx {
         let out = f(self);
         let elapsed = start.elapsed();
         self.timer.record(name, elapsed);
-        self.record_step_metrics(name, elapsed);
+        if let Some(h) = &self.health {
+            h.note_step_end(self.id, name, elapsed);
+        }
         if let Some((name_id, t0)) = pre {
             if let Some(t) = &self.trace {
                 t.span_since(LANE_MAIN, EventKind::Step, t0, name_id, 0);
@@ -200,55 +182,16 @@ impl MachineCtx {
         out
     }
 
-    /// Records an externally measured duration.
-    pub fn record_step(&mut self, name: &'static str, elapsed: std::time::Duration) {
-        self.timer.record(name, elapsed);
-        self.record_step_metrics(name, elapsed);
-    }
-
-    /// Publishes one completed step to the registry (the cluster-wide
-    /// `pgxd_step_ns{step}` histogram and this machine's step counter)
-    /// and to the health monitor's straggler detector.
-    fn record_step_metrics(&mut self, name: &'static str, elapsed: std::time::Duration) {
-        self.steps_counter.inc();
-        if let Some((_, h)) = self.step_hists.iter().find(|(n, _)| *n == name) {
-            h.record_duration(elapsed);
-        } else {
-            // analyze: allow(hot-path-alloc): first-use registry miss —
-            // the handle is cached, so steady-state steps never build
-            // the label string or take the registry lock.
-            let h = self.registry.histogram(&labeled("pgxd_step_ns", &[("step", name)]));
-            h.record_duration(elapsed);
-            self.step_hists.push((name, h));
-        }
-        if let Some(h) = &self.health {
-            h.note_step_end(self.id, name, elapsed);
-        }
-    }
-
     /// Times `f` as a [`EventKind::SortPhase`] span under `name` on the
     /// mainline lane — a sub-step phase (the step-1 or step-6 k-way merge)
     /// nested inside a [`Self::step`] Gantt row. Free when tracing is off.
     pub fn phase_scope<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let start = std::time::Instant::now();
-        let out = if let Some(t) = &self.trace {
-            let name_id = t.intern(name);
-            let t0 = t.now_ns();
-            let out = f();
-            t.span_since(LANE_MAIN, EventKind::SortPhase, t0, name_id, 0);
-            out
-        } else {
-            f()
-        };
-        self.registry
-            .histogram(&labeled("pgxd_sort_phase_ns", &[("phase", name)]))
-            .record_duration(start.elapsed());
+        let Some(t) = &self.trace else { return f() };
+        let name_id = t.intern(name);
+        let t0 = t.now_ns();
+        let out = f();
+        t.span_since(LANE_MAIN, EventKind::SortPhase, t0, name_id, 0);
         out
-    }
-
-    /// This machine's recorded step timings.
-    pub fn timer(&self) -> &StepTimer {
-        &self.timer
     }
 
     pub(crate) fn take_timer(&mut self) -> StepTimer {
@@ -259,14 +202,6 @@ impl MachineCtx {
     /// bracketing a step: snapshot before and after, subtract).
     pub fn comm_summary(&self) -> CommSummary {
         self.stats.summary()
-    }
-
-    /// The run's always-on metrics registry — algorithm layers (the
-    /// sorter's load statistics, custom workloads) register their own
-    /// counters/gauges/histograms here; they show up in the run's
-    /// exported snapshot alongside the runtime's.
-    pub fn metrics(&self) -> &SharedMetrics {
-        &self.registry
     }
 
     /// Synchronizes all machines.
@@ -299,7 +234,6 @@ impl MachineCtx {
             self.comm.checker().check_quiescent("barrier", Some(self.id));
             self.wait_or_unwind();
         }
-        self.barriers_counter.inc();
         if let Some(h) = &self.health {
             h.note_wait_end(self.id);
         }

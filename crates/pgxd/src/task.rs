@@ -16,7 +16,6 @@
 //! verification tooling.
 
 use crate::fault::FaultInjector;
-use crate::metrics::Counter;
 use crate::trace::{EventKind, MachineTrace};
 use std::sync::Arc;
 
@@ -32,9 +31,6 @@ pub struct TaskManager {
     /// The run's fault plane; `None` (one branch per task pickup) when no
     /// [`FaultPlan`](crate::fault::FaultPlan) is armed.
     fault: Option<Arc<FaultInjector>>,
-    /// Registry task-pickup counter (`pgxd_task_pickups_total{machine}`);
-    /// `None` for standalone task managers built outside a cluster.
-    pickups: Option<Counter>,
 }
 
 impl TaskManager {
@@ -44,7 +40,6 @@ impl TaskManager {
             workers: workers.max(1),
             machine: 0,
             fault: None,
-            pickups: None,
         }
     }
 
@@ -59,14 +54,7 @@ impl TaskManager {
             workers: workers.max(1),
             machine,
             fault,
-            pickups: None,
         }
-    }
-
-    /// Attaches the registry's pickup counter; every task pickup on this
-    /// manager (and its clones made afterwards) bumps it.
-    pub(crate) fn set_pickup_counter(&mut self, counter: Counter) {
-        self.pickups = Some(counter);
     }
 
     /// Number of worker threads.
@@ -77,9 +65,6 @@ impl TaskManager {
     /// The straggler fault point: every task pickup on this machine passes
     /// through here. One branch when no plan is armed.
     fn before_pickup(&self) {
-        if let Some(c) = &self.pickups {
-            c.inc();
-        }
         if let Some(f) = &self.fault {
             f.worker_pickup(self.machine);
         }
@@ -100,7 +85,7 @@ impl TaskManager {
 
     /// Executes every task on the calling thread, in list order, whatever
     /// the pool size: for a step whose tasks are too short to be worth a
-    /// thread. Each pickup still passes the fault plane and the counter.
+    /// thread. Each pickup still passes the fault plane.
     pub(crate) fn run_tasks_on_caller<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         for t in tasks {
             self.before_pickup();

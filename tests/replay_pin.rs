@@ -10,14 +10,24 @@ use pgxd_core::sampling::{select_regular_samples, select_splitters};
 use pgxd_core::{DistSorter, SortConfig};
 use pgxd_datagen::{generate_partitioned, Distribution};
 
-/// Per-machine output sizes as the replay derives them from sorted shards.
-fn replayed_sizes(sorted: &[Vec<u64>]) -> Vec<usize> {
+const KEY_BYTES: usize = std::mem::size_of::<u64>();
+
+/// Each machine's shard, sorted (what step 1 hands step 2).
+fn sorted_shards(shards: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    shards
+        .iter()
+        .map(|keys| {
+            let mut data = keys.clone();
+            data.sort_unstable();
+            data
+        })
+        .collect()
+}
+
+/// Per-machine output sizes as the replay derives them from sorted shards
+/// sampled at `budget` keys each, and the number of samples it shipped.
+fn replay(sorted: &[Vec<u64>], budget: usize) -> (Vec<usize>, usize) {
     let p = sorted.len();
-    let budget = SortConfig::default().samples_per_machine(
-        DEFAULT_BUFFER_BYTES,
-        p,
-        std::mem::size_of::<u64>(),
-    );
     let samples: Vec<Vec<u64>> = sorted
         .iter()
         .map(|data| select_regular_samples(data, budget))
@@ -28,9 +38,10 @@ fn replayed_sizes(sorted: &[Vec<u64>]) -> Vec<usize> {
         .iter()
         .map(|data| splitter_offsets(data, &splitters, true))
         .collect();
-    (0..p)
+    let sizes = (0..p)
         .map(|dst| offsets.iter().map(|o| o[dst + 1] - o[dst]).sum())
-        .collect()
+        .collect();
+    (sizes, samples.iter().map(Vec::len).sum())
 }
 
 #[test]
@@ -42,17 +53,50 @@ fn replayed_partition_is_the_sorters() {
         (4, 262_144, Distribution::Uniform),
     ] {
         let shards = generate_partitioned(dist, machines * shard, machines, 20170529);
-        let sorted: Vec<Vec<u64>> = shards
-            .iter()
-            .map(|keys| {
-                let mut data = keys.clone();
-                data.sort_unstable();
-                data
-            })
-            .collect();
+        let budget =
+            SortConfig::default().samples_per_machine(DEFAULT_BUFFER_BYTES, machines, KEY_BYTES);
         let sizes = Cluster::new(ClusterConfig::new(machines))
             .run(|ctx| DistSorter::default().sort(ctx, shards[ctx.id()].clone()).len())
             .results;
-        assert_eq!(replayed_sizes(&sorted), sizes, "{machines} x {shard} {}", dist.name());
+        let (replayed, _) = replay(&sorted_shards(&shards), budget);
+        assert_eq!(replayed, sizes, "{machines} x {shard} {}", dist.name());
     }
+}
+
+/// `B` batches share the one read buffer the master receives: each batch
+/// is budgeted as if the cluster had `p · B` machines, which predicts
+/// `sort_batch`'s per-batch partition, and all the samples of all the
+/// batches fit one buffer. The shards are large enough that the budget,
+/// not the one-in-eight floor, decides the sample.
+#[test]
+fn sample_budget_is_one_read_buffer_for_any_batch_count() {
+    let (machines, batches, shard) = (4usize, 4usize, 8192usize);
+    let buffer_bytes = 16 * 1024;
+    let inputs: Vec<Vec<Vec<u64>>> = (0..batches)
+        .map(|b| {
+            generate_partitioned(Distribution::Uniform, machines * shard, machines, 90 + b as u64)
+        })
+        .collect();
+    let budget =
+        SortConfig::default().samples_per_machine(buffer_bytes, machines * batches, KEY_BYTES);
+    let cluster = Cluster::new(ClusterConfig::new(machines).buffer_bytes(buffer_bytes));
+    let sizes = cluster
+        .run(|ctx| {
+            let locals = inputs.iter().map(|b| b[ctx.id()].clone()).collect();
+            let parts = DistSorter::default().sort_batch(ctx, locals);
+            parts.iter().map(|part| part.len()).collect::<Vec<_>>()
+        })
+        .results;
+    let mut samples = 0;
+    for (b, shards) in inputs.iter().enumerate() {
+        let (replayed, shipped) = replay(&sorted_shards(shards), budget);
+        let got: Vec<usize> = sizes.iter().map(|per_batch| per_batch[b]).collect();
+        assert_eq!(replayed, got, "batch {b} of {batches}");
+        samples += shipped;
+    }
+    let sample_bytes = samples * KEY_BYTES;
+    assert!(
+        0 < sample_bytes && sample_bytes <= buffer_bytes,
+        "B = {batches}: {sample_bytes} B of samples against a {buffer_bytes} B buffer"
+    );
 }

@@ -42,8 +42,8 @@ impl<'a, T: Ord + Copy> LoserTree<'a, T> {
     }
 
     /// Key at the head of run `r`, or `None` if exhausted.
-    // analyze: allow(panic-surface): `r` is checked against the run count,
-    // and `cursors` has one entry per run.
+    // `r` is checked against the run count, and `cursors` has one entry per
+    // run.
     #[inline]
     fn head(&self, r: usize) -> Option<T> {
         if r < self.runs.len() {
@@ -73,8 +73,8 @@ impl<'a, T: Ord + Copy> LoserTree<'a, T> {
     /// winners of positions `2n` and `2n+1`, storing the loser in
     /// `tree[n]`. Run index `usize::MAX` is a virtual "always loses" run
     /// that pads positions with no real leaf.
-    // analyze: allow(panic-surface): `winner` has 2k slots and `tree` k;
-    // every node index is below k, so its children are below 2k.
+    // `winner` has 2k slots and `tree` k; every node index is below k, so its
+    // children are below 2k.
     // analyze: allow(hot-path-alloc): O(k) node reset when a merge is
     // re-seeded; amortized over the whole merged output.
     fn rebuild(&mut self) {
@@ -98,8 +98,8 @@ impl<'a, T: Ord + Copy> LoserTree<'a, T> {
 
     /// Pops the smallest remaining element across all runs, with the index
     /// of the run it came from.
-    // analyze: allow(panic-surface): `tree` holds k ≥ 1 nodes, a winner is
-    // a real run index (< k), and its leaf-to-root path stays below k.
+    // `tree` holds k ≥ 1 nodes, a winner is a real run index (< k), and its
+    // leaf-to-root path stays below k.
     pub fn pop(&mut self) -> Option<(T, usize)> {
         let winner = self.tree[0];
         if winner == usize::MAX {
@@ -153,8 +153,8 @@ pub fn kway_merge<T: Ord + Copy>(runs: &[&[T]]) -> Vec<T> {
 /// must equal the total run length. The allocation-free form of
 /// [`kway_merge`], used by the parallel multiway merge to fill disjoint
 /// output segments in place.
-// analyze: allow(panic-surface): each arm reads only the runs its length
-// matched, and the tree holds exactly `out.len()` elements (asserted).
+// Each arm reads only the runs its length matched, and the tree holds exactly
+// `out.len()` elements (asserted).
 // analyze: allow(hot-path-alloc): O(k) run-slice copy to seed the loser
 // tree; the element payload goes to the caller-provided slice.
 pub fn kway_merge_into<T: Ord + Copy>(runs: &[&[T]], out: &mut [T]) {

@@ -33,9 +33,8 @@ const BLOCK: usize = 64;
 /// *references* and advances one cursor; written as `y < x`, LLVM turns
 /// the select back into a jump that mispredicts every other key on
 /// multi-word items.
-// analyze: allow(panic-surface): the caller steps at most
-// `min(a.len() - *i, b.len() - *j)` times between two looks at the lengths,
-// and a step advances one cursor by one.
+// The caller steps at most `min(a.len() - *i, b.len() - *j)` times between two
+// looks at the lengths, and a step advances one cursor by one.
 #[inline(always)]
 fn step<T: Ord + Copy>(a: &[T], b: &[T], i: &mut usize, j: &mut usize, slot: &mut T) {
     let (x, y) = (&a[*i], &b[*j]);
@@ -48,9 +47,8 @@ fn step<T: Ord + Copy>(a: &[T], b: &[T], i: &mut usize, j: &mut usize, slot: &mu
 /// The galloping escape: a lane whose last [`BLOCK`] steps all drew from
 /// one run (`a`'s cursor stood at `was` before them) copies the rest of
 /// that one-sided stretch wholesale instead of comparing key by key.
-// analyze: allow(panic-surface): the run that gave nothing to the block
-// still has the head it had before it, and a gallop count is at most the
-// length of the tail it searched.
+// The run that gave nothing to the block still has the head it had before it,
+// and a gallop count is at most the length of the tail it searched.
 #[inline]
 fn gallop<T: Ord + Copy>(
     a: &[T],
@@ -84,9 +82,9 @@ fn gallop<T: Ord + Copy>(
 /// takes branchless steps in blocks of 64 and gallops when a whole block
 /// came from one run, so duplicate-heavy and disjoint runs move at copy
 /// speed.
-// analyze: allow(panic-surface): a cursor never passes the length of its
-// run (see `steps`), a lane's output position is the sum of its cursors,
-// and the two lanes' lengths add up to the asserted `out.len()`.
+// A cursor never passes the length of its run (see `steps`), a lane's output
+// position is the sum of its cursors, and the two lanes' lengths add up to the
+// asserted `out.len()`.
 pub fn merge_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
     assert_eq!(a.len() + b.len(), out.len(), "output size mismatch");
     if a.is_empty() || b.is_empty() {
@@ -190,10 +188,9 @@ pub fn balanced_merge<T: Ord + Copy + Send + Sync>(
 /// worker budget parallelizes the individual merges of the later (wider)
 /// steps. Below [`PARALLEL_MERGE_CUTOFF`] the same tree runs on the
 /// caller's thread alone: spawns would dominate.
-// analyze: allow(panic-surface): the bounds are asserted to start at 0,
-// never decrease and end at `data.len()`; pair indices are below the run
-// count they were cut into, and a merge worker's panic is re-raised when
-// its scope closes.
+// The bounds are asserted to start at 0, never decrease and end at
+// `data.len()`; pair indices are below the run count they were cut into, and a
+// merge worker's panic is re-raised when its scope closes.
 // analyze: allow(hot-path-alloc): O(runs) bookkeeping per level — the run
 // bounds and one (run, run, region) job per pair; never per element.
 pub fn balanced_merge_with<T: Ord + Copy + Send + Sync>(

@@ -42,8 +42,6 @@ impl RadixKey for i64 {
 /// passes where every key shares the same digit (common on duplicated or
 /// small-range data). Allocates one internal scratch buffer; callers with
 /// a buffer to recycle should use [`radix_sort_with_scratch`].
-// analyze: allow(hot-path-alloc): one counting-scratch vector per sort
-// call, reused across all digit passes.
 pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
     let mut scratch = Vec::new();
     radix_sort_with_scratch(data, &mut scratch);
@@ -80,8 +78,8 @@ pub fn radix_sort_with_scratch<T: RadixKey>(data: &mut [T], scratch: &mut Vec<T>
 /// One counting pass: scatters `src` into `dst` by digit `pass`. Returns
 /// `false` without writing when the pass is degenerate (every key shares
 /// the digit), so the caller keeps its source/destination roles.
-// analyze: allow(panic-surface): digits are u8 so the 256-entry count and
-// offset tables cannot be out-indexed, and dst is the same length as src.
+// Digits are u8 so the 256-entry count and offset tables cannot be
+// out-indexed, and dst is the same length as src.
 fn radix_pass<T: RadixKey>(src: &[T], dst: &mut [T], pass: usize) -> bool {
     let n = src.len();
     let mut counts = [0usize; 256];

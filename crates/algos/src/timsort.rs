@@ -18,8 +18,7 @@ pub const MIN_MERGE: usize = 32;
 pub const MIN_GALLOP: usize = 7;
 
 /// Sorts `data` in place with TimSort. Stable.
-// analyze: allow(hot-path-alloc): one merge-run stack per sort call,
-// bounded by log(n) pending runs.
+// One merge-run stack per sort call, bounded by log(n) pending runs.
 pub fn timsort<T: Ord + Copy>(data: &mut [T]) {
     let len = data.len();
     if len < 2 {

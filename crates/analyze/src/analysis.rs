@@ -1,4 +1,4 @@
-//! The three analyses: lock-order, blocking-under-lock, panic-surface.
+//! The two lock analyses: lock-order and blocking-under-lock.
 //!
 //! Guard live ranges are interval sets over the token stream: a `let`-bound
 //! guard lives from its acquisition to the end of the enclosing block,
@@ -98,9 +98,8 @@ pub struct FnSites {
 
 impl FnSites {
     /// Resolved workspace call sites (token index, line, targets) — the
-    /// call half of the extracted sites, shared with the v3 passes so
-    /// hot-path reachability walks the same graph the effect fixpoint
-    /// does.
+    /// call half of the extracted sites, shared with the hot-path pass so
+    /// its reachability walks the same graph the effect fixpoint does.
     pub(crate) fn calls(&self) -> impl Iterator<Item = (usize, usize, &[String])> + '_ {
         self.sites.iter().filter_map(|s| match &s.op {
             RawOp::Call { targets } => Some((s.idx, s.line, targets.as_slice())),
@@ -142,7 +141,8 @@ pub struct AnalysisResult {
     pub cycles: Vec<Vec<String>>,
 }
 
-pub(crate) fn is_ident(t: &str) -> bool {
+/// True for an identifier: a word that is not a keyword.
+pub fn is_ident(t: &str) -> bool {
     t.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_')
         && !KEYWORDS.contains(&t)
 }
@@ -189,20 +189,6 @@ pub(crate) fn call_open_paren(toks: &[Tok], name_idx: usize) -> Option<usize> {
 /// dot → `("self", ["held", "lock"])`), and turbofish on intermediate
 /// calls is looked through.
 pub(crate) fn receiver_chain(pf: &ParsedFile, dot: usize, start: usize) -> (String, Vec<String>) {
-    let (root, segs, _) = receiver_chain_span(pf, dot, start);
-    (root, segs)
-}
-
-/// [`receiver_chain`] plus the token index where the receiver expression
-/// begins. The chain skips index brackets and call arguments by design;
-/// callers that need everything the receiver *mentions* (e.g. loop
-/// variables inside `a[(start + i) % N].lock()`) scan
-/// `toks[span_start..dot]` themselves.
-pub(crate) fn receiver_chain_span(
-    pf: &ParsedFile,
-    dot: usize,
-    start: usize,
-) -> (String, Vec<String>, usize) {
     let toks = &pf.toks;
     // Innermost-first while walking backwards; reversed at the end.
     let mut names: Vec<String> = Vec::new();
@@ -266,7 +252,6 @@ pub(crate) fn receiver_chain_span(
                     }
                     break;
                 }
-                k = j;
                 names.push("<expr>".into());
                 break;
             }
@@ -286,11 +271,11 @@ pub(crate) fn receiver_chain_span(
         }
     }
     if names.is_empty() {
-        return ("<expr>".into(), Vec::new(), k);
+        return ("<expr>".into(), Vec::new());
     }
     names.reverse();
     let root = names.remove(0);
-    (root, names, k)
+    (root, names)
 }
 
 /// First `}` after `from` closing the block whose *contents* sit at
@@ -1008,118 +993,6 @@ fn dfs_cycles<'a>(
     path.pop();
 }
 
-/// Panic-surface pass over one file: `unwrap`/`expect` calls and direct
-/// indexing in non-test functions, unless annotated with
-/// `analyze: allow(panic-surface): <reason>` on the line, directly above
-/// it, or directly above the enclosing `fn`.
-pub fn panic_surface(pf: &ParsedFile) -> Vec<Finding> {
-    let allowed = allowed_lines(pf);
-    let mut findings = Vec::new();
-    let mut seen: BTreeSet<(usize, &'static str)> = BTreeSet::new();
-    for f in &pf.functions {
-        let (s, e) = f.body;
-        let mut i = s;
-        while i < e {
-            let t = &pf.toks[i].text;
-            if t == "."
-                && i + 2 < e
-                && matches!(pf.toks[i + 1].text.as_str(), "unwrap" | "expect")
-                && pf.toks[i + 2].text == "("
-            {
-                let line = pf.toks[i + 1].line;
-                let kind: &'static str = if pf.toks[i + 1].text == "unwrap" { "unwrap" } else { "expect" };
-                if !allowed.contains(&line) && seen.insert((line, kind)) {
-                    findings.push(panic_finding(pf, f, line, kind));
-                }
-                i += 3;
-                continue;
-            }
-            if t == "[" && i > s {
-                let prev = &pf.toks[i - 1].text;
-                let flag = prev == ")" || prev == "]" || is_ident(prev);
-                let line = pf.toks[i].line;
-                if flag && !allowed.contains(&line) && seen.insert((line, "indexing")) {
-                    findings.push(panic_finding(pf, f, line, "indexing"));
-                }
-            }
-            i += 1;
-        }
-    }
-    findings
-}
-
-fn panic_finding(pf: &ParsedFile, f: &Function, line: usize, kind: &'static str) -> Finding {
-    Finding {
-        rule: "panic-surface".into(),
-        file: pf.rel.clone(),
-        line,
-        function: f.name.clone(),
-        held: None,
-        operation: kind.to_string(),
-        chain: Vec::new(),
-        message: format!(
-            "`{kind}` on the hot path in `{}` — annotate with `analyze: allow(panic-surface): <reason>` or handle the error",
-            f.name
-        ),
-    }
-}
-
-const PANIC_MARKER: &str = "analyze: allow(panic-surface)";
-
-/// Lines covered by panic-surface annotations. A marker comment covers its
-/// own line; a marker on its own line covers the next code line, or — when
-/// that line starts a `fn` — the whole function body. The marker must carry
-/// a non-empty reason after the colon.
-fn allowed_lines(pf: &ParsedFile) -> BTreeSet<usize> {
-    marker_allowed_lines(pf, PANIC_MARKER)
-}
-
-/// Same coverage rules as panic-surface annotations, for any inline
-/// marker (`analyze: allow(<rule>)`): own line, next code line, or the
-/// whole function body when the next code line starts a `fn`. The reason
-/// after the colon is mandatory everywhere.
-pub(crate) fn marker_allowed_lines(pf: &ParsedFile, marker: &str) -> BTreeSet<usize> {
-    let mut out = BTreeSet::new();
-    for (li, comment) in pf.stripped.comments.iter().enumerate() {
-        let Some(pos) = comment.find(marker) else {
-            continue;
-        };
-        let rest = &comment[pos + marker.len()..];
-        let reason = rest.trim_start_matches(':').trim();
-        if reason.is_empty() {
-            continue; // a reason is mandatory; bare markers cover nothing
-        }
-        let line = li + 1;
-        out.insert(line);
-        // Scan down past blank / comment-only / attribute lines.
-        let mut n = line + 1;
-        while n <= pf.stripped.code.len() {
-            let code = pf.stripped.code[n - 1].trim();
-            if code.is_empty() || code.starts_with('#') || code.starts_with('[') || code == "]" {
-                n += 1;
-                continue;
-            }
-            break;
-        }
-        if n > pf.stripped.code.len() {
-            continue;
-        }
-        if let Some(f) = pf.functions.iter().find(|f| f.line == n) {
-            // Cover every line of the function body.
-            let (_, e) = f.body;
-            let last = pf.toks.get(e).map(|t| t.line).unwrap_or_else(|| {
-                pf.toks.get(e.saturating_sub(1)).map(|t| t.line).unwrap_or(n)
-            });
-            for l in n..=last {
-                out.insert(l);
-            }
-        } else {
-            out.insert(n);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1219,25 +1092,5 @@ mod tests {
             "impl A { fn get(&self) { self.rx.recv(); } fn f(&self) { let g = self.x.lock(); self.map.get(0); } }",
         );
         assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn panic_surface_flags_and_annotations_cover() {
-        let pf = parse_file(
-            "t.rs",
-            "impl A {\n fn f(&self, v: &[u8]) {\n  let a = v[0];\n  let b = v.first().unwrap();\n }\n \
-             // analyze: allow(panic-surface): bounds proven by caller\n fn g(&self, v: &[u8]) { let a = v[1]; v.get(0).expect(\"x\"); }\n}\n",
-        );
-        let f = panic_surface(&pf);
-        let kinds: Vec<&str> = f.iter().map(|x| x.operation.as_str()).collect();
-        assert!(kinds.contains(&"indexing"));
-        assert!(kinds.contains(&"unwrap"));
-        assert!(f.iter().all(|x| x.function == "A::f"), "{f:?}");
-    }
-
-    #[test]
-    fn unwrap_or_else_not_flagged() {
-        let pf = parse_file("t.rs", "fn f(v: Option<u8>) { v.unwrap_or_else(|| 0); }");
-        assert!(panic_surface(&pf).is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! Atomics-ordering lint (`atomics-ordering`, schema pgxd-analyze/2).
+//! Atomics-ordering lint (`atomics-ordering`).
 //!
 //! The trace layer's seqlock rings (`trace.rs`) and the pool / checker
 //! cursors publish data across threads: the discipline is that every
@@ -14,9 +14,10 @@
 //! // resynchronize through the shard lock
 //! ```
 //!
-//! The marker follows the same coverage rules as panic-surface
-//! annotations (own line, next code line, or the whole `fn` when it
-//! precedes one) and the reason after the colon is mandatory.
+//! The marker covers its own line, the next code line, or the whole `fn`
+//! it precedes, and the reason after the colon is mandatory (see
+//! [`crate::markers`]). Neither x86 nor the test suite can show a missing
+//! `Release`, so this pass is the only guard of the ordering discipline.
 //!
 //! Scope: `trace.rs`, `pool.rs`, `checker.rs` — the files whose atomics
 //! form cross-thread publication protocols — plus `metrics.rs`, where the
@@ -25,8 +26,8 @@
 //! reason, so the policy is enforced rather than assumed. Any file carrying
 //! an `analyze: scope(atomics-ordering)` comment (fixtures) also joins the
 //! scope. `fault.rs` and `health.rs` hold counters and advisory flags but
-//! no publication protocols of their own, so they stay out; widening the
-//! list is a one-line change here.
+//! no publication protocols of their own, so they stay out (a marker there
+//! is dead); widening the list is a one-line change here.
 //!
 //! The check is syntactic: any `Ordering::Relaxed` argument to an
 //! atomic method (`load` / `store` / `swap` / `fetch_*` /
@@ -34,7 +35,6 @@
 //! token are not atomics (`Vec::swap`, `mpsc::Receiver::recv`) and are
 //! ignored.
 
-use crate::analysis::marker_allowed_lines;
 use crate::items::{matching_paren, ParsedFile};
 use crate::report::Finding;
 
@@ -49,9 +49,6 @@ const ATOMICS_FILES: [&str; 4] = [
 
 /// Marker pulling extra files (fixtures) into scope.
 pub const SCOPE_MARKER: &str = "analyze: scope(atomics-ordering)";
-
-/// Inline escape hatch, panic-surface coverage rules.
-pub const ALLOW_MARKER: &str = "analyze: allow(atomics-ordering)";
 
 /// Atomic method names whose `Ordering` arguments we check.
 const ATOMIC_METHODS: [&str; 13] = [
@@ -70,7 +67,7 @@ const ATOMIC_METHODS: [&str; 13] = [
     "compare_exchange_weak",
 ];
 
-fn in_scope(pf: &ParsedFile) -> bool {
+pub(crate) fn in_scope(pf: &ParsedFile) -> bool {
     ATOMICS_FILES.iter().any(|s| pf.rel.ends_with(s))
         || pf.stripped.comments.iter().any(|c| c.contains(SCOPE_MARKER))
 }
@@ -81,7 +78,6 @@ pub fn analyze_atomics(files: &[ParsedFile]) -> Vec<Finding> {
         if !in_scope(pf) {
             continue;
         }
-        let allowed = marker_allowed_lines(pf, ALLOW_MARKER);
         for f in &pf.functions {
             let (bs, be) = f.body;
             for i in bs..be.saturating_sub(2) {
@@ -114,9 +110,6 @@ pub fn analyze_atomics(files: &[ParsedFile]) -> Vec<Finding> {
                         continue;
                     }
                     let line = pf.toks[*oi].line;
-                    if allowed.contains(&line) || allowed.contains(&pf.toks[i].line) {
-                        continue;
-                    }
                     let receiver = i
                         .checked_sub(1)
                         .map(|p| pf.toks[p].text.clone())
@@ -131,7 +124,7 @@ pub fn analyze_atomics(files: &[ParsedFile]) -> Vec<Finding> {
                         operation: format!("{name}(Relaxed)"),
                         chain: vec![format!("atomic op at {}:{}", pf.rel, pf.toks[i].line)],
                         message: format!(
-                            "`Relaxed` on `{receiver}.{name}` in a publication file — use Release/Acquire (seqlock discipline) or annotate with `{ALLOW_MARKER}: <reason>`",
+                            "`Relaxed` on `{receiver}.{name}` in a publication file — use Release/Acquire (seqlock discipline) or annotate with `analyze: allow(atomics-ordering): <reason>`",
                         ),
                     });
                 }
@@ -181,14 +174,19 @@ mod tests {
 
     #[test]
     fn annotated_relaxed_is_allowed_and_reason_is_mandatory() {
-        let ok = run(
+        let marked = |src: &str| {
+            let files = [parse_file("t.rs", &format!("// analyze: scope(atomics-ordering)\n{src}"))];
+            let found = crate::markers::apply_markers(&files, analyze_atomics(&files));
+            found.into_iter().map(|f| f.rule).collect::<Vec<_>>()
+        };
+        let ok = marked(
             "impl S { fn bump(&self) { // analyze: allow(atomics-ordering): single-writer counter\n        self.n.fetch_add(1, Ordering::Relaxed); } }",
         );
-        assert!(ok.is_empty(), "{:?}", ok);
-        let bare = run(
+        assert!(ok.is_empty(), "{ok:?}");
+        let bare = marked(
             "impl S { fn bump(&self) { // analyze: allow(atomics-ordering)\n        self.n.fetch_add(1, Ordering::Relaxed); } }",
         );
-        assert_eq!(bare.len(), 1, "a bare marker covers nothing");
+        assert_eq!(bare, ["atomics-ordering", "dead-marker"], "a bare marker covers nothing");
     }
 
     #[test]

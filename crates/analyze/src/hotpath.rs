@@ -1,29 +1,32 @@
-//! Hot-path allocation pass (`hot-path-alloc`, schema pgxd-analyze/3).
+//! Hot-path allocation pass (`hot-path-alloc`).
 //!
-//! The paper's §IV-C speedup rests on a steady-state exchange path that
-//! *recycles* buffers: once a run is warm, the per-batch work — the six
-//! `ctx.step(steps::…)` bodies, the exchange send/recv machinery, the
-//! local-sort kernels, and the trace/metrics emit paths —
-//! must draw scratch from `ChunkPool`, not the global allocator. The
+//! The paper's §IV-C speedup rests on a steady-state data plane that
+//! *recycles* buffers: once a run is warm, per-element and per-chunk work
+//! draws scratch from `ChunkPool`, not the global allocator. The
 //! pool/memtrack suites check this *dynamically*; this pass is the
 //! static twin: it inventories **hot regions**, walks the resolved call
 //! graph from them, and flags every heap-allocation site reachable on
 //! the way.
 //!
-//! Hot regions (the BFS roots) are:
+//! Hot regions (the BFS roots) are the per-element data plane only:
 //!
-//! * **step** — every `ctx.step(steps::X, ..)` body in a workspace file
-//!   (the same regions `waitgraph.rs` inventories), named `step:x`;
 //! * **kernel** — every function in the local-sort kernel, the merges
 //!   and the request buffer (`quicksort.rs`, `merge.rs`, `kway.rs`,
 //!   `buffer.rs`);
-//! * **exchange / fabric / trace-emit / metrics-emit** — functions in
-//!   `machine.rs`, `comm.rs`, `trace.rs`, `metrics.rs` whose bare name
-//!   matches the per-file hot prefixes below (collectives, send/recv,
-//!   emit/record paths); setup and drain/report functions stay cold;
+//! * **exchange** — the chunk path of `exchange_by_offsets`: its
+//!   innermost loop bodies (the per-batch self copy, the per-range send
+//!   inside each destination's task, the receive loop). The count phase
+//!   and the per-destination task set-up around them are O(p) per
+//!   exchange and stay cold;
+//! * **fabric / trace-emit / metrics-emit** — functions in `comm.rs`,
+//!   `trace.rs`, `metrics.rs` whose bare name matches the per-file
+//!   prefixes below (send/recv, the trace recorder, the `Counter`
+//!   emits);
 //! * **marked** — in files carrying an `analyze: scope(hot-path-alloc)`
-//!   comment (fixtures), functions whose bare name starts with `hot_`,
-//!   plus any step regions they contain.
+//!   comment (fixtures), functions whose bare name starts with `hot_`.
+//!
+//! Step bodies, the O(p) collectives and the health-monitor hooks are
+//! not roots: they run once per step or per collective, not per element.
 //!
 //! Allocation sites are syntactic: `vec!` / `format!`, `T::new` /
 //! `T::from` for the owning std types (plus `Arc`/`Rc`), the allocating
@@ -36,28 +39,22 @@
 //!
 //! Findings carry the chain `alloc at file:line <- reachable from hot
 //! region <name> via f1 -> f2`. Genuinely cold or amortized sites are
-//! annotated in place:
+//! annotated in place (see [`crate::markers`]):
 //!
 //! ```text
-//! // analyze: allow(hot-path-alloc): O(p) control-plane assembly,
-//! // once per collective, not per element
+//! // analyze: allow(hot-path-alloc): the boxed payload IS the wire
+//! // format — the in-process fabric ships `Box<dyn Any>` envelopes.
 //! ```
-//!
-//! with panic-surface coverage rules (own line, next code line, or the
-//! whole `fn` when the marker precedes one) and a mandatory reason.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::analysis::{call_open_paren, extract_fn, is_ident, marker_allowed_lines, FnIndex, FnSites};
+use crate::analysis::{call_open_paren, extract_fn, is_ident, FnIndex, FnSites};
 use crate::items::{matching_brace, matching_paren, ParsedFile};
+use crate::loopdisc::find_loops;
 use crate::report::Finding;
-use crate::waitgraph::{body_open, step_regions};
 
 /// Marker pulling extra files (fixtures) into scope as root providers.
 pub const SCOPE_MARKER: &str = "analyze: scope(hot-path-alloc)";
-
-/// Inline escape hatch, panic-surface coverage rules.
-pub const ALLOW_MARKER: &str = "analyze: allow(hot-path-alloc)";
 
 /// Files where *every* function is a hot root: the local-sort kernel,
 /// the step-1 and step-6 merges, and the exchange request buffer.
@@ -72,28 +69,18 @@ const KERNEL_FILES: [&str; 4] = [
 /// A function is a root when its bare name starts with any listed
 /// prefix; everything else in the file is setup/drain and only becomes
 /// hot if a root reaches it.
-const PREFIX_ROOTS: [(&str, &[&str], &str); 4] = [
-    (
-        "crates/pgxd/src/machine.rs",
-        &["exchange", "gather_", "broadcast_", "all_to_all", "all_gather", "step", "barrier", "record_", "wait_or_unwind"],
-        "exchange",
-    ),
-    (
-        "crates/pgxd/src/comm.rs",
-        &["send_", "recv_", "try_recv_", "flush"],
-        "fabric",
-    ),
+const PREFIX_ROOTS: [(&str, &[&str], &str); 3] = [
+    ("crates/pgxd/src/comm.rs", &["send_", "recv_"], "fabric"),
     (
         "crates/pgxd/src/trace.rs",
         &["emit", "instant", "span_since", "intern", "now_ns"],
         "trace-emit",
     ),
-    (
-        "crates/pgxd/src/metrics.rs",
-        &["inc", "add", "record", "set", "observe", "time"],
-        "metrics-emit",
-    ),
+    ("crates/pgxd/src/metrics.rs", &["inc", "add", "record_"], "metrics-emit"),
 ];
+
+/// The function whose innermost loop bodies are the exchange's chunk path.
+const EXCHANGE_ROOT: (&str, &str) = ("crates/pgxd/src/machine.rs", "MachineCtx::exchange_by_offsets");
 
 /// Owning std types whose `new`/`from` constructors allocate.
 const ALLOC_TYPES: [&str; 10] = [
@@ -120,10 +107,10 @@ const COLD_MACROS: [&str; 10] = [
 /// One hot region: a BFS root for the reachability walk.
 #[derive(Debug, Clone)]
 pub struct HotRegion {
-    /// `step:<name>` for step bodies, the qualified fn name otherwise.
+    /// The qualified fn name.
     pub name: String,
-    /// `step` | `kernel` | `exchange` | `fabric` | `trace-emit` |
-    /// `metrics-emit` | `marked`.
+    /// `kernel` | `exchange` | `fabric` | `trace-emit` | `metrics-emit` |
+    /// `marked`.
     pub kind: String,
     pub file: String,
     pub line: usize,
@@ -158,7 +145,7 @@ fn is_workspace(pf: &ParsedFile) -> bool {
 }
 
 fn in_any(ranges: &[(usize, usize)], i: usize) -> bool {
-    ranges.iter().any(|&(s, e)| i > s && i < e)
+    ranges.iter().any(|&(s, e)| i >= s && i < e)
 }
 
 /// Balanced-delimiter close for macro bodies (`(`, `[` or `{`).
@@ -182,28 +169,9 @@ fn matching_delim(pf: &ParsedFile, open: usize) -> usize {
     }
 }
 
-/// Loop-body token ranges inside `body` (innermost ranges included).
+/// Loop-body token ranges inside `body`, nested ones included.
 fn loop_ranges(pf: &ParsedFile, body: (usize, usize)) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for i in body.0..body.1 {
-        match pf.toks[i].text.as_str() {
-            "for" => {
-                // Require a statement-position `in` before the body so
-                // `for<'a>` bounds don't produce phantom loops.
-                let Some(open) = body_open(pf, i + 1, body.1) else { continue };
-                if !pf.toks[i + 1..open].iter().any(|t| t.text == "in") {
-                    continue;
-                }
-                out.push((open, matching_brace(&pf.toks, open)));
-            }
-            "while" | "loop" => {
-                let Some(open) = body_open(pf, i + 1, body.1) else { continue };
-                out.push((open, matching_brace(&pf.toks, open)));
-            }
-            _ => {}
-        }
-    }
-    out
+    find_loops(pf, body).into_iter().map(|l| l.body).collect()
 }
 
 /// Token ranges covered by panic-class macro arguments within `body`.
@@ -308,8 +276,6 @@ pub fn analyze_hotpath(files: &[ParsedFile]) -> HotPaths {
             occs.entry(f.name.clone()).or_default().push((fi, fj));
         }
     }
-    let allowed: Vec<std::collections::BTreeSet<usize>> =
-        files.iter().map(|pf| marker_allowed_lines(pf, ALLOW_MARKER)).collect();
 
     // ── Root inventory ─────────────────────────────────────────────
     let mut roots: Vec<Root> = Vec::new();
@@ -322,7 +288,24 @@ pub fn analyze_hotpath(files: &[ParsedFile]) -> HotPaths {
         }
         for (fj, f) in pf.functions.iter().enumerate() {
             let bare = f.name.rsplit("::").next().unwrap_or(&f.name);
-            let whole_fn_kind = if kernel {
+            let root = |kind: &str, range: (usize, usize), line: usize| Root {
+                name: f.name.clone(),
+                kind: kind.to_string(),
+                fi,
+                fj,
+                range,
+                line,
+            };
+            if pf.rel.ends_with(EXCHANGE_ROOT.0) && f.name == EXCHANGE_ROOT.1 {
+                let loops = find_loops(pf, f.body);
+                for l in &loops {
+                    if !loops.iter().any(|m| l.body.0 < m.body.0 && m.body.1 < l.body.1) {
+                        roots.push(root("exchange", l.body, pf.toks[l.kw].line));
+                    }
+                }
+                continue;
+            }
+            let kind = if kernel {
                 Some("kernel")
             } else if let Some((_, pfx, kind)) = prefixes {
                 pfx.iter().any(|p| bare.starts_with(p)).then_some(*kind)
@@ -331,25 +314,8 @@ pub fn analyze_hotpath(files: &[ParsedFile]) -> HotPaths {
             } else {
                 None
             };
-            if let Some(kind) = whole_fn_kind {
-                roots.push(Root {
-                    name: f.name.clone(),
-                    kind: kind.to_string(),
-                    fi,
-                    fj,
-                    range: f.body,
-                    line: f.line,
-                });
-            }
-            for (s, e, step) in step_regions(pf, f.body) {
-                roots.push(Root {
-                    name: format!("step:{step}"),
-                    kind: "step".to_string(),
-                    fi,
-                    fj,
-                    range: (s, e),
-                    line: pf.toks[s].line,
-                });
+            if let Some(kind) = kind {
+                roots.push(root(kind, f.body, f.line));
             }
         }
     }
@@ -380,12 +346,8 @@ pub fn analyze_hotpath(files: &[ParsedFile]) -> HotPaths {
                     range: (usize, usize),
                     loops: &[(usize, usize)],
                     cold: &[(usize, usize)],
-                    allowed: &std::collections::BTreeSet<usize>,
                     findings: &mut Vec<Finding>| {
         for a in alloc_sites(pf, range, loops, cold) {
-            if allowed.contains(&a.line) {
-                continue;
-            }
             let via = if path.is_empty() {
                 String::new()
             } else {
@@ -402,7 +364,7 @@ pub fn analyze_hotpath(files: &[ParsedFile]) -> HotPaths {
                 operation: format!("alloc({})", a.kind),
                 chain,
                 message: format!(
-                    "alloc `{}` at {}:{} in `{fn_name}` <- reachable from {root_desc}{via} — steady-state buffers come from `ChunkPool`; annotate genuinely cold/amortized paths with `{ALLOW_MARKER}: <reason>`",
+                    "alloc `{}` at {}:{} in `{fn_name}` <- reachable from {root_desc}{via} — steady-state buffers come from `ChunkPool`; annotate genuinely cold/amortized paths with `analyze: allow(hot-path-alloc): <reason>`",
                     a.kind, pf.rel, a.line
                 ),
             });
@@ -415,7 +377,7 @@ pub fn analyze_hotpath(files: &[ParsedFile]) -> HotPaths {
         let loops = loop_ranges(pf, f.body);
         let cold = cold_ranges(pf, f.body);
         let root_desc = format!("hot region `{}` at {}:{}", r.name, pf.rel, r.line);
-        emit(pf, &f.name, &root_desc, &[], r.range, &loops, &cold, &allowed[r.fi], &mut findings);
+        emit(pf, &f.name, &root_desc, &[], r.range, &loops, &cold, &mut findings);
         for (idx, _, targets) in sites[r.fi][r.fj].calls() {
             if idx < r.range.0 || idx > r.range.1 {
                 continue;
@@ -436,7 +398,7 @@ pub fn analyze_hotpath(files: &[ParsedFile]) -> HotPaths {
             let f = &pf.functions[fj];
             let loops = loop_ranges(pf, f.body);
             let cold = cold_ranges(pf, f.body);
-            emit(pf, &f.name, &root_desc, &path, f.body, &loops, &cold, &allowed[fi], &mut findings);
+            emit(pf, &f.name, &root_desc, &path, f.body, &loops, &cold, &mut findings);
             if path.len() >= 8 {
                 continue;
             }
@@ -468,16 +430,13 @@ mod tests {
     }
 
     #[test]
-    fn alloc_in_step_region_is_flagged_at_line() {
-        let r = run(
-            "impl M {\n    fn drive(&self, ctx: &C) {\n        ctx.step(steps::EXCHANGE, |c| {\n            let copy = self.data.to_vec();\n        });\n    }\n}\n",
-        );
-        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-        assert_eq!(r.findings[0].operation, "alloc(to_vec)");
-        assert_eq!(r.findings[0].line, 5);
-        assert!(r.findings[0].chain[0].contains("step:exchange"), "{:?}", r.findings[0].chain);
-        assert_eq!(r.regions.len(), 1);
-        assert_eq!(r.regions[0].kind, "step");
+    fn exchange_roots_are_its_innermost_loops_and_step_bodies_are_cold() {
+        let src = "impl MachineCtx {\n    fn exchange_by_offsets(&mut self, ctx: &C) {\n        let counts = self.counts.to_vec();\n        for dst in 0..p {\n            let h = self.pool.clone();\n            for i in 0..n {\n                let copy = self.data.to_vec();\n            }\n        }\n        ctx.step(steps::EXCHANGE, |c| {\n            let v = vec![0u8; 4];\n        });\n    }\n}\n";
+        let r = analyze_hotpath(&[parse_file("crates/pgxd/src/machine.rs", src)]);
+        let regions: Vec<(&str, usize)> = r.regions.iter().map(|h| (h.kind.as_str(), h.line)).collect();
+        assert_eq!(regions, [("exchange", 6)]);
+        let lines: Vec<usize> = r.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [7], "{:?}", r.findings);
     }
 
     #[test]
@@ -540,14 +499,19 @@ mod tests {
 
     #[test]
     fn annotated_alloc_is_allowed_and_reason_is_mandatory() {
-        let ok = run(
+        let marked = |src: &str| {
+            let files = [parse_file("t.rs", &format!("// analyze: scope(hot-path-alloc)\n{src}"))];
+            let found = crate::markers::apply_markers(&files, analyze_hotpath(&files).findings);
+            found.into_iter().map(|f| f.rule).collect::<Vec<_>>()
+        };
+        let ok = marked(
             "impl M {\n    fn hot_init(&self) {\n        // analyze: allow(hot-path-alloc): one-shot warmup, not steady state\n        let v = vec![0u8; 4];\n    }\n}\n",
         );
-        assert!(ok.findings.is_empty(), "{:?}", ok.findings);
-        let bare = run(
+        assert!(ok.is_empty(), "{ok:?}");
+        let bare = marked(
             "impl M {\n    fn hot_init(&self) {\n        // analyze: allow(hot-path-alloc)\n        let v = vec![0u8; 4];\n    }\n}\n",
         );
-        assert_eq!(bare.findings.len(), 1, "a bare marker covers nothing");
+        assert_eq!(bare, ["hot-path-alloc", "dead-marker"], "a bare marker covers nothing");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! pgxd-analyze: dependency-free static analysis for the pgxd runtime.
 //!
-//! Nine passes over `crates/pgxd/src`, `crates/core/src`, and
+//! Seven passes over `crates/pgxd/src`, `crates/core/src`, and
 //! `crates/algos/src` (minus the `sync.rs` shim, which is the sanctioned
 //! boundary to the real primitives):
 //!
@@ -12,32 +12,27 @@
 //! 2. **blocking-under-lock** — barrier/condvar waits, channel send/recv,
 //!    `ChunkPool::acquire`, and joins reachable while a guard is live are
 //!    findings unless `analyze.allow` carries a justified entry.
-//! 3. **panic-surface** — `unwrap`/`expect`/direct indexing in the
-//!    exchange and local-sort hot paths (machine.rs, comm.rs, pool.rs,
-//!    sorter.rs, quicksort.rs, merge.rs, kway.rs) must carry an
-//!    `analyze: allow(panic-surface): <reason>` annotation.
-//! 4. **chunk-custody** — every `ChunkPool::acquire` must reach exactly
+//! 3. **chunk-custody** — every `ChunkPool::acquire` must reach exactly
 //!    one release/drop/hand-off on every control-flow path, tracked
 //!    interprocedurally through custody-returning functions; leaks are
 //!    never allowlistable (see [`custody`]).
-//! 5. **wait-graph** — barrier/send/recv sites per §IV step with
+//! 4. **wait-graph** — barrier/send/recv sites per §IV step with
 //!    asymmetric-barrier and recv-without-send shape checks (see
 //!    [`waitgraph`]).
-//! 6. **atomics-ordering** — no `Relaxed` publication in the
+//! 5. **atomics-ordering** — no `Relaxed` publication in the
 //!    seqlock/cursor files without an inline justification (see
 //!    [`atomics`]).
-//! 7. **hot-path-alloc** — heap allocations reachable from hot regions
-//!    (§IV step bodies, the exchange/fabric send/recv surface, the
-//!    local-sort kernels, trace/metrics emit paths) through the resolved
-//!    call graph, with the full root-to-site chain (see [`hotpath`]).
-//! 8. **loop-discipline** — loop-invariant lock/`ChunkPool::acquire`
-//!    acquisition inside loops, and unbounded collection growth inside
-//!    recv/poll loops; the latter is never allowlistable (see
-//!    [`loopdisc`]).
-//! 9. **determinism** — HashMap/HashSet iteration, `RandomState`,
-//!    wall-clock reads, and ambient randomness in replay-critical files
-//!    (fault injection, sampling, splitter/partition decisions) (see
-//!    [`determinism`]).
+//! 6. **hot-path-alloc** — heap allocations reachable from the
+//!    per-element data plane (the local-sort kernels and request buffer,
+//!    the exchange's chunk path, the fabric's send/recv, the trace and
+//!    counter emits) through the resolved call graph, with the full
+//!    root-to-site chain (see [`hotpath`]).
+//! 7. **loop-discipline** — unbounded collection growth inside recv/poll
+//!    loops; never allowlistable (see [`loopdisc`]).
+//!
+//! Inline `analyze: allow(<rule>): <reason>` markers cover
+//! atomics-ordering and hot-path-alloc findings, and a marker that covers
+//! nothing is itself a finding (see [`markers`]).
 //!
 //! Everything is built on a hand-rolled lexer (no `syn`), so the crate
 //! compiles offline with no dependencies — same constraint as `xtask`.
@@ -47,49 +42,39 @@
 pub mod analysis;
 pub mod atomics;
 pub mod custody;
-pub mod determinism;
 pub mod hotpath;
 pub mod items;
 pub mod lexer;
 pub mod loopdisc;
+pub mod markers;
 pub mod report;
 pub mod waitgraph;
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-pub use analysis::{analyze_locks, panic_surface, AnalysisResult, Edge, LockGraph};
+pub use analysis::{analyze_locks, AnalysisResult, Edge, LockGraph};
 pub use atomics::analyze_atomics;
 pub use custody::analyze_custody;
-pub use determinism::{analyze_determinism, NondetSource};
 pub use hotpath::{analyze_hotpath, HotRegion};
 pub use items::{parse_file, ParsedFile, UseDecl};
 pub use loopdisc::{analyze_loops, LoopSite};
+pub use markers::apply_markers;
 pub use report::{
-    apply_allowlist, parse_allowlist, render_human, render_json, CustodySummary, Finding, Report,
+    apply_allowlist, json_escape, parse_allowlist, render_human, render_json, CustodySummary,
+    Finding, Report,
 };
 pub use waitgraph::analyze_waitgraph;
 
 /// Source roots collected by [`analyze_workspace`], workspace-relative.
 pub const ANALYZED_ROOTS: &[&str] = &["crates/pgxd/src", "crates/core/src", "crates/algos/src"];
 
-/// Files whose panic surface is gated (workspace-relative suffixes).
-pub const PANIC_SURFACE_FILES: &[&str] = &[
-    "crates/pgxd/src/machine.rs",
-    "crates/pgxd/src/comm.rs",
-    "crates/pgxd/src/pool.rs",
-    "crates/core/src/sorter.rs",
-    "crates/algos/src/quicksort.rs",
-    "crates/algos/src/merge.rs",
-    "crates/algos/src/kway.rs",
-];
-
 /// The sync shim: excluded from analysis — it is the one place allowed to
 /// touch the real primitives, and its internals (loom vs std) are not
 /// runtime lock structure.
 pub const SHIM_FILE: &str = "crates/pgxd/src/sync.rs";
 
-/// Runs all nine analyses over in-memory sources.
+/// Runs all seven analyses over in-memory sources.
 ///
 /// `sources` is `(workspace-relative path, contents)`. `allow_text` is the
 /// contents of `analyze.allow` (empty string for none). Each pass is
@@ -109,13 +94,6 @@ pub fn analyze_sources(sources: &[(String, String)], allow_text: &str, allow_pat
     let mut result = analyze_locks(&files);
     timed("lock-order+blocking-under-lock", t0, &mut timings);
     let t0 = Instant::now();
-    for pf in &files {
-        if PANIC_SURFACE_FILES.iter().any(|p| pf.rel.ends_with(p) || pf.rel == *p) {
-            result.findings.extend(panic_surface(pf));
-        }
-    }
-    timed("panic-surface", t0, &mut timings);
-    let t0 = Instant::now();
     let custody = analyze_custody(&files);
     result.findings.extend(custody.findings);
     timed("chunk-custody", t0, &mut timings);
@@ -134,10 +112,7 @@ pub fn analyze_sources(sources: &[(String, String)], allow_text: &str, allow_pat
     let loops = analyze_loops(&files);
     result.findings.extend(loops.findings);
     timed("loop-discipline", t0, &mut timings);
-    let t0 = Instant::now();
-    let det = analyze_determinism(&files);
-    result.findings.extend(det.findings);
-    timed("determinism", t0, &mut timings);
+    result.findings = apply_markers(&files, std::mem::take(&mut result.findings));
     let entries = parse_allowlist(allow_text);
     let mut report = apply_allowlist(result, &entries, allow_path);
     report.wait_ops = wait.ops;
@@ -149,14 +124,13 @@ pub fn analyze_sources(sources: &[(String, String)], allow_text: &str, allow_pat
     };
     report.hot_regions = hot.regions;
     report.loop_sites = loops.sites;
-    report.nondet_sources = det.sources;
     report.timings_ms = timings;
     report
 }
 
-/// Collects the runtime sources under [`ANALYZED_ROOTS`] and runs the
-/// analyses with `root/analyze.allow` (missing file = empty allowlist).
-pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
+/// Reads the runtime sources under [`ANALYZED_ROOTS`] as
+/// `(workspace-relative path, contents)`, sorted by path.
+pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut paths: Vec<PathBuf> = Vec::new();
     for sub in ANALYZED_ROOTS {
         let dir = root.join(sub);
@@ -174,8 +148,14 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
             .replace('\\', "/");
         sources.push((rel, std::fs::read_to_string(&p)?));
     }
-    let allow_path = root.join("analyze.allow");
-    let allow_text = std::fs::read_to_string(&allow_path).unwrap_or_default();
+    Ok(sources)
+}
+
+/// Runs the analyses over [`workspace_sources`] with `root/analyze.allow`
+/// (missing file = empty allowlist).
+pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
+    let sources = workspace_sources(root)?;
+    let allow_text = std::fs::read_to_string(root.join("analyze.allow")).unwrap_or_default();
     Ok(analyze_sources(&sources, &allow_text, "analyze.allow"))
 }
 
@@ -212,22 +192,5 @@ mod tests {
         let r = analyze_sources(&sources, "", "analyze.allow");
         assert!(r.is_clean());
         assert!(r.graph_nodes.is_empty());
-    }
-
-    #[test]
-    fn panic_surface_only_gates_listed_files() {
-        let body = "impl A { fn f(&self, v: &[u8]) { let x = v[0]; } }".to_string();
-        let flagged = analyze_sources(
-            &[("crates/pgxd/src/pool.rs".to_string(), body.clone())],
-            "",
-            "analyze.allow",
-        );
-        assert_eq!(flagged.findings.len(), 1);
-        let unflagged = analyze_sources(
-            &[("crates/pgxd/src/cluster.rs".to_string(), body)],
-            "",
-            "analyze.allow",
-        );
-        assert!(unflagged.is_clean());
     }
 }

@@ -4,7 +4,6 @@
 use std::collections::BTreeSet;
 
 use crate::analysis::{AnalysisResult, Edge};
-use crate::determinism::NondetSource;
 use crate::hotpath::HotRegion;
 use crate::loopdisc::LoopSite;
 use crate::waitgraph::{step_counts, StepEdge, WaitOp};
@@ -12,10 +11,10 @@ use crate::waitgraph::{step_counts, StepEdge, WaitOp};
 /// One analyzer finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// `lock-order`, `blocking-under-lock`, `panic-surface`,
-    /// `chunk-custody`, `wait-graph`, `atomics-ordering`,
-    /// `hot-path-alloc`, `loop-discipline`, `determinism`, or
-    /// `stale-allow` / `allow-format` for allowlist hygiene.
+    /// `lock-order`, `blocking-under-lock`, `chunk-custody`,
+    /// `wait-graph`, `atomics-ordering`, `hot-path-alloc`,
+    /// `loop-discipline`, or `stale-allow` / `allow-format` /
+    /// `dead-marker` for allowlist and marker hygiene.
     pub rule: String,
     /// Workspace-relative file.
     pub file: String,
@@ -25,7 +24,7 @@ pub struct Finding {
     pub function: String,
     /// The lock held when the operation happened, if any.
     pub held: Option<String>,
-    /// What happened: `lock(Name)`, a blocking op name, a panic kind, or
+    /// What happened: `lock(Name)`, a blocking op name, an `alloc(..)`, or
     /// `cycle(..)`.
     pub operation: String,
     /// Call chain from the function to the operation (empty if direct).
@@ -136,11 +135,8 @@ pub struct Report {
     pub custody: CustodySummary,
     /// Hot-region roots the hot-path-alloc pass walked from (v3).
     pub hot_regions: Vec<HotRegion>,
-    /// Recv/acquire loops the loop-discipline pass judged (v3).
+    /// Recv loops the loop-discipline pass judged (v3).
     pub loop_sites: Vec<LoopSite>,
-    /// Non-determinism sources in replay-critical files, including
-    /// annotated ones (v3) — the audit surface stays visible.
-    pub nondet_sources: Vec<NondetSource>,
     /// Per-pass wall time, `(pass, ms)`. Emitted only on the `--json`
     /// stdout path; the committed report file carries `null` so timing
     /// jitter never shows up as report drift.
@@ -154,10 +150,11 @@ impl Report {
 }
 
 /// Applies the allowlist: suppresses matching findings, errors on stale or
-/// unjustified entries. Lock-order cycles, chunk-custody leaks, and
-/// loop-discipline unbounded growth cannot be allowlisted: a cycle is a
-/// deadlock, a leak is a correctness bug, and unbounded growth in a recv
-/// loop is an OOM under backlog — never a judgment call, fix the code
+/// unjustified entries. Lock-order cycles, chunk-custody leaks,
+/// loop-discipline unbounded growth and dead markers cannot be
+/// allowlisted: a cycle is a deadlock, a leak is a correctness bug,
+/// unbounded growth in a recv loop is an OOM under backlog, and a dead
+/// marker is deleted, not excused — never a judgment call, fix the code
 /// instead.
 pub fn apply_allowlist(
     result: AnalysisResult,
@@ -169,6 +166,7 @@ pub fn apply_allowlist(
     let mut used: BTreeSet<usize> = BTreeSet::new();
     for f in result.findings {
         if f.rule == "lock-order"
+            || f.rule == "dead-marker"
             || (f.rule == "chunk-custody" && f.operation.starts_with("leak("))
             || (f.rule == "loop-discipline" && f.operation.starts_with("unbounded-growth("))
         {
@@ -224,7 +222,6 @@ pub fn apply_allowlist(
         custody: CustodySummary::default(),
         hot_regions: Vec::new(),
         loop_sites: Vec::new(),
-        nondet_sources: Vec::new(),
         timings_ms: Vec::new(),
     }
 }
@@ -250,7 +247,7 @@ pub fn render_human(r: &Report) -> String {
         out.push_str(&format!("pgxd-analyze: {} finding(s)", r.findings.len()));
     }
     out.push_str(&format!(
-        " ({} allowlisted, {} lock(s), {} order edge(s), {} cycle(s), {} wait site(s), {} acquire site(s), {} tracked binding(s), {} hot region(s), {} loop site(s), {} nondet source(s))\n",
+        " ({} allowlisted, {} lock(s), {} order edge(s), {} cycle(s), {} wait site(s), {} acquire site(s), {} tracked binding(s), {} hot region(s), {} loop site(s))\n",
         r.allowlisted.len(),
         r.graph_nodes.len(),
         r.graph_edges.len(),
@@ -259,13 +256,13 @@ pub fn render_human(r: &Report) -> String {
         r.custody.acquire_sites,
         r.custody.tracked_bindings,
         r.hot_regions.len(),
-        r.loop_sites.len(),
-        r.nondet_sources.len()
+        r.loop_sites.len()
     ));
     out
 }
 
-fn esc(s: &str) -> String {
+/// Escapes `s` for a JSON string literal (quotes not included).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -281,24 +278,24 @@ fn esc(s: &str) -> String {
 }
 
 fn json_str_array(items: &[String]) -> String {
-    let inner: Vec<String> = items.iter().map(|s| format!("\"{}\"", esc(s))).collect();
+    let inner: Vec<String> = items.iter().map(|s| format!("\"{}\"", json_escape(s))).collect();
     format!("[{}]", inner.join(","))
 }
 
 fn finding_json(f: &Finding) -> String {
     format!(
         "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"function\":\"{}\",\"held\":{},\"operation\":\"{}\",\"chain\":{},\"message\":\"{}\"}}",
-        esc(&f.rule),
-        esc(&f.file),
+        json_escape(&f.rule),
+        json_escape(&f.file),
         f.line,
-        esc(&f.function),
+        json_escape(&f.function),
         match &f.held {
-            Some(h) => format!("\"{}\"", esc(h)),
+            Some(h) => format!("\"{}\"", json_escape(h)),
             None => "null".to_string(),
         },
-        esc(&f.operation),
+        json_escape(&f.operation),
         json_str_array(&f.chain),
-        esc(&f.message)
+        json_escape(&f.message)
     )
 }
 
@@ -312,10 +309,10 @@ pub fn render_json(r: &Report) -> String {
         .map(|e| {
             format!(
                 "{{\"from\":\"{}\",\"to\":\"{}\",\"file\":\"{}\",\"function\":\"{}\",\"line\":{},\"via\":{}}}",
-                esc(&e.from),
-                esc(&e.to),
-                esc(&e.file),
-                esc(&e.function),
+                json_escape(&e.from),
+                json_escape(&e.to),
+                json_escape(&e.file),
+                json_escape(&e.function),
                 e.line,
                 json_str_array(&e.via)
             )
@@ -329,12 +326,12 @@ pub fn render_json(r: &Report) -> String {
             format!(
                 "{{\"kind\":\"{}\",\"file\":\"{}\",\"line\":{},\"function\":\"{}\",\"callee\":\"{}\",\"step\":{}}}",
                 o.kind.name(),
-                esc(&o.file),
+                json_escape(&o.file),
                 o.line,
-                esc(&o.function),
-                esc(&o.callee),
+                json_escape(&o.function),
+                json_escape(&o.callee),
                 match &o.step {
-                    Some(s) => format!("\"{}\"", esc(s)),
+                    Some(s) => format!("\"{}\"", json_escape(s)),
                     None => "null".to_string(),
                 }
             )
@@ -345,7 +342,7 @@ pub fn render_json(r: &Report) -> String {
         .map(|(s, b, sd, rc)| {
             format!(
                 "{{\"step\":\"{}\",\"barriers\":{b},\"sends\":{sd},\"recvs\":{rc}}}",
-                esc(&s)
+                json_escape(&s)
             )
         })
         .collect();
@@ -355,9 +352,9 @@ pub fn render_json(r: &Report) -> String {
         .map(|e| {
             format!(
                 "{{\"from\":\"{}\",\"to\":\"{}\",\"function\":\"{}\"}}",
-                esc(&e.from),
-                esc(&e.to),
-                esc(&e.function)
+                json_escape(&e.from),
+                json_escape(&e.to),
+                json_escape(&e.function)
             )
         })
         .collect();
@@ -367,9 +364,9 @@ pub fn render_json(r: &Report) -> String {
         .map(|h| {
             format!(
                 "{{\"name\":\"{}\",\"kind\":\"{}\",\"file\":\"{}\",\"line\":{}}}",
-                esc(&h.name),
-                esc(&h.kind),
-                esc(&h.file),
+                json_escape(&h.name),
+                json_escape(&h.kind),
+                json_escape(&h.file),
                 h.line
             )
         })
@@ -379,24 +376,10 @@ pub fn render_json(r: &Report) -> String {
         .iter()
         .map(|l| {
             format!(
-                "{{\"file\":\"{}\",\"line\":{},\"function\":\"{}\",\"kind\":\"{}\"}}",
-                esc(&l.file),
+                "{{\"file\":\"{}\",\"line\":{},\"function\":\"{}\"}}",
+                json_escape(&l.file),
                 l.line,
-                esc(&l.function),
-                esc(&l.kind)
-            )
-        })
-        .collect();
-    let nondet: Vec<String> = r
-        .nondet_sources
-        .iter()
-        .map(|n| {
-            format!(
-                "{{\"file\":\"{}\",\"line\":{},\"function\":\"{}\",\"kind\":\"{}\"}}",
-                esc(&n.file),
-                n.line,
-                esc(&n.function),
-                esc(&n.kind)
+                json_escape(&l.function)
             )
         })
         .collect();
@@ -406,12 +389,12 @@ pub fn render_json(r: &Report) -> String {
         let inner: Vec<String> = r
             .timings_ms
             .iter()
-            .map(|(p, ms)| format!("\"{}\": {ms}", esc(p)))
+            .map(|(p, ms)| format!("\"{}\": {ms}", json_escape(p)))
             .collect();
         format!("{{{}}}", inner.join(", "))
     };
     format!(
-        "{{\n  \"schema\": \"pgxd-analyze/3\",\n  \"clean\": {},\n  \"findings\": [{}],\n  \"allowlisted\": [{}],\n  \"lock_graph\": {{\"nodes\": {}, \"edges\": [{}]}},\n  \"cycles\": [{}],\n  \"wait_graph\": {{\"ops\": [{}], \"steps\": [{}], \"step_edges\": [{}]}},\n  \"custody\": {{\"acquire_sites\": {}, \"tracked_bindings\": {}, \"custody_fns\": {}}},\n  \"hot_regions\": [{}],\n  \"loop_sites\": [{}],\n  \"nondet_sources\": [{}],\n  \"timings_ms\": {},\n  \"summary\": {{\"findings\": {}, \"allowlisted\": {}, \"locks\": {}, \"edges\": {}, \"cycles\": {}, \"wait_ops\": {}, \"acquire_sites\": {}, \"tracked_bindings\": {}, \"hot_regions\": {}, \"loop_sites\": {}, \"nondet_sources\": {}}}\n}}\n",
+        "{{\n  \"schema\": \"pgxd-analyze/4\",\n  \"clean\": {},\n  \"findings\": [{}],\n  \"allowlisted\": [{}],\n  \"lock_graph\": {{\"nodes\": {}, \"edges\": [{}]}},\n  \"cycles\": [{}],\n  \"wait_graph\": {{\"ops\": [{}], \"steps\": [{}], \"step_edges\": [{}]}},\n  \"custody\": {{\"acquire_sites\": {}, \"tracked_bindings\": {}, \"custody_fns\": {}}},\n  \"hot_regions\": [{}],\n  \"loop_sites\": [{}],\n  \"timings_ms\": {},\n  \"summary\": {{\"findings\": {}, \"allowlisted\": {}, \"locks\": {}, \"edges\": {}, \"cycles\": {}, \"wait_ops\": {}, \"acquire_sites\": {}, \"tracked_bindings\": {}, \"hot_regions\": {}, \"loop_sites\": {}}}\n}}\n",
         r.is_clean(),
         findings.join(","),
         allowed.join(","),
@@ -426,7 +409,6 @@ pub fn render_json(r: &Report) -> String {
         json_str_array(&r.custody.custody_fns),
         hot_regions.join(","),
         loop_sites.join(","),
-        nondet.join(","),
         timings,
         r.findings.len(),
         r.allowlisted.len(),
@@ -437,8 +419,7 @@ pub fn render_json(r: &Report) -> String {
         r.custody.acquire_sites,
         r.custody.tracked_bindings,
         r.hot_regions.len(),
-        r.loop_sites.len(),
-        r.nondet_sources.len()
+        r.loop_sites.len()
     )
 }
 
@@ -506,17 +487,16 @@ mod tests {
 
     #[test]
     fn json_escapes_and_shape() {
-        let f = finding(("panic-surface", "a\"b.rs", "A::f", None, "unwrap"));
+        let f = finding(("hot-path-alloc", "a\"b.rs", "A::f", None, "alloc(to_vec)"));
         let r = apply_allowlist(result(vec![f]), &[], "analyze.allow");
         let j = render_json(&r);
-        assert!(j.contains("\"schema\": \"pgxd-analyze/3\""));
+        assert!(j.contains("\"schema\": \"pgxd-analyze/4\""));
         assert!(j.contains("a\\\"b.rs"));
         assert!(j.contains("\"clean\": false"));
         assert!(j.contains("\"wait_graph\""));
         assert!(j.contains("\"custody\""));
         assert!(j.contains("\"hot_regions\""));
         assert!(j.contains("\"loop_sites\""));
-        assert!(j.contains("\"nondet_sources\""));
         // No timings on the persisted path: the field is null so the
         // committed report never drifts on wall-clock jitter.
         assert!(j.contains("\"timings_ms\": null"));
@@ -543,19 +523,6 @@ mod tests {
         let entries = parse_allowlist(&format!("# nope\n{key}\n"));
         let r = apply_allowlist(result(vec![f]), &entries, "analyze.allow");
         assert!(r.findings.iter().any(|f| f.rule == "loop-discipline"));
-        // Loop-invariant acquire stays allowlistable (sometimes the lock
-        // is deliberately re-taken to bound hold time).
-        let a = finding((
-            "loop-discipline",
-            "a.rs",
-            "A::scan",
-            None,
-            "loop-invariant-acquire(lock:self.state)",
-        ));
-        let key = a.key();
-        let entries = parse_allowlist(&format!("# re-acquired to bound hold time\n{key}\n"));
-        let r = apply_allowlist(result(vec![a]), &entries, "analyze.allow");
-        assert!(r.is_clean(), "{:?}", r.findings);
     }
 
     #[test]

@@ -129,9 +129,7 @@ fn classify_call(pf: &ParsedFile, dot: usize) -> Option<(OpKind, String)> {
 
 /// `ctx.step(steps::X, ..)` regions in a body: `(start, end, step)` with
 /// the step constant lowercased to match the `steps::` string values.
-/// Shared with the hot-path-alloc pass, whose hot-region roots are these
-/// same step bodies.
-pub(crate) fn step_regions(pf: &ParsedFile, body: (usize, usize)) -> Vec<(usize, usize, String)> {
+fn step_regions(pf: &ParsedFile, body: (usize, usize)) -> Vec<(usize, usize, String)> {
     let toks = &pf.toks;
     let mut out = Vec::new();
     for i in body.0..body.1.saturating_sub(5) {
@@ -172,7 +170,7 @@ fn diverging(toks: &[crate::lexer::Tok], range: (usize, usize)) -> bool {
 }
 
 /// First `{` after `from` with parens balanced, or None. Shared with the
-/// loop-discipline and hot-path passes, which walk the same loop bodies.
+/// loop-discipline pass, which finds loop bodies with it.
 pub(crate) fn body_open(pf: &ParsedFile, from: usize, end: usize) -> Option<usize> {
     let mut paren = 0i32;
     for j in from..end {

@@ -179,18 +179,18 @@ fn hotpath_alloc_chain_names_every_hop() {
     assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
     let f = &r.findings[0];
     assert_eq!(f.rule, "hot-path-alloc");
-    assert_eq!((f.file.as_str(), f.line), ("fail_hotpath_alloc_chain.rs", 21));
+    assert_eq!((f.file.as_str(), f.line), ("fail_hotpath_alloc_chain.rs", 19));
     assert_eq!(f.operation, "alloc(to_vec)");
     assert_eq!(f.function, "InjShipper::inj_pack");
-    // Root-to-site provenance: the step region, then each call hop.
-    assert!(f.chain[0].contains("step:exchange"), "{:?}", f.chain);
+    // Root-to-site provenance: the hot root, then each call hop.
+    assert!(f.chain[0].contains("InjShipper::hot_drive"), "{:?}", f.chain);
     assert_eq!(
         f.chain[1..],
         ["InjShipper::inj_ship".to_string(), "InjShipper::inj_pack".to_string()]
     );
-    // The region itself lands in the inventory.
+    // The root itself lands in the inventory.
     assert!(
-        r.hot_regions.iter().any(|h| h.name == "step:exchange" && h.line == 11),
+        r.hot_regions.iter().any(|h| h.name == "InjShipper::hot_drive" && h.line == 10),
         "{:?}",
         r.hot_regions
     );
@@ -206,34 +206,18 @@ fn hotpath_setup_alloc_is_clean() {
 }
 
 #[test]
-fn loop_invariant_acquire_is_flagged_and_allowlistable() {
-    let src = include_str!("fixtures/fail_loop_invariant_acquire.rs");
-    let r = run("fail_loop_invariant_acquire.rs", src, "");
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-    let f = &r.findings[0];
-    assert_eq!(f.rule, "loop-discipline");
-    assert_eq!((f.file.as_str(), f.line), ("fail_loop_invariant_acquire.rs", 9));
-    assert_eq!(f.operation, "loop-invariant-acquire(lock:self.table)");
-    // Unlike unbounded growth, a justified allowlist entry DOES cover
-    // an invariant acquire — hold-time trades can be deliberate.
-    let allow = format!("# re-acquire bounds hold time on purpose\n{}\n", f.key());
-    let r2 = run("fail_loop_invariant_acquire.rs", src, &allow);
-    assert!(r2.is_clean(), "{:?}", r2.findings);
-    assert_eq!(r2.allowlisted.len(), 1);
-}
-
-#[test]
 fn unbounded_recv_push_cannot_be_silenced() {
     let src = include_str!("fixtures/fail_unbounded_recv_push.rs");
     // The fixture carries an inline allow marker on the push line; it
-    // must not cover structural growth.
+    // must not cover structural growth, so the marker itself is dead.
     let r = run("fail_unbounded_recv_push.rs", src, "");
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+    let rules: Vec<&str> = r.findings.iter().map(|f| f.rule.as_str()).collect();
+    assert_eq!(rules, ["loop-discipline", "dead-marker"], "{:?}", r.findings);
     let f = &r.findings[0];
-    assert_eq!(f.rule, "loop-discipline");
     assert_eq!((f.file.as_str(), f.line), ("fail_unbounded_recv_push.rs", 12));
     assert_eq!(f.operation, "unbounded-growth(push:self.backlog)");
     assert!(f.chain[0].contains("fail_unbounded_recv_push.rs:9"), "{:?}", f.chain);
+    assert_eq!(r.findings[1].line, 11);
     // An analyze.allow entry must not silence it either.
     let allow = format!("# cannot happen\n{}\n", f.key());
     let still = run("fail_unbounded_recv_push.rs", src, &allow);
@@ -245,38 +229,32 @@ fn unbounded_recv_push_cannot_be_silenced() {
 }
 
 #[test]
-fn hashmap_iteration_in_fault_decision_is_flagged() {
-    let src = include_str!("fixtures/fail_hashmap_fault_decision.rs");
-    let r = run("fail_hashmap_fault_decision.rs", src, "");
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-    let f = &r.findings[0];
-    assert_eq!(f.rule, "determinism");
-    assert_eq!((f.file.as_str(), f.line), ("fail_hashmap_fault_decision.rs", 8));
-    assert_eq!(f.operation, "hashmap-iteration(pending)");
-    assert_eq!(f.function, "InjFaultPlan::inj_arm");
-    // The source inventory carries the site too.
-    assert!(
-        r.nondet_sources.iter().any(|s| s.kind == "hashmap-iteration" && s.line == 8),
+fn dead_markers_are_findings() {
+    let src = include_str!("fixtures/fail_dead_markers.rs");
+    let r = run("fail_dead_markers.rs", src, "");
+    let dead: Vec<(usize, &str)> = r
+        .findings
+        .iter()
+        .map(|f| (f.line, f.operation.as_str()))
+        .collect();
+    assert_eq!(
+        dead,
+        [
+            (9, "allow(blocking-under-lock)"),
+            (14, "allow(panic-surface)"),
+            (20, "allow(atomics-ordering)"),
+            (27, "allow(hot-path-alloc)"),
+        ],
         "{:?}",
-        r.nondet_sources
+        r.findings
     );
-}
-
-#[test]
-fn instant_now_in_ordered_output_is_flagged() {
-    let src = include_str!("fixtures/fail_instant_ordered_output.rs");
-    let r = run("fail_instant_ordered_output.rs", src, "");
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-    let f = &r.findings[0];
-    assert_eq!(f.rule, "determinism");
-    assert_eq!((f.file.as_str(), f.line), ("fail_instant_ordered_output.rs", 7));
-    assert_eq!(f.operation, "instant-now(Instant)");
-    // Annotating keeps the finding out but the inventory entry in.
-    let annotated = src.replace(
-        "        let t = Instant::now();",
-        "        // analyze: allow(determinism): test-only fixture reason\n        let t = Instant::now();",
-    );
-    let ok = run("fail_instant_ordered_output.rs", &annotated, "");
-    assert!(ok.is_clean(), "{:?}", ok.findings);
-    assert_eq!(ok.nondet_sources.len(), 1);
+    assert!(r.findings.iter().all(|f| f.rule == "dead-marker"));
+    let why = |line: usize| &r.findings.iter().find(|f| f.line == line).unwrap().message;
+    assert!(why(9).contains("no pass reads `allow(blocking-under-lock)` inline"), "{}", why(9));
+    assert!(why(20).contains("outside the atomics-ordering scope"), "{}", why(20));
+    assert!(why(27).contains("covers no hot-path-alloc finding"), "{}", why(27));
+    // Like a stale allowlist entry, a dead marker is deleted, not excused.
+    let allow = format!("# keep it\n{}\n", r.findings[0].key());
+    let still = run("fail_dead_markers.rs", src, &allow);
+    assert!(still.findings.iter().any(|f| f.line == 9 && f.rule == "dead-marker"));
 }

@@ -4,9 +4,9 @@
 //! same straight-line path — the second release hands the pool a buffer
 //! it already owns, aliasing whoever reacquired it in between.
 //!
-//! This file is never compiled; it exists to be scanned (both by the
-//! integration tests and by the CI injected-violation step, which copies
-//! it into `crates/pgxd/src` and asserts `cargo xtask check` fails).
+//! This file is never compiled; it exists to be scanned by the
+//! integration tests (`analysis_fixtures.rs`), which assert the finding
+//! and its chain.
 
 impl InjDoubleFree {
     fn drain(&self, n: usize) {

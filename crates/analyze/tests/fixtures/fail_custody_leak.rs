@@ -6,8 +6,8 @@
 //! back to the acquire site.
 //!
 //! This file is never compiled; it exists to be scanned (both by the
-//! integration tests and by the CI injected-violation step, which copies
-//! it into `crates/pgxd/src` and asserts `cargo xtask check` fails).
+//! integration tests and by the must-fail table in `workspace_gate.rs`,
+//! which adds it to the real runtime sources and requires a finding).
 
 impl InjLeaker {
     fn fill(&self, n: usize) -> bool {

@@ -1,5 +1,5 @@
-//! Should-fail fixture: a §IV step body reaches a `to_vec` two calls
-//! deep — the full root-to-site chain must name every hop.
+//! Should-fail fixture: a hot root reaches a `to_vec` two calls deep —
+//! the full root-to-site chain must name every hop.
 // analyze: scope(hot-path-alloc)
 
 pub struct InjShipper {
@@ -7,10 +7,8 @@ pub struct InjShipper {
 }
 
 impl InjShipper {
-    fn inj_drive(&self, ctx: &Ctx) {
-        ctx.step(steps::EXCHANGE, |c| {
-            self.inj_ship(c);
-        });
+    fn hot_drive(&self, c: &C) {
+        self.inj_ship(c);
     }
 
     fn inj_ship(&self, c: &C) {

@@ -2,11 +2,12 @@
 //! for the PR 3 review race: `ChunkPool::acquire`/`release` may touch the
 //! checker ledger while a shard guard is held (that ordering is the fix),
 //! but must never reach a communication or barrier primitive from inside
-//! the critical section.
+//! the critical section. The must-fail table at the end plants known
+//! defects into the real sources, in memory, and requires each to fail.
 
 use std::path::Path;
 
-use pgxd_analyze::analyze_workspace;
+use pgxd_analyze::{analyze_sources, analyze_workspace, workspace_sources};
 
 fn root() -> &'static Path {
     // crates/analyze -> workspace root
@@ -137,51 +138,127 @@ fn canonical_lock_order_holds() {
     }
 }
 
-/// The v3 inventories over the real tree: hot regions, loop sites, and
-/// nondeterminism sources must keep covering the runtime. If a rename
-/// moves the §IV steps, the fabric surface, or the replay-critical
-/// wall-clock reads out of the analyzer's sight, these floors fail
-/// before the passes silently go blind.
+/// The v3 inventories over the real tree: hot regions and recv loops must
+/// keep covering the runtime. If a rename moves the exchange's chunk path,
+/// the fabric surface, or a receive pump out of the analyzer's sight,
+/// these floors fail before the passes silently go blind.
 #[test]
 fn v3_inventories_cover_the_runtime() {
     let r = analyze_workspace(root()).expect("workspace sources readable");
-    // One hot region per §IV step, in order, all six in the file of the
-    // one driver (`v2_inventories_cover_the_runtime` pins the function).
-    let steps: Vec<(&str, bool)> = r
-        .hot_regions
-        .iter()
-        .filter(|h| h.kind == "step")
-        .map(|h| (h.name.as_str(), h.file.ends_with("core/src/sorter.rs")))
-        .collect();
-    assert_eq!(
-        steps,
-        [
-            ("step:local_sort", true),
-            ("step:sampling", true),
-            ("step:splitters", true),
-            ("step:partition", true),
-            ("step:exchange", true),
-            ("step:final_merge", true),
-        ]
-    );
-    // Every root class is populated: the sort kernels, the fabric
-    // send/recv surface, and the trace and counter emit paths.
-    for kind in ["kernel", "fabric", "exchange", "metrics-emit", "trace-emit"] {
+    // Every root class is populated: the sort kernels, the exchange's
+    // chunk path, the fabric send/recv surface, and the trace and counter
+    // emit paths.
+    for kind in ["kernel", "exchange", "fabric", "metrics-emit", "trace-emit"] {
         assert!(r.hot_regions.iter().any(|h| h.kind == kind), "no {kind} roots: {:?}", r.hot_regions);
     }
-    // The fabric's receive pumps are inventoried as recv-loops.
-    assert!(
-        r.loop_sites.iter().any(|s| s.file.ends_with("comm.rs") && s.kind == "recv-loop"),
-        "{:?}",
-        r.loop_sites
-    );
-    // The barrier-timeout wall-clock reads are annotated (so not
-    // findings — the workspace is clean) but stay in the audit
-    // inventory: determinism sources never disappear behind a marker.
-    let fault_instants = r
-        .nondet_sources
+    // The chunk path is the innermost loops of the one exchange: the
+    // self copy, the per-range send, and the receive loop.
+    let exchange: Vec<&str> = r
+        .hot_regions
         .iter()
-        .filter(|s| s.file.ends_with("fault.rs") && s.kind == "instant-now")
-        .count();
-    assert!(fault_instants >= 2, "{:?}", r.nondet_sources);
+        .filter(|h| h.kind == "exchange")
+        .map(|h| h.name.as_str())
+        .collect();
+    assert_eq!(exchange, ["MachineCtx::exchange_by_offsets"; 3], "{:?}", r.hot_regions);
+    // Step bodies are not roots.
+    assert!(r.hot_regions.iter().all(|h| !h.name.starts_with("step:")));
+    // The fabric's receive pumps are inventoried as recv loops.
+    assert!(r.loop_sites.iter().any(|s| s.file.ends_with("comm.rs")), "{:?}", r.loop_sites);
+}
+
+/// Known defects, each planted into the real sources in memory: `(file,
+/// anchor, replacement, rule, message fragment)`. An empty anchor adds
+/// `file` as a new source holding the replacement; otherwise the first
+/// `anchor` in `file` is replaced. Every row must produce a finding of
+/// `rule` whose message contains the fragment.
+const MUST_FAIL: &[(&str, &str, &str, &str, &str)] = &[
+    (
+        "crates/pgxd/src/injected.rs",
+        "",
+        include_str!("fixtures/fail_lock_cycle.rs"),
+        "lock-order",
+        "InjCyclePool::inj_ring -> InjCyclePool::inj_slab",
+    ),
+    (
+        "crates/pgxd/src/injected.rs",
+        "",
+        include_str!("fixtures/fail_custody_leak.rs"),
+        "chunk-custody",
+        "leaks pooled buffer `buf`",
+    ),
+    (
+        "crates/pgxd/src/injected.rs",
+        "",
+        include_str!("fixtures/fail_barrier_asym.rs"),
+        "wait-graph",
+        "barrier entered on one arm",
+    ),
+    (
+        "crates/pgxd/src/injected.rs",
+        "",
+        include_str!("fixtures/fail_relaxed_seqlock.rs"),
+        "atomics-ordering",
+        "inj_payload.store",
+    ),
+    // The comm counters are Relaxed by policy, but every site says why.
+    (
+        "crates/pgxd/src/metrics.rs",
+        "impl Counter {",
+        "impl Counter {\n    pub fn unannotated(&self) -> u64 { self.cell.load(Ordering::Relaxed) }",
+        "atomics-ordering",
+        "cell.load",
+    ),
+    (
+        "crates/pgxd/src/injected.rs",
+        "",
+        include_str!("fixtures/fail_unbounded_recv_push.rs"),
+        "loop-discipline",
+        "grows without bound",
+    ),
+    // A copy per range on the exchange's chunk path.
+    (
+        "crates/pgxd/src/machine.rs",
+        "let slice = &data[send_offsets[i]..send_offsets[i + 1]];",
+        "let slice = &data[send_offsets[i]..send_offsets[i + 1]]; let _inj = data.to_vec();",
+        "hot-path-alloc",
+        "in `MachineCtx::exchange_by_offsets`",
+    ),
+    // PR 10's catch: an `Arc` clone on every receive.
+    (
+        "crates/pgxd/src/comm.rs",
+        "if let Some(f) = self.sender.fault.as_ref() {",
+        "if let Some(f) = self.sender.fault.clone() {",
+        "hot-path-alloc",
+        "in `CommManager::recv_packet`",
+    ),
+    // A marker for a deleted pass covers nothing.
+    (
+        "crates/pgxd/src/comm.rs",
+        "    fn send_packet(",
+        "    // analyze: allow(panic-surface): dst is a machine id < p\n    fn send_packet(",
+        "dead-marker",
+        "no pass reads `allow(panic-surface)` inline",
+    ),
+];
+
+#[test]
+fn planted_defects_fail_the_gate() {
+    let base = workspace_sources(root()).expect("workspace sources readable");
+    let allow = std::fs::read_to_string(root().join("analyze.allow")).unwrap_or_default();
+    for &(file, anchor, replacement, rule, fragment) in MUST_FAIL {
+        let mut sources = base.clone();
+        if anchor.is_empty() {
+            sources.push((file.to_string(), replacement.to_string()));
+        } else {
+            let (_, src) = sources.iter_mut().find(|(rel, _)| rel == file).expect(file);
+            assert!(src.contains(anchor), "anchor `{anchor}` gone from {file}");
+            *src = src.replacen(anchor, replacement, 1);
+        }
+        let r = analyze_sources(&sources, &allow, "analyze.allow");
+        assert!(
+            r.findings.iter().any(|f| f.rule == rule && f.message.contains(fragment)),
+            "planting `{replacement}` into {file} must raise [{rule}] `{fragment}`; got:\n{}",
+            pgxd_analyze::render_human(&r)
+        );
+    }
 }

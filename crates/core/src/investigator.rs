@@ -33,8 +33,6 @@ use pgxd_algos::Key;
 /// `splitters` (`p − 1` of them), with duplicate-splitter investigation.
 ///
 /// Destination `j` receives `data[offsets[j]..offsets[j+1]]`.
-// analyze: allow(hot-path-alloc): O(p) offset vector — the partition
-// decision itself, produced once per exchange round.
 pub fn splitter_offsets_investigated<K: Key>(data: &[K], splitters: &[K]) -> Vec<usize> {
     debug_assert!(data.windows(2).all(|w| w[0] <= w[1]), "data must be sorted");
     debug_assert!(

@@ -31,8 +31,6 @@ const MIN_SAMPLE_STRIDE: usize = 8;
 /// per `MIN_SAMPLE_STRIDE` keys (rounded up, so a non-empty shard yields at
 /// least one) where that is fewer. The `i`-th of `count` samples is
 /// `data[(i+1)·n/(count+1)]`: interior points, never index `n`.
-// analyze: allow(hot-path-alloc): O(s) sample vector, produced once per
-// sampling round and shipped to the master.
 pub fn select_regular_samples<K: Key>(data: &[K], budget: usize) -> Vec<K> {
     let n = data.len();
     let count = budget.min(n.div_ceil(MIN_SAMPLE_STRIDE));
@@ -58,8 +56,6 @@ pub fn select_regular_samples<K: Key>(data: &[K], budget: usize) -> Vec<K> {
 /// lower run), without merging them. Empty when there are no samples at all
 /// (degenerate tiny inputs) — the partitioner then routes everything to
 /// machine 0.
-// analyze: allow(hot-path-alloc): the p − 1 ranks and their O(p²) cut
-// vectors on the master, once per run; the splitter vector is the product.
 pub fn select_splitters<K: Key>(sample_runs: &[Vec<K>], p: usize) -> Vec<K> {
     let runs: Vec<&[K]> = sample_runs.iter().map(|r| r.as_slice()).collect();
     let m: usize = runs.iter().map(|r| r.len()).sum();

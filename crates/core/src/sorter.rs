@@ -78,8 +78,8 @@ pub mod steps {
 /// exchange, so holding the chunk across steps 2–5 is legal. With one chunk
 /// the input is sorted in place: `sorted` is the caller's own allocation
 /// and there is no `leftover`.
-// analyze: allow(panic-surface): the `data[0]` seed read sits past the
-// one-worker return, so `data` holds at least two workers' minimum chunks.
+// The `data[0]` seed read sits past the one-worker return, so `data` holds at
+// least two workers' minimum chunks.
 fn run_local_sort<T: Key>(
     ctx: &MachineCtx,
     mut data: Vec<T>,
@@ -98,7 +98,6 @@ fn run_local_sort<T: Key>(
     for (lo, hi) in bounds.iter().zip(bounds.iter().skip(1)) {
         let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
         rest = tail;
-        // analyze: allow(hot-path-alloc): one task closure per worker chunk.
         tasks.push(Box::new(move || quicksort(chunk)));
     }
     ctx.tasks().run_tasks(tasks);
@@ -115,11 +114,8 @@ fn run_local_sort<T: Key>(
 /// into `workers` ranges of equal length at their k-way co-ranks
 /// ([`plan_multiway_splits`]) and each range is k-way merged
 /// independently. Small inputs fall back to one sequential merge.
-// analyze: allow(panic-surface): run and segment indexing follows
-// plan_multiway_splits rows, which are monotone per run and sum to
-// out.len() by construction.
-// analyze: allow(hot-path-alloc): per-part output staging for the
-// parallel merge; parts escape as the final sorted partition.
+// Run and segment indexing follows plan_multiway_splits rows, which are
+// monotone per run and sum to out.len() by construction.
 fn merge_runs_with_tasks<T: Key>(
     tasks: &TaskManager,
     data: &[T],
@@ -347,8 +343,7 @@ impl DistSorter {
     }
 
     /// A single dataset is a batch of one.
-    // analyze: allow(panic-surface): the pipeline returns one partition
-    // per batch it was given.
+    // The pipeline returns one partition per batch it was given.
     fn sort_one<T: Key>(&self, ctx: &mut MachineCtx, local: Vec<T>) -> SortedPartition<T> {
         self.sort_batches(ctx, vec![local])
             .pop()
@@ -360,12 +355,9 @@ impl DistSorter {
     /// addresses batch `b` by position: its slice of the sorted array, its
     /// run in the sample and splitter messages, its `p` ranges of the
     /// exchange.
-    // analyze: allow(panic-surface): batch, destination and run indexing is
-    // bounded by the SPMD contract — batch ends, send offsets, and
-    // receive bounds are all built from the same batch list in this call.
-    // analyze: allow(hot-path-alloc): §IV step orchestration — sample,
-    // splitter, and offset vectors are the step outputs themselves,
-    // allocated at batch (not element) granularity.
+    // Batch, destination and run indexing is bounded by the SPMD contract —
+    // batch ends, send offsets, and receive bounds are all built from the same
+    // batch list in this call.
     fn sort_batches<T: Key>(
         &self,
         ctx: &mut MachineCtx,
@@ -503,8 +495,7 @@ const SPLITTER_RUNS: u16 = 0x5b;
 /// [`MachineCtx::gather_to_master`] for one run per batch: each machine's
 /// runs reach the master in a single message; `Some([source][batch])`
 /// there, `None` elsewhere.
-// analyze: allow(hot-path-alloc): O(p) control-plane bookkeeping per sort.
-// analyze: allow(panic-surface): sources are machine ids < p.
+// Sources are machine ids < p.
 fn gather_runs<T: Send + 'static>(
     ctx: &mut MachineCtx,
     runs: Vec<Vec<T>>,
@@ -527,9 +518,7 @@ fn gather_runs<T: Send + 'static>(
 
 /// [`MachineCtx::broadcast_from_master`] for one run per batch: the master
 /// passes `Some(runs)`, everyone returns them.
-// analyze: allow(hot-path-alloc): O(p) clones of the B·(p − 1) splitters.
-// analyze: allow(panic-surface): the master supplying no splitters is a
-// caller bug.
+// The master supplying no splitters is a caller bug.
 fn broadcast_runs<T: Clone + Send + 'static>(
     ctx: &mut MachineCtx,
     runs: Option<Vec<Vec<T>>>,

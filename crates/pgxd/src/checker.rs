@@ -284,9 +284,6 @@ impl ProtocolChecker {
     ///
     /// The verdict depends only on the shared ledger, so concurrent
     /// callers all agree.
-    // analyze: allow(hot-path-alloc): diagnostic assembly for a protocol
-    // violation — the listing is built only on the panic path (or once at
-    // teardown), never in a steady-state step.
     pub fn check_quiescent(&self, context: &str, machine: Option<usize>) {
         if !ENABLED {
             return;
@@ -344,8 +341,6 @@ impl ProtocolChecker {
     /// `(offset, len)` spans written into a destination buffer and, at
     /// [`finish`](OffsetLedger::finish), verifies they tile `[0, total)`
     /// exactly once.
-    // analyze: allow(hot-path-alloc): one span ledger per offset exchange
-    // (O(p) entries), allocated at collective granularity, not per chunk.
     pub fn offset_ledger(&self, machine: usize, tag: Tag, total: usize) -> OffsetLedger {
         OffsetLedger {
             machine,

@@ -173,8 +173,6 @@ impl Cluster {
     /// `resume_unwind`, and injected failures (fault-plan kills and step
     /// timeouts) re-panic with their description. Use
     /// [`Cluster::try_run`] to receive failures as values instead.
-    // analyze: allow(panic-surface): `run` is the panicking entry point by
-    // contract; `try_run` is the structured alternative.
     pub fn run<R, F>(&self, f: F) -> RunReport<R>
     where
         R: Send,

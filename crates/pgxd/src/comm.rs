@@ -38,8 +38,8 @@ pub struct Tag {
 
 impl Tag {
     /// A user-namespace tag. Kinds 0..=15 are reserved for collectives.
-    // analyze: allow(panic-surface): tag-kind overflow is a caller bug the
-    // API contract promises to reject loudly.
+    // Tag-kind overflow is a caller bug the API contract promises to reject
+    // loudly.
     pub fn user(kind: u16, seq: u64) -> Tag {
         Tag {
             kind: kind.checked_add(16).expect("user tag kind overflow"),
@@ -223,8 +223,8 @@ impl CommSender {
         self.send_packet(dst, tag, wire_bytes, Box::new(data));
     }
 
-    // analyze: allow(panic-surface): dst is a machine id < p and a dropped
-    // fabric receiver means a peer died mid-step — crash, don't hang.
+    // `dst` is a machine id < p and a dropped fabric receiver means a peer
+    // died mid-step — crash, don't hang.
     fn send_packet(&self, dst: usize, tag: Tag, wire_bytes: usize, payload: Box<dyn Any + Send>) {
         // Once any machine has failed, the run is unwinding: drop the
         // packet on the floor instead of racing the victim's receiver
@@ -367,8 +367,6 @@ impl CommManager {
     }
 
     /// A clonable send handle (for send-while-receive patterns).
-    // analyze: allow(hot-path-alloc): O(1) handle clone, taken once per
-    // collective to enable send-while-receive — not per element.
     pub fn sender(&self) -> CommSender {
         self.sender.clone()
     }
@@ -424,9 +422,9 @@ impl CommManager {
         }
     }
 
-    // analyze: allow(panic-surface): a two-minute starved receive means the
-    // SPMD protocol is broken (mismatched collective order) — crash with
-    // the mailbox contents, don't hang.
+    // A two-minute starved receive means the SPMD protocol is broken
+    // (mismatched collective order) — crash with the mailbox contents, don't
+    // hang.
     // analyze: allow(hot-path-alloc): the only allocation is the parked-
     // tag listing assembled for the timeout panic diagnostic.
     fn recv_packet_legacy(&mut self, tag: Tag) -> Packet {

@@ -428,8 +428,8 @@ impl ClusterBarrier {
             return BarrierWait::Released;
         }
         let gen = g.generation;
-        // analyze: allow(determinism): wall clock only arms the abort
-        // timeout; it never orders replayed events.
+        // Wall clock only arms the abort timeout; it never orders replayed
+        // events.
         let deadline = self.timeout.map(|t| Instant::now() + t);
         loop {
             if self.aborted.load(Ordering::Acquire) {
@@ -439,13 +439,12 @@ impl ClusterBarrier {
                 return BarrierWait::Released;
             }
             match deadline {
-                // analyze: allow(blocking-under-lock): condvar wait on the
-                // barrier's own mutex — the guard is released for the wait;
-                // no other lock is held.
+                // Condvar wait on the barrier's own mutex — the guard is
+                // released for the wait; no other lock is held.
                 None => g = self.cv.wait(g),
                 Some(d) => {
-                    // analyze: allow(determinism): timeout-expiry check — aborts the
-                    // run, never feeds replayed ordering.
+                    // Timeout-expiry check — aborts the run, never feeds
+                    // replayed ordering.
                     let now = Instant::now();
                     if now >= d {
                         // This generation can never complete: a peer died

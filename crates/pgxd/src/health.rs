@@ -469,8 +469,8 @@ impl HealthMonitor {
     }
 
     /// Marks machine `machine` as making progress *now*.
-    // analyze: allow(atomics-ordering): progress clock is a statistic; a
-    // stale read delays a verdict by one sample at most.
+    // Progress clock is a statistic; a stale read delays a verdict by one
+    // sample at most.
     pub(crate) fn note_progress(&self, machine: usize) {
         self.progress_ns[machine].store(self.now_ns(), Ordering::Relaxed);
     }
@@ -484,8 +484,8 @@ impl HealthMonitor {
     /// A step completed on `machine` in `elapsed` — adds the duration to
     /// the machine's sum for that step (straggler analysis) and runs a
     /// boundary-driven sample.
-    // analyze: allow(hot-path-alloc): one tally per distinct step name,
-    // allocated the first time any machine reports it.
+    // One tally per distinct step name, allocated the first time any machine
+    // reports it.
     pub(crate) fn note_step_end(&self, machine: usize, step: &'static str, elapsed: Duration) {
         self.note_progress(machine);
         {
@@ -509,16 +509,16 @@ impl HealthMonitor {
     }
 
     /// Machine `machine` is about to park at a cluster barrier.
-    // analyze: allow(atomics-ordering): advisory flag for the stall
-    // detector; a stale read shifts a verdict by one sample at most.
+    // Advisory flag for the stall detector; a stale read shifts a verdict by
+    // one sample at most.
     pub(crate) fn note_wait_begin(&self, machine: usize) {
         self.note_progress(machine);
         self.waiting[machine].store(true, Ordering::Relaxed);
     }
 
     /// Machine `machine` was released from the barrier.
-    // analyze: allow(atomics-ordering): advisory flag for the stall
-    // detector; a stale read shifts a verdict by one sample at most.
+    // Advisory flag for the stall detector; a stale read shifts a verdict by
+    // one sample at most.
     pub(crate) fn note_wait_end(&self, machine: usize) {
         self.waiting[machine].store(false, Ordering::Relaxed);
         self.note_progress(machine);
@@ -526,8 +526,8 @@ impl HealthMonitor {
 
     /// Machine `machine`'s closure returned (or unwound): stop expecting
     /// progress from it.
-    // analyze: allow(atomics-ordering): done-flag is advisory; a racing
-    // sampler at worst evaluates the machine once more.
+    // Done-flag is advisory; a racing sampler at worst evaluates the machine
+    // once more.
     pub(crate) fn note_done(&self, machine: usize) {
         self.done[machine].store(true, Ordering::Relaxed);
         self.note_progress(machine);
@@ -535,10 +535,8 @@ impl HealthMonitor {
 
     /// One evaluation pass over the current progress and comm state. Called
     /// from step boundaries and the watchdog; also exposed for tests.
-    // analyze: allow(atomics-ordering): reads of progress/done statistic
-    // cells; the stall detector tolerates staleness by construction.
-    // analyze: allow(hot-path-alloc): sampling-cadence snapshot — runs once
-    // per step end / watchdog tick, O(p) cells, never per element.
+    // Reads of progress/done statistic cells; the stall detector tolerates
+    // staleness by construction.
     pub fn sample(&self) {
         let now = self.now_ns();
         let stall_ns = self.cfg.stall_after.as_nanos().min(u64::MAX as u128) as u64;
@@ -639,8 +637,6 @@ impl HealthMonitor {
     /// Flags steps where one machine took `straggler_ratio`× the median.
     /// Only evaluates steps every machine has reported, so a step still
     /// running somewhere is not judged on partial data.
-    // analyze: allow(hot-path-alloc): straggler evaluation scratch — O(p)
-    // per sampled step at watchdog cadence, not on the data path.
     fn eval_stragglers(&self, st: &mut MonitorState) {
         if self.p < 2 {
             return;
@@ -677,8 +673,8 @@ impl HealthMonitor {
     pub(crate) fn watchdog_loop(&self) {
         let mut g = self.shutdown.lock();
         while !*g {
-            // analyze: allow(blocking-under-lock): condvar wait releases
-            // the shutdown lock for the sleep; no other lock is held.
+            // Condvar wait releases the shutdown lock for the sleep; no other
+            // lock is held.
             let (g2, timed_out) = self.wake.wait_for(g, self.cfg.interval);
             g = g2;
             if *g {
@@ -687,9 +683,9 @@ impl HealthMonitor {
             if timed_out {
                 drop(g);
                 self.sample();
-                // analyze: allow(loop-discipline): deliberate re-acquire —
-                // sample() must run with the shutdown lock dropped, so the
-                // guard cannot be hoisted out of the iteration.
+                // Deliberate re-acquire — sample() must run with the shutdown
+                // lock dropped, so the guard cannot be hoisted out of the
+                // iteration.
                 g = self.shutdown.lock();
             }
         }

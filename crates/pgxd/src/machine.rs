@@ -248,9 +248,8 @@ impl MachineCtx {
     /// step timeout) unwinds with a typed payload instead of deadlocking
     /// the cluster; [`Cluster::try_run`](crate::cluster::Cluster::try_run)
     /// converts the payload into a structured [`RunError`](crate::fault::RunError).
-    // analyze: allow(panic-surface): the only way out of a barrier whose
-    // peers are dead is to unwind; the typed payload keeps the failure
-    // attributable.
+    // The only way out of a barrier whose peers are dead is to unwind; the
+    // typed payload keeps the failure attributable.
     fn wait_or_unwind(&self) {
         match self.barrier.wait() {
             BarrierWait::Released => {}
@@ -271,12 +270,8 @@ impl MachineCtx {
     /// Gathers one `Vec<T>` from every machine onto the master. Returns
     /// `Some(per_source)` on the master (indexed by source id), `None`
     /// elsewhere.
-    // analyze: allow(panic-surface): collective indexing is bounded by the
-    // machine count and a missing packet is a protocol bug worth a panic.
-    // analyze: allow(hot-path-alloc): O(p) control-plane allocations per
-    // collective call — gather/broadcast bookkeeping scales with the
-    // machine count, not the element count, and the payloads escape to
-    // the caller.
+    // Collective indexing is bounded by the machine count and a missing packet
+    // is a protocol bug worth a panic.
     pub fn gather_to_master<T: Send + 'static>(&mut self, data: Vec<T>) -> Option<Vec<Vec<T>>> {
         let tag = Tag {
             kind: kinds::GATHER,
@@ -331,12 +326,8 @@ impl MachineCtx {
         self.broadcast_shared(root, data, tag)
     }
 
-    // analyze: allow(panic-surface): a missing broadcast packet is a
-    // protocol bug; crashing beats silently desynchronizing the step.
-    // analyze: allow(hot-path-alloc): O(p) control-plane allocations per
-    // collective call — gather/broadcast bookkeeping scales with the
-    // machine count, not the element count, and the payloads escape to
-    // the caller.
+    // A missing broadcast packet is a protocol bug; crashing beats silently
+    // desynchronizing the step.
     fn broadcast_shared<T: Send + Sync + Clone + 'static>(
         &mut self,
         root: usize,
@@ -365,12 +356,8 @@ impl MachineCtx {
 
     /// Simple all-to-all: machine `i` sends `parts[j]` to machine `j`;
     /// returns the `p` vectors received, indexed by source.
-    // analyze: allow(panic-surface): indexing is by machine id < p
-    // (asserted on entry) and a missing packet is a protocol bug.
-    // analyze: allow(hot-path-alloc): O(p) control-plane allocations per
-    // collective call — gather/broadcast bookkeeping scales with the
-    // machine count, not the element count, and the payloads escape to
-    // the caller.
+    // Indexing is by machine id < p (asserted on entry) and a missing packet
+    // is a protocol bug.
     pub fn all_to_all<T: Send + 'static>(&mut self, parts: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(parts.len(), self.p, "one part per destination required");
         let tag = Tag {
@@ -435,9 +422,9 @@ impl MachineCtx {
     ///    is the batch-`b` run received from machine `s` (runs stay
     ///    contiguous so the final merge can consume them and provenance
     ///    stays recoverable).
-    // analyze: allow(panic-surface): offset arithmetic is verified by the
-    // count phase (and the debug checker's offset tiling); bounds checks
-    // panicking here catch corruption rather than writing stray bytes.
+    // Offset arithmetic is verified by the count phase (and the debug
+    // checker's offset tiling); bounds checks panicking here catch corruption
+    // rather than writing stray bytes.
     pub fn exchange_by_offsets<T: Copy + Send + Sync + 'static>(
         &mut self,
         data: &[T],
@@ -522,24 +509,16 @@ impl MachineCtx {
             {
                 continue;
             }
-            // analyze: allow(hot-path-alloc): one fabric-handle clone per
-            // destination task, O(p) per exchange.
             let sender = sender.clone();
-            // analyze: allow(hot-path-alloc): one pool-handle clone per
-            // destination task; the chunks inside are recycled, not allocated.
             let pool = self.pool.clone();
             let send_bases = &send_bases;
             let lane = 1 + tasks.len() as u32;
             let index = tasks.len() as u64;
             tasks.push(task::traced_task(
-                // analyze: allow(hot-path-alloc): per-task trace-sink handle,
-                // O(p) per exchange, None-cheap when untraced.
                 self.trace.clone(),
                 lane,
                 dst as u64,
                 index,
-                // analyze: allow(hot-path-alloc): one boxed send task per
-                // destination per exchange — task granularity, not chunk.
                 Box::new(move || {
                     for i in (dst..ranges).step_by(p) {
                         let slice = &data[send_offsets[i]..send_offsets[i + 1]];
@@ -643,13 +622,8 @@ impl MachineCtx {
     /// counts and derives the receiver-side run bounds (batch-major,
     /// source-minor) and the receiver-side base offset of each of this
     /// machine's send ranges.
-    // analyze: allow(panic-surface): the count matrix is dense p×B·p (the
-    // row-length assert rejects a peer with another batch count); indexing
-    // by machine id and range cannot miss.
-    // analyze: allow(hot-path-alloc): O(B·p) control-plane allocations per
-    // collective call — gather/broadcast bookkeeping scales with the
-    // machine count, not the element count, and the payloads escape to
-    // the caller.
+    // The count matrix is dense p×B·p (the row-length assert rejects a peer
+    // with another batch count); indexing by machine id and range cannot miss.
     fn exchange_count_phase(
         &mut self,
         send_offsets: &[usize],
@@ -692,12 +666,8 @@ impl MachineCtx {
     /// All-gather with a caller-provided tag (used by the exchange's count
     /// phase so counts and data cannot be confused). One shared payload
     /// per contributor; per-receiver wire accounting is unchanged.
-    // analyze: allow(panic-surface): indexing is by machine id < p and a
-    // missing packet is a protocol bug worth a panic.
-    // analyze: allow(hot-path-alloc): O(p) control-plane allocations per
-    // collective call — gather/broadcast bookkeeping scales with the
-    // machine count, not the element count, and the payloads escape to
-    // the caller.
+    // Indexing is by machine id < p and a missing packet is a protocol bug
+    // worth a panic.
     fn all_gather_with_tag<T: Send + Sync + Clone + 'static>(
         &mut self,
         data: Vec<T>,

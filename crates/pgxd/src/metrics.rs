@@ -29,8 +29,8 @@
 //! deliberately *not* [`crate::sync`]: these are monotonic statistics
 //! that never gate control flow, so keeping them invisible to loom keeps
 //! the model checker's state space tractable. The `atomics-ordering`
-//! analyze pass audits this file; every `Relaxed` site carries an
-//! `analyze: allow(atomics-ordering)` justification.
+//! analyze pass audits this file; every `Relaxed` site carries an inline
+//! justification.
 
 use crate::net::NetworkModel;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -231,8 +231,6 @@ impl CommStats {
     }
 
     /// Bytes addressed to each machine, indexed by destination.
-    // analyze: allow(hot-path-alloc): O(p) counter snapshot at watchdog
-    // sampling cadence.
     pub fn per_dst_snapshot(&self) -> Vec<u64> {
         self.per_dst_bytes.iter().map(|b| b.get()).collect()
     }

@@ -193,8 +193,8 @@ impl ChunkPool {
     /// An empty `Vec<T>` with capacity for at least `cap_elems` elements:
     /// recycled if a big-enough buffer of this type is pooled (a *hit*),
     /// freshly allocated otherwise (a *miss*).
-    // analyze: allow(panic-surface): shard index is `% SHARDS`; the range
-    // lookups assert free-list invariants the pool itself maintains.
+    // Shard index is `% SHARDS`; the range lookups assert free-list invariants
+    // the pool itself maintains.
     pub fn acquire<T: Send + 'static>(&self, cap_elems: usize) -> Vec<T> {
         let size = std::mem::size_of::<T>();
         if size == 0 {
@@ -280,8 +280,8 @@ impl ChunkPool {
         self.release_impl(buf, true);
     }
 
-    // analyze: allow(panic-surface): shard index is `% SHARDS` (the hash
-    // cannot select an out-of-range shard).
+    // Shard index is `% SHARDS` (the hash cannot select an out-of-range
+    // shard).
     fn release_impl<T: Send + 'static>(&self, mut buf: Vec<T>, admit_capacity: bool) {
         let size = std::mem::size_of::<T>();
         buf.clear();

@@ -130,9 +130,9 @@ impl TaskManager {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    // analyze: allow(loop-discipline): the per-pickup lock
-                    // is the work list — whichever worker frees up first
-                    // takes the next task, so uneven tasks self-balance.
+                    // The per-pickup lock is the work list — whichever worker
+                    // frees up first takes the next task, so uneven tasks
+                    // self-balance.
                     let next = list.lock().next();
                     let Some(task) = next else { break };
                     self.before_pickup();
@@ -157,8 +157,6 @@ pub fn traced_task<'env>(
 ) -> Box<dyn FnOnce() + Send + 'env> {
     match trace {
         None => task,
-        // analyze: allow(hot-path-alloc): one wrapper box per traced
-        // task — traced runs only; the untraced path is untouched.
         Some(t) => Box::new(move || {
             let t0 = t.now_ns();
             task();

@@ -1,9 +1,8 @@
 //! Workspace automation. `cargo xtask check` is the one entry point CI and
 //! humans use: it runs the policy lints below plus the `pgxd-analyze`
-//! static analyses (lock-order, blocking-under-lock, panic-surface,
-//! chunk-custody, wait-graph, atomics-ordering, hot-path-alloc,
-//! loop-discipline, determinism — see `crates/analyze`) and
-//! fails if either finds anything. `lint` and `analyze` run each half
+//! static analyses (lock-order, blocking-under-lock, chunk-custody,
+//! wait-graph, atomics-ordering, hot-path-alloc, loop-discipline — see
+//! `crates/analyze`) and fails if either finds anything. `lint` and `analyze` run each half
 //! alone; every subcommand takes `--json`.
 //!
 //! The lint rules:
@@ -42,7 +41,9 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use pgxd_analyze::items::{parse_uses, KEYWORDS};
+use pgxd_analyze::analysis::is_ident;
+use pgxd_analyze::items::parse_uses;
+use pgxd_analyze::json_escape;
 use pgxd_analyze::lexer::{strip, tokens, StrippedFile, Tok};
 
 /// Files allowed to contain the `unsafe` keyword (workspace-relative,
@@ -119,10 +120,6 @@ fn has_safety_comment(file: &StrippedFile, line: usize) -> bool {
         }
     }
     false
-}
-
-fn is_ident(t: &str) -> bool {
-    t.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_') && !KEYWORDS.contains(&t)
 }
 
 /// Rules 4–5: literal banned paths, banned `use` declarations (including
@@ -407,31 +404,16 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn json_esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn violations_json(violations: &[Violation]) -> String {
     let items: Vec<String> = violations
         .iter()
         .map(|v| {
             format!(
                 "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-                json_esc(&v.file),
+                json_escape(&v.file),
                 v.line,
-                json_esc(v.rule),
-                json_esc(&v.message)
+                json_escape(v.rule),
+                json_escape(&v.message)
             )
         })
         .collect();

@@ -8,9 +8,10 @@
 //! completion also implies protocol-checker quiescence (in debug builds
 //! teardown panics on undelivered packets or leaked chunks).
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use pgxd::cluster::{Cluster, ClusterConfig};
+use pgxd::cluster::{Cluster, ClusterConfig, RunReport};
 use pgxd::fault::FaultPlan;
 use pgxd::trace::EventKind;
 use pgxd::{RunErrorKind, TraceConfig};
@@ -101,13 +102,18 @@ fn fault_matrix_sorts_exactly() {
 
 #[test]
 fn chaos_schedule_replays_from_its_seed() {
-    // Same seed ⇒ same fault schedule ⇒ same verdict AND same traffic.
+    // Same seed ⇒ same fault schedule ⇒ same verdict, same traffic, and
+    // the same injected schedule. Drop-with-redelivery keeps the totals
+    // equal whichever chunks it drops, so the schedule itself is compared:
+    // 1 KiB buffers cut each stream into several chunks, and a send lane's
+    // order of flushes and sends shows which chunks were held back.
     let parts = generate_partitioned(Distribution::skew_storm(0.85), N, MACHINES, 5);
     let run = || {
         let cluster = Cluster::new(
             ClusterConfig::new(MACHINES)
                 .workers_per_machine(2)
-                .buffer_bytes(4096)
+                .buffer_bytes(1024)
+                .trace(TraceConfig::enabled().ring_capacity(1 << 14))
                 .fault(FaultPlan::chaos(99)),
         );
         let sorter = DistSorter::default();
@@ -120,6 +126,27 @@ fn chaos_schedule_replays_from_its_seed() {
     assert_eq!(a.comm.bytes_sent, b.comm.bytes_sent);
     assert_eq!(a.comm.messages_sent, b.comm.messages_sent);
     assert_eq!(a.comm.exchange.chunks_sent, b.comm.exchange.chunks_sent);
+    let schedule = send_schedule(&a);
+    let held_back = |lane: &Vec<(EventKind, u64)>| {
+        lane.windows(2).any(|w| w[0].0 == EventKind::ChunkFlush && w[1].0 == EventKind::ChunkFlush)
+    };
+    assert!(schedule.values().any(held_back), "the plan dropped no chunk mid-stream");
+    assert_eq!(schedule, send_schedule(&b), "the injected schedule did not replay");
+}
+
+/// Per (machine, lane): the exchange's buffer flushes and fabric sends in
+/// emission order, with their byte counts. A chunk the plan drops is a
+/// flush with no send behind it, and its redelivery a send with no flush.
+fn send_schedule<R>(report: &RunReport<R>) -> BTreeMap<(u32, u32), Vec<(EventKind, u64)>> {
+    let trace = report.trace.as_ref().expect("tracing was enabled");
+    assert_eq!(trace.dropped, 0, "ring capacity must hold the whole run");
+    let mut lanes: BTreeMap<(u32, u32), Vec<(EventKind, u64)>> = BTreeMap::new();
+    for e in &trace.events {
+        if matches!(e.kind, EventKind::ChunkFlush | EventKind::ChunkSend) {
+            lanes.entry((e.machine, e.lane)).or_default().push((e.kind, e.b));
+        }
+    }
+    lanes
 }
 
 #[test]

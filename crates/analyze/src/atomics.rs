@@ -25,9 +25,9 @@
 //! happens-before obligation) and every site must carry an annotated
 //! reason, so the policy is enforced rather than assumed. Any file carrying
 //! an `analyze: scope(atomics-ordering)` comment (fixtures) also joins the
-//! scope. `fault.rs` and `health.rs` hold counters and advisory flags but
-//! no publication protocols of their own, so they stay out (a marker there
-//! is dead); widening the list is a one-line change here.
+//! scope. `fault.rs` holds counters and an abort flag but no publication
+//! protocol of its own, so it stays out (a marker there is dead); widening
+//! the list is a one-line change here.
 //!
 //! The check is syntactic: any `Ordering::Relaxed` argument to an
 //! atomic method (`load` / `store` / `swap` / `fetch_*` /

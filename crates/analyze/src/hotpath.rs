@@ -25,8 +25,8 @@
 //! * **marked** — in files carrying an `analyze: scope(hot-path-alloc)`
 //!   comment (fixtures), functions whose bare name starts with `hot_`.
 //!
-//! Step bodies, the O(p) collectives and the health-monitor hooks are
-//! not roots: they run once per step or per collective, not per element.
+//! Step bodies and the O(p) collectives are not roots: they run once per
+//! step or per collective, not per element.
 //!
 //! Allocation sites are syntactic: `vec!` / `format!`, `T::new` /
 //! `T::from` for the owning std types (plus `Arc`/`Rc`), the allocating

@@ -34,14 +34,13 @@
 //! (`results/chaos_sweep.json`).
 //!
 //! `exp health` drives a skewed chaos run (skew-storm keys, amplified
-//! straggler plan) with the in-flight health monitor armed and asserts
-//! the resulting verdicts name the straggler machine; the structured
-//! health report (verdicts, comm totals, per-destination bytes) goes to
-//! `results/health_report.json`.
+//! straggler plan) and asserts its step report names the straggler
+//! machine as the slowest of some step; the per-step view, comm totals
+//! and per-destination bytes go to `results/health_report.json`.
 
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd::trace::TraceConfig;
-use pgxd::{FaultPlan, HealthConfig, RunErrorKind};
+use pgxd::{FaultPlan, RunErrorKind};
 use pgxd_algos::kway::kway_merge_into;
 use pgxd_algos::merge::balanced_merge;
 use pgxd_bench::json::Json;
@@ -889,7 +888,7 @@ fn chaos_cmd(opts: &Opts) {
 }
 
 // ---------------------------------------------------------------------------
-// `exp health`: in-flight health monitor on a skewed chaos run.
+// `exp health`: the per-step view of a skewed chaos run.
 // ---------------------------------------------------------------------------
 fn health_defaults() -> Opts {
     Opts {
@@ -899,10 +898,10 @@ fn health_defaults() -> Opts {
     }
 }
 
-/// Drives one skew-storm sort under an amplified straggler plan with the
-/// health monitor armed: the run must survive, sort correctly, and the
-/// attached [`pgxd::HealthReport`] must name the straggler machine.
-/// Exports the structured report (`results/health_report.json`).
+/// Drives one skew-storm sort under an amplified straggler plan: the run
+/// must survive, sort correctly, and its step report must name the
+/// straggler machine as the slowest of some step at ≥ 1.5× the lower
+/// median. Exports the view (`results/health_report.json`).
 fn health_cmd(opts: &Opts) {
     let p = opts.procs.first().copied().unwrap_or(4);
     let straggler = 1 % p.max(1);
@@ -916,24 +915,19 @@ fn health_cmd(opts: &Opts) {
     };
 
     println!(
-        "\n=== Health monitor: {} keys of {}, p = {p}, straggler = machine {straggler} ===\n",
+        "\n=== Health: {} keys of {}, p = {p}, straggler = machine {straggler} ===\n",
         n,
         dist.name()
     );
 
-    // The chaos preset's µs-scale straggle is below human (and monitor)
-    // perception — amplify it to ~25 ms per task pickup so the verdict
-    // thresholds below have an unambiguous signal to find.
+    // The chaos preset's µs-scale straggle is below human perception —
+    // amplify it to ~25 ms per task pickup so the view has an unambiguous
+    // signal to find.
     let plan = FaultPlan::chaos(opts.seed).straggle(straggler, 25_000);
-    let health = HealthConfig::enabled()
-        .interval(Duration::from_millis(2))
-        .stall_after(Duration::from_millis(25))
-        .straggler(1.5, Duration::from_millis(5));
     let cluster = Cluster::new(
         ClusterConfig::new(p)
             .workers_per_machine(opts.workers)
-            .fault(plan)
-            .health(health),
+            .fault(plan),
     );
     let sorter = DistSorter::default();
     let parts_ref = &parts;
@@ -943,35 +937,59 @@ fn health_cmd(opts: &Opts) {
         expect,
         "chaos run must still sort correctly"
     );
-    let health = report.health.as_ref().expect("health monitor was enabled");
 
-    let mut table = Table::new(vec!["verdict", "machine", "step", "detail"]);
-    for v in &health.verdicts {
+    let steps = &report.steps;
+    let mut table = Table::new(vec!["step", "slowest", "its time", "lower median", "ratio"]);
+    let mut rows = Vec::new();
+    let mut caught = None;
+    for step in steps.step_names() {
+        let (machine, ratio) = steps.slowest_machine(step).expect("p ≥ 1 machines");
+        let slowest = steps.max_across_machines(step).as_secs_f64();
+        let median = steps.p50_across_machines(step).as_secs_f64();
         table.row(vec![
-            v.kind().to_string(),
-            v.machine().map(|m| format!("m{m}")).unwrap_or_else(|| "-".into()),
-            v.step().unwrap_or("-").to_string(),
-            v.to_string(),
+            step.to_string(),
+            format!("m{machine}"),
+            fmt_secs(slowest),
+            fmt_secs(median),
+            format!("{ratio:.2}x"),
         ]);
+        if caught.is_none() && machine == straggler && ratio >= 1.5 {
+            caught = Some((step, ratio));
+        }
+        rows.push(Json::Object(vec![
+            ("step", step.into()),
+            ("slowest_machine", machine.into()),
+            ("slowest_secs", slowest.into()),
+            ("lower_median_secs", median.into()),
+            ("ratio", ratio.into()),
+        ]));
     }
     table.print();
-    println!(
-        "({} samples; {} verdicts; wall {})",
-        health.samples,
-        health.verdicts.len(),
-        fmt_secs(report.wall_time.as_secs_f64())
-    );
+    println!("(wall {})", fmt_secs(report.wall_time.as_secs_f64()));
 
-    // The whole point: the monitor caught the machine we sabotaged, and
-    // its verdict names the step it lagged in.
-    let caught = health
-        .stragglers()
-        .into_iter()
-        .find(|v| v.machine() == Some(straggler))
-        .unwrap_or_else(|| panic!("no straggler verdict for machine {straggler}: {health}"));
-    println!("caught: {caught}");
+    // The whole point: the view names the machine we sabotaged, and the
+    // step it lagged in.
+    let (step, ratio) = caught
+        .unwrap_or_else(|| panic!("no step names machine {straggler} at >= 1.5x: {steps:?}"));
+    println!("caught: machine {straggler} is the slowest in `{step}` ({ratio:.2}x the lower median)");
 
-    write_result_file("health_report.json", "health report", health.to_json());
+    let (c, x) = (&report.comm, &report.comm.exchange);
+    let doc = Json::Object(vec![
+        ("schema", "pgxd-health/3".into()),
+        ("steps", rows.into()),
+        (
+            "comm",
+            Json::Object(vec![
+                ("bytes_sent", c.bytes_sent.into()),
+                ("messages_sent", c.messages_sent.into()),
+                ("max_recv_bytes", c.max_recv_bytes.into()),
+                ("pool_hits", x.pool_hits.into()),
+                ("pool_misses", x.pool_misses.into()),
+            ]),
+        ),
+        ("per_dst_bytes", report.per_dst_bytes.into()),
+    ]);
+    write_result_file("health_report.json", "health report", doc.pretty());
 }
 
 // ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ use pgxd_algos::search::{lower_bound, upper_bound};
 use pgxd_algos::Key;
 
 /// A replicated index over the globally sorted data: every machine learns
-/// every machine's key range and element count, enabling O(log p + log n)
-/// point lookups without touching other machines.
+/// every machine's key range and element count, so it can tell which
+/// machines may hold a key without a collective. An exact global rank
+/// needs the holders' data: that is the collective [`global_rank`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalIndex<K> {
     /// Per-machine `(min, max)` key ranges; `None` for empty machines.
@@ -56,43 +57,6 @@ impl<K: Key> GlobalIndex<K> {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Global rank range of `key`: how many elements are `< key` across
-    /// the cluster, and how many are `<= key`. This needs only the local
-    /// slice plus everyone's counts/ranges, because the global order is
-    /// partitioned by machine id.
-    pub fn global_rank_of_local(
-        &self,
-        me: usize,
-        local: &SortedPartition<K>,
-        key: &K,
-    ) -> (usize, usize) {
-        // Elements on machines strictly before any possible holder.
-        let mut below = 0usize;
-        let mut below_or_equal = 0usize;
-        for m in 0..self.counts.len() {
-            match &self.ranges[m] {
-                None => {}
-                Some((lo, hi)) => {
-                    if hi < key {
-                        below += self.counts[m];
-                        below_or_equal += self.counts[m];
-                    } else if lo > key {
-                        // contributes nothing
-                    } else if m == me {
-                        below += lower_bound(&local.data, key);
-                        below_or_equal += upper_bound(&local.data, key);
-                    } else {
-                        // Another machine's boundary region: without its
-                        // data we cannot count exactly; callers use the
-                        // collective `global_rank` below for exact counts.
-                        // Conservative: count nothing here.
-                    }
-                }
-            }
-        }
-        (below, below_or_equal)
     }
 }
 

@@ -1,11 +1,12 @@
-//! Cluster construction and SPMD execution.
+//! Cluster construction and SPMD execution. A run returns its records
+//! typed: a [`RunReport`] on success, a [`RunError`] carrying the same
+//! `comm`, `per_dst_bytes` and `steps` when a machine fails.
 
 use crate::checker;
 use crate::comm::CommManager;
 use crate::fault::{
     ClusterBarrier, FaultInjector, FaultPlan, InjectedFailure, RunError, RunErrorKind,
 };
-use crate::health::{HealthConfig, HealthMonitor, HealthReport};
 use crate::machine::MachineCtx;
 use crate::metrics::{CommStats, CommSummary, StepReport};
 use crate::net::NetworkModel;
@@ -34,8 +35,6 @@ pub struct ClusterConfig {
     pub trace: TraceConfig,
     /// Fault-injection plan (off by default; see [`crate::fault`]).
     pub fault: FaultPlan,
-    /// In-flight health monitoring (off by default; see [`crate::health`]).
-    pub health: HealthConfig,
 }
 
 impl ClusterConfig {
@@ -51,7 +50,6 @@ impl ClusterConfig {
             net: NetworkModel::default(),
             trace: TraceConfig::disabled(),
             fault: FaultPlan::disabled(),
-            health: HealthConfig::disabled(),
         }
     }
 
@@ -84,12 +82,6 @@ impl ClusterConfig {
         self.fault = fault;
         self
     }
-
-    /// Sets the in-flight health-monitor configuration.
-    pub fn health(mut self, health: HealthConfig) -> Self {
-        self.health = health;
-        self
-    }
 }
 
 /// Results of one cluster run.
@@ -107,9 +99,6 @@ pub struct RunReport<R> {
     pub wall_time: Duration,
     /// The merged event trace, when the run's [`TraceConfig`] enabled it.
     pub trace: Option<TraceLog>,
-    /// The health monitor's verdicts, when the run's [`HealthConfig`]
-    /// enabled it.
-    pub health: Option<HealthReport>,
     /// Bytes addressed to each machine, indexed by destination — the
     /// per-receiver skew view behind
     /// [`CommSummary::max_recv_bytes`](crate::metrics::CommSummary).
@@ -181,22 +170,18 @@ impl Cluster {
         match self.run_inner(f) {
             Ok(report) => report,
             Err(failed) => {
-                let payload = failed.primary.payload;
-                if let Some(injected) = payload.downcast_ref::<InjectedFailure>() {
-                    panic!("machine thread panicked: {injected}");
-                }
+                let FailedRun { payload, error } = *failed;
                 // Re-panic with the machine's own message (the payload of
                 // a joined panic is opaque otherwise), so cluster tests
                 // can match on the original diagnostic. Typed payloads
                 // (std::panic::panic_any) propagate intact.
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned());
-                match msg {
-                    Some(msg) => panic!("machine thread panicked: {msg}"),
-                    None => std::panic::resume_unwind(payload),
+                let described = payload.is::<InjectedFailure>()
+                    || payload.is::<&str>()
+                    || payload.is::<String>();
+                if described {
+                    panic!("machine thread panicked: {}", error.message);
                 }
+                std::panic::resume_unwind(payload)
             }
         }
     }
@@ -204,53 +189,21 @@ impl Cluster {
     /// Like [`Cluster::run`], but converts machine failures — panics,
     /// fault-plan kills, step timeouts — into a structured [`RunError`]
     /// instead of panicking. The first failing machine (in machine order,
-    /// skipping sympathetic peer aborts) is reported as primary; the
-    /// protocol checker's leftover ledger state rides along as
-    /// [`RunError::residual`] so tests can assert what a dead machine
-    /// stranded.
-    // The error is the run's whole post-mortem (ledger residue, health
-    // report) and is built once per failed run; boxing it would change the
-    // signature the benchmark and every caller pin.
+    /// skipping sympathetic peer aborts) is reported as primary. The error
+    /// carries the run's flight record: what moved before the abort, the
+    /// steps every machine completed, and the protocol checker's leftover
+    /// ledger state ([`RunError::residual`]), so tests can assert what a
+    /// dead machine stranded.
+    // The error is the run's whole post-mortem and is built once per failed
+    // run; boxing it would change the signature the benchmark and every
+    // caller pin.
     #[allow(clippy::result_large_err)]
     pub fn try_run<R, F>(&self, f: F) -> Result<RunReport<R>, RunError>
     where
         R: Send,
         F: Fn(&mut MachineCtx) -> R + Sync,
     {
-        self.run_inner(f).map_err(|failed| {
-            let failed = *failed;
-            let machine = failed.primary.machine;
-            let payload = &failed.primary.payload;
-            let (kind, message) = match payload.downcast_ref::<InjectedFailure>() {
-                Some(injected @ InjectedFailure::Kill { .. }) => {
-                    (RunErrorKind::InjectedKill, injected.to_string())
-                }
-                Some(injected @ InjectedFailure::Timeout { .. }) => {
-                    (RunErrorKind::StepTimeout, injected.to_string())
-                }
-                Some(injected @ InjectedFailure::PeerAborted) => {
-                    // Only possible if *every* failure was sympathetic —
-                    // the primary cause exited without a payload.
-                    (RunErrorKind::MachinePanic, injected.to_string())
-                }
-                None => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    (RunErrorKind::MachinePanic, msg)
-                }
-            };
-            RunError {
-                kind,
-                machine: Some(machine),
-                message,
-                peer_aborts: failed.peer_aborts,
-                residual: failed.residual,
-                health: failed.health,
-            }
-        })
+        self.run_inner(f).map_err(|failed| failed.error)
     }
 
     /// The shared engine of [`run`](Cluster::run) and
@@ -278,18 +231,6 @@ impl Cluster {
         let injector = plan
             .enabled
             .then(|| Arc::new(FaultInjector::new(plan, p, self.config.net, barrier.clone())));
-        // The optional in-flight sampler over the comm counters and the
-        // step/barrier hooks, plus its interval watchdog (which catches
-        // stalls nothing else is awake to report).
-        let monitor = self
-            .config
-            .health
-            .enabled
-            .then(|| Arc::new(HealthMonitor::new(self.config.health, p, stats.clone())));
-        let watchdog = monitor.as_ref().map(|m| {
-            let m = m.clone();
-            crate::sync::thread::spawn(move || m.watchdog_loop())
-        });
         let comms = CommManager::fabric_with_faults(p, stats.clone(), injector.clone());
         let fabric_checker = comms[0].checker().clone();
         // Lane 0 is the machine's mainline thread; 1.. its worker/send
@@ -314,42 +255,40 @@ impl Cluster {
                     let buffer_bytes = self.config.buffer_bytes;
                     let injector = injector.clone();
                     let trace = collector.as_ref().map(|c| c.machine(machine_id));
-                    let monitor = monitor.clone();
                     handles.push(scope.spawn(move || {
-                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            let mut ctx = MachineCtx::new(
-                                comm,
-                                TaskManager::with_fault(workers, machine_id, injector),
-                                barrier.clone(),
-                                buffer_bytes,
-                                trace,
-                                monitor,
-                            );
-                            let r = f(&mut ctx);
-                            let timer = ctx.take_timer();
-                            (r, timer)
-                        }));
+                        // Built outside the unwind boundary, so a machine
+                        // that fails still hands back the steps it
+                        // completed.
+                        let mut ctx = MachineCtx::new(
+                            comm,
+                            TaskManager::with_fault(workers, machine_id, injector),
+                            barrier.clone(),
+                            buffer_bytes,
+                            trace,
+                        );
+                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
                         if outcome.is_err() {
                             // First failure wins the race to abort: every
                             // peer blocked at a barrier or a receive
                             // unwinds promptly, and the quiescence checks
                             // stand down (an aborted run legitimately
-                            // strands packets and chunk custody).
+                            // strands packets and chunk custody). This runs
+                            // before `ctx` drops this machine's inbox, so a
+                            // peer mid-send here unwinds as `PeerAborted`
+                            // instead of failing on the closed link.
                             checker.set_aborted();
                             barrier.abort();
                         }
-                        (machine_id, outcome)
+                        (machine_id, outcome, ctx.into_steps())
                     }));
                 }
                 for h in handles {
                     // The machine body is fully caught above; a panic out
                     // of the wrapper itself is a runtime bug.
-                    let (id, outcome) = h.join().expect("machine wrapper panicked");
+                    let (id, outcome, steps) = h.join().expect("machine wrapper panicked");
+                    timers[id] = steps;
                     match outcome {
-                        Ok((r, timer)) => {
-                            results[id] = Some(r);
-                            timers[id] = timer.into_steps();
-                        }
+                        Ok(r) => results[id] = Some(r),
                         Err(payload) => failures.push(MachineFailure {
                             machine: id,
                             payload,
@@ -358,17 +297,9 @@ impl Cluster {
                 }
             });
         }
-
-        // Stop the watchdog before reporting (success or failure), so
-        // the final sample sees the complete run and no monitor thread
-        // outlives it.
-        if let Some(m) = &monitor {
-            m.request_shutdown();
-        }
-        if let Some(h) = watchdog {
-            h.join().expect("health watchdog panicked");
-        }
-        let health = monitor.map(|m| m.report());
+        let steps = StepReport {
+            per_machine: timers,
+        };
 
         if !failures.is_empty() {
             let is_peer_abort = |fail: &MachineFailure| {
@@ -385,12 +316,20 @@ impl Cluster {
                 .position(|fl| !is_peer_abort(fl))
                 .unwrap_or(0);
             let primary = failures.swap_remove(idx);
-            let residual = checker::ENABLED.then(|| fabric_checker.residual());
-            return Err(Box::new(FailedRun {
-                primary,
+            let (kind, message) = classify(&*primary.payload);
+            let error = RunError {
+                kind,
+                machine: Some(primary.machine),
+                message,
                 peer_aborts,
-                residual,
-                health,
+                residual: checker::ENABLED.then(|| fabric_checker.residual()),
+                comm: stats.summary(),
+                per_dst_bytes: stats.per_dst_snapshot(),
+                steps,
+            };
+            return Err(Box::new(FailedRun {
+                payload: primary.payload,
+                error,
             }));
         }
 
@@ -405,12 +344,9 @@ impl Cluster {
         Ok(RunReport {
             results: results.into_iter().map(|r| r.expect("missing result")).collect(),
             comm: stats.summary(),
-            steps: StepReport {
-                per_machine: timers,
-            },
+            steps,
             wall_time: start.elapsed(),
             trace: collector.map(|c| c.collect()),
-            health,
             per_dst_bytes: stats.per_dst_snapshot(),
         })
     }
@@ -422,12 +358,37 @@ struct MachineFailure {
     payload: Box<dyn Any + Send>,
 }
 
-/// Everything [`Cluster::run_inner`] knows about a failed run.
+/// A failed run: the primary machine's panic payload (what
+/// [`Cluster::run`] re-raises) and its [`RunError`] (what
+/// [`Cluster::try_run`] returns).
 struct FailedRun {
-    primary: MachineFailure,
-    peer_aborts: usize,
-    residual: Option<crate::checker::ResidualReport>,
-    health: Option<HealthReport>,
+    payload: Box<dyn Any + Send>,
+    error: RunError,
+}
+
+/// The [`RunErrorKind`] and message of a machine's panic payload.
+fn classify(payload: &(dyn Any + Send)) -> (RunErrorKind, String) {
+    match payload.downcast_ref::<InjectedFailure>() {
+        Some(injected @ InjectedFailure::Kill { .. }) => {
+            (RunErrorKind::InjectedKill, injected.to_string())
+        }
+        Some(injected @ InjectedFailure::Timeout { .. }) => {
+            (RunErrorKind::StepTimeout, injected.to_string())
+        }
+        Some(injected @ InjectedFailure::PeerAborted) => {
+            // Only possible if *every* failure was sympathetic — the
+            // primary cause exited without a payload.
+            (RunErrorKind::MachinePanic, injected.to_string())
+        }
+        None => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            (RunErrorKind::MachinePanic, msg)
+        }
+    }
 }
 
 #[cfg(test)]

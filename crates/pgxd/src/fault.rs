@@ -45,11 +45,15 @@
 //! step: barrier waits and fabric receives. When it elapses, the waiter
 //! marks the run aborted (so every peer unwinds promptly instead of
 //! hanging), and [`Cluster::try_run`](crate::cluster::Cluster::try_run)
-//! reports a [`RunErrorKind::StepTimeout`]. Without a plan, receives keep
-//! the legacy two-minute protocol-bug guard and barriers never time out.
+//! reports a [`RunErrorKind::StepTimeout`]. That error names the machine
+//! whose wait ran out — a waiter, not the machine it waited for; the
+//! holdout is the slowest machine of a step in [`RunError::steps`]. Without
+//! a plan, receives keep the legacy two-minute protocol-bug guard and
+//! barriers never time out.
 
 use crate::checker::ResidualReport;
 use crate::comm::Tag;
+use crate::metrics::{CommSummary, StepReport};
 use crate::net::NetworkModel;
 use crate::sync::{Condvar, Mutex};
 use std::any::Any;
@@ -325,8 +329,10 @@ pub enum RunErrorKind {
     StepTimeout,
 }
 
-/// A structured run failure: what failed, where, and what the protocol
-/// checker's ledger still held when the surviving machines tore down.
+/// A structured run failure: what failed, where, and the run's flight
+/// record — what moved before the abort, the steps every machine
+/// completed, and what the protocol checker's ledger still held when the
+/// surviving machines tore down.
 #[derive(Debug, Clone)]
 pub struct RunError {
     /// Failure class.
@@ -343,12 +349,16 @@ pub struct RunError {
     /// checker. A failed run legitimately strands state; the surviving
     /// teardown path reports it here instead of panicking.
     pub residual: Option<ResidualReport>,
-    /// The health monitor's flight-recorder view of the run up to the
-    /// failure (verdicts + what had moved: comm totals and per-destination
-    /// bytes), when
-    /// [`HealthConfig`](crate::health::HealthConfig) was enabled — the
-    /// abort path is exactly where the in-flight record matters most.
-    pub health: Option<crate::health::HealthReport>,
+    /// Communication totals up to the abort, as on
+    /// [`RunReport::comm`](crate::cluster::RunReport::comm).
+    pub comm: CommSummary,
+    /// Bytes addressed to each machine up to the abort, indexed by
+    /// destination; they sum to `comm.bytes_sent`.
+    pub per_dst_bytes: Vec<u64>,
+    /// The steps each machine completed, including machines that unwound
+    /// (a step cut short by the failure is not recorded).
+    /// [`StepReport::slowest_machine`] names the holdout.
+    pub steps: StepReport,
 }
 
 impl std::fmt::Display for RunError {
@@ -812,7 +822,9 @@ mod tests {
             message: "fault plan killed machine 2".into(),
             peer_aborts: 3,
             residual: None,
-            health: None,
+            comm: CommSummary::default(),
+            per_dst_bytes: vec![0; 4],
+            steps: StepReport::default(),
         };
         let text = err.to_string();
         assert!(text.contains("injected kill"));

@@ -31,12 +31,11 @@
 //! One record per fact, each read back typed on [`cluster::RunReport`]:
 //! the [`metrics::CommStats`] counters the fabric and exchange bump
 //! (`comm`, `per_dst_bytes`), the step timer `ctx.step` writes (`steps`),
-//! the opt-in [`trace`] rings for when each event happened (`trace`), and
-//! the opt-in [`health::HealthMonitor`], which watches the same counters
-//! and the step/barrier hooks *during* the run and turns them into
-//! structured verdicts (stragglers, stalled steps, pool-miss storms,
-//! per-receiver byte skew) on [`cluster::RunReport::health`] and
-//! [`fault::RunError::health`].
+//! and the opt-in [`trace`] rings for when each event happened (`trace`).
+//! A failed run's [`fault::RunError`] carries the same `comm`,
+//! `per_dst_bytes` and `steps`, so an aborted run still says what moved
+//! and which machine was slowest in each step
+//! ([`metrics::StepReport::slowest_machine`]).
 //!
 //! # Verification layers
 //!
@@ -92,7 +91,6 @@ pub mod cluster;
 pub mod comm;
 pub mod csr;
 pub mod fault;
-pub mod health;
 pub mod machine;
 pub mod metrics;
 pub mod net;
@@ -105,7 +103,6 @@ pub mod trace;
 pub use checker::ResidualReport;
 pub use cluster::{Cluster, ClusterConfig, RunReport};
 pub use fault::{FaultPlan, RunError, RunErrorKind};
-pub use health::{HealthConfig, HealthReport, HealthVerdict};
 pub use machine::MachineCtx;
 pub use metrics::{CommSummary, Counter, ExchangeSummary, StepReport};
 pub use pool::ChunkPool;

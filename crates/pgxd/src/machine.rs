@@ -10,7 +10,6 @@ use crate::buffer::RequestBuffer;
 use crate::checker;
 use crate::comm::{kinds, CommManager, Tag};
 use crate::fault::{BarrierWait, ClusterBarrier, FaultInjector, InjectedFailure};
-use crate::health::HealthMonitor;
 use crate::metrics::{CommSummary, SharedCommStats, StepTimer};
 use crate::pool::ChunkPool;
 use crate::task::{self, TaskManager};
@@ -40,31 +39,7 @@ pub struct MachineCtx {
     /// This machine's trace sink; `None` (one branch per event site) when
     /// the run is untraced.
     trace: Option<Arc<MachineTrace>>,
-    /// The in-flight health monitor; `None` (one branch per hook) when
-    /// [`HealthConfig`](crate::health::HealthConfig) is disabled.
-    health: Option<Arc<HealthMonitor>>,
     collective_seq: u64,
-}
-
-impl Drop for MachineCtx {
-    /// Publishes this machine's failure *before* its fabric receiver is
-    /// torn down. `Drop` on the struct runs ahead of the field drops, so
-    /// when this machine is unwinding, the abort flag and barrier wake-up
-    /// become visible to peers before their sends to the now-dead inbox
-    /// start erroring — otherwise a survivor mid-send would panic on the
-    /// dropped receiver and masquerade as a failure of its own, instead
-    /// of unwinding as [`InjectedFailure::PeerAborted`].
-    fn drop(&mut self) {
-        if let Some(h) = &self.health {
-            // Exited (returned or unwound) either way: stop expecting
-            // progress from this machine.
-            h.note_done(self.id);
-        }
-        if std::thread::panicking() {
-            self.comm.checker().set_aborted();
-            self.barrier.abort();
-        }
-    }
 }
 
 impl MachineCtx {
@@ -74,7 +49,6 @@ impl MachineCtx {
         barrier: Arc<ClusterBarrier>,
         buffer_bytes: usize,
         trace: Option<Arc<MachineTrace>>,
-        health: Option<Arc<HealthMonitor>>,
     ) -> Self {
         // The cells the fabric already counts into: one set per run.
         let stats = comm.stats().clone();
@@ -90,9 +64,6 @@ impl MachineCtx {
         comm.set_control(barrier.clone());
         let fault = comm.fault().cloned();
         let pool = Arc::new(pool);
-        if let Some(h) = &health {
-            h.note_progress(comm.id());
-        }
         MachineCtx {
             id: comm.id(),
             p: comm.num_machines(),
@@ -105,7 +76,6 @@ impl MachineCtx {
             stats,
             fault,
             trace,
-            health,
             collective_seq: 0,
         }
     }
@@ -156,24 +126,16 @@ impl MachineCtx {
     /// [`RunReport::steps`](crate::cluster::RunReport::steps). Traced runs
     /// also get a [`EventKind::Step`] span on the mainline lane, so the
     /// six §IV steps appear as Gantt rows without the algorithm layer
-    /// knowing about tracing, and a monitored run tells the health
-    /// monitor.
+    /// knowing about tracing. A step that unwinds records nothing.
     pub fn step<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
         if let Some(f) = &self.fault {
             // Pause/resume at the step boundary (straggler machines).
             f.step_pause(self.id);
         }
-        if let Some(h) = &self.health {
-            h.note_step_start(self.id, name);
-        }
         let pre = self.trace.as_ref().map(|t| (t.intern(name), t.now_ns()));
         let start = std::time::Instant::now();
         let out = f(self);
-        let elapsed = start.elapsed();
-        self.timer.record(name, elapsed);
-        if let Some(h) = &self.health {
-            h.note_step_end(self.id, name, elapsed);
-        }
+        self.timer.record(name, start.elapsed());
         if let Some((name_id, t0)) = pre {
             if let Some(t) = &self.trace {
                 t.span_since(LANE_MAIN, EventKind::Step, t0, name_id, 0);
@@ -194,8 +156,10 @@ impl MachineCtx {
         out
     }
 
-    pub(crate) fn take_timer(&mut self) -> StepTimer {
-        std::mem::take(&mut self.timer)
+    /// The steps this machine completed, consuming the context (and with
+    /// it the machine's inbox).
+    pub(crate) fn into_steps(self) -> Vec<(&'static str, std::time::Duration)> {
+        self.timer.into_steps()
     }
 
     /// Snapshot of the cluster-wide communication counters (useful for
@@ -223,19 +187,10 @@ impl MachineCtx {
             .trace
             .as_ref()
             .map(|t| (t.now_ns(), t.next_barrier_index()));
-        if let Some(h) = &self.health {
-            // Parked waiters are stall victims, not suspects — and their
-            // parked state is the detector's evidence against the machine
-            // they are waiting on.
-            h.note_wait_begin(self.id);
-        }
         self.wait_or_unwind();
         if checker::ENABLED {
             self.comm.checker().check_quiescent("barrier", Some(self.id));
             self.wait_or_unwind();
-        }
-        if let Some(h) = &self.health {
-            h.note_wait_end(self.id);
         }
         if let Some((t0, index)) = pre {
             if let Some(t) = &self.trace {

@@ -20,8 +20,9 @@
 //!   ([`StepReport`]);
 //! - *when* anything happened: the opt-in trace rings ([`crate::trace`]).
 //!
-//! The health monitor ([`crate::health`]) reads the same [`CommStats`]
-//! while the run executes; nothing is counted twice.
+//! A failed run's [`RunError`](crate::fault::RunError) carries the same
+//! three records, read after the run like a report's; diagnosing a run is
+//! reading them ([`StepReport::slowest_machine`]), not a second instrument.
 //!
 //! ## Ordering policy
 //!
@@ -69,8 +70,8 @@ impl Counter {
 
 /// `s` with the characters a JSON string may not hold verbatim escaped
 /// (quote, backslash, control characters); the caller adds the quotes.
-/// The one escaper behind every hand-written exporter: [`crate::trace`],
-/// [`crate::health`] and the `exp` result writer.
+/// The one escaper behind both hand-written exporters: [`crate::trace`]
+/// and the `exp` result writer.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
@@ -384,6 +385,21 @@ impl StepReport {
         self.percentile_across_machines(step, 95.0)
     }
 
+    /// The machine slowest in `step` (lowest id on a tie) and its time over
+    /// the step's lower median, [`p50_across_machines`](Self::p50_across_machines)
+    /// (a zero median counts as 1 ns); `None` for an empty report. The
+    /// caller judges the ratio. A step's time includes waiting in its
+    /// collectives, so a machine that waited on a slow peer reads slow too:
+    /// read the earliest slow step.
+    pub fn slowest_machine(&self, step: &str) -> Option<(usize, f64)> {
+        let (machine, slowest) = self
+            .durations_of(step)
+            .enumerate()
+            .max_by_key(|&(m, d)| (d, std::cmp::Reverse(m)))?;
+        let median = self.p50_across_machines(step).as_nanos().max(1);
+        Some((machine, slowest.as_nanos() as f64 / median as f64))
+    }
+
     /// All step names observed, in first-seen order across machines.
     pub fn step_names(&self) -> Vec<&'static str> {
         let mut names: Vec<&'static str> = Vec::new();
@@ -560,6 +576,35 @@ mod tests {
         assert_eq!(one.p95_across_machines("a"), ms(7));
         // Empty report.
         assert_eq!(StepReport::default().p95_across_machines("a"), Duration::ZERO);
+    }
+
+    fn report(per_machine: &[&[u64]]) -> StepReport {
+        let steps = |ms: &&[u64]| ms.iter().map(|&t| ("s", Duration::from_millis(t))).collect();
+        StepReport {
+            per_machine: per_machine.iter().map(steps).collect(),
+        }
+    }
+
+    #[test]
+    fn slowest_machine_names_the_straggler_over_the_lower_median() {
+        assert_eq!(report(&[&[20], &[20], &[400], &[30]]).slowest_machine("s"), Some((2, 20.0)));
+        // p = 2: the lower median is the faster machine, so the slower one
+        // reads above 1x (an upper median would be itself).
+        assert_eq!(report(&[&[10], &[30]]).slowest_machine("s"), Some((1, 3.0)));
+        // A tie names the lowest id.
+        assert_eq!(report(&[&[5], &[9], &[9]]).slowest_machine("s"), Some((1, 1.0)));
+        assert_eq!(StepReport::default().slowest_machine("s"), None);
+    }
+
+    #[test]
+    fn slowest_machine_counts_a_missing_step_as_zero() {
+        // Like max/mean: [10, 20, 0] has lower median 10.
+        assert_eq!(report(&[&[10], &[20], &[]]).slowest_machine("s"), Some((1, 2.0)));
+    }
+
+    #[test]
+    fn slowest_machine_of_one_machine_is_itself() {
+        assert_eq!(report(&[&[7]]).slowest_machine("s"), Some((0, 1.0)));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The uninstrumented step path allocates nothing: with tracing and the
-//! health monitor off, `ctx.step` records one duration into a timer entry
+//! The uninstrumented step path allocates nothing: with tracing off,
+//! `ctx.step` records one duration into a timer entry
 //! that already exists and `phase_scope` only runs its closure, so a warm
 //! machine can cross any number of steps without touching the heap.
 //!

@@ -2,14 +2,14 @@
 //! an all-to-all must conserve keys and its per-destination bytes must
 //! balance [`CommSummary::bytes_sent`](pgxd::CommSummary) — including
 //! under a chaos fault plan, where redelivered and dropped traffic must
-//! not double- or under-count — and the health monitor must name a
-//! deterministic straggler and the step it lagged in, and still say what
-//! moved when a killed run aborts.
+//! not double- or under-count — and the step view must name a
+//! deterministic straggler, on a finished run and on an aborted one,
+//! whose error still says what moved.
 
 use std::time::Duration;
 
 use pgxd::cluster::{Cluster, ClusterConfig, RunReport};
-use pgxd::{FaultPlan, HealthConfig, RunErrorKind};
+use pgxd::{FaultPlan, RunErrorKind};
 
 /// One §IV-shaped all-to-all: every machine scatters an equal share of a
 /// deterministic keyset to every destination through
@@ -62,18 +62,10 @@ fn keys_conserved_and_per_dst_bytes_balance_under_chaos() {
 }
 
 #[test]
-fn health_monitor_names_straggler_and_stalled_step() {
-    let config = ClusterConfig::new(4).health(
-        HealthConfig::enabled()
-            .interval(Duration::from_millis(2))
-            .stall_after(Duration::from_millis(20))
-            .straggler(2.0, Duration::from_millis(10)),
-    );
-    let report = Cluster::new(config).run(|ctx| {
+fn step_view_names_the_sabotaged_machine() {
+    let report = Cluster::new(ClusterConfig::new(4)).run(|ctx| {
         ctx.step("work", |c| {
-            // Machine 2 is sabotaged: 120ms against a 2ms median, far
-            // past both the 2x straggler ratio and the 20ms stall
-            // window while its peers park at the barrier below.
+            // Machine 2 is sabotaged: 120ms against a 2ms median.
             if c.id() == 2 {
                 std::thread::sleep(Duration::from_millis(120));
             } else {
@@ -82,42 +74,47 @@ fn health_monitor_names_straggler_and_stalled_step() {
         });
         ctx.barrier();
     });
-    let health = report.health.expect("monitor was enabled");
-    assert!(health.samples >= 1, "watchdog must have sampled");
-    let straggler = health
-        .stragglers()
-        .find(|v| v.machine() == Some(2))
-        .unwrap_or_else(|| panic!("no straggler verdict for machine 2:\n{health}"));
-    assert_eq!(straggler.step(), Some("work"), "verdict must name the slow step");
-    assert!(
-        health.stalls().any(|v| v.machine() == Some(2)),
-        "parked peers should expose machine 2 as the barrier holdout:\n{health}"
-    );
-    // The report doubles as a flight record: its JSON view carries the
-    // verdicts for offline triage.
-    let json = health.to_json();
-    assert!(json.contains("\"kind\":\"straggler\""), "{json}");
-    assert!(json.contains("\"schema\":\"pgxd-health/2\""), "{json}");
+    let (machine, ratio) = report.steps.slowest_machine("work").expect("four machines ran");
+    assert_eq!(machine, 2, "{:?}", report.steps);
+    assert!(ratio > 2.0, "machine 2 at {ratio:.2}x the lower median");
 }
 
 #[test]
-fn disabled_monitor_attaches_no_report() {
-    let report = all_to_all(ClusterConfig::new(2));
-    assert!(report.health.is_none(), "health is strictly opt-in");
+fn aborted_run_names_its_holdout() {
+    // Machine 0 sits in `work` far past the step timeout while its peers
+    // finish the step and park at the barrier. The timeout fires on the
+    // waiter that parked first, which is what the error names (the other
+    // one then sees the abort); the steps name the holdout.
+    let plan = FaultPlan::enabled(5).step_timeout(Duration::from_millis(100));
+    let config = ClusterConfig::new(3).fault(plan);
+    let err = Cluster::new(config)
+        .try_run(|ctx| {
+            ctx.step("work", |c| {
+                if c.id() == 0 {
+                    std::thread::sleep(Duration::from_millis(500));
+                }
+            });
+            ctx.barrier();
+        })
+        .expect_err("the barrier must time out");
+    assert_eq!(err.kind, RunErrorKind::StepTimeout, "{err}");
+    assert!(matches!(err.machine, Some(1 | 2)), "{err}");
+    let (holdout, ratio) = err.steps.slowest_machine("work").expect("three machines ran");
+    assert_eq!(holdout, 0, "{:?}", err.steps);
+    assert!(ratio > 2.0, "machine 0 at {ratio:.2}x the lower median");
 }
 
 #[test]
 fn run_error_carries_flight_record() {
-    let config = ClusterConfig::new(4)
-        .fault(
-            FaultPlan::chaos(11)
-                .kill(1, 3)
-                .step_timeout(Duration::from_secs(20)),
-        )
-        .health(HealthConfig::enabled().interval(Duration::from_millis(2)));
+    let config = ClusterConfig::new(4).fault(
+        FaultPlan::chaos(11)
+            .kill(1, 3)
+            .step_timeout(Duration::from_secs(20)),
+    );
     let cluster = Cluster::new(config);
     let err = cluster
         .try_run(|ctx| {
+            ctx.step("warmup", |c| c.barrier());
             let p = ctx.num_machines();
             let n = 1024 * p;
             let data: Vec<u64> = (0..n as u64).collect();
@@ -131,8 +128,12 @@ fn run_error_carries_flight_record() {
         .expect_err("the kill plan must abort the run");
     assert_eq!(err.kind, RunErrorKind::InjectedKill, "{err}");
     assert_eq!(err.machine, Some(1), "{err}");
-    let health = err.health.as_ref().expect("aborts still attach the flight record");
     // What moved before the abort is still accounted for.
-    assert!(health.comm.bytes_sent > 0, "{health}");
-    assert_eq!(health.per_dst_bytes.iter().sum::<u64>(), health.comm.bytes_sent);
+    assert!(err.comm.bytes_sent > 0, "{err}");
+    assert_eq!(err.per_dst_bytes.iter().sum::<u64>(), err.comm.bytes_sent);
+    // Every machine completed `warmup`, the killed one included.
+    assert_eq!(err.steps.per_machine.len(), 4);
+    for (m, steps) in err.steps.per_machine.iter().enumerate() {
+        assert!(steps.iter().any(|(n, _)| *n == "warmup"), "machine {m}: {steps:?}");
+    }
 }

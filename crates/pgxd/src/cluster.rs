@@ -526,7 +526,8 @@ mod tests {
 
     #[test]
     fn exchange_chunks_through_tiny_buffers() {
-        // Force many chunk flushes: 64-byte buffer = 8 u64 per chunk.
+        // Force many chunk flushes: a 64-byte buffer packs 51 consecutive
+        // u64 keys (one byte each behind a 13-byte header).
         let cluster = Cluster::new(ClusterConfig::new(2).buffer_bytes(64));
         let report = cluster.run(|ctx| {
             let id = ctx.id() as u64;
@@ -540,7 +541,9 @@ mod tests {
         assert_eq!(out0[..500], (0..500).collect::<Vec<u64>>()[..]);
         assert_eq!(out0[500..], (10_000..10_500).collect::<Vec<u64>>()[..]);
         // Chunking must not change totals but must raise message counts.
-        assert!(report.comm.messages_sent > 100);
+        let per_stream = 500u64.div_ceil(51);
+        assert_eq!(report.comm.exchange.chunks_sent, 2 * per_stream);
+        assert_eq!(report.comm.messages_sent, 2 + 2 * per_stream);
     }
 
     #[test]

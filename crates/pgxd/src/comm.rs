@@ -3,11 +3,13 @@
 //! model.
 //!
 //! Machines exchange [`Packet`]s over the unbounded queues of
-//! [`crate::sync`], one inbox per machine (the fabric). Payloads move by
-//! ownership — no serialization — which models PGX.D's zero-copy native
-//! transport; the *Spark* baseline deliberately serializes instead (see
-//! `pgxd-baselines`), which is one of the mechanisms behind the paper's
-//! 2–3× gap.
+//! [`crate::sync`], one inbox per machine (the fabric). Payloads still move
+//! by ownership, with no serialization step on the fabric; what a payload
+//! holds is its sender's choice, and the data manager packs `u64` exchange
+//! chunks in frame-of-reference form ([`crate::buffer`]), so a chunk is
+//! charged the bytes its keys need. The *Spark* baseline serializes every
+//! record at its stage boundaries instead (see `pgxd-baselines`), which is
+//! one of the mechanisms behind the paper's 2–3× gap.
 //!
 //! Tag discipline: collectives stamp every packet with a sequence number
 //! managed by [`MachineCtx`](crate::machine::MachineCtx) so that two
@@ -200,17 +202,17 @@ impl CommSender {
         self.send_packet(dst, tag, wire_bytes, payload);
     }
 
-    /// Sends a shared (refcounted) `Vec<T>` to `dst`. The collectives use
-    /// this to ship one payload to `p − 1` receivers without cloning the
-    /// data per receiver; each send is still charged full wire bytes, so
-    /// the network accounting is identical to an owned [`send_vec`].
-    ///
     /// This machine's trace sink, if the run is traced (used by
     /// [`RequestBuffer`](crate::buffer::RequestBuffer) to mark flushes).
     pub(crate) fn trace(&self) -> Option<&Arc<MachineTrace>> {
         self.trace.as_ref()
     }
 
+    /// Sends a shared (refcounted) `Vec<T>` to `dst`. The collectives use
+    /// this to ship one payload to `p − 1` receivers without cloning the
+    /// data per receiver; each send is still charged full wire bytes, so
+    /// the network accounting is identical to an owned [`send_vec`].
+    ///
     /// [`send_vec`]: CommSender::send_vec
     // analyze: allow(hot-path-alloc): boxed wire envelope (see send_vec).
     pub fn send_shared_vec<T: Send + Sync + 'static>(

@@ -6,7 +6,7 @@
 //! call the same collectives in the same order (an internal sequence
 //! number enforces packet matching across consecutive collectives).
 
-use crate::buffer::RequestBuffer;
+use crate::buffer::{self, RequestBuffer};
 use crate::checker;
 use crate::comm::{kinds, CommManager, Tag};
 use crate::fault::{BarrierWait, ClusterBarrier, FaultInjector, InjectedFailure};
@@ -363,8 +363,10 @@ impl MachineCtx {
     ///    receiver-side offset to address its chunks at — the counts are
     ///    also all the batch identity that travels: keys ship untagged;
     /// 2. data moves in data-manager buffer-sized chunks
-    ///    ([`MachineCtx::buffer_bytes`]) addressed to absolute offsets, so
-    ///    the receiver writes each arriving chunk straight into place
+    ///    ([`MachineCtx::buffer_bytes`]) addressed to absolute offsets —
+    ///    packed in frame-of-reference form when `T` is `u64`, raw
+    ///    otherwise ([`buffer`]) — so the receiver writes (or unpacks) each
+    ///    arriving chunk straight into place
     ///    while still sending its own outgoing data (no barrier between
     ///    send and receive). A machine none of whose remote ranges exceeds
     ///    one buffer has nothing to overlap — each stream is a single
@@ -493,10 +495,11 @@ impl MachineCtx {
             ));
         }
 
-        // The receive loop: place each arriving chunk with one memcpy and
-        // hand its backing store to the pool, where this machine's send
-        // tasks (and the next exchange) pick it back up. Arriving chunks
-        // were acquired from the *sender's* pool, hence `release_inbound`.
+        // The receive loop: place each arriving chunk — one memcpy, or one
+        // unpack for a packed `u64` chunk — and hand its backing store to
+        // the pool, where this machine's send tasks (and the next exchange)
+        // pick it back up. Arriving chunks were acquired from the
+        // *sender's* pool, hence `release_inbound`.
         let comm = &mut self.comm;
         let pool = &self.pool;
         let stats = &self.stats;
@@ -507,27 +510,49 @@ impl MachineCtx {
             let mut remote_received = 0usize;
             while remote_received < expected_remote {
                 let pkt = comm.recv_packet(data_tag);
-                let src = pkt.src;
-                let (offset, chunk) = pkt.into_value::<(usize, Vec<T>)>();
-                // SAFETY: the sender addressed this chunk inside the run
-                // reserved for it by the count matrix, so
-                // `offset + len <= total`; only this thread writes `out`.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        chunk.as_ptr(),
-                        out_ptr.add(offset).cast::<T>(),
-                        chunk.len(),
-                    );
-                }
-                ledger.record(offset, chunk.len());
-                remote_received += chunk.len();
-                let bytes = chunk.len() * std::mem::size_of::<T>();
+                let (src, wire_bytes) = (pkt.src, pkt.wire_bytes);
+                let (offset, len) = if buffer::packs::<T>() {
+                    let (offset, chunk) = pkt.into_value::<(usize, Vec<u8>)>();
+                    let len = buffer::packed_len(&chunk);
+                    assert!(offset + len <= total, "packed chunk past the output's end");
+                    // SAFETY: `packs` compared the TypeIds, so `T` is `u64`
+                    // and the slots are `MaybeUninit<u64>`; `offset + len <=
+                    // total` (asserted) keeps the slice inside `out`, no
+                    // other chunk's run overlaps it, and only this thread
+                    // writes `out`.
+                    let slots = unsafe {
+                        std::slice::from_raw_parts_mut(
+                            out_ptr.add(offset).cast::<MaybeUninit<u64>>(),
+                            len,
+                        )
+                    };
+                    buffer::unpack_into(&chunk, slots, MaybeUninit::new);
+                    pool.release_inbound(chunk);
+                    (offset, len)
+                } else {
+                    let (offset, chunk) = pkt.into_value::<(usize, Vec<T>)>();
+                    // SAFETY: the sender addressed this chunk inside the run
+                    // reserved for it by the count matrix, so
+                    // `offset + len <= total`; only this thread writes `out`.
+                    unsafe {
+                        std::ptr::copy_nonoverlapping(
+                            chunk.as_ptr(),
+                            out_ptr.add(offset).cast::<T>(),
+                            chunk.len(),
+                        );
+                    }
+                    let len = chunk.len();
+                    pool.release_inbound(chunk);
+                    (offset, len)
+                };
+                ledger.record(offset, len);
+                remote_received += len;
+                let bytes = len * std::mem::size_of::<T>();
                 stats.exchange.record_bytes_placed(bytes);
                 if let Some(t) = trace {
-                    t.instant(LANE_MAIN, EventKind::ChunkRecv, src as u64, bytes as u64);
+                    t.instant(LANE_MAIN, EventKind::ChunkRecv, src as u64, wire_bytes as u64);
                     t.instant(LANE_MAIN, EventKind::ChunkPlace, offset as u64, bytes as u64);
                 }
-                pool.release_inbound(chunk);
             }
             // Debug builds: prove the self-copy and the arrived chunks
             // tiled [0, total) exactly once (§IV-C disjoint placement).

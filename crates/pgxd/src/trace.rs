@@ -136,13 +136,14 @@ pub enum EventKind {
     Task,
     /// The exchange receive loop, first wait→ledger close. Span.
     RecvLoop,
-    /// A request buffer flushed a chunk (`a` = dst, `b` = payload bytes).
+    /// A request buffer flushed a chunk (`a` = dst, `b` = encoded bytes).
     ChunkFlush,
     /// A chunk entered the fabric (`a` = dst, `b` = wire bytes).
     ChunkSend,
-    /// A chunk arrived at this machine (`a` = src, `b` = payload bytes).
+    /// A chunk arrived at this machine (`a` = src, `b` = wire bytes).
     ChunkRecv,
-    /// A chunk was memcpy-placed (`a` = element offset, `b` = bytes).
+    /// A chunk was placed — copied, or unpacked — (`a` = element offset,
+    /// `b` = element bytes).
     ChunkPlace,
     /// A pool acquisition served from recycled memory (`a` = bytes).
     PoolHit,

@@ -1,9 +1,12 @@
 //! Small, deterministic exercises of the exchange pipeline's unsafe code
-//! — `MaybeUninit` output assembly, `ptr::copy_nonoverlapping` placement,
-//! and the chunk pool's type-erased `Vec::from_raw_parts` recycling —
-//! sized so `cargo miri test -p pgxd --test miri_exchange` finishes in
-//! minutes. CI runs exactly that command; the same tests also run natively
-//! in the normal test sweep.
+//! — `MaybeUninit` output assembly, the two placements of a received chunk
+//! (`ptr::copy_nonoverlapping` of a raw chunk, the unpack of a packed `u64`
+//! chunk into its slots), and the chunk pool's type-erased
+//! `Vec::from_raw_parts` recycling — sized so `cargo miri test -p pgxd
+//! --test miri_exchange` finishes in minutes. Each exchange runs twice:
+//! with `u64` keys, which travel packed, and with `(u32, u64)` pairs, which
+//! travel raw. CI runs exactly that command; the same tests also run
+//! natively in the normal test sweep.
 
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd::metrics::CommStats;
@@ -31,30 +34,55 @@ fn pool_roundtrip_and_drop_are_sound() {
     drop(pool); // Drop impl frees parked buffers via their drop_fn
 }
 
-#[test]
-fn small_exchange_places_every_element_exactly_once() {
-    // 3 machines, 2 workers, 16-byte buffers (2 u64 per chunk): enough to
-    // drive worker-side sends, pooled flush/finish, and memcpy placement
-    // through every unsafe block with a handful of elements.
+/// Machine `id`'s `i`-th element, as a `u64` key or as a pair.
+trait Element: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
+    fn make(id: u64, i: u64) -> Self;
+}
+
+impl Element for u64 {
+    fn make(id: u64, i: u64) -> Self {
+        id * 100 + i
+    }
+}
+
+impl Element for (u32, u64) {
+    fn make(id: u64, i: u64) -> Self {
+        (i as u32, id * 100 + i)
+    }
+}
+
+/// Nine elements per machine, three to each of three machines, exchanged
+/// twice (the second round against a warm pool).
+fn three_by_three<T: Element>(config: ClusterConfig) {
     let p = 3;
-    let cluster = Cluster::new(
-        ClusterConfig::new(p).buffer_bytes(16).workers_per_machine(2),
-    );
-    let report = cluster.run(|ctx| {
+    let report = Cluster::new(config).run(|ctx| {
         let id = ctx.id() as u64;
-        let data: Vec<u64> = (0..9).map(|i| id * 100 + i).collect();
+        let data: Vec<T> = (0..9).map(|i| T::make(id, i)).collect();
         let offsets = vec![0usize, 3, 6, 9];
-        // Two rounds so the second runs against a warm pool.
         let _ = ctx.exchange_by_offsets(&data, &offsets);
         ctx.exchange_by_offsets(&data, &offsets)
     });
     for (m, (out, bounds)) in report.results.iter().enumerate() {
         assert_eq!(bounds, &vec![0, 3, 6, 9]);
-        let expect: Vec<u64> = (0..p as u64)
-            .flat_map(|src| (0..3).map(move |i| src * 100 + m as u64 * 3 + i))
+        let expect: Vec<T> = (0..p as u64)
+            .flat_map(|src| (0..3).map(move |i| T::make(src, m as u64 * 3 + i)))
             .collect();
         assert_eq!(out, &expect, "machine {m}");
     }
+}
+
+#[test]
+fn small_exchange_places_every_element_exactly_once() {
+    // 3 machines, 2 workers, 16-byte buffers (one key or two pairs per
+    // chunk): enough to drive worker-side sends, pooled flush/finish, and
+    // both placements through every unsafe block with a handful of elements.
+    let config = || {
+        ClusterConfig::new(3)
+            .buffer_bytes(16)
+            .workers_per_machine(2)
+    };
+    three_by_three::<u64>(config());
+    three_by_three::<(u32, u64)>(config());
 }
 
 #[test]
@@ -63,36 +91,18 @@ fn one_buffer_exchange_flushed_by_the_machine_thread() {
     // stream fits one chunk, so the machine thread flushes its own sends
     // and then receives — the other route through the same unsafe blocks
     // (the two cases around this one only ever send from worker threads).
-    let p = 3;
-    let cluster = Cluster::new(ClusterConfig::new(p).workers_per_machine(2));
-    let report = cluster.run(|ctx| {
-        let id = ctx.id() as u64;
-        let data: Vec<u64> = (0..9).map(|i| id * 100 + i).collect();
-        let offsets = vec![0usize, 3, 6, 9];
-        let _ = ctx.exchange_by_offsets(&data, &offsets);
-        ctx.exchange_by_offsets(&data, &offsets)
-    });
-    for (m, (out, bounds)) in report.results.iter().enumerate() {
-        assert_eq!(bounds, &vec![0, 3, 6, 9]);
-        let expect: Vec<u64> = (0..p as u64)
-            .flat_map(|src| (0..3).map(move |i| src * 100 + m as u64 * 3 + i))
-            .collect();
-        assert_eq!(out, &expect, "machine {m}");
-    }
+    let config = || ClusterConfig::new(3).workers_per_machine(2);
+    three_by_three::<u64>(config());
+    three_by_three::<(u32, u64)>(config());
 }
 
-#[test]
-fn exchange_with_empty_and_lopsided_ranges() {
-    // Some machines send nothing to some destinations (empty chunk paths),
-    // machine 2 receives nothing at all (zero-length MaybeUninit output).
+/// Machines 0 and 2 send their four elements to machine 1, which sends its
+/// four to machine 0, through 8-byte buffers.
+fn lopsided<T: Element>() {
     let p = 3;
-    let cluster = Cluster::new(
-        ClusterConfig::new(p).buffer_bytes(8).workers_per_machine(1),
-    );
+    let cluster = Cluster::new(ClusterConfig::new(p).buffer_bytes(8).workers_per_machine(1));
     let report = cluster.run(|ctx| {
-        let data: Vec<u64> = (0..4).map(|i| ctx.id() as u64 * 10 + i).collect();
-        // Machines 0 and 2 send everything to 1; machine 1 sends to 0.
-        // Machine 2 receives nothing at all (zero-length output buffer).
+        let data: Vec<T> = (0..4).map(|i| T::make(ctx.id() as u64, i)).collect();
         let dst = (ctx.id() + 1) % 2;
         let mut offsets = vec![0usize; p + 1];
         for (j, slot) in offsets.iter_mut().enumerate() {
@@ -100,10 +110,20 @@ fn exchange_with_empty_and_lopsided_ranges() {
         }
         ctx.exchange_by_offsets(&data, &offsets)
     });
-    let (out0, _) = &report.results[0];
-    let (out1, _) = &report.results[1];
-    let (out2, _) = &report.results[2];
-    assert_eq!(out0, &vec![10, 11, 12, 13]);
-    assert_eq!(out1, &vec![0, 1, 2, 3, 20, 21, 22, 23]);
-    assert!(out2.is_empty());
+    let from = |id: u64| (0..4).map(move |i| T::make(id, i));
+    assert_eq!(report.results[0].0, from(1).collect::<Vec<T>>());
+    assert_eq!(
+        report.results[1].0,
+        from(0).chain(from(2)).collect::<Vec<T>>()
+    );
+    // Machine 2 receives nothing at all (zero-length output buffer).
+    assert!(report.results[2].0.is_empty());
+}
+
+#[test]
+fn exchange_with_empty_and_lopsided_ranges() {
+    // Some machines send nothing to some destinations (empty chunk paths),
+    // machine 2 receives nothing at all (zero-length MaybeUninit output).
+    lopsided::<u64>();
+    lopsided::<(u32, u64)>();
 }

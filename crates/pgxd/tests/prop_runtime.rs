@@ -135,6 +135,26 @@ fn exchange_preserves_multiset_and_run_order() {
     });
 }
 
+/// Machine `m`'s shard of `len` keys in one of the shapes a packed `u64`
+/// chunk has to carry: sorted; unsorted; full-range (`0` and `u64::MAX` in
+/// every range of three keys or more); one repeated key; or straddling
+/// `edge = 2^(8k)`, so that a chunk's span is `edge` or just past it and
+/// needs one byte more than `edge − 1` does.
+fn shard(g: &mut Gen, shape: usize, len: usize, m: usize) -> Vec<u64> {
+    let edge = 1u64 << (8 * g.usize_in(1..8));
+    let base = g.u64_in(0..1 << 20);
+    let key = g.u64();
+    (0..len as u64)
+        .map(|i| match shape {
+            0 => i * 5 + m as u64,
+            1 => g.u64(),
+            2 => [0, u64::MAX, g.u64()][i as usize % 3],
+            3 => key,
+            _ => base + g.select(&[0, edge - 1, edge, edge + 1]),
+        })
+        .collect()
+}
+
 #[test]
 fn exchange_places_every_range_where_the_layout_says() {
     check(CASES, |g| {
@@ -142,16 +162,19 @@ fn exchange_places_every_range_where_the_layout_says() {
         let batches = g.usize_in(1..4);
         let shard_len = g.usize_in(0..200);
         let cuts_seed = g.u64();
+        // Below one packed header, a few keys, and the default.
+        let buffer_bytes = g.select(&[8usize, 16, 64, 256 * 1024]);
+        let shape = g.usize_in(0..5);
         // The closed-form model of the exchange: send range `b·p + dst` of
         // source `s` is, verbatim, run `b·p + s` of destination `dst`.
-        let shards: Vec<Vec<u64>> = (0..p)
-            .map(|m| (0..shard_len as u64).map(|i| i * 5 + m as u64).collect())
-            .collect();
+        let shards: Vec<Vec<u64>> = (0..p).map(|m| shard(g, shape, shard_len, m)).collect();
         let offsets: Vec<Vec<usize>> = (0..p)
             .map(|m| monotone_cuts(shard_len, batches * p, cuts_seed ^ m as u64))
             .collect();
         let cluster = Cluster::new(
-            ClusterConfig::new(p).buffer_bytes(64).workers_per_machine(2),
+            ClusterConfig::new(p)
+                .buffer_bytes(buffer_bytes)
+                .workers_per_machine(2),
         );
         let (shards_ref, offsets_ref) = (&shards, &offsets);
         let report = cluster.run(move |ctx| {

@@ -22,13 +22,14 @@ const MACHINES: usize = 4;
 const N: usize = 6_000;
 
 /// Both shapes of the exchange. An even share of these `N`-key sorts is 375
-/// keys per destination: 1 KiB buffers cut every such stream into three
-/// chunks, which the worker pool sends while the machine receives. At the
-/// default 256 KiB a stream is a single chunk whatever the skew, and the
-/// machine thread flushes it itself before it receives — the shape in which
-/// drop-with-redelivery parks a stream's *only* chunk and the end-of-stream
-/// flush alone delivers it.
-const BUFFERS: [usize; 2] = [1024, pgxd::DEFAULT_BUFFER_BYTES];
+/// keys per destination: 256-byte buffers hold at most 243 packed keys (one
+/// byte each behind the header), so they cut every such stream into two
+/// chunks or more, which the worker pool sends while the machine receives.
+/// At the default 256 KiB a stream is a single chunk whatever the skew, and
+/// the machine thread flushes it itself before it receives — the shape in
+/// which drop-with-redelivery parks a stream's *only* chunk and the
+/// end-of-stream flush alone delivers it.
+const BUFFERS: [usize; 2] = [256, pgxd::DEFAULT_BUFFER_BYTES];
 
 /// The adversarial input set: the two new chaos distributions plus the
 /// classic pathological orders and a uniform control.
@@ -105,14 +106,14 @@ fn chaos_schedule_replays_from_its_seed() {
     // Same seed ⇒ same fault schedule ⇒ same verdict, same traffic, and
     // the same injected schedule. Drop-with-redelivery keeps the totals
     // equal whichever chunks it drops, so the schedule itself is compared:
-    // 1 KiB buffers cut each stream into several chunks, and a send lane's
-    // order of flushes and sends shows which chunks were held back.
+    // 256-byte buffers cut each stream into several chunks, and a send
+    // lane's order of flushes and sends shows which chunks were held back.
     let parts = generate_partitioned(Distribution::skew_storm(0.85), N, MACHINES, 5);
     let run = || {
         let cluster = Cluster::new(
             ClusterConfig::new(MACHINES)
                 .workers_per_machine(2)
-                .buffer_bytes(1024)
+                .buffer_bytes(256)
                 .trace(TraceConfig::enabled().ring_capacity(1 << 14))
                 .fault(FaultPlan::chaos(99)),
         );
@@ -127,11 +128,50 @@ fn chaos_schedule_replays_from_its_seed() {
     assert_eq!(a.comm.messages_sent, b.comm.messages_sent);
     assert_eq!(a.comm.exchange.chunks_sent, b.comm.exchange.chunks_sent);
     let schedule = send_schedule(&a);
-    let held_back = |lane: &Vec<(EventKind, u64)>| {
-        lane.windows(2).any(|w| w[0].0 == EventKind::ChunkFlush && w[1].0 == EventKind::ChunkFlush)
-    };
-    assert!(schedule.values().any(held_back), "the plan dropped no chunk mid-stream");
+    assert!(
+        schedule.values().any(|lane| held_back(lane)),
+        "the plan dropped no chunk mid-stream"
+    );
     assert_eq!(schedule, send_schedule(&b), "the injected schedule did not replay");
+}
+
+/// A chunk held back and sent behind a later one: two flushes in a row on
+/// one send lane.
+fn held_back(lane: &[(EventKind, u64)]) -> bool {
+    lane.windows(2)
+        .any(|w| w[0].0 == EventKind::ChunkFlush && w[1].0 == EventKind::ChunkFlush)
+}
+
+#[test]
+fn drops_reorder_packed_chunks_without_corrupting_them() {
+    // Keys in pairs `2^(8k)` apart (k = 1..=4), pairs `2^40` apart, whole
+    // pairs to a machine. 23-byte buffers hold a header and two keys of up
+    // to five bytes, so a sorted range packs pair by pair, and each pair's
+    // span needs exactly one byte more than `2^(8k) − 1` would. Drop-with-
+    // redelivery then sends some of those chunks behind later ones.
+    const PAIRS: u64 = N as u64 / 2;
+    let keys: Vec<u64> = (0..PAIRS)
+        .flat_map(|j| {
+            let c = j * 7919 % PAIRS;
+            [c << 40, c << 40 | 1 << (8 * (1 + c % 4))]
+        })
+        .collect();
+    let parts = partition_even(&keys, MACHINES);
+    let cluster = Cluster::new(
+        ClusterConfig::new(MACHINES)
+            .workers_per_machine(2)
+            .buffer_bytes(23)
+            .trace(TraceConfig::enabled().ring_capacity(1 << 16))
+            .fault(FaultPlan::drops(41)),
+    );
+    let sorter = DistSorter::default();
+    let report = cluster.run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()).data);
+    assert_eq!(report.results.concat(), flat_sorted(&parts));
+    let schedule = send_schedule(&report);
+    assert!(
+        schedule.values().any(|lane| held_back(lane)),
+        "the plan dropped no chunk mid-stream"
+    );
 }
 
 /// Per (machine, lane): the exchange's buffer flushes and fabric sends in

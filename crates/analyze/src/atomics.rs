@@ -1,10 +1,9 @@
 //! Atomics-ordering lint (`atomics-ordering`).
 //!
-//! The trace layer's seqlock rings (`trace.rs`) and the pool / checker
-//! cursors publish data across threads: the discipline is that every
-//! *publication* store is `Release` and every consuming load is
-//! `Acquire` (or stronger), so a reader that observes the version/cursor
-//! also observes the data written before it. `Relaxed` is only sound for
+//! The pool / checker cursors publish data across threads: the
+//! discipline is that every *publication* store is `Release` and every
+//! consuming load is `Acquire` (or stronger), so a reader that observes
+//! the cursor also observes the data written before it. `Relaxed` is only sound for
 //! values that carry no happens-before obligation — counters read on the
 //! same thread, statistics, the single-writer side of a cursor — and
 //! every such use must say why inline:
@@ -19,7 +18,7 @@
 //! [`crate::markers`]). Neither x86 nor the test suite can show a missing
 //! `Release`, so this pass is the only guard of the ordering discipline.
 //!
-//! Scope: `trace.rs`, `pool.rs`, `checker.rs` — the files whose atomics
+//! Scope: `pool.rs`, `checker.rs` — the files whose atomics
 //! form cross-thread publication protocols — plus `metrics.rs`, where the
 //! comm counters are *deliberately* `Relaxed` (monotone statistics with no
 //! happens-before obligation) and every site must carry an annotated
@@ -40,8 +39,7 @@ use crate::report::Finding;
 
 /// Files whose atomics implement publication protocols, plus the comm
 /// counters whose Relaxed-only policy is enforced via annotations.
-const ATOMICS_FILES: [&str; 4] = [
-    "crates/pgxd/src/trace.rs",
+const ATOMICS_FILES: [&str; 3] = [
     "crates/pgxd/src/pool.rs",
     "crates/pgxd/src/checker.rs",
     "crates/pgxd/src/metrics.rs",

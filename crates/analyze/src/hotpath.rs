@@ -73,7 +73,7 @@ const PREFIX_ROOTS: [(&str, &[&str], &str); 3] = [
     ("crates/pgxd/src/comm.rs", &["send_", "recv_"], "fabric"),
     (
         "crates/pgxd/src/trace.rs",
-        &["emit", "instant", "span_since", "intern", "now_ns"],
+        &["emit", "instant", "span_since", "now_ns"],
         "trace-emit",
     ),
     ("crates/pgxd/src/metrics.rs", &["inc", "add", "record_"], "metrics-emit"),

@@ -20,7 +20,7 @@
 //!    asymmetric-barrier and recv-without-send shape checks (see
 //!    [`waitgraph`]).
 //! 5. **atomics-ordering** — no `Relaxed` publication in the
-//!    seqlock/cursor files without an inline justification (see
+//!    cursor files without an inline justification (see
 //!    [`atomics`]).
 //! 6. **hot-path-alloc** — heap allocations reachable from the
 //!    per-element data plane (the local-sort kernels and request buffer,

@@ -119,8 +119,7 @@ fn canonical_lock_order_holds() {
         "ChunkPool::shards",
         "ChunkPool::known_caps",
         "ProtocolChecker::ledger",
-        "ProtocolChecker::traces",
-        "NameTable::names",
+        "MachineTrace::sink",
     ];
     let rank = |n: &str| order.iter().position(|o| *o == n);
     let r = analyze_workspace(root()).expect("workspace sources readable");

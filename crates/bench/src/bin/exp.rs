@@ -667,11 +667,12 @@ fn trace_cmd(opts: &Opts) {
     assert!(result.ranges_ascending(), "sort output out of order");
     let log = log.expect("tracing was enabled");
     println!(
-        "captured {} events ({} emitted, {} dropped to ring overflow)",
+        "captured {} events ({} emitted, {} dropped at the per-machine cap)",
         log.events.len(),
         log.emitted,
         log.dropped
     );
+    assert_eq!(log.dropped, 0, "the per-machine cap must hold one sort");
 
     // Step Gantt: every machine must have a span for each §IV step.
     let gantt = log.step_gantt();

@@ -27,10 +27,6 @@ use pgxd_datagen::{generate_partitioned, Distribution};
 const SHARD: usize = 5 * MIN_ITEMS_PER_WORKER;
 const _: () = assert!(SHARD >= PARALLEL_MERGE_CUTOFF);
 
-/// Per-lane trace ring for the traced runs: room for every event of one
-/// sort's mainline lane here, a sliver of the default.
-const RING_EVENTS: usize = 512;
-
 #[test]
 fn every_machine_and_worker_count_sorts_every_shape() {
     for machines in [2usize, 3, 5] {
@@ -63,7 +59,7 @@ fn every_machine_and_worker_count_sorts_every_shape() {
                 // The same cell traced: the step-1 merge ran on every
                 // machine exactly when there was more than one chunk to
                 // merge.
-                let traced = config.trace(TraceConfig::enabled().ring_capacity(RING_EVENTS));
+                let traced = config.trace(TraceConfig::enabled());
                 let log = Cluster::new(traced)
                     .run(|ctx| {
                         sort(ctx);

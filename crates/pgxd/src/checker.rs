@@ -75,11 +75,12 @@ struct Ledger {
 pub struct ProtocolChecker {
     machines: usize,
     ledger: Mutex<Ledger>,
-    /// Per-machine trace sinks for traced runs: every verdict below is
-    /// emitted as an [`EventKind::Checker`] instant *before* the panic,
-    /// so the violation is visible in the exported timeline at the moment
-    /// the fabric proved it.
-    traces: Mutex<HashMap<usize, Arc<MachineTrace>>>,
+    /// Each machine's trace sink, indexed by machine id (empty when the
+    /// run is untraced): every verdict below is emitted as an
+    /// [`EventKind::Checker`] instant *before* the panic, so the violation
+    /// is visible in the exported timeline at the moment the fabric proved
+    /// it.
+    traces: Vec<Arc<MachineTrace>>,
     /// Set when the run is aborted (a machine failed or a step timed
     /// out): quiescence checks stand down, because a run that died
     /// mid-exchange legitimately strands packets and chunk custody. The
@@ -103,12 +104,22 @@ pub struct ResidualReport {
 }
 
 impl ProtocolChecker {
-    /// A checker for a fabric of `machines` machines.
+    /// A checker for an untraced fabric of `machines` machines.
     pub fn new(machines: usize) -> Self {
+        Self::with_traces(machines, Vec::new())
+    }
+
+    /// A checker for a fabric of `machines` machines whose verdicts land
+    /// in `traces`, one sink per machine in machine order (empty when the
+    /// run is untraced). [`CommManager::fabric_with`] passes the run's
+    /// sinks when it builds the fabric.
+    ///
+    /// [`CommManager::fabric_with`]: crate::comm::CommManager::fabric_with
+    pub fn with_traces(machines: usize, traces: Vec<Arc<MachineTrace>>) -> Self {
         ProtocolChecker {
             machines,
             ledger: Mutex::new(Ledger::default()),
-            traces: Mutex::new(HashMap::new()),
+            traces,
             aborted: AtomicBool::new(false),
         }
     }
@@ -142,32 +153,18 @@ impl ProtocolChecker {
         self.machines
     }
 
-    /// Registers `machine`'s trace sink so this checker's verdicts land in
-    /// the run's timeline ([`MachineCtx::new`](crate::machine::MachineCtx)
-    /// calls this on traced runs).
-    pub fn attach_trace(&self, machine: usize, trace: Arc<MachineTrace>) {
-        self.traces.lock().insert(machine, trace);
-    }
-
     /// Emits a [`violation`] code as a checker instant on `machine`'s
-    /// timeline (every registered timeline when the verdict is
-    /// fabric-wide). Rings are drained on unwind by
+    /// timeline (every machine's when the verdict is fabric-wide). The
+    /// sink outlives the panic that follows, so
     /// [`TraceCollector::collect`](crate::trace::TraceCollector::collect)
-    /// via caught panics in tests, so the event survives the panic that
-    /// follows it.
+    /// after a caught unwind shows the event.
     fn trace_violation(&self, machine: Option<usize>, code: u64) {
-        let traces = self.traces.lock();
-        match machine {
-            Some(m) => {
-                if let Some(t) = traces.get(&m) {
-                    t.instant(LANE_MAIN, EventKind::Checker, code, 0);
-                }
-            }
-            None => {
-                for t in traces.values() {
-                    t.instant(LANE_MAIN, EventKind::Checker, code, 0);
-                }
-            }
+        let sinks = match machine {
+            Some(m) => self.traces.get(m..=m).unwrap_or_default(),
+            None => &self.traces,
+        };
+        for t in sinks {
+            t.instant(LANE_MAIN, EventKind::Checker, code, 0);
         }
     }
 
@@ -348,7 +345,7 @@ impl ProtocolChecker {
             total,
             spans: Vec::new(),
             enabled: ENABLED,
-            trace: self.traces.lock().get(&machine).cloned(),
+            trace: self.traces.get(machine).cloned(),
         }
     }
 }

@@ -231,13 +231,11 @@ impl Cluster {
         let injector = plan
             .enabled
             .then(|| Arc::new(FaultInjector::new(plan, p, self.config.net, barrier.clone())));
-        let comms = CommManager::fabric_with_faults(p, stats.clone(), injector.clone());
+        // The collector is the shared epoch for all machines.
+        let collector = self.config.trace.enabled.then(|| TraceCollector::new(p));
+        let comms =
+            CommManager::fabric_with(p, stats.clone(), injector.clone(), collector.as_ref());
         let fabric_checker = comms[0].checker().clone();
-        // Lane 0 is the machine's mainline thread; 1.. its worker/send
-        // lanes. The collector is the shared epoch for all machines.
-        let collector = self.config.trace.enabled.then(|| {
-            TraceCollector::new(p, self.config.workers_per_machine + 1, self.config.trace)
-        });
         let start = Instant::now();
 
         let mut results: Vec<Option<R>> = (0..p).map(|_| None).collect();
@@ -254,7 +252,6 @@ impl Cluster {
                     let workers = self.config.workers_per_machine;
                     let buffer_bytes = self.config.buffer_bytes;
                     let injector = injector.clone();
-                    let trace = collector.as_ref().map(|c| c.machine(machine_id));
                     handles.push(scope.spawn(move || {
                         // Built outside the unwind boundary, so a machine
                         // that fails still hands back the steps it
@@ -264,7 +261,6 @@ impl Cluster {
                             TaskManager::with_fault(workers, machine_id, injector),
                             barrier.clone(),
                             buffer_bytes,
-                            trace,
                         );
                         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
                         if outcome.is_err() {
@@ -608,9 +604,10 @@ mod tests {
 
     #[test]
     fn enabled_tracing_captures_steps_barriers_and_exchange() {
-        let cluster =
-            Cluster::new(ClusterConfig::new(3).trace(TraceConfig::enabled().ring_capacity(4096)));
+        const BARRIERS: u64 = 3;
+        let cluster = Cluster::new(ClusterConfig::new(3).trace(TraceConfig::enabled()));
         let report = cluster.run(|ctx| {
+            ctx.barrier();
             ctx.step("scatter", |ctx| {
                 let id = ctx.id() as u64;
                 let data: Vec<u64> = (0..300).map(|i| id * 1000 + i).collect();
@@ -618,11 +615,22 @@ mod tests {
                 ctx.exchange_by_offsets(&data, &offsets)
             });
             ctx.barrier();
+            ctx.barrier();
         });
         let log = report.trace.expect("tracing was enabled");
         assert_eq!(log.machines, 3);
-        assert_eq!(log.dropped, 0, "4096-slot rings must not overflow here");
+        assert_eq!(log.dropped, 0, "the per-machine cap must hold this run");
         use crate::trace::EventKind;
+        for m in 0..3u32 {
+            // Barrier k is the k-th barrier span of each machine.
+            let indices: Vec<u64> = log
+                .events_of_kind(EventKind::Barrier)
+                .filter(|e| e.machine == m)
+                .map(|e| e.a)
+                .collect();
+            assert_eq!(indices, (0..BARRIERS).collect::<Vec<u64>>(), "machine {m}");
+        }
+        assert_eq!(log.barrier_skews().len() as u64, BARRIERS);
         for m in 0..3u32 {
             assert!(
                 log.events_of_kind(EventKind::Step).any(|e| e.machine == m),
@@ -647,8 +655,6 @@ mod tests {
         }
         assert_eq!(log.step_gantt().len(), 3);
         assert!(log.step_gantt().iter().all(|r| r.name == "scatter"));
-        // Every machine crossed the same barriers; skew is well-defined.
-        assert!(!log.barrier_skews().is_empty());
         assert!(!log.per_destination_byte_timelines().is_empty());
         // The exported JSON is non-trivial.
         let json = log.to_chrome_json();

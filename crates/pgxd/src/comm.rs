@@ -20,7 +20,7 @@ use crate::checker::ProtocolChecker;
 use crate::fault::{ClusterBarrier, FaultInjector, InjectedFailure};
 use crate::metrics::SharedCommStats;
 use crate::sync::{Receiver, Sender};
-use crate::trace::{EventKind, MachineTrace};
+use crate::trace::{EventKind, MachineTrace, TraceCollector};
 use std::any::Any;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -283,17 +283,22 @@ impl CommManager {
     /// Wires up a full fabric for `p` machines, returning one manager per
     /// machine.
     pub fn fabric(p: usize, stats: SharedCommStats) -> Vec<CommManager> {
-        Self::fabric_with_faults(p, stats, None)
+        Self::fabric_with(p, stats, None, None)
     }
 
-    /// [`CommManager::fabric`], with the run's fault plane attached to
-    /// every sender (pass `None` for a fault-free fabric).
-    pub fn fabric_with_faults(
+    /// [`CommManager::fabric`] for a cluster run: the run's fault plane
+    /// on every sender (`None` for a fault-free fabric) and, on a traced
+    /// run, each machine's trace sink on its sender and every sink on the
+    /// protocol checker.
+    pub fn fabric_with(
         p: usize,
         stats: SharedCommStats,
         fault: Option<Arc<FaultInjector>>,
+        trace: Option<&TraceCollector>,
     ) -> Vec<CommManager> {
-        let checker = Arc::new(ProtocolChecker::new(p));
+        let sinks: Vec<Arc<MachineTrace>> =
+            trace.map_or_else(Vec::new, |c| (0..p).map(|m| c.machine(m)).collect());
+        let checker = Arc::new(ProtocolChecker::with_traces(p, sinks.clone()));
         let mut txs = Vec::with_capacity(p);
         let mut rxs = Vec::with_capacity(p);
         for _ in 0..p {
@@ -309,7 +314,7 @@ impl CommManager {
                     links: txs.clone(),
                     stats: stats.clone(),
                     checker: checker.clone(),
-                    trace: None,
+                    trace: sinks.get(id).cloned(),
                     fault: fault.clone(),
                 },
                 inbox,
@@ -325,11 +330,9 @@ impl CommManager {
         &self.sender.checker
     }
 
-    /// Attaches this machine's trace sink. Must run before
-    /// [`CommManager::sender`] hands out clones (sender clones snapshot
-    /// the sink); [`MachineCtx::new`](crate::machine::MachineCtx) does so.
-    pub(crate) fn set_trace(&mut self, trace: Arc<MachineTrace>) {
-        self.sender.trace = Some(trace);
+    /// This machine's trace sink, if the run is traced.
+    pub(crate) fn trace(&self) -> Option<&Arc<MachineTrace>> {
+        self.sender.trace()
     }
 
     /// Attaches the run's control plane (the cluster barrier), arming the

@@ -48,17 +48,15 @@ impl MachineCtx {
         task: TaskManager,
         barrier: Arc<ClusterBarrier>,
         buffer_bytes: usize,
-        trace: Option<Arc<MachineTrace>>,
     ) -> Self {
         // The cells the fabric already counts into: one set per run.
         let stats = comm.stats().clone();
         let mut pool = ChunkPool::with_checker(stats.clone(), comm.checker().clone(), comm.id());
+        // The fabric handed this machine its trace sink; the pool takes
+        // it before it is shared.
+        let trace = comm.trace().cloned();
         if let Some(t) = &trace {
-            // Attach the sink before the pool is shared and before any
-            // sender clones are handed out, so every copy carries it.
             pool.set_trace(t.clone());
-            comm.set_trace(t.clone());
-            comm.checker().attach_trace(comm.id(), t.clone());
         }
         // Receives must observe peer aborts and the plan's step timeout.
         comm.set_control(barrier.clone());
@@ -132,14 +130,12 @@ impl MachineCtx {
             // Pause/resume at the step boundary (straggler machines).
             f.step_pause(self.id);
         }
-        let pre = self.trace.as_ref().map(|t| (t.intern(name), t.now_ns()));
+        let t0 = self.trace.as_ref().map(|t| t.now_ns());
         let start = std::time::Instant::now();
         let out = f(self);
         self.timer.record(name, start.elapsed());
-        if let Some((name_id, t0)) = pre {
-            if let Some(t) = &self.trace {
-                t.span_since(LANE_MAIN, EventKind::Step, t0, name_id, 0);
-            }
+        if let (Some(t), Some(t0)) = (&self.trace, t0) {
+            t.span_since_named(EventKind::Step, t0, name);
         }
         out
     }
@@ -149,10 +145,9 @@ impl MachineCtx {
     /// nested inside a [`Self::step`] Gantt row. Free when tracing is off.
     pub fn phase_scope<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let Some(t) = &self.trace else { return f() };
-        let name_id = t.intern(name);
         let t0 = t.now_ns();
         let out = f();
-        t.span_since(LANE_MAIN, EventKind::SortPhase, t0, name_id, 0);
+        t.span_since_named(EventKind::SortPhase, t0, name);
         out
     }
 
@@ -180,22 +175,17 @@ impl MachineCtx {
     /// so all machines agree (a failure panics everywhere at once instead
     /// of deadlocking the survivors).
     pub fn barrier(&self) {
-        // The span covers enter → leave; `a` is the per-machine barrier
-        // index, which SPMD ordering makes comparable across machines
-        // (barrier wait skew in the trace's derived views).
-        let pre = self
-            .trace
-            .as_ref()
-            .map(|t| (t.now_ns(), t.next_barrier_index()));
+        // The span covers enter → leave; collect numbers it by its order
+        // on this machine, which SPMD ordering makes comparable across
+        // machines (barrier wait skew in the trace's derived views).
+        let t0 = self.trace.as_ref().map(|t| t.now_ns());
         self.wait_or_unwind();
         if checker::ENABLED {
             self.comm.checker().check_quiescent("barrier", Some(self.id));
             self.wait_or_unwind();
         }
-        if let Some((t0, index)) = pre {
-            if let Some(t) = &self.trace {
-                t.span_since(LANE_MAIN, EventKind::Barrier, t0, index, 0);
-            }
+        if let (Some(t), Some(t0)) = (&self.trace, t0) {
+            t.span_since(LANE_MAIN, EventKind::Barrier, t0, 0, 0);
         }
     }
 

@@ -18,7 +18,7 @@
 //!   records it in its machine's [`StepTimer`], and the per-machine lists
 //!   become [`RunReport::steps`](crate::cluster::RunReport::steps)
 //!   ([`StepReport`]);
-//! - *when* anything happened: the opt-in trace rings ([`crate::trace`]).
+//! - *when* anything happened: the opt-in trace log ([`crate::trace`]).
 //!
 //! A failed run's [`RunError`](crate::fault::RunError) carries the same
 //! three records, read after the run like a report's; diagnosing a run is

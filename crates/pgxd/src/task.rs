@@ -256,10 +256,10 @@ mod tests {
 
     #[test]
     fn traced_task_records_span_untraced_is_identity() {
-        use crate::trace::{TraceCollector, TraceConfig};
+        use crate::trace::TraceCollector;
         let tm = TaskManager::new(2);
         let hits = AtomicUsize::new(0);
-        let c = TraceCollector::new(1, 3, TraceConfig::enabled().ring_capacity(8));
+        let c = TraceCollector::new(1);
         let mk = |trace| {
             let h = &hits;
             traced_task(

@@ -1,4 +1,4 @@
-//! Structured runtime tracing: lock-free per-machine event rings, a
+//! Structured runtime tracing: one event log per machine, a
 //! cluster-level collector, and Chrome-trace/JSONL exporters.
 //!
 //! The paper's whole evaluation (§V) is an observability exercise —
@@ -18,32 +18,41 @@
 //! site in the runtime holds an `Option<Arc<MachineTrace>>` that is `None`
 //! when tracing is off, so a release run without tracing pays ~one
 //! predictable branch per event site and touches no shared state. With
-//! tracing on, an emission is one `fetch_add` to claim a ring slot plus
-//! seven uncontended atomic stores — no locks, no allocation.
+//! tracing on, an emission reads the clock, takes the machine's sink lock
+//! and pushes one event. A sort emits tens to a few hundred events per
+//! machine, so the lock is all but uncontended, and the log costs memory
+//! in proportion to what it holds.
 //!
-//! # Ring overflow policy
+//! # Event log + overflow policy
 //!
-//! Each machine owns a small set of fixed-capacity rings (one per lane:
-//! lane 0 is the machine's mainline thread, lanes 1.. its worker tasks).
-//! A ring never blocks a producer: when it is full the **oldest** event is
-//! overwritten (the newest events are the ones a post-mortem wants), and
-//! the loss is accounted — `emitted - collected = dropped`, reported in
-//! the [`TraceLog`]. Writers claim a monotonically increasing sequence
-//! number with `fetch_add`; each slot carries a seqlock-style version so
-//! a drain concurrent with emission either reads a consistent event or
-//! skips the slot (counted as dropped), never a torn mix. The whole ring
-//! is built from [`crate::sync::atomic`] — no `unsafe`, and `--cfg loom`
-//! model-checks the emit/drain handoff (`tests/loom_trace.rs`).
+//! Each machine has one sink: a locked `Vec` that grows on demand up to
+//! 64 Ki events per run. Every thread of the machine pushes to it — the
+//! mainline, its send tasks, its chunk pool and the protocol checker. A
+//! lane (0 = mainline, 1.. = worker/destination lanes) is a label on the
+//! event, not a buffer. Past the cap the sink keeps the **first** events
+//! and counts the rest in [`TraceLog::dropped`], so nothing is lost
+//! silently.
+//!
+//! # Collection
+//!
+//! Nothing reads a sink while its run is live: [`TraceCollector::collect`]
+//! runs after the machines have joined (or, in tests, after a caught
+//! panic). Step and phase spans carry their `&'static str` name until
+//! then; collect numbers the names into [`TraceLog::names`]. It numbers
+//! barrier spans too: only the mainline enters barriers, so the k-th
+//! barrier span of every machine is barrier k.
 
 use crate::metrics::json_escape;
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{thread, Mutex};
+use crate::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Lane index of a machine's mainline (SPMD closure) thread.
 pub const LANE_MAIN: u32 = 0;
+
+/// Events one machine keeps per run; [`TraceLog::dropped`] counts the rest.
+const EVENTS_PER_MACHINE: usize = 64 * 1024;
 
 /// Protocol-checker verdict codes carried in the `a` payload of
 /// [`EventKind::Checker`] instants.
@@ -80,45 +89,21 @@ pub mod violation {
 
 /// Tracing configuration, carried by
 /// [`ClusterConfig`](crate::cluster::ClusterConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceConfig {
     /// Whether the runtime emits events at all.
     pub enabled: bool,
-    /// Capacity (events) of each per-lane ring. Zero keeps the drop
-    /// accounting but retains no events.
-    pub ring_capacity: usize,
 }
 
 impl TraceConfig {
-    /// Default per-lane ring capacity: 64 Ki events (~3 MiB per lane).
-    pub const DEFAULT_RING_CAPACITY: usize = 64 * 1024;
-
     /// Tracing off (the default): emission sites fold to one branch.
     pub fn disabled() -> Self {
-        TraceConfig {
-            enabled: false,
-            ring_capacity: 0,
-        }
+        TraceConfig { enabled: false }
     }
 
-    /// Tracing on with the default ring capacity.
+    /// Tracing on.
     pub fn enabled() -> Self {
-        TraceConfig {
-            enabled: true,
-            ring_capacity: Self::DEFAULT_RING_CAPACITY,
-        }
-    }
-
-    /// Sets the per-lane ring capacity in events.
-    pub fn ring_capacity(mut self, events: usize) -> Self {
-        self.ring_capacity = events;
-        self
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::disabled()
+        TraceConfig { enabled: true }
     }
 }
 
@@ -126,7 +111,7 @@ impl Default for TraceConfig {
 /// kinds mark a point in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
-    /// One §IV algorithm step (`a` = interned name id). Span.
+    /// One §IV algorithm step (`a` indexes [`TraceLog::names`]). Span.
     Step,
     /// One barrier crossing, enter→leave (`a` = per-machine barrier
     /// index, matching across machines in SPMD order). Span.
@@ -152,46 +137,11 @@ pub enum EventKind {
     /// A protocol-checker verdict (`a` = [`violation`] code), emitted
     /// just before the checker panics.
     Checker,
-    /// One sub-step phase span within a step (`a` = interned name id).
+    /// One sub-step phase span within a step (`a` indexes [`TraceLog::names`]).
     SortPhase,
 }
 
 impl EventKind {
-    fn as_u64(self) -> u64 {
-        match self {
-            EventKind::Step => 1,
-            EventKind::Barrier => 2,
-            EventKind::Task => 3,
-            EventKind::RecvLoop => 4,
-            EventKind::ChunkFlush => 5,
-            EventKind::ChunkSend => 6,
-            EventKind::ChunkRecv => 7,
-            EventKind::ChunkPlace => 8,
-            EventKind::PoolHit => 9,
-            EventKind::PoolMiss => 10,
-            EventKind::Checker => 11,
-            EventKind::SortPhase => 12,
-        }
-    }
-
-    fn from_u64(v: u64) -> Option<EventKind> {
-        Some(match v {
-            1 => EventKind::Step,
-            2 => EventKind::Barrier,
-            3 => EventKind::Task,
-            4 => EventKind::RecvLoop,
-            5 => EventKind::ChunkFlush,
-            6 => EventKind::ChunkSend,
-            7 => EventKind::ChunkRecv,
-            8 => EventKind::ChunkPlace,
-            9 => EventKind::PoolHit,
-            10 => EventKind::PoolMiss,
-            11 => EventKind::Checker,
-            12 => EventKind::SortPhase,
-            _ => return None,
-        })
-    }
-
     /// Whether this kind is a span (has a meaningful duration).
     pub fn is_span(self) -> bool {
         matches!(
@@ -277,228 +227,29 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    fn encode(&self) -> [u64; 6] {
-        [
-            self.t_ns,
-            self.dur_ns,
-            (u64::from(self.machine) << 32) | u64::from(self.lane),
-            self.kind.as_u64(),
-            self.a,
-            self.b,
-        ]
-    }
-
-    fn decode(words: &[u64; 6]) -> Option<TraceEvent> {
-        Some(TraceEvent {
-            t_ns: words[0],
-            dur_ns: words[1],
-            machine: (words[2] >> 32) as u32,
-            lane: (words[2] & 0xffff_ffff) as u32,
-            kind: EventKind::from_u64(words[3])?,
-            a: words[4],
-            b: words[5],
-        })
-    }
-
     /// End time of the event (`t_ns + dur_ns`).
     pub fn end_ns(&self) -> u64 {
         self.t_ns.saturating_add(self.dur_ns)
     }
 }
 
-/// One ring slot: a seqlock-style version word plus the encoded event.
-///
-/// Version protocol (`seq` = the event's global sequence number):
-/// `0` = never written, `2*seq + 1` = a writer for `seq` is mid-write,
-/// `2*seq + 2` = the event for `seq` is published. Writers claim a slot
-/// by CAS from an even (quiescent) version to their odd one, so payload
-/// writes are exclusive; readers validate the version around their copy.
-struct Slot {
-    version: AtomicU64,
-    words: [AtomicU64; 6],
+/// What one machine emitted in a run: the kept events in emission order,
+/// each with the name a step or phase span carries (`""` otherwise), and
+/// the count of events past the cap.
+#[derive(Debug, Default)]
+struct Sink {
+    events: Vec<(TraceEvent, &'static str)>,
+    dropped: u64,
 }
 
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            version: AtomicU64::new(0),
-            words: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
-        }
-    }
-}
-
-/// Snapshot returned by [`TraceRing::drain`].
-#[derive(Debug, Clone)]
-pub struct RingDrain {
-    /// Events recovered, oldest first.
-    pub events: Vec<TraceEvent>,
-    /// Total events ever emitted to the ring (including dropped ones).
-    pub emitted: u64,
-}
-
-impl RingDrain {
-    /// Events lost to overwrite (oldest-dropped) or skipped mid-write.
-    pub fn dropped(&self) -> u64 {
-        self.emitted.saturating_sub(self.events.len() as u64)
-    }
-}
-
-/// A lock-free fixed-capacity MPMC event ring with oldest-overwritten
-/// overflow. Built entirely from [`crate::sync::atomic`]; see the module
-/// docs for the slot protocol and `tests/loom_trace.rs` for the model
-/// check of the emit/drain handoff.
-pub struct TraceRing {
-    head: AtomicU64,
-    slots: Vec<Slot>,
-}
-
-impl TraceRing {
-    /// A ring retaining up to `capacity` events. Capacity 0 counts
-    /// emissions but retains nothing.
-    pub fn new(capacity: usize) -> Self {
-        TraceRing {
-            head: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
-        }
-    }
-
-    /// Retention capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events ever emitted (including overwritten ones).
-    pub fn emitted(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Records `ev`, overwriting the oldest retained event when full.
-    /// Never blocks beyond waiting out another writer's seven stores to
-    /// the same (lapped) slot.
-    pub fn emit(&self, ev: TraceEvent) {
-        // analyze: allow(atomics-ordering): monotone slot-claim counter on
-        // a single-writer ring — the event payload is published by the
-        // per-slot seqlock version `store(Release)` below, never by
-        // `head`; `head` only sizes reader snapshots.
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let cap = self.slots.len();
-        if cap == 0 {
-            return;
-        }
-        let slot = &self.slots[(seq % cap as u64) as usize];
-        let begin = seq * 2 + 1;
-        let end = begin + 1;
-        loop {
-            let v = slot.version.load(Ordering::Acquire);
-            if v >= end {
-                // A writer with a newer sequence already owns this slot:
-                // our event is the older of the two, so it is the one the
-                // oldest-dropped policy discards (head still counts it).
-                return;
-            }
-            if v % 2 == 1 {
-                // An older writer is mid-publish; let it finish.
-                thread::yield_now();
-                continue;
-            }
-            if slot
-                .version
-                .compare_exchange(v, begin, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break;
-            }
-        }
-        // Exclusive until the version flips even again: only the writer
-        // that installed `begin` stores the payload.
-        let words = ev.encode();
-        for (w, &val) in slot.words.iter().zip(words.iter()) {
-            w.store(val, Ordering::Release);
-        }
-        slot.version.store(end, Ordering::Release);
-    }
-
-    /// Snapshot of the retained events, oldest first, with the emission
-    /// total. Safe to call while producers are still emitting: slots
-    /// mid-write (or overwritten during the copy) are skipped and show up
-    /// in the drop count instead of as torn events.
-    pub fn drain(&self) -> RingDrain {
-        let emitted = self.head.load(Ordering::Acquire);
-        let mut tagged: Vec<(u64, TraceEvent)> = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 == 0 || v1 % 2 == 1 {
-                continue;
-            }
-            let mut words = [0u64; 6];
-            for (out, w) in words.iter_mut().zip(slot.words.iter()) {
-                *out = w.load(Ordering::Acquire);
-            }
-            let v2 = slot.version.load(Ordering::Acquire);
-            if v1 != v2 {
-                continue; // overwritten mid-copy
-            }
-            let seq = v1 / 2 - 1;
-            if let Some(ev) = TraceEvent::decode(&words) {
-                tagged.push((seq, ev));
-            }
-        }
-        tagged.sort_unstable_by_key(|(seq, _)| *seq);
-        RingDrain {
-            events: tagged.into_iter().map(|(_, e)| e).collect(),
-            emitted,
-        }
-    }
-}
-
-impl std::fmt::Debug for TraceRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceRing")
-            .field("capacity", &self.slots.len())
-            .field("emitted", &self.emitted())
-            .finish()
-    }
-}
-
-/// Cluster-shared intern table for step names (step spans carry a name id
-/// in their `a` payload so ring slots stay fixed-size POD).
-#[derive(Default)]
-struct NameTable {
-    names: Mutex<Vec<&'static str>>,
-}
-
-impl NameTable {
-    fn intern(&self, name: &'static str) -> u64 {
-        let mut names = self.names.lock();
-        if let Some(i) = names.iter().position(|n| *n == name) {
-            return i as u64;
-        }
-        names.push(name);
-        (names.len() - 1) as u64
-    }
-
-    fn snapshot(&self) -> Vec<String> {
-        self.names.lock().iter().map(|n| n.to_string()).collect()
-    }
-}
-
-/// One machine's trace sink: per-lane event rings on the cluster's
-/// unified clock. Shared by `Arc` between the machine's mainline thread,
-/// its send workers, its comm sender clones, its chunk pool, and the
-/// protocol checker.
+/// One machine's trace sink on the cluster's unified clock. Shared by
+/// `Arc` between the machine's mainline thread, its send workers, its comm
+/// sender clones, its chunk pool, and the protocol checker.
+#[derive(Debug)]
 pub struct MachineTrace {
     machine: u32,
     epoch: Instant,
-    rings: Vec<TraceRing>,
-    names: Arc<NameTable>,
-    barrier_seq: AtomicU64,
+    sink: Mutex<Sink>,
 }
 
 impl MachineTrace {
@@ -507,36 +258,9 @@ impl MachineTrace {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// This sink's machine id.
-    pub fn machine(&self) -> u32 {
-        self.machine
-    }
-
-    /// Interns a step name, returning the id step spans carry.
-    pub fn intern(&self, name: &'static str) -> u64 {
-        self.names.intern(name)
-    }
-
-    /// The next barrier index on this machine (SPMD order makes index `k`
-    /// the same barrier on every machine).
-    pub fn next_barrier_index(&self) -> u64 {
-        // analyze: allow(atomics-ordering): per-machine label counter —
-        // SPMD order makes index `k` the same barrier everywhere; no data
-        // is published through it.
-        self.barrier_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Emits an instant event at the current time.
     pub fn instant(&self, lane: u32, kind: EventKind, a: u64, b: u64) {
-        self.emit(TraceEvent {
-            t_ns: self.now_ns(),
-            dur_ns: 0,
-            machine: self.machine,
-            lane,
-            kind,
-            a,
-            b,
-        });
+        self.emit(self.event(lane, kind, self.now_ns(), 0, a, b), "");
     }
 
     /// Emits a span that started at `start_ns` (from [`now_ns`]) and ends
@@ -544,60 +268,97 @@ impl MachineTrace {
     ///
     /// [`now_ns`]: MachineTrace::now_ns
     pub fn span_since(&self, lane: u32, kind: EventKind, start_ns: u64, a: u64, b: u64) {
-        self.emit(TraceEvent {
-            t_ns: start_ns,
-            dur_ns: self.now_ns().saturating_sub(start_ns),
+        let dur_ns = self.now_ns().saturating_sub(start_ns);
+        self.emit(self.event(lane, kind, start_ns, dur_ns, a, b), "");
+    }
+
+    /// Emits a mainline [`EventKind::Step`] or [`EventKind::SortPhase`]
+    /// span named `name` that started at `start_ns` and ends now; collect
+    /// turns the name into its index in [`TraceLog::names`].
+    pub fn span_since_named(&self, kind: EventKind, start_ns: u64, name: &'static str) {
+        let dur_ns = self.now_ns().saturating_sub(start_ns);
+        self.emit(self.event(LANE_MAIN, kind, start_ns, dur_ns, 0, 0), name);
+    }
+
+    fn event(
+        &self,
+        lane: u32,
+        kind: EventKind,
+        t_ns: u64,
+        dur_ns: u64,
+        a: u64,
+        b: u64,
+    ) -> TraceEvent {
+        TraceEvent {
+            t_ns,
+            dur_ns,
             machine: self.machine,
             lane,
             kind,
             a,
             b,
-        });
+        }
     }
 
-    /// Emits a fully formed event (lane routing: `lane % ring count`).
-    pub fn emit(&self, ev: TraceEvent) {
-        let ring = &self.rings[ev.lane as usize % self.rings.len()];
-        ring.emit(ev);
+    /// Appends this machine's kept events to `out`: a step or phase span's
+    /// `a` becomes its name's index in `names` (pushed on first sight), a
+    /// barrier span's `a` its order among this machine's barriers.
+    /// Returns `(emitted, dropped)`.
+    fn collect_into(&self, names: &mut Vec<&'static str>, out: &mut Vec<TraceEvent>) -> (u64, u64) {
+        let sink = self.sink.lock();
+        let mut barriers = 0;
+        for &(mut ev, name) in &sink.events {
+            match ev.kind {
+                EventKind::Step | EventKind::SortPhase => {
+                    ev.a = match names.iter().position(|n| *n == name) {
+                        Some(i) => i as u64,
+                        None => {
+                            names.push(name);
+                            names.len() as u64 - 1
+                        }
+                    };
+                }
+                EventKind::Barrier => {
+                    ev.a = barriers;
+                    barriers += 1;
+                }
+                _ => {}
+            }
+            out.push(ev);
+        }
+        (sink.events.len() as u64 + sink.dropped, sink.dropped)
     }
-}
 
-impl std::fmt::Debug for MachineTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MachineTrace")
-            .field("machine", &self.machine)
-            .field("lanes", &self.rings.len())
-            .finish()
+    /// Keeps `ev` if the machine is under its cap, counts it otherwise.
+    fn emit(&self, ev: TraceEvent, name: &'static str) {
+        let mut sink = self.sink.lock();
+        if sink.events.len() < EVENTS_PER_MACHINE {
+            sink.events.push((ev, name));
+        } else {
+            sink.dropped += 1;
+        }
     }
 }
 
 /// The cluster-level collector: owns one [`MachineTrace`] per machine and
-/// merges their rings into a [`TraceLog`] after (or during) a run.
+/// merges their sinks into a [`TraceLog`] after a run.
+#[derive(Debug)]
 pub struct TraceCollector {
-    config: TraceConfig,
     machines: Vec<Arc<MachineTrace>>,
 }
 
 impl TraceCollector {
-    /// A collector for `machines` machines with `lanes` rings each
-    /// (lane 0 = mainline, 1.. = workers), sharing one epoch and name
-    /// table. The epoch is `Instant::now()` at construction.
-    pub fn new(machines: usize, lanes: usize, config: TraceConfig) -> Self {
+    /// A collector for `machines` machines sharing one epoch,
+    /// `Instant::now()` at construction.
+    pub fn new(machines: usize) -> Self {
         let epoch = Instant::now();
-        let names = Arc::new(NameTable::default());
-        let lanes = lanes.max(1);
         TraceCollector {
-            config,
             machines: (0..machines)
                 .map(|m| {
                     Arc::new(MachineTrace {
                         machine: m as u32,
                         epoch,
-                        rings: (0..lanes)
-                            .map(|_| TraceRing::new(config.ring_capacity))
-                            .collect(),
-                        names: names.clone(),
-                        barrier_seq: AtomicU64::new(0),
+                        sink: Mutex::default(),
                     })
                 })
                 .collect(),
@@ -609,49 +370,26 @@ impl TraceCollector {
         self.machines[id].clone()
     }
 
-    /// Number of machines.
-    pub fn num_machines(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Drains every ring and merges the events on the unified clock.
+    /// Merges every machine's events on the unified clock, numbering step
+    /// and phase names and each machine's barriers on the way.
     pub fn collect(&self) -> TraceLog {
+        let mut names = Vec::new();
         let mut events = Vec::new();
-        let mut emitted = 0u64;
-        let mut per_machine_dropped = vec![0u64; self.machines.len()];
-        for (m, mt) in self.machines.iter().enumerate() {
-            for ring in &mt.rings {
-                let drained = ring.drain();
-                emitted += drained.emitted;
-                per_machine_dropped[m] += drained.dropped();
-                events.extend(drained.events);
-            }
+        let (mut emitted, mut dropped) = (0, 0);
+        for mt in &self.machines {
+            let (e, d) = mt.collect_into(&mut names, &mut events);
+            emitted += e;
+            dropped += d;
         }
+        // Stable, so same-time events keep their emission order.
         events.sort_by_key(|e| (e.t_ns, e.machine, e.lane));
-        let dropped = per_machine_dropped.iter().sum();
-        let names = self
-            .machines
-            .first()
-            .map(|mt| mt.names.snapshot())
-            .unwrap_or_default();
         TraceLog {
             machines: self.machines.len(),
-            ring_capacity: self.config.ring_capacity,
             events,
-            names,
+            names: names.into_iter().map(String::from).collect(),
             emitted,
             dropped,
-            per_machine_dropped,
         }
-    }
-}
-
-impl std::fmt::Debug for TraceCollector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceCollector")
-            .field("machines", &self.machines.len())
-            .field("config", &self.config)
-            .finish()
     }
 }
 
@@ -674,18 +412,15 @@ pub struct GanttRow {
 pub struct TraceLog {
     /// Number of machines in the traced cluster.
     pub machines: usize,
-    /// Per-lane ring capacity the run used.
-    pub ring_capacity: usize,
-    /// All recovered events, sorted by start time.
+    /// All kept events, sorted by start time.
     pub events: Vec<TraceEvent>,
-    /// Interned step names (`Step` events index this with `a`).
+    /// Step and phase names, in order of first emission (`Step` and
+    /// `SortPhase` events index this with `a`).
     pub names: Vec<String>,
-    /// Total events emitted across all rings.
+    /// Events emitted across all machines, kept or not.
     pub emitted: u64,
-    /// Events lost to ring overflow (oldest-dropped) or concurrent drain.
+    /// Events past a machine's cap of 64 Ki per run: counted, not kept.
     pub dropped: u64,
-    /// Drop counts per machine.
-    pub per_machine_dropped: Vec<u64>,
 }
 
 impl TraceLog {
@@ -900,139 +635,90 @@ fn union_len(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
 mod tests {
     use super::*;
 
-    fn ev(t: u64, a: u64) -> TraceEvent {
-        TraceEvent {
-            t_ns: t,
-            dur_ns: 0,
-            machine: 0,
-            lane: 0,
-            kind: EventKind::ChunkSend,
-            a,
-            b: 10_000 - a,
+    #[test]
+    fn overflow_keeps_the_first_events_and_counts_the_rest() {
+        let c = TraceCollector::new(1);
+        let m = c.machine(0);
+        for i in 0..EVENTS_PER_MACHINE as u64 + 3 {
+            m.instant(LANE_MAIN, EventKind::ChunkSend, i, 10_000 + i);
+        }
+        let log = c.collect();
+        assert_eq!(log.emitted, EVENTS_PER_MACHINE as u64 + 3);
+        assert_eq!(log.dropped, 3);
+        assert_eq!(log.events.len(), EVENTS_PER_MACHINE);
+        // The survivors are exactly the first events, in emission order.
+        for (i, e) in log.events.iter().enumerate() {
+            assert_eq!((e.a, e.b), (i as u64, 10_000 + i as u64));
         }
     }
 
     #[test]
     fn ring_roundtrips_events_in_order() {
-        let ring = TraceRing::new(8);
+        let c = TraceCollector::new(1);
+        let m = c.machine(0);
         for i in 0..5 {
-            ring.emit(ev(i * 10, i));
+            m.instant(LANE_MAIN, EventKind::ChunkSend, i, 10_000 - i);
         }
-        let d = ring.drain();
-        assert_eq!(d.emitted, 5);
-        assert_eq!(d.dropped(), 0);
-        assert_eq!(d.events.len(), 5);
-        for (i, e) in d.events.iter().enumerate() {
-            assert_eq!(e.a, i as u64);
-            assert_eq!(e.b, 10_000 - i as u64);
-        }
-    }
-
-    #[test]
-    fn ring_overflow_drops_oldest_and_counts() {
-        let ring = TraceRing::new(4);
-        for i in 0..10 {
-            ring.emit(ev(i, i));
-        }
-        let d = ring.drain();
-        assert_eq!(d.emitted, 10);
-        assert_eq!(d.events.len(), 4);
-        assert_eq!(d.dropped(), 6);
-        // The survivors are exactly the newest four, oldest first.
-        let kept: Vec<u64> = d.events.iter().map(|e| e.a).collect();
-        assert_eq!(kept, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn zero_capacity_ring_counts_but_retains_nothing() {
-        let ring = TraceRing::new(0);
-        for i in 0..3 {
-            ring.emit(ev(i, i));
-        }
-        let d = ring.drain();
-        assert_eq!(d.emitted, 3);
-        assert!(d.events.is_empty());
-        assert_eq!(d.dropped(), 3);
+        let log = c.collect();
+        assert_eq!((log.emitted, log.dropped, log.events.len()), (5, 0, 5));
+        let got: Vec<(u64, u64)> = log.events.iter().map(|e| (e.a, e.b)).collect();
+        assert_eq!(got, (0..5).map(|i| (i, 10_000 - i)).collect::<Vec<_>>());
     }
 
     #[test]
     fn concurrent_emitters_never_produce_torn_events() {
-        // 4 threads × 500 events into a 64-slot ring: heavy overwrite
-        // traffic. Every drained event must have a coherent (a, b) pair.
-        let ring = std::sync::Arc::new(TraceRing::new(64));
+        // 4 threads × 500 events into one machine's sink: all are kept,
+        // and every event has a coherent (a, b) pair.
+        let c = TraceCollector::new(1);
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let ring = ring.clone();
+                let m = c.machine(0);
                 s.spawn(move || {
                     for i in 0..500 {
-                        ring.emit(ev(i, t * 500 + i));
+                        let a = t * 500 + i;
+                        m.instant(1 + t as u32, EventKind::ChunkSend, a, 10_000 - a);
                     }
                 });
             }
         });
-        let d = ring.drain();
-        assert_eq!(d.emitted, 2000);
-        assert_eq!(d.events.len(), 64);
-        for e in &d.events {
+        let log = c.collect();
+        assert_eq!((log.emitted, log.dropped), (2000, 0));
+        let mut seen: Vec<u64> = log.events.iter().map(|e| e.a).collect();
+        for e in &log.events {
             assert_eq!(e.b, 10_000 - e.a, "torn event: a={} b={}", e.a, e.b);
+            assert_eq!(u64::from(e.lane), 1 + e.a / 500, "lane of event {}", e.a);
         }
-    }
-
-    #[test]
-    fn drain_while_emitting_is_coherent() {
-        let ring = std::sync::Arc::new(TraceRing::new(16));
-        std::thread::scope(|s| {
-            let r2 = ring.clone();
-            s.spawn(move || {
-                for i in 0..2000 {
-                    r2.emit(ev(i, i % 500));
-                }
-            });
-            for _ in 0..50 {
-                for e in &ring.drain().events {
-                    assert_eq!(e.b, 10_000 - e.a, "torn event under concurrent drain");
-                }
-            }
-        });
+        seen.sort_unstable();
+        assert_eq!(seen, (0..2000).collect::<Vec<u64>>());
     }
 
     #[test]
     fn collector_merges_machines_on_one_clock() {
-        let c = TraceCollector::new(2, 2, TraceConfig::enabled().ring_capacity(16));
+        let c = TraceCollector::new(2);
         let m0 = c.machine(0);
         let m1 = c.machine(1);
-        let id = m0.intern("local_sort");
-        assert_eq!(m1.intern("local_sort"), id, "name table is shared");
         m0.instant(LANE_MAIN, EventKind::PoolMiss, 64, 0);
         m1.instant(1, EventKind::PoolHit, 128, 0);
         let start = m0.now_ns();
-        m0.span_since(LANE_MAIN, EventKind::Step, start, id, 0);
+        m0.span_since_named(EventKind::Step, start, "local_sort");
+        m1.span_since_named(EventKind::Step, start, "local_sort");
         let log = c.collect();
         assert_eq!(log.machines, 2);
-        assert_eq!(log.events.len(), 3);
+        assert_eq!(log.events.len(), 4);
         assert_eq!(log.dropped, 0);
-        assert_eq!(log.names, vec!["local_sort"]);
+        assert_eq!(log.names, vec!["local_sort"], "one name, numbered once");
         let gantt = log.step_gantt();
-        assert_eq!(gantt.len(), 1);
-        assert_eq!(gantt[0].name, "local_sort");
+        assert_eq!(gantt.len(), 2);
+        assert!(gantt.iter().all(|r| r.name == "local_sort"));
         // Sorted on the unified clock.
         assert!(log.events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
     }
 
     #[test]
     fn chrome_export_shapes_spans_and_instants() {
-        let c = TraceCollector::new(1, 1, TraceConfig::enabled().ring_capacity(8));
+        let c = TraceCollector::new(1);
         let m = c.machine(0);
-        let id = m.intern("exchange");
-        m.emit(TraceEvent {
-            t_ns: 1000,
-            dur_ns: 2000,
-            machine: 0,
-            lane: 0,
-            kind: EventKind::Step,
-            a: id,
-            b: 0,
-        });
+        m.emit(m.event(LANE_MAIN, EventKind::Step, 1000, 2000, 0, 0), "exchange");
         m.instant(LANE_MAIN, EventKind::ChunkSend, 3, 4096);
         let json = c.collect().to_chrome_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -1048,7 +734,7 @@ mod tests {
 
     #[test]
     fn jsonl_is_one_object_per_line() {
-        let c = TraceCollector::new(1, 1, TraceConfig::enabled().ring_capacity(8));
+        let c = TraceCollector::new(1);
         let m = c.machine(0);
         m.instant(LANE_MAIN, EventKind::PoolHit, 256, 0);
         m.instant(LANE_MAIN, EventKind::PoolMiss, 512, 0);
@@ -1139,38 +825,15 @@ mod tests {
     }
 
     #[test]
-    fn event_kind_codes_roundtrip() {
-        for k in [
-            EventKind::Step,
-            EventKind::Barrier,
-            EventKind::Task,
-            EventKind::RecvLoop,
-            EventKind::ChunkFlush,
-            EventKind::ChunkSend,
-            EventKind::ChunkRecv,
-            EventKind::ChunkPlace,
-            EventKind::PoolHit,
-            EventKind::PoolMiss,
-            EventKind::Checker,
-            EventKind::SortPhase,
-        ] {
-            assert_eq!(EventKind::from_u64(k.as_u64()), Some(k));
-        }
-        assert_eq!(EventKind::from_u64(0), None);
-        assert_eq!(EventKind::from_u64(999), None);
-    }
-
-    #[test]
     fn sort_phase_spans_resolve_names_but_stay_off_step_gantt() {
-        let c = TraceCollector::new(1, 1, TraceConfig::enabled().ring_capacity(8));
+        let c = TraceCollector::new(1);
         let m = c.machine(0);
-        let step_id = m.intern("local_sort");
-        let phase_id = m.intern("local.merge");
         let t0 = m.now_ns();
-        m.span_since(LANE_MAIN, EventKind::SortPhase, t0, phase_id, 0);
-        m.span_since(LANE_MAIN, EventKind::Step, t0, step_id, 0);
+        m.span_since_named(EventKind::SortPhase, t0, "local.merge");
+        m.span_since_named(EventKind::Step, t0, "local_sort");
         let log = c.collect();
         assert_eq!(log.events.len(), 2);
+        assert_eq!(log.names, vec!["local.merge", "local_sort"]);
         let phase_spans: Vec<&TraceEvent> = log
             .events
             .iter()

@@ -29,7 +29,7 @@ type Item = (u32, u32, u32);
 fn traced() -> ClusterConfig {
     ClusterConfig::new(P)
         .workers_per_machine(2)
-        .trace(TraceConfig::enabled().ring_capacity(1 << 12))
+        .trace(TraceConfig::enabled())
 }
 
 /// Every chunk send sleeps 4–12 ms plus its transfer time.

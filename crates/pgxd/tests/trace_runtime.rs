@@ -11,14 +11,14 @@
 
 use pgxd::checker::ProtocolChecker;
 use pgxd::comm::Tag;
-use pgxd::trace::{violation, EventKind, TraceCollector, TraceConfig};
+use pgxd::trace::{violation, EventKind, TraceCollector};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// A one-machine collector/checker pair with the trace sink attached.
+/// A one-machine collector/checker pair, the checker built with the
+/// machine's trace sink.
 fn traced_checker() -> (TraceCollector, ProtocolChecker) {
-    let collector = TraceCollector::new(1, 2, TraceConfig::enabled().ring_capacity(64));
-    let checker = ProtocolChecker::new(1);
-    checker.attach_trace(0, collector.machine(0));
+    let collector = TraceCollector::new(1);
+    let checker = ProtocolChecker::with_traces(1, vec![collector.machine(0)]);
     (collector, checker)
 }
 
@@ -33,7 +33,7 @@ fn phantom_delivery_event_recorded_before_panic() {
     let (collector, checker) = traced_checker();
     // Delivery with no matching send: the checker must emit the event,
     // then panic — the adjacent `#[should_panic]` shape, but catching the
-    // unwind so the rings can be drained afterwards.
+    // unwind so the sink can be collected afterwards.
     let err = catch_unwind(AssertUnwindSafe(|| {
         checker.packet_delivered(0, 0, Tag::user(3, 3));
     }))

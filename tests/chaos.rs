@@ -114,7 +114,7 @@ fn chaos_schedule_replays_from_its_seed() {
             ClusterConfig::new(MACHINES)
                 .workers_per_machine(2)
                 .buffer_bytes(256)
-                .trace(TraceConfig::enabled().ring_capacity(1 << 14))
+                .trace(TraceConfig::enabled())
                 .fault(FaultPlan::chaos(99)),
         );
         let sorter = DistSorter::default();
@@ -161,7 +161,7 @@ fn drops_reorder_packed_chunks_without_corrupting_them() {
         ClusterConfig::new(MACHINES)
             .workers_per_machine(2)
             .buffer_bytes(23)
-            .trace(TraceConfig::enabled().ring_capacity(1 << 16))
+            .trace(TraceConfig::enabled())
             .fault(FaultPlan::drops(41)),
     );
     let sorter = DistSorter::default();
@@ -179,7 +179,7 @@ fn drops_reorder_packed_chunks_without_corrupting_them() {
 /// flush with no send behind it, and its redelivery a send with no flush.
 fn send_schedule<R>(report: &RunReport<R>) -> BTreeMap<(u32, u32), Vec<(EventKind, u64)>> {
     let trace = report.trace.as_ref().expect("tracing was enabled");
-    assert_eq!(trace.dropped, 0, "ring capacity must hold the whole run");
+    assert_eq!(trace.dropped, 0, "the per-machine cap must hold the whole run");
     let mut lanes: BTreeMap<(u32, u32), Vec<(EventKind, u64)>> = BTreeMap::new();
     for e in &trace.events {
         if matches!(e.kind, EventKind::ChunkFlush | EventKind::ChunkSend) {
@@ -251,15 +251,15 @@ fn hung_step_times_out_under_the_sorter_closure_shape() {
 
 #[test]
 fn traced_chaos_run_keeps_trace_invariants() {
-    // Tracing and fault injection compose: no ring drops at this
-    // capacity, and the trace's ChunkSend count must equal the stats
+    // Tracing and fault injection compose: no events dropped at the
+    // per-machine cap, and the trace's ChunkSend count must equal the stats
     // counter — the fault plane's park/flush path may not double-count.
     let parts = generate_partitioned(Distribution::skew_storm(0.7), N, MACHINES, 13);
     let cluster = Cluster::new(
         ClusterConfig::new(MACHINES)
             .workers_per_machine(2)
             .buffer_bytes(4096)
-            .trace(TraceConfig::enabled().ring_capacity(1 << 16))
+            .trace(TraceConfig::enabled())
             .fault(FaultPlan::chaos(55)),
     );
     let sorter = DistSorter::default();
@@ -268,7 +268,7 @@ fn traced_chaos_run_keeps_trace_invariants() {
     let expect = flat_sorted(&parts);
     assert_eq!(report.results.concat(), expect);
     let trace = report.trace.expect("tracing was enabled");
-    assert_eq!(trace.dropped, 0, "ring capacity must hold the whole run");
+    assert_eq!(trace.dropped, 0, "the per-machine cap must hold the whole run");
     let chunk_sends = trace.events_of_kind(EventKind::ChunkSend).count() as u64;
     assert_eq!(chunk_sends, report.comm.exchange.chunks_sent);
 }

@@ -1,8 +1,8 @@
 //! Single-machine sorting substrate for the PGX.D distributed-sort
 //! reproduction.
 //!
-//! The distributed algorithm (crate `pgxd-core`) and the baselines (crate
-//! `pgxd-baselines`) are built on top of the algorithms here:
+//! The distributed algorithm (crate `pgxd-core`) and the Spark baseline
+//! (crate `pgxd-baselines`) are built on top of the algorithms here:
 //!
 //! - [`quicksort`] — the paper's per-worker local sort: the standard
 //!   library's pattern-defeating quicksort (`sort_unstable`).
@@ -18,10 +18,6 @@
 //! - [`timsort`] — a from-scratch TimSort (run detection, binary insertion
 //!   ([`insertion`]) bulking to min-run, galloping merges) as used by
 //!   Spark's `sortByKey`; this is the baseline's local sort.
-//! - [`radix`] — LSD radix sort, the classic comparison-free baseline the
-//!   paper discusses in §II; the distributed radix baseline's kernel.
-//! - [`bitonic`] — Batcher's bitonic sorting network, the other classical
-//!   baseline of §II.
 //! - [`search`] — `lower_bound`/`upper_bound`, their galloping forms, the
 //!   merge co-rank for two runs and for `k` (how step 3 reads its splitters
 //!   and step 1 plans its merge, without merging), and the splitter-range
@@ -36,13 +32,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bitonic;
 pub mod exec;
 pub mod insertion;
 pub mod kway;
 pub mod merge;
 pub mod quicksort;
-pub mod radix;
 pub mod search;
 pub mod timsort;
 

@@ -20,7 +20,7 @@
 //! [`plan_multiway_splits`] cuts a k-way merge into parts of equal size at
 //! exact output ranks, one k-way co-rank per boundary.
 
-use crate::exec::{self, even_chunk_bounds};
+use crate::exec;
 use crate::search::{co_rank, gallop_left, gallop_right, multi_co_ranks};
 
 /// Steps a merge lane takes between two looks at how far its runs reach,
@@ -301,31 +301,10 @@ pub fn plan_multiway_splits<T: Ord + Copy>(runs: &[&[T]], parts: usize) -> Vec<V
     multi_co_ranks(runs, &ranks)
 }
 
-/// Convenience: sorts each even chunk with the provided sorter and then
-/// combines the chunks with [`balanced_merge`] — the paper's *parallel
-/// quick sort* when `sorter` is [`quicksort`](crate::quicksort::quicksort).
-/// The baselines' local sort; the distributed sorter's step 1 runs its
-/// chunks on the machine's task pool instead.
-///
-/// The worker count is clamped so each chunk holds at least
-/// [`exec::MIN_ITEMS_PER_WORKER`] items — spawning threads for tiny
-/// chunks costs more than it saves.
-pub fn sort_chunks_and_merge<T, F>(mut data: Vec<T>, workers: usize, sorter: F) -> Vec<T>
-where
-    T: Ord + Copy + Send + Sync,
-    F: Fn(&mut [T]) + Sync,
-{
-    let workers = workers
-        .max(1)
-        .min((data.len() / exec::MIN_ITEMS_PER_WORKER).max(1));
-    let bounds = even_chunk_bounds(data.len(), workers);
-    exec::for_each_chunk_mut(&mut data, workers, |_, chunk| sorter(chunk));
-    balanced_merge(data, &bounds, workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::even_chunk_bounds;
 
     fn xorshift_vec(n: usize, modulus: u64) -> Vec<u64> {
         let mut x: u64 = 0x2545f4914f6cdd1d;
@@ -463,24 +442,6 @@ mod tests {
     #[should_panic(expected = "bounds must not decrease: bounds[2] = 1 after bounds[1] = 3")]
     fn balanced_merge_rejects_decreasing_bounds() {
         balanced_merge(vec![1u64, 2, 3, 4], &[0, 3, 1, 4], 1);
-    }
-
-    #[test]
-    fn sort_chunks_and_merge_end_to_end() {
-        let data = xorshift_vec(100_000, 1 << 30);
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        let sorted = sort_chunks_and_merge(data, 8, |chunk| chunk.sort_unstable());
-        assert_eq!(sorted, expect);
-    }
-
-    #[test]
-    fn sort_chunks_single_worker() {
-        let data = xorshift_vec(1000, 100);
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        let sorted = sort_chunks_and_merge(data, 1, |chunk| chunk.sort_unstable());
-        assert_eq!(sorted, expect);
     }
 
     fn sorted_runs(k: usize, n: usize, modulus: u64) -> Vec<Vec<u64>> {

@@ -232,12 +232,6 @@ fn co_rank_between<T: Ord>(
     row.copy_from_slice(if below == r { lo_at } else { hi_at });
 }
 
-/// Half-open range of positions holding `key` in sorted `data`
-/// (`lower_bound..upper_bound`); empty if `key` is absent.
-pub fn equal_range<T: Ord>(data: &[T], key: &T) -> std::ops::Range<usize> {
-    lower_bound(data, key)..upper_bound(data, key)
-}
-
 /// Naive splitter partitioning (no duplicate handling): for `p-1` sorted
 /// splitters returns `p+1` offsets into sorted `data` where destination
 /// `j`'s slice is `data[offsets[j]..offsets[j+1]]`.
@@ -283,8 +277,6 @@ mod tests {
         let v = [1, 2, 2, 2, 3];
         assert_eq!(lower_bound(&v, &2), 1);
         assert_eq!(upper_bound(&v, &2), 4);
-        assert_eq!(equal_range(&v, &2), 1..4);
-        assert_eq!(equal_range(&v, &4), 5..5);
     }
 
     #[test]

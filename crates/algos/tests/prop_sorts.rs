@@ -2,14 +2,10 @@
 //! its input for arbitrary data, and the search/merge primitives agree
 //! with their `std` reference implementations.
 
-use pgxd_algos::bitonic::{bitonic_sort_padded, compare_split};
 use pgxd_algos::insertion::binary_insertion_sort;
 use pgxd_algos::kway::{kway_merge, kway_merge_into, LoserTree};
-use pgxd_algos::merge::{
-    balanced_merge, merge_into, parallel_merge_into, plan_multiway_splits, sort_chunks_and_merge,
-};
+use pgxd_algos::merge::{balanced_merge, merge_into, parallel_merge_into, plan_multiway_splits};
 use pgxd_algos::quicksort::quicksort;
-use pgxd_algos::radix::{radix_sort, radix_sort_with_scratch};
 use pgxd_algos::search::{gallop_left, gallop_right, lower_bound, multi_co_ranks, upper_bound};
 use pgxd_algos::timsort::timsort;
 use pgxd_datagen::cases::{check, Gen};
@@ -86,58 +82,6 @@ fn binary_insertion_respects_sorted_prefix() {
         let expect = sorted_copy(&v);
         binary_insertion_sort(&mut v, sorted_len);
         assert_eq!(v, expect);
-    });
-}
-
-#[test]
-fn radix_matches_std() {
-    check(CASES, |g| {
-        let v = g.vec(0..2000, Gen::u64);
-        let expect = sorted_copy(&v);
-        let mut got = v;
-        radix_sort(&mut got);
-        assert_eq!(got, expect);
-    });
-}
-
-#[test]
-fn bitonic_matches_std() {
-    check(CASES, |g| {
-        let v = g.vec(0..600, Gen::u64);
-        let expect = sorted_copy(&v);
-        let mut got = v;
-        bitonic_sort_padded(&mut got, u64::MAX);
-        assert_eq!(got, expect);
-    });
-}
-
-#[test]
-fn radix_scratch_matches_std() {
-    check(CASES, |g| {
-        let v = g.vec(0..2000, Gen::u64);
-        let expect = sorted_copy(&v);
-        let mut got = v;
-        let mut scratch = Vec::new();
-        radix_sort_with_scratch(&mut got, &mut scratch);
-        assert_eq!(got, expect);
-    });
-}
-
-#[test]
-fn radix_slice_leaves_surroundings() {
-    check(CASES, |g| {
-        let head = g.vec(0..50, Gen::u64);
-        let mid = g.vec(0..500, Gen::u64);
-        let tail = g.vec(0..50, Gen::u64);
-        let mut v = head.clone();
-        v.extend(&mid);
-        v.extend(&tail);
-        let expect_mid = sorted_copy(&mid);
-        let (h, t) = (head.len(), head.len() + mid.len());
-        radix_sort(&mut v[h..t]);
-        assert_eq!(&v[..h], &head[..]);
-        assert_eq!(&v[h..t], &expect_mid[..]);
-        assert_eq!(&v[t..], &tail[..]);
     });
 }
 
@@ -239,17 +183,6 @@ fn balanced_merge_of_sorted_runs() {
         }
         let expect = sorted_copy(&data);
         assert_eq!(balanced_merge(data, &bounds, workers), expect);
-    });
-}
-
-#[test]
-fn sort_chunks_and_merge_matches_std() {
-    check(CASES, |g| {
-        let v = g.vec(0..3000, Gen::u64);
-        let workers = g.usize_in(1..7);
-        let expect = sorted_copy(&v);
-        let got = sort_chunks_and_merge(v, workers, |c| c.sort_unstable());
-        assert_eq!(got, expect);
     });
 }
 
@@ -357,29 +290,6 @@ fn bounds_match_partition_point() {
         v.sort();
         assert_eq!(lower_bound(&v, &key), v.partition_point(|&x| x < key));
         assert_eq!(upper_bound(&v, &key), v.partition_point(|&x| x <= key));
-    });
-}
-
-#[test]
-fn compare_split_is_order_preserving() {
-    check(CASES, |g| {
-        let mut a = g.vec(0..300, Gen::u64);
-        let mut b = g.vec(0..300, Gen::u64);
-        a.sort();
-        b.sort();
-        let (lo, hi) = compare_split(&a, &b);
-        assert_eq!(lo.len(), a.len());
-        assert_eq!(hi.len(), b.len());
-        // Partitioned: everything low <= everything high.
-        if let (Some(&lmax), Some(&hmin)) = (lo.last(), hi.first()) {
-            assert!(lmax <= hmin);
-        }
-        // Multiset preserved.
-        let mut merged: Vec<u64> = lo.into_iter().chain(hi).collect();
-        let mut expect: Vec<u64> = a.into_iter().chain(b).collect();
-        merged.sort();
-        expect.sort();
-        assert_eq!(merged, expect);
     });
 }
 

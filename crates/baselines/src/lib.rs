@@ -1,4 +1,4 @@
-//! Comparators for the evaluation.
+//! The comparison system of the evaluation.
 //!
 //! - [`spark`] — a Spark-1.6-style bulk-synchronous `sortByKey`: sample →
 //!   map (range partition + serialized shuffle write) → reduce (shuffle
@@ -6,12 +6,6 @@
 //!   baseline Figs. 6 and 8 compare against; its costs (serialization,
 //!   materialization, barriers, no duplicate-splitter handling) are paid
 //!   for real, not modeled.
-//! - [`bitonic`] — distributed Batcher bitonic sort (§II): hypercube
-//!   compare-split stages that exchange *entire* machine blocks each step,
-//!   reproducing the communication blow-up the paper criticizes.
-//! - [`radix`] — partitioned parallel LSD radix sort (§II): top-byte
-//!   histogram partitioning plus local radix, which loses balance on
-//!   skewed/duplicated keys exactly as the paper describes.
 //! - [`serialize`] — the fixed-width record codec the Spark baseline pays
 //!   for at every stage boundary.
 //!
@@ -20,8 +14,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bitonic;
-pub mod radix;
 pub mod serialize;
 pub mod spark;
 

@@ -49,10 +49,6 @@ pub struct SparkEngine {
     /// Samples drawn per input partition for the range partitioner.
     /// Spark's `sampleSizePerPartitionHint`-ish default: 20.
     pub samples_per_partition: usize,
-    /// Materialize shuffle blocks through local files, as Spark's sort
-    /// shuffle does (map tasks write shuffle files; reducers fetch them).
-    /// Default true; turn off to isolate the serialization/barrier costs.
-    pub shuffle_to_disk: bool,
 }
 
 impl Default for SparkEngine {
@@ -60,7 +56,6 @@ impl Default for SparkEngine {
         SparkEngine {
             partitions_per_machine: 4,
             samples_per_partition: 20,
-            shuffle_to_disk: true,
         }
     }
 }
@@ -114,12 +109,6 @@ impl SparkEngine {
             partitions_per_machine: partitions_per_machine.max(1),
             ..Default::default()
         }
-    }
-
-    /// Disables the disk round-trip of shuffle blocks.
-    pub fn in_memory_shuffle(mut self) -> Self {
-        self.shuffle_to_disk = false;
-        self
     }
 
     /// The bulk-synchronous `sortByKey`. SPMD: call from every machine
@@ -220,11 +209,7 @@ impl SparkEngine {
             }
             // Spark's sort shuffle materializes map output as local
             // shuffle files; reducers read them at fetch time.
-            let framed = if self.shuffle_to_disk {
-                spill_blocks_to_disk(ctx.id(), framed)
-            } else {
-                framed
-            };
+            let framed = spill_blocks_to_disk(ctx.id(), framed);
             ctx.barrier(); // map stage completes before any fetch
             framed
         });
@@ -359,27 +344,6 @@ mod tests {
         assert_eq!(results.concat(), expect);
         // ~3/4 of records cross machines on uniform data.
         assert!(comm.bytes_sent as usize > n / 2 * 8, "{comm:?}");
-    }
-
-    #[test]
-    fn disk_and_memory_shuffle_agree() {
-        let machines = 3;
-        let parts = generate_partitioned(Distribution::RightSkewed, 9000, machines, 21);
-        let cluster = Cluster::new(ClusterConfig::new(machines));
-        let disk = SparkEngine::default();
-        let mem = SparkEngine::default().in_memory_shuffle();
-        let via_disk = cluster
-            .run(|ctx| disk.sort_by_key(ctx, parts[ctx.id()].clone()).data)
-            .results
-            .concat();
-        let via_mem = cluster
-            .run(|ctx| mem.sort_by_key(ctx, parts[ctx.id()].clone()).data)
-            .results
-            .concat();
-        assert_eq!(via_disk, via_mem);
-        let mut expect: Vec<u64> = parts.concat();
-        expect.sort_unstable();
-        assert_eq!(via_disk, expect);
     }
 
     #[test]

@@ -83,34 +83,46 @@ impl Default for Opts {
     }
 }
 
-fn parse_opts(args: &[String]) -> Opts {
-    parse_opts_from(Opts::default(), args)
+/// The flags every subcommand accepts.
+const FLAGS: &str =
+    "[--n=N] [--procs=8,16,32,52] [--workers=W] [--seed=S] [--scale=S] [--ef=E] [--trace]";
+
+/// Reads `args` over subcommand-specific defaults. An argument that is
+/// not one of [`FLAGS`], or whose value does not parse, is an error.
+fn parse_opts_from(mut opts: Opts, args: &[String]) -> Result<Opts, String> {
+    for arg in args {
+        set_flag(&mut opts, arg)
+            .ok_or_else(|| format!("bad argument `{arg}`; accepted: {FLAGS}"))?;
+    }
+    Ok(opts)
 }
 
-/// [`parse_opts`] starting from subcommand-specific defaults.
-fn parse_opts_from(mut opts: Opts, args: &[String]) -> Opts {
-    for arg in args {
-        let Some(rest) = arg.strip_prefix("--") else {
-            continue;
-        };
-        match rest.split_once('=') {
-            Some(("n", v)) => opts.n = v.parse().expect("--n must be an integer"),
-            Some(("procs", v)) => {
-                opts.procs = v
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--procs must be a comma list"))
-                    .collect();
-            }
-            Some(("workers", v)) => opts.workers = v.parse().expect("--workers must be an integer"),
-            Some(("seed", v)) => opts.seed = v.parse().expect("--seed must be an integer"),
-            Some(("scale", v)) => opts.scale = v.parse().expect("--scale must be an integer"),
-            Some(("ef", v)) => opts.edge_factor = v.parse().expect("--ef must be an integer"),
-            Some(_) => {}
-            None if rest == "trace" => opts.trace = true,
-            None => eprintln!("ignoring flag without value: {arg} (use --key=value)"),
-        }
+/// Applies one `--key=value` (or `--trace`) to `opts`; `None` if `arg`
+/// is not one of [`FLAGS`] or its value does not parse.
+fn set_flag(opts: &mut Opts, arg: &str) -> Option<()> {
+    fn num<T: std::str::FromStr>(v: &str) -> Option<T> {
+        v.trim().parse().ok()
     }
-    opts
+    let rest = arg.strip_prefix("--")?;
+    match rest.split_once('=') {
+        Some(("n", v)) => opts.n = num(v)?,
+        Some(("procs", v)) => opts.procs = v.split(',').map(num).collect::<Option<_>>()?,
+        Some(("workers", v)) => opts.workers = num(v)?,
+        Some(("seed", v)) => opts.seed = num(v)?,
+        Some(("scale", v)) => opts.scale = num(v)?,
+        Some(("ef", v)) => opts.edge_factor = num(v)?,
+        None if rest == "trace" => opts.trace = true,
+        _ => return None,
+    }
+    Some(())
+}
+
+/// [`parse_opts_from`], or the error on stderr and exit status 2.
+fn opts_or_exit(defaults: Opts, args: &[String]) -> Opts {
+    parse_opts_from(defaults, args).unwrap_or_else(|e| {
+        eprintln!("exp: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Writes `body` to `results/<file>`. A failure is a warning: the tables
@@ -1038,7 +1050,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let flags = &args[1.min(args.len())..];
-    let opts = parse_opts(flags);
+    let opts = opts_or_exit(Opts::default(), flags);
 
     match cmd {
         "fig5" => fig5(&opts),
@@ -1053,11 +1065,11 @@ fn main() {
         "ablation" => ablation(&opts),
         "buffer" => buffer_sweep(&opts),
         // Own defaults (2^20 keys, p=4): re-parse the flags on top of them.
-        "trace" => trace_cmd(&parse_opts_from(trace_defaults(), flags)),
+        "trace" => trace_cmd(&opts_or_exit(trace_defaults(), flags)),
         // Own defaults (2 × 10^5 keys, p=8), same flag re-parse.
-        "chaos" => chaos_cmd(&parse_opts_from(chaos_defaults(), flags)),
+        "chaos" => chaos_cmd(&opts_or_exit(chaos_defaults(), flags)),
         // Own defaults (2 × 10^5 keys, p=4), same flag re-parse.
-        "health" => health_cmd(&parse_opts_from(health_defaults(), flags)),
+        "health" => health_cmd(&opts_or_exit(health_defaults(), flags)),
         "env" => env_report(&opts),
         "all" => {
             env_report(&opts);
@@ -1078,10 +1090,30 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: exp <fig5|fig6|fig7|table2|fig8|table3|fig9|fig10|fig11|ablation|buffer|trace|chaos|health|all> \
-                 [--n=N] [--procs=8,16,32,52] [--workers=W] [--seed=S] [--scale=S] [--ef=E] [--trace]"
+                "usage: exp <fig5|fig6|fig7|table2|fig8|table3|fig9|fig10|fig11|ablation|buffer|trace|chaos|health|all> {FLAGS}"
             );
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_opts_from(Opts::default(), &args)
+    }
+
+    #[test]
+    fn unknown_or_malformed_flags_are_rejected() {
+        for bad in ["--proc=4", "n=5", "--n", "--n=five", "--procs=4,x"] {
+            let err = parse(&[bad]).expect_err(bad);
+            assert!(err.contains(bad) && err.contains(FLAGS), "{err}");
+        }
+        let opts = parse(&["--procs=4", "--trace"]).unwrap();
+        assert_eq!(opts.procs, vec![4]);
+        assert!(opts.trace);
     }
 }

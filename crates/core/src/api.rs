@@ -4,8 +4,8 @@
 //! previous processors ... such as retrieving top values from their graph
 //! data or implementing binary search on the sorted data").
 
-use crate::item::Keyed;
 use crate::sorter::SortedPartition;
+use crate::stats::RangeStats;
 use pgxd::machine::MachineCtx;
 use pgxd_algos::search::{lower_bound, upper_bound};
 use pgxd_algos::Key;
@@ -197,71 +197,12 @@ pub fn global_histogram(
 pub fn verify_globally_sorted<K: Key>(ctx: &mut MachineCtx, part: &SortedPartition<K>) -> bool {
     let locally_sorted = part.data.windows(2).all(|w| w[0] <= w[1]);
     let range = part.range().map(|(a, b)| (*a, *b));
-    let all: Vec<(bool, Option<(K, K)>)> = ctx
+    let (sorted, ranges): (Vec<bool>, Vec<Option<(K, K)>>) = ctx
         .all_gather(vec![(locally_sorted, range)])
         .into_iter()
         .map(|v| v[0])
-        .collect();
-    if !all.iter().all(|&(ok, _)| ok) {
-        return false;
-    }
-    let mut prev_hi: Option<K> = None;
-    for (_, r) in all {
-        if let Some((lo, hi)) = r {
-            if let Some(p) = prev_hi {
-                if lo < p {
-                    return false;
-                }
-            }
-            prev_hi = Some(hi);
-        }
-    }
-    true
-}
-
-/// Collective payload fetch by provenance — the §III "remote data
-/// pulling" pattern: after a [`sort_keyed`](crate::DistSorter::sort_keyed),
-/// every machine holds `Keyed` items pointing back at their origin
-/// machine and index; this call pulls the payload that lived alongside
-/// each key from its origin's `local_payloads` array.
-///
-/// Returns one payload per item, aligned with `items`. Two all-to-alls:
-/// index requests out, payloads back.
-pub fn fetch_payloads<K: Key, V: Copy + Send + Sync + 'static>(
-    ctx: &mut MachineCtx,
-    items: &[Keyed<K>],
-    local_payloads: &[V],
-) -> Vec<V> {
-    let p = ctx.num_machines();
-    // Group requested indices by origin machine, remembering where each
-    // answer must land in the output.
-    let mut requests: Vec<Vec<u64>> = vec![Vec::new(); p];
-    let mut slots: Vec<Vec<usize>> = vec![Vec::new(); p];
-    for (pos, item) in items.iter().enumerate() {
-        requests[item.origin as usize].push(item.index);
-        slots[item.origin as usize].push(pos);
-    }
-
-    // Request phase: each machine receives the index lists others want
-    // from it…
-    let incoming = ctx.all_to_all(requests);
-    // …answers from its own payload array…
-    let responses: Vec<Vec<V>> = incoming
-        .into_iter()
-        .map(|idxs| idxs.into_iter().map(|i| local_payloads[i as usize]).collect())
-        .collect();
-    // …and the answers flow back.
-    let answers = ctx.all_to_all(responses);
-
-    // SAFETY-free assembly: place answers into their recorded slots.
-    let mut out: Vec<Option<V>> = vec![None; items.len()];
-    for (origin, payloads) in answers.into_iter().enumerate() {
-        debug_assert_eq!(payloads.len(), slots[origin].len());
-        for (payload, &slot) in payloads.into_iter().zip(&slots[origin]) {
-            out[slot] = Some(payload);
-        }
-    }
-    out.into_iter().map(|v| v.expect("missing payload")).collect()
+        .unzip();
+    sorted.iter().all(|&ok| ok) && RangeStats::new(ranges).is_ascending()
 }
 
 /// Collective bottom-k, symmetric to [`top_k`].
@@ -395,50 +336,25 @@ mod tests {
                 splitters: part.splitters.clone(),
             };
             let bad_local = verify_globally_sorted(ctx, &broken);
-            (ok, bad_local)
+
+            // Every slice sorted, but the machine ranges descend with id:
+            // only the cross-machine clause can reject this.
+            let base = (ctx.num_machines() - 1 - ctx.id()) as u64 * 1000;
+            let descending = SortedPartition {
+                data: (base..base + 10).collect(),
+                splitters: part.splitters.clone(),
+            };
+            let bad_ranges = verify_globally_sorted(ctx, &descending);
+            (ok, bad_local, bad_ranges)
         });
-        for &(ok, bad) in &report.results {
+        for &(ok, bad_local, bad_ranges) in &report.results {
             assert!(ok);
-            assert!(!bad, "reversed local slices must fail verification");
+            assert!(!bad_local, "reversed local slices must fail verification");
+            assert!(
+                !bad_ranges,
+                "descending machine ranges must fail verification"
+            );
         }
-    }
-
-    #[test]
-    fn fetch_payloads_pulls_correct_values() {
-        let machines = 4;
-        let keys = pgxd_datagen::generate_partitioned(Distribution::Exponential, 6000, machines, 77);
-        let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
-        let sorter = DistSorter::default();
-        let keys_ref = &keys;
-        let report = cluster.run(|ctx| {
-            // payload[i] = hash of (machine, i): unique per origin slot.
-            let payloads: Vec<u64> = (0..keys_ref[ctx.id()].len() as u64)
-                .map(|i| (ctx.id() as u64) << 32 | i)
-                .collect();
-            let part = sorter.sort_keyed(ctx, &keys_ref[ctx.id()]);
-            let fetched = crate::api::fetch_payloads(ctx, &part.data, &payloads);
-            (part.data, fetched)
-        });
-        let mut seen = 0;
-        for (items, fetched) in &report.results {
-            assert_eq!(items.len(), fetched.len());
-            for (item, &payload) in items.iter().zip(fetched) {
-                // The fetched payload identifies exactly the origin slot.
-                assert_eq!(payload, (item.origin as u64) << 32 | item.index);
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, 6000);
-    }
-
-    #[test]
-    fn fetch_payloads_empty_items() {
-        let cluster = Cluster::new(ClusterConfig::new(3));
-        let report = cluster.run(|ctx| {
-            let payloads = vec![1u64, 2, 3];
-            crate::api::fetch_payloads::<u64, u64>(ctx, &[], &payloads)
-        });
-        assert!(report.results.iter().all(|r| r.is_empty()));
     }
 
     #[test]

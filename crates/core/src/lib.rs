@@ -43,7 +43,6 @@
 
 pub mod api;
 pub mod config;
-pub mod distvec;
 pub mod investigator;
 pub mod item;
 pub mod sampling;
@@ -51,7 +50,6 @@ pub mod sorter;
 pub mod stats;
 
 pub use config::SortConfig;
-pub use distvec::DistVec;
 pub use item::Keyed;
 pub use sorter::{steps, DistSorter, SortedPartition};
 pub use stats::{LoadStats, RangeStats};

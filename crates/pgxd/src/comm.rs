@@ -554,11 +554,6 @@ pub fn downcast_value<T: 'static>(payload: Box<dyn Any + Send>, tag: Tag) -> T {
 }
 
 impl Packet {
-    /// Consumes the packet, returning its typed `Vec<T>` payload.
-    pub fn into_vec<T: 'static>(self) -> Vec<T> {
-        downcast_payload(self.payload, self.tag)
-    }
-
     /// Consumes the packet, returning its typed value payload.
     pub fn into_value<T: 'static>(self) -> T {
         downcast_value(self.payload, self.tag)

@@ -27,26 +27,10 @@ impl NetworkModel {
         }
     }
 
-    /// A 10 GbE-class commodity network, for sensitivity studies.
-    pub fn ethernet_10g() -> Self {
-        NetworkModel {
-            latency: Duration::from_micros(20),
-            bandwidth_bytes_per_sec: 10.0e9 / 8.0,
-        }
-    }
-
     /// Wire time for one packet of `bytes` payload.
     pub fn packet_time(&self, bytes: usize) -> Duration {
         let transfer = Duration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec);
         self.latency + transfer
-    }
-
-    /// Wire time for `packets` packets totalling `bytes`, assuming they
-    /// stream back-to-back over one port (latency charged per packet,
-    /// bandwidth shared).
-    pub fn stream_time(&self, packets: u64, bytes: u64) -> Duration {
-        let transfer = Duration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec);
-        self.latency * (packets as u32) + transfer
     }
 
     /// [`packet_time`](NetworkModel::packet_time) scaled by a
@@ -89,15 +73,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_time_charges_per_packet_latency() {
-        let net = NetworkModel::infiniband_56g();
-        let one = net.stream_time(1, 1 << 20);
-        let many = net.stream_time(100, 1 << 20);
-        assert!(many > one);
-        assert_eq!(many - one, net.latency * 99);
-    }
-
-    #[test]
     fn jittered_packet_time_is_deterministic_and_bounded() {
         let net = NetworkModel::infiniband_56g();
         for salt in 0..256u64 {
@@ -112,12 +87,5 @@ mod tests {
             net.jittered_packet_time(1 << 20, 1) != net.jittered_packet_time(1 << 20, 2)
                 || net.jittered_packet_time(1 << 20, 1) != net.jittered_packet_time(1 << 20, 3)
         );
-    }
-
-    #[test]
-    fn ethernet_slower_than_ib() {
-        let ib = NetworkModel::infiniband_56g();
-        let eth = NetworkModel::ethernet_10g();
-        assert!(eth.packet_time(1 << 20) > ib.packet_time(1 << 20));
     }
 }

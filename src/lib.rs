@@ -6,15 +6,13 @@
 //!
 //! - [`pgxd`] — the distributed runtime simulator (machines, task manager,
 //!   data manager, communication manager, collectives, metrics).
-//! - [`pgxd_algos`] — single-machine sorting algorithms (parallel
-//!   quicksort, balanced merge handler, TimSort, k-way merge, radix,
-//!   bitonic).
+//! - [`pgxd_algos`] — single-machine sorting algorithms (quicksort,
+//!   balanced merge handler, TimSort, k-way merge, rank search).
 //! - [`pgxd_core`] — the paper's contribution: the load-balanced
 //!   distributed sample sort with the duplicate-splitter investigator.
 //! - [`pgxd_datagen`] — workload generators (four key distributions,
 //!   R-MAT graphs, CSR).
-//! - [`pgxd_baselines`] — comparators (Spark-like sortByKey, distributed
-//!   bitonic, partitioned radix, naive sample sort).
+//! - [`pgxd_baselines`] — the comparator: a Spark-like sortByKey.
 //! - [`pgxd_memtrack`] — tracking allocator for memory experiments.
 
 #![forbid(unsafe_code)]

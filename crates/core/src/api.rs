@@ -97,18 +97,14 @@ pub fn top_k<K: Key>(ctx: &mut MachineCtx, part: &SortedPartition<K>, k: usize) 
 
 /// Collective rank selection: the key at global rank `rank` (0-based) of
 /// the sorted order, delivered to every machine. `None` when `rank` is
-/// out of range. One count all-gather plus one broadcast.
+/// out of range. Two all-gathers: the counts, then the key from its
+/// holder.
 pub fn select_rank<K: Key>(
     ctx: &mut MachineCtx,
     part: &SortedPartition<K>,
     rank: usize,
 ) -> Option<K> {
-    let counts: Vec<usize> = ctx
-        .all_gather(vec![part.len()])
-        .into_iter()
-        .map(|v| v[0])
-        .collect();
-    select_rank_with_counts(ctx, part, &counts, rank)
+    select_ranks(ctx, part, |_| vec![rank]).pop()
 }
 
 /// Collective quantiles: the keys at the `q`-quantile boundaries
@@ -120,47 +116,35 @@ pub fn global_quantiles<K: Key>(
     q: usize,
 ) -> Vec<K> {
     if q < 2 {
-        // Stay collective even in the degenerate case (no ranks queried).
+        // Every machine returns here, so no collective is left unmatched.
         return Vec::new();
     }
+    select_ranks(ctx, part, |total| (1..q).map(|j| j * total / q).collect())
+}
+
+/// The keys at the ascending global ranks `ranks(total)` that fall below
+/// the total, delivered to every machine. One all-gather of the counts
+/// places each machine's slice in the global order; in a second, each
+/// machine contributes the keys of the ranks it holds, so the rows
+/// concatenate in rank order.
+fn select_ranks<K: Key>(
+    ctx: &mut MachineCtx,
+    part: &SortedPartition<K>,
+    ranks: impl FnOnce(usize) -> Vec<usize>,
+) -> Vec<K> {
     let counts: Vec<usize> = ctx
         .all_gather(vec![part.len()])
         .into_iter()
         .map(|v| v[0])
         .collect();
-    let total: usize = counts.iter().sum();
-    let mut out = Vec::with_capacity(q - 1);
-    for j in 1..q {
-        let rank = j * total / q;
-        if let Some(k) = select_rank_with_counts(ctx, part, &counts, rank) {
-            out.push(k);
-        }
-    }
-    out
-}
-
-fn select_rank_with_counts<K: Key>(
-    ctx: &mut MachineCtx,
-    part: &SortedPartition<K>,
-    counts: &[usize],
-    rank: usize,
-) -> Option<K> {
-    let total: usize = counts.iter().sum();
-    if rank >= total {
-        return None;
-    }
-    let mut owner = 0;
-    let mut remaining = rank;
-    while remaining >= counts[owner] {
-        remaining -= counts[owner];
-        owner += 1;
-    }
-    let payload = if ctx.id() == owner {
-        Some(vec![part.data[remaining]])
-    } else {
-        None
-    };
-    ctx.broadcast_from(owner, payload).first().copied()
+    let base: usize = counts[..ctx.id()].iter().sum();
+    let held = base..base + part.len();
+    let mine: Vec<K> = ranks(counts.iter().sum())
+        .into_iter()
+        .filter(|r| held.contains(r))
+        .map(|r| part.data[r - base])
+        .collect();
+    ctx.all_gather(mine).concat()
 }
 
 /// Collective global histogram over `buckets` equal-width buckets spanning

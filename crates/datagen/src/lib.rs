@@ -6,7 +6,9 @@
 //! "containing many duplicated data entries" that stress the
 //! duplicate-splitter investigator. Fig. 8 sorts the Twitter graph, which
 //! we stand in for with an R-MAT power-law generator (see DESIGN.md for
-//! the substitution argument).
+//! the substitution argument); [`csr`] stores such a graph and
+//! [`partition`] spreads it over machines the way PGX.D's data manager
+//! loads graphs (§III).
 //!
 //! Everything is deterministic under a seed and generated chunk by chunk
 //! on scoped threads, so billion-scale-style generation stays fast on a
@@ -18,7 +20,9 @@
 #![forbid(unsafe_code)]
 
 pub mod cases;
+pub mod csr;
 pub mod dist;
+pub mod partition;
 pub mod rmat;
 pub mod rng;
 

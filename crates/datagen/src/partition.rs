@@ -13,9 +13,9 @@
 //!   lists of high-degree vertices across chunks* so one hub vertex
 //!   cannot serialize a worker.
 //!
-//! The distributed sort itself only needs key arrays, but the library is
-//! a graph library first: the Fig. 8 experiment and the graph examples
-//! load R-MAT data through this path.
+//! The distributed sort itself only needs key arrays, so this lives with
+//! the generators rather than in the runtime: the `graph_degree_sort`
+//! example loads R-MAT data through this path.
 
 use crate::csr::Csr;
 

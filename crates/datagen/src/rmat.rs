@@ -165,10 +165,10 @@ mod tests {
 
     #[test]
     fn csr_roundtrip_with_pgxd() {
-        // Cross-crate smoke: R-MAT edges load into the data manager's CSR.
+        // Smoke: R-MAT edges load into the data manager's CSR form.
         let cfg = RmatConfig::new(8, 4, 5);
         let edges = rmat_edges(&cfg);
-        let g = pgxd::csr::Csr::from_edges(cfg.num_vertices(), &edges);
+        let g = crate::csr::Csr::from_edges(cfg.num_vertices(), &edges);
         assert_eq!(g.num_edges(), edges.len());
         assert_eq!(
             g.degrees().iter().sum::<u64>() as usize,

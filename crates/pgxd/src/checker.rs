@@ -13,10 +13,10 @@
 //! fabric can first prove it happened: a [`barrier`] or fabric teardown.
 //!
 //! One [`ProtocolChecker`] is shared by every machine of a fabric (created
-//! inside [`CommManager::fabric`](crate::comm::CommManager::fabric)). The
-//! hooks are compiled to no-ops unless `debug_assertions` or the `checker`
-//! feature is on — release benchmarks pay nothing, `cargo test` and the
-//! CI debug jobs get the full ledger.
+//! inside `CommManager::fabric_with` around the run's control plane, whose
+//! abort flag stands the quiescence checks down). The hooks are compiled to no-ops unless `debug_assertions`
+//! or the `checker` feature is on — release benchmarks pay nothing,
+//! `cargo test` and the CI debug jobs get the full ledger.
 //!
 //! Quiescence checks run between *two* barrier waits (see
 //! [`MachineCtx::barrier`]): after the first wait every machine is parked
@@ -29,14 +29,12 @@
 //! [`MachineCtx::barrier`]: crate::machine::MachineCtx::barrier
 
 use crate::comm::Tag;
+use crate::fault::ClusterBarrier;
 use crate::sync::Mutex;
 use crate::trace::{violation, EventKind, MachineTrace, LANE_MAIN};
 use std::collections::HashMap;
 // std Arc for the same reason as the pool's checker handle: plain shared
 // ownership of non-loom-modeled state, handed around as std::sync::Arc.
-// The abort flag is a monotonic disarm switch, never a synchronization
-// point, so it stays on std atomics like the metrics counters.
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Whether the checker hooks are compiled in. `const`, so the hot-path
@@ -81,13 +79,13 @@ pub struct ProtocolChecker {
     /// is visible in the exported timeline at the moment the fabric proved
     /// it.
     traces: Vec<Arc<MachineTrace>>,
-    /// Set when the run is aborted (a machine failed or a step timed
-    /// out): quiescence checks stand down, because a run that died
-    /// mid-exchange legitimately strands packets and chunk custody. The
-    /// stranded state is still reported — as
+    /// The run's control plane. Once it is aborted (a machine failed or a
+    /// step timed out) the quiescence checks stand down, because a run
+    /// that died mid-exchange legitimately strands packets and chunk
+    /// custody. The stranded state is still reported — as
     /// [`RunError::residual`](crate::fault::RunError) via
     /// [`ProtocolChecker::residual`] — instead of panicking over it.
-    aborted: AtomicBool,
+    control: Arc<ClusterBarrier>,
 }
 
 /// Checker-ledger debris counted after an aborted run: what the fabric
@@ -111,29 +109,28 @@ impl ProtocolChecker {
 
     /// A checker for a fabric of `machines` machines whose verdicts land
     /// in `traces`, one sink per machine in machine order (empty when the
-    /// run is untraced). [`CommManager::fabric_with`] passes the run's
-    /// sinks when it builds the fabric.
+    /// run is untraced), under a control plane of its own that is never
+    /// aborted.
+    pub fn with_traces(machines: usize, traces: Vec<Arc<MachineTrace>>) -> Self {
+        let control = Arc::new(ClusterBarrier::new(machines, None));
+        Self::with_control(machines, traces, control)
+    }
+
+    /// [`with_traces`](ProtocolChecker::with_traces) under the run's
+    /// control plane: what [`CommManager::fabric_with`] builds.
     ///
     /// [`CommManager::fabric_with`]: crate::comm::CommManager::fabric_with
-    pub fn with_traces(machines: usize, traces: Vec<Arc<MachineTrace>>) -> Self {
+    pub(crate) fn with_control(
+        machines: usize,
+        traces: Vec<Arc<MachineTrace>>,
+        control: Arc<ClusterBarrier>,
+    ) -> Self {
         ProtocolChecker {
             machines,
             ledger: Mutex::new(Ledger::default()),
             traces,
-            aborted: AtomicBool::new(false),
+            control,
         }
-    }
-
-    /// Disarms the quiescence checks: the run is unwinding after a
-    /// failure, so stranded ledger state is expected, not a protocol bug.
-    /// Irreversible for this fabric (each run builds a fresh one).
-    pub fn set_aborted(&self) {
-        self.aborted.store(true, Ordering::Release);
-    }
-
-    /// `true` once [`set_aborted`](ProtocolChecker::set_aborted) ran.
-    pub fn aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
     }
 
     /// Counts the ledger state a failed run left behind (packets never
@@ -217,7 +214,7 @@ impl ProtocolChecker {
             .insert(addr, ChunkInfo { machine, cap_bytes })
         {
             drop(ledger);
-            if self.aborted() {
+            if self.control.is_aborted() {
                 // Senders of an aborted run drop their packets on the
                 // floor, chunk included: the allocation is freed with the
                 // ledger still holding it live, and the allocator may hand
@@ -285,7 +282,7 @@ impl ProtocolChecker {
         if !ENABLED {
             return;
         }
-        if self.aborted() {
+        if self.control.is_aborted() {
             // The run died mid-protocol; stranded state is expected and
             // reported through residual() instead.
             return;
@@ -508,11 +505,11 @@ mod tests {
 
     #[test]
     fn aborted_checker_stands_down_and_reports_residual() {
-        let c = ProtocolChecker::new(2);
+        let control = Arc::new(ClusterBarrier::new(2, None));
+        let c = ProtocolChecker::with_control(2, Vec::new(), control.clone());
         c.packet_sent(0, 1, tag());
         c.chunk_acquired(0, 0x3000, 128);
-        c.set_aborted();
-        assert!(c.aborted());
+        control.abort();
         // Would panic on both counts if the check were still armed.
         c.check_quiescent("teardown after abort", None);
         // A chunk dropped with its packet comes back at the same address.

@@ -222,19 +222,21 @@ impl Cluster {
         assert!(p > 0, "need at least one machine");
         let plan = self.config.fault;
         let stats = Arc::new(CommStats::new(p, self.config.net));
-        // The barrier doubles as the run's control plane: abort flag and
-        // (with an armed plan) the per-step timeout.
-        let barrier = Arc::new(ClusterBarrier::new(
-            p,
-            if plan.enabled { plan.step_timeout } else { None },
-        ));
+        // The barrier doubles as the run's control plane: the one abort
+        // flag and the plan's step deadline.
+        let barrier = Arc::new(ClusterBarrier::new(p, plan.step_timeout));
         let injector = plan
-            .enabled
-            .then(|| Arc::new(FaultInjector::new(plan, p, self.config.net, barrier.clone())));
+            .is_armed()
+            .then(|| Arc::new(FaultInjector::new(plan, p, self.config.net)));
         // The collector is the shared epoch for all machines.
         let collector = self.config.trace.enabled.then(|| TraceCollector::new(p));
-        let comms =
-            CommManager::fabric_with(p, stats.clone(), injector.clone(), collector.as_ref());
+        let comms = CommManager::fabric_with(
+            p,
+            stats.clone(),
+            barrier.clone(),
+            injector.clone(),
+            collector.as_ref(),
+        );
         let fabric_checker = comms[0].checker().clone();
         let start = Instant::now();
 
@@ -248,7 +250,6 @@ impl Cluster {
                 for comm in comms {
                     let machine_id = comm.id();
                     let barrier = barrier.clone();
-                    let checker = comm.checker().clone();
                     let workers = self.config.workers_per_machine;
                     let buffer_bytes = self.config.buffer_bytes;
                     let injector = injector.clone();
@@ -259,7 +260,6 @@ impl Cluster {
                         let mut ctx = MachineCtx::new(
                             comm,
                             TaskManager::with_fault(workers, machine_id, injector),
-                            barrier.clone(),
                             buffer_bytes,
                         );
                         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
@@ -272,7 +272,6 @@ impl Cluster {
                             // before `ctx` drops this machine's inbox, so a
                             // peer mid-send here unwinds as `PeerAborted`
                             // instead of failing on the closed link.
-                            checker.set_aborted();
                             barrier.abort();
                         }
                         (machine_id, outcome, ctx.into_steps())
@@ -436,20 +435,6 @@ mod tests {
     fn run_partitioned_rejects_wrong_shard_count() {
         let cluster = Cluster::new(ClusterConfig::new(3));
         let _ = cluster.run_partitioned(vec![1u8], |_, _| ());
-    }
-
-    #[test]
-    fn broadcast_from_arbitrary_root() {
-        let cluster = Cluster::new(ClusterConfig::new(4));
-        let report = cluster.run(|ctx| {
-            let first = ctx.broadcast_from(2, (ctx.id() == 2).then(|| vec![7u8, 8]));
-            let second = ctx.broadcast_from(3, (ctx.id() == 3).then(|| vec![9u8]));
-            (first, second)
-        });
-        for (first, second) in &report.results {
-            assert_eq!(first, &vec![7, 8]);
-            assert_eq!(second, &vec![9]);
-        }
     }
 
     #[test]

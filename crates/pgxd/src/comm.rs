@@ -22,8 +22,7 @@ use crate::metrics::SharedCommStats;
 use crate::sync::{Receiver, Sender};
 use crate::trace::{EventKind, MachineTrace, TraceCollector};
 use std::any::Any;
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,7 +77,8 @@ pub struct Packet {
 }
 
 /// Receiving anything takes longer than this ⇒ the SPMD protocol is
-/// broken (mismatched collective order); panic instead of hanging.
+/// broken (mismatched collective order); unwind instead of hanging. Bounds
+/// every receive of a run whose plan sets no `step_timeout`.
 const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// The send half of a machine's communication manager. Cheap to clone, so
@@ -98,6 +98,8 @@ pub struct CommSender {
     /// The run's fault plane; `None` (one branch per send) when no
     /// [`FaultPlan`](crate::fault::FaultPlan) is armed.
     fault: Option<Arc<FaultInjector>>,
+    /// The run's control plane: its one abort flag and step deadline.
+    control: Arc<ClusterBarrier>,
 }
 
 impl CommSender {
@@ -118,13 +120,6 @@ impl CommSender {
     pub fn send_vec<T: Send + 'static>(&self, dst: usize, tag: Tag, data: Vec<T>) {
         let wire_bytes = std::mem::size_of::<T>() * data.len();
         self.send_packet(dst, tag, wire_bytes, Box::new(data));
-    }
-
-    /// Sends a single owned value to `dst`.
-    // analyze: allow(hot-path-alloc): boxed wire envelope (see send_vec).
-    pub fn send_value<T: Send + 'static>(&self, dst: usize, tag: Tag, value: T) {
-        let wire_bytes = std::mem::size_of::<T>();
-        self.send_packet(dst, tag, wire_bytes, Box::new(value));
     }
 
     /// Sends a value whose wire size differs from `size_of::<T>()` (e.g. a
@@ -231,16 +226,11 @@ impl CommSender {
         // Once any machine has failed, the run is unwinding: drop the
         // packet on the floor instead of racing the victim's receiver
         // teardown (and never let a worker task's send panic usurp the
-        // primary failure). The checker's abort flag covers plain panics
-        // (set by `MachineCtx`'s drop guard before the victim's receiver
-        // goes away); the injector's covers plan-driven kills/timeouts.
-        if self.checker.aborted() {
+        // primary failure). The flag goes up before a failed machine's
+        // inbox goes away: the cluster raises it for a panic or a kill,
+        // a timed-out waiter before it unwinds.
+        if self.control.is_aborted() {
             return;
-        }
-        if let Some(f) = &self.fault {
-            if f.is_aborted() {
-                return;
-            }
         }
         if dst != self.id {
             self.stats.record_packet(wire_bytes, dst);
@@ -252,7 +242,7 @@ impl CommSender {
             wire_bytes,
             payload,
         });
-        if sent.is_err() && self.fault.is_none() && !self.checker.aborted() {
+        if sent.is_err() && !self.control.is_aborted() {
             // A send error with no abort in flight is a protocol bug (a
             // machine returned while peers still address it), not a fault
             // injection: keep the loud crash. When the abort flag is up the
@@ -270,10 +260,6 @@ pub struct CommManager {
     inbox: Receiver<Packet>,
     /// Early arrivals parked until something asks for their tag.
     mailbox: HashMap<Tag, VecDeque<Packet>>,
-    /// The run's abort/timeout control plane (the cluster barrier);
-    /// `None` for standalone fabrics, which keep the legacy blocking
-    /// receive.
-    control: Option<Arc<ClusterBarrier>>,
     /// Mailbox drain counter (the event index mailbox-reorder decisions
     /// derive from).
     recv_seq: u64,
@@ -281,24 +267,27 @@ pub struct CommManager {
 
 impl CommManager {
     /// Wires up a full fabric for `p` machines, returning one manager per
-    /// machine.
+    /// machine, under a control plane of its own with no step deadline.
     pub fn fabric(p: usize, stats: SharedCommStats) -> Vec<CommManager> {
-        Self::fabric_with(p, stats, None, None)
+        Self::fabric_with(p, stats, Arc::new(ClusterBarrier::new(p, None)), None, None)
     }
 
-    /// [`CommManager::fabric`] for a cluster run: the run's fault plane
+    /// [`CommManager::fabric`] for a cluster run: the run's control plane
+    /// on every sender and on the protocol checker, the run's fault plane
     /// on every sender (`None` for a fault-free fabric) and, on a traced
     /// run, each machine's trace sink on its sender and every sink on the
     /// protocol checker.
-    pub fn fabric_with(
+    pub(crate) fn fabric_with(
         p: usize,
         stats: SharedCommStats,
+        control: Arc<ClusterBarrier>,
         fault: Option<Arc<FaultInjector>>,
         trace: Option<&TraceCollector>,
     ) -> Vec<CommManager> {
         let sinks: Vec<Arc<MachineTrace>> =
             trace.map_or_else(Vec::new, |c| (0..p).map(|m| c.machine(m)).collect());
-        let checker = Arc::new(ProtocolChecker::with_traces(p, sinks.clone()));
+        let checker = ProtocolChecker::with_control(p, sinks.clone(), control.clone());
+        let checker = Arc::new(checker);
         let mut txs = Vec::with_capacity(p);
         let mut rxs = Vec::with_capacity(p);
         for _ in 0..p {
@@ -316,10 +305,10 @@ impl CommManager {
                     checker: checker.clone(),
                     trace: sinks.get(id).cloned(),
                     fault: fault.clone(),
+                    control: control.clone(),
                 },
                 inbox,
                 mailbox: HashMap::new(),
-                control: None,
                 recv_seq: 0,
             })
             .collect()
@@ -335,12 +324,9 @@ impl CommManager {
         self.sender.trace()
     }
 
-    /// Attaches the run's control plane (the cluster barrier), arming the
-    /// abort-aware, timeout-bounded receive path.
-    /// [`MachineCtx::new`](crate::machine::MachineCtx) does so for cluster
-    /// runs; standalone fabrics stay on the legacy path.
-    pub(crate) fn set_control(&mut self, control: Arc<ClusterBarrier>) {
-        self.control = Some(control);
+    /// The run's control plane this fabric was built around.
+    pub(crate) fn control(&self) -> &Arc<ClusterBarrier> {
+        &self.sender.control
     }
 
     /// The statistics cells every sender on this fabric counts into.
@@ -381,11 +367,6 @@ impl CommManager {
         self.sender.send_vec(dst, tag, data)
     }
 
-    /// Sends a single owned value to `dst`.
-    pub fn send_value<T: Send + 'static>(&self, dst: usize, tag: Tag, value: T) {
-        self.sender.send_value(dst, tag, value)
-    }
-
     /// Takes one parked packet with `tag` from the mailbox. FIFO, unless
     /// the fault plane reorders the drain of a multi-entry queue.
     fn take_parked(&mut self, tag: Tag) -> Option<Packet> {
@@ -405,10 +386,14 @@ impl CommManager {
     }
 
     /// Receives the next packet with `tag` from any source, blocking.
-    /// Panics after two minutes (protocol bug guard); in a cluster run
-    /// with an armed [`FaultPlan`](crate::fault::FaultPlan), the plan's
-    /// `step_timeout` applies instead and elapses into a structured abort
-    /// rather than a plain panic.
+    /// Polls in short slices so a peer's failure (the run's abort flag)
+    /// unwinds this machine promptly, and bounds the whole wait by the
+    /// plan's `step_timeout` (two minutes, the protocol-bug guard, when
+    /// the plan sets none). A timeout aborts the whole run and panics with
+    /// a typed `InjectedFailure::Timeout` payload naming the tag waited
+    /// for and the tags parked in the mailbox, which
+    /// [`Cluster::try_run`](crate::cluster::Cluster::try_run) converts
+    /// into a structured error.
     pub fn recv_packet(&mut self, tag: Tag) -> Packet {
         if let Some(f) = self.sender.fault.as_ref() {
             // Mainline fault point: the plan's kill fires here.
@@ -418,58 +403,8 @@ impl CommManager {
             self.note_delivered(&pkt);
             return pkt;
         }
-        // analyze: allow(hot-path-alloc): one Arc refcount bump per
-        // receive — the control handle must be detached from `self` before
-        // the mutable receive loop below can borrow the mailbox.
-        match self.control.clone() {
-            None => self.recv_packet_legacy(tag),
-            Some(ctrl) => self.recv_packet_controlled(tag, ctrl),
-        }
-    }
-
-    // A two-minute starved receive means the SPMD protocol is broken
-    // (mismatched collective order) — crash with the mailbox contents, don't
-    // hang.
-    // analyze: allow(hot-path-alloc): the only allocation is the parked-
-    // tag listing assembled for the timeout panic diagnostic.
-    fn recv_packet_legacy(&mut self, tag: Tag) -> Packet {
-        loop {
-            let pkt = self.inbox.recv_timeout(RECV_TIMEOUT).unwrap_or_else(|| {
-                let mut parked: Vec<Tag> = self
-                    .mailbox
-                    .iter()
-                    .filter(|(_, q)| !q.is_empty())
-                    .map(|(&t, _)| t)
-                    .collect();
-                parked.sort();
-                panic!(
-                    "machine {}: timed out waiting for tag {tag:?} \
-                     (mailbox holds tags {parked:?})",
-                    self.sender.id
-                )
-            });
-            if pkt.tag == tag {
-                self.note_delivered(&pkt);
-                return pkt;
-            }
-            self.mailbox.entry(pkt.tag).or_default().push_back(pkt);
-        }
-    }
-
-    /// The abort-aware receive of a cluster run: polls in short slices so
-    /// a peer's failure unwinds this machine promptly, and bounds the
-    /// total wait by the plan's `step_timeout` (legacy two minutes
-    /// otherwise). A timeout aborts the whole run and panics with a typed
-    /// [`InjectedFailure::Timeout`] payload, which
-    /// [`Cluster::try_run`](crate::cluster::Cluster::try_run) converts
-    /// into a structured error.
-    fn recv_packet_controlled(&mut self, tag: Tag, ctrl: Arc<ClusterBarrier>) -> Packet {
-        let timeout = self
-            .sender
-            .fault
-            .as_ref()
-            .and_then(|f| f.recv_timeout())
-            .unwrap_or(RECV_TIMEOUT);
+        let ctrl = &self.sender.control;
+        let timeout = ctrl.timeout().unwrap_or(RECV_TIMEOUT);
         let deadline = Instant::now() + timeout;
         let slice = (timeout / 8).clamp(Duration::from_millis(1), Duration::from_millis(25));
         loop {
@@ -477,28 +412,32 @@ impl CommManager {
                 std::panic::panic_any(InjectedFailure::PeerAborted);
             }
             match self.inbox.recv_timeout(slice) {
-                Some(pkt) => {
-                    if pkt.tag == tag {
-                        self.note_delivered(&pkt);
-                        return pkt;
-                    }
-                    self.mailbox.entry(pkt.tag).or_default().push_back(pkt);
+                Some(pkt) if pkt.tag == tag => {
+                    self.note_delivered(&pkt);
+                    return pkt;
                 }
-                None => {
-                    if Instant::now() >= deadline {
-                        // This machine is starved past the step budget: a
-                        // peer died or stalled. Abort the run (waking every
-                        // barrier waiter), disarm the quiescence checks
-                        // (an aborted run legitimately strands custody),
-                        // and unwind with a typed payload.
-                        ctrl.abort();
-                        self.sender.checker.set_aborted();
-                        std::panic::panic_any(InjectedFailure::Timeout {
-                            machine: self.sender.id,
-                            context: format!("waiting for tag {tag:?}"),
-                        });
-                    }
+                Some(pkt) => self.mailbox.entry(pkt.tag).or_default().push_back(pkt),
+                None if Instant::now() >= deadline => {
+                    // This machine is starved past the step budget: a peer
+                    // died or stalled, or the SPMD protocol is broken.
+                    // Abort the run (waking every barrier waiter and
+                    // standing the quiescence checks down, since an aborted
+                    // run legitimately strands custody) and unwind with a
+                    // typed payload.
+                    ctrl.abort();
+                    std::panic::panic_any(InjectedFailure::Timeout {
+                        machine: self.sender.id,
+                        context: format!(
+                            "waiting for tag {tag:?} (mailbox holds tags {:?})",
+                            self.mailbox
+                                .iter()
+                                .filter(|(_, q)| !q.is_empty())
+                                .map(|(&t, _)| t)
+                                .collect::<BTreeSet<Tag>>()
+                        ),
+                    });
                 }
+                None => {}
             }
         }
     }
@@ -622,18 +561,6 @@ mod tests {
         let _ = m0.recv_vec::<u64>(tag);
         assert_eq!(stats.summary().bytes_sent, 800);
         assert_eq!(stats.summary().messages_sent, 1);
-    }
-
-    #[test]
-    fn value_roundtrip() {
-        let mut f = fabric2();
-        let m1 = f.pop().unwrap();
-        let mut m0 = f.pop().unwrap();
-        let tag = Tag::user(3, 7);
-        m1.send_value(0, tag, (42usize, 99u64));
-        let (src, v) = m0.recv_value::<(usize, u64)>(tag);
-        assert_eq!(src, 1);
-        assert_eq!(v, (42, 99));
     }
 
     #[test]

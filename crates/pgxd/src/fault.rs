@@ -4,10 +4,10 @@
 //! buffer-chunked exchange tolerates slow machines without idling or
 //! deadlock. This module turns that claim into something a test can
 //! attack on purpose: a [`FaultPlan`] rides on
-//! [`ClusterConfig`](crate::cluster::ClusterConfig) (off by default, one
-//! branch per site when disabled, exactly like
-//! [`TraceConfig`](crate::trace::TraceConfig)) and arms the runtime's
-//! existing layers with injected adversity:
+//! [`ClusterConfig`](crate::cluster::ClusterConfig) (off by default; a run
+//! builds a [`FaultInjector`] only for a plan that [arms](FaultPlan::is_armed)
+//! something, so every site costs one branch otherwise) and arms the
+//! runtime's existing layers with injected adversity:
 //!
 //! - **`CommSender`** — per-chunk send delays with deterministic jitter
 //!   derived from the [`NetworkModel`]'s modeled wire time, and bounded
@@ -42,14 +42,17 @@
 //! # Timeout semantics
 //!
 //! `step_timeout` bounds every blocking wait a machine performs inside a
-//! step: barrier waits and fabric receives. When it elapses, the waiter
-//! marks the run aborted (so every peer unwinds promptly instead of
-//! hanging), and [`Cluster::try_run`](crate::cluster::Cluster::try_run)
-//! reports a [`RunErrorKind::StepTimeout`]. That error names the machine
-//! whose wait ran out — a waiter, not the machine it waited for; the
-//! holdout is the slowest machine of a step in [`RunError::steps`]. Without
-//! a plan, receives keep the legacy two-minute protocol-bug guard and
-//! barriers never time out.
+//! step: barrier waits and fabric receives. Both read it from one place,
+//! the run's `ClusterBarrier`, which also owns the run's one abort flag.
+//! When the deadline passes, the waiter marks the run aborted (so every
+//! peer unwinds promptly instead of hanging), and
+//! [`Cluster::try_run`](crate::cluster::Cluster::try_run) reports a
+//! [`RunErrorKind::StepTimeout`]. That error names the machine whose wait
+//! ran out — a waiter, not the machine it waited for; the holdout is the
+//! slowest machine of a step in [`RunError::steps`]. A starved receive's
+//! message also names the tag it waited for and the tags parked in its
+//! mailbox. Without a `step_timeout`, a receive gives up only after the
+//! two-minute protocol-bug guard, and barriers never time out.
 
 use crate::checker::ResidualReport;
 use crate::comm::Tag;
@@ -63,7 +66,6 @@ use std::collections::HashMap;
 // control flow but is intentionally racy-read (a late observer just
 // unwinds one poll later).
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A deterministic fault-injection plan. All probabilities are in
@@ -71,9 +73,6 @@ use std::time::{Duration, Instant};
 /// decision derives from `seed` (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
-    /// Master switch. `false` (the default) keeps every fault site at one
-    /// branch of cost.
-    pub enabled: bool,
     /// Seed all injection decisions derive from.
     pub seed: u64,
     /// Probability (‰) that an exchange chunk's send is delayed.
@@ -114,7 +113,6 @@ impl FaultPlan {
     /// The default: no fault plane at all.
     pub fn disabled() -> Self {
         FaultPlan {
-            enabled: false,
             seed: 0,
             chunk_delay_permille: 0,
             chunk_delay_max_micros: 0,
@@ -131,11 +129,10 @@ impl FaultPlan {
         }
     }
 
-    /// An armed plan with no faults configured yet; chain the builder
+    /// A seeded plan with no faults configured yet; chain the builder
     /// methods below to add adversity.
     pub fn enabled(seed: u64) -> Self {
         FaultPlan {
-            enabled: true,
             seed,
             ..FaultPlan::disabled()
         }
@@ -232,16 +229,15 @@ impl FaultPlan {
         self
     }
 
-    /// `true` when any fault (not just the master switch) is armed.
+    /// `true` when any fault or the step timeout is set.
     pub fn is_armed(&self) -> bool {
-        self.enabled
-            && (self.chunk_delay_permille > 0
-                || self.reorder_permille > 0
-                || self.drop_permille > 0
-                || self.straggler_machine.is_some()
-                || self.step_pause_permille > 0
-                || self.kill_machine.is_some()
-                || self.step_timeout.is_some())
+        self.chunk_delay_permille > 0
+            || self.reorder_permille > 0
+            || self.drop_permille > 0
+            || self.straggler_machine.is_some()
+            || self.step_pause_permille > 0
+            || self.kill_machine.is_some()
+            || self.step_timeout.is_some()
     }
 }
 
@@ -394,11 +390,16 @@ struct BarrierGen {
     generation: u64,
 }
 
-/// An abortable, optionally timeout-bounded barrier. Replaces
-/// `std::sync::Barrier` in [`Cluster`](crate::cluster::Cluster) runs so a
-/// dead machine can never wedge the survivors: aborting wakes every
-/// waiter, and (with a plan-configured `step_timeout`) a barrier nobody
-/// completes converts into a structured failure instead of a hang.
+/// The run's control plane: an abortable, optionally timeout-bounded
+/// barrier that owns the run's one abort flag and its step deadline.
+/// Every fabric is built around one ([`CommManager::fabric_with`]): the
+/// senders, the receive loop and the protocol checker read the flag and
+/// the deadline here, so a dead machine can never wedge the survivors.
+/// Aborting wakes every waiter, and (with the plan's `step_timeout`) a
+/// barrier nobody completes converts into a structured failure instead
+/// of a hang.
+///
+/// [`CommManager::fabric_with`]: crate::comm::CommManager::fabric_with
 ///
 /// Built on [`crate::sync`] so loom builds compile; under loom the
 /// timeout degrades to a plain wait (cluster runs are not loom-modeled).
@@ -484,6 +485,12 @@ impl ClusterBarrier {
     pub(crate) fn is_aborted(&self) -> bool {
         self.aborted.load(Ordering::Acquire)
     }
+
+    /// The step deadline every barrier wait and fabric receive of the run
+    /// is bounded by; `None` when the plan sets no `step_timeout`.
+    pub(crate) fn timeout(&self) -> Option<Duration> {
+        self.timeout
+    }
 }
 
 /// The armed fault plane of one cluster run: the plan plus per-site event
@@ -493,7 +500,6 @@ pub struct FaultInjector {
     plan: FaultPlan,
     p: usize,
     net: NetworkModel,
-    control: Arc<ClusterBarrier>,
     /// Per-(src, dst) chunk sequence numbers, `src * p + dst`.
     stream_seq: Vec<AtomicU64>,
     /// Drop-with-redelivery events consumed per (src, dst) stream.
@@ -518,13 +524,12 @@ impl std::fmt::Debug for FaultInjector {
 }
 
 impl FaultInjector {
-    pub(crate) fn new(plan: FaultPlan, p: usize, net: NetworkModel, control: Arc<ClusterBarrier>) -> Self {
+    pub(crate) fn new(plan: FaultPlan, p: usize, net: NetworkModel) -> Self {
         let counters = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
         FaultInjector {
             plan,
             p,
             net,
-            control,
             stream_seq: counters(p * p),
             drops_done: counters(p * p),
             events: counters(p),
@@ -541,17 +546,6 @@ impl FaultInjector {
 
     fn stream(&self, src: usize, dst: usize) -> usize {
         src * self.p + dst
-    }
-
-    /// `true` once the run is aborted (a peer failed); senders drop
-    /// packets instead of panicking on torn-down links.
-    pub(crate) fn is_aborted(&self) -> bool {
-        self.control.is_aborted()
-    }
-
-    /// Timeout for one blocking receive.
-    pub(crate) fn recv_timeout(&self) -> Option<Duration> {
-        self.plan.step_timeout
     }
 
     /// Next sequence number of the (src, dst) chunk stream.
@@ -671,12 +665,14 @@ impl FaultInjector {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn disabled_plan_is_default_and_unarmed() {
         let plan = FaultPlan::default();
-        assert!(!plan.enabled);
         assert!(!plan.is_armed());
+        // A seed alone arms nothing.
+        assert!(!FaultPlan::enabled(9).is_armed());
         assert_eq!(plan, FaultPlan::disabled());
     }
 
@@ -713,8 +709,7 @@ mod tests {
     }
 
     fn injector(plan: FaultPlan, p: usize) -> FaultInjector {
-        let barrier = Arc::new(ClusterBarrier::new(p, None));
-        FaultInjector::new(plan, p, NetworkModel::default(), barrier)
+        FaultInjector::new(plan, p, NetworkModel::default())
     }
 
     #[test]

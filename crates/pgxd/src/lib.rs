@@ -9,11 +9,12 @@
 //! - **Task manager** ([`task::TaskManager`]) — each machine owns a set of
 //!   worker threads that grab tasks from a shared list and execute them,
 //!   exactly the §III description of the parallel-step execution model.
-//! - **Data manager** ([`buffer::RequestBuffer`], [`csr::Csr`]) — outgoing
-//!   remote writes are buffered per destination and flushed when the
-//!   buffer reaches its maximum size (256 KiB by default, the value PGX.D
-//!   tuned empirically) or when the step ends; graph data is stored in
-//!   Compressed Sparse Row form.
+//! - **Data manager** ([`buffer::RequestBuffer`]) — outgoing remote writes
+//!   are buffered per destination and flushed when the buffer reaches its
+//!   maximum size (256 KiB by default, the value PGX.D tuned empirically)
+//!   or when the step ends. Graph loading (CSR storage, ghost nodes, edge
+//!   chunking) lives with the generators in `pgxd-datagen`, since no sort
+//!   runs it.
 //! - **Communication manager** ([`comm`]) — point-to-point message
 //!   delivery between machines with byte/message accounting and a
 //!   [`net::NetworkModel`] that converts observed bytes into modeled wire
@@ -89,12 +90,10 @@ pub mod buffer;
 pub mod checker;
 pub mod cluster;
 pub mod comm;
-pub mod csr;
 pub mod fault;
 pub mod machine;
 pub mod metrics;
 pub mod net;
-pub mod partition;
 pub mod pool;
 pub mod sync;
 pub mod task;

@@ -9,7 +9,7 @@
 use crate::buffer::{self, RequestBuffer};
 use crate::checker;
 use crate::comm::{kinds, CommManager, Tag};
-use crate::fault::{BarrierWait, ClusterBarrier, FaultInjector, InjectedFailure};
+use crate::fault::{BarrierWait, FaultInjector, InjectedFailure};
 use crate::metrics::{CommSummary, SharedCommStats, StepTimer};
 use crate::pool::ChunkPool;
 use crate::task::{self, TaskManager};
@@ -27,7 +27,6 @@ pub struct MachineCtx {
     comm: CommManager,
     task: TaskManager,
     timer: StepTimer,
-    barrier: Arc<ClusterBarrier>,
     buffer_bytes: usize,
     stats: SharedCommStats,
     /// The run's fault plane; `None` (one branch per site) when no
@@ -43,12 +42,7 @@ pub struct MachineCtx {
 }
 
 impl MachineCtx {
-    pub(crate) fn new(
-        mut comm: CommManager,
-        task: TaskManager,
-        barrier: Arc<ClusterBarrier>,
-        buffer_bytes: usize,
-    ) -> Self {
+    pub(crate) fn new(comm: CommManager, task: TaskManager, buffer_bytes: usize) -> Self {
         // The cells the fabric already counts into: one set per run.
         let stats = comm.stats().clone();
         let mut pool = ChunkPool::with_checker(stats.clone(), comm.checker().clone(), comm.id());
@@ -58,8 +52,6 @@ impl MachineCtx {
         if let Some(t) = &trace {
             pool.set_trace(t.clone());
         }
-        // Receives must observe peer aborts and the plan's step timeout.
-        comm.set_control(barrier.clone());
         let fault = comm.fault().cloned();
         let pool = Arc::new(pool);
         MachineCtx {
@@ -68,7 +60,6 @@ impl MachineCtx {
             comm,
             task,
             timer: StepTimer::default(),
-            barrier,
             buffer_bytes,
             pool,
             stats,
@@ -196,7 +187,9 @@ impl MachineCtx {
     // The only way out of a barrier whose peers are dead is to unwind; the
     // typed payload keeps the failure attributable.
     fn wait_or_unwind(&self) {
-        match self.barrier.wait() {
+        // The run's control plane, which the fabric was built around.
+        let barrier = self.comm.control();
+        match barrier.wait() {
             BarrierWait::Released => {}
             BarrierWait::Aborted => std::panic::panic_any(InjectedFailure::PeerAborted),
             BarrierWait::TimedOut => std::panic::panic_any(InjectedFailure::Timeout {
@@ -243,6 +236,8 @@ impl MachineCtx {
     /// The payload ships as one shared `Arc<Vec<T>>` — the master does not
     /// clone it per receiver; wire-byte accounting still charges every
     /// receiver the full payload.
+    // A missing broadcast packet is a protocol bug; crashing beats silently
+    // desynchronizing the step.
     pub fn broadcast_from_master<T: Send + Sync + Clone + 'static>(
         &mut self,
         data: Option<Vec<T>>,
@@ -251,52 +246,22 @@ impl MachineCtx {
             kind: kinds::BROADCAST,
             seq: self.next_seq(),
         };
-        self.broadcast_shared(MASTER, data, tag)
-    }
-
-    /// Broadcasts a `Vec<T>` from an arbitrary `root` to everyone. The
-    /// root passes `Some(data)`, everyone else `None`; all machines
-    /// return the broadcast value. Ships one shared payload like
-    /// [`broadcast_from_master`](MachineCtx::broadcast_from_master).
-    pub fn broadcast_from<T: Send + Sync + Clone + 'static>(
-        &mut self,
-        root: usize,
-        data: Option<Vec<T>>,
-    ) -> Vec<T> {
-        assert!(root < self.p, "broadcast root out of range");
-        let tag = Tag {
-            kind: kinds::BROADCAST,
-            seq: self.next_seq(),
-        };
-        self.broadcast_shared(root, data, tag)
-    }
-
-    // A missing broadcast packet is a protocol bug; crashing beats silently
-    // desynchronizing the step.
-    fn broadcast_shared<T: Send + Sync + Clone + 'static>(
-        &mut self,
-        root: usize,
-        data: Option<Vec<T>>,
-        tag: Tag,
-    ) -> Vec<T> {
-        if self.id == root {
-            let data = data.expect("broadcast root must supply data");
-            let shared = Arc::new(data);
-            let sender = self.comm.sender();
-            for dst in 0..self.p {
-                if dst != root {
-                    sender.send_shared_vec(dst, tag, shared.clone());
-                }
-            }
-            // Usually receivers still hold their handles, costing the root
-            // one local clone — instead of the p − 1 clones an owned
-            // broadcast pays.
-            Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone())
-        } else {
+        if self.id != MASTER {
             let (src, v) = self.comm.recv_shared_vec::<T>(tag);
-            debug_assert_eq!(src, root);
-            v
+            debug_assert_eq!(src, MASTER);
+            return v;
         }
+        let shared = Arc::new(data.expect("the master must supply the broadcast data"));
+        let sender = self.comm.sender();
+        for dst in 0..self.p {
+            if dst != MASTER {
+                sender.send_shared_vec(dst, tag, shared.clone());
+            }
+        }
+        // Usually receivers still hold their handles, costing the master
+        // one local clone — instead of the p − 1 clones an owned broadcast
+        // pays.
+        Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone())
     }
 
     /// Simple all-to-all: machine `i` sends `parts[j]` to machine `j`;

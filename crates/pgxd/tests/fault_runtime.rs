@@ -9,6 +9,7 @@
 use std::time::{Duration, Instant};
 
 use pgxd::cluster::{Cluster, ClusterConfig, RunReport};
+use pgxd::comm::Tag;
 use pgxd::fault::FaultPlan;
 use pgxd::RunErrorKind;
 
@@ -184,6 +185,36 @@ fn hung_barrier_converts_to_step_timeout_error() {
         "timeout must fire near the configured bound"
     );
     assert!(err.to_string().contains("step timeout"), "{err}");
+}
+
+#[test]
+fn starved_receive_names_the_awaited_and_the_parked_tags() {
+    // Machine 1 sends machine 0 a packet under one tag; machine 0 waits for
+    // another that nobody sends. The receive parks the first packet and
+    // times out, and the error names both tags, as the protocol-bug guard
+    // of a plan without a step timeout would.
+    let parked = Tag::user(1, 0);
+    let awaited = Tag::user(2, 0);
+    let plan = FaultPlan::enabled(1).step_timeout(Duration::from_millis(250));
+    let cluster = Cluster::new(ClusterConfig::new(2).fault(plan));
+    let started = Instant::now();
+    let err = cluster
+        .try_run(|ctx| {
+            if ctx.id() == 1 {
+                ctx.comm_mut().send_vec(0, parked, vec![7u64]);
+            } else {
+                let _ = ctx.comm_mut().recv_vec::<u64>(awaited);
+            }
+        })
+        .expect_err("a receive nobody serves must time out");
+    assert_eq!(err.kind, RunErrorKind::StepTimeout);
+    assert_eq!(err.machine, Some(0));
+    assert!(started.elapsed() < Duration::from_secs(10));
+    let text = err.to_string();
+    let names_awaited = format!("waiting for tag {awaited:?}");
+    let names_parked = format!("mailbox holds tags {{{parked:?}}}");
+    assert!(text.contains(&names_awaited), "{text}");
+    assert!(text.contains(&names_parked), "{text}");
 }
 
 #[test]

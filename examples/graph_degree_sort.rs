@@ -9,8 +9,8 @@
 //! ```
 
 use pgxd::cluster::{Cluster, ClusterConfig};
-use pgxd::partition::{crossing_edges_without_ghosts, partition_graph, PartitionConfig};
 use pgxd_core::DistSorter;
+use pgxd_datagen::partition::{crossing_edges_without_ghosts, partition_graph, PartitionConfig};
 use pgxd_datagen::rmat::{rmat_edges, RmatConfig};
 
 fn main() {

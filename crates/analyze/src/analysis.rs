@@ -6,8 +6,9 @@
 //! `drop(g)` branches (so a `drop(ledger); …; panic!()` arm does not count
 //! as lock-held). Statement temporaries (`x.lock().insert(..)`) live to the
 //! next same-depth `;`. Effects (what a function may acquire or block on,
-//! transitively) are computed over a name-resolved call graph and replayed
-//! at every call site that executes under a live guard.
+//! transitively) are computed over the name-resolved [`CallGraph`], which
+//! this module builds once per run for every pass that follows calls, and
+//! replayed at every call site that executes under a live guard.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -97,9 +98,8 @@ pub struct FnSites {
 }
 
 impl FnSites {
-    /// Resolved workspace call sites (token index, line, targets) — the
-    /// call half of the extracted sites, shared with the hot-path pass so
-    /// its reachability walks the same graph the effect fixpoint does.
+    /// Resolved workspace call sites (token index, line, targets): the
+    /// edges of the [`CallGraph`] that hot-path-alloc and wait-graph walk.
     pub(crate) fn calls(&self) -> impl Iterator<Item = (usize, usize, &[String])> + '_ {
         self.sites.iter().filter_map(|s| match &s.op {
             RawOp::Call { targets } => Some((s.idx, s.line, targets.as_slice())),
@@ -383,7 +383,7 @@ fn resolve_receiver(
 }
 
 /// Workspace function index for call resolution.
-pub struct FnIndex {
+struct FnIndex {
     /// Qualified name -> exists.
     qualified: BTreeSet<String>,
     /// Unqualified last segment -> qualified method names.
@@ -395,7 +395,7 @@ pub struct FnIndex {
 }
 
 impl FnIndex {
-    pub fn build(files: &[ParsedFile]) -> FnIndex {
+    fn build(files: &[ParsedFile]) -> FnIndex {
         let mut ix = FnIndex {
             qualified: BTreeSet::new(),
             methods_by_name: HashMap::new(),
@@ -473,8 +473,28 @@ impl FnIndex {
     }
 }
 
+/// The workspace call graph: every function's guards and resolved call
+/// sites, extracted once per run through one [`FnIndex`] and shared by
+/// every pass that follows calls (lock-order / blocking-under-lock,
+/// hot-path-alloc, wait-graph).
+pub struct CallGraph {
+    /// One entry per parsed function, indexed `[file][fn]` in parse order.
+    pub(crate) fns: Vec<Vec<FnSites>>,
+}
+
+impl CallGraph {
+    pub fn build(files: &[ParsedFile]) -> CallGraph {
+        let ix = FnIndex::build(files);
+        let fns = files
+            .iter()
+            .map(|pf| pf.functions.iter().map(|f| extract_fn(pf, f, &ix)).collect())
+            .collect();
+        CallGraph { fns }
+    }
+}
+
 /// Extracts guards and operation sites from one function body.
-pub fn extract_fn(pf: &ParsedFile, f: &Function, ix: &FnIndex) -> FnSites {
+fn extract_fn(pf: &ParsedFile, f: &Function, ix: &FnIndex) -> FnSites {
     let (s, e) = f.body;
     let aliases = {
         let self_name = f.self_type.clone().unwrap_or_else(|| f.name.clone());
@@ -660,9 +680,9 @@ fn guard_site(
 }
 
 /// Memoized transitive effects of every function.
-fn compute_effects(all: &HashMap<String, FnSites>) -> HashMap<String, Vec<Effect>> {
+fn compute_effects(all: &HashMap<&str, Vec<&FnSites>>) -> HashMap<String, Vec<Effect>> {
     let mut memo: HashMap<String, Vec<Effect>> = HashMap::new();
-    let mut names: Vec<&String> = all.keys().collect();
+    let mut names: Vec<&str> = all.keys().copied().collect();
     names.sort();
     for name in names {
         let mut visiting = BTreeSet::new();
@@ -673,7 +693,7 @@ fn compute_effects(all: &HashMap<String, FnSites>) -> HashMap<String, Vec<Effect
 
 fn effects_of(
     name: &str,
-    all: &HashMap<String, FnSites>,
+    all: &HashMap<&str, Vec<&FnSites>>,
     memo: &mut HashMap<String, Vec<Effect>>,
     visiting: &mut BTreeSet<String>,
 ) -> Vec<Effect> {
@@ -684,33 +704,35 @@ fn effects_of(
         // Recursion: the cycle contributes no additional effects.
         return Vec::new();
     }
-    let Some(fs) = all.get(name) else {
+    let Some(occurrences) = all.get(name) else {
         return Vec::new();
     };
     visiting.insert(name.to_string());
     let mut out: BTreeSet<Effect> = BTreeSet::new();
-    for g in &fs.guards {
-        out.insert(Effect::Acquire { lock: g.lock.clone(), chain: Vec::new() });
-    }
-    for s in &fs.sites {
-        match &s.op {
-            RawOp::Blocking { name: op, .. } => {
-                out.insert(Effect::Block { op: op.clone(), chain: Vec::new() });
-            }
-            RawOp::Call { targets } => {
-                for t in targets {
-                    for eff in effects_of(t, all, memo, visiting) {
-                        let with_chain = match eff {
-                            Effect::Acquire { lock, mut chain } => {
-                                chain.insert(0, t.clone());
-                                Effect::Acquire { lock, chain }
-                            }
-                            Effect::Block { op, mut chain } => {
-                                chain.insert(0, t.clone());
-                                Effect::Block { op, chain }
-                            }
-                        };
-                        out.insert(with_chain);
+    for fs in occurrences {
+        for g in &fs.guards {
+            out.insert(Effect::Acquire { lock: g.lock.clone(), chain: Vec::new() });
+        }
+        for s in &fs.sites {
+            match &s.op {
+                RawOp::Blocking { name: op, .. } => {
+                    out.insert(Effect::Block { op: op.clone(), chain: Vec::new() });
+                }
+                RawOp::Call { targets } => {
+                    for t in targets {
+                        for eff in effects_of(t, all, memo, visiting) {
+                            let with_chain = match eff {
+                                Effect::Acquire { lock, mut chain } => {
+                                    chain.insert(0, t.clone());
+                                    Effect::Acquire { lock, chain }
+                                }
+                                Effect::Block { op, mut chain } => {
+                                    chain.insert(0, t.clone());
+                                    Effect::Block { op, chain }
+                                }
+                            };
+                            out.insert(with_chain);
+                        }
                     }
                 }
             }
@@ -722,25 +744,12 @@ fn effects_of(
     v
 }
 
-/// Runs lock-order and blocking-under-lock over the extracted functions.
-pub fn analyze_locks(files: &[ParsedFile]) -> AnalysisResult {
-    let ix = FnIndex::build(files);
-    let mut all: HashMap<String, FnSites> = HashMap::new();
-    for pf in files {
-        for f in &pf.functions {
-            let fs = extract_fn(pf, f, &ix);
-            // Two impls of one type may collide on a helper name; merge.
-            match all.remove(&f.name) {
-                Some(mut prev) => {
-                    prev.guards.extend(fs.guards);
-                    prev.sites.extend(fs.sites);
-                    all.insert(f.name.clone(), prev);
-                }
-                None => {
-                    all.insert(f.name.clone(), fs);
-                }
-            }
-        }
+/// Runs lock-order and blocking-under-lock over the call graph.
+pub fn analyze_locks(graph: &CallGraph) -> AnalysisResult {
+    // Two impls of one type may share a helper name: effects are per name.
+    let mut all: HashMap<&str, Vec<&FnSites>> = HashMap::new();
+    for fs in graph.fns.iter().flatten() {
+        all.entry(&fs.name).or_default().push(fs);
     }
     let effects = compute_effects(&all);
 
@@ -748,10 +757,9 @@ pub fn analyze_locks(files: &[ParsedFile]) -> AnalysisResult {
     let mut edges: Vec<Edge> = Vec::new();
     let mut nodes: BTreeSet<String> = BTreeSet::new();
 
-    let mut fn_names: Vec<&String> = all.keys().collect();
+    let mut fn_names: Vec<&str> = all.keys().copied().collect();
     fn_names.sort();
-    for name in fn_names {
-        let fs = &all[name];
+    for fs in fn_names.iter().flat_map(|name| &all[name]) {
         for g in &fs.guards {
             nodes.insert(g.lock.clone());
         }
@@ -999,7 +1007,7 @@ mod tests {
     use crate::items::parse_file;
 
     fn run(src: &str) -> AnalysisResult {
-        analyze_locks(&[parse_file("t.rs", src)])
+        analyze_locks(&CallGraph::build(&[parse_file("t.rs", src)]))
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! token are not atomics (`Vec::swap`, `mpsc::Receiver::recv`) and are
 //! ignored.
 
-use crate::items::{matching_paren, ParsedFile};
+use crate::items::{matching_delim, ParsedFile};
 use crate::report::Finding;
 
 /// Files whose atomics implement publication protocols, plus the comm
@@ -86,7 +86,7 @@ pub fn analyze_atomics(files: &[ParsedFile]) -> Vec<Finding> {
                 if !ATOMIC_METHODS.contains(&name) || pf.toks[i + 2].text != "(" {
                     continue;
                 }
-                let close = matching_paren(&pf.toks, i + 2);
+                let close = matching_delim(&pf.toks, i + 2);
                 // Orderings named in the argument list; none ⇒ not an
                 // atomic call (slice `swap`, channel `recv`, …).
                 let mut orderings: Vec<(usize, String)> = Vec::new();

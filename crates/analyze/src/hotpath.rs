@@ -48,8 +48,8 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::analysis::{call_open_paren, extract_fn, is_ident, FnIndex, FnSites};
-use crate::items::{matching_brace, matching_paren, ParsedFile};
+use crate::analysis::{call_open_paren, is_ident, CallGraph};
+use crate::items::{matching_delim, ParsedFile};
 use crate::loopdisc::find_loops;
 use crate::report::Finding;
 
@@ -148,27 +148,6 @@ fn in_any(ranges: &[(usize, usize)], i: usize) -> bool {
     ranges.iter().any(|&(s, e)| i >= s && i < e)
 }
 
-/// Balanced-delimiter close for macro bodies (`(`, `[` or `{`).
-fn matching_delim(pf: &ParsedFile, open: usize) -> usize {
-    match pf.toks[open].text.as_str() {
-        "(" => matching_paren(&pf.toks, open),
-        "{" => matching_brace(&pf.toks, open),
-        _ => {
-            let mut b = 1usize;
-            let mut j = open;
-            while j + 1 < pf.toks.len() && b > 0 {
-                j += 1;
-                match pf.toks[j].text.as_str() {
-                    "[" => b += 1,
-                    "]" => b -= 1,
-                    _ => {}
-                }
-            }
-            j
-        }
-    }
-}
-
 /// Loop-body token ranges inside `body`, nested ones included.
 fn loop_ranges(pf: &ParsedFile, body: (usize, usize)) -> Vec<(usize, usize)> {
     find_loops(pf, body).into_iter().map(|l| l.body).collect()
@@ -187,14 +166,14 @@ fn cold_ranges(pf: &ParsedFile, body: (usize, usize)) -> Vec<(usize, usize)> {
                 .filter(|t| matches!(t.text.as_str(), "(" | "[" | "{"))
                 .map(|_| i + 2)
             {
-                let close = matching_delim(pf, open);
+                let close = matching_delim(&pf.toks, open);
                 out.push((open, close));
                 i = open + 1;
                 continue;
             }
         }
         if t == "panic_any" && pf.toks[i + 1].text == "(" {
-            out.push((i + 1, matching_paren(&pf.toks, i + 1)));
+            out.push((i + 1, matching_delim(&pf.toks, i + 1)));
             i += 2;
             continue;
         }
@@ -262,13 +241,8 @@ fn alloc_sites(
     out
 }
 
-pub fn analyze_hotpath(files: &[ParsedFile]) -> HotPaths {
-    let ix = FnIndex::build(files);
-    // Extracted sites, indexed [file][fn] in parse order.
-    let sites: Vec<Vec<FnSites>> = files
-        .iter()
-        .map(|pf| pf.functions.iter().map(|f| extract_fn(pf, f, &ix)).collect())
-        .collect();
+pub fn analyze_hotpath(files: &[ParsedFile], graph: &CallGraph) -> HotPaths {
+    let sites = &graph.fns;
     // Qualified fn name -> occurrences (file idx, fn idx).
     let mut occs: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
     for (fi, pf) in files.iter().enumerate() {
@@ -423,6 +397,10 @@ pub fn analyze_hotpath(files: &[ParsedFile]) -> HotPaths {
 mod tests {
     use super::*;
     use crate::items::parse_file;
+
+    fn analyze_hotpath(files: &[ParsedFile]) -> HotPaths {
+        super::analyze_hotpath(files, &CallGraph::build(files))
+    }
 
     fn run(src: &str) -> HotPaths {
         let marked = format!("// analyze: scope(hot-path-alloc)\n{src}");

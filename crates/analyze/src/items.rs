@@ -62,41 +62,25 @@ pub const KEYWORDS: &[&str] = &[
     "use", "where", "while", "yield", "async", "await", "union",
 ];
 
-/// Index of the `}` matching the `{` at `open` (token indices), or the
-/// last token if unbalanced.
-pub fn matching_brace(toks: &[Tok], open: usize) -> usize {
-    debug_assert_eq!(toks[open].text, "{");
+/// Index of the token closing the `(`, `[` or `{` at `open` (token
+/// indices), or the last token if unbalanced.
+pub fn matching_delim(toks: &[Tok], open: usize) -> usize {
+    let o = toks[open].text.as_str();
+    debug_assert!(matches!(o, "(" | "[" | "{"), "{o}");
+    let c = match o {
+        "(" => ")",
+        "[" => "]",
+        _ => "}",
+    };
     let mut depth = 0usize;
     for (i, t) in toks.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
+        if t.text == o {
+            depth += 1;
+        } else if t.text == c {
+            depth -= 1;
+            if depth == 0 {
+                return i;
             }
-            _ => {}
-        }
-    }
-    toks.len() - 1
-}
-
-/// Index of the `)` matching the `(` at `open` (token indices), or the
-/// last token if unbalanced.
-pub fn matching_paren(toks: &[Tok], open: usize) -> usize {
-    debug_assert_eq!(toks[open].text, "(");
-    let mut depth = 0usize;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
         }
     }
     toks.len() - 1
@@ -301,7 +285,7 @@ fn find_test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
                         m += 1;
                     }
                     if m < toks.len() && toks[m].text == "{" {
-                        regions.push((m, matching_brace(toks, m)));
+                        regions.push((m, matching_delim(toks, m)));
                     }
                 }
             }
@@ -348,7 +332,7 @@ fn find_impl_regions(toks: &[Tok]) -> Vec<(usize, usize, String)> {
             }
             if j < toks.len() && toks[j].text == "{" {
                 let ty = after_for.or(first_ident).unwrap_or_else(|| "<impl>".to_string());
-                regions.push((j, matching_brace(toks, j), ty));
+                regions.push((j, matching_delim(toks, j), ty));
                 // Continue scanning *inside* the impl for nothing — fns are
                 // found by the flat fn scan; just move past the header.
                 i = j + 1;
@@ -446,7 +430,7 @@ fn extract_functions(
             i = j + 1;
             continue;
         }
-        let close = matching_brace(toks, j);
+        let close = matching_delim(toks, j);
         let self_type = impl_regions
             .iter()
             .filter(|&&(s, e, _)| i > s && i < e)

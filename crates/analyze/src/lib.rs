@@ -1,6 +1,6 @@
 //! pgxd-analyze: dependency-free static analysis for the pgxd runtime.
 //!
-//! Seven passes over `crates/pgxd/src`, `crates/core/src`, and
+//! Six passes over `crates/pgxd/src`, `crates/core/src`, and
 //! `crates/algos/src` (minus the `sync.rs` shim, which is the sanctioned
 //! boundary to the real primitives):
 //!
@@ -12,23 +12,25 @@
 //! 2. **blocking-under-lock** — barrier/condvar waits, channel send/recv,
 //!    `ChunkPool::acquire`, and joins reachable while a guard is live are
 //!    findings unless `analyze.allow` carries a justified entry.
-//! 3. **chunk-custody** — every `ChunkPool::acquire` must reach exactly
-//!    one release/drop/hand-off on every control-flow path, tracked
-//!    interprocedurally through custody-returning functions; leaks are
-//!    never allowlistable (see [`custody`]).
-//! 4. **wait-graph** — barrier/send/recv sites per §IV step with
+//! 3. **wait-graph** — barrier/send/recv sites per §IV step with
 //!    asymmetric-barrier and recv-without-send shape checks (see
 //!    [`waitgraph`]).
-//! 5. **atomics-ordering** — no `Relaxed` publication in the
+//! 4. **atomics-ordering** — no `Relaxed` publication in the
 //!    cursor files without an inline justification (see
 //!    [`atomics`]).
-//! 6. **hot-path-alloc** — heap allocations reachable from the
+//! 5. **hot-path-alloc** — heap allocations reachable from the
 //!    per-element data plane (the local-sort kernels and request buffer,
 //!    the exchange's chunk path, the fabric's send/recv, the trace and
 //!    counter emits) through the resolved call graph, with the full
 //!    root-to-site chain (see [`hotpath`]).
-//! 7. **loop-discipline** — unbounded collection growth inside recv/poll
+//! 6. **loop-discipline** — unbounded collection growth inside recv/poll
 //!    loops; never allowlistable (see [`loopdisc`]).
+//!
+//! Passes 1, 2, 3 and 5 follow calls through one [`CallGraph`], built
+//! once per run. Chunk custody (every pooled chunk released once) is not
+//! a static pass: the runtime protocol checker's ledger enforces it in
+//! every debug run, and rustc's move check rules out a second release of
+//! the same buffer.
 //!
 //! Inline `analyze: allow(<rule>): <reason>` markers cover
 //! atomics-ordering and hot-path-alloc findings, and a marker that covers
@@ -41,7 +43,6 @@
 
 pub mod analysis;
 pub mod atomics;
-pub mod custody;
 pub mod hotpath;
 pub mod items;
 pub mod lexer;
@@ -53,16 +54,14 @@ pub mod waitgraph;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-pub use analysis::{analyze_locks, AnalysisResult, Edge, LockGraph};
+pub use analysis::{analyze_locks, AnalysisResult, CallGraph, Edge, LockGraph};
 pub use atomics::analyze_atomics;
-pub use custody::analyze_custody;
 pub use hotpath::{analyze_hotpath, HotRegion};
 pub use items::{parse_file, ParsedFile, UseDecl};
 pub use loopdisc::{analyze_loops, LoopSite};
 pub use markers::apply_markers;
 pub use report::{
-    apply_allowlist, json_escape, parse_allowlist, render_human, render_json, CustodySummary,
-    Finding, Report,
+    apply_allowlist, json_escape, parse_allowlist, render_human, render_json, Finding, Report,
 };
 pub use waitgraph::analyze_waitgraph;
 
@@ -74,7 +73,7 @@ pub const ANALYZED_ROOTS: &[&str] = &["crates/pgxd/src", "crates/core/src", "cra
 /// runtime lock structure.
 pub const SHIM_FILE: &str = "crates/pgxd/src/sync.rs";
 
-/// Runs all seven analyses over in-memory sources.
+/// Runs all six analyses over in-memory sources.
 ///
 /// `sources` is `(workspace-relative path, contents)`. `allow_text` is the
 /// contents of `analyze.allow` (empty string for none). Each pass is
@@ -91,21 +90,20 @@ pub fn analyze_sources(sources: &[(String, String)], allow_text: &str, allow_pat
         timings.push((name.to_string(), t0.elapsed().as_millis() as u64));
     };
     let t0 = Instant::now();
-    let mut result = analyze_locks(&files);
+    let graph = CallGraph::build(&files);
+    timed("call-graph", t0, &mut timings);
+    let t0 = Instant::now();
+    let mut result = analyze_locks(&graph);
     timed("lock-order+blocking-under-lock", t0, &mut timings);
     let t0 = Instant::now();
-    let custody = analyze_custody(&files);
-    result.findings.extend(custody.findings);
-    timed("chunk-custody", t0, &mut timings);
-    let t0 = Instant::now();
-    let wait = analyze_waitgraph(&files);
+    let wait = analyze_waitgraph(&files, &graph);
     result.findings.extend(wait.findings);
     timed("wait-graph", t0, &mut timings);
     let t0 = Instant::now();
     result.findings.extend(analyze_atomics(&files));
     timed("atomics-ordering", t0, &mut timings);
     let t0 = Instant::now();
-    let hot = analyze_hotpath(&files);
+    let hot = analyze_hotpath(&files, &graph);
     result.findings.extend(hot.findings);
     timed("hot-path-alloc", t0, &mut timings);
     let t0 = Instant::now();
@@ -117,11 +115,6 @@ pub fn analyze_sources(sources: &[(String, String)], allow_text: &str, allow_pat
     let mut report = apply_allowlist(result, &entries, allow_path);
     report.wait_ops = wait.ops;
     report.step_edges = wait.edges;
-    report.custody = CustodySummary {
-        acquire_sites: custody.acquire_sites,
-        tracked_bindings: custody.tracked_bindings,
-        custody_fns: custody.custody_fns,
-    };
     report.hot_regions = hot.regions;
     report.loop_sites = loops.sites;
     report.timings_ms = timings;
@@ -159,7 +152,9 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
     Ok(analyze_sources(&sources, &allow_text, "analyze.allow"))
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Appends every `.rs` file under `dir` to `out`, recursively, skipping
+/// `target` and hidden directories.
+pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();

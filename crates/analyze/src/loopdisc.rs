@@ -27,7 +27,7 @@
 use std::collections::HashSet;
 
 use crate::analysis::{call_open_paren, is_ident, receiver_chain};
-use crate::items::{matching_brace, ParsedFile};
+use crate::items::{matching_delim, ParsedFile};
 use crate::report::Finding;
 use crate::waitgraph::body_open;
 
@@ -90,7 +90,7 @@ pub(crate) fn find_loops(pf: &ParsedFile, body: (usize, usize)) -> Vec<Loop> {
         } else {
             i + 1
         };
-        out.push(Loop { kw: i, head: (head_start, open), body: (open + 1, matching_brace(toks, open)) });
+        out.push(Loop { kw: i, head: (head_start, open), body: (open + 1, matching_delim(toks, open)) });
     }
     out
 }

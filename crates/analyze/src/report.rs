@@ -11,10 +11,10 @@ use crate::waitgraph::{step_counts, StepEdge, WaitOp};
 /// One analyzer finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// `lock-order`, `blocking-under-lock`, `chunk-custody`,
-    /// `wait-graph`, `atomics-ordering`, `hot-path-alloc`,
-    /// `loop-discipline`, or `stale-allow` / `allow-format` /
-    /// `dead-marker` for allowlist and marker hygiene.
+    /// `lock-order`, `blocking-under-lock`, `wait-graph`,
+    /// `atomics-ordering`, `hot-path-alloc`, `loop-discipline`, or
+    /// `stale-allow` / `allow-format` / `dead-marker` for allowlist and
+    /// marker hygiene.
     pub rule: String,
     /// Workspace-relative file.
     pub file: String,
@@ -106,18 +106,6 @@ pub fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
     out
 }
 
-/// Chunk-custody summary data for the report (the findings themselves
-/// ride in the shared findings list).
-#[derive(Debug, Clone, Default)]
-pub struct CustodySummary {
-    /// Total `ChunkPool::acquire` call sites seen.
-    pub acquire_sites: usize,
-    /// Pooled bindings tracked through a dataflow scan.
-    pub tracked_bindings: usize,
-    /// Functions that hand pooled custody to their caller.
-    pub custody_fns: Vec<String>,
-}
-
 /// Final report after allowlist filtering.
 pub struct Report {
     /// Findings that remain (not allowlisted) — non-empty means failure.
@@ -131,8 +119,6 @@ pub struct Report {
     pub wait_ops: Vec<WaitOp>,
     /// §IV step transitions observed inside one function (v2).
     pub step_edges: Vec<StepEdge>,
-    /// Chunk-custody summary (v2).
-    pub custody: CustodySummary,
     /// Hot-region roots the hot-path-alloc pass walked from (v3).
     pub hot_regions: Vec<HotRegion>,
     /// Recv loops the loop-discipline pass judged (v3).
@@ -150,9 +136,8 @@ impl Report {
 }
 
 /// Applies the allowlist: suppresses matching findings, errors on stale or
-/// unjustified entries. Lock-order cycles, chunk-custody leaks,
-/// loop-discipline unbounded growth and dead markers cannot be
-/// allowlisted: a cycle is a deadlock, a leak is a correctness bug,
+/// unjustified entries. Lock-order cycles, loop-discipline unbounded
+/// growth and dead markers cannot be allowlisted: a cycle is a deadlock,
 /// unbounded growth in a recv loop is an OOM under backlog, and a dead
 /// marker is deleted, not excused — never a judgment call, fix the code
 /// instead.
@@ -167,7 +152,6 @@ pub fn apply_allowlist(
     for f in result.findings {
         if f.rule == "lock-order"
             || f.rule == "dead-marker"
-            || (f.rule == "chunk-custody" && f.operation.starts_with("leak("))
             || (f.rule == "loop-discipline" && f.operation.starts_with("unbounded-growth("))
         {
             findings.push(f);
@@ -219,7 +203,6 @@ pub fn apply_allowlist(
         cycles: result.cycles,
         wait_ops: Vec::new(),
         step_edges: Vec::new(),
-        custody: CustodySummary::default(),
         hot_regions: Vec::new(),
         loop_sites: Vec::new(),
         timings_ms: Vec::new(),
@@ -247,14 +230,12 @@ pub fn render_human(r: &Report) -> String {
         out.push_str(&format!("pgxd-analyze: {} finding(s)", r.findings.len()));
     }
     out.push_str(&format!(
-        " ({} allowlisted, {} lock(s), {} order edge(s), {} cycle(s), {} wait site(s), {} acquire site(s), {} tracked binding(s), {} hot region(s), {} loop site(s))\n",
+        " ({} allowlisted, {} lock(s), {} order edge(s), {} cycle(s), {} wait site(s), {} hot region(s), {} loop site(s))\n",
         r.allowlisted.len(),
         r.graph_nodes.len(),
         r.graph_edges.len(),
         r.cycles.len(),
         r.wait_ops.len(),
-        r.custody.acquire_sites,
-        r.custody.tracked_bindings,
         r.hot_regions.len(),
         r.loop_sites.len()
     ));
@@ -299,7 +280,8 @@ fn finding_json(f: &Finding) -> String {
     )
 }
 
-/// Renders the machine-readable report (`results/analyze_report.json`).
+/// Renders the machine-readable report (`results/analyze_report.json`,
+/// schema `pgxd-analyze/5`).
 pub fn render_json(r: &Report) -> String {
     let findings: Vec<String> = r.findings.iter().map(finding_json).collect();
     let allowed: Vec<String> = r.allowlisted.iter().map(finding_json).collect();
@@ -394,7 +376,7 @@ pub fn render_json(r: &Report) -> String {
         format!("{{{}}}", inner.join(", "))
     };
     format!(
-        "{{\n  \"schema\": \"pgxd-analyze/4\",\n  \"clean\": {},\n  \"findings\": [{}],\n  \"allowlisted\": [{}],\n  \"lock_graph\": {{\"nodes\": {}, \"edges\": [{}]}},\n  \"cycles\": [{}],\n  \"wait_graph\": {{\"ops\": [{}], \"steps\": [{}], \"step_edges\": [{}]}},\n  \"custody\": {{\"acquire_sites\": {}, \"tracked_bindings\": {}, \"custody_fns\": {}}},\n  \"hot_regions\": [{}],\n  \"loop_sites\": [{}],\n  \"timings_ms\": {},\n  \"summary\": {{\"findings\": {}, \"allowlisted\": {}, \"locks\": {}, \"edges\": {}, \"cycles\": {}, \"wait_ops\": {}, \"acquire_sites\": {}, \"tracked_bindings\": {}, \"hot_regions\": {}, \"loop_sites\": {}}}\n}}\n",
+        "{{\n  \"schema\": \"pgxd-analyze/5\",\n  \"clean\": {},\n  \"findings\": [{}],\n  \"allowlisted\": [{}],\n  \"lock_graph\": {{\"nodes\": {}, \"edges\": [{}]}},\n  \"cycles\": [{}],\n  \"wait_graph\": {{\"ops\": [{}], \"steps\": [{}], \"step_edges\": [{}]}},\n  \"hot_regions\": [{}],\n  \"loop_sites\": [{}],\n  \"timings_ms\": {},\n  \"summary\": {{\"findings\": {}, \"allowlisted\": {}, \"locks\": {}, \"edges\": {}, \"cycles\": {}, \"wait_ops\": {}, \"hot_regions\": {}, \"loop_sites\": {}}}\n}}\n",
         r.is_clean(),
         findings.join(","),
         allowed.join(","),
@@ -404,9 +386,6 @@ pub fn render_json(r: &Report) -> String {
         wait_ops.join(","),
         steps.join(","),
         step_edges.join(","),
-        r.custody.acquire_sites,
-        r.custody.tracked_bindings,
-        json_str_array(&r.custody.custody_fns),
         hot_regions.join(","),
         loop_sites.join(","),
         timings,
@@ -416,8 +395,6 @@ pub fn render_json(r: &Report) -> String {
         r.graph_edges.len(),
         r.cycles.len(),
         r.wait_ops.len(),
-        r.custody.acquire_sites,
-        r.custody.tracked_bindings,
         r.hot_regions.len(),
         r.loop_sites.len()
     )
@@ -490,11 +467,10 @@ mod tests {
         let f = finding(("hot-path-alloc", "a\"b.rs", "A::f", None, "alloc(to_vec)"));
         let r = apply_allowlist(result(vec![f]), &[], "analyze.allow");
         let j = render_json(&r);
-        assert!(j.contains("\"schema\": \"pgxd-analyze/4\""));
+        assert!(j.contains("\"schema\": \"pgxd-analyze/5\""));
         assert!(j.contains("a\\\"b.rs"));
         assert!(j.contains("\"clean\": false"));
         assert!(j.contains("\"wait_graph\""));
-        assert!(j.contains("\"custody\""));
         assert!(j.contains("\"hot_regions\""));
         assert!(j.contains("\"loop_sites\""));
         // No timings on the persisted path: the field is null so the
@@ -523,21 +499,5 @@ mod tests {
         let entries = parse_allowlist(&format!("# nope\n{key}\n"));
         let r = apply_allowlist(result(vec![f]), &entries, "analyze.allow");
         assert!(r.findings.iter().any(|f| f.rule == "loop-discipline"));
-    }
-
-    #[test]
-    fn custody_leaks_cannot_be_allowlisted() {
-        let f = finding(("chunk-custody", "a.rs", "A::f", None, "leak(buf)"));
-        let key = f.key();
-        let entries = parse_allowlist(&format!("# nope\n{key}\n"));
-        let r = apply_allowlist(result(vec![f]), &entries, "analyze.allow");
-        assert!(r.findings.iter().any(|f| f.rule == "chunk-custody"));
-        // Double-release stays allowlistable (a judgment call when arms
-        // are provably exclusive in ways the analysis cannot see).
-        let d = finding(("chunk-custody", "a.rs", "A::f", None, "double-release(buf)"));
-        let key = d.key();
-        let entries = parse_allowlist(&format!("# arms are exclusive via invariant X\n{key}\n"));
-        let r = apply_allowlist(result(vec![d]), &entries, "analyze.allow");
-        assert!(r.is_clean(), "{:?}", r.findings);
     }
 }

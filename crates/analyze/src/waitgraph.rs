@@ -14,8 +14,9 @@
 //!
 //! attributes each site to its enclosing function, tags it with the §IV
 //! step when it sits inside a `ctx.step(steps::X, ..)` region, and
-//! propagates send/recv/barrier *effects* through the local call graph
-//! (so `exchange_by_offsets` is known to send because it drives
+//! propagates send/recv/barrier *effects* along the run's shared
+//! [`CallGraph`], restricted to edges between scoped functions (so
+//! `exchange_by_offsets` is known to send because it drives
 //! `RequestBuffer::push_slice → flush → send_offset_chunk`). Two rules:
 //!
 //! * **asymmetric-barrier** — an `if`/`else` chain or `match` whose
@@ -39,8 +40,8 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::analysis::{block_close, call_open_paren};
-use crate::items::{matching_paren, ParsedFile};
+use crate::analysis::{block_close, call_open_paren, CallGraph, FnSites};
+use crate::items::{matching_delim, ParsedFile};
 use crate::report::Finding;
 
 /// Files modeled by the wait-graph (suffix match on workspace paths).
@@ -96,8 +97,6 @@ pub struct WaitGraph {
     pub findings: Vec<Finding>,
     pub ops: Vec<WaitOp>,
     pub edges: Vec<StepEdge>,
-    /// Functions whose transitive closure sends (for the report).
-    pub senders: Vec<String>,
 }
 
 fn in_scope(pf: &ParsedFile) -> bool {
@@ -139,7 +138,7 @@ fn step_regions(pf: &ParsedFile, body: (usize, usize)) -> Vec<(usize, usize, Str
         if toks[i + 2].text != "steps" || toks[i + 3].text != ":" || toks[i + 4].text != ":" {
             continue;
         }
-        let close = matching_paren(toks, i + 1);
+        let close = matching_delim(toks, i + 1);
         out.push((i + 1, close, toks[i + 5].text.to_lowercase()));
     }
     out
@@ -185,22 +184,21 @@ pub(crate) fn body_open(pf: &ParsedFile, from: usize, end: usize) -> Option<usiz
     None
 }
 
-pub fn analyze_waitgraph(files: &[ParsedFile]) -> WaitGraph {
-    let scoped: Vec<&ParsedFile> = files.iter().filter(|pf| in_scope(pf)).collect();
+pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
+    let scoped: Vec<(&ParsedFile, &[FnSites])> = files
+        .iter()
+        .zip(&graph.fns)
+        .filter(|(pf, _)| in_scope(pf))
+        .map(|(pf, fns)| (pf, fns.as_slice()))
+        .collect();
 
     // Direct sites per function, and the op list.
     let mut ops: Vec<WaitOp> = Vec::new();
-    let mut direct: HashMap<String, HashSet<OpKind>> = HashMap::new();
+    let mut direct: HashMap<&str, HashSet<OpKind>> = HashMap::new();
     let mut edges: Vec<StepEdge> = Vec::new();
-    // (fn qualified name, bare name) → index for effect propagation.
-    let mut fn_files: HashMap<String, usize> = HashMap::new();
 
-    for (fi, pf) in scoped.iter().enumerate() {
+    for (pf, _) in &scoped {
         for f in &pf.functions {
-            fn_files.insert(f.name.clone(), fi);
-            if let Some(bare) = f.name.rsplit("::").next() {
-                fn_files.entry(bare.to_string()).or_insert(fi);
-            }
             let regions = step_regions(pf, f.body);
             let mut seen_steps: Vec<String> = Vec::new();
             for (_, _, step) in &regions {
@@ -226,7 +224,7 @@ pub fn analyze_waitgraph(files: &[ParsedFile]) -> WaitGraph {
                     .iter()
                     .find(|&&(s, e, _)| i > s && i < e)
                     .map(|(_, _, st)| st.clone());
-                direct.entry(f.name.clone()).or_default().insert(kind);
+                direct.entry(&f.name).or_default().insert(kind);
                 ops.push(WaitOp {
                     kind,
                     file: pf.rel.clone(),
@@ -239,67 +237,39 @@ pub fn analyze_waitgraph(files: &[ParsedFile]) -> WaitGraph {
         }
     }
 
-    // Effect propagation over the local call graph: `name(` and
-    // `.name(` call tokens that resolve to a scoped function.
-    let mut effects: HashMap<String, HashSet<OpKind>> = direct.clone();
-    loop {
-        let mut grew = false;
-        for pf in &scoped {
-            for f in &pf.functions {
-                for i in f.body.0..f.body.1.saturating_sub(1) {
-                    let t = pf.toks[i].text.as_str();
-                    if pf.toks[i + 1].text != "(" || !fn_files.contains_key(t) || t == f.name {
-                        continue;
-                    }
-                    // Skip the definition site itself (`fn name(`).
-                    if i > 0 && pf.toks[i - 1].text == "fn" {
-                        continue;
-                    }
-                    let callee_effects: Vec<OpKind> = effects
-                        .get(t)
-                        .map(|s| s.iter().copied().collect())
-                        .unwrap_or_default();
-                    for k in callee_effects {
-                        let entry = effects.entry(f.name.clone()).or_default();
-                        if entry.insert(k) {
-                            grew = true;
-                        }
-                    }
-                }
-            }
-        }
-        // Keep bare aliases in sync with their qualified entries.
-        let qualified: Vec<(String, HashSet<OpKind>)> = effects
-            .iter()
-            .filter(|(k, _)| k.contains("::"))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        for (q, v) in qualified {
-            if let Some(bare) = q.rsplit("::").next() {
-                let entry = effects.entry(bare.to_string()).or_default();
-                for k in &v {
-                    if entry.insert(*k) {
-                        grew = true;
-                    }
-                }
-            }
-        }
-        if !grew {
-            break;
-        }
+    // The call graph's edges between scoped functions, and each scoped
+    // function's effects: its own sites plus those of every scoped
+    // function it reaches.
+    let scoped_fns = || scoped.iter().flat_map(|(_, fns)| fns.iter());
+    let names: HashSet<&str> = scoped_fns().map(|fs| fs.name.as_str()).collect();
+    let mut calls: HashMap<&str, Vec<&str>> = HashMap::new();
+    for fs in scoped_fns() {
+        let targets = fs.calls().flat_map(|(_, _, t)| t).map(String::as_str);
+        calls.entry(&fs.name).or_default().extend(targets.filter(|t| names.contains(t)));
     }
+    let effects: HashMap<&str, HashSet<OpKind>> = names
+        .iter()
+        .map(|&name| {
+            let mut seen = HashSet::from([name]);
+            let mut stack = vec![name];
+            let mut kinds = HashSet::new();
+            while let Some(n) = stack.pop() {
+                kinds.extend(direct.get(n).into_iter().flatten());
+                stack.extend(calls[n].iter().copied().filter(|&c| seen.insert(c)));
+            }
+            (name, kinds)
+        })
+        .collect();
+    let has = |map: &HashMap<&str, HashSet<OpKind>>, name: &str, kind: OpKind| {
+        map.get(name).is_some_and(|k| k.contains(&kind))
+    };
 
     let mut findings = Vec::new();
 
     // Rule: recv-without-send.
-    for pf in &scoped {
+    for (pf, _) in &scoped {
         for f in &pf.functions {
-            let has_direct_recv = direct.get(&f.name).is_some_and(|s| s.contains(&OpKind::Recv));
-            if !has_direct_recv {
-                continue;
-            }
-            let sends = effects.get(&f.name).is_some_and(|s| s.contains(&OpKind::Send));
-            if sends {
+            if !has(&direct, &f.name, OpKind::Recv) || has(&effects, &f.name, OpKind::Send) {
                 continue;
             }
             let site = ops
@@ -323,33 +293,26 @@ pub fn analyze_waitgraph(files: &[ParsedFile]) -> WaitGraph {
     }
 
     // Rule: asymmetric barrier participation.
-    let barrier_weight = |pf: &ParsedFile, f_name: &str, range: (usize, usize)| -> Vec<usize> {
+    let barrier_weight = |pf: &ParsedFile, fs: &FnSites, range: (usize, usize)| -> Vec<usize> {
         // Token indices in `range` that enter a barrier: direct sites or
         // calls into barrier-effect functions.
-        let mut hits = Vec::new();
-        for j in range.0..range.1 {
-            if pf.toks[j].text == "." {
-                if let Some((OpKind::Barrier, _)) = classify_call(pf, j) {
-                    hits.push(j);
-                    continue;
-                }
-            }
-            let t = pf.toks[j].text.as_str();
-            if pf.toks.get(j + 1).map(|t| t.text.as_str()) == Some("(")
-                && t != f_name
-                && (j == 0 || pf.toks[j - 1].text != "fn")
-                && (j == 0 || pf.toks[j - 1].text != ".")
-                && effects.get(t).is_some_and(|s| s.contains(&OpKind::Barrier))
-                && fn_files.contains_key(t)
-            {
-                hits.push(j);
-            }
-        }
+        let is_barrier = |j: usize| {
+            pf.toks[j].text == "." && matches!(classify_call(pf, j), Some((OpKind::Barrier, _)))
+        };
+        let direct: Vec<usize> = (range.0..range.1).filter(|&j| is_barrier(j)).collect();
+        let enters = |t: &String| has(&effects, t, OpKind::Barrier);
+        let mut hits: Vec<usize> = fs
+            .calls()
+            .filter(|&(j, _, t)| j >= range.0 && j < range.1 && !is_barrier(j) && t.iter().any(enters))
+            .map(|(j, _, _)| j)
+            .collect();
+        hits.extend(direct);
+        hits.sort_unstable();
         hits
     };
 
-    for pf in &scoped {
-        for f in &pf.functions {
+    for (pf, fns) in &scoped {
+        for (f, fs) in pf.functions.iter().zip(fns.iter()) {
             let (bs, be) = f.body;
             let mut i = bs;
             while i < be {
@@ -398,7 +361,7 @@ pub fn analyze_waitgraph(files: &[ParsedFile]) -> WaitGraph {
                     let counts: Vec<(usize, Option<usize>, usize, usize)> = arms
                         .iter()
                         .map(|&(s, e)| {
-                            let hits = barrier_weight(pf, &f.name, (s, e));
+                            let hits = barrier_weight(pf, fs, (s, e));
                             (hits.len(), hits.first().copied(), s, e)
                         })
                         .collect();
@@ -465,7 +428,7 @@ pub fn analyze_waitgraph(files: &[ParsedFile]) -> WaitGraph {
                         if diverging(&pf.toks, (a + 2, end)) {
                             continue;
                         }
-                        let hits = barrier_weight(pf, &f.name, (a + 2, end));
+                        let hits = barrier_weight(pf, fs, (a + 2, end));
                         live.push((hits.len(), hits.first().copied()));
                     }
                     if live.iter().any(|c| c.0 > 0) && live.iter().any(|&(c, _)| c != live[0].0) {
@@ -493,28 +456,9 @@ pub fn analyze_waitgraph(files: &[ParsedFile]) -> WaitGraph {
         }
     }
 
-    let mut senders: Vec<String> = effects
-        .iter()
-        .filter(|(k, v)| k.contains("::") && v.contains(&OpKind::Send))
-        .map(|(k, _)| k.clone())
-        .collect();
-    for (k, v) in &effects {
-        if !k.contains("::")
-            && v.contains(&OpKind::Send)
-            && fn_files.contains_key(k)
-            && !effects
-                .keys()
-                .any(|q| q.contains("::") && q.ends_with(&format!("::{k}")))
-        {
-            senders.push(k.clone());
-        }
-    }
-    senders.sort();
-    senders.dedup();
-
     ops.sort_by(|a, b| (a.file.as_str(), a.line, a.kind).cmp(&(b.file.as_str(), b.line, b.kind)));
 
-    WaitGraph { findings, ops, edges, senders }
+    WaitGraph { findings, ops, edges }
 }
 
 /// Aggregated per-step counts for the report: `(step, barriers, sends,
@@ -537,6 +481,10 @@ pub fn step_counts(ops: &[WaitOp]) -> Vec<(String, usize, usize, usize)> {
 mod tests {
     use super::*;
     use crate::items::parse_file;
+
+    fn analyze_waitgraph(files: &[ParsedFile]) -> WaitGraph {
+        super::analyze_waitgraph(files, &CallGraph::build(files))
+    }
 
     fn run(src: &str) -> WaitGraph {
         // The scope marker rides in a comment so plain test sources land
@@ -580,6 +528,15 @@ mod tests {
         // line: the barrier site is line 5, the branch line 4.
         assert_eq!(r.findings[0].line, 5);
         assert!(r.findings[0].chain.iter().any(|c| c.ends_with(":4")), "{:?}", r.findings[0].chain);
+    }
+
+    #[test]
+    fn method_call_into_a_barrier_helper_counts_as_entering_it() {
+        let r = run(
+            "impl M { fn sync(&self) { self.barrier(); } fn step(&self, odd: bool) { if odd { self.sync(); } } }",
+        );
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].operation, "asymmetric-barrier");
     }
 
     #[test]

@@ -73,11 +73,11 @@ pub mod steps {
 /// chunk — and `leftover` is the chunk-sorted input it was merged from: a
 /// spent allocation of the same size the machine still owns. The caller
 /// must hand `sorted` back with `ctx.pool().release(..)` once the exchange
-/// has consumed it (the custody checker treats an unreleased chunk at
-/// teardown as a protocol bug). No barrier sits between step 1 and the
-/// exchange, so holding the chunk across steps 2–5 is legal. With one chunk
-/// the input is sorted in place: `sorted` is the caller's own allocation
-/// and there is no `leftover`.
+/// has consumed it: the protocol checker's chunk ledger fails a debug run
+/// on a chunk still out at a barrier or at teardown. No barrier sits
+/// between step 1 and the exchange, so holding the chunk across steps 2–5
+/// is legal. With one chunk the input is sorted in place: `sorted` is the
+/// caller's own allocation and there is no `leftover`.
 // The `data[0]` seed read sits past the one-worker return, so `data` holds at
 // least two workers' minimum chunks.
 fn run_local_sort<T: Key>(

@@ -302,9 +302,9 @@ impl<'p, T: Send + Copy + 'static> RequestBuffer<'p, T> {
         if !packs::<T>() {
             return Open::Raw(pool.acquire(Self::capacity_elems(capacity_bytes)));
         }
-        // The pooled store is handed to `Packed::new` by name, where the
-        // analyzer's chunk-custody pass sees it consumed; returned straight
-        // from here it would mark every `new` as handing out custody.
+        // A packed chunk owns its pooled store until `seal` ships it: the
+        // receiver hands it back with `release_inbound`, or `finish` does
+        // with `release` if the chunk never took a key.
         let bytes = pool.acquire(capacity_bytes.max(PACKED_HEADER_BYTES + 8));
         let chunk = Packed::new(bytes);
         Open::Packed(chunk)

@@ -1,9 +1,9 @@
 //! Workspace automation. `cargo xtask check` is the one entry point CI and
-//! humans use: it runs the policy lints below plus the `pgxd-analyze`
-//! static analyses (lock-order, blocking-under-lock, chunk-custody,
-//! wait-graph, atomics-ordering, hot-path-alloc, loop-discipline — see
-//! `crates/analyze`) and fails if either finds anything. `lint` and `analyze` run each half
-//! alone; every subcommand takes `--json`.
+//! humans use: it runs the policy lints below plus the six `pgxd-analyze`
+//! static analyses (lock-order, blocking-under-lock, wait-graph,
+//! atomics-ordering, hot-path-alloc, loop-discipline — see
+//! `crates/analyze`) and fails if either finds anything. `lint` and
+//! `analyze` run each half alone; every subcommand takes `--json`.
 //!
 //! The lint rules:
 //!
@@ -30,10 +30,11 @@
 //!    `pgxd-analyze` catches the declarations (`sync-shim-use`) and a
 //!    scope map catches uses of the renamed idents (`sync-shim-alias`).
 //!
-//! The scanner (shared with `pgxd-analyze`) strips comments, strings, and
-//! char literals before looking for tokens, so prose mentioning `unsafe`
-//! or a banned path never trips a rule. Exit status is non-zero if any
-//! violation or analyzer finding survives.
+//! The directory walker and the scanner are shared with `pgxd-analyze`.
+//! The scanner strips comments, strings, and char literals before looking
+//! for tokens, so prose mentioning `unsafe` or a banned path never trips a
+//! rule. A directory that cannot be read is an `io` violation. Exit
+//! status is non-zero if any violation or analyzer finding survives.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +44,7 @@ use std::path::{Path, PathBuf};
 
 use pgxd_analyze::analysis::is_ident;
 use pgxd_analyze::items::parse_uses;
-use pgxd_analyze::json_escape;
+use pgxd_analyze::{collect_rs, json_escape};
 use pgxd_analyze::lexer::{strip, tokens, StrippedFile, Tok};
 
 /// Files allowed to contain the `unsafe` keyword (workspace-relative,
@@ -299,27 +300,6 @@ fn lint_crate_root(rel: &str, source: &str, violations: &mut Vec<Violation>) {
     }
 }
 
-/// Recursively collects `.rs` files under `dir`, skipping `target` and
-/// hidden directories.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
-                continue;
-            }
-            collect_rs(&path, out);
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-}
-
 /// Crate root files (`src/lib.rs`, falling back to `src/main.rs`) for
 /// every crate under `<root>/crates` plus the workspace root package.
 fn crate_roots(root: &Path) -> Vec<(String, PathBuf)> {
@@ -361,8 +341,20 @@ fn lint_workspace(root: &Path) -> Vec<Violation> {
     let mut violations = Vec::new();
 
     let mut files = Vec::new();
-    collect_rs(&root.join("crates"), &mut files);
-    collect_rs(&root.join("src"), &mut files);
+    for sub in ["crates", "src"] {
+        let dir = root.join(sub);
+        if !dir.is_dir() {
+            continue;
+        }
+        if let Err(e) = collect_rs(&dir, &mut files) {
+            violations.push(Violation {
+                file: sub.to_string(),
+                line: 0,
+                rule: "io",
+                message: format!("unreadable: {e}"),
+            });
+        }
+    }
     files.sort();
     for path in &files {
         let rel = relpath(root, path);

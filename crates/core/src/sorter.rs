@@ -478,13 +478,6 @@ impl DistSorter {
     }
 }
 
-/// Wire size of per-batch runs shipped as one message: the keys, plus the
-/// `B − 1` interior run boundaries (the message length implies the last).
-fn runs_wire_bytes<T>(runs: &[Vec<T>]) -> usize {
-    let keys: usize = runs.iter().map(Vec::len).sum();
-    keys * std::mem::size_of::<T>() + runs.len().saturating_sub(1) * std::mem::size_of::<usize>()
-}
-
 /// User tag kinds of the two per-batch collectives below. Sequence 0
 /// always: a machine cannot send its next sort's samples before it has
 /// this sort's splitters, which the master sends only once it holds
@@ -493,8 +486,9 @@ const SAMPLE_RUNS: u16 = 0x5a;
 const SPLITTER_RUNS: u16 = 0x5b;
 
 /// [`MachineCtx::gather_to_master`] for one run per batch: each machine's
-/// runs reach the master in a single message; `Some([source][batch])`
-/// there, `None` elsewhere.
+/// runs reach the master in a single message (packed frames for `u64`,
+/// see [`CommSender::send_runs`](pgxd::comm::CommSender::send_runs));
+/// `Some([source][batch])` there, `None` elsewhere.
 // Sources are machine ids < p.
 fn gather_runs<T: Send + 'static>(
     ctx: &mut MachineCtx,
@@ -502,15 +496,13 @@ fn gather_runs<T: Send + 'static>(
 ) -> Option<Vec<Vec<Vec<T>>>> {
     let tag = Tag::user(SAMPLE_RUNS, 0);
     if !ctx.is_master() {
-        let bytes = runs_wire_bytes(&runs);
-        let sender = ctx.comm_mut().sender();
-        sender.send_value_with_bytes(MASTER, tag, runs, bytes);
+        ctx.comm_mut().sender().send_runs(MASTER, tag, runs);
         return None;
     }
     let mut by_source: Vec<Vec<Vec<T>>> = (0..ctx.num_machines()).map(|_| Vec::new()).collect();
     by_source[MASTER] = runs;
     for _ in 1..by_source.len() {
-        let (src, runs) = ctx.comm_mut().recv_value(tag);
+        let (src, runs) = ctx.comm_mut().recv_runs(tag);
         by_source[src] = runs;
     }
     Some(by_source)
@@ -525,13 +517,12 @@ fn broadcast_runs<T: Clone + Send + 'static>(
 ) -> Vec<Vec<T>> {
     let tag = Tag::user(SPLITTER_RUNS, 0);
     if !ctx.is_master() {
-        return ctx.comm_mut().recv_value(tag).1;
+        return ctx.comm_mut().recv_runs(tag).1;
     }
     let runs = runs.expect("master must supply the splitters");
-    let bytes = runs_wire_bytes(&runs);
     let sender = ctx.comm_mut().sender();
     for dst in 1..ctx.num_machines() {
-        sender.send_value_with_bytes(dst, tag, runs.clone(), bytes);
+        sender.send_runs(dst, tag, runs.clone());
     }
     runs
 }
@@ -834,28 +825,51 @@ mod tests {
 
     #[test]
     fn batching_shares_collectives_and_never_costs_wire_bytes() {
+        let records = |parts: &[Vec<u64>]| -> Vec<Vec<(u64, u64)>> {
+            parts
+                .iter()
+                .map(|keys| keys.iter().map(|&k| (k, !k)).collect())
+                .collect()
+        };
         let machines = 4;
+        let p = machines as u64;
         let a = generate_partitioned(Distribution::Uniform, 40_000, machines, 81);
         let b = generate_partitioned(Distribution::Exponential, 40_000, machines, 82);
         let alone_a = run_plain(machines, &a);
         let alone_b = run_plain(machines, &b);
+        let (ra, rb) = (records(&a), records(&b));
         let together = run_batches(machines, &[a, b]);
-        // What a batch adds on the wire is its B − 1 run boundaries in each
-        // sample and splitter message. (Halving the sample budget used to
-        // pay for them; at one sample in eight keys both runs are capped.)
-        let p = machines as u64;
-        let run_boundaries = 2 * (p - 1) * std::mem::size_of::<usize>() as u64;
+        // `u64` runs travel as self-delimiting packed frames: a batch adds
+        // nothing on the wire.
+        let alone = alone_a.comm.bytes_sent + alone_b.comm.bytes_sent;
         assert!(
+            together.comm.bytes_sent <= alone,
+            "batched {} B > {alone} B",
             together.comm.bytes_sent
-                <= alone_a.comm.bytes_sent + alone_b.comm.bytes_sent + run_boundaries,
-            "batched {} B > {} B + {} B + {run_boundaries} B",
-            together.comm.bytes_sent,
-            alone_a.comm.bytes_sent,
-            alone_b.comm.bytes_sent
         );
         // One gather, one broadcast, one count all-gather whatever B is.
         assert_eq!(control_messages(&alone_a), 2 * (p - 1) + p * (p - 1));
         assert_eq!(control_messages(&together), control_messages(&alone_a));
+
+        // Raw runs mark their B − 1 run boundaries in each sample and
+        // splitter message. (Halving the sample budget used to pay for
+        // them; at one sample in eight keys both runs are capped.)
+        let sorter = DistSorter::default();
+        let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
+        let bytes = |inputs: &[Vec<Vec<(u64, u64)>>]| {
+            let report = cluster.run(|ctx| {
+                let locals = inputs.iter().map(|b| b[ctx.id()].clone()).collect();
+                sorter.sort_batch(ctx, locals).len()
+            });
+            report.comm.bytes_sent
+        };
+        let alone = bytes(std::slice::from_ref(&ra)) + bytes(std::slice::from_ref(&rb));
+        let run_boundaries = 2 * (p - 1) * std::mem::size_of::<usize>() as u64;
+        let together = bytes(&[ra, rb]);
+        assert!(
+            together <= alone + run_boundaries,
+            "batched records {together} B > {alone} B + {run_boundaries} B"
+        );
     }
 
     #[test]

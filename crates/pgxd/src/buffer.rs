@@ -22,6 +22,12 @@
 //!   half.
 //! - Every other type ships raw: the elements themselves, `size_of::<T>()`
 //!   bytes each.
+//!
+//! The same frame carries the sorter's sample and splitter runs
+//! ([`CommSender::send_runs`](crate::comm::CommSender::send_runs)): a
+//! message of `B` `u64` runs is one frame per run, back to back, with no
+//! boundary words between them (`pack_runs` / `unpack_runs`). An empty run
+//! is a header alone.
 
 use crate::comm::{CommSender, Tag};
 use crate::pool::ChunkPool;
@@ -97,6 +103,98 @@ fn read_le(bytes: &[u8]) -> u64 {
     let mut word = [0u8; 8];
     word[..bytes.len()].copy_from_slice(bytes);
     u64::from_le_bytes(word)
+}
+
+/// `value` as the `B` it is, or `value` back when `A` is another type. The
+/// check folds at monomorphisation: it is how a generic message reaches
+/// the `u64` codec.
+pub(crate) fn cast<A: 'static, B: 'static>(value: A) -> Result<B, A> {
+    let mut slot = Some(value);
+    let taken = (&mut slot as &mut dyn Any)
+        .downcast_mut::<Option<B>>()
+        .and_then(Option::take);
+    match (taken, slot) {
+        (Some(b), _) => Ok(b),
+        (None, Some(a)) => Err(a),
+        (None, None) => unreachable!("the slot is emptied only as the type it holds"),
+    }
+}
+
+/// Writes a packed frame's header into its first `PACKED_HEADER_BYTES`.
+fn write_header(frame: &mut [u8], min: u64, count: usize, width: usize) {
+    frame[..8].copy_from_slice(&min.to_le_bytes());
+    frame[8..12].copy_from_slice(&(count as u32).to_le_bytes());
+    frame[12] = width as u8;
+}
+
+/// Each key minus `min` into `body`, `width` bytes apiece; a width of 0
+/// writes nothing.
+fn pack_keys<T: 'static>(keys: &[T], min: u64, width: usize, body: &mut [u8]) {
+    match width {
+        1 => pack_body::<T, 1>(keys, min, body),
+        2 => pack_body::<T, 2>(keys, min, body),
+        3 => pack_body::<T, 3>(keys, min, body),
+        4 => pack_body::<T, 4>(keys, min, body),
+        5 => pack_body::<T, 5>(keys, min, body),
+        6 => pack_body::<T, 6>(keys, min, body),
+        7 => pack_body::<T, 7>(keys, min, body),
+        8 => pack_body::<T, 8>(keys, min, body),
+        _ => {}
+    }
+}
+
+/// `runs` as one message: a packed frame per run, back to back. Each
+/// frame's width comes from its run's smallest and largest key.
+pub(crate) fn pack_runs(runs: &[Vec<u64>]) -> Vec<u8> {
+    let keys: usize = runs.iter().map(Vec::len).sum();
+    let mut message = Vec::with_capacity(runs.len() * PACKED_HEADER_BYTES + keys * 8);
+    for run in runs {
+        assert!(
+            run.len() <= u32::MAX as usize,
+            "a runs frame holds at most u32::MAX keys"
+        );
+        let (min, max) = match run.first() {
+            Some(&first) => run
+                .iter()
+                .fold((first, first), |(lo, hi), &k| (lo.min(k), hi.max(k))),
+            None => (0, 0),
+        };
+        let width = packed_width(max - min);
+        let start = message.len();
+        message.resize(start + PACKED_HEADER_BYTES + run.len() * width, 0);
+        let frame = &mut message[start..];
+        write_header(frame, min, run.len(), width);
+        pack_keys(run, min, width, &mut frame[PACKED_HEADER_BYTES..]);
+    }
+    message
+}
+
+/// The runs of a [`pack_runs`] message, in order.
+// analyze: allow(hot-path-alloc): the runs are what the message carries —
+// one vector per run, B per message.
+pub(crate) fn unpack_runs(message: &[u8]) -> Vec<Vec<u64>> {
+    let mut runs = Vec::new();
+    let mut rest = message;
+    while !rest.is_empty() {
+        let have = rest.len();
+        assert!(
+            have >= PACKED_HEADER_BYTES,
+            "runs frame {} truncated: {have} of its {PACKED_HEADER_BYTES} header bytes",
+            runs.len()
+        );
+        let len = packed_len(rest);
+        let end = PACKED_HEADER_BYTES + len * usize::from(rest[12]);
+        assert!(
+            have >= end,
+            "runs frame {} truncated: {have} of its {end} bytes",
+            runs.len()
+        );
+        let mut run = vec![0; len];
+        unpack_into(&rest[..end], &mut run, |k| k);
+        runs.push(run);
+        rest = &rest[end..];
+    }
+    runs
 }
 
 /// `value` read as the `u64` it is: only called while a packed chunk is
@@ -200,18 +298,7 @@ impl Packed {
         }
         let start = self.bytes.len();
         self.bytes.resize(start + keys.len() * width, 0);
-        let body = &mut self.bytes[start..];
-        match width {
-            1 => pack_body::<T, 1>(keys, min, body),
-            2 => pack_body::<T, 2>(keys, min, body),
-            3 => pack_body::<T, 3>(keys, min, body),
-            4 => pack_body::<T, 4>(keys, min, body),
-            5 => pack_body::<T, 5>(keys, min, body),
-            6 => pack_body::<T, 6>(keys, min, body),
-            7 => pack_body::<T, 7>(keys, min, body),
-            8 => pack_body::<T, 8>(keys, min, body),
-            _ => {}
-        }
+        pack_keys(keys, min, width, &mut self.bytes[start..]);
         (self.min, self.max, self.count) = (min, max, self.count + keys.len());
     }
 
@@ -232,9 +319,7 @@ impl Packed {
     /// Writes the header: the chunk as it travels.
     fn seal(mut self) -> Vec<u8> {
         let width = packed_width(self.max - self.min);
-        self.bytes[..8].copy_from_slice(&self.min.to_le_bytes());
-        self.bytes[8..12].copy_from_slice(&(self.count as u32).to_le_bytes());
-        self.bytes[12] = width as u8;
+        write_header(&mut self.bytes, self.min, self.count, width);
         self.bytes
     }
 }
@@ -589,6 +674,58 @@ mod tests {
         let ex = stats.summary().exchange;
         assert_eq!((ex.chunks_sent, ex.chunks_recycled), (0, 2));
         assert!(pool.held_bytes() > 0);
+    }
+
+    /// Packs `runs` into one message, checks that it is `bytes` long and
+    /// decodes back to `runs`, and returns it.
+    fn runs_round_trip(runs: &[Vec<u64>], bytes: usize) -> Vec<u8> {
+        let message = pack_runs(runs);
+        assert_eq!(message.len(), bytes, "{runs:?}");
+        assert_eq!(unpack_runs(&message), runs);
+        message
+    }
+
+    #[test]
+    fn a_run_is_one_frame_at_its_span_width() {
+        let h = PACKED_HEADER_BYTES;
+        runs_round_trip(&[vec![]], h);
+        runs_round_trip(&[vec![42]], h);
+        // All-equal keys: width 0, the header alone.
+        runs_round_trip(&[vec![u64::MAX; 5]], h);
+        runs_round_trip(&[vec![0, u64::MAX]], h + 2 * 8);
+        for k in 1..8 {
+            let edge = 1u64 << (8 * k);
+            runs_round_trip(&[vec![0, edge - 1]], h + 2 * k);
+            runs_round_trip(&[vec![0, edge]], h + 2 * (k + 1));
+            runs_round_trip(&[vec![edge - 1, edge]], h + 2);
+        }
+        // Unsorted keys take the width of their true span.
+        runs_round_trip(&[vec![300, 1, 44]], h + 3 * 2);
+        assert_eq!(unpack_runs(&[]), Vec::<Vec<u64>>::new());
+    }
+
+    #[test]
+    fn runs_sit_back_to_back_with_no_boundary_words() {
+        let runs = vec![vec![7, 8, 9], vec![], vec![1 << 20, (1 << 20) + 70_000]];
+        let h = PACKED_HEADER_BYTES;
+        let message = runs_round_trip(&runs, (h + 3) + h + (h + 2 * 3));
+        // The empty middle run is a header alone: smallest key 0, count 0,
+        // width 0, right where the first frame ends.
+        assert_eq!(message[h + 3..2 * h + 3], [0; 13]);
+        assert_eq!(packed_len(&message[2 * h + 3..]), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "runs frame 1 truncated")]
+    fn a_truncated_runs_message_panics() {
+        let message = pack_runs(&[vec![1, 2, 3], vec![1000, 9]]);
+        let _ = unpack_runs(&message[..message.len() - 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "runs frame 0 truncated")]
+    fn a_message_shorter_than_a_header_panics() {
+        let _ = unpack_runs(&pack_runs(&[vec![5]])[..PACKED_HEADER_BYTES - 1]);
     }
 
     #[test]

@@ -5,17 +5,20 @@
 //! Machines exchange [`Packet`]s over the unbounded queues of
 //! [`crate::sync`], one inbox per machine (the fabric). Payloads still move
 //! by ownership, with no serialization step on the fabric; what a payload
-//! holds is its sender's choice, and the data manager packs `u64` exchange
-//! chunks in frame-of-reference form ([`crate::buffer`]), so a chunk is
-//! charged the bytes its keys need. The *Spark* baseline serializes every
-//! record at its stage boundaries instead (see `pgxd-baselines`), which is
-//! one of the mechanisms behind the paper's 2–3× gap.
+//! holds is its sender's choice. The data manager packs `u64` exchange
+//! chunks in frame-of-reference form ([`crate::buffer`]), and
+//! [`CommSender::send_runs`] ships sorted `u64` runs in the same frames, so
+//! either message is charged the bytes its keys need. The *Spark* baseline
+//! serializes every record at its stage boundaries instead (see
+//! `pgxd-baselines`), which is one of the mechanisms behind the paper's
+//! 2–3× gap.
 //!
 //! Tag discipline: collectives stamp every packet with a sequence number
 //! managed by [`MachineCtx`](crate::machine::MachineCtx) so that two
 //! consecutive collectives can never steal each other's packets even when
 //! machines run ahead; a per-machine mailbox holds early arrivals.
 
+use crate::buffer;
 use crate::checker::ProtocolChecker;
 use crate::fault::{ClusterBarrier, FaultInjector, InjectedFailure};
 use crate::metrics::SharedCommStats;
@@ -115,33 +118,34 @@ impl CommSender {
 
     /// Sends an owned `Vec<T>` to `dst`. Wire bytes = `len * size_of::<T>()`.
     /// Self-sends are delivered but not charged to the network.
-    // analyze: allow(hot-path-alloc): the boxed payload IS the wire
-    // format — the in-process fabric ships `Box<dyn Any>` envelopes.
     pub fn send_vec<T: Send + 'static>(&self, dst: usize, tag: Tag, data: Vec<T>) {
         let wire_bytes = std::mem::size_of::<T>() * data.len();
-        self.send_packet(dst, tag, wire_bytes, Box::new(data));
+        self.send_packet(dst, tag, wire_bytes, envelope(data));
     }
 
-    /// Sends a value whose wire size differs from `size_of::<T>()` (e.g. a
-    /// header + heap payload pair). The caller supplies the true byte
-    /// count for accounting.
-    // analyze: allow(hot-path-alloc): boxed wire envelope (see send_vec).
-    pub fn send_value_with_bytes<T: Send + 'static>(
-        &self,
-        dst: usize,
-        tag: Tag,
-        value: T,
-        wire_bytes: usize,
-    ) {
-        self.send_packet(dst, tag, wire_bytes, Box::new(value));
+    /// Sends sorted runs, one per batch, to `dst` in one message, received
+    /// with [`CommManager::recv_runs`]. The element type alone selects the
+    /// format: `u64` runs travel as packed frames back to back
+    /// ([`crate::buffer`]) and are charged their encoded length; any other
+    /// type travels raw, charged its keys plus the `B − 1` interior run
+    /// boundaries (the message length implies the last).
+    pub fn send_runs<T: Send + 'static>(&self, dst: usize, tag: Tag, runs: Vec<Vec<T>>) {
+        match buffer::cast::<_, Vec<Vec<u64>>>(runs) {
+            Ok(keys) => self.send_vec(dst, tag, buffer::pack_runs(&keys)),
+            Err(runs) => {
+                let keys: usize = runs.iter().map(Vec::len).sum();
+                let boundaries = runs.len().saturating_sub(1);
+                let wire_bytes =
+                    keys * std::mem::size_of::<T>() + boundaries * std::mem::size_of::<usize>();
+                self.send_packet(dst, tag, wire_bytes, envelope(runs));
+            }
+        }
     }
 
     /// Sends one §IV-C exchange chunk: elements destined for absolute
     /// offset `offset` in `dst`'s output buffer. Wire bytes = payload plus
     /// the offset header; the chunk is counted in
     /// [`ExchangeStats`](crate::metrics::ExchangeStats).
-    // analyze: allow(hot-path-alloc): boxed wire envelope (see send_vec);
-    // one per exchange chunk, amortized over the chunk's elements.
     pub fn send_offset_chunk<T: Send + 'static>(
         &self,
         dst: usize,
@@ -150,7 +154,7 @@ impl CommSender {
         data: Vec<T>,
     ) {
         let wire_bytes = std::mem::size_of::<T>() * data.len() + std::mem::size_of::<usize>();
-        let payload: Box<dyn Any + Send> = Box::new((offset, data));
+        let payload = envelope((offset, data));
         if let Some(f) = &self.fault {
             let seq = f.next_chunk_seq(self.id, dst);
             if let Some(delay) = f.chunk_send_delay(self.id, dst, seq, wire_bytes) {
@@ -209,7 +213,6 @@ impl CommSender {
     /// the network accounting is identical to an owned [`send_vec`].
     ///
     /// [`send_vec`]: CommSender::send_vec
-    // analyze: allow(hot-path-alloc): boxed wire envelope (see send_vec).
     pub fn send_shared_vec<T: Send + Sync + 'static>(
         &self,
         dst: usize,
@@ -217,7 +220,7 @@ impl CommSender {
         data: std::sync::Arc<Vec<T>>,
     ) {
         let wire_bytes = std::mem::size_of::<T>() * data.len();
-        self.send_packet(dst, tag, wire_bytes, Box::new(data));
+        self.send_packet(dst, tag, wire_bytes, envelope(data));
     }
 
     // `dst` is a machine id < p and a dropped fabric receiver means a peer
@@ -251,6 +254,14 @@ impl CommSender {
             panic!("fabric receiver dropped — machine exited early");
         }
     }
+}
+
+/// A payload boxed for the fabric.
+// analyze: allow(hot-path-alloc): the boxed payload IS the wire format —
+// the in-process fabric ships `Box<dyn Any>` envelopes, one per message
+// (an exchange chunk's amortized over the chunk's elements).
+fn envelope<T: Send + 'static>(payload: T) -> Box<dyn Any + Send> {
+    Box::new(payload)
 }
 
 /// A machine's full communication manager: the send half plus the inbox
@@ -454,6 +465,21 @@ impl CommManager {
         (pkt.src, downcast_value(pkt.payload, pkt.tag))
     }
 
+    /// Receives a [`CommSender::send_runs`] message with `tag` from any
+    /// source; returns `(src, runs)`. Packed `u64` frames are decoded
+    /// straight into the runs.
+    pub fn recv_runs<T: Send + 'static>(&mut self, tag: Tag) -> (usize, Vec<Vec<T>>) {
+        let pkt = self.recv_packet(tag);
+        if !buffer::packs::<T>() {
+            return (pkt.src, downcast_value(pkt.payload, pkt.tag));
+        }
+        let message: Vec<u8> = downcast_payload(pkt.payload, pkt.tag);
+        match buffer::cast(buffer::unpack_runs(&message)) {
+            Ok(runs) => (pkt.src, runs),
+            Err(_) => unreachable!("packed runs are u64 runs"),
+        }
+    }
+
     /// Receives a shared `Vec<T>` (sent with
     /// [`CommSender::send_shared_vec`]) and resolves it to an owned vector:
     /// the last receiver to drop its handle takes the allocation for free,
@@ -577,6 +603,26 @@ mod tests {
         let s = stats.summary();
         assert_eq!(s.bytes_sent, 3 * 8 + 8);
         assert_eq!(s.exchange.chunks_sent, 1);
+    }
+
+    #[test]
+    fn runs_roundtrip_packed_for_u64_and_raw_otherwise() {
+        let stats = Arc::new(CommStats::new(2, Default::default()));
+        let mut f = CommManager::fabric(2, stats.clone());
+        let m1 = f.pop().unwrap();
+        let mut m0 = f.pop().unwrap();
+        let tag = Tag::user(7, 0);
+        // Two u64 runs: a 13-byte header each, then one and two bytes a key.
+        let keys = vec![vec![10u64, 20, 30], vec![], vec![5, 300]];
+        m1.sender().send_runs(0, tag, keys.clone());
+        assert_eq!(m0.recv_runs::<u64>(tag), (1, keys));
+        assert_eq!(stats.summary().bytes_sent, 3 * 13 + 3 + 2 * 2);
+        // Any other type: its keys, plus a word per interior run boundary.
+        let pairs = vec![vec![(1u32, 2u32)], vec![(3, 4), (5, 6)]];
+        m1.sender().send_runs(0, tag, pairs.clone());
+        assert_eq!(m0.recv_runs::<(u32, u32)>(tag), (1, pairs));
+        assert_eq!(stats.summary().bytes_sent, 3 * 13 + 7 + 3 * 8 + 8);
+        assert_eq!(stats.summary().messages_sent, 2);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! the sorter's own partition. The benchmark refuses a tree where the two
 //! diverge (`replay_diverged`); this fails `cargo test` first.
 //!
-//! The replayed ranges also predict, exactly, every byte and message the
-//! sort puts on the wire: the sample gather, the splitter broadcast, the
-//! exchange's count rows, and each exchange chunk in its wire format —
-//! packed frame-of-reference for `u64` keys, raw for everything else.
+//! The replayed samples, splitters and ranges also predict, exactly, every
+//! byte and message the sort puts on the wire: the sample gather, the
+//! splitter broadcast, the exchange's count rows, and each exchange chunk,
+//! each in its wire format — packed frame-of-reference for `u64` keys, raw
+//! for everything else.
 
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd::DEFAULT_BUFFER_BYTES;
@@ -36,15 +37,17 @@ fn sorted_shards<K: Ord + Clone>(shards: &[Vec<K>]) -> Vec<Vec<K>> {
 }
 
 /// What the replay derives from sorted shards sampled at `budget` keys
-/// each: per-machine output sizes, the samples each machine ships, and
-/// each machine's `p + 1` send offsets.
-struct Replayed {
+/// each: per-machine output sizes, the samples each machine ships, the
+/// splitters the master broadcasts, and each machine's `p + 1` send
+/// offsets.
+struct Replayed<K> {
     sizes: Vec<usize>,
-    samples: Vec<usize>,
+    samples: Vec<Vec<K>>,
+    splitters: Vec<K>,
     offsets: Vec<Vec<usize>>,
 }
 
-fn replay<K: Ord + Copy + Send + Sync + 'static>(sorted: &[Vec<K>], budget: usize) -> Replayed {
+fn replay<K: Ord + Copy + Send + Sync + 'static>(sorted: &[Vec<K>], budget: usize) -> Replayed<K> {
     let p = sorted.len();
     let samples: Vec<Vec<K>> = sorted
         .iter()
@@ -61,7 +64,8 @@ fn replay<K: Ord + Copy + Send + Sync + 'static>(sorted: &[Vec<K>], budget: usiz
         .collect();
     Replayed {
         sizes,
-        samples: samples.iter().map(Vec::len).collect(),
+        samples,
+        splitters,
         offsets,
     }
 }
@@ -69,6 +73,16 @@ fn replay<K: Ord + Copy + Send + Sync + 'static>(sorted: &[Vec<K>], budget: usiz
 /// Bytes per key of a packed chunk whose keys span `max − min`.
 fn width(span: u64) -> usize {
     (64 - span.leading_zeros() as usize).div_ceil(8)
+}
+
+/// Wire bytes of a sample or splitter run of `u64` keys: one packed frame,
+/// at the width of the run's span (a header alone when it is empty).
+fn packed_run(keys: &[u64]) -> usize {
+    let span = match (keys.iter().min(), keys.iter().max()) {
+        (Some(lo), Some(hi)) => hi - lo,
+        _ => 0,
+    };
+    PACKED_HEADER_BYTES + keys.len() * width(span)
 }
 
 /// `(wire bytes, chunks)` of one send range of `u64` keys: each packed
@@ -92,6 +106,11 @@ fn packed_range(keys: &[u64], buffer: usize) -> (usize, usize) {
     (bytes, chunks)
 }
 
+/// Wire bytes of a run of raw elements: the elements themselves.
+fn raw_run<K>(keys: &[K]) -> usize {
+    std::mem::size_of_val(keys)
+}
+
 /// `(wire bytes, chunks)` of one send range of raw elements: as many as
 /// fit the buffer per chunk, at their own width.
 fn raw_range<K>(keys: &[K], buffer: usize) -> (usize, usize) {
@@ -101,12 +120,33 @@ fn raw_range<K>(keys: &[K], buffer: usize) -> (usize, usize) {
     (chunks * OFFSET_BYTES + std::mem::size_of_val(keys), chunks)
 }
 
-/// Sorts `shards` with `DistSorter::sort` and checks its partition, and its
-/// wire bytes and messages, against the replay; `range` prices one send
-/// range in the element type's chunk format.
-fn assert_replayed<K>(shards: &[Vec<K>], range: fn(&[K], usize) -> (usize, usize), what: &str)
+/// How an element type travels: `run` prices a sample or splitter run,
+/// `range` one send range of the exchange.
+struct Wire<K> {
+    run: fn(&[K]) -> usize,
+    range: fn(&[K], usize) -> (usize, usize),
+}
+
+/// `u64` keys: packed frames for runs and chunks alike.
+const PACKED: Wire<u64> = Wire {
+    run: packed_run,
+    range: packed_range,
+};
+
+/// Every other element type: raw.
+fn raw<K>() -> Wire<K> {
+    Wire {
+        run: raw_run::<K>,
+        range: raw_range::<K>,
+    }
+}
+
+/// Sorts `shards` with `DistSorter::sort` and checks its output, its
+/// partition, and its wire bytes and messages against the replay; `wire`
+/// prices each message in the element type's format.
+fn assert_replayed<K>(shards: &[Vec<K>], wire: Wire<K>, what: &str)
 where
-    K: Ord + Copy + Send + Sync + 'static,
+    K: Ord + Copy + Send + Sync + std::fmt::Debug + 'static,
 {
     let p = shards.len();
     let key_bytes = std::mem::size_of::<K>();
@@ -114,23 +154,27 @@ where
     let report = Cluster::new(ClusterConfig::new(p)).run(|ctx| {
         DistSorter::default()
             .sort(ctx, shards[ctx.id()].clone())
-            .len()
+            .data
     });
+    let mut expect = shards.concat();
+    expect.sort_unstable();
+    assert!(report.results.concat() == expect, "{what}: output");
     let sorted = sorted_shards(shards);
     let replayed = replay(&sorted, budget);
-    assert_eq!(replayed.sizes, report.results, "{what}: partition");
+    let sizes: Vec<usize> = report.results.iter().map(Vec::len).collect();
+    assert_eq!(replayed.sizes, sizes, "{what}: partition");
 
     // Samples to the master, p − 1 splitters to everyone else, and a row of
     // p counts from every machine to every other one.
     let p_ = p as u64;
-    let mut bytes = (replayed.samples[1..].iter().sum::<usize>() * key_bytes) as u64
-        + (p_ - 1) * (p_ - 1) * key_bytes as u64
-        + p_ * (p_ - 1) * p_ * 8;
+    let samples: usize = replayed.samples[1..].iter().map(|s| (wire.run)(s)).sum();
+    let mut bytes =
+        samples as u64 + (p_ - 1) * (wire.run)(&replayed.splitters) as u64 + p_ * (p_ - 1) * p_ * 8;
     let mut messages = 2 * (p_ - 1) + p_ * (p_ - 1);
     for (src, data) in sorted.iter().enumerate() {
         for dst in (0..p).filter(|&dst| dst != src) {
             let cut = &replayed.offsets[src];
-            let (b, chunks) = range(&data[cut[dst]..cut[dst + 1]], DEFAULT_BUFFER_BYTES);
+            let (b, chunks) = (wire.range)(&data[cut[dst]..cut[dst + 1]], DEFAULT_BUFFER_BYTES);
             bytes += b as u64;
             messages += chunks as u64;
         }
@@ -149,8 +193,58 @@ fn replayed_partition_is_the_sorters() {
     ] {
         let shards = generate_partitioned(dist, machines * shard, machines, 20170529);
         let what = format!("{machines} x {shard} {}", dist.name());
-        assert_replayed(&shards, packed_range, &what);
+        assert_replayed(&shards, PACKED, &what);
     }
+
+    // The packed format's edge cases, end to end: every shard holds `0` and
+    // `u64::MAX` and keys on both sides of every `2^(8k)`, so each sample
+    // run is eight bytes wide and some send range straddles every edge.
+    let shards = every_width_shards(4, 60);
+    let sorted = sorted_shards(&shards);
+    let budget = SortConfig::default().samples_per_machine(DEFAULT_BUFFER_BYTES, 4, KEY_BYTES);
+    let replayed = replay(&sorted, budget);
+    assert!(replayed
+        .samples
+        .iter()
+        .all(|s| width(s[s.len() - 1] - s[0]) == 8));
+    let ranges: Vec<&[u64]> = (0..4)
+        .flat_map(|src| {
+            let (data, cut) = (&sorted[src], &replayed.offsets[src]);
+            let remote = (0..4).filter(move |&dst| dst != src);
+            remote.map(move |dst| &data[cut[dst]..cut[dst + 1]])
+        })
+        .collect();
+    for k in 1..8 {
+        let edge = 1u64 << (8 * k);
+        let straddles = |r: &&[u64]| r.first() < Some(&edge) && r.last() >= Some(&edge);
+        assert!(
+            ranges.iter().any(straddles),
+            "no range straddles 2^{}",
+            8 * k
+        );
+    }
+    assert_replayed(&shards, PACKED, "0 and u64::MAX with every 2^(8k)");
+}
+
+/// `machines` shards of `2 + 16 · per_edge` keys each: `0` and `u64::MAX`,
+/// `per_edge` keys just above the one and just below the other, and
+/// `per_edge` keys on each side of every `2^(8k)` for `k` in 1..8. Every
+/// shard takes its own keys; `per_edge · machines` stays below 256.
+fn every_width_shards(machines: u64, per_edge: u64) -> Vec<Vec<u64>> {
+    (0..machines)
+        .map(|m| {
+            let mut shard = vec![u64::MAX, 0];
+            for j in 0..per_edge {
+                let d = j * machines + m;
+                shard.extend([d + 1, u64::MAX - 1 - d]);
+                for k in 1..8 {
+                    let edge = 1u64 << (8 * k);
+                    shard.extend([edge + d, edge - 1 - d]);
+                }
+            }
+            shard
+        })
+        .collect()
 }
 
 #[test]
@@ -163,7 +257,7 @@ fn records_travel_raw_at_their_width() {
         .iter()
         .map(|shard| shard.iter().map(|&k| (k, [k, !k, 7])).collect())
         .collect();
-    assert_replayed(&shards, raw_range, "records");
+    assert_replayed(&shards, raw(), "records");
 }
 
 /// `B` batches share the one read buffer the master receives: each batch
@@ -200,7 +294,7 @@ fn sample_budget_is_one_read_buffer_for_any_batch_count() {
         let replayed = replay(&sorted_shards(shards), budget);
         let got: Vec<usize> = sizes.iter().map(|per_batch| per_batch[b]).collect();
         assert_eq!(replayed.sizes, got, "batch {b} of {batches}");
-        samples += replayed.samples.iter().sum::<usize>();
+        samples += replayed.samples.iter().map(Vec::len).sum::<usize>();
     }
     let sample_bytes = samples * KEY_BYTES;
     assert!(

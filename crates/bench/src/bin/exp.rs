@@ -19,7 +19,10 @@
 //! ```
 //!
 //! Every experiment prints a paper-style table and writes raw results to
-//! `results/<name>.json`.
+//! `results/<name>.json`: one record per sort, each an [`ExpResult`] (the
+//! run's labels and its [`pgxd::RunReport`]) from one of the two runners,
+//! `run_pgxd` and `run_spark`, which `fig11` uses too. Fig. 11's records
+//! add `retained_bytes`, `temporary_bytes` and `peak_bytes`.
 //!
 //! `exp trace` runs one sort with the structured trace layer on and writes
 //! `results/trace_sort.json` (Chrome `trace_event` format — load it in
@@ -44,11 +47,10 @@ use pgxd::{FaultPlan, RunErrorKind};
 use pgxd_algos::kway::kway_merge_into;
 use pgxd_algos::merge::balanced_merge;
 use pgxd_bench::json::Json;
-use pgxd_bench::runner::{
-    fmt_secs, run_pgxd_sort, run_pgxd_sort_traced, run_spark_sort, ExpResult, Workload,
-};
+use pgxd_bench::runner::{fmt_secs, run_pgxd, run_spark, ExpResult, Workload};
 use pgxd_bench::table::Table;
-use pgxd_core::{DistSorter, LoadStats, SortConfig};
+use pgxd_core::steps;
+use pgxd_core::{DistSorter, SortConfig};
 use pgxd_datagen::{generate_partitioned, Distribution};
 use std::time::{Duration, Instant};
 
@@ -137,8 +139,17 @@ fn write_result_file(file: &str, what: &str, body: String) {
 }
 
 fn save_json(name: &str, results: &[ExpResult]) {
-    let records: Vec<Json> = results.iter().map(ExpResult::to_json).collect();
+    save_records(name, results.iter().map(ExpResult::to_json).collect());
+}
+
+fn save_records(name: &str, records: Vec<Json>) {
     write_result_file(&format!("{name}.json"), "raw results", Json::from(records).pretty());
+}
+
+/// The cluster every experiment runs on: `p` machines of `opts.workers`
+/// workers each.
+fn cluster(p: usize, opts: &Opts) -> ClusterConfig {
+    ClusterConfig::new(p).workers_per_machine(opts.workers)
 }
 
 fn dist_workload(dist: Distribution, opts: &Opts) -> Workload {
@@ -174,9 +185,10 @@ fn fig5(opts: &Opts) {
     for &p in &opts.procs {
         let mut cells = vec![p.to_string()];
         for dist in Distribution::ALL {
-            let r = run_pgxd_sort(&dist_workload(dist, opts), p, opts.workers, SortConfig::default());
-            assert!(r.ranges_ascending(), "sort output out of order");
-            cells.push(fmt_secs(r.wall_secs));
+            let w = dist_workload(dist, opts);
+            let r = run_pgxd(&w, &w.generate(p), cluster(p, opts), SortConfig::default());
+            assert!(r.ranges().is_ascending(), "sort output out of order");
+            cells.push(fmt_secs(r.report.wall_time));
             results.push(r);
         }
         table.row(cells);
@@ -206,14 +218,15 @@ fn fig6(opts: &Opts) {
     ]);
     let mut base: Option<(f64, f64)> = None;
     for &p in &opts.procs {
-        let rp = run_pgxd_sort(&workload, p, opts.workers, SortConfig::default());
-        let rs = run_spark_sort(&workload, p, opts.workers);
+        let parts = workload.generate(p);
+        let rp = run_pgxd(&workload, &parts, cluster(p, opts), SortConfig::default());
+        let rs = run_spark(&workload, &parts, cluster(p, opts));
         let (bp, bs) = *base.get_or_insert((rp.scaled_time(), rs.scaled_time()));
         table.row(vec![
             p.to_string(),
-            fmt_secs(rp.wall_secs),
-            fmt_secs(rs.wall_secs),
-            format!("{:.2}x", rs.wall_secs / rp.wall_secs),
+            fmt_secs(rp.report.wall_time),
+            fmt_secs(rs.report.wall_time),
+            format!("{:.2}x", rs.wall_secs() / rp.wall_secs()),
             format!("{:.2}x", bp / rp.scaled_time()),
             format!("{:.2}x", bs / rs.scaled_time()),
         ]);
@@ -235,20 +248,12 @@ fn fig7(opts: &Opts) {
     } else {
         TraceConfig::disabled()
     };
-    let (rn, trace_log) = run_pgxd_sort_traced(
-        &dist_workload(Distribution::Normal, opts),
-        p,
-        opts.workers,
-        SortConfig::default(),
-        pgxd::DEFAULT_BUFFER_BYTES,
-        trace_cfg,
-    );
-    let rs = run_pgxd_sort(
-        &dist_workload(Distribution::RightSkewed, opts),
-        p,
-        opts.workers,
-        SortConfig::default(),
-    );
+    let run = |dist, trace| {
+        let w = dist_workload(dist, opts);
+        run_pgxd(&w, &w.generate(p), cluster(p, opts).trace(trace), SortConfig::default())
+    };
+    let rn = run(Distribution::Normal, trace_cfg);
+    let rs = run(Distribution::RightSkewed, TraceConfig::disabled());
     // Max is the critical-path column (a step is as slow as its slowest
     // machine); p50/p95 show how far the stragglers sit above the pack.
     let mut table = Table::new(vec![
@@ -260,37 +265,40 @@ fn fig7(opts: &Opts) {
         "right-skewed p50",
         "right-skewed p95",
     ]);
-    for (i, step) in pgxd_core::steps::ALL.iter().enumerate() {
-        table.row(vec![
-            step.to_string(),
-            fmt_secs(rn.step_secs[i].1),
-            fmt_secs(rn.step_secs_p50[i].1),
-            fmt_secs(rn.step_secs_p95[i].1),
-            fmt_secs(rs.step_secs[i].1),
-            fmt_secs(rs.step_secs_p50[i].1),
-            fmt_secs(rs.step_secs_p95[i].1),
-        ]);
+    for step in steps::ALL {
+        let mut cells = vec![step.to_string()];
+        for r in [&rn, &rs] {
+            let s = &r.report.steps;
+            cells.push(fmt_secs(s.max_across_machines(step)));
+            cells.push(fmt_secs(s.p50_across_machines(step)));
+            cells.push(fmt_secs(s.p95_across_machines(step)));
+        }
+        table.row(cells);
     }
     table.print();
-    if let Some(log) = trace_log {
-        save_trace("fig7", &log);
+    if let Some(log) = &rn.report.trace {
+        save_trace("fig7", log);
     }
-    let total_n: f64 = rn.step_secs.iter().map(|s| s.1).sum();
-    let total_s: f64 = rs.step_secs.iter().map(|s| s.1).sum();
+    let exchange_share = |r: &ExpResult| {
+        let s = &r.report.steps;
+        let total: f64 = steps::ALL.iter().map(|n| s.max_across_machines(n).as_secs_f64()).sum();
+        100.0 * s.max_across_machines(steps::EXCHANGE).as_secs_f64() / total
+    };
     println!(
         "exchange share of step total: normal {:.1}%, right-skewed {:.1}%",
-        100.0 * rn.step_secs[4].1 / total_n,
-        100.0 * rs.step_secs[4].1 / total_s
+        exchange_share(&rn),
+        exchange_share(&rs)
     );
+    let (xn, xs) = (&rn.report.comm.exchange, &rs.report.comm.exchange);
     println!(
         "exchange pool: normal {:.1}% hit rate ({} chunks sent, {} recycled); \
          right-skewed {:.1}% hit rate ({} sent, {} recycled)",
-        100.0 * rn.exchange_pool_hit_rate(),
-        rn.exchange_chunks_sent,
-        rn.exchange_chunks_recycled,
-        100.0 * rs.exchange_pool_hit_rate(),
-        rs.exchange_chunks_sent,
-        rs.exchange_chunks_recycled,
+        100.0 * xn.pool_hit_rate(),
+        xn.chunks_sent,
+        xn.chunks_recycled,
+        100.0 * xs.pool_hit_rate(),
+        xs.chunks_sent,
+        xs.chunks_recycled,
     );
     save_json("fig7", &[rn, rs]);
 }
@@ -309,9 +317,10 @@ fn table2(opts: &Opts) {
     let mut table = Table::new(header);
     let mut results = Vec::new();
     for dist in Distribution::ALL {
-        let r = run_pgxd_sort(&dist_workload(dist, opts), p, opts.workers, SortConfig::default());
+        let w = dist_workload(dist, opts);
+        let r = run_pgxd(&w, &w.generate(p), cluster(p, opts), SortConfig::default());
         let mut cells = vec![dist.name().to_string()];
-        cells.extend(r.shares().iter().map(|s| format!("{:.3}%", s * 100.0)));
+        cells.extend(r.load().shares().iter().map(|s| format!("{:.3}%", s * 100.0)));
         table.row(cells);
         results.push(r);
     }
@@ -328,13 +337,14 @@ fn fig8(opts: &Opts) {
     let mut table = Table::new(vec!["procs", "pgxd wall", "spark wall", "spark/pgxd"]);
     let mut results = Vec::new();
     for &p in &opts.procs {
-        let rp = run_pgxd_sort(&workload, p, opts.workers, SortConfig::default());
-        let rs = run_spark_sort(&workload, p, opts.workers);
+        let parts = workload.generate(p);
+        let rp = run_pgxd(&workload, &parts, cluster(p, opts), SortConfig::default());
+        let rs = run_spark(&workload, &parts, cluster(p, opts));
         table.row(vec![
             p.to_string(),
-            fmt_secs(rp.wall_secs),
-            fmt_secs(rs.wall_secs),
-            format!("{:.2}x", rs.wall_secs / rp.wall_secs),
+            fmt_secs(rp.report.wall_time),
+            fmt_secs(rs.report.wall_time),
+            format!("{:.2}x", rs.wall_secs() / rp.wall_secs()),
         ]);
         results.push(rp);
         results.push(rs);
@@ -354,11 +364,12 @@ fn table3(opts: &Opts) {
     );
     let mut results = Vec::new();
     for p in [8usize, 12, 16] {
-        let r = run_pgxd_sort(&workload, p, opts.workers, SortConfig::default());
-        assert!(r.ranges_ascending(), "ranges must ascend with machine id");
+        let r = run_pgxd(&workload, &workload.generate(p), cluster(p, opts), SortConfig::default());
+        let ranges = r.ranges();
+        assert!(ranges.is_ascending(), "ranges must ascend with machine id");
         println!("p = {p}:");
         let mut table = Table::new(vec!["proc", "range"]);
-        for (m, range) in r.ranges.iter().enumerate() {
+        for (m, range) in ranges.ranges.iter().enumerate() {
             let cell = match range {
                 Some((lo, hi)) => format!("{lo} - {hi}"),
                 None => "(empty)".to_string(),
@@ -395,37 +406,34 @@ fn fig9(opts: &Opts) {
         "load diff",
     ]);
     let mut results = Vec::new();
+    let parts = workload.generate(p);
     for f in FIG9_FACTORS {
-        let r = run_pgxd_sort(
-            &workload,
-            p,
-            opts.workers,
-            SortConfig::default().sample_factor(f),
-        );
+        let cfg = SortConfig::default().sample_factor(f);
+        let r = run_pgxd(&workload, &parts, cluster(p, opts), cfg);
+        let (comm, per_dst) = (&r.report.comm, &r.report.per_dst_bytes);
         // Per-receiver accounting must cover exactly the bytes the fabric
         // carried — the skew column is meaningless otherwise.
-        let dst_sum: u64 = r.per_dst_bytes.iter().sum();
+        let dst_sum: u64 = per_dst.iter().sum();
         assert_eq!(
-            dst_sum, r.comm_bytes,
+            dst_sum, comm.bytes_sent,
             "per-dst bytes must balance against bytes_sent"
         );
-        let (hot_dst, hot_bytes) = r
-            .per_dst_bytes
+        let (hot_dst, hot_bytes) = per_dst
             .iter()
             .enumerate()
             .max_by_key(|(_, b)| **b)
             .map(|(d, b)| (d, *b))
             .unwrap_or((0, 0));
-        let mean = dst_sum as f64 / r.per_dst_bytes.len().max(1) as f64;
+        let mean = dst_sum as f64 / per_dst.len().max(1) as f64;
         table.row(vec![
             format!("{f}X"),
-            format!("{}", r.comm_bytes),
-            format!("{}", r.max_recv_bytes),
+            format!("{}", comm.bytes_sent),
+            format!("{}", comm.max_recv_bytes),
             format!("m{hot_dst}"),
             format!("{:.2}x", hot_bytes as f64 / mean.max(1.0)),
-            fmt_secs(r.bottleneck_comm_secs),
-            fmt_secs(r.wall_secs),
-            r.load_difference().to_string(),
+            fmt_secs(comm.bottleneck_wire_time),
+            fmt_secs(r.report.wall_time),
+            r.load().load_difference().to_string(),
         ]);
         results.push(r);
     }
@@ -446,14 +454,11 @@ fn fig10(opts: &Opts) {
     let mut table = Table::new(vec!["procs", "factor", "min load", "max load", "diff"]);
     let mut results = Vec::new();
     for &p in &opts.procs {
+        let parts = workload.generate(p);
         for f in [0.004, 1.0, 1.4] {
-            let r = run_pgxd_sort(
-                &workload,
-                p,
-                opts.workers,
-                SortConfig::default().sample_factor(f),
-            );
-            let stats = LoadStats::new(r.sizes.clone());
+            let cfg = SortConfig::default().sample_factor(f);
+            let r = run_pgxd(&workload, &parts, cluster(p, opts), cfg);
+            let stats = r.load();
             table.row(vec![
                 p.to_string(),
                 format!("{f}X"),
@@ -481,22 +486,15 @@ fn fig11(opts: &Opts) {
         "temporary",
         "peak above start",
     ]);
-    let mut results = Vec::new();
+    let mut records = Vec::new();
     for &p in &[4usize, 8, 12, 16, 20] {
         // Generate outside the region so only sort-time memory is counted.
         let parts = workload.generate(p);
         let input_bytes: usize = parts.iter().map(|v| v.len() * 8).sum();
         let region = pgxd_memtrack::MemRegion::new();
-        let report = {
-            let cluster = Cluster::new(ClusterConfig::new(p).workers_per_machine(opts.workers));
-            let sorter = DistSorter::default();
-            cluster.run(|ctx| {
-                let local = parts[ctx.id()].clone();
-                let part = sorter.sort(ctx, local);
-                (part.len(), part.range().map(|(a, b)| (*a, *b)))
-            })
-        };
+        let r = run_pgxd(&workload, &parts, cluster(p, opts), SortConfig::default());
         let stats = region.finish();
+        assert_eq!(r.load().total() * 8, input_bytes, "sort must conserve elements");
         table.row(vec![
             p.to_string(),
             pgxd_memtrack::fmt_bytes(input_bytes),
@@ -504,18 +502,18 @@ fn fig11(opts: &Opts) {
             pgxd_memtrack::fmt_bytes(stats.temporary()),
             pgxd_memtrack::fmt_bytes(stats.peak_above_start()),
         ]);
-        // The record's step series carries the three memory figures.
-        let mut r = ExpResult::from_report("pgxd", &workload, 1.0, opts.workers, &[], &report);
-        assert_eq!(r.total_keys * 8, input_bytes, "sort must conserve elements");
-        r.step_secs = vec![
-            ("retained_bytes".into(), stats.retained() as f64),
-            ("temporary_bytes".into(), stats.temporary() as f64),
-            ("peak_bytes".into(), stats.peak_above_start() as f64),
-        ];
-        results.push(r);
+        let Json::Object(mut fields) = r.to_json() else {
+            unreachable!("a result is a JSON object")
+        };
+        fields.extend([
+            ("retained_bytes", stats.retained().into()),
+            ("temporary_bytes", stats.temporary().into()),
+            ("peak_bytes", stats.peak_above_start().into()),
+        ]);
+        records.push(Json::Object(fields));
     }
     table.print();
-    save_json("fig11", &results);
+    save_records("fig11", records);
 }
 
 // ---------------------------------------------------------------------------
@@ -536,21 +534,19 @@ fn ablation(opts: &Opts) {
         "wall",
     ]);
     for dist in [Distribution::RightSkewed, Distribution::Exponential] {
+        let w = dist_workload(dist, opts);
+        let parts = w.generate(p);
         for inv in [true, false] {
-            let r = run_pgxd_sort(
-                &dist_workload(dist, opts),
-                p,
-                opts.workers,
-                SortConfig::default().investigator(inv),
-            );
-            let stats = LoadStats::new(r.sizes.clone());
+            let cfg = SortConfig::default().investigator(inv);
+            let r = run_pgxd(&w, &parts, cluster(p, opts), cfg);
+            let stats = r.load();
             t1.row(vec![
                 dist.name().to_string(),
                 inv.to_string(),
                 stats.min().to_string(),
                 stats.max().to_string(),
                 stats.load_difference().to_string(),
-                fmt_secs(r.wall_secs),
+                fmt_secs(r.report.wall_time),
             ]);
             results.push(r);
         }
@@ -566,35 +562,32 @@ fn ablation(opts: &Opts) {
     }
     let started = Instant::now();
     let balanced = balanced_merge(runs.concat(), &bounds, opts.workers);
-    let balanced_secs = started.elapsed().as_secs_f64();
+    let balanced_wall = started.elapsed();
     let refs: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
     let started = Instant::now();
     let mut kway = vec![0; balanced.len()];
     kway_merge_into(&refs, &mut kway);
-    let kway_secs = started.elapsed().as_secs_f64();
+    let kway_wall = started.elapsed();
     assert_eq!(balanced, kway);
     let mut t2 = Table::new(vec!["merge", "wall"]);
-    t2.row(vec!["balanced (Fig. 2)".to_string(), fmt_secs(balanced_secs)]);
-    t2.row(vec!["sequential k-way".to_string(), fmt_secs(kway_secs)]);
+    t2.row(vec!["balanced (Fig. 2)".to_string(), fmt_secs(balanced_wall)]);
+    t2.row(vec!["sequential k-way".to_string(), fmt_secs(kway_wall)]);
     t2.print();
 
     println!("\n--- buffer-sized sampling vs tiny fixed sample count ---");
     let mut t3 = Table::new(vec!["sampling", "load diff", "comm bytes", "wall"]);
+    let w = dist_workload(Distribution::RightSkewed, opts);
+    let parts = w.generate(p);
     for (label, cfg) in [
         ("buffer-sized X", SortConfig::default()),
         ("fixed 4/machine", SortConfig::default().fixed_samples(4)),
     ] {
-        let r = run_pgxd_sort(
-            &dist_workload(Distribution::RightSkewed, opts),
-            p,
-            opts.workers,
-            cfg,
-        );
+        let r = run_pgxd(&w, &parts, cluster(p, opts), cfg);
         t3.row(vec![
             label.to_string(),
-            r.load_difference().to_string(),
-            r.comm_bytes.to_string(),
-            fmt_secs(r.wall_secs),
+            r.load().load_difference().to_string(),
+            r.report.comm.bytes_sent.to_string(),
+            fmt_secs(r.report.wall_time),
         ]);
         results.push(r);
     }
@@ -614,19 +607,15 @@ fn buffer_sweep(opts: &Opts) {
     let workload = dist_workload(Distribution::Uniform, opts);
     let mut table = Table::new(vec!["buffer", "messages", "comm bytes", "wall"]);
     let mut results = Vec::new();
+    let parts = workload.generate(p);
     for buffer in [4usize << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20] {
-        let r = pgxd_bench::runner::run_pgxd_sort_buf(
-            &workload,
-            p,
-            opts.workers,
-            SortConfig::default(),
-            buffer,
-        );
+        let cluster = cluster(p, opts).buffer_bytes(buffer);
+        let r = run_pgxd(&workload, &parts, cluster, SortConfig::default());
         table.row(vec![
             pgxd_memtrack::fmt_bytes(buffer),
-            r.comm_messages.to_string(),
-            r.comm_bytes.to_string(),
-            fmt_secs(r.wall_secs),
+            r.report.comm.messages_sent.to_string(),
+            r.report.comm.bytes_sent.to_string(),
+            fmt_secs(r.report.wall_time),
         ]);
         results.push(r);
     }
@@ -668,16 +657,11 @@ fn trace_cmd(opts: &Opts) {
          (n = {} uniform keys, p = {p}, {} workers/machine)\n",
         opts.n, opts.workers
     );
-    let (result, log) = run_pgxd_sort_traced(
-        &dist_workload(Distribution::Uniform, opts),
-        p,
-        opts.workers,
-        SortConfig::default(),
-        pgxd::DEFAULT_BUFFER_BYTES,
-        TraceConfig::enabled(),
-    );
-    assert!(result.ranges_ascending(), "sort output out of order");
-    let log = log.expect("tracing was enabled");
+    let w = dist_workload(Distribution::Uniform, opts);
+    let traced = cluster(p, opts).trace(TraceConfig::enabled());
+    let result = run_pgxd(&w, &w.generate(p), traced, SortConfig::default());
+    assert!(result.ranges().is_ascending(), "sort output out of order");
+    let log = result.report.trace.as_ref().expect("tracing was enabled");
     println!(
         "captured {} events ({} emitted, {} dropped at the per-machine cap)",
         log.events.len(),
@@ -689,7 +673,7 @@ fn trace_cmd(opts: &Opts) {
     // Step Gantt: every machine must have a span for each §IV step.
     let gantt = log.step_gantt();
     let mut table = Table::new(vec!["machine", "step", "start", "duration"]);
-    for step in pgxd_core::steps::ALL {
+    for step in steps::ALL {
         for m in 0..p as u32 {
             let row = gantt
                 .iter()
@@ -698,8 +682,8 @@ fn trace_cmd(opts: &Opts) {
             table.row(vec![
                 format!("M{m}"),
                 step.to_string(),
-                fmt_secs(row.start_ns as f64 / 1e9),
-                fmt_secs(row.dur_ns as f64 / 1e9),
+                fmt_secs(Duration::from_nanos(row.start_ns)),
+                fmt_secs(Duration::from_nanos(row.dur_ns)),
             ]);
         }
     }
@@ -727,7 +711,7 @@ fn trace_cmd(opts: &Opts) {
     println!(
         "barrier wait skew: {} barriers, worst spread {}",
         skews.len(),
-        fmt_secs(worst as f64 / 1e9)
+        fmt_secs(Duration::from_nanos(worst))
     );
 
     // Per-destination byte timelines: final cumulative volume per link.
@@ -744,7 +728,7 @@ fn trace_cmd(opts: &Opts) {
     links.print();
     assert!(!timelines.is_empty(), "exchange sent no chunks");
 
-    save_trace("sort", &log);
+    save_trace("sort", log);
     save_json("trace", &[result]);
 }
 
@@ -775,7 +759,7 @@ fn chaos_cmd(opts: &Opts) {
         all
     };
 
-    let run_cell = |plan: FaultPlan| -> (Option<RunErrorKind>, f64, bool) {
+    let run_cell = |plan: FaultPlan| -> (Option<RunErrorKind>, Duration, bool) {
         let cluster = Cluster::new(
             ClusterConfig::new(p)
                 .workers_per_machine(opts.workers)
@@ -785,7 +769,7 @@ fn chaos_cmd(opts: &Opts) {
         let parts_ref = &parts;
         let started = Instant::now();
         let outcome = cluster.try_run(|ctx| sorter.sort(ctx, parts_ref[ctx.id()].clone()).data);
-        let wall = started.elapsed().as_secs_f64();
+        let wall = started.elapsed();
         match outcome {
             Ok(report) => (None, wall, report.results.concat() == expect),
             Err(err) => (Some(err.kind), wall, false),
@@ -830,7 +814,7 @@ fn chaos_cmd(opts: &Opts) {
     let mut summary = Vec::new();
     for (name, make) in &plans {
         let (mut survived, mut killed, mut timed_out, mut panicked) = (0u64, 0u64, 0u64, 0u64);
-        let mut wall_sum = 0.0;
+        let mut wall_sum = Duration::ZERO;
         for &seed in &seeds {
             let (verdict, wall, ok) = run_cell(make(seed));
             wall_sum += wall;
@@ -857,11 +841,11 @@ fn chaos_cmd(opts: &Opts) {
                 ("plan", (*name).into()),
                 ("seed", seed.into()),
                 ("verdict", verdict_str.into()),
-                ("wall_secs", wall.into()),
-                ("slowdown", (wall / baseline).into()),
+                ("wall_secs", wall.as_secs_f64().into()),
+                ("slowdown", wall.div_duration_f64(baseline).into()),
             ]));
         }
-        let mean_wall = wall_sum / seeds.len() as f64;
+        let mean_wall = wall_sum.div_f64(seeds.len() as f64);
         table.row(vec![
             name.to_string(),
             survived.to_string(),
@@ -869,7 +853,7 @@ fn chaos_cmd(opts: &Opts) {
             timed_out.to_string(),
             panicked.to_string(),
             fmt_secs(mean_wall),
-            format!("{:.2}x", mean_wall / baseline),
+            format!("{:.2}x", mean_wall.div_duration_f64(baseline)),
         ]);
         summary.push(Json::Object(vec![
             ("plan", (*name).into()),
@@ -877,8 +861,8 @@ fn chaos_cmd(opts: &Opts) {
             ("injected_kills", killed.into()),
             ("step_timeouts", timed_out.into()),
             ("machine_panics", panicked.into()),
-            ("mean_wall_secs", mean_wall.into()),
-            ("mean_slowdown", (mean_wall / baseline).into()),
+            ("mean_wall_secs", mean_wall.as_secs_f64().into()),
+            ("mean_slowdown", mean_wall.div_duration_f64(baseline).into()),
         ]));
     }
     table.print();
@@ -893,7 +877,7 @@ fn chaos_cmd(opts: &Opts) {
         ("distribution", dist.name().into()),
         ("data_seed", opts.seed.into()),
         ("plan_seeds", seeds.into()),
-        ("baseline_wall_secs", baseline.into()),
+        ("baseline_wall_secs", baseline.as_secs_f64().into()),
         ("cells", cells.into()),
         ("summary", summary.into()),
     ]);
@@ -957,8 +941,8 @@ fn health_cmd(opts: &Opts) {
     let mut caught = None;
     for step in steps.step_names() {
         let (machine, ratio) = steps.slowest_machine(step).expect("p ≥ 1 machines");
-        let slowest = steps.max_across_machines(step).as_secs_f64();
-        let median = steps.p50_across_machines(step).as_secs_f64();
+        let slowest = steps.max_across_machines(step);
+        let median = steps.p50_across_machines(step);
         table.row(vec![
             step.to_string(),
             format!("m{machine}"),
@@ -972,13 +956,13 @@ fn health_cmd(opts: &Opts) {
         rows.push(Json::Object(vec![
             ("step", step.into()),
             ("slowest_machine", machine.into()),
-            ("slowest_secs", slowest.into()),
-            ("lower_median_secs", median.into()),
+            ("slowest_secs", slowest.as_secs_f64().into()),
+            ("lower_median_secs", median.as_secs_f64().into()),
             ("ratio", ratio.into()),
         ]));
     }
     table.print();
-    println!("(wall {})", fmt_secs(report.wall_time.as_secs_f64()));
+    println!("(wall {})", fmt_secs(report.wall_time));
 
     // The whole point: the view names the machine we sabotaged, and the
     // step it lagged in.

@@ -1,8 +1,8 @@
 //! Experiment harness behind the `exp` binary.
 //!
-//! One function per experiment family, each returning structured results
-//! ([`ExpResult`]) that the binary renders as paper-style tables and
-//! writes to `results/*.json`.
+//! One runner per system ([`run_pgxd`], [`run_spark`]), each returning an
+//! [`ExpResult`]: the run's labels plus its [`pgxd::RunReport`], which the
+//! binary renders as paper-style tables and writes to `results/*.json`.
 //!
 //! ## Timing on small hosts
 //!
@@ -12,9 +12,9 @@
 //! (all "machines" share the same silicon), so every result carries:
 //!
 //! - `wall_time` — honest measured wall time of the whole run;
-//! - `modeled_comm_time` — wire time the Table I network model charges
-//!   for the observed traffic;
-//! - [`ExpResult::scaled_time`] — `wall_time / p + modeled_comm_time`, a
+//! - `comm.modeled_wire_time` — wire time the Table I network model
+//!   charges for the observed traffic;
+//! - [`ExpResult::scaled_time`] — `wall_time / p + modeled_wire_time`, a
 //!   perfect-overlap scaling model used *only* for the shape of the
 //!   Fig. 6 scaling curves (documented in EXPERIMENTS.md).
 //!
@@ -27,6 +27,4 @@ pub mod json;
 pub mod runner;
 pub mod table;
 
-pub use runner::{
-    run_pgxd_sort, run_spark_sort, ExpResult, Workload, DEFAULT_SEED, DEFAULT_WORKERS,
-};
+pub use runner::{run_pgxd, run_spark, ExpResult, Workload, DEFAULT_SEED, DEFAULT_WORKERS};

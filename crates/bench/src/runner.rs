@@ -1,11 +1,11 @@
-//! Experiment execution: generate a workload, run a sorter on a simulated
-//! cluster, collect timing/communication/load results.
+//! Experiment execution: one runner per system sorts a workload's shards
+//! on a simulated cluster, and the run's [`RunReport`] is its record.
 
 use crate::json::Json;
 use pgxd::cluster::{Cluster, ClusterConfig, RunReport};
-use pgxd::trace::{TraceConfig, TraceLog};
+use pgxd::{MachineCtx, StepReport};
 use pgxd_baselines::SparkEngine;
-use pgxd_core::{DistSorter, SortConfig};
+use pgxd_core::{DistSorter, LoadStats, RangeStats, SortConfig};
 use pgxd_datagen::{generate_partitioned, partition_even, twitter_like_keys, Distribution};
 use std::time::Duration;
 
@@ -65,261 +65,147 @@ impl Workload {
 /// element count and `(min, max)` key.
 pub type MachineOutput = (usize, Option<(u64, u64)>);
 
-/// Everything one run produces.
-#[derive(Debug, Clone)]
+/// One run: the labels `exp` files it under, and the run's own report.
+/// Every count and time of the record is read from `report`.
+#[derive(Debug)]
 pub struct ExpResult {
     /// Which sorter ("pgxd" or "spark").
-    pub system: String,
+    pub system: &'static str,
     /// Workload label (distribution + size, or twitter config).
     pub workload: String,
-    /// Sample-size factor used (PGX.D only; 1.0 = the paper's X rule).
-    pub sample_factor: f64,
-    /// Machine count.
-    pub machines: usize,
+    /// Sample-size factor the run applied (1.0 = the paper's X rule);
+    /// `None` when no factor applies: Spark, or a fixed sample count.
+    pub sample_factor: Option<f64>,
     /// Worker threads per machine.
     pub workers: usize,
-    /// Total keys sorted.
-    pub total_keys: usize,
-    /// Measured wall time of the cluster run, seconds.
-    pub wall_secs: f64,
-    /// Per-step wall time (max across machines), seconds, in step order.
-    pub step_secs: Vec<(String, f64)>,
-    /// Per-step median across machines, seconds, in step order.
-    pub step_secs_p50: Vec<(String, f64)>,
-    /// Per-step 95th percentile across machines, seconds, in step order.
-    pub step_secs_p95: Vec<(String, f64)>,
-    /// Bytes the fabric carried.
-    pub comm_bytes: u64,
-    /// Packets the fabric carried.
-    pub comm_messages: u64,
-    /// Wire time the network model charges for the aggregate traffic,
-    /// seconds.
-    pub modeled_comm_secs: f64,
-    /// Bytes addressed to the most-loaded receiver (hotspot view).
-    pub max_recv_bytes: u64,
-    /// Wire time of the hotspot receiver's inbound link, seconds — the
-    /// Fig. 9 communication-overhead metric (bad splitters overload one
-    /// link even when aggregate volume is unchanged).
-    pub bottleneck_comm_secs: f64,
-    /// Exchange data chunks handed to the fabric.
-    pub exchange_chunks_sent: u64,
-    /// Spent chunk buffers returned to the pool after placement.
-    pub exchange_chunks_recycled: u64,
-    /// Chunk-buffer acquisitions served from recycled memory.
-    pub exchange_pool_hits: u64,
-    /// Chunk-buffer acquisitions that fell back to a fresh allocation.
-    pub exchange_pool_misses: u64,
-    /// Payload bytes memcpy-placed into exchange output buffers.
-    pub exchange_bytes_placed: u64,
-    /// Bytes addressed to each receiving machine, by id — the Fig. 9
-    /// per-receiver skew view.
-    pub per_dst_bytes: Vec<u64>,
-    /// Final element count per machine (load balance).
-    pub sizes: Vec<usize>,
-    /// Final `(min, max)` key per machine (`None` = empty machine).
-    pub ranges: Vec<Option<(u64, u64)>>,
+    /// What the cluster run reported.
+    pub report: RunReport<MachineOutput>,
 }
 
 impl ExpResult {
-    /// The record of one measured run: the one place a [`RunReport`]
-    /// becomes an `ExpResult`. The max / p50 / p95 series of `step_names`
-    /// all come from [`pgxd::StepReport`] — the harness computes no
-    /// percentiles of its own.
-    pub fn from_report(
-        system: &str,
-        workload: &Workload,
-        sample_factor: f64,
-        workers: usize,
-        step_names: &[&'static str],
-        report: &RunReport<MachineOutput>,
-    ) -> ExpResult {
-        let series = |of: fn(&pgxd::StepReport, &str) -> Duration| -> Vec<(String, f64)> {
-            step_names
-                .iter()
-                .map(|&n| (n.to_string(), of(&report.steps, n).as_secs_f64()))
-                .collect()
-        };
-        ExpResult {
-            system: system.into(),
-            workload: workload.label(),
-            sample_factor,
-            machines: report.results.len(),
-            workers,
-            total_keys: report.results.iter().map(|r| r.0).sum(),
-            wall_secs: report.wall_time.as_secs_f64(),
-            step_secs: series(pgxd::StepReport::max_across_machines),
-            step_secs_p50: series(pgxd::StepReport::p50_across_machines),
-            step_secs_p95: series(pgxd::StepReport::p95_across_machines),
-            comm_bytes: report.comm.bytes_sent,
-            comm_messages: report.comm.messages_sent,
-            modeled_comm_secs: report.comm.modeled_wire_time.as_secs_f64(),
-            max_recv_bytes: report.comm.max_recv_bytes,
-            bottleneck_comm_secs: report.comm.bottleneck_wire_time.as_secs_f64(),
-            exchange_chunks_sent: report.comm.exchange.chunks_sent,
-            exchange_chunks_recycled: report.comm.exchange.chunks_recycled,
-            exchange_pool_hits: report.comm.exchange.pool_hits,
-            exchange_pool_misses: report.comm.exchange.pool_misses,
-            exchange_bytes_placed: report.comm.exchange.bytes_placed,
-            per_dst_bytes: report.per_dst_bytes.clone(),
-            sizes: report.results.iter().map(|r| r.0).collect(),
-            ranges: report.results.iter().map(|r| r.1).collect(),
-        }
+    /// Final element count per machine (Table II, Fig. 10).
+    pub fn load(&self) -> LoadStats {
+        LoadStats::new(self.report.results.iter().map(|r| r.0).collect())
     }
 
-    /// The record as `results/*.json` holds it, every field under its own
-    /// name.
+    /// Final `(min, max)` key per machine, `None` for an empty machine
+    /// (Table III).
+    pub fn ranges(&self) -> RangeStats<u64> {
+        RangeStats::new(self.report.results.iter().map(|r| r.1).collect())
+    }
+
+    /// Measured wall time of the cluster run, seconds.
+    pub fn wall_secs(&self) -> f64 {
+        self.report.wall_time.as_secs_f64()
+    }
+
+    /// The record as `results/*.json` holds it: the one place its field
+    /// names are written. The max / p50 / p95 step series all come from
+    /// [`StepReport`] — the harness computes no percentiles of its own.
     pub fn to_json(&self) -> Json {
+        let (report, comm, x) = (&self.report, &self.report.comm, &self.report.comm.exchange);
+        let series = |of: fn(&StepReport, &str) -> Duration| -> Json {
+            let steps = &report.steps;
+            let named: Vec<(&str, f64)> =
+                steps.step_names().into_iter().map(|n| (n, of(steps, n).as_secs_f64())).collect();
+            named.into()
+        };
+        let load = self.load();
         Json::Object(vec![
-            ("system", self.system.as_str().into()),
+            ("system", self.system.into()),
             ("workload", self.workload.as_str().into()),
             ("sample_factor", self.sample_factor.into()),
-            ("machines", self.machines.into()),
+            ("machines", report.results.len().into()),
             ("workers", self.workers.into()),
-            ("total_keys", self.total_keys.into()),
-            ("wall_secs", self.wall_secs.into()),
-            ("step_secs", self.step_secs.clone().into()),
-            ("step_secs_p50", self.step_secs_p50.clone().into()),
-            ("step_secs_p95", self.step_secs_p95.clone().into()),
-            ("comm_bytes", self.comm_bytes.into()),
-            ("comm_messages", self.comm_messages.into()),
-            ("modeled_comm_secs", self.modeled_comm_secs.into()),
-            ("max_recv_bytes", self.max_recv_bytes.into()),
-            ("bottleneck_comm_secs", self.bottleneck_comm_secs.into()),
-            ("exchange_chunks_sent", self.exchange_chunks_sent.into()),
-            ("exchange_chunks_recycled", self.exchange_chunks_recycled.into()),
-            ("exchange_pool_hits", self.exchange_pool_hits.into()),
-            ("exchange_pool_misses", self.exchange_pool_misses.into()),
-            ("exchange_bytes_placed", self.exchange_bytes_placed.into()),
-            ("per_dst_bytes", self.per_dst_bytes.clone().into()),
-            ("sizes", self.sizes.clone().into()),
-            ("ranges", self.ranges.clone().into()),
+            ("total_keys", load.total().into()),
+            ("wall_secs", self.wall_secs().into()),
+            ("step_secs", series(StepReport::max_across_machines)),
+            ("step_secs_p50", series(StepReport::p50_across_machines)),
+            ("step_secs_p95", series(StepReport::p95_across_machines)),
+            ("comm_bytes", comm.bytes_sent.into()),
+            ("comm_messages", comm.messages_sent.into()),
+            ("modeled_comm_secs", comm.modeled_wire_time.as_secs_f64().into()),
+            ("max_recv_bytes", comm.max_recv_bytes.into()),
+            ("bottleneck_comm_secs", comm.bottleneck_wire_time.as_secs_f64().into()),
+            ("exchange_chunks_sent", x.chunks_sent.into()),
+            ("exchange_chunks_recycled", x.chunks_recycled.into()),
+            ("exchange_pool_hits", x.pool_hits.into()),
+            ("exchange_pool_misses", x.pool_misses.into()),
+            ("exchange_bytes_placed", x.bytes_placed.into()),
+            ("per_dst_bytes", report.per_dst_bytes.clone().into()),
+            ("sizes", load.counts.into()),
+            ("ranges", self.ranges().ranges.into()),
         ])
     }
 
     /// Perfect-overlap scaling model for Fig. 6 shape on small hosts:
     /// `wall / p + modeled_comm`. See the crate docs.
     pub fn scaled_time(&self) -> f64 {
-        self.wall_secs / self.machines as f64 + self.modeled_comm_secs
-    }
-
-    /// Per-machine shares of the total (Table II).
-    pub fn shares(&self) -> Vec<f64> {
-        pgxd_core::LoadStats::new(self.sizes.clone()).shares()
-    }
-
-    /// Max − min load (Fig. 10).
-    pub fn load_difference(&self) -> usize {
-        pgxd_core::LoadStats::new(self.sizes.clone()).load_difference()
-    }
-
-    /// Sorted-output sanity: ranges ascend with machine id.
-    pub fn ranges_ascending(&self) -> bool {
-        pgxd_core::RangeStats::new(self.ranges.clone()).is_ascending()
-    }
-
-    /// Fraction of chunk-buffer acquisitions served from the pool
-    /// (0.0 when the run recorded no pool activity).
-    pub fn exchange_pool_hit_rate(&self) -> f64 {
-        let total = self.exchange_pool_hits + self.exchange_pool_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.exchange_pool_hits as f64 / total as f64
-        }
+        self.wall_secs() / self.report.results.len() as f64
+            + self.report.comm.modeled_wire_time.as_secs_f64()
     }
 }
 
-/// Runs the PGX.D distributed sort on `workload` and collects results.
-pub fn run_pgxd_sort(
+/// Runs the PGX.D distributed sort of `workload`, whose per-machine shards
+/// are `parts`, on a cluster built from `cluster`.
+pub fn run_pgxd(
     workload: &Workload,
-    machines: usize,
-    workers: usize,
+    parts: &[Vec<u64>],
+    cluster: ClusterConfig,
     config: SortConfig,
 ) -> ExpResult {
-    run_pgxd_sort_buf(workload, machines, workers, config, pgxd::DEFAULT_BUFFER_BYTES)
-}
-
-/// [`run_pgxd_sort`] with an explicit data-manager buffer size — the
-/// §IV-B 256 KiB tuning ablation.
-pub fn run_pgxd_sort_buf(
-    workload: &Workload,
-    machines: usize,
-    workers: usize,
-    config: SortConfig,
-    buffer_bytes: usize,
-) -> ExpResult {
-    run_pgxd_sort_traced(
-        workload,
-        machines,
-        workers,
-        config,
-        buffer_bytes,
-        TraceConfig::disabled(),
-    )
-    .0
-}
-
-/// [`run_pgxd_sort_buf`] with structured tracing: when `trace` is enabled
-/// the returned [`TraceLog`] carries the run's per-machine timeline
-/// (`exp trace` and the `--trace` flag feed it to the exporters).
-pub fn run_pgxd_sort_traced(
-    workload: &Workload,
-    machines: usize,
-    workers: usize,
-    config: SortConfig,
-    buffer_bytes: usize,
-    trace: TraceConfig,
-) -> (ExpResult, Option<TraceLog>) {
-    let parts = workload.generate(machines);
-    let cluster = Cluster::new(
-        ClusterConfig::new(machines)
-            .workers_per_machine(workers)
-            .buffer_bytes(buffer_bytes)
-            .trace(trace),
-    );
     let sorter = DistSorter::new(config);
-    let report = cluster.run(|ctx| {
-        let local = parts[ctx.id()].clone();
+    let report = run_shards(parts, cluster, |ctx, local| {
         let part = sorter.sort(ctx, local);
         (part.len(), part.range().map(|(a, b)| (*a, *b)))
     });
-    let result = ExpResult::from_report(
-        "pgxd",
-        workload,
-        config.sample_factor,
-        workers,
-        &pgxd_core::steps::ALL,
-        &report,
-    );
-    (result, report.trace)
+    ExpResult {
+        system: "pgxd",
+        workload: workload.label(),
+        sample_factor: config
+            .fixed_samples_per_machine
+            .is_none()
+            .then_some(config.sample_factor),
+        workers: cluster.workers_per_machine,
+        report,
+    }
 }
 
-/// Runs the Spark-sim `sortByKey` on `workload` and collects results.
-pub fn run_spark_sort(workload: &Workload, machines: usize, workers: usize) -> ExpResult {
-    let parts = workload.generate(machines);
-    let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(workers));
+/// Runs the Spark-sim `sortByKey` of `workload`, whose per-machine shards
+/// are `parts`, on a cluster built from `cluster`.
+pub fn run_spark(workload: &Workload, parts: &[Vec<u64>], cluster: ClusterConfig) -> ExpResult {
     let engine = SparkEngine::default();
-    let report = cluster.run(|ctx| {
-        let local = parts[ctx.id()].clone();
-        let out = engine.sort_by_key(ctx, local);
-        let range = out
-            .data
-            .first()
-            .map(|lo| (*lo, *out.data.last().unwrap()));
-        (out.data.len(), range)
+    let report = run_shards(parts, cluster, |ctx, local| {
+        let data = engine.sort_by_key(ctx, local).data;
+        (data.len(), data.first().zip(data.last()).map(|(a, b)| (*a, *b)))
     });
-    ExpResult::from_report(
-        "spark",
-        workload,
-        0.0,
-        workers,
-        &pgxd_baselines::spark::stages::ALL,
-        &report,
-    )
+    ExpResult {
+        system: "spark",
+        workload: workload.label(),
+        sample_factor: None,
+        workers: cluster.workers_per_machine,
+        report,
+    }
 }
 
-/// Format a `Duration`-in-seconds compactly for tables.
-pub fn fmt_secs(secs: f64) -> String {
+/// Runs `sort` on every machine over a copy of its shard of `parts`. The
+/// copy is made inside the run, so a caller's memory region around this
+/// call counts it and not the input's generation.
+fn run_shards(
+    parts: &[Vec<u64>],
+    cluster: ClusterConfig,
+    sort: impl Fn(&mut MachineCtx, Vec<u64>) -> MachineOutput + Sync,
+) -> RunReport<MachineOutput> {
+    assert_eq!(parts.len(), cluster.machines, "one shard per machine");
+    Cluster::new(cluster).run(|ctx| {
+        let local = parts[ctx.id()].clone();
+        sort(ctx, local)
+    })
+}
+
+/// Format a duration compactly for tables.
+pub fn fmt_secs(d: Duration) -> String {
+    let secs = d.as_secs_f64();
     if secs >= 1.0 {
         format!("{secs:.3}s")
     } else if secs >= 1e-3 {
@@ -332,6 +218,20 @@ pub fn fmt_secs(secs: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgxd::trace::TraceConfig;
+    use pgxd::CommSummary;
+
+    /// `machines` × `workers` with default buffers and no trace: the run
+    /// shape most tests below want.
+    fn run_pgxd_sort(
+        workload: &Workload,
+        machines: usize,
+        workers: usize,
+        config: SortConfig,
+    ) -> ExpResult {
+        let cluster = ClusterConfig::new(machines).workers_per_machine(workers);
+        run_pgxd(workload, &workload.generate(machines), cluster, config)
+    }
 
     #[test]
     fn pgxd_run_produces_consistent_result() {
@@ -341,12 +241,12 @@ mod tests {
             seed: 1,
         };
         let r = run_pgxd_sort(&workload, 4, 1, SortConfig::default());
-        assert_eq!(r.total_keys, 10_000);
-        assert_eq!(r.sizes.iter().sum::<usize>(), 10_000);
-        assert!(r.ranges_ascending());
-        assert_eq!(r.step_secs.len(), 6);
-        assert!(r.wall_secs > 0.0);
-        let shares: f64 = r.shares().iter().sum();
+        assert_eq!(r.load().total(), 10_000);
+        assert_eq!(r.load().counts.len(), 4);
+        assert!(r.ranges().is_ascending());
+        assert_eq!(r.report.steps.step_names(), pgxd_core::steps::ALL);
+        assert!(r.wall_secs() > 0.0);
+        let shares: f64 = r.load().shares().iter().sum();
         assert!((shares - 1.0).abs() < 1e-9);
     }
 
@@ -404,10 +304,11 @@ mod tests {
             n: 10_000,
             seed: 2,
         };
-        let r = run_spark_sort(&workload, 3, 1);
-        assert_eq!(r.sizes.iter().sum::<usize>(), 10_000);
-        assert!(r.ranges_ascending());
-        assert_eq!(r.step_secs.len(), 3);
+        let cluster = ClusterConfig::new(3).workers_per_machine(1);
+        let r = run_spark(&workload, &workload.generate(3), cluster);
+        assert_eq!(r.load().total(), 10_000);
+        assert!(r.ranges().is_ascending());
+        assert_eq!(r.report.steps.step_names(), pgxd_baselines::spark::stages::ALL);
     }
 
     #[test]
@@ -420,35 +321,27 @@ mod tests {
         let parts = workload.generate(4);
         assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), 1024 * 4);
         let r = run_pgxd_sort(&workload, 4, 1, SortConfig::default());
-        assert!(r.ranges_ascending());
+        assert!(r.ranges().is_ascending());
     }
 
     #[test]
     fn scaled_time_decreases_with_p_for_same_wall() {
         let mk = |p: usize| ExpResult {
-            system: "pgxd".into(),
+            system: "pgxd",
             workload: "synthetic".into(),
-            sample_factor: 1.0,
-            machines: p,
+            sample_factor: Some(1.0),
             workers: 1,
-            total_keys: 0,
-            wall_secs: 10.0,
-            step_secs: vec![],
-            step_secs_p50: vec![],
-            step_secs_p95: vec![],
-            comm_bytes: 0,
-            comm_messages: 0,
-            modeled_comm_secs: 0.1,
-            max_recv_bytes: 0,
-            bottleneck_comm_secs: 0.0,
-            exchange_chunks_sent: 0,
-            exchange_chunks_recycled: 0,
-            exchange_pool_hits: 0,
-            exchange_pool_misses: 0,
-            exchange_bytes_placed: 0,
-            per_dst_bytes: vec![],
-            sizes: vec![],
-            ranges: vec![],
+            report: RunReport {
+                results: vec![(0, None); p],
+                comm: CommSummary {
+                    modeled_wire_time: Duration::from_millis(100),
+                    ..CommSummary::default()
+                },
+                steps: pgxd::StepReport::default(),
+                wall_time: Duration::from_secs(10),
+                trace: None,
+                per_dst_bytes: vec![],
+            },
         };
         assert!(mk(8).scaled_time() > mk(16).scaled_time());
     }
@@ -461,13 +354,14 @@ mod tests {
             seed: 4,
         };
         let r = run_pgxd_sort(&workload, 4, 2, SortConfig::default());
-        assert!(r.exchange_chunks_sent > 0);
-        assert!(r.exchange_bytes_placed > 0);
-        let rate = r.exchange_pool_hit_rate();
+        let comm = &r.report.comm;
+        assert!(comm.exchange.chunks_sent > 0);
+        assert!(comm.exchange.bytes_placed > 0);
+        let rate = comm.exchange.pool_hit_rate();
         assert!((0.0..=1.0).contains(&rate));
         // Per-receiver accounting covers every byte the fabric carried.
-        assert_eq!(r.per_dst_bytes.len(), 4);
-        assert_eq!(r.per_dst_bytes.iter().sum::<u64>(), r.comm_bytes);
+        assert_eq!(r.report.per_dst_bytes.len(), 4);
+        assert_eq!(r.report.per_dst_bytes.iter().sum::<u64>(), comm.bytes_sent);
     }
 
     #[test]
@@ -478,16 +372,19 @@ mod tests {
             seed: 5,
         };
         let r = run_pgxd_sort(&workload, 4, 1, SortConfig::default());
-        assert_eq!(r.step_secs_p50.len(), r.step_secs.len());
-        assert_eq!(r.step_secs_p95.len(), r.step_secs.len());
-        for ((name, max), ((n50, p50), (n95, p95))) in r
-            .step_secs
-            .iter()
-            .zip(r.step_secs_p50.iter().zip(&r.step_secs_p95))
-        {
-            assert_eq!(name, n50);
-            assert_eq!(name, n95);
-            assert!(p50 <= p95 && p95 <= max, "{name}: {p50} ≤ {p95} ≤ {max}");
+        let steps = &r.report.steps;
+        let names = steps.step_names();
+        assert_eq!(names.len(), 6);
+        for name in names {
+            let max = steps.max_across_machines(name);
+            let p50 = steps.p50_across_machines(name);
+            let p95 = steps.p95_across_machines(name);
+            assert!(p50 <= p95 && p95 <= max, "{name}: {p50:?} ≤ {p95:?} ≤ {max:?}");
+        }
+        // The record's three series are those, under the same step names.
+        let text = r.to_json().pretty();
+        for series in ["step_secs", "step_secs_p50", "step_secs_p95"] {
+            assert!(text.contains(&format!("\"{series}\": [\n    [\n      \"local_sort\",")));
         }
     }
 
@@ -498,16 +395,13 @@ mod tests {
             n: 20_000,
             seed: 6,
         };
-        let (r, log) = run_pgxd_sort_traced(
-            &workload,
-            3,
-            2,
-            SortConfig::default(),
-            pgxd::DEFAULT_BUFFER_BYTES,
-            TraceConfig::enabled(),
-        );
-        assert!(r.ranges_ascending());
-        let log = log.expect("enabled tracing must return a log");
+        let traced = |trace: TraceConfig| {
+            let cluster = ClusterConfig::new(3).workers_per_machine(2).trace(trace);
+            run_pgxd(&workload, &workload.generate(3), cluster, SortConfig::default())
+        };
+        let r = traced(TraceConfig::enabled());
+        assert!(r.ranges().is_ascending());
+        let log = r.report.trace.expect("enabled tracing must return a log");
         let gantt = log.step_gantt();
         for m in 0..3u32 {
             for step in pgxd_core::steps::ALL {
@@ -518,21 +412,38 @@ mod tests {
             }
         }
         // The untraced variant of the same run returns no log.
-        let untraced = run_pgxd_sort_traced(
-            &workload,
-            3,
-            2,
-            SortConfig::default(),
-            pgxd::DEFAULT_BUFFER_BYTES,
-            TraceConfig::disabled(),
-        );
-        assert!(untraced.1.is_none());
+        assert!(traced(TraceConfig::disabled()).report.trace.is_none());
+    }
+
+    #[test]
+    fn no_applied_factor_is_recorded_as_null() {
+        let workload = Workload::Dist {
+            dist: Distribution::RightSkewed,
+            n: 10_000,
+            seed: 7,
+        };
+        let factor = |r: &ExpResult| {
+            let Json::Object(fields) = r.to_json() else {
+                panic!("a result is a JSON object");
+            };
+            let (_, value) = fields
+                .into_iter()
+                .find(|(name, _)| *name == "sample_factor")
+                .unwrap();
+            value.pretty()
+        };
+        let fixed = run_pgxd_sort(&workload, 4, 1, SortConfig::default().fixed_samples(4));
+        assert_eq!(factor(&fixed), "null");
+        let ruled = run_pgxd_sort(&workload, 4, 1, SortConfig::default().sample_factor(0.4));
+        assert_eq!(factor(&ruled), "0.4");
+        let spark = run_spark(&workload, &workload.generate(4), ClusterConfig::new(4));
+        assert_eq!(factor(&spark), "null");
     }
 
     #[test]
     fn fmt_secs_ranges() {
-        assert_eq!(fmt_secs(2.5), "2.500s");
-        assert_eq!(fmt_secs(0.0025), "2.50ms");
-        assert_eq!(fmt_secs(0.0000005), "0.5µs");
+        assert_eq!(fmt_secs(Duration::from_secs_f64(2.5)), "2.500s");
+        assert_eq!(fmt_secs(Duration::from_micros(2500)), "2.50ms");
+        assert_eq!(fmt_secs(Duration::from_nanos(500)), "0.5µs");
     }
 }

@@ -8,7 +8,8 @@
 //! `trace-smoke` job (python's `json` over `exp trace`'s output).
 
 use pgxd::trace::{EventKind, TraceConfig};
-use pgxd_bench::runner::{run_pgxd_sort_traced, Workload};
+use pgxd::ClusterConfig;
+use pgxd_bench::runner::{run_pgxd, Workload};
 use pgxd_core::SortConfig;
 use pgxd_datagen::Distribution;
 
@@ -23,16 +24,17 @@ fn traced_log() -> pgxd::TraceLog {
         n: 1 << 20,
         seed: 11,
     };
-    let (result, log) = run_pgxd_sort_traced(
+    let cluster = ClusterConfig::new(MACHINES)
+        .workers_per_machine(2)
+        .trace(TraceConfig::enabled());
+    let result = run_pgxd(
         &workload,
-        MACHINES,
-        2,
+        &workload.generate(MACHINES),
+        cluster,
         SortConfig::default(),
-        pgxd::DEFAULT_BUFFER_BYTES,
-        TraceConfig::enabled(),
     );
-    assert!(result.ranges_ascending());
-    log.expect("tracing was enabled")
+    assert!(result.ranges().is_ascending());
+    result.report.trace.expect("tracing was enabled")
 }
 
 #[test]
@@ -55,7 +57,8 @@ fn trace_covers_all_steps_and_both_exchange_directions() {
     for kind in [EventKind::ChunkSend, EventKind::ChunkRecv] {
         for m in 0..MACHINES as u32 {
             assert!(
-                log.events_of_kind(kind).any(|e| e.machine == m && e.dur_ns == 0),
+                log.events_of_kind(kind)
+                    .any(|e| e.machine == m && e.dur_ns == 0),
                 "machine {m} recorded no {kind:?} instant"
             );
         }

@@ -95,18 +95,6 @@ pub fn top_k<K: Key>(ctx: &mut MachineCtx, part: &SortedPartition<K>, k: usize) 
     Some(top)
 }
 
-/// Collective rank selection: the key at global rank `rank` (0-based) of
-/// the sorted order, delivered to every machine. `None` when `rank` is
-/// out of range. Two all-gathers: the counts, then the key from its
-/// holder.
-pub fn select_rank<K: Key>(
-    ctx: &mut MachineCtx,
-    part: &SortedPartition<K>,
-    rank: usize,
-) -> Option<K> {
-    select_ranks(ctx, part, |_| vec![rank]).pop()
-}
-
 /// Collective quantiles: the keys at the `q`-quantile boundaries
 /// (`1/q, 2/q, …, (q-1)/q` of the global rank space), delivered to every
 /// machine. Empty when the data is empty or `q < 2`.
@@ -338,26 +326,6 @@ mod tests {
                 !bad_ranges,
                 "descending machine ranges must fail verification"
             );
-        }
-    }
-
-    #[test]
-    fn select_rank_matches_flat_sort() {
-        let (expect, cluster, parts) = sorted_fixture(4, 4000);
-        let sorter = DistSorter::default();
-        let report = cluster.run(|ctx| {
-            let part = sorter.sort(ctx, parts[ctx.id()].clone());
-            let first = select_rank(ctx, &part, 0);
-            let mid = select_rank(ctx, &part, 2000);
-            let last = select_rank(ctx, &part, 3999);
-            let beyond = select_rank(ctx, &part, 4000);
-            (first, mid, last, beyond)
-        });
-        for &(first, mid, last, beyond) in &report.results {
-            assert_eq!(first, Some(expect[0]));
-            assert_eq!(mid, Some(expect[2000]));
-            assert_eq!(last, Some(expect[3999]));
-            assert_eq!(beyond, None);
         }
     }
 

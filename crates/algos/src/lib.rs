@@ -30,8 +30,6 @@
 //! plain data) and every public sort is covered by both unit tests and
 //! property tests asserting *sorted permutation of the input*.
 
-#![forbid(unsafe_code)]
-
 pub mod exec;
 pub mod insertion;
 pub mod kway;

@@ -474,7 +474,7 @@ impl FnIndex {
 }
 
 /// The workspace call graph: every function's guards and resolved call
-/// sites, extracted once per run through one [`FnIndex`] and shared by
+/// sites, extracted once per run through one `FnIndex` and shared by
 /// every pass that follows calls (lock-order / blocking-under-lock,
 /// hot-path-alloc, wait-graph).
 pub struct CallGraph {

@@ -1,27 +1,8 @@
 //! Item extraction over the token stream: functions (with their impl-type
-//! qualification and body token ranges), `use` declarations (with `as`
-//! renames expanded, for the alias-aware sync-shim lint), and test-region
-//! detection so `#[cfg(test)]` code is excluded from the analyses.
+//! qualification and body token ranges), and test-region detection so
+//! `#[cfg(test)]` code is excluded from the analyses.
 
 use crate::lexer::{strip, tokens, StrippedFile, Tok};
-
-/// One binding introduced by a `use` declaration, with its full path.
-///
-/// `use std::sync::Mutex as M;` yields `{ path: "std::sync::Mutex",
-/// name: "M" }`; brace groups yield one entry per leaf; globs yield a
-/// `name` of `"*"`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseDecl {
-    /// 1-based line of the binding (the leaf segment or rename).
-    pub line: usize,
-    /// The full path the binding refers to, `::`-joined.
-    pub path: String,
-    /// The in-scope identifier the path is bound to.
-    pub name: String,
-    /// Token index range `[start, end)` of the whole `use` item, so lints
-    /// can tell a declaration site from a usage site.
-    pub decl_tokens: (usize, usize),
-}
 
 /// One extracted function item.
 #[derive(Debug, Clone)]
@@ -49,9 +30,6 @@ pub struct ParsedFile {
     pub depth: Vec<usize>,
     /// Non-test functions, in source order.
     pub functions: Vec<Function>,
-    /// All `use` bindings (test regions included — an aliased import is a
-    /// policy violation wherever it appears).
-    pub uses: Vec<UseDecl>,
 }
 
 /// Rust keywords that can precede `(` without being a call.
@@ -109,7 +87,6 @@ pub fn parse_file(rel: &str, source: &str) -> ParsedFile {
         }
     }
 
-    let uses = parse_uses(&toks);
     let test_regions = find_test_regions(&toks);
     let impl_regions = find_impl_regions(&toks);
     let functions = extract_functions(&toks, &test_regions, &impl_regions);
@@ -120,120 +97,7 @@ pub fn parse_file(rel: &str, source: &str) -> ParsedFile {
         toks,
         depth,
         functions,
-        uses,
     }
-}
-
-/// Extracts every `use` binding in the token stream.
-pub fn parse_uses(toks: &[Tok]) -> Vec<UseDecl> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].text == "use" {
-            let start = i;
-            // Find the terminating `;` (use items cannot contain braces
-            // other than group braces, which never nest `;`).
-            let mut end = i + 1;
-            while end < toks.len() && toks[end].text != ";" {
-                end += 1;
-            }
-            let decl = (start, (end + 1).min(toks.len()));
-            let mut j = i + 1;
-            parse_use_tree(toks, &mut j, end, &mut Vec::new(), decl, &mut out);
-            i = end + 1;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Recursive descent over one use tree between `*j` and `end` (exclusive).
-fn parse_use_tree(
-    toks: &[Tok],
-    j: &mut usize,
-    end: usize,
-    prefix: &mut Vec<String>,
-    decl: (usize, usize),
-    out: &mut Vec<UseDecl>,
-) {
-    let depth_at_entry = prefix.len();
-    let mut last_line = toks.get(*j).map(|t| t.line).unwrap_or(0);
-    while *j < end {
-        let t = &toks[*j];
-        last_line = t.line;
-        match t.text.as_str() {
-            ":" => {
-                *j += 1; // `::` is two tokens; skip both
-                if *j < end && toks[*j].text == ":" {
-                    *j += 1;
-                }
-            }
-            "{" => {
-                *j += 1;
-                loop {
-                    parse_use_tree(toks, j, end, prefix, decl, out);
-                    if *j < end && toks[*j].text == "," {
-                        *j += 1;
-                        continue;
-                    }
-                    break;
-                }
-                if *j < end && toks[*j].text == "}" {
-                    *j += 1;
-                }
-                // A brace group ends this tree; emit nothing for the prefix.
-                prefix.truncate(depth_at_entry);
-                return;
-            }
-            "}" | "," => {
-                // End of this subtree: emit the accumulated path, if any.
-                break;
-            }
-            "as" => {
-                *j += 1;
-                if *j < end {
-                    let alias = toks[*j].text.clone();
-                    let line = toks[*j].line;
-                    *j += 1;
-                    if prefix.len() > depth_at_entry {
-                        out.push(UseDecl {
-                            line,
-                            path: prefix.join("::"),
-                            name: alias,
-                            decl_tokens: decl,
-                        });
-                    }
-                    prefix.truncate(depth_at_entry);
-                    return;
-                }
-            }
-            "*" => {
-                *j += 1;
-                out.push(UseDecl {
-                    line: t.line,
-                    path: prefix.join("::"),
-                    name: "*".to_string(),
-                    decl_tokens: decl,
-                });
-                prefix.truncate(depth_at_entry);
-                return;
-            }
-            _ => {
-                prefix.push(t.text.clone());
-                *j += 1;
-            }
-        }
-    }
-    if prefix.len() > depth_at_entry {
-        out.push(UseDecl {
-            line: last_line,
-            path: prefix.join("::"),
-            name: prefix.last().cloned().unwrap_or_default(),
-            decl_tokens: decl,
-        });
-    }
-    prefix.truncate(depth_at_entry);
 }
 
 /// Token ranges of `#[cfg(test)] mod … { … }` bodies (also matches
@@ -454,42 +318,6 @@ fn extract_functions(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn uses(src: &str) -> Vec<(String, String)> {
-        parse_uses(&tokens(&strip(src).code))
-            .into_iter()
-            .map(|u| (u.path, u.name))
-            .collect()
-    }
-
-    #[test]
-    fn plain_use_and_rename() {
-        assert_eq!(
-            uses("use std::sync::Mutex;\nuse std::sync::Mutex as M;\n"),
-            [
-                ("std::sync::Mutex".to_string(), "Mutex".to_string()),
-                ("std::sync::Mutex".to_string(), "M".to_string()),
-            ]
-        );
-    }
-
-    #[test]
-    fn brace_groups_nested_and_renamed() {
-        assert_eq!(
-            uses("use std::sync::{Arc, Mutex as M, atomic::{AtomicUsize, Ordering}};\n"),
-            [
-                ("std::sync::Arc".to_string(), "Arc".to_string()),
-                ("std::sync::Mutex".to_string(), "M".to_string()),
-                ("std::sync::atomic::AtomicUsize".to_string(), "AtomicUsize".to_string()),
-                ("std::sync::atomic::Ordering".to_string(), "Ordering".to_string()),
-            ]
-        );
-    }
-
-    #[test]
-    fn glob_import() {
-        assert_eq!(uses("use super::*;\n"), [("super".to_string(), "*".to_string())]);
-    }
 
     #[test]
     fn functions_get_impl_qualification() {

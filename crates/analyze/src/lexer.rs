@@ -1,12 +1,11 @@
 //! Comment/string-stripping scanner and tokenizer.
 //!
-//! This is the scanner `cargo xtask lint` grew in PR 3, promoted to a
-//! shared module so the lint and the analyzer agree exactly on what is
-//! code and what is prose. It handles line comments, nested block
-//! comments, string literals (plain, byte, raw with any `#` count), char
-//! literals, and lifetimes; everything the analyses look at afterwards is
-//! plain tokens with line numbers, so prose mentioning `unsafe` or
-//! `.lock()` can never produce a finding.
+//! Every pass reads the source through this one scanner, so they agree
+//! exactly on what is code and what is prose. It handles line comments,
+//! nested block comments, string literals (plain, byte, raw with any `#`
+//! count), char literals, and lifetimes; everything the analyses look at
+//! afterwards is plain tokens with line numbers, so prose mentioning
+//! `unsafe` or `.lock()` can never produce a finding.
 
 /// A source file split into per-line code and comment text, with string
 /// and char literals removed from the code.

@@ -119,27 +119,6 @@ fn relaxed_seqlock_publication_is_flagged() {
 }
 
 #[test]
-fn aliased_use_fixture_parses_to_banned_paths() {
-    // The xtask lint owns the banning policy; here we assert the parsing
-    // layer it builds on sees through the renames.
-    let src = include_str!("fixtures/fail_aliased_use.rs");
-    let pf = pgxd_analyze::parse_file("fail_aliased_use.rs", src);
-    let got: Vec<(usize, &str, &str)> = pf
-        .uses
-        .iter()
-        .map(|u| (u.line, u.path.as_str(), u.name.as_str()))
-        .collect();
-    assert_eq!(
-        got,
-        [
-            (7, "std::sync::Mutex", "InjStdMutex"),
-            (8, "std::sync::mpsc", "inj_chan"),
-            (8, "std::sync::RwLock", "InjRw"),
-        ]
-    );
-}
-
-#[test]
 fn hotpath_alloc_chain_names_every_hop() {
     let src = include_str!("fixtures/fail_hotpath_alloc_chain.rs");
     let r = run("fail_hotpath_alloc_chain.rs", src, "");

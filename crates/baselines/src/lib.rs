@@ -12,8 +12,6 @@
 //! The *naive sample sort* ablation (no investigator, Fig. 3b) does not
 //! live here: it is `pgxd_core::SortConfig::investigator(false)`.
 
-#![forbid(unsafe_code)]
-
 pub mod serialize;
 pub mod spark;
 

@@ -21,8 +21,6 @@
 //! Comparative claims (PGX.D vs Spark at the same `p`) always use
 //! measured wall time.
 
-#![forbid(unsafe_code)]
-
 pub mod json;
 pub mod runner;
 pub mod table;

@@ -191,16 +191,26 @@ pub fn run_spark(workload: &Workload, parts: &[Vec<u64>], cluster: ClusterConfig
 /// Runs `sort` on every machine over a copy of its shard of `parts`. The
 /// copy is made inside the run, so a caller's memory region around this
 /// call counts it and not the input's generation.
+///
+/// Every run is checked once it is over, outside its timed region: the
+/// machines hold as many keys as the shards did, and their `(min, max)`
+/// ranges ascend with machine id. Each machine's own order is the
+/// sorter's concern (its tests and the benchmark's validator).
 fn run_shards(
     parts: &[Vec<u64>],
     cluster: ClusterConfig,
     sort: impl Fn(&mut MachineCtx, Vec<u64>) -> MachineOutput + Sync,
 ) -> RunReport<MachineOutput> {
     assert_eq!(parts.len(), cluster.machines, "one shard per machine");
-    Cluster::new(cluster).run(|ctx| {
+    let report = Cluster::new(cluster).run(|ctx| {
         let local = parts[ctx.id()].clone();
         sort(ctx, local)
-    })
+    });
+    let held: usize = report.results.iter().map(|r| r.0).sum();
+    assert_eq!(held, parts.iter().map(Vec::len).sum::<usize>(), "sort must conserve keys");
+    let ranges = RangeStats::new(report.results.iter().map(|r| r.1).collect());
+    assert!(ranges.is_ascending(), "machine ranges must ascend with machine id");
+    report
 }
 
 /// Format a duration compactly for tables.
@@ -438,6 +448,23 @@ mod tests {
         assert_eq!(factor(&ruled), "0.4");
         let spark = run_spark(&workload, &workload.generate(4), ClusterConfig::new(4));
         assert_eq!(factor(&spark), "null");
+    }
+
+    #[test]
+    #[should_panic(expected = "sort must conserve keys")]
+    fn a_run_that_loses_keys_is_rejected() {
+        run_shards(&[vec![1, 2], vec![3]], ClusterConfig::new(2), |_, mut local| {
+            local.pop();
+            (local.len(), local.first().map(|&k| (k, k)))
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "machine ranges must ascend")]
+    fn a_run_out_of_order_is_rejected() {
+        run_shards(&[vec![5], vec![1]], ClusterConfig::new(2), |_, local| {
+            (local.len(), Some((local[0], local[0])))
+        });
     }
 
     #[test]

@@ -146,10 +146,12 @@ pub fn global_histogram(
     buckets: usize,
 ) -> Vec<u64> {
     assert!(buckets > 0 && hi >= lo, "invalid histogram spec");
-    let width = ((hi - lo) / buckets as u64).max(1);
+    // ⌈(hi − lo + 1) / buckets⌉ = ⌊(hi − lo) / buckets⌋ + 1, in u128 so
+    // that the full u64 range in one bucket does not overflow.
+    let width = u128::from(hi - lo) / buckets as u128 + 1;
     let mut local = vec![0u64; buckets];
     for &k in &part.data {
-        let b = ((k.saturating_sub(lo)) / width).min(buckets as u64 - 1) as usize;
+        let b = (u128::from(k.saturating_sub(lo)) / width).min(buckets as u128 - 1) as usize;
         local[b] += 1;
     }
     let rows = ctx.all_gather(local);
@@ -361,6 +363,26 @@ mod tests {
         assert_eq!(hist.iter().sum::<u64>(), 5000);
         // Uniform keys spread across buckets.
         assert!(hist.iter().filter(|&&c| c > 0).count() >= 12);
+    }
+
+    #[test]
+    fn histogram_buckets_have_equal_width() {
+        let cluster = Cluster::new(ClusterConfig::new(2));
+        let report = cluster.run(|ctx| {
+            let keys: Vec<u64> = (0..=31).filter(|k| k % 2 == ctx.id() as u64).collect();
+            let full = [0, 7, u64::MAX].into_iter().filter(|_| ctx.id() == 0).collect();
+            let halves = SortedPartition { data: keys, splitters: vec![] };
+            let whole = SortedPartition { data: full, splitters: vec![] };
+            (
+                global_histogram(ctx, &halves, 0, 31, 16),
+                global_histogram(ctx, &whole, 0, u64::MAX, 1),
+            )
+        });
+        let (halves, whole) = &report.results[0];
+        // Width 2: keys 0..=31 fill each of the 16 buckets with two, and
+        // `hi` itself lands in the last one.
+        assert_eq!(halves, &vec![2; 16]);
+        assert_eq!(whole, &vec![3]);
     }
 
     #[test]

@@ -39,8 +39,6 @@
 //! assert!(global.windows(2).all(|w| w[0] <= w[1]));
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod api;
 pub mod config;
 pub mod investigator;

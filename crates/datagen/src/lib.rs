@@ -17,8 +17,6 @@
 //! dependency. The same generator drives [`cases`], the deterministic case
 //! loop the workspace's property tests run on.
 
-#![forbid(unsafe_code)]
-
 pub mod cases;
 pub mod csr;
 pub mod dist;

@@ -26,6 +26,10 @@
 //! When the tracking allocator is *not* installed the counters simply stay
 //! at zero, so library code can query them unconditionally.
 
+// The tracking allocator implements `GlobalAlloc`, an unsafe trait: this
+// crate is on the unsafe allowlist.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -761,6 +761,7 @@ mod tests {
         let mut joins = Vec::new();
         for _ in 0..2 {
             let b = b.clone();
+            #[allow(clippy::disallowed_methods, reason = "a test waiter on the barrier, joined by the test")]
             joins.push(crate::sync::thread::spawn(move || b.wait()));
         }
         assert_eq!(b.wait(), BarrierWait::Released);
@@ -772,6 +773,7 @@ mod tests {
     #[test]
     fn barrier_abort_wakes_waiters() {
         let b = Arc::new(ClusterBarrier::new(2, None));
+        #[allow(clippy::disallowed_methods, reason = "a test waiter on the barrier, joined by the test")]
         let waiter = {
             let b = b.clone();
             crate::sync::thread::spawn(move || b.wait())

@@ -14,11 +14,12 @@
 //! OS happens to produce.
 //!
 //! Everything in `pgxd` that synchronizes between threads must go through
-//! this module or through [`TaskManager`](crate::task::TaskManager) —
-//! `cargo xtask lint` enforces that `std::sync::Mutex`,
-//! `std::sync::mpsc`, and `std::thread::spawn` do not appear anywhere
-//! else in the crate, so no code path can silently opt out of model
-//! checking.
+//! this module or through [`TaskManager`](crate::task::TaskManager). The
+//! crate's clippy configuration (`clippy.toml`, denied in its manifest)
+//! rejects `std::sync::{Mutex, RwLock, Condvar}`, the `std::sync::mpsc`
+//! channels and `std::thread::spawn` anywhere else in the crate, however
+//! they are imported, so no code path can silently opt out of model
+//! checking. This module is the one that allows them.
 //!
 //! The deliberate exceptions, documented here so the policy is auditable:
 //!
@@ -31,10 +32,12 @@
 //!   tests exercise a miniature fabric of the same shape — a queue behind
 //!   this module's `Mutex`/`Condvar` — instead
 //!   (`tests/loom_exchange.rs`). The cluster barrier
-//!   ([`ClusterBarrier`](crate::fault::ClusterBarrier)) is built on this
+//!   (`fault::ClusterBarrier`) is built on this
 //!   module's primitives directly.
 //!
 //! [loom]: https://docs.rs/loom
+
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::collections::VecDeque;
 #[cfg(not(loom))]

@@ -10,8 +10,8 @@
 //! iterator behind a [`crate::sync::Mutex`].
 //!
 //! This module and [`crate::sync`] are the only sanctioned ways to put
-//! work on another thread inside `pgxd` — `cargo xtask lint` bans raw
-//! `std::thread::spawn` elsewhere in the crate, so every spawned thread
+//! work on another thread inside `pgxd` — the crate's clippy configuration
+//! bans raw `std::thread::spawn` elsewhere in it, so every spawned thread
 //! is scoped (joined before the parallel step returns) and visible to the
 //! verification tooling.
 

@@ -15,8 +15,6 @@
 //! - [`pgxd_baselines`] — the comparator: a Spark-like sortByKey.
 //! - [`pgxd_memtrack`] — tracking allocator for memory experiments.
 
-#![forbid(unsafe_code)]
-
 pub use pgxd;
 pub use pgxd_algos;
 pub use pgxd_baselines;

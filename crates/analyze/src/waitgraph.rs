@@ -17,7 +17,7 @@
 //! propagates send/recv/barrier *effects* along the run's shared
 //! [`CallGraph`], restricted to edges between scoped functions (so
 //! `exchange_by_offsets` is known to send because it drives
-//! `RequestBuffer::push_slice → flush → send_offset_chunk`). Two rules:
+//! `RequestBuffer::send_packed → ship → send_offset_chunk`). Two rules:
 //!
 //! * **asymmetric-barrier** — an `if`/`else` chain or `match` whose
 //!   non-diverging arms enter a barrier a different number of times

@@ -527,6 +527,50 @@ mod tests {
         assert_eq!(report.comm.messages_sent, 2 + 2 * per_stream);
     }
 
+    /// Runs a two-machine exchange of `data` split in half, in which
+    /// machine 1 first slips machine 0 `rogue`, a chunk addressed at
+    /// `offset` with the exchange's data tag (its second collective
+    /// sequence number), and returns machine 0's failure message.
+    fn rogue_chunk_message<T, C>(data: [T; 4], offset: usize, rogue: Vec<C>) -> String
+    where
+        T: Copy + Send + Sync + 'static,
+        C: Clone + Send + Sync + 'static,
+    {
+        let err = Cluster::new(ClusterConfig::new(2))
+            .try_run(|ctx| {
+                if ctx.id() == 1 {
+                    let tag = crate::comm::Tag {
+                        kind: crate::comm::kinds::EXCHANGE_DATA,
+                        seq: 1,
+                    };
+                    let sender = ctx.comm_mut().sender();
+                    sender.send_offset_chunk(0, tag, offset, rogue.clone());
+                }
+                ctx.exchange_by_offsets(&data, &[0, 2, 4]).1
+            })
+            .expect_err("machine 0 must refuse the chunk");
+        assert_eq!(err.machine, Some(0), "{}", err.message);
+        err.message
+    }
+
+    #[test]
+    fn a_raw_chunk_past_the_output_is_refused() {
+        // Machine 0's output is 4 slots; two more at 3 would run past it.
+        let message = rogue_chunk_message([1u32, 2, 3, 4], 3, vec![7u32; 2]);
+        assert!(message.contains("raw chunk past the output's end"), "{message}");
+    }
+
+    #[test]
+    fn a_packed_chunk_past_the_output_is_refused_naming_its_frame() {
+        // One width-0 frame of two keys (9, 9) at slot 3 of 4.
+        let mut frame = vec![0u8; 13];
+        frame[0] = 9;
+        frame[8] = 2;
+        let message = rogue_chunk_message([1u64, 2, 3, 4], 3, frame);
+        let expected = "chunk frame 0 runs past the output: 2 keys, 1 slots left";
+        assert!(message.contains(expected), "{message}");
+    }
+
     #[test]
     fn single_machine_cluster_works() {
         let cluster = Cluster::new(ClusterConfig::new(1));

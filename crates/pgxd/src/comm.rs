@@ -6,7 +6,7 @@
 //! [`crate::sync`], one inbox per machine (the fabric). Payloads still move
 //! by ownership, with no serialization step on the fabric; what a payload
 //! holds is its sender's choice. The data manager packs `u64` exchange
-//! chunks in frame-of-reference form ([`crate::buffer`]), and
+//! chunks as frame-of-reference frames ([`crate::buffer`]), and
 //! [`CommSender::send_runs`] ships sorted `u64` runs in the same frames, so
 //! either message is charged the bytes its keys need. The *Spark* baseline
 //! serializes every record at its stage boundaries instead (see

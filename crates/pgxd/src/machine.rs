@@ -319,7 +319,7 @@ impl MachineCtx {
     ///    also all the batch identity that travels: keys ship untagged;
     /// 2. data moves in data-manager buffer-sized chunks
     ///    ([`MachineCtx::buffer_bytes`]) addressed to absolute offsets —
-    ///    packed in frame-of-reference form when `T` is `u64`, raw
+    ///    packed as frame-of-reference frames when `T` is `u64`, raw
     ///    otherwise ([`buffer`]) — so the receiver writes (or unpacks) each
     ///    arriving chunk straight into place
     ///    while still sending its own outgoing data (no barrier between
@@ -407,6 +407,13 @@ impl MachineCtx {
         let expected_remote = total - self_len;
         let sender = self.comm.sender();
         let buffer_bytes = self.buffer_bytes;
+        // `u64` ranges ship packed, so the send tasks read `data` as the
+        // keys it holds.
+        let keys: Option<&[u64]> = buffer::packs::<T>().then(|| {
+            // SAFETY: `packs` compared the TypeIds, so `T` is `u64`: the
+            // same pointer, length and borrow describe `data` as `&[u64]`.
+            unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u64>(), data.len()) }
+        });
 
         // One send task per destination (staggered so machine 0 is not
         // everyone's first target), streaming that destination's range of
@@ -432,15 +439,16 @@ impl MachineCtx {
                 dst as u64,
                 index,
                 Box::new(move || {
+                    let buf = RequestBuffer::new(dst, data_tag, buffer_bytes, &pool);
                     for i in (dst..ranges).step_by(p) {
                         let slice = &data[send_offsets[i]..send_offsets[i + 1]];
-                        if slice.is_empty() {
-                            continue;
+                        match keys {
+                            Some(keys) => {
+                                let range = &keys[send_offsets[i]..send_offsets[i + 1]];
+                                buf.send_packed(range, send_bases[i], &sender);
+                            }
+                            None => buf.send_raw(slice, send_bases[i], &sender),
                         }
-                        let mut buf: RequestBuffer<T> =
-                            RequestBuffer::new(dst, data_tag, buffer_bytes, send_bases[i], &pool);
-                        buf.push_slice(slice, &sender);
-                        buf.finish(&sender);
                     }
                     // Fault plans may have parked a chunk of this stream
                     // (drop-with-redelivery); the stream is over, so force
@@ -450,10 +458,10 @@ impl MachineCtx {
             ));
         }
 
-        // The receive loop: place each arriving chunk — one memcpy, or one
-        // unpack for a packed `u64` chunk — and hand its backing store to
-        // the pool, where this machine's send tasks (and the next exchange)
-        // pick it back up. Arriving chunks were acquired from the
+        // The receive loop: place each arriving chunk — one memcpy, or an
+        // unpack per frame of a packed `u64` chunk — and hand its backing
+        // store to the pool, where this machine's send tasks (and the next
+        // exchange) pick it back up. Arriving chunks were acquired from the
         // *sender's* pool, hence `release_inbound`.
         let comm = &mut self.comm;
         let pool = &self.pool;
@@ -468,35 +476,35 @@ impl MachineCtx {
                 let (src, wire_bytes) = (pkt.src, pkt.wire_bytes);
                 let (offset, len) = if buffer::packs::<T>() {
                     let (offset, chunk) = pkt.into_value::<(usize, Vec<u8>)>();
-                    let len = buffer::packed_len(&chunk);
-                    assert!(offset + len <= total, "packed chunk past the output's end");
+                    assert!(offset <= total, "packed chunk past the output's end");
                     // SAFETY: `packs` compared the TypeIds, so `T` is `u64`
-                    // and the slots are `MaybeUninit<u64>`; `offset + len <=
-                    // total` (asserted) keeps the slice inside `out`, no
-                    // other chunk's run overlaps it, and only this thread
-                    // writes `out`.
+                    // and the slots are `MaybeUninit<u64>`; `offset <= total`
+                    // (asserted) keeps the slice inside `out`, and only this
+                    // thread touches `out` while the slice lives. The unpack
+                    // writes the slots the chunk's frames fill, from the
+                    // first, and panics rather than run past the last.
                     let slots = unsafe {
                         std::slice::from_raw_parts_mut(
                             out_ptr.add(offset).cast::<MaybeUninit<u64>>(),
-                            len,
+                            total - offset,
                         )
                     };
-                    buffer::unpack_into(&chunk, slots, MaybeUninit::new);
+                    let len = buffer::unpack_into(&chunk, slots, MaybeUninit::new);
                     pool.release_inbound(chunk);
                     (offset, len)
                 } else {
                     let (offset, chunk) = pkt.into_value::<(usize, Vec<T>)>();
-                    // SAFETY: the sender addressed this chunk inside the run
-                    // reserved for it by the count matrix, so
-                    // `offset + len <= total`; only this thread writes `out`.
+                    let len = chunk.len();
+                    assert!(offset + len <= total, "raw chunk past the output's end");
+                    // SAFETY: `offset + len <= total` (asserted) keeps the
+                    // copy inside `out`, and only this thread writes `out`.
                     unsafe {
                         std::ptr::copy_nonoverlapping(
                             chunk.as_ptr(),
                             out_ptr.add(offset).cast::<T>(),
-                            chunk.len(),
+                            len,
                         );
                     }
-                    let len = chunk.len();
                     pool.release_inbound(chunk);
                     (offset, len)
                 };
@@ -527,7 +535,7 @@ impl MachineCtx {
         // arrivals — true send-while-receive — unless every remote range
         // fits one request buffer: then a task is one flush, a thread
         // costs more than all of them, and the caller runs them first.
-        let one_buffer = RequestBuffer::<T>::capacity_elems(buffer_bytes);
+        let one_buffer = buffer::capacity_elems::<T>(buffer_bytes);
         let single_flushes = (0..ranges)
             .filter(|i| i % p != id)
             .all(|i| send_offsets[i + 1] - send_offsets[i] <= one_buffer);

@@ -22,9 +22,10 @@ const MACHINES: usize = 4;
 const N: usize = 6_000;
 
 /// Both shapes of the exchange. An even share of these `N`-key sorts is 375
-/// keys per destination: 256-byte buffers hold at most 243 packed keys (one
-/// byte each behind the header), so they cut every such stream into two
+/// keys per destination: 256-byte buffers hold at most 243 distinct packed
+/// keys (one byte each behind a header), so they cut such a stream into two
 /// chunks or more, which the worker pool sends while the machine receives.
+/// (A run of one repeated key is a bare header however long it is.)
 /// At the default 256 KiB a stream is a single chunk whatever the skew, and
 /// the machine thread flushes it itself before it receives — the shape in
 /// which drop-with-redelivery parks a stream's *only* chunk and the

@@ -6,8 +6,8 @@
 //! The replayed samples, splitters and ranges also predict, exactly, every
 //! byte and message the sort puts on the wire: the sample gather, the
 //! splitter broadcast, the exchange's count rows, and each exchange chunk,
-//! each in its wire format — packed frame-of-reference for `u64` keys, raw
-//! for everything else.
+//! each in its wire format — packed frame-of-reference frames for `u64`
+//! keys, raw for everything else.
 
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd::DEFAULT_BUFFER_BYTES;
@@ -21,7 +21,7 @@ const KEY_BYTES: usize = std::mem::size_of::<u64>();
 /// The receiver-side offset every exchange chunk travels behind.
 const OFFSET_BYTES: usize = 8;
 
-/// A packed chunk's header: smallest key (8), key count (4), byte width (1).
+/// A packed frame's header: smallest key (8), key count (4), byte width (1).
 const PACKED_HEADER_BYTES: usize = 13;
 
 /// Each machine's shard, sorted (what step 1 hands step 2).
@@ -70,38 +70,80 @@ fn replay<K: Ord + Copy + Send + Sync + 'static>(sorted: &[Vec<K>], budget: usiz
     }
 }
 
-/// Bytes per key of a packed chunk whose keys span `max − min`.
+/// Bytes per key of a packed frame whose keys span `max − min`.
 fn width(span: u64) -> usize {
     (64 - span.leading_zeros() as usize).div_ceil(8)
 }
 
-/// Wire bytes of a sample or splitter run of `u64` keys: one packed frame,
-/// at the width of the run's span (a header alone when it is empty).
-fn packed_run(keys: &[u64]) -> usize {
-    let span = match (keys.iter().min(), keys.iter().max()) {
-        (Some(lo), Some(hi)) => hi - lo,
-        _ => 0,
-    };
-    PACKED_HEADER_BYTES + keys.len() * width(span)
+/// A packed frame: smallest key, largest key, key count.
+type Frame = (u64, u64, usize);
+
+fn frame_bytes((lo, hi, n): Frame) -> usize {
+    PACKED_HEADER_BYTES + n * width(hi - lo)
 }
 
-/// `(wire bytes, chunks)` of one send range of `u64` keys: each packed
-/// chunk is the longest run whose header and body fit the buffer (a chunk
-/// always takes its first key).
+/// The frames the encoder cuts `keys` into: 32-key blocks from the first
+/// key, each joining the frame before it unless a frame of its own (a
+/// header plus the block at its own width) costs less than widening that
+/// frame to cover the block.
+fn frames(keys: &[u64]) -> Vec<Frame> {
+    let mut frames: Vec<Frame> = Vec::new();
+    for block in keys.chunks(32) {
+        let own = (
+            *block.iter().min().unwrap(),
+            *block.iter().max().unwrap(),
+            block.len(),
+        );
+        match frames.last_mut() {
+            Some(last) => {
+                let joined = (last.0.min(own.0), last.1.max(own.1), last.2 + own.2);
+                if frame_bytes(joined) - frame_bytes(*last) <= frame_bytes(own) {
+                    *last = joined;
+                } else {
+                    frames.push(own);
+                }
+            }
+            None => frames.push(own),
+        }
+    }
+    frames
+}
+
+/// Encoded bytes of `keys`: its frames, or a header alone when it is empty.
+fn encoded(keys: &[u64]) -> usize {
+    frames(keys)
+        .into_iter()
+        .map(frame_bytes)
+        .sum::<usize>()
+        .max(PACKED_HEADER_BYTES)
+}
+
+/// Wire bytes of a sample or splitter run of `u64` keys: its frames. The
+/// mark on a run's last frame is a bit of its width byte.
+fn packed_run(keys: &[u64]) -> usize {
+    encoded(keys)
+}
+
+/// `(wire bytes, chunks)` of one send range of `u64` keys: each chunk is
+/// the longest head of what is left whose frames fit the buffer (a chunk
+/// always takes its first key). A longer head never encodes shorter, so
+/// the head is found by bisection.
 fn packed_range(keys: &[u64], buffer: usize) -> (usize, usize) {
     let (mut bytes, mut chunks, mut rest) = (0, 0, keys);
     while !rest.is_empty() {
-        let (mut lo, mut hi, mut n) = (rest[0], rest[0], 1);
-        while n < rest.len() {
-            let (l, h) = (lo.min(rest[n]), hi.max(rest[n]));
-            if PACKED_HEADER_BYTES + (n + 1) * width(h - l) > buffer {
-                break;
+        // `lo` keys fit (or are the one a chunk always takes), `hi` do not.
+        let (mut lo, mut hi) = (1, rest.len() + 1);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if encoded(&rest[..mid]) <= buffer {
+                lo = mid;
+            } else {
+                hi = mid;
             }
-            (lo, hi, n) = (l, h, n + 1);
         }
-        bytes += OFFSET_BYTES + PACKED_HEADER_BYTES + n * width(hi - lo);
+        bytes += OFFSET_BYTES + encoded(&rest[..lo]);
         chunks += 1;
-        rest = &rest[n..];
+        rest = &rest[lo..];
     }
     (bytes, chunks)
 }
@@ -195,6 +237,34 @@ fn replayed_partition_is_the_sorters() {
         let what = format!("{machines} x {shard} {}", dist.name());
         assert_replayed(&shards, PACKED, &what);
     }
+
+    // Duplicate runs, the shape of the benchmark's `expdup_4m`: 8 machines,
+    // about 39 % of the keys 0 and the rest multiples of 1000, so runs of
+    // one key ship as bare width-0 frames.
+    let (machines, shard) = (8, 32_768);
+    let shards = generate_partitioned(
+        Distribution::Exponential,
+        machines * shard,
+        machines,
+        20170529,
+    );
+    let sorted = sorted_shards(&shards);
+    let budget =
+        SortConfig::default().samples_per_machine(DEFAULT_BUFFER_BYTES, machines, KEY_BYTES);
+    let replayed = replay(&sorted, budget);
+    let bare = (0..machines)
+        .flat_map(|src| {
+            (0..machines)
+                .filter(move |&dst| dst != src)
+                .map(move |dst| (src, dst))
+        })
+        .flat_map(|(src, dst)| {
+            frames(&sorted[src][replayed.offsets[src][dst]..replayed.offsets[src][dst + 1]])
+        })
+        .filter(|&(lo, hi, _)| lo == hi)
+        .count();
+    assert!(bare > machines, "{bare} width-0 frames");
+    assert_replayed(&shards, PACKED, "8 x 32768 exponential, duplicate runs");
 
     // The packed format's edge cases, end to end: every shard holds `0` and
     // `u64::MAX` and keys on both sides of every `2^(8k)`, so each sample

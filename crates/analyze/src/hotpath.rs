@@ -13,7 +13,7 @@
 //! * **kernel** — every function in the local-sort kernel, the merges
 //!   and the request buffer (`quicksort.rs`, `merge.rs`, `kway.rs`,
 //!   `buffer.rs`);
-//! * **exchange** — the chunk path of `exchange_by_offsets`: its
+//! * **exchange** — the chunk path of `MachineCtx::exchange`: its
 //!   innermost loop bodies (the per-batch self copy, the per-range send
 //!   inside each destination's task, the receive loop). The count phase
 //!   and the per-destination task set-up around them are O(p) per
@@ -80,7 +80,7 @@ const PREFIX_ROOTS: [(&str, &[&str], &str); 3] = [
 ];
 
 /// The function whose innermost loop bodies are the exchange's chunk path.
-const EXCHANGE_ROOT: (&str, &str) = ("crates/pgxd/src/machine.rs", "MachineCtx::exchange_by_offsets");
+const EXCHANGE_ROOT: (&str, &str) = ("crates/pgxd/src/machine.rs", "MachineCtx::exchange");
 
 /// Owning std types whose `new`/`from` constructors allocate.
 const ALLOC_TYPES: [&str; 10] = [
@@ -409,7 +409,7 @@ mod tests {
 
     #[test]
     fn exchange_roots_are_its_innermost_loops_and_step_bodies_are_cold() {
-        let src = "impl MachineCtx {\n    fn exchange_by_offsets(&mut self, ctx: &C) {\n        let counts = self.counts.to_vec();\n        for dst in 0..p {\n            let h = self.pool.clone();\n            for i in 0..n {\n                let copy = self.data.to_vec();\n            }\n        }\n        ctx.step(steps::EXCHANGE, |c| {\n            let v = vec![0u8; 4];\n        });\n    }\n}\n";
+        let src = "impl MachineCtx {\n    fn exchange(&mut self, ctx: &C) {\n        let counts = self.counts.to_vec();\n        for dst in 0..p {\n            let h = self.pool.clone();\n            for i in 0..n {\n                let copy = self.data.to_vec();\n            }\n        }\n        ctx.step(steps::EXCHANGE, |c| {\n            let v = vec![0u8; 4];\n        });\n    }\n}\n";
         let r = analyze_hotpath(&[parse_file("crates/pgxd/src/machine.rs", src)]);
         let regions: Vec<(&str, usize)> = r.regions.iter().map(|h| (h.kind.as_str(), h.line)).collect();
         assert_eq!(regions, [("exchange", 6)]);

@@ -16,8 +16,8 @@
 //! step when it sits inside a `ctx.step(steps::X, ..)` region, and
 //! propagates send/recv/barrier *effects* along the run's shared
 //! [`CallGraph`], restricted to edges between scoped functions (so
-//! `exchange_by_offsets` is known to send because it drives
-//! `RequestBuffer::send_packed → ship → send_offset_chunk`). Two rules:
+//! `exchange` is known to send because it drives
+//! `RequestBuffer::send → send_offset_chunk`). Two rules:
 //!
 //! * **asymmetric-barrier** — an `if`/`else` chain or `match` whose
 //!   non-diverging arms enter a barrier a different number of times

@@ -49,12 +49,14 @@ const READ_ALLOWED: &str = "pub fn read(x: &u8) -> u8 {
 
 const ROWS: &[Row] = &[
     // `unsafe` outside the allowlist: a deny crate, a forbid crate, a
-    // forbid crate's tests.
+    // forbid crate's tests. The forbid crate's rows sit in one that `pgxd`
+    // does not build on (`datagen`), so their errors cannot stop cargo
+    // from checking the `pgxd` rows.
     ("unallowed_unsafe_flagged", "crates/pgxd/src/checker.rs", READ),
-    ("unallowed_unsafe_flagged", "crates/algos/src/kway.rs", READ),
+    ("unallowed_unsafe_flagged", "crates/datagen/src/dist.rs", READ),
     ("tests_and_benches_are_scanned_too", "crates/analyze/tests/analysis_fixtures.rs", READ),
     // A forbid crate cannot allow it back.
-    ("missing_forbid_attribute_flagged", "crates/algos/src/merge.rs",
+    ("missing_forbid_attribute_flagged", "crates/datagen/src/cases.rs",
     "#[allow(unsafe_code)] // planted: E0453
     pub fn read(x: &u8) -> u8 {
         // SAFETY: `x` is a reference, valid for reads.

@@ -153,7 +153,7 @@ fn v3_inventories_cover_the_runtime() {
         .filter(|h| h.kind == "exchange")
         .map(|h| h.name.as_str())
         .collect();
-    assert_eq!(exchange, ["MachineCtx::exchange_by_offsets"; 3], "{:?}", r.hot_regions);
+    assert_eq!(exchange, ["MachineCtx::exchange"; 3], "{:?}", r.hot_regions);
     // Step bodies are not roots.
     assert!(r.hot_regions.iter().all(|h| !h.name.starts_with("step:")));
     // The fabric's receive pumps are inventoried as recv loops.
@@ -216,7 +216,7 @@ const MUST_FAIL: &[(&str, &str, &str, &str, &str)] = &[
         "let slice = &data[send_offsets[i]..send_offsets[i + 1]];",
         "let slice = &data[send_offsets[i]..send_offsets[i + 1]]; let _inj = data.to_vec();",
         "hot-path-alloc",
-        "in `MachineCtx::exchange_by_offsets`",
+        "in `MachineCtx::exchange`",
     ),
     // PR 10's catch: an `Arc` clone on every receive.
     (

@@ -41,6 +41,24 @@ impl<K> Keyed<K> {
     }
 }
 
+/// The key's image; the provenance rides in the rest column, beside the
+/// key's own rest.
+impl<K: pgxd::Wire> pgxd::Wire for Keyed<K> {
+    type Rest = (K::Rest, u32, u64);
+
+    fn image(&self) -> u64 {
+        self.key.image()
+    }
+
+    fn rest(&self) -> Self::Rest {
+        (self.key.rest(), self.origin, self.index)
+    }
+
+    fn join(image: u64, (rest, origin, index): Self::Rest) -> Self {
+        Keyed::new(K::join(image, rest), origin, index)
+    }
+}
+
 /// Tags every element of a machine's local array with provenance.
 pub fn tag_with_provenance<K: Copy>(data: &[K], machine: usize) -> Vec<Keyed<K>> {
     data.iter()

@@ -67,7 +67,7 @@ use pgxd_algos::Key;
 /// let sorted = pgxd_core::sort_all(vec![5u64, 1, 4, 2, 3], 2, 1);
 /// assert_eq!(sorted, vec![1, 2, 3, 4, 5]);
 /// ```
-pub fn sort_all<K: Key>(data: Vec<K>, machines: usize, workers: usize) -> Vec<K> {
+pub fn sort_all<K: Key + pgxd::Wire>(data: Vec<K>, machines: usize, workers: usize) -> Vec<K> {
     let machines = machines.max(1);
     let bounds = even_chunk_bounds(data.len(), machines);
     let mut rest = data;

@@ -30,6 +30,7 @@ use crate::sampling::{select_regular_samples, select_splitters};
 use pgxd::comm::Tag;
 use pgxd::machine::{MachineCtx, MASTER};
 use pgxd::task::TaskManager;
+use pgxd::Wire;
 use pgxd_algos::exec::{even_chunk_bounds, MIN_ITEMS_PER_WORKER};
 use pgxd_algos::kway::kway_merge_into;
 use pgxd_algos::merge::{balanced_merge_with, plan_multiway_splits, PARALLEL_MERGE_CUTOFF};
@@ -176,6 +177,26 @@ impl<K: Ord, R> Ord for KeyedRecord<K, R> {
     }
 }
 
+/// The key's image; the record rides in the rest column, beside the key's.
+impl<K: Wire, R: Copy + Send + Sync + 'static> Wire for KeyedRecord<K, R> {
+    type Rest = (K::Rest, R);
+
+    fn image(&self) -> u64 {
+        self.key.image()
+    }
+
+    fn rest(&self) -> Self::Rest {
+        (self.key.rest(), self.record)
+    }
+
+    fn join(image: u64, (rest, record): Self::Rest) -> Self {
+        KeyedRecord {
+            key: K::join(image, rest),
+            record,
+        }
+    }
+}
+
 /// One machine's slice of the globally sorted output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortedPartition<T> {
@@ -244,14 +265,14 @@ impl DistSorter {
 
     /// Sorts the union of every machine's `local` data globally.
     /// SPMD: every machine calls this with its own shard.
-    pub fn sort<K: Key>(&self, ctx: &mut MachineCtx, local: Vec<K>) -> SortedPartition<K> {
+    pub fn sort<K: Key + Wire>(&self, ctx: &mut MachineCtx, local: Vec<K>) -> SortedPartition<K> {
         self.sort_one(ctx, local)
     }
 
     /// Sorts while tracking provenance: each output element knows its
     /// origin machine and original local index (§IV step 6's
     /// "information regards to their previous processors and locations").
-    pub fn sort_keyed<K: Key>(
+    pub fn sort_keyed<K: Key + Wire>(
         &self,
         ctx: &mut MachineCtx,
         local: &[K],
@@ -263,7 +284,7 @@ impl DistSorter {
     /// Sorts `(key, payload)` pairs by key — the paper's "sort multiple
     /// different data simultaneously" API: the payload rides along with
     /// its key through the exchange.
-    pub fn sort_pairs<K: Key, V: Copy + Send + Sync + Ord + 'static>(
+    pub fn sort_pairs<K: Key + Wire, V: Copy + Send + Sync + Ord + 'static>(
         &self,
         ctx: &mut MachineCtx,
         local: Vec<(K, V)>,
@@ -276,7 +297,7 @@ impl DistSorter {
     /// mechanism (investigator included) applies unchanged.
     ///
     /// [`Desc`]: pgxd_algos::Desc
-    pub fn sort_descending<K: Key>(
+    pub fn sort_descending<K: Key + Wire>(
         &self,
         ctx: &mut MachineCtx,
         local: Vec<K>,
@@ -291,7 +312,8 @@ impl DistSorter {
 
     /// Sorts arbitrary plain-data records by an extracted key — the
     /// paper's "generic and works with any data type" API. The extractor
-    /// runs once per record; records travel whole through the exchange.
+    /// runs once per record; the key ships packed and the record raw
+    /// beside it.
     pub fn sort_records<R, K, F>(
         &self,
         ctx: &mut MachineCtx,
@@ -300,7 +322,7 @@ impl DistSorter {
     ) -> SortedPartition<(K, R)>
     where
         R: Copy + Send + Sync + 'static,
-        K: Key,
+        K: Key + Wire,
         F: Fn(&R) -> K,
     {
         let keyed: Vec<KeyedRecord<K, R>> = local
@@ -331,7 +353,7 @@ impl DistSorter {
     ///
     /// Every machine must pass the same number of batches (SPMD
     /// contract). Returns one [`SortedPartition`] per batch.
-    pub fn sort_batch<K: Key>(
+    pub fn sort_batch<K: Key + Wire>(
         &self,
         ctx: &mut MachineCtx,
         locals: Vec<Vec<K>>,
@@ -344,7 +366,7 @@ impl DistSorter {
 
     /// A single dataset is a batch of one.
     // The pipeline returns one partition per batch it was given.
-    fn sort_one<T: Key>(&self, ctx: &mut MachineCtx, local: Vec<T>) -> SortedPartition<T> {
+    fn sort_one<T: Key + Wire>(&self, ctx: &mut MachineCtx, local: Vec<T>) -> SortedPartition<T> {
         self.sort_batches(ctx, vec![local])
             .pop()
             .expect("one batch in, one partition out")
@@ -358,7 +380,7 @@ impl DistSorter {
     // Batch, destination and run indexing is bounded by the SPMD contract —
     // batch ends, send offsets, and receive bounds are all built from the same
     // batch list in this call.
-    fn sort_batches<T: Key>(
+    fn sort_batches<T: Key + Wire>(
         &self,
         ctx: &mut MachineCtx,
         locals: Vec<Vec<T>>,
@@ -437,7 +459,7 @@ impl DistSorter {
 
         // Step 5: asynchronous offset-addressed exchange.
         let (mut received, bounds) = ctx.step(steps::EXCHANGE, |ctx| {
-            ctx.exchange_by_offsets(&sorted, &send_offsets)
+            ctx.exchange(&sorted, &send_offsets)
         });
         // The exchange consumed the step-1 array. A pooled chunk goes back
         // before the teardown quiescence check; either way the machine is
@@ -486,11 +508,11 @@ const SAMPLE_RUNS: u16 = 0x5a;
 const SPLITTER_RUNS: u16 = 0x5b;
 
 /// [`MachineCtx::gather_to_master`] for one run per batch: each machine's
-/// runs reach the master in a single message (packed frames for `u64`,
-/// see [`CommSender::send_runs`](pgxd::comm::CommSender::send_runs));
+/// runs reach the master in a single message (packed images and their
+/// rest, see [`CommSender::send_runs`](pgxd::comm::CommSender::send_runs));
 /// `Some([source][batch])` there, `None` elsewhere.
 // Sources are machine ids < p.
-fn gather_runs<T: Send + 'static>(
+fn gather_runs<T: Wire>(
     ctx: &mut MachineCtx,
     runs: Vec<Vec<T>>,
 ) -> Option<Vec<Vec<Vec<T>>>> {
@@ -511,7 +533,7 @@ fn gather_runs<T: Send + 'static>(
 /// [`MachineCtx::broadcast_from_master`] for one run per batch: the master
 /// passes `Some(runs)`, everyone returns them.
 // The master supplying no splitters is a caller bug.
-fn broadcast_runs<T: Clone + Send + 'static>(
+fn broadcast_runs<T: Wire>(
     ctx: &mut MachineCtx,
     runs: Option<Vec<Vec<T>>>,
 ) -> Vec<Vec<T>> {
@@ -851,9 +873,8 @@ mod tests {
         assert_eq!(control_messages(&alone_a), 2 * (p - 1) + p * (p - 1));
         assert_eq!(control_messages(&together), control_messages(&alone_a));
 
-        // Raw runs mark their B − 1 run boundaries in each sample and
-        // splitter message. (Halving the sample budget used to pay for
-        // them; at one sample in eight keys both runs are capped.)
+        // Pairs ship their runs in the same self-delimiting frames, their
+        // values beside them: a batch adds nothing for them either.
         let sorter = DistSorter::default();
         let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
         let bytes = |inputs: &[Vec<Vec<(u64, u64)>>]| {
@@ -864,12 +885,8 @@ mod tests {
             report.comm.bytes_sent
         };
         let alone = bytes(std::slice::from_ref(&ra)) + bytes(std::slice::from_ref(&rb));
-        let run_boundaries = 2 * (p - 1) * std::mem::size_of::<usize>() as u64;
         let together = bytes(&[ra, rb]);
-        assert!(
-            together <= alone + run_boundaries,
-            "batched records {together} B > {alone} B + {run_boundaries} B"
-        );
+        assert!(together <= alone, "batched records {together} B > {alone} B");
     }
 
     #[test]

@@ -8,22 +8,22 @@
 //! it cuts the range into chunks whose *encoded* size is at most
 //! `capacity_bytes` and ships each as one packet tagged for the exchange,
 //! addressed to the receiver-side element offset it starts at (the §IV-C
-//! offset write): `(offset, Vec<u8>)` from
-//! [`send_packed`](RequestBuffer::send_packed), `(offset, Vec<T>)` from
-//! [`send_raw`](RequestBuffer::send_raw). A chunk always takes its first
-//! element, so a capacity below one element (or one header) still ships
-//! one element per chunk.
+//! offset write). A chunk always takes its first element, so a capacity
+//! below one element (or one header) still ships one element per chunk.
 //!
-//! The element type alone selects what a chunk carries (`packs`):
-//! - A `u64` chunk is packed frames, back to back. A frame is a
+//! Every chunk has one layout, whatever it carries: its elements split by
+//! their [`Wire`] impl into two columns, `(offset, frames, rest)`.
+//! - The image column is packed frames, back to back. A frame is a
 //!   `PACKED_HEADER_BYTES` header — its smallest key (8 bytes), its key
 //!   count (4) and a byte width `w` (1) — then each key minus the
 //!   smallest, little-endian, in the `w` bytes that the frame's
 //!   `max − min` needs. A frame of one repeated key has `w = 0` and no
 //!   body. Widths come from the actual minimum and maximum, so unsorted and
 //!   full-range input round-trip too, and every frame decodes on its own.
-//! - Every other type ships raw: the elements themselves, `size_of::<T>()`
-//!   bytes each.
+//! - The rest column is the elements' [`Wire::Rest`] values, raw, one per
+//!   key: nothing for a `u64` chunk, a record's payload for a record.
+//!
+//! A chunk is charged its frames, its rest column and its 8-byte offset.
 //!
 //! Where a frame ends (`pack_frames`): the encoder walks the keys in
 //! `BLOCK`-key blocks and adds each block to the open frame unless a fresh
@@ -34,19 +34,21 @@
 //! wider width only in their own frame. The encoder is handed a whole
 //! range, so it writes each frame once, at its final width. The codec is
 //! written for `u64` alone, not generic over the element type: it compiles
-//! once, here, instead of once in every crate that sorts `u64`.
+//! once, here, instead of once in every crate that sorts.
 //!
-//! The same frames carry the sorter's sample and splitter runs
+//! The same two columns carry the sorter's sample and splitter runs
 //! ([`CommSender::send_runs`](crate::comm::CommSender::send_runs)): a
-//! message of `B` `u64` runs is each run's frames, back to back, with the
-//! top bit of the width byte (`RUN_END`) set on each run's last frame, so
-//! the marks cost no bytes (`pack_runs` / `unpack_runs`). An empty run is
-//! a header alone. `frames` is the one decoder, for chunks and runs alike.
+//! message of `B` runs is each run's frames, back to back, with the top
+//! bit of the width byte (`RUN_END`) set on each run's last frame, so the
+//! marks cost no bytes, and then the rest column of every run in order
+//! (`pack_runs` / `unpack_runs`). An empty run is a header alone. `frames`
+//! is the one decoder, for chunks and runs alike.
 
 use crate::comm::{CommSender, Tag};
 use crate::pool::ChunkPool;
 use crate::trace::EventKind;
-use std::any::{Any, TypeId};
+use crate::wire::Wire;
+use std::mem::MaybeUninit;
 
 /// Bytes of a frame's header: smallest key, key count, byte width.
 const PACKED_HEADER_BYTES: usize = 13;
@@ -59,43 +61,33 @@ const BLOCK: usize = 32;
 /// message.
 const RUN_END: u8 = 0x80;
 
-/// Whether exchange chunks of `T` are packed: `u64` alone. The comparison
-/// folds to a constant at monomorphisation.
-pub(crate) fn packs<T: 'static>() -> bool {
-    TypeId::of::<T>() == TypeId::of::<u64>()
-}
+/// An exchange chunk as it travels: the receiver-side offset of its first
+/// element, its image column's frames, and its rest column.
+pub(crate) type Chunk<R> = (usize, Vec<u8>, Vec<R>);
 
 /// Bytes per key a frame spends on a span of `max − min`.
 fn packed_width(span: u64) -> usize {
     (u64::BITS - span.leading_zeros()).div_ceil(8) as usize
 }
 
-/// Elements a chunk of `T` always has room for under `capacity_bytes` (at
-/// least 1). The exchange reads it too: a range no longer than this
-/// leaves its stream in one chunk, whatever its keys, because the frames
+/// Elements a chunk of `W` always has room for under `capacity_bytes` (at
+/// least 1): a header, and eight image bytes plus the rest per element.
+/// The exchange reads it too: a range no longer than this leaves its
+/// stream in one chunk, whatever its keys, because the frames
 /// `pack_frames` cuts are never larger than one frame over the same keys.
-pub(crate) fn capacity_elems<T: 'static>(capacity_bytes: usize) -> usize {
-    let room = if packs::<T>() {
-        capacity_bytes.saturating_sub(PACKED_HEADER_BYTES)
-    } else {
-        capacity_bytes
-    };
-    (room / std::mem::size_of::<T>().max(1)).max(1)
+pub(crate) fn capacity_elems<W: Wire>(capacity_bytes: usize) -> usize {
+    let per_elem = 8 + std::mem::size_of::<W::Rest>();
+    (capacity_bytes.saturating_sub(PACKED_HEADER_BYTES) / per_elem).max(1)
 }
 
-/// `value` as the `B` it is, or `value` back when `A` is another type. The
-/// check folds at monomorphisation: it is how a generic message reaches
-/// the `u64` codec.
-pub(crate) fn cast<A: 'static, B: 'static>(value: A) -> Result<B, A> {
-    let mut slot = Some(value);
-    let taken = (&mut slot as &mut dyn Any)
-        .downcast_mut::<Option<B>>()
-        .and_then(Option::take);
-    match (taken, slot) {
-        (Some(b), _) => Ok(b),
-        (None, Some(a)) => Err(a),
-        (None, None) => unreachable!("the slot is emptied only as the type it holds"),
-    }
+/// The most frame bytes a chunk under `capacity` can hold beside
+/// `rest_bytes` per key. Its frames are at most a header plus eight bytes
+/// a key, and its frames and rest column at most `capacity` (unless it
+/// holds one key); the bound is where the two meet.
+fn frames_capacity(capacity: usize, rest_bytes: usize) -> usize {
+    let h = PACKED_HEADER_BYTES;
+    let meet = (h * rest_bytes).saturating_add(capacity.saturating_mul(8)) / (rest_bytes + 8);
+    meet.max(h + 8)
 }
 
 /// A frame the encoder plans: `len` keys from `start`, spanning
@@ -162,9 +154,9 @@ fn place(open: Option<Frame>, block: Frame) -> (Option<Frame>, Frame) {
 }
 
 /// Appends to `out` the frames of the longest head of `keys` that fits
-/// `capacity` bytes — at least one key — and returns how many keys they
-/// hold; with `run_end`, the last frame carries the mark. Empty `keys` is
-/// one empty frame.
+/// `capacity` bytes together with `rest_bytes` per key of rest column — at
+/// least one key — and returns how many keys they hold; with `run_end`,
+/// the last frame carries the mark. Empty `keys` is one empty frame.
 ///
 /// The frames are never larger than one frame over the same keys. Widening
 /// a frame that holds a full block by a byte costs at least `BLOCK` bytes,
@@ -174,16 +166,23 @@ fn place(open: Option<Frame>, block: Frame) -> (Option<Frame>, Frame) {
 /// that saves a byte on each of its `BLOCK` or more keys, which pays for
 /// both headers it can be charged with, and a short last block that opens
 /// a frame saves more than its header by the rule itself.
-fn pack_frames(keys: &[u64], capacity: usize, run_end: bool, out: &mut Vec<u8>) -> usize {
+fn pack_frames(
+    keys: &[u64],
+    capacity: usize,
+    rest_bytes: usize,
+    run_end: bool,
+    out: &mut Vec<u8>,
+) -> usize {
     let (mut written, mut open, mut at) = (0, None, 0);
     while at < keys.len() {
         let block = BLOCK.min(keys.len() - at);
         let fits = |head: Frame| {
             let (closed, next) = place(open, head);
-            written + closed.map_or(0, Frame::bytes) + next.bytes() <= capacity
+            let rest = (head.start + head.len) * rest_bytes;
+            written + closed.map_or(0, Frame::bytes) + next.bytes() + rest <= capacity
         };
         // The block, or at the end of a chunk the longest head of it that
-        // keeps the frames inside `capacity`, found by bisection (the cost
+        // keeps the chunk inside `capacity`, found by bisection (the cost
         // only grows with the head). A chunk's first key is taken whatever
         // it costs.
         let mut head = Frame::of(keys, at, block);
@@ -258,9 +257,9 @@ struct Encoded<'a> {
     body: &'a [u8],
 }
 
-/// The frames of a packed message, in order. Panics, naming the message
+/// The frames of a packed column, in order. Panics, naming the message
 /// kind `what` and the frame, when the bytes end inside a frame (so a
-/// message whose frames do not tile it exactly is refused) or a width is
+/// column whose frames do not tile it exactly is refused) or a width is
 /// over 8.
 fn frames<'a>(message: &'a [u8], what: &'static str) -> impl Iterator<Item = Encoded<'a>> {
     let (mut rest, mut index) = (message, 0);
@@ -342,13 +341,30 @@ fn read_le(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(word)
 }
 
-/// Unpacks a packed chunk into the head of `out` and returns how many keys
-/// it held; `slot` makes a key into what a slot holds (the exchange fills
-/// `MaybeUninit<u64>` output). Panics, naming the frame, if the frames do
-/// not tile the chunk or their keys run past `out`.
-pub(crate) fn unpack_into<S>(chunk: &[u8], out: &mut [S], slot: impl Fn(u64) -> S + Copy) -> usize {
+/// Unpacks a chunk's image column `frames`, whose rest column holds `rest`
+/// elements, into the head of `out`. Panics, naming the frame, if the
+/// frames do not tile the column, their keys outnumber the rest column or
+/// run past `out`, or they end short of the rest column.
+pub(crate) fn unpack_column(frames: &[u8], rest: usize, out: &mut [u64]) {
+    unpack_column_into(frames, rest, out, |k| k);
+}
+
+/// [`unpack_column`] into uninitialised slots: how a `u64` chunk lands in
+/// the exchange's output.
+pub(crate) fn unpack_column_uninit(frames: &[u8], rest: usize, out: &mut [MaybeUninit<u64>]) {
+    unpack_column_into(frames, rest, out, MaybeUninit::new);
+}
+
+/// [`unpack_column`] for any slot a key can make; `pgxd` instantiates it
+/// for its two callers alone, so the decoder compiles once, here.
+fn unpack_column_into<S>(frames_bytes: &[u8], rest: usize, out: &mut [S], slot: impl Fn(u64) -> S + Copy) {
     let mut at = 0;
-    for (index, frame) in frames(chunk, "chunk").enumerate() {
+    for (index, frame) in frames(frames_bytes, "chunk").enumerate() {
+        assert!(
+            at + frame.len <= rest,
+            "chunk frame {index} reaches key {} of a rest column of {rest}",
+            at + frame.len
+        );
         let room = out.len() - at;
         assert!(
             frame.len <= room,
@@ -358,36 +374,59 @@ pub(crate) fn unpack_into<S>(chunk: &[u8], out: &mut [S], slot: impl Fn(u64) -> 
         frame.unpack(&mut out[at..at + frame.len], slot);
         at += frame.len;
     }
-    at
+    assert_eq!(at, rest, "chunk frames hold {at} keys, its rest column {rest}");
 }
 
 /// `runs` as one message: each run's frames, back to back, its last one
-/// marked.
-pub(crate) fn pack_runs(runs: &[Vec<u64>]) -> Vec<u8> {
-    let keys: usize = runs.iter().map(Vec::len).sum();
-    let mut message = Vec::with_capacity(runs.len() * PACKED_HEADER_BYTES + keys * 8);
+/// marked, and the rest column of every run after them.
+// analyze: allow(hot-path-alloc): one message per sample or splitter
+// collective; the image scratch allocates only for elements that are not
+// their own images.
+pub(crate) fn pack_runs<W: Wire>(runs: &[Vec<W>]) -> (Vec<u8>, Vec<W::Rest>) {
+    let elems: usize = runs.iter().map(Vec::len).sum();
+    let mut frames = Vec::with_capacity(runs.len() * PACKED_HEADER_BYTES + elems * 8);
+    let (mut rest, mut scratch) = (Vec::with_capacity(elems), Vec::new());
     for run in runs {
-        pack_frames(run, usize::MAX, true, &mut message);
+        pack_frames(W::images(run, &mut scratch), usize::MAX, 0, true, &mut frames);
+        rest.extend(run.iter().map(W::rest));
     }
-    message
+    (frames, rest)
 }
 
-/// The runs of a [`pack_runs`] message, in order.
+/// The runs of a [`pack_runs`] message, in order. Panics, naming the
+/// frame, if the frames do not tile the message, the message ends inside a
+/// run, or the rest column does not hold one element per key.
 // analyze: allow(hot-path-alloc): the runs are what the message carries —
 // one vector per run, B per message.
-pub(crate) fn unpack_runs(message: &[u8]) -> Vec<Vec<u64>> {
+pub(crate) fn unpack_runs<W: Wire>(frames: &[u8], rest: Vec<W::Rest>) -> Vec<Vec<W>> {
+    let runs = run_keys(frames, rest.len());
+    let mut rest = rest.into_iter();
+    let join = |keys: Vec<u64>| keys.into_iter().zip(rest.by_ref()).map(|(k, r)| W::join(k, r)).collect();
+    runs.into_iter().map(join).collect()
+}
+
+/// The key images of a runs message's frames, one vector per run, checked
+/// against a rest column of `total` elements.
+// analyze: allow(hot-path-alloc): one vector per run, as above.
+fn run_keys(frames_bytes: &[u8], total: usize) -> Vec<Vec<u64>> {
     let (mut runs, mut run) = (Vec::new(), Vec::new());
-    let mut ended = true;
-    for frame in frames(message, "runs") {
-        let at = run.len();
-        run.resize(at + frame.len, 0);
-        frame.unpack(&mut run[at..], |k| k);
+    let (mut ended, mut at) = (true, 0);
+    for (index, frame) in frames(frames_bytes, "runs").enumerate() {
+        at += frame.len;
+        assert!(
+            at <= total,
+            "runs frame {index} reaches key {at} of a rest column of {total}"
+        );
+        let start = run.len();
+        run.resize(start + frame.len, 0);
+        frame.unpack(&mut run[start..], |k| k);
         ended = frame.run_end;
         if ended {
             runs.push(std::mem::take(&mut run));
         }
     }
     assert!(ended, "runs message ends inside run {}", runs.len());
+    assert_eq!(at, total, "runs frames hold {at} keys, their rest column {total}");
     runs
 }
 
@@ -401,73 +440,60 @@ pub struct RequestBuffer<'p> {
     tag: Tag,
     capacity_bytes: usize,
     pool: &'p ChunkPool,
+    /// The image column of the elements being cut into a chunk, when they
+    /// are not their own images.
+    images: Vec<u64>,
 }
 
 impl<'p> RequestBuffer<'p> {
     /// A buffer for `dst` that ships chunks tagged `tag`.
+    // analyze: allow(hot-path-alloc): one buffer per destination stream; its
+    // image scratch stays empty for `u64` and is reused across the stream's
+    // chunks otherwise.
     pub fn new(dst: usize, tag: Tag, capacity_bytes: usize, pool: &'p ChunkPool) -> Self {
         RequestBuffer {
             dst,
             tag,
             capacity_bytes,
             pool,
+            images: Vec::new(),
         }
     }
 
-    /// Ships `keys`, a `u64` send range whose first key lands at
-    /// receiver-side offset `offset`, in packed chunks: each the longest
-    /// head of the rest whose frames fit.
-    pub fn send_packed(&self, keys: &[u64], mut offset: usize, sender: &CommSender) {
-        let mut rest = keys;
-        while !rest.is_empty() {
-            // A chunk outgrows the capacity only by its one-key minimum.
-            let mut chunk: Vec<u8> = self
-                .pool
-                .acquire(self.capacity_bytes.max(PACKED_HEADER_BYTES + 8));
-            let taken = pack_frames(rest, self.capacity_bytes, false, &mut chunk);
-            self.ship(offset, chunk.len(), chunk, sender);
-            (offset, rest) = (offset + taken, &rest[taken..]);
+    /// Ships `items`, a send range whose first element lands at
+    /// receiver-side offset `offset`, in chunks: each the longest head of
+    /// the rest whose frames and rest column fit the capacity.
+    pub fn send<W: Wire>(&mut self, items: &[W], mut offset: usize, sender: &CommSender) {
+        let rest_bytes = std::mem::size_of::<W::Rest>();
+        // Backing stores of one size per stream, whatever each chunk holds,
+        // so the pool can hand any parked one to the next chunk.
+        let frames_cap = frames_capacity(self.capacity_bytes, rest_bytes);
+        // A chunk whose elements carry a rest holds at most this many (its
+        // frames take a header at least), so their images are gathered a
+        // chunk's worth at a time, while the elements are still in cache
+        // for the rest column. Without a rest there is no such bound.
+        let window = match rest_bytes {
+            0 => usize::MAX,
+            r => (self.capacity_bytes.saturating_sub(PACKED_HEADER_BYTES) / r).max(1),
+        };
+        let mut at = 0;
+        while at < items.len() {
+            let head = &items[at..items.len().min(at.saturating_add(window))];
+            let keys = W::images(head, &mut self.images);
+            let mut frames: Vec<u8> = self.pool.acquire(frames_cap);
+            let taken = pack_frames(keys, self.capacity_bytes, rest_bytes, false, &mut frames);
+            let rest_cap = if rest_bytes == 0 { taken } else { window };
+            let mut rest: Vec<W::Rest> = self.pool.acquire(rest_cap);
+            rest.extend(head[..taken].iter().map(W::rest));
+            let bytes = frames.len() + taken * rest_bytes;
+            // Flush marker: the data-manager capacity edge, distinct from
+            // the `ChunkSend` the sender emits at the fabric edge.
+            if let Some(t) = sender.trace() {
+                t.instant(1 + self.dst as u32, EventKind::ChunkFlush, self.dst as u64, bytes as u64);
+            }
+            sender.send_offset_chunk(self.dst, self.tag, offset, frames, rest);
+            (offset, at) = (offset + taken, at + taken);
         }
-    }
-
-    /// Ships `values`, a send range of any type but `u64`, raw: each chunk
-    /// as many whole elements as fit, in one bulk copy.
-    pub fn send_raw<T: Send + Copy + 'static>(
-        &self,
-        values: &[T],
-        mut offset: usize,
-        sender: &CommSender,
-    ) {
-        assert!(!packs::<T>(), "a u64 range ships packed");
-        let cap = capacity_elems::<T>(self.capacity_bytes);
-        for part in values.chunks(cap) {
-            let mut chunk: Vec<T> = self.pool.acquire(cap);
-            chunk.extend_from_slice(part);
-            self.ship(offset, std::mem::size_of_val(part), chunk, sender);
-            offset += part.len();
-        }
-    }
-
-    /// Ships `chunk`, `bytes` long, as one offset-addressed packet, and
-    /// marks the flush in the run's trace (distinct from the
-    /// [`ChunkSend`](EventKind::ChunkSend) the sender emits: a flush is
-    /// the data-manager capacity edge, a send is the fabric edge).
-    fn ship<C: Send + 'static>(
-        &self,
-        offset: usize,
-        bytes: usize,
-        chunk: Vec<C>,
-        sender: &CommSender,
-    ) {
-        if let Some(t) = sender.trace() {
-            t.instant(
-                1 + self.dst as u32,
-                EventKind::ChunkFlush,
-                self.dst as u64,
-                bytes as u64,
-            );
-        }
-        sender.send_offset_chunk(self.dst, self.tag, offset, chunk);
     }
 }
 
@@ -476,6 +502,9 @@ mod tests {
     use super::*;
     use crate::comm::CommManager;
     use crate::metrics::{CommStats, SharedCommStats};
+    use crate::wire::Opaque;
+    use pgxd_algos::{Desc, FixedStr};
+    use std::fmt::Debug;
     use std::sync::Arc;
 
     const H: usize = PACKED_HEADER_BYTES;
@@ -490,27 +519,29 @@ mod tests {
         (m0, m1, ChunkPool::new(stats.clone()), stats)
     }
 
-    /// The keys of a packed chunk.
-    fn unpack_chunk(chunk: &[u8]) -> Vec<u64> {
-        let mut keys = vec![0u64; frames(chunk, "chunk").map(|f| f.len).sum()];
-        assert_eq!(unpack_into(chunk, &mut keys, |k| k), keys.len());
-        keys
+    /// A chunk's elements: its frames unpacked and joined with its rest
+    /// column.
+    fn decode_chunk<W: Wire>(frames: &[u8], rest: Vec<W::Rest>) -> Vec<W> {
+        let mut keys = vec![0u64; rest.len()];
+        unpack_column(frames, rest.len(), &mut keys);
+        keys.into_iter().zip(rest).map(|(k, r)| W::join(k, r)).collect()
     }
 
-    /// The next packed chunk for `tag`: `(offset, keys, encoded bytes)`.
-    fn recv_packed(m: &mut CommManager, tag: Tag) -> (usize, Vec<u64>, usize) {
-        let (_, (offset, chunk)) = m.recv_value::<(usize, Vec<u8>)>(tag);
-        (offset, unpack_chunk(&chunk), chunk.len())
+    /// The next chunk for `tag`: `(offset, elements, frame and rest bytes)`.
+    fn recv_chunk<W: Wire>(m: &mut CommManager, tag: Tag) -> (usize, Vec<W>, usize) {
+        let (_, (offset, frames, rest)) = m.recv_value::<Chunk<W::Rest>>(tag);
+        let bytes = frames.len() + std::mem::size_of_val(&rest[..]);
+        (offset, decode_chunk(&frames, rest), bytes)
     }
 
-    /// Sends `keys` as one range through a buffer at `capacity` bytes and
+    /// Sends `items` as one range through a buffer at `capacity` bytes and
     /// returns the chunks it shipped, decoded.
-    fn packed_chunks(keys: &[u64], capacity: usize) -> Vec<(usize, Vec<u64>, usize)> {
+    fn sent_chunks<W: Wire>(items: &[W], capacity: usize) -> Vec<(usize, Vec<W>, usize)> {
         let (m0, mut m1, pool, stats) = fabric2();
         let tag = Tag::user(0, 7);
-        RequestBuffer::new(1, tag, capacity, &pool).send_packed(keys, 0, &m0.sender());
+        RequestBuffer::new(1, tag, capacity, &pool).send(items, 0, &m0.sender());
         let chunks = stats.summary().exchange.chunks_sent as usize;
-        (0..chunks).map(|_| recv_packed(&mut m1, tag)).collect()
+        (0..chunks).map(|_| recv_chunk(&mut m1, tag)).collect()
     }
 
     /// The encoded length of `keys` as one frame, which a cut never exceeds.
@@ -521,33 +552,38 @@ mod tests {
         }
     }
 
-    /// [`packed_chunks`], checked against the codec's contract: the chunks
-    /// decode back to `keys`, their offsets tile the range, and each fits
-    /// `capacity` (unless it holds one key) and is no larger than one frame
-    /// over its keys.
-    fn checked_chunks(keys: &[u64], capacity: usize) -> Vec<(usize, Vec<u64>, usize)> {
-        let chunks = packed_chunks(keys, capacity);
+    /// [`sent_chunks`], checked against the codec's contract: the chunks
+    /// decode back to `items`, their offsets tile the range, and each fits
+    /// `capacity` (unless it holds one element) and is no larger than one
+    /// frame over its images plus its rest column.
+    fn checked_chunks<W: Wire + PartialEq + Debug>(
+        items: &[W],
+        capacity: usize,
+    ) -> Vec<(usize, Vec<W>, usize)> {
+        let chunks = sent_chunks(items, capacity);
         let mut at = 0;
         for (offset, part, bytes) in &chunks {
             assert_eq!(*offset, at, "capacity {capacity}: offsets tile the range");
-            assert_eq!(part[..], keys[at..at + part.len()], "capacity {capacity}");
+            assert_eq!(part[..], items[at..at + part.len()], "capacity {capacity}");
             assert!(*bytes <= capacity || part.len() == 1, "capacity {capacity}");
-            assert!(*bytes <= one_frame(part), "capacity {capacity}: {part:?}");
+            let images: Vec<u64> = part.iter().map(W::image).collect();
+            let rest = part.len() * std::mem::size_of::<W::Rest>();
+            assert!(*bytes <= one_frame(&images) + rest, "capacity {capacity}: {part:?}");
             at += part.len();
         }
-        assert_eq!(at, keys.len(), "capacity {capacity}");
+        assert_eq!(at, items.len(), "capacity {capacity}");
         chunks
     }
 
-    /// Packs `runs` into one message, checks that it is `bytes` long (no
-    /// larger than a frame per run) and decodes back to `runs`, and
-    /// returns it.
+    /// Packs `runs` into one message, checks that its frames are `bytes`
+    /// long (no larger than a frame per run) and that it decodes back to
+    /// `runs`, and returns the frames.
     fn runs_round_trip(runs: &[Vec<u64>], bytes: usize) -> Vec<u8> {
-        let message = pack_runs(runs);
-        assert_eq!(message.len(), bytes, "{runs:?}");
+        let (frames, rest) = pack_runs(runs);
+        assert_eq!(frames.len(), bytes, "{runs:?}");
         assert!(bytes <= runs.iter().map(|r| one_frame(r)).sum(), "{runs:?}");
-        assert_eq!(unpack_runs(&message), runs);
-        message
+        assert_eq!(unpack_runs::<u64>(&frames, rest), runs);
+        frames
     }
 
     /// The property inputs: unsorted and sorted keys of every width, runs of
@@ -580,33 +616,83 @@ mod tests {
         ]
     }
 
+    /// The [`Wire`] contract on `items`: every element joins back from its
+    /// image and rest, and the image keeps the element order.
+    fn joins_back_in_order<W: Wire + Ord + Debug>(items: &[W], what: &str) {
+        for x in items {
+            assert_eq!(W::join(x.image(), x.rest()), *x, "{what}: join");
+        }
+        let mut sorted = items.to_vec();
+        sorted.sort();
+        for pair in sorted.windows(2) {
+            assert!(pair[0].image() <= pair[1].image(), "{what}: {pair:?}");
+        }
+    }
+
+    /// The codec's contract for one element type at every capacity from 1
+    /// to 300 bytes and at the default buffer: chunks round-trip, fit, and
+    /// a range of [`capacity_elems`] elements is one chunk; and the same
+    /// elements as runs across block edges, empty ones between, round-trip
+    /// in one message no larger than a frame per run plus the rest column.
+    fn round_trips<W: Wire + PartialEq + Debug>(items: &[W], what: &str) {
+        for capacity in (1..=300).chain([crate::DEFAULT_BUFFER_BYTES]) {
+            checked_chunks(items, capacity);
+            let one = capacity_elems::<W>(capacity).min(items.len());
+            assert!(
+                sent_chunks(&items[..one], capacity).len() <= 1,
+                "{what}: a range of capacity_elems is one chunk at {capacity} B"
+            );
+        }
+        let runs: Vec<Vec<W>> = items
+            .chunks(2 * BLOCK + 1)
+            .flat_map(|piece| {
+                let (a, b) = piece.split_at(piece.len() / 3);
+                [a.to_vec(), vec![], b.to_vec()]
+            })
+            .collect();
+        let (frames, rest) = pack_runs(&runs);
+        let images = |r: &Vec<W>| r.iter().map(W::image).collect::<Vec<u64>>();
+        assert!(
+            frames.len() <= runs.iter().map(|r| one_frame(&images(r))).sum(),
+            "{what}"
+        );
+        assert_eq!(rest.len(), items.len(), "{what}");
+        assert_eq!(unpack_runs::<W>(&frames, rest), runs, "{what}");
+    }
+
     #[test]
     fn codec_round_trips_within_capacity_and_one_frame() {
         for (what, keys) in shapes() {
-            for capacity in (1..=300).chain([crate::DEFAULT_BUFFER_BYTES]) {
-                let chunks = checked_chunks(&keys, capacity);
-                if capacity >= H + 8 * keys.len() {
-                    assert_eq!(
-                        chunks.len(),
-                        1,
-                        "{what}: a range of capacity_elems is one chunk"
-                    );
-                }
+            round_trips(&keys, what);
+            for capacity in [H + 8 * keys.len(), crate::DEFAULT_BUFFER_BYTES] {
+                assert_eq!(sent_chunks(&keys, capacity).len(), 1, "{what}");
             }
-            // The same keys as runs across block edges, empty ones between.
-            let runs: Vec<Vec<u64>> = keys
-                .chunks(2 * BLOCK + 1)
-                .flat_map(|piece| {
-                    let (a, b) = piece.split_at(piece.len() / 3);
-                    [a.to_vec(), vec![], b.to_vec()]
-                })
-                .collect();
-            let message = pack_runs(&runs);
-            assert!(
-                message.len() <= runs.iter().map(|r| one_frame(r)).sum(),
-                "{what}"
-            );
-            assert_eq!(unpack_runs(&message), runs, "{what}");
+        }
+    }
+
+    #[test]
+    fn every_wire_impl_round_trips_in_two_columns() {
+        for (what, keys) in shapes() {
+            joins_back_in_order(&keys, what);
+            let desc: Vec<Desc<u64>> = keys.iter().map(|&k| Desc(k)).collect();
+            joins_back_in_order(&desc, what);
+            // Descending order is the ascending complement.
+            assert!(desc.iter().zip(&keys).all(|(d, &k)| d.image() == !k), "{what}");
+            round_trips(&desc, what);
+            let records: Vec<(u64, [u64; 3])> = keys.iter().map(|&k| (k, [!k, k, 7])).collect();
+            joins_back_in_order(&records, what);
+            round_trips(&records, what);
+            let nested: Vec<(Desc<u64>, u32)> = keys.iter().map(|&k| (Desc(k), k as u32)).collect();
+            joins_back_in_order(&nested, what);
+            round_trips(&nested, what);
+            let strings: Vec<FixedStr<9>> =
+                keys.iter().map(|k| FixedStr::new(&k.to_string())).collect();
+            joins_back_in_order(&strings, what);
+            assert!(strings.iter().all(|s| s.image() == 0), "{what}: a constant image");
+            round_trips(&strings, what);
+            let opaque: Vec<Opaque<(u32, u64)>> =
+                keys.iter().map(|&k| Opaque((k as u32, k))).collect();
+            round_trips(&opaque, what);
         }
     }
 
@@ -636,17 +722,18 @@ mod tests {
         // Keys 0..10 span one byte: a header plus four keys is 17 bytes.
         let cap = H + 4;
         let keys: Vec<u64> = (0..10).collect();
-        RequestBuffer::new(1, tag, cap, &pool).send_packed(&keys, 100, &m0.sender());
-        assert_eq!(recv_packed(&mut m1, tag), (100, vec![0, 1, 2, 3], cap));
-        assert_eq!(recv_packed(&mut m1, tag), (104, vec![4, 5, 6, 7], cap));
-        assert_eq!(recv_packed(&mut m1, tag), (108, vec![8, 9], H + 2));
+        RequestBuffer::new(1, tag, cap, &pool).send(&keys, 100, &m0.sender());
+        assert_eq!(recv_chunk(&mut m1, tag), (100, vec![0, 1, 2, 3], cap));
+        assert_eq!(recv_chunk(&mut m1, tag), (104, vec![4, 5, 6, 7], cap));
+        assert_eq!(recv_chunk(&mut m1, tag), (108, vec![8, 9], H + 2));
 
-        // Any other element type ships raw: 32 bytes are four `u64` pairs.
-        let pairs: Vec<(u32, u32)> = (0..10).map(|i| (i, 7)).collect();
-        RequestBuffer::new(1, tag, 32, &pool).send_raw(&pairs, 100, &m0.sender());
-        for (offset, range) in [(100, 0..4), (104, 4..8), (108, 8..10)] {
-            let (_, chunk) = m1.recv_value::<(usize, Vec<(u32, u32)>)>(tag);
-            assert_eq!(chunk, (offset, pairs[range].to_vec()));
+        // A pair ships its key in the frames and its value raw beside them:
+        // five bytes a pair, so a header and 20 bytes are four pairs.
+        let pairs: Vec<(u64, u32)> = (0..10).map(|i| (i, 7)).collect();
+        RequestBuffer::new(1, tag, H + 20, &pool).send(&pairs, 100, &m0.sender());
+        for (offset, range, bytes) in [(100, 0..4, H + 20), (104, 4..8, H + 20), (108, 8..10, H + 10)] {
+            let chunk = recv_chunk::<(u64, u32)>(&mut m1, tag);
+            assert_eq!(chunk, (offset, pairs[range].to_vec(), bytes));
         }
     }
 
@@ -663,6 +750,11 @@ mod tests {
         // more), so the first chunk stops at 40 keys.
         assert_eq!(chunks[0].1.len(), 40);
         assert_eq!(chunks[0].2, H + 40);
+        // With a 24-byte rest beside each key, the rest column takes its
+        // share of the same 64 bytes: two one-byte keys and their rests.
+        let records: Vec<(u64, [u64; 3])> = keys.iter().map(|&k| (k, [k; 3])).collect();
+        let chunks = checked_chunks(&records, 64);
+        assert_eq!((chunks[0].1.len(), chunks[0].2), (2, H + 2 + 2 * 24));
     }
 
     #[test]
@@ -698,7 +790,7 @@ mod tests {
 
     #[test]
     fn one_repeated_key_is_a_header_alone() {
-        let chunks = packed_chunks(&[7; 10_000], 64);
+        let chunks = sent_chunks(&[7u64; 10_000], 64);
         assert_eq!(chunks, vec![(0, vec![7; 10_000], H)]);
     }
 
@@ -707,14 +799,15 @@ mod tests {
         let (m0, mut m1, pool, stats) = fabric2();
         let tag = Tag::user(0, 9);
         // Room for four one-byte keys: each round ships one chunk.
-        let buf = RequestBuffer::new(1, tag, H + 4, &pool);
+        let mut buf = RequestBuffer::new(1, tag, H + 4, &pool);
         for round in 0..3u64 {
             let keys: Vec<u64> = (0..4).map(|v| round * 4 + v).collect();
-            buf.send_packed(&keys, round as usize * 4, &m0.sender());
-            // Receiver consumes the chunk and returns its backing store.
-            let (_, (off, chunk)) = m1.recv_value::<(usize, Vec<u8>)>(tag);
-            assert_eq!(off as u64, round * 4);
-            pool.release(chunk);
+            buf.send(&keys, round as usize * 4, &m0.sender());
+            // Receiver consumes the chunk and returns its backing store; a
+            // `u64` chunk's rest column is empty and allocates nothing.
+            let (_, (off, frames, rest)) = m1.recv_value::<Chunk<()>>(tag);
+            assert_eq!((off as u64, rest.len()), (round * 4, 4));
+            pool.release(frames);
         }
         let ex = stats.summary().exchange;
         assert_eq!(ex.chunks_sent, 3);
@@ -729,8 +822,8 @@ mod tests {
     fn empty_flush_is_noop() {
         // An empty range ships nothing and takes no backing store.
         let (m0, _m1, pool, stats) = fabric2();
-        RequestBuffer::new(1, Tag::user(0, 2), 64, &pool).send_packed(&[], 0, &m0.sender());
-        RequestBuffer::new(1, Tag::user(0, 2), 64, &pool).send_raw::<u32>(&[], 0, &m0.sender());
+        RequestBuffer::new(1, Tag::user(0, 2), 64, &pool).send::<u64>(&[], 0, &m0.sender());
+        RequestBuffer::new(1, Tag::user(0, 2), 64, &pool).send::<(u64, u32)>(&[], 0, &m0.sender());
         let ex = stats.summary().exchange;
         assert_eq!((ex.chunks_sent, ex.pool_misses, ex.pool_hits), (0, 0, 0));
         assert_eq!(pool.held_bytes(), 0);
@@ -751,7 +844,7 @@ mod tests {
         }
         // Unsorted keys take the width of their true span.
         runs_round_trip(&[vec![300, 1, 44]], H + 3 * 2);
-        assert_eq!(unpack_runs(&[]), Vec::<Vec<u64>>::new());
+        assert_eq!(unpack_runs::<u64>(&[], Vec::new()), Vec::<Vec<u64>>::new());
     }
 
     #[test]
@@ -765,19 +858,27 @@ mod tests {
         empty[12] = RUN_END;
         assert_eq!(message[H + 3..2 * H + 3], empty);
         assert_eq!(message[2 * H + 3 + 8], 2, "the last frame's count");
+        // Pairs add their rest column after the frames, and nothing else.
+        let pairs: Vec<Vec<(u64, u32)>> = runs
+            .iter()
+            .map(|run| run.iter().map(|&k| (k, k as u32)).collect())
+            .collect();
+        let (frames, rest) = pack_runs(&pairs);
+        assert_eq!((frames, rest.len()), (message, 5));
     }
 
     #[test]
     #[should_panic(expected = "runs frame 1 truncated")]
     fn a_truncated_runs_message_panics() {
-        let message = pack_runs(&[vec![1, 2, 3], vec![1000, 9]]);
-        let _ = unpack_runs(&message[..message.len() - 1]);
+        let (frames, rest) = pack_runs(&[vec![1u64, 2, 3], vec![1000, 9]]);
+        let _ = unpack_runs::<u64>(&frames[..frames.len() - 1], rest);
     }
 
     #[test]
     #[should_panic(expected = "runs frame 0 truncated")]
     fn a_message_shorter_than_a_header_panics() {
-        let _ = unpack_runs(&pack_runs(&[vec![5]])[..H - 1]);
+        let (frames, rest) = pack_runs(&[vec![5u64]]);
+        let _ = unpack_runs::<u64>(&frames[..H - 1], rest);
     }
 
     #[test]
@@ -786,8 +887,16 @@ mod tests {
         // The second run is two frames (a block of 0 then a block of
         // 2^40): a message cut after the first ends inside it.
         let second = [[0u64; 32], [1 << 40; 32]].concat();
-        let message = pack_runs(&[vec![1], second]);
-        let _ = unpack_runs(&message[..2 * H]);
+        let (frames, rest) = pack_runs(&[vec![1], second]);
+        let _ = unpack_runs::<u64>(&frames[..2 * H], rest);
+    }
+
+    #[test]
+    #[should_panic(expected = "runs frame 1 reaches key 3 of a rest column of 2")]
+    fn a_runs_message_whose_rest_column_is_short_panics() {
+        let (frames, mut rest) = pack_runs(&[vec![(1u64, 7u32)], vec![(2, 8), (3, 9)]]);
+        rest.pop();
+        let _ = unpack_runs::<(u64, u32)>(&frames, rest);
     }
 
     /// A chunk of two frames, 100 keys: 64 one-byte keys, then 36 keys of
@@ -795,7 +904,7 @@ mod tests {
     fn two_frame_chunk() -> Vec<u8> {
         let keys = [(0..64).collect(), vec![1u64 << 40; 36]].concat();
         let mut chunk = Vec::new();
-        assert_eq!(pack_frames(&keys, 1 << 20, false, &mut chunk), 100);
+        assert_eq!(pack_frames(&keys, 1 << 20, 0, false, &mut chunk), 100);
         assert_eq!(chunk.len(), 2 * H + 64);
         chunk
     }
@@ -804,7 +913,7 @@ mod tests {
     #[should_panic(expected = "chunk frame 1 truncated: 12 of its 13 header bytes")]
     fn a_chunk_whose_last_frame_is_cut_short_panics() {
         let chunk = two_frame_chunk();
-        let _ = unpack_into(&chunk[..chunk.len() - 1], &mut [0u64; 100], |k| k);
+        unpack_column(&chunk[..chunk.len() - 1], 100, &mut [0u64; 100]);
     }
 
     #[test]
@@ -812,29 +921,32 @@ mod tests {
     fn a_chunk_with_bytes_past_its_frames_panics() {
         let mut chunk = two_frame_chunk();
         chunk.extend([0; 5]);
-        let _ = unpack_into(&chunk, &mut [0u64; 200], |k| k);
+        unpack_column(&chunk, 100, &mut [0u64; 200]);
     }
 
     #[test]
     #[should_panic(expected = "chunk frame 1 runs past the output: 36 keys, 35 slots left")]
     fn a_chunk_past_its_output_panics() {
-        let _ = unpack_into(&two_frame_chunk(), &mut [0u64; 99], |k| k);
+        unpack_column(&two_frame_chunk(), 100, &mut [0u64; 99]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk frame 1 reaches key 100 of a rest column of 99")]
+    fn a_chunk_whose_rest_column_is_short_panics() {
+        unpack_column(&two_frame_chunk(), 99, &mut [0u64; 100]);
     }
 
     #[test]
     fn tiny_capacity_still_makes_progress() {
         // A capacity below one header (or one element): a key per chunk,
         // and a chunk of one key spans nothing.
-        let chunks = checked_chunks(&[5, 6, 6], 1);
+        let chunks = checked_chunks(&[5u64, 6, 6], 1);
         let one = |offset, key| (offset, vec![key], H);
         assert_eq!(chunks, vec![one(0, 5), one(1, 6), one(2, 6)]);
 
-        let (m0, mut m1, pool, _) = fabric2();
-        let tag = Tag::user(0, 3);
-        RequestBuffer::new(1, tag, 1, &pool).send_raw(&[5u32, 6], 0, &m0.sender());
-        let (_, (o1, d1)) = m1.recv_value::<(usize, Vec<u32>)>(tag);
-        assert_eq!((o1, d1), (0, vec![5]));
-        let (_, (o2, d2)) = m1.recv_value::<(usize, Vec<u32>)>(tag);
-        assert_eq!((o2, d2), (1, vec![6]));
+        // The same for an element with a rest column: one pair a chunk.
+        let pairs = [(5u64, 1u32), (6, 2)];
+        let chunks = checked_chunks(&pairs, 1);
+        assert_eq!(chunks, vec![(0, vec![pairs[0]], H + 4), (1, vec![pairs[1]], H + 4)]);
     }
 }

@@ -5,7 +5,7 @@
 //! cannot see: every packet sent is eventually received by a matching
 //! tag (§IV-B/§IV-C collective sequence discipline), every pooled chunk
 //! released exactly once, and the precomputed write offsets of
-//! [`exchange_by_offsets`](crate::machine::MachineCtx::exchange_by_offsets)
+//! [`exchange`](crate::machine::MachineCtx::exchange)
 //! tiling each destination buffer exactly once (§IV-C). A violation of
 //! any of these shows up — if at all — as a rare hang, a corrupted output
 //! permutation, or a use-after-free that only Miri notices. This module
@@ -349,7 +349,7 @@ impl ProtocolChecker {
 
 /// Collects the `(offset, len)` spans one machine writes into its
 /// assembled output during
-/// [`exchange_by_offsets`](crate::machine::MachineCtx::exchange_by_offsets),
+/// [`exchange`](crate::machine::MachineCtx::exchange),
 /// then proves they tile the destination exactly once (§IV-C: the
 /// precomputed write offsets must be disjoint and complete).
 ///

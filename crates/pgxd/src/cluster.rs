@@ -473,7 +473,7 @@ mod tests {
             let id = ctx.id() as u64;
             let data: Vec<u64> = (0..30).map(|i| id * 100 + i).collect();
             let offsets = vec![0, 10, 20, 30];
-            ctx.exchange_by_offsets(&data, &offsets)
+            ctx.exchange(&data, &offsets)
         });
         for (m, (out, bounds)) in report.results.iter().enumerate() {
             assert_eq!(bounds, &vec![0, 10, 20, 30]);
@@ -498,7 +498,7 @@ mod tests {
             } else {
                 vec![0, 0, 0, 0]
             };
-            ctx.exchange_by_offsets(&data, &offsets)
+            ctx.exchange(&data, &offsets)
         });
         assert!(report.results[0].0.is_empty());
         assert_eq!(report.results[1].0, (0..100).collect::<Vec<u64>>());
@@ -515,7 +515,7 @@ mod tests {
             let data: Vec<u64> = (0..1000).map(|i| id * 10_000 + i).collect();
             // Both machines keep their low half and send the high half.
             let offsets = vec![0, 500, 1000];
-            ctx.exchange_by_offsets(&data, &offsets)
+            ctx.exchange(&data, &offsets)
         });
         let (out0, b0) = &report.results[0];
         assert_eq!(b0, &vec![0, 500, 1000]);
@@ -528,14 +528,16 @@ mod tests {
     }
 
     /// Runs a two-machine exchange of `data` split in half, in which
-    /// machine 1 first slips machine 0 `rogue`, a chunk addressed at
-    /// `offset` with the exchange's data tag (its second collective
-    /// sequence number), and returns machine 0's failure message.
-    fn rogue_chunk_message<T, C>(data: [T; 4], offset: usize, rogue: Vec<C>) -> String
-    where
-        T: Copy + Send + Sync + 'static,
-        C: Clone + Send + Sync + 'static,
-    {
+    /// machine 1 first slips machine 0 a rogue chunk — `frames` and `rest`
+    /// addressed at `offset` with the exchange's data tag (its second
+    /// collective sequence number) — and returns machine 0's failure
+    /// message.
+    fn rogue_chunk_message<W: crate::wire::Wire>(
+        data: [W; 4],
+        offset: usize,
+        frames: Vec<u8>,
+        rest: Vec<W::Rest>,
+    ) -> String {
         let err = Cluster::new(ClusterConfig::new(2))
             .try_run(|ctx| {
                 if ctx.id() == 1 {
@@ -544,30 +546,46 @@ mod tests {
                         seq: 1,
                     };
                     let sender = ctx.comm_mut().sender();
-                    sender.send_offset_chunk(0, tag, offset, rogue.clone());
+                    sender.send_offset_chunk(0, tag, offset, frames.clone(), rest.clone());
                 }
-                ctx.exchange_by_offsets(&data, &[0, 2, 4]).1
+                ctx.exchange(&data, &[0, 2, 4]).1
             })
             .expect_err("machine 0 must refuse the chunk");
         assert_eq!(err.machine, Some(0), "{}", err.message);
         err.message
     }
 
+    /// One width-0 frame of `n` keys equal to 9.
+    fn bare_frame(n: u8) -> Vec<u8> {
+        let mut frame = vec![0u8; 13];
+        frame[0] = 9;
+        frame[8] = n;
+        frame
+    }
+
     #[test]
     fn a_raw_chunk_past_the_output_is_refused() {
-        // Machine 0's output is 4 slots; two more at 3 would run past it.
-        let message = rogue_chunk_message([1u32, 2, 3, 4], 3, vec![7u32; 2]);
-        assert!(message.contains("raw chunk past the output's end"), "{message}");
+        // Machine 0's output is 4 slots; a chunk addressed at 5 starts past
+        // it, whatever it holds.
+        let data = [(1u64, 1u32), (2, 2), (3, 3), (4, 4)];
+        let message = rogue_chunk_message(data, 5, bare_frame(2), vec![((), 7u32); 2]);
+        assert!(message.contains("chunk at 5 past the output's end, 4"), "{message}");
     }
 
     #[test]
     fn a_packed_chunk_past_the_output_is_refused_naming_its_frame() {
         // One width-0 frame of two keys (9, 9) at slot 3 of 4.
-        let mut frame = vec![0u8; 13];
-        frame[0] = 9;
-        frame[8] = 2;
-        let message = rogue_chunk_message([1u64, 2, 3, 4], 3, frame);
+        let message = rogue_chunk_message([1u64, 2, 3, 4], 3, bare_frame(2), vec![(); 2]);
         let expected = "chunk frame 0 runs past the output: 2 keys, 1 slots left";
+        assert!(message.contains(expected), "{message}");
+    }
+
+    #[test]
+    fn a_chunk_whose_rest_column_is_short_is_refused_naming_its_frame() {
+        // Two keys in the frames, one value beside them.
+        let data = [(1u64, 1u32), (2, 2), (3, 3), (4, 4)];
+        let message = rogue_chunk_message(data, 0, bare_frame(2), vec![((), 7u32)]);
+        let expected = "chunk frame 0 reaches key 2 of a rest column of 1";
         assert!(message.contains(expected), "{message}");
     }
 
@@ -578,7 +596,7 @@ mod tests {
             let g = ctx.gather_to_master(vec![7u8]).unwrap();
             let b = ctx.broadcast_from_master(Some(vec![1u8]));
             let a = ctx.all_to_all(vec![vec![9u8]]);
-            let (out, bounds) = ctx.exchange_by_offsets(&[1u64, 2, 3], &[0, 3]);
+            let (out, bounds) = ctx.exchange(&[1u64, 2, 3], &[0, 3]);
             (g, b, a, out, bounds)
         });
         let (g, b, a, out, bounds) = &report.results[0];
@@ -641,7 +659,7 @@ mod tests {
                 let id = ctx.id() as u64;
                 let data: Vec<u64> = (0..300).map(|i| id * 1000 + i).collect();
                 let offsets = vec![0, 100, 200, 300];
-                ctx.exchange_by_offsets(&data, &offsets)
+                ctx.exchange(&data, &offsets)
             });
             ctx.barrier();
             ctx.barrier();

@@ -5,13 +5,13 @@
 //! Machines exchange [`Packet`]s over the unbounded queues of
 //! [`crate::sync`], one inbox per machine (the fabric). Payloads still move
 //! by ownership, with no serialization step on the fabric; what a payload
-//! holds is its sender's choice. The data manager packs `u64` exchange
-//! chunks as frame-of-reference frames ([`crate::buffer`]), and
-//! [`CommSender::send_runs`] ships sorted `u64` runs in the same frames, so
-//! either message is charged the bytes its keys need. The *Spark* baseline
-//! serializes every record at its stage boundaries instead (see
-//! `pgxd-baselines`), which is one of the mechanisms behind the paper's
-//! 2–3× gap.
+//! holds is its sender's choice. Exchange chunks and the sorted runs
+//! [`CommSender::send_runs`] ships both carry their elements in the two
+//! columns of [`crate::buffer`] — the [`Wire`] images in packed frames,
+//! the rest raw — so either message is charged the bytes its keys need
+//! plus whatever rides beside them. The *Spark* baseline serializes every
+//! record at its stage boundaries instead (see `pgxd-baselines`), which is
+//! one of the mechanisms behind the paper's 2–3× gap.
 //!
 //! Tag discipline: collectives stamp every packet with a sequence number
 //! managed by [`MachineCtx`](crate::machine::MachineCtx) so that two
@@ -24,6 +24,7 @@ use crate::fault::{ClusterBarrier, FaultInjector, InjectedFailure};
 use crate::metrics::SharedCommStats;
 use crate::sync::{Receiver, Sender};
 use crate::trace::{EventKind, MachineTrace, TraceCollector};
+use crate::wire::Wire;
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -124,37 +125,31 @@ impl CommSender {
     }
 
     /// Sends sorted runs, one per batch, to `dst` in one message, received
-    /// with [`CommManager::recv_runs`]. The element type alone selects the
-    /// format: `u64` runs travel as packed frames back to back
-    /// ([`crate::buffer`]) and are charged their encoded length; any other
-    /// type travels raw, charged its keys plus the `B − 1` interior run
-    /// boundaries (the message length implies the last).
-    pub fn send_runs<T: Send + 'static>(&self, dst: usize, tag: Tag, runs: Vec<Vec<T>>) {
-        match buffer::cast::<_, Vec<Vec<u64>>>(runs) {
-            Ok(keys) => self.send_vec(dst, tag, buffer::pack_runs(&keys)),
-            Err(runs) => {
-                let keys: usize = runs.iter().map(Vec::len).sum();
-                let boundaries = runs.len().saturating_sub(1);
-                let wire_bytes =
-                    keys * std::mem::size_of::<T>() + boundaries * std::mem::size_of::<usize>();
-                self.send_packet(dst, tag, wire_bytes, envelope(runs));
-            }
-        }
+    /// with [`CommManager::recv_runs`]: every run's frames, then every
+    /// run's rest column ([`crate::buffer`]), charged the frames' length
+    /// plus the rest column's.
+    pub fn send_runs<W: Wire>(&self, dst: usize, tag: Tag, runs: Vec<Vec<W>>) {
+        let (frames, rest) = buffer::pack_runs(&runs);
+        let wire_bytes = frames.len() + std::mem::size_of_val(&rest[..]);
+        self.send_packet(dst, tag, wire_bytes, envelope((frames, rest)));
     }
 
-    /// Sends one §IV-C exchange chunk: elements destined for absolute
-    /// offset `offset` in `dst`'s output buffer. Wire bytes = payload plus
-    /// the offset header; the chunk is counted in
+    /// Sends one §IV-C exchange chunk: the elements destined for absolute
+    /// offset `offset` in `dst`'s output buffer, as their image column's
+    /// `frames` and their `rest` column. Wire bytes = both columns plus the
+    /// offset header; the chunk is counted in
     /// [`ExchangeStats`](crate::metrics::ExchangeStats).
-    pub fn send_offset_chunk<T: Send + 'static>(
+    pub fn send_offset_chunk<R: Send + 'static>(
         &self,
         dst: usize,
         tag: Tag,
         offset: usize,
-        data: Vec<T>,
+        frames: Vec<u8>,
+        rest: Vec<R>,
     ) {
-        let wire_bytes = std::mem::size_of::<T>() * data.len() + std::mem::size_of::<usize>();
-        let payload = envelope((offset, data));
+        let wire_bytes =
+            frames.len() + std::mem::size_of_val(&rest[..]) + std::mem::size_of::<usize>();
+        let payload = envelope::<buffer::Chunk<R>>((offset, frames, rest));
         if let Some(f) = &self.fault {
             let seq = f.next_chunk_seq(self.id, dst);
             if let Some(delay) = f.chunk_send_delay(self.id, dst, seq, wire_bytes) {
@@ -466,18 +461,11 @@ impl CommManager {
     }
 
     /// Receives a [`CommSender::send_runs`] message with `tag` from any
-    /// source; returns `(src, runs)`. Packed `u64` frames are decoded
-    /// straight into the runs.
-    pub fn recv_runs<T: Send + 'static>(&mut self, tag: Tag) -> (usize, Vec<Vec<T>>) {
+    /// source; returns `(src, runs)`.
+    pub fn recv_runs<W: Wire>(&mut self, tag: Tag) -> (usize, Vec<Vec<W>>) {
         let pkt = self.recv_packet(tag);
-        if !buffer::packs::<T>() {
-            return (pkt.src, downcast_value(pkt.payload, pkt.tag));
-        }
-        let message: Vec<u8> = downcast_payload(pkt.payload, pkt.tag);
-        match buffer::cast(buffer::unpack_runs(&message)) {
-            Ok(runs) => (pkt.src, runs),
-            Err(_) => unreachable!("packed runs are u64 runs"),
-        }
+        let (frames, rest): (Vec<u8>, Vec<W::Rest>) = downcast_value(pkt.payload, pkt.tag);
+        (pkt.src, buffer::unpack_runs(&frames, rest))
     }
 
     /// Receives a shared `Vec<T>` (sent with
@@ -596,12 +584,11 @@ mod tests {
         let m1 = f.pop().unwrap();
         let mut m0 = f.pop().unwrap();
         let tag = Tag::user(5, 0);
-        m1.sender().send_offset_chunk(0, tag, 17, vec![1u64, 2, 3]);
-        let (src, (offset, data)) = m0.recv_value::<(usize, Vec<u64>)>(tag);
-        assert_eq!((src, offset), (1, 17));
-        assert_eq!(data, vec![1, 2, 3]);
+        m1.sender().send_offset_chunk(0, tag, 17, vec![9u8; 5], vec![1u32, 2, 3]);
+        let (src, chunk) = m0.recv_value::<buffer::Chunk<u32>>(tag);
+        assert_eq!((src, chunk), (1, (17, vec![9; 5], vec![1, 2, 3])));
         let s = stats.summary();
-        assert_eq!(s.bytes_sent, 3 * 8 + 8);
+        assert_eq!(s.bytes_sent, 5 + 3 * 4 + 8);
         assert_eq!(s.exchange.chunks_sent, 1);
     }
 
@@ -612,16 +599,17 @@ mod tests {
         let m1 = f.pop().unwrap();
         let mut m0 = f.pop().unwrap();
         let tag = Tag::user(7, 0);
-        // Two u64 runs: a 13-byte header each, then one and two bytes a key.
+        // Three u64 runs: a 13-byte header each, then one and two bytes a key.
         let keys = vec![vec![10u64, 20, 30], vec![], vec![5, 300]];
         m1.sender().send_runs(0, tag, keys.clone());
         assert_eq!(m0.recv_runs::<u64>(tag), (1, keys));
         assert_eq!(stats.summary().bytes_sent, 3 * 13 + 3 + 2 * 2);
-        // Any other type: its keys, plus a word per interior run boundary.
-        let pairs = vec![vec![(1u32, 2u32)], vec![(3, 4), (5, 6)]];
+        // Pairs: the same frames for their keys, then the values raw, and
+        // no word per run boundary.
+        let pairs = vec![vec![(1u64, 2u32)], vec![(3, 4), (5, 6)]];
         m1.sender().send_runs(0, tag, pairs.clone());
-        assert_eq!(m0.recv_runs::<(u32, u32)>(tag), (1, pairs));
-        assert_eq!(stats.summary().bytes_sent, 3 * 13 + 7 + 3 * 8 + 8);
+        assert_eq!(m0.recv_runs::<(u64, u32)>(tag), (1, pairs));
+        assert_eq!(stats.summary().bytes_sent, 3 * 13 + 7 + (13 + 13 + 2) + 3 * 4);
         assert_eq!(stats.summary().messages_sent, 2);
     }
 

@@ -12,9 +12,10 @@
 //! - **Data manager** ([`buffer::RequestBuffer`]) — outgoing remote writes
 //!   are buffered per destination and flushed when the buffer reaches its
 //!   maximum size (256 KiB by default, the value PGX.D tuned empirically)
-//!   or when the step ends. Graph loading (CSR storage, ghost nodes, edge
-//!   chunking) lives with the generators in `pgxd-datagen`, since no sort
-//!   runs it.
+//!   or when the step ends. Every element travels as its [`wire::Wire`]
+//!   image, packed, and its rest, raw. Graph loading (CSR storage, ghost
+//!   nodes, edge chunking) lives with the generators in `pgxd-datagen`,
+//!   since no sort runs it.
 //! - **Communication manager** ([`comm`]) — point-to-point message
 //!   delivery between machines with byte/message accounting and a
 //!   [`net::NetworkModel`] that converts observed bytes into modeled wire
@@ -104,6 +105,7 @@ pub mod pool;
 pub mod sync;
 pub mod task;
 pub mod trace;
+pub mod wire;
 
 pub use checker::ResidualReport;
 pub use cluster::{Cluster, ClusterConfig, RunReport};
@@ -113,6 +115,7 @@ pub use metrics::{CommSummary, Counter, ExchangeSummary, StepReport};
 pub use pool::ChunkPool;
 pub use net::NetworkModel;
 pub use trace::{TraceConfig, TraceLog};
+pub use wire::Wire;
 
 /// The read/request buffer size PGX.D uses (§IV-B): 256 KiB.
 pub const DEFAULT_BUFFER_BYTES: usize = 256 * 1024;

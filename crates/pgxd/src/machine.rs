@@ -14,7 +14,9 @@ use crate::metrics::{CommSummary, SharedCommStats, StepTimer};
 use crate::pool::ChunkPool;
 use crate::task::{self, TaskManager};
 use crate::trace::{EventKind, MachineTrace, LANE_MAIN};
-use std::mem::{ManuallyDrop, MaybeUninit};
+use crate::wire::{Opaque, Sealed, Wire};
+use std::any::{Any, TypeId};
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 /// The master machine's id (the paper's "Master" is processor 0).
@@ -319,16 +321,15 @@ impl MachineCtx {
     ///    also all the batch identity that travels: keys ship untagged;
     /// 2. data moves in data-manager buffer-sized chunks
     ///    ([`MachineCtx::buffer_bytes`]) addressed to absolute offsets —
-    ///    packed as frame-of-reference frames when `T` is `u64`, raw
-    ///    otherwise ([`buffer`]) — so the receiver writes (or unpacks) each
-    ///    arriving chunk straight into place
-    ///    while still sending its own outgoing data (no barrier between
-    ///    send and receive). A machine none of whose remote ranges exceeds
-    ///    one buffer has nothing to overlap — each stream is a single
-    ///    flush — so it flushes them itself and then receives, instead of
-    ///    handing them to its workers. The fabric is unbounded, a send
-    ///    never waits for a receive, so every machine decides this for
-    ///    itself from its own offsets;
+    ///    each the elements' [`Wire`] images in packed frames and their
+    ///    rest raw ([`buffer`]) — so the receiver unpacks each arriving
+    ///    chunk straight into place while still sending its own outgoing
+    ///    data (no barrier between send and receive). A machine none of
+    ///    whose remote ranges exceeds one buffer has nothing to overlap —
+    ///    each stream is a single flush — so it flushes them itself and
+    ///    then receives, instead of handing them to its workers. The
+    ///    fabric is unbounded, a send never waits for a receive, so every
+    ///    machine decides this for itself from its own offsets;
     /// 3. returns `(assembled, bounds)` laid out batch-major, source-minor
     ///    (`B·p + 1` bounds): `assembled[bounds[b·p + s]..bounds[b·p + s + 1]]`
     ///    is the batch-`b` run received from machine `s` (runs stay
@@ -337,11 +338,7 @@ impl MachineCtx {
     // Offset arithmetic is verified by the count phase (and the debug
     // checker's offset tiling); bounds checks panicking here catch corruption
     // rather than writing stray bytes.
-    pub fn exchange_by_offsets<T: Copy + Send + Sync + 'static>(
-        &mut self,
-        data: &[T],
-        send_offsets: &[usize],
-    ) -> (Vec<T>, Vec<usize>) {
+    pub fn exchange<W: Wire>(&mut self, data: &[W], send_offsets: &[usize]) -> (Vec<W>, Vec<usize>) {
         let (id, p) = (self.id, self.p);
         let ranges = send_offsets.len().saturating_sub(1);
         assert!(
@@ -363,14 +360,12 @@ impl MachineCtx {
             kind: kinds::EXCHANGE_DATA,
             seq: self.next_seq(),
         };
-        let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(total);
-        // SAFETY: MaybeUninit slots carry no validity invariant; every slot
-        // is written exactly once below (self-copies + per-source chunks tile
-        // [0, total) by construction of the count matrix), asserted by the
-        // placement accounting before the final transmute (and verified
-        // span-by-span by the protocol checker's offset ledger in debug
-        // builds).
-        unsafe { out.set_len(total) };
+        // Every slot is written exactly once below (self-copies + per-source
+        // chunks tile [0, total) by construction of the count matrix),
+        // asserted by the placement accounting before `assume_init` (and
+        // verified span-by-span by the protocol checker's offset ledger in
+        // debug builds).
+        let mut out: Box<[MaybeUninit<W>]> = Box::new_uninit_slice(total);
         let mut ledger = self.comm.checker().offset_ledger(id, data_tag, total);
 
         // Self parts: one memcpy per batch straight into place, no fabric
@@ -379,16 +374,7 @@ impl MachineCtx {
         for own in (id..ranges).step_by(p) {
             let self_slice = &data[send_offsets[own]..send_offsets[own + 1]];
             let base = bounds[own];
-            // SAFETY: `base + len <= total` by construction of `bounds`;
-            // `MaybeUninit<T>` is layout-identical to `T`, and `data`
-            // cannot alias the freshly allocated `out`.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    self_slice.as_ptr(),
-                    out.as_mut_ptr().add(base).cast::<T>(),
-                    self_slice.len(),
-                );
-            }
+            out[base..base + self_slice.len()].write_copy_of_slice(self_slice);
             self.stats
                 .exchange
                 .record_bytes_placed(std::mem::size_of_val(self_slice));
@@ -407,13 +393,6 @@ impl MachineCtx {
         let expected_remote = total - self_len;
         let sender = self.comm.sender();
         let buffer_bytes = self.buffer_bytes;
-        // `u64` ranges ship packed, so the send tasks read `data` as the
-        // keys it holds.
-        let keys: Option<&[u64]> = buffer::packs::<T>().then(|| {
-            // SAFETY: `packs` compared the TypeIds, so `T` is `u64`: the
-            // same pointer, length and borrow describe `data` as `&[u64]`.
-            unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u64>(), data.len()) }
-        });
 
         // One send task per destination (staggered so machine 0 is not
         // everyone's first target), streaming that destination's range of
@@ -439,16 +418,10 @@ impl MachineCtx {
                 dst as u64,
                 index,
                 Box::new(move || {
-                    let buf = RequestBuffer::new(dst, data_tag, buffer_bytes, &pool);
+                    let mut buf = RequestBuffer::new(dst, data_tag, buffer_bytes, &pool);
                     for i in (dst..ranges).step_by(p) {
                         let slice = &data[send_offsets[i]..send_offsets[i + 1]];
-                        match keys {
-                            Some(keys) => {
-                                let range = &keys[send_offsets[i]..send_offsets[i + 1]];
-                                buf.send_packed(range, send_bases[i], &sender);
-                            }
-                            None => buf.send_raw(slice, send_bases[i], &sender),
-                        }
+                        buf.send(slice, send_bases[i], &sender);
                     }
                     // Fault plans may have parked a chunk of this stream
                     // (drop-with-redelivery); the stream is over, so force
@@ -458,59 +431,31 @@ impl MachineCtx {
             ));
         }
 
-        // The receive loop: place each arriving chunk — one memcpy, or an
-        // unpack per frame of a packed `u64` chunk — and hand its backing
-        // store to the pool, where this machine's send tasks (and the next
-        // exchange) pick it back up. Arriving chunks were acquired from the
-        // *sender's* pool, hence `release_inbound`.
+        // The receive loop: unpack each arriving chunk into its slots and
+        // hand its backing stores to the pool, where this machine's send
+        // tasks (and the next exchange) pick them back up. Arriving chunks
+        // were acquired from the *sender's* pool, hence `release_inbound`.
         let comm = &mut self.comm;
         let pool = &self.pool;
         let stats = &self.stats;
         let trace = &self.trace;
-        let out_ptr = out.as_mut_ptr();
+        let slots = &mut out;
         let receive = move || {
             let loop_start = trace.as_ref().map(|t| t.now_ns());
             let mut remote_received = 0usize;
+            let mut images = Vec::new();
             while remote_received < expected_remote {
                 let pkt = comm.recv_packet(data_tag);
                 let (src, wire_bytes) = (pkt.src, pkt.wire_bytes);
-                let (offset, len) = if buffer::packs::<T>() {
-                    let (offset, chunk) = pkt.into_value::<(usize, Vec<u8>)>();
-                    assert!(offset <= total, "packed chunk past the output's end");
-                    // SAFETY: `packs` compared the TypeIds, so `T` is `u64`
-                    // and the slots are `MaybeUninit<u64>`; `offset <= total`
-                    // (asserted) keeps the slice inside `out`, and only this
-                    // thread touches `out` while the slice lives. The unpack
-                    // writes the slots the chunk's frames fill, from the
-                    // first, and panics rather than run past the last.
-                    let slots = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            out_ptr.add(offset).cast::<MaybeUninit<u64>>(),
-                            total - offset,
-                        )
-                    };
-                    let len = buffer::unpack_into(&chunk, slots, MaybeUninit::new);
-                    pool.release_inbound(chunk);
-                    (offset, len)
-                } else {
-                    let (offset, chunk) = pkt.into_value::<(usize, Vec<T>)>();
-                    let len = chunk.len();
-                    assert!(offset + len <= total, "raw chunk past the output's end");
-                    // SAFETY: `offset + len <= total` (asserted) keeps the
-                    // copy inside `out`, and only this thread writes `out`.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            chunk.as_ptr(),
-                            out_ptr.add(offset).cast::<T>(),
-                            len,
-                        );
-                    }
-                    pool.release_inbound(chunk);
-                    (offset, len)
-                };
+                let (offset, frames, rest) = pkt.into_value::<buffer::Chunk<W::Rest>>();
+                assert!(offset <= total, "chunk at {offset} past the output's end, {total}");
+                let len = rest.len();
+                W::decode(&frames, &rest, &mut slots[offset..], &mut images, Sealed);
+                pool.release_inbound(frames);
+                pool.release_inbound(rest);
                 ledger.record(offset, len);
                 remote_received += len;
-                let bytes = len * std::mem::size_of::<T>();
+                let bytes = len * std::mem::size_of::<W>();
                 stats.exchange.record_bytes_placed(bytes);
                 if let Some(t) = trace {
                     t.instant(LANE_MAIN, EventKind::ChunkRecv, src as u64, wire_bytes as u64);
@@ -535,7 +480,7 @@ impl MachineCtx {
         // arrivals — true send-while-receive — unless every remote range
         // fits one request buffer: then a task is one flush, a thread
         // costs more than all of them, and the caller runs them first.
-        let one_buffer = buffer::capacity_elems::<T>(buffer_bytes);
+        let one_buffer = buffer::capacity_elems::<W>(buffer_bytes);
         let single_flushes = (0..ranges)
             .filter(|i| i % p != id)
             .all(|i| send_offsets[i + 1] - send_offsets[i] <= one_buffer);
@@ -550,15 +495,38 @@ impl MachineCtx {
             total,
             "exchange did not fill the output buffer"
         );
+        // SAFETY: every one of the `total` slots was written (the assert
+        // above: the self-copies and the placed chunks tile the output, and
+        // a chunk's decode writes each slot it counts).
+        let out = unsafe { out.assume_init() };
+        (out.into_vec(), bounds)
+    }
 
-        let out = {
-            let mut md = ManuallyDrop::new(out);
-            let (ptr, len, cap) = (md.as_mut_ptr(), md.len(), md.capacity());
-            // SAFETY: all `total` slots initialized (asserted above);
-            // Vec<MaybeUninit<T>> and Vec<T> share layout for the same T.
-            unsafe { Vec::from_raw_parts(ptr as *mut T, len, cap) }
-        };
-        (out, bounds)
+    /// [`MachineCtx::exchange`] for an element type with no [`Wire`] bound
+    /// in sight: the benchmark harness replays the exchange generically
+    /// over its own item trait. `u64` takes the typed path, byte for byte;
+    /// any other type ships whole behind a constant image (a width-0 frame
+    /// per chunk, then the elements raw). This entry, its type test and its
+    /// slice views go when the harness reads the sorter's own records
+    /// (ROADMAP item 12).
+    pub fn exchange_by_offsets<T: Copy + Send + Sync + 'static>(
+        &mut self,
+        data: &[T],
+        send_offsets: &[usize],
+    ) -> (Vec<T>, Vec<usize>) {
+        if TypeId::of::<T>() == TypeId::of::<u64>() {
+            // SAFETY: the TypeIds match, so `T` is `u64`: the same pointer,
+            // length and borrow describe `data` as `&[u64]`.
+            let keys = unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u64>(), data.len()) };
+            let (out, bounds) = self.exchange(keys, send_offsets);
+            let out: Box<dyn Any> = Box::new(out);
+            return (*out.downcast::<Vec<T>>().expect("`T` is `u64`"), bounds);
+        }
+        // SAFETY: `Opaque<T>` is `repr(transparent)` over `T`, so the same
+        // pointer, length and borrow describe `data` as `&[Opaque<T>]`.
+        let items = unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<Opaque<T>>(), data.len()) };
+        let (out, bounds) = self.exchange(items, send_offsets);
+        (out.into_iter().map(|item| item.0).collect(), bounds)
     }
 
     /// Count phase of the exchange: all-gathers every machine's per-range

@@ -6,7 +6,7 @@
 //! no allocation per chunk. [`ChunkPool`] reproduces that mechanism for
 //! the simulator: the send side ([`RequestBuffer`](crate::buffer::RequestBuffer))
 //! acquires chunk backing stores here, and the receive side of
-//! [`exchange_by_offsets`](crate::machine::MachineCtx::exchange_by_offsets)
+//! [`exchange`](crate::machine::MachineCtx::exchange)
 //! releases every arriving chunk back after placing its elements, so the
 //! same allocations circulate for the whole exchange (and across
 //! exchanges, since the pool lives on the machine context).

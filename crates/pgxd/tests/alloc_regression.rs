@@ -40,7 +40,7 @@ fn measure(buffer_bytes: usize) -> (usize, u64, u64) {
         // Even split across machines.
         let per_dst = N_PER_MACHINE / P;
         let offsets: Vec<usize> = (0..=P).map(|j| j * per_dst).collect();
-        let exchange = |ctx: &mut pgxd::MachineCtx| ctx.exchange_by_offsets(&data, &offsets);
+        let exchange = |ctx: &mut pgxd::MachineCtx| ctx.exchange(&data, &offsets);
 
         // Warm-up round fills the pool (all misses land here).
         let _ = exchange(ctx);

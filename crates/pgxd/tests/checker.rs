@@ -23,7 +23,7 @@ fn clean_run_passes_barriers_and_teardown() {
     let report = cluster.run(|ctx| {
         let gathered = ctx.all_gather(vec![ctx.id() as u64]);
         ctx.barrier();
-        let (out, _) = ctx.exchange_by_offsets(&[ctx.id() as u64; 6], &[0, 2, 4, 6]);
+        let (out, _) = ctx.exchange(&[ctx.id() as u64; 6], &[0, 2, 4, 6]);
         ctx.barrier();
         (gathered, out)
     });

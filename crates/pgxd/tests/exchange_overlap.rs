@@ -23,8 +23,19 @@ use std::time::Duration;
 
 const P: usize = 4;
 
-/// `(source, range, index in the range)` — says where an item has to land.
-type Item = (u32, u32, u32);
+/// A key and `(source, range, index in the range)`, which says where the
+/// item has to land. Keys alternate `0` and `u64::MAX`, so every frame spans
+/// all of `u64` and packs each key at eight bytes: a chunk is a header and
+/// 20 bytes an item, and holds exactly [`items_per_buffer`] of them.
+type Item = (u64, (u32, u32, u32));
+
+/// The frame header every chunk starts with.
+const HEADER: usize = 13;
+
+fn item(src: usize, range: usize, k: usize) -> Item {
+    let key = if k.is_multiple_of(2) { 0 } else { u64::MAX };
+    (key, (src as u32, range as u32, k as u32))
+}
 
 fn traced() -> ClusterConfig {
     ClusterConfig::new(P)
@@ -57,10 +68,10 @@ fn exchange(
         let mut data: Vec<Item> = Vec::new();
         let mut offsets = vec![0usize];
         for i in 0..ranges {
-            data.extend((0..len(me, i)).map(|k| (me as u32, i as u32, k as u32)));
+            data.extend((0..len(me, i)).map(|k| item(me, i, k)));
             offsets.push(data.len());
         }
-        ctx.exchange_by_offsets(&data, &offsets)
+        ctx.exchange(&data, &offsets)
     });
     for (dst, (out, bounds)) in report.results.iter().enumerate() {
         let mut expect: Vec<Item> = Vec::new();
@@ -68,7 +79,7 @@ fn exchange(
         for batch in 0..batches {
             for src in 0..P {
                 let i = batch * P + dst;
-                expect.extend((0..len(src, i)).map(|k| (src as u32, i as u32, k as u32)));
+                expect.extend((0..len(src, i)).map(|k| item(src, i, k)));
                 expect_bounds.push(expect.len());
             }
         }
@@ -93,7 +104,7 @@ fn caller_flushed(log: &TraceLog, m: usize) -> bool {
 }
 
 fn items_per_buffer(buffer_bytes: usize) -> usize {
-    buffer_bytes / std::mem::size_of::<Item>()
+    (buffer_bytes - HEADER) / 20
 }
 
 #[test]
@@ -110,9 +121,10 @@ fn ranges_of_one_buffer_are_flushed_before_the_receive_loop() {
     }
     assert_eq!(log.exchange_overlap_ratios(), vec![0.0; P]);
     // Per ordered pair of machines: one count row of P u64 and one chunk of
-    // items behind an 8-byte offset header. Nothing else is on the wire.
+    // items behind a frame header and an 8-byte offset. Nothing else is on
+    // the wire.
     let pairs = (P * (P - 1)) as u64;
-    let chunk_bytes = (per_range * std::mem::size_of::<Item>() + 8) as u64;
+    let chunk_bytes = (HEADER + per_range * 20 + 8) as u64;
     assert_eq!(comm.messages_sent, pairs * 2);
     assert_eq!(comm.bytes_sent, pairs * (P as u64 * 8 + chunk_bytes));
     assert_eq!(comm.exchange.chunks_sent, pairs);

@@ -38,7 +38,7 @@ fn exchange_under(plan: FaultPlan) -> RunReport<(Vec<u64>, Vec<usize>)> {
         let per = data.len() / ctx.num_machines();
         let mut offsets: Vec<usize> = (0..ctx.num_machines()).map(|d| d * per).collect();
         offsets.push(data.len());
-        ctx.exchange_by_offsets(&data, &offsets)
+        ctx.exchange(&data, &offsets)
     })
 }
 
@@ -115,7 +115,7 @@ fn disabled_plan_is_identical_to_no_plan() {
             let n = data.len();
             let offsets: Vec<usize> =
                 (0..=ctx.num_machines()).map(|d| d * n / ctx.num_machines()).collect();
-            ctx.exchange_by_offsets(&data, &offsets)
+            ctx.exchange(&data, &offsets)
         })
     };
     let plain = run(ClusterConfig::new(p).buffer_bytes(64));
@@ -141,7 +141,7 @@ fn killed_machine_yields_structured_error_within_timeout() {
             let n = data.len();
             let offsets: Vec<usize> =
                 (0..=ctx.num_machines()).map(|d| d * n / ctx.num_machines()).collect();
-            ctx.exchange_by_offsets(&data, &offsets)
+            ctx.exchange(&data, &offsets)
         })
         .expect_err("kill plan must fail the run");
     let elapsed = started.elapsed();

@@ -13,7 +13,7 @@ use pgxd::{FaultPlan, RunErrorKind};
 
 /// One §IV-shaped all-to-all: every machine scatters an equal share of a
 /// deterministic keyset to every destination through
-/// `exchange_by_offsets`, inside a named step. Returns the number of keys
+/// `exchange`, inside a named step. Returns the number of keys
 /// each machine received.
 fn all_to_all(config: ClusterConfig) -> RunReport<usize> {
     let cluster = Cluster::new(config);
@@ -26,7 +26,7 @@ fn all_to_all(config: ClusterConfig) -> RunReport<usize> {
         let per = n / p;
         let mut offsets: Vec<usize> = (0..p).map(|d| d * per).collect();
         offsets.push(n);
-        let (received, bounds) = ctx.step("xchg", |c| c.exchange_by_offsets(&data, &offsets));
+        let (received, bounds) = ctx.step("xchg", |c| c.exchange(&data, &offsets));
         assert_eq!(bounds.len(), p + 1);
         ctx.barrier();
         received.len()
@@ -121,7 +121,7 @@ fn run_error_carries_flight_record() {
             let per = n / p;
             let mut offsets: Vec<usize> = (0..p).map(|d| d * per).collect();
             offsets.push(n);
-            let (received, _) = ctx.step("xchg", |c| c.exchange_by_offsets(&data, &offsets));
+            let (received, _) = ctx.step("xchg", |c| c.exchange(&data, &offsets));
             ctx.barrier();
             received.len()
         })

@@ -118,7 +118,7 @@ fn panic_mid_exchange_releases_blocked_survivors() {
             let n = data.len();
             let offsets: Vec<usize> =
                 (0..=ctx.num_machines()).map(|d| d * n / ctx.num_machines()).collect();
-            ctx.exchange_by_offsets(&data, &offsets)
+            ctx.exchange(&data, &offsets)
         })
         .expect_err("dead machine must fail the run");
     assert_eq!(err.kind, RunErrorKind::MachinePanic);

@@ -104,9 +104,9 @@ fn exchange_preserves_multiset_and_run_order() {
         let report = cluster.run(|ctx| {
             let data = shards_ref[ctx.id()].clone();
             let offsets = monotone_cuts(data.len(), ctx.num_machines(), cuts_seed);
-            let mut result = ctx.exchange_by_offsets(&data, &offsets);
+            let mut result = ctx.exchange(&data, &offsets);
             for _ in 1..rounds {
-                result = ctx.exchange_by_offsets(&data, &offsets);
+                result = ctx.exchange(&data, &offsets);
             }
             result
         });
@@ -178,7 +178,7 @@ fn exchange_places_every_range_where_the_layout_says() {
         );
         let (shards_ref, offsets_ref) = (&shards, &offsets);
         let report = cluster.run(move |ctx| {
-            ctx.exchange_by_offsets(&shards_ref[ctx.id()], &offsets_ref[ctx.id()])
+            ctx.exchange(&shards_ref[ctx.id()], &offsets_ref[ctx.id()])
         });
         for (dst, (out, bounds)) in report.results.iter().enumerate() {
             assert_eq!(bounds.len(), batches * p + 1);
@@ -238,7 +238,7 @@ fn exchange_stress_many_small_buffers() {
         for (j, slot) in offsets.iter_mut().enumerate() {
             *slot = if j > dst { data.len() } else { 0 };
         }
-        ctx.exchange_by_offsets(&data, &offsets)
+        ctx.exchange(&data, &offsets)
     });
     for (m, (out, _)) in report.results.iter().enumerate() {
         let src = (m + 6 - 1) % 6;

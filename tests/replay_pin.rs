@@ -6,14 +6,14 @@
 //! The replayed samples, splitters and ranges also predict, exactly, every
 //! byte and message the sort puts on the wire: the sample gather, the
 //! splitter broadcast, the exchange's count rows, and each exchange chunk,
-//! each in its wire format — packed frame-of-reference frames for `u64`
-//! keys, raw for everything else.
+//! each in its one wire format — the elements' `u64` images in packed
+//! frame-of-reference frames, then whatever else they hold, raw.
 
 use pgxd::cluster::{Cluster, ClusterConfig};
-use pgxd::DEFAULT_BUFFER_BYTES;
+use pgxd::{MachineCtx, DEFAULT_BUFFER_BYTES};
 use pgxd_core::investigator::splitter_offsets;
 use pgxd_core::sampling::{select_regular_samples, select_splitters};
-use pgxd_core::{DistSorter, SortConfig};
+use pgxd_core::{DistSorter, Keyed, SortConfig};
 use pgxd_datagen::{generate_partitioned, Distribution};
 
 const KEY_BYTES: usize = std::mem::size_of::<u64>();
@@ -118,86 +118,83 @@ fn encoded(keys: &[u64]) -> usize {
         .max(PACKED_HEADER_BYTES)
 }
 
-/// Wire bytes of a sample or splitter run of `u64` keys: its frames. The
-/// mark on a run's last frame is a bit of its width byte.
-fn packed_run(keys: &[u64]) -> usize {
-    encoded(keys)
+/// How an element type travels: the `u64` image its key packs as, and the
+/// bytes of everything else it holds, which ship raw beside the frames.
+struct Columns<K> {
+    image: fn(&K) -> u64,
+    rest: usize,
 }
 
-/// `(wire bytes, chunks)` of one send range of `u64` keys: each chunk is
-/// the longest head of what is left whose frames fit the buffer (a chunk
-/// always takes its first key). A longer head never encodes shorter, so
-/// the head is found by bisection.
-fn packed_range(keys: &[u64], buffer: usize) -> (usize, usize) {
-    let (mut bytes, mut chunks, mut rest) = (0, 0, keys);
-    while !rest.is_empty() {
-        // `lo` keys fit (or are the one a chunk always takes), `hi` do not.
-        let (mut lo, mut hi) = (1, rest.len() + 1);
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if encoded(&rest[..mid]) <= buffer {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        bytes += OFFSET_BYTES + encoded(&rest[..lo]);
-        chunks += 1;
-        rest = &rest[lo..];
-    }
-    (bytes, chunks)
-}
-
-/// Wire bytes of a run of raw elements: the elements themselves.
-fn raw_run<K>(keys: &[K]) -> usize {
-    std::mem::size_of_val(keys)
-}
-
-/// `(wire bytes, chunks)` of one send range of raw elements: as many as
-/// fit the buffer per chunk, at their own width.
-fn raw_range<K>(keys: &[K], buffer: usize) -> (usize, usize) {
-    let chunks = keys
-        .len()
-        .div_ceil((buffer / std::mem::size_of::<K>()).max(1));
-    (chunks * OFFSET_BYTES + std::mem::size_of_val(keys), chunks)
-}
-
-/// How an element type travels: `run` prices a sample or splitter run,
-/// `range` one send range of the exchange.
-struct Wire<K> {
-    run: fn(&[K]) -> usize,
-    range: fn(&[K], usize) -> (usize, usize),
-}
-
-/// `u64` keys: packed frames for runs and chunks alike.
-const PACKED: Wire<u64> = Wire {
-    run: packed_run,
-    range: packed_range,
+/// Bare `u64` keys: the key is the image, and nothing rides beside it.
+const KEYS: Columns<u64> = Columns {
+    image: |&k| k,
+    rest: 0,
 };
 
-/// Every other element type: raw.
-fn raw<K>() -> Wire<K> {
-    Wire {
-        run: raw_run::<K>,
-        range: raw_range::<K>,
+impl<K> Columns<K> {
+    fn images(&self, items: &[K]) -> Vec<u64> {
+        items.iter().map(self.image).collect()
+    }
+
+    /// Wire bytes of a sample or splitter run: its frames, then its rest
+    /// column. The mark on a run's last frame is a bit of its width byte.
+    fn run(&self, items: &[K]) -> usize {
+        encoded(&self.images(items)) + items.len() * self.rest
+    }
+
+    /// `(wire bytes, chunks)` of one send range: each chunk is the longest
+    /// head of what is left whose frames and rest column fit the buffer (a
+    /// chunk always takes its first element). A longer head never encodes
+    /// shorter, so the head is found by bisection.
+    fn range(&self, items: &[K], buffer: usize) -> (usize, usize) {
+        let keys = self.images(items);
+        let (mut bytes, mut chunks, mut at) = (0, 0, 0);
+        while at < keys.len() {
+            // `lo` elements fit (or are the one a chunk always takes), `hi`
+            // do not.
+            let (mut lo, mut hi) = (1, keys.len() - at + 1);
+            let fits = |n: usize| encoded(&keys[at..at + n]) + n * self.rest <= buffer;
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                if fits(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            bytes += OFFSET_BYTES + encoded(&keys[at..at + lo]) + lo * self.rest;
+            chunks += 1;
+            at += lo;
+        }
+        (bytes, chunks)
     }
 }
 
-/// Sorts `shards` with `DistSorter::sort` and checks its output, its
-/// partition, and its wire bytes and messages against the replay; `wire`
-/// prices each message in the element type's format.
-fn assert_replayed<K>(shards: &[Vec<K>], wire: Wire<K>, what: &str)
+/// One machine's part of a sort: its shard in, its slice of the output out.
+type Sort<K> = fn(&DistSorter, &mut MachineCtx, Vec<K>) -> Vec<K>;
+
+/// `DistSorter::sort`.
+fn plain<K: pgxd_algos::Key + pgxd::Wire>(
+    sorter: &DistSorter,
+    ctx: &mut MachineCtx,
+    shard: Vec<K>,
+) -> Vec<K> {
+    sorter.sort(ctx, shard).data
+}
+
+/// Sorts `shards` with `sort` and checks its output, its partition, and its
+/// wire bytes and messages against the replay; `columns` prices each
+/// message in the element type's format. Returns the run's wire bytes and
+/// messages.
+fn assert_replayed<K>(shards: &[Vec<K>], sort: Sort<K>, columns: Columns<K>, what: &str) -> (u64, u64)
 where
     K: Ord + Copy + Send + Sync + std::fmt::Debug + 'static,
 {
     let p = shards.len();
     let key_bytes = std::mem::size_of::<K>();
     let budget = SortConfig::default().samples_per_machine(DEFAULT_BUFFER_BYTES, p, key_bytes);
-    let report = Cluster::new(ClusterConfig::new(p)).run(|ctx| {
-        DistSorter::default()
-            .sort(ctx, shards[ctx.id()].clone())
-            .data
-    });
+    let report = Cluster::new(ClusterConfig::new(p))
+        .run(|ctx| sort(&DistSorter::default(), ctx, shards[ctx.id()].clone()));
     let mut expect = shards.concat();
     expect.sort_unstable();
     assert!(report.results.concat() == expect, "{what}: output");
@@ -209,20 +206,21 @@ where
     // Samples to the master, p − 1 splitters to everyone else, and a row of
     // p counts from every machine to every other one.
     let p_ = p as u64;
-    let samples: usize = replayed.samples[1..].iter().map(|s| (wire.run)(s)).sum();
+    let samples: usize = replayed.samples[1..].iter().map(|s| columns.run(s)).sum();
     let mut bytes =
-        samples as u64 + (p_ - 1) * (wire.run)(&replayed.splitters) as u64 + p_ * (p_ - 1) * p_ * 8;
+        samples as u64 + (p_ - 1) * columns.run(&replayed.splitters) as u64 + p_ * (p_ - 1) * p_ * 8;
     let mut messages = 2 * (p_ - 1) + p_ * (p_ - 1);
     for (src, data) in sorted.iter().enumerate() {
         for dst in (0..p).filter(|&dst| dst != src) {
             let cut = &replayed.offsets[src];
-            let (b, chunks) = (wire.range)(&data[cut[dst]..cut[dst + 1]], DEFAULT_BUFFER_BYTES);
+            let (b, chunks) = columns.range(&data[cut[dst]..cut[dst + 1]], DEFAULT_BUFFER_BYTES);
             bytes += b as u64;
             messages += chunks as u64;
         }
     }
     assert_eq!(report.comm.bytes_sent, bytes, "{what}: wire bytes");
     assert_eq!(report.comm.messages_sent, messages, "{what}: messages");
+    (bytes, messages)
 }
 
 #[test]
@@ -235,7 +233,7 @@ fn replayed_partition_is_the_sorters() {
     ] {
         let shards = generate_partitioned(dist, machines * shard, machines, 20170529);
         let what = format!("{machines} x {shard} {}", dist.name());
-        assert_replayed(&shards, PACKED, &what);
+        assert_replayed(&shards, plain, KEYS, &what);
     }
 
     // Duplicate runs, the shape of the benchmark's `expdup_4m`: 8 machines,
@@ -264,7 +262,7 @@ fn replayed_partition_is_the_sorters() {
         .filter(|&(lo, hi, _)| lo == hi)
         .count();
     assert!(bare > machines, "{bare} width-0 frames");
-    assert_replayed(&shards, PACKED, "8 x 32768 exponential, duplicate runs");
+    assert_replayed(&shards, plain, KEYS, "8 x 32768 exponential, duplicate runs");
 
     // The packed format's edge cases, end to end: every shard holds `0` and
     // `u64::MAX` and keys on both sides of every `2^(8k)`, so each sample
@@ -293,7 +291,7 @@ fn replayed_partition_is_the_sorters() {
             8 * k
         );
     }
-    assert_replayed(&shards, PACKED, "0 and u64::MAX with every 2^(8k)");
+    assert_replayed(&shards, plain, KEYS, "0 and u64::MAX with every 2^(8k)");
 }
 
 /// `machines` shards of `2 + 16 · per_edge` keys each: `0` and `u64::MAX`,
@@ -318,16 +316,78 @@ fn every_width_shards(machines: u64, per_edge: u64) -> Vec<Vec<u64>> {
 }
 
 #[test]
-fn records_travel_raw_at_their_width() {
-    // 32-byte records, the benchmark's `records_1m` element: every chunk
-    // carries as many whole records as fit the buffer.
+fn records_pack_their_keys_beside_a_raw_payload() {
+    // 32-byte records, the benchmark's `records_1m` element: the key packs
+    // in the frames and the 24-byte payload travels raw beside it, each
+    // chunk as many records as fit the buffer. A send range is about half
+    // a megabyte, so it is cut into chunks.
     let machines = 4;
-    let keys = generate_partitioned(Distribution::Uniform, machines * 16_384, machines, 20170529);
+    let keys = generate_partitioned(Distribution::Uniform, machines * 65_536, machines, 20170529);
     let shards: Vec<Vec<(u64, [u64; 3])>> = keys
         .iter()
         .map(|shard| shard.iter().map(|&k| (k, [k, !k, 7])).collect())
         .collect();
-    assert_replayed(&shards, raw(), "records");
+    let records = Columns {
+        image: |r: &(u64, [u64; 3])| r.0,
+        rest: 24,
+    };
+    let (bytes, _) = assert_replayed(&shards, plain, records, "records");
+    // The keys are uniform on all of `u64`, yet a 32-key block of a sorted
+    // range spans far less: they ship narrower than the eight bytes they
+    // took raw.
+    let raw = (machines * 65_536 * 32) as u64;
+    assert!(bytes < raw, "{bytes} B against {raw} B raw");
+}
+
+#[test]
+fn a_descending_sort_ships_exactly_what_the_complemented_keys_do() {
+    // `Desc<u64>`'s image is the complement of its key: sorting descending
+    // is, on the wire, sorting `!key` ascending.
+    let machines = 4;
+    let shards = generate_partitioned(Distribution::Normal, machines * 16_384, machines, 20170529);
+    let complemented: Vec<Vec<u64>> = shards
+        .iter()
+        .map(|shard| shard.iter().map(|&k| !k).collect())
+        .collect();
+    let run = |descending: bool| {
+        let shards = if descending { &shards } else { &complemented };
+        Cluster::new(ClusterConfig::new(machines)).run(|ctx| {
+            let sorter = DistSorter::default();
+            let shard = shards[ctx.id()].clone();
+            match descending {
+                true => sorter.sort_descending(ctx, shard).data,
+                false => sorter.sort(ctx, shard).data.iter().map(|&k| !k).collect(),
+            }
+        })
+    };
+    let (desc, asc) = (run(true), run(false));
+    assert_eq!(desc.results, asc.results);
+    assert_eq!(desc.comm.bytes_sent, asc.comm.bytes_sent);
+    assert_eq!(desc.comm.messages_sent, asc.comm.messages_sent);
+    let (bytes, messages) = assert_replayed(&complemented, plain, KEYS, "complemented keys");
+    assert_eq!((desc.comm.bytes_sent, desc.comm.messages_sent), (bytes, messages));
+}
+
+#[test]
+fn a_provenance_sort_packs_its_keys_beside_origin_and_index() {
+    // `Keyed<u64>`: the key packs, and its origin (4 bytes) and index (8),
+    // 16 bytes with their alignment, ride raw beside it.
+    let machines = 4;
+    let keys = generate_partitioned(Distribution::Exponential, machines * 8192, machines, 20170529);
+    let shards: Vec<Vec<Keyed<u64>>> = keys
+        .iter()
+        .enumerate()
+        .map(|(m, shard)| pgxd_core::item::tag_with_provenance(shard, m))
+        .collect();
+    let keyed = Columns {
+        image: |k: &Keyed<u64>| k.key,
+        rest: 16,
+    };
+    let sort_keyed: Sort<Keyed<u64>> = |sorter, ctx, shard| {
+        let keys: Vec<u64> = shard.iter().map(|k| k.key).collect();
+        sorter.sort_keyed(ctx, &keys).data
+    };
+    assert_replayed(&shards, sort_keyed, keyed, "provenance");
 }
 
 /// `B` batches share the one read buffer the master receives: each batch

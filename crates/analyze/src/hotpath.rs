@@ -15,9 +15,10 @@
 //!   `buffer.rs`);
 //! * **exchange** — the chunk path of `MachineCtx::exchange`: its
 //!   innermost loop bodies (the per-batch self copy, the per-range send
-//!   inside each destination's task, the receive loop). The count phase
-//!   and the per-destination task set-up around them are O(p) per
-//!   exchange and stay cold;
+//!   inside each destination's task, the receive loop). The stream
+//!   openers' receive and layout and the per-destination set-up around
+//!   the tasks, which ships each stream's opener, are O(p) per exchange
+//!   and stay cold;
 //! * **fabric / trace-emit / metrics-emit** — functions in `comm.rs`,
 //!   `trace.rs`, `metrics.rs` whose bare name matches the per-file
 //!   prefixes below (send/recv, the trace recorder, the `Counter`

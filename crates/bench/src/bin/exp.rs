@@ -794,8 +794,10 @@ fn chaos_cmd(opts: &Opts) {
         (
             "chaos+kill",
             Box::new(move |s| {
-                // Threshold 3 fires inside the count-phase all-gather for
-                // any p >= 4, independent of how the data chunks route.
+                // Machine 1's first receive is the splitter broadcast and
+                // its next p − 1 are the exchange's stream openers, taken
+                // before any data chunk: threshold 3 fires among them for
+                // any p >= 3, independent of how the data chunks route.
                 FaultPlan::chaos(s)
                     .kill(1 % p.max(1), 3)
                     .step_timeout(Duration::from_secs(10))

@@ -1,7 +1,8 @@
 //! The committed §V record is what this tree produces: `exp table2`,
 //! `exp table3` and `exp fig7` are run with their defaults in a temporary
-//! directory, and every count field of every record must equal the one in
-//! the committed `results/*.json`. Times are not compared.
+//! directory, and `exp fig5` at its smallest and largest machine counts
+//! (`--procs=8,52`), and every count field of every record must equal the
+//! one in the committed `results/*.json`. Times are not compared.
 //!
 //! The files are read with the small JSON reader below, so the check needs
 //! no dependency.
@@ -127,14 +128,15 @@ fn committed(name: &str) -> Value {
     parse(&std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display())))
 }
 
-/// Runs `exp <name>` with its defaults in a fresh directory and returns
-/// the `results/<name>.json` it wrote.
-fn regenerated(name: &str) -> Value {
+/// Runs `exp <name> <args>` in a fresh directory and returns the
+/// `results/<name>.json` it wrote.
+fn regenerated(name: &str, args: &[&str]) -> Value {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("pgxd-counts-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_exp"))
         .arg(name)
+        .args(args)
         .current_dir(&dir)
         .output()
         .unwrap();
@@ -148,12 +150,14 @@ fn regenerated(name: &str) -> Value {
     parse(&text)
 }
 
-fn assert_counts_match(name: &str) {
-    let (Value::Array(fresh), Value::Array(pinned)) = (regenerated(name), committed(name)) else {
+/// `exp <name> <args>` against the committed records that `pinned` keeps.
+fn assert_counts_match(name: &str, args: &[&str], pinned: impl Fn(&Value) -> bool) {
+    let (Value::Array(fresh), Value::Array(all)) = (regenerated(name, args), committed(name)) else {
         panic!("{name}.json is not an array of records")
     };
+    let pinned: Vec<&Value> = all.iter().filter(|record| pinned(record)).collect();
     assert_eq!(fresh.len(), pinned.len(), "{name}: record count");
-    for (i, (f, p)) in fresh.iter().zip(&pinned).enumerate() {
+    for (i, (f, p)) in fresh.iter().zip(pinned).enumerate() {
         for label in ["system", "workload", "machines", "workers"] {
             assert_eq!(f.field(label), p.field(label), "{name}[{i}].{label}");
         }
@@ -169,17 +173,25 @@ fn assert_counts_match(name: &str) {
 
 #[test]
 fn table2_counts_match_the_committed_record() {
-    assert_counts_match("table2");
+    assert_counts_match("table2", &[], |_| true);
 }
 
 #[test]
 fn table3_counts_match_the_committed_record() {
-    assert_counts_match("table3");
+    assert_counts_match("table3", &[], |_| true);
 }
 
 #[test]
 fn fig7_counts_match_the_committed_record() {
-    assert_counts_match("fig7");
+    assert_counts_match("fig7", &[], |_| true);
+}
+
+#[test]
+fn fig5_counts_at_8_and_52_machines_match_the_committed_record() {
+    let at = |p: &str| Value::Num(p.to_string());
+    assert_counts_match("fig5", &["--procs=8,52"], |record| {
+        [at("8"), at("52")].contains(record.field("machines"))
+    });
 }
 
 #[test]

@@ -348,8 +348,8 @@ impl DistSorter {
     /// literally: all batches share one sample gather, one splitter
     /// broadcast, and one data exchange, instead of paying the collective
     /// latencies once per dataset. Keys travel untagged: which batch a key
-    /// belongs to is carried by its position in the exchange's count
-    /// matrix, never by the payload.
+    /// belongs to is carried by its position among the range lengths each
+    /// exchange stream opens with, never by the payload.
     ///
     /// Every machine must pass the same number of batches (SPMD
     /// contract). Returns one [`SortedPartition`] per batch.
@@ -822,8 +822,8 @@ mod tests {
         cluster.run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()))
     }
 
-    /// Messages that are not exchange data chunks: the sample gather, the
-    /// splitter broadcast and the count all-gather.
+    /// Messages that are not exchange chunks or stream openers: the sample
+    /// gather and the splitter broadcast.
     fn control_messages<R>(report: &pgxd::cluster::RunReport<R>) -> u64 {
         report.comm.messages_sent - report.comm.exchange.chunks_sent
     }
@@ -846,7 +846,7 @@ mod tests {
     }
 
     #[test]
-    fn batching_shares_collectives_and_never_costs_wire_bytes() {
+    fn batching_shares_collectives_and_costs_one_count_word_a_stream_per_extra_batch() {
         let records = |parts: &[Vec<u64>]| -> Vec<Vec<(u64, u64)>> {
             parts
                 .iter()
@@ -861,20 +861,19 @@ mod tests {
         let alone_b = run_plain(machines, &b);
         let (ra, rb) = (records(&a), records(&b));
         let together = run_batches(machines, &[a, b]);
-        // `u64` runs travel as self-delimiting packed frames: a batch adds
-        // nothing on the wire.
+        // `u64` runs travel as self-delimiting packed frames, and each
+        // stream's range lengths ride in its opener, where a sort of one
+        // batch has its first chunk's offset: a second batch adds one
+        // 8-byte count word a stream, and nothing else.
         let alone = alone_a.comm.bytes_sent + alone_b.comm.bytes_sent;
-        assert!(
-            together.comm.bytes_sent <= alone,
-            "batched {} B > {alone} B",
-            together.comm.bytes_sent
-        );
-        // One gather, one broadcast, one count all-gather whatever B is.
-        assert_eq!(control_messages(&alone_a), 2 * (p - 1) + p * (p - 1));
+        let count_words = 8 * p * (p - 1);
+        assert_eq!(together.comm.bytes_sent, alone + count_words);
+        // One gather and one broadcast whatever B is.
+        assert_eq!(control_messages(&alone_a), 2 * (p - 1));
         assert_eq!(control_messages(&together), control_messages(&alone_a));
 
         // Pairs ship their runs in the same self-delimiting frames, their
-        // values beside them: a batch adds nothing for them either.
+        // values beside them: a batch adds no more for them either.
         let sorter = DistSorter::default();
         let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
         let bytes = |inputs: &[Vec<Vec<(u64, u64)>>]| {
@@ -886,7 +885,10 @@ mod tests {
         };
         let alone = bytes(std::slice::from_ref(&ra)) + bytes(std::slice::from_ref(&rb));
         let together = bytes(&[ra, rb]);
-        assert!(together <= alone, "batched records {together} B > {alone} B");
+        assert!(
+            together <= alone + count_words,
+            "batched records {together} B > {alone} B + {count_words} B"
+        );
     }
 
     #[test]

@@ -4,15 +4,20 @@
 //! PGX.D buffers outgoing remote writes per destination and ships a buffer
 //! when it reaches its maximum size (256 KiB, the empirically tuned value
 //! the sampling step also keys off) or when the worker finishes its
-//! scheduled tasks. [`RequestBuffer`] reproduces that for one send range:
-//! it cuts the range into chunks whose *encoded* size is at most
-//! `capacity_bytes` and ships each as one packet tagged for the exchange,
-//! addressed to the receiver-side element offset it starts at (the §IV-C
-//! offset write). A chunk always takes its first element, so a capacity
-//! below one element (or one header) still ships one element per chunk.
+//! scheduled tasks. [`RequestBuffer`] reproduces that for one send stream:
+//! it cuts each range of the stream into chunks whose *encoded* size is at
+//! most `capacity_bytes` and ships each as one packet tagged for the
+//! exchange, addressed to the offset in the stream it starts at (the §IV-C
+//! offset write; the receiver turns it into an output slot). A chunk always
+//! takes its first element, so a capacity below one element (or one header)
+//! still ships one element per chunk. An exchange stream's first chunk is
+//! its opener: it carries the stream's range lengths in place of its
+//! offset, which is 0, and an empty stream's opener carries the lengths
+//! alone.
 //!
 //! Every chunk has one layout, whatever it carries: its elements split by
-//! their [`Wire`] impl into two columns, `(offset, frames, rest)`.
+//! their [`Wire`] impl into two columns, `(offset, frames, rest)`, or
+//! `(counts, frames, rest)` for an opener.
 //! - The image column is packed frames, back to back. A frame is a
 //!   `PACKED_HEADER_BYTES` header — its smallest key (8 bytes), its key
 //!   count (4) and a byte width `w` (1) — then each key minus the
@@ -23,7 +28,8 @@
 //! - The rest column is the elements' [`Wire::Rest`] values, raw, one per
 //!   key: nothing for a `u64` chunk, a record's payload for a record.
 //!
-//! A chunk is charged its frames, its rest column and its 8-byte offset.
+//! A chunk is charged its frames, its rest column and its 8-byte offset;
+//! an opener its frames, its rest column and 8 bytes a range length.
 //!
 //! Where a frame ends (`pack_frames`): the encoder walks the keys in
 //! `BLOCK`-key blocks and adds each block to the open frame unless a fresh
@@ -61,9 +67,14 @@ const BLOCK: usize = 32;
 /// message.
 const RUN_END: u8 = 0x80;
 
-/// An exchange chunk as it travels: the receiver-side offset of its first
+/// An exchange chunk as it travels: the stream offset of its first
 /// element, its image column's frames, and its rest column.
 pub(crate) type Chunk<R> = (usize, Vec<u8>, Vec<R>);
+
+/// An exchange stream's opener as it travels: the stream's range lengths,
+/// one a batch, then its first chunk's frames and rest column (empty when
+/// the stream is).
+pub(crate) type Opener<R> = (Vec<u64>, Vec<u8>, Vec<R>);
 
 /// Bytes per key a frame spends on a span of `max − min`.
 fn packed_width(span: u64) -> usize {
@@ -443,6 +454,11 @@ pub struct RequestBuffer<'p> {
     /// The image column of the elements being cut into a chunk, when they
     /// are not their own images.
     images: Vec<u64>,
+    /// The opener's tag, once [`RequestBuffer::open`] made this buffer's
+    /// stream an exchange stream.
+    open_tag: Option<Tag>,
+    /// The stream's range lengths, until its opener has shipped.
+    counts: Option<Vec<u64>>,
 }
 
 impl<'p> RequestBuffer<'p> {
@@ -457,13 +473,41 @@ impl<'p> RequestBuffer<'p> {
             capacity_bytes,
             pool,
             images: Vec::new(),
+            open_tag: None,
+            counts: None,
         }
     }
 
-    /// Ships `items`, a send range whose first element lands at
-    /// receiver-side offset `offset`, in chunks: each the longest head of
-    /// the rest whose frames and rest column fit the capacity.
+    /// Makes the stream an exchange stream: its first chunk ships as the
+    /// stream's opener, tagged `tag`, carrying the range lengths `counts`
+    /// instead of its offset.
+    pub fn open(&mut self, tag: Tag, counts: Vec<u64>) {
+        self.open_tag = Some(tag);
+        self.counts = Some(counts);
+    }
+
+    /// Ships `items`, a send range whose first element is at offset
+    /// `offset` of the stream, in chunks: each the longest head of the rest
+    /// whose frames and rest column fit the capacity.
     pub fn send<W: Wire>(&mut self, items: &[W], mut offset: usize, sender: &CommSender) {
+        let mut at = 0;
+        while at < items.len() {
+            let taken = self.send_chunk(&items[at..], offset, sender);
+            (offset, at) = (offset + taken, at + taken);
+        }
+    }
+
+    /// Ships the longest head of `items` (non-empty) whose frames and rest
+    /// column fit the capacity, at least one element, as one chunk at
+    /// offset `offset` of the stream — or as the stream's opener, if the
+    /// stream is open and its opener has not shipped. Returns how many
+    /// elements it took.
+    pub fn send_chunk<W: Wire>(
+        &mut self,
+        items: &[W],
+        offset: usize,
+        sender: &CommSender,
+    ) -> usize {
         let rest_bytes = std::mem::size_of::<W::Rest>();
         // Backing stores of one size per stream, whatever each chunk holds,
         // so the pool can hand any parked one to the next chunk.
@@ -476,24 +520,42 @@ impl<'p> RequestBuffer<'p> {
             0 => usize::MAX,
             r => (self.capacity_bytes.saturating_sub(PACKED_HEADER_BYTES) / r).max(1),
         };
-        let mut at = 0;
-        while at < items.len() {
-            let head = &items[at..items.len().min(at.saturating_add(window))];
-            let keys = W::images(head, &mut self.images);
-            let mut frames: Vec<u8> = self.pool.acquire(frames_cap);
-            let taken = pack_frames(keys, self.capacity_bytes, rest_bytes, false, &mut frames);
-            let rest_cap = if rest_bytes == 0 { taken } else { window };
-            let mut rest: Vec<W::Rest> = self.pool.acquire(rest_cap);
-            rest.extend(head[..taken].iter().map(W::rest));
-            let bytes = frames.len() + taken * rest_bytes;
-            // Flush marker: the data-manager capacity edge, distinct from
-            // the `ChunkSend` the sender emits at the fabric edge.
-            if let Some(t) = sender.trace() {
-                t.instant(1 + self.dst as u32, EventKind::ChunkFlush, self.dst as u64, bytes as u64);
-            }
-            sender.send_offset_chunk(self.dst, self.tag, offset, frames, rest);
-            (offset, at) = (offset + taken, at + taken);
+        let head = &items[..items.len().min(window)];
+        let keys = W::images(head, &mut self.images);
+        let mut frames: Vec<u8> = self.pool.acquire(frames_cap);
+        let taken = pack_frames(keys, self.capacity_bytes, rest_bytes, false, &mut frames);
+        let rest_cap = if rest_bytes == 0 { taken } else { window };
+        let mut rest: Vec<W::Rest> = self.pool.acquire(rest_cap);
+        rest.extend(head[..taken].iter().map(W::rest));
+        let bytes = frames.len() + taken * rest_bytes;
+        // Flush marker: the data-manager capacity edge, distinct from the
+        // `ChunkSend` the sender emits at the fabric edge.
+        if let Some(t) = sender.trace() {
+            t.instant(1 + self.dst as u32, EventKind::ChunkFlush, self.dst as u64, bytes as u64);
         }
+        match (self.open_tag, self.counts.take()) {
+            (Some(tag), Some(counts)) => {
+                assert_eq!(offset, 0, "a stream's first chunk is at offset 0");
+                sender.send_opener(self.dst, tag, counts, frames, rest);
+            }
+            _ => sender.send_offset_chunk(self.dst, self.tag, offset, frames, rest),
+        }
+        taken
+    }
+
+    /// Ends the stream: an opener that has not shipped (the stream was
+    /// empty) goes alone, and a chunk of either tag that the fault plane
+    /// parked is delivered.
+    // analyze: allow(hot-path-alloc): an empty stream's opener carries empty
+    // columns; `Vec::new` reserves nothing.
+    pub fn finish<W: Wire>(mut self, sender: &CommSender) {
+        if let Some(tag) = self.open_tag {
+            if let Some(counts) = self.counts.take() {
+                sender.send_opener::<W::Rest>(self.dst, tag, counts, Vec::new(), Vec::new());
+            }
+            sender.flush_held_chunks(self.dst, tag);
+        }
+        sender.flush_held_chunks(self.dst, self.tag);
     }
 }
 

@@ -524,26 +524,27 @@ mod tests {
         // Chunking must not change totals but must raise message counts.
         let per_stream = 500u64.div_ceil(51);
         assert_eq!(report.comm.exchange.chunks_sent, 2 * per_stream);
-        assert_eq!(report.comm.messages_sent, 2 + 2 * per_stream);
+        assert_eq!(report.comm.messages_sent, 2 * per_stream);
     }
 
-    /// Runs a two-machine exchange of `data` split in half, in which
-    /// machine 1 first slips machine 0 a rogue chunk — `frames` and `rest`
-    /// addressed at `offset` with the exchange's data tag (its second
-    /// collective sequence number) — and returns machine 0's failure
-    /// message.
+    /// Runs a two-machine exchange of `data` split in half, one element a
+    /// chunk, in which machine 1 first slips machine 0 a rogue chunk —
+    /// `frames` and `rest` at `offset` of its stream, with the exchange's
+    /// data tag (its collective sequence number, 0) — and returns machine
+    /// 0's failure message. Machine 0 takes it after machine 1's opener,
+    /// ahead of the stream's one honest later chunk.
     fn rogue_chunk_message<W: crate::wire::Wire>(
         data: [W; 4],
         offset: usize,
         frames: Vec<u8>,
         rest: Vec<W::Rest>,
     ) -> String {
-        let err = Cluster::new(ClusterConfig::new(2))
+        let err = Cluster::new(ClusterConfig::new(2).buffer_bytes(1))
             .try_run(|ctx| {
                 if ctx.id() == 1 {
                     let tag = crate::comm::Tag {
                         kind: crate::comm::kinds::EXCHANGE_DATA,
-                        seq: 1,
+                        seq: 0,
                     };
                     let sender = ctx.comm_mut().sender();
                     sender.send_offset_chunk(0, tag, offset, frames.clone(), rest.clone());
@@ -565,18 +566,21 @@ mod tests {
 
     #[test]
     fn a_raw_chunk_past_the_output_is_refused() {
-        // Machine 0's output is 4 slots; a chunk addressed at 5 starts past
-        // it, whatever it holds.
+        // Machine 1's stream to machine 0 is 2 elements; a chunk addressed
+        // at 5 starts past it, whatever it holds.
         let data = [(1u64, 1u32), (2, 2), (3, 3), (4, 4)];
         let message = rogue_chunk_message(data, 5, bare_frame(2), vec![((), 7u32); 2]);
-        assert!(message.contains("chunk at 5 past the output's end, 4"), "{message}");
+        let expected = "chunk from machine 1 at stream offset 5 overruns its opener's counts: \
+                        its stream holds 2 keys";
+        assert!(message.contains(expected), "{message}");
     }
 
     #[test]
-    fn a_packed_chunk_past_the_output_is_refused_naming_its_frame() {
-        // One width-0 frame of two keys (9, 9) at slot 3 of 4.
-        let message = rogue_chunk_message([1u64, 2, 3, 4], 3, bare_frame(2), vec![(); 2]);
-        let expected = "chunk frame 0 runs past the output: 2 keys, 1 slots left";
+    fn a_packed_chunk_past_its_run_is_refused_naming_its_source() {
+        // One width-0 frame of two keys (9, 9) at offset 1 of a 2-key run.
+        let message = rogue_chunk_message([1u64, 2, 3, 4], 1, bare_frame(2), vec![(); 2]);
+        let expected = "chunk from machine 1 at stream offset 1 overruns its opener's counts: \
+                        2 keys, 1 left in its run";
         assert!(message.contains(expected), "{message}");
     }
 

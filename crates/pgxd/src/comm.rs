@@ -63,11 +63,16 @@ pub mod kinds {
     pub const ALL_TO_ALL: u16 = 3;
     /// All-gather payloads.
     pub const ALL_GATHER: u16 = 4;
-    /// Offset-addressed exchange: the count matrix rows.
-    pub const EXCHANGE_COUNTS: u16 = 5;
-    /// Offset-addressed exchange: the data chunks.
+    /// Offset-addressed exchange: the stream openers, each a stream's
+    /// range lengths and its first chunk.
+    pub const EXCHANGE_OPEN: u16 = 5;
+    /// Offset-addressed exchange: every later chunk of a stream.
     pub const EXCHANGE_DATA: u16 = 6;
 }
+
+/// A stream opener as received: its range lengths, its chunk's frames and
+/// rest column, and its wire bytes.
+pub(crate) type Opened<R> = (Vec<u64>, Vec<u8>, Vec<R>, usize);
 
 /// A fabric packet: opaque owned payload plus accounting metadata.
 pub struct Packet {
@@ -134,8 +139,28 @@ impl CommSender {
         self.send_packet(dst, tag, wire_bytes, envelope((frames, rest)));
     }
 
-    /// Sends one §IV-C exchange chunk: the elements destined for absolute
-    /// offset `offset` in `dst`'s output buffer, as their image column's
+    /// Opens a §IV-C exchange stream to `dst`: the stream's `B` range
+    /// lengths and its first chunk, whose offset is 0 by construction, as
+    /// its image column's `frames` and its `rest` column (both empty for a
+    /// stream with nothing in it). Wire bytes = the `8·B` count words plus
+    /// both columns; the opener is counted as a chunk in
+    /// [`ExchangeStats`](crate::metrics::ExchangeStats).
+    pub fn send_opener<R: Send + 'static>(
+        &self,
+        dst: usize,
+        tag: Tag,
+        counts: Vec<u64>,
+        frames: Vec<u8>,
+        rest: Vec<R>,
+    ) {
+        let wire_bytes =
+            std::mem::size_of_val(&counts[..]) + frames.len() + std::mem::size_of_val(&rest[..]);
+        let payload = envelope::<buffer::Opener<R>>((counts, frames, rest));
+        self.send_exchange_message(dst, tag, wire_bytes, payload);
+    }
+
+    /// Sends one later chunk of a §IV-C exchange stream: the elements at
+    /// offset `offset` of the stream to `dst`, as their image column's
     /// `frames` and their `rest` column. Wire bytes = both columns plus the
     /// offset header; the chunk is counted in
     /// [`ExchangeStats`](crate::metrics::ExchangeStats).
@@ -150,6 +175,18 @@ impl CommSender {
         let wire_bytes =
             frames.len() + std::mem::size_of_val(&rest[..]) + std::mem::size_of::<usize>();
         let payload = envelope::<buffer::Chunk<R>>((offset, frames, rest));
+        self.send_exchange_message(dst, tag, wire_bytes, payload);
+    }
+
+    /// An exchange message through the fault plane: delayed, or parked by
+    /// drop-with-redelivery, when the plan says so.
+    fn send_exchange_message(
+        &self,
+        dst: usize,
+        tag: Tag,
+        wire_bytes: usize,
+        payload: Box<dyn Any + Send>,
+    ) {
         if let Some(f) = &self.fault {
             let seq = f.next_chunk_seq(self.id, dst);
             if let Some(delay) = f.chunk_send_delay(self.id, dst, seq, wire_bytes) {
@@ -157,11 +194,12 @@ impl CommSender {
             }
             if f.should_drop_chunk(self.id, dst, seq) {
                 // Drop-with-redelivery: park this chunk (its first delivery
-                // attempt is "lost"); the stream's previously parked chunk,
-                // if any, goes out now in its place, so at most one chunk
-                // per stream is ever outstanding and every chunk is
-                // eventually delivered — behind later traffic. The §IV-C
-                // offset addressing must absorb the reordering.
+                // attempt is "lost"); the previously parked chunk of its
+                // stream and tag, if any, goes out now in its place, so at
+                // most one chunk per stream and tag is ever outstanding and
+                // every chunk is eventually delivered — behind later
+                // traffic. An opener parked this way arrives after its
+                // stream's later chunks, which wait in the mailbox for it.
                 if let Some(prev) = f.park_chunk(self.id, dst, tag, wire_bytes, payload) {
                     self.send_chunk_packet(dst, tag, prev.wire_bytes, prev.payload);
                 }
@@ -171,10 +209,10 @@ impl CommSender {
         self.send_chunk_packet(dst, tag, wire_bytes, payload);
     }
 
-    /// Re-sends the stream's parked chunk, if the fault plane held one
-    /// back. The exchange calls this after a stream's final flush so
-    /// drop-with-redelivery can never strand a chunk. One branch when no
-    /// plan is armed.
+    /// Re-sends the stream's parked chunk for `tag`, if the fault plane
+    /// held one back. A request buffer calls this for both of its tags
+    /// after its stream's final flush, so drop-with-redelivery can never
+    /// strand a chunk. One branch when no plan is armed.
     pub fn flush_held_chunks(&self, dst: usize, tag: Tag) {
         if let Some(f) = &self.fault {
             if let Some(held) = f.take_held(self.id, dst, tag) {
@@ -466,6 +504,34 @@ impl CommManager {
         let pkt = self.recv_packet(tag);
         let (frames, rest): (Vec<u8>, Vec<W::Rest>) = downcast_value(pkt.payload, pkt.tag);
         (pkt.src, buffer::unpack_runs(&frames, rest))
+    }
+
+    /// Receives the `p − 1` stream openers of an exchange (`tag`), indexed
+    /// by source (`None` for this machine): each other machine's `batches`
+    /// range lengths and the first chunk of its stream. Panics, naming the
+    /// source, on an opener whose count list is not `batches` long or a
+    /// second opener from one source.
+    // analyze: allow(hot-path-alloc): one slot per machine, once per
+    // exchange.
+    pub(crate) fn recv_openers<R: Send + 'static>(
+        &mut self,
+        tag: Tag,
+        batches: usize,
+    ) -> Vec<Option<Opened<R>>> {
+        let mut openers: Vec<Option<Opened<R>>> = (0..self.num_machines()).map(|_| None).collect();
+        for _ in 1..openers.len() {
+            let pkt = self.recv_packet(tag);
+            let (src, wire_bytes) = (pkt.src, pkt.wire_bytes);
+            let (lens, frames, rest) = downcast_value::<buffer::Opener<R>>(pkt.payload, pkt.tag);
+            assert!(
+                lens.len() == batches,
+                "opener from machine {src} carries {} range lengths, not B = {batches}",
+                lens.len()
+            );
+            let opened = (lens, frames, rest, wire_bytes);
+            assert!(openers[src].replace(opened).is_none(), "second opener from machine {src}");
+        }
+        openers
     }
 
     /// Receives a shared `Vec<T>` (sent with

@@ -8,7 +8,7 @@
 
 use crate::buffer::{self, RequestBuffer};
 use crate::checker;
-use crate::comm::{kinds, CommManager, Tag};
+use crate::comm::{kinds, CommManager, Opened, Tag};
 use crate::fault::{BarrierWait, FaultInjector, InjectedFailure};
 use crate::metrics::{CommSummary, SharedCommStats, StepTimer};
 use crate::pool::ChunkPool;
@@ -299,12 +299,32 @@ impl MachineCtx {
     /// All-gather: everyone contributes a `Vec<T>` and receives all `p`
     /// contributions, indexed by source. Each contribution ships as one
     /// shared payload (no per-receiver clone on the contributor).
+    // Indexing is by machine id < p and a missing packet is a protocol bug
+    // worth a panic.
     pub fn all_gather<T: Send + Sync + Clone + 'static>(&mut self, data: Vec<T>) -> Vec<Vec<T>> {
         let tag = Tag {
             kind: kinds::ALL_GATHER,
             seq: self.next_seq(),
         };
-        self.all_gather_with_tag(data, tag)
+        let shared = Arc::new(data);
+        let sender = self.comm.sender();
+        for dst in 0..self.p {
+            if dst != self.id {
+                sender.send_shared_vec(dst, tag, shared.clone());
+            }
+        }
+        let mut received: Vec<Option<Vec<T>>> = (0..self.p).map(|_| None).collect();
+        let mine = Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone());
+        received[self.id] = Some(mine);
+        for _ in 1..self.p {
+            let (src, v) = self.comm.recv_shared_vec::<T>(tag);
+            debug_assert!(received[src].is_none());
+            received[src] = Some(v);
+        }
+        received
+            .into_iter()
+            .map(|v| v.expect("missing all_gather part"))
+            .collect()
     }
 
     /// The §IV-C asynchronous exchange. `data` is this machine's local
@@ -315,29 +335,38 @@ impl MachineCtx {
     /// destination `j`. Every machine must pass the same `B`.
     ///
     /// Semantics reproduced from the paper:
-    /// 1. per-range element counts are exchanged first, so every receiver
-    ///    can preallocate its output and every sender knows the
-    ///    receiver-side offset to address its chunks at — the counts are
+    /// 1. per-range element counts reach every receiver before its data,
+    ///    so it can preallocate its output and place every chunk at a
+    ///    precomputed slot: each send stream (this machine's ranges for one
+    ///    destination, batch after batch) opens with one message carrying
+    ///    its `B` range lengths and its first chunk, and an empty stream
+    ///    with the lengths alone. A receiver takes its `p − 1` openers, lays
+    ///    its output out from their counts and turns each later chunk's
+    ///    offset in its stream into a slot itself (the `alltoallv` idiom),
+    ///    so no sender waits for anyone before it sends. The counts are
     ///    also all the batch identity that travels: keys ship untagged;
     /// 2. data moves in data-manager buffer-sized chunks
-    ///    ([`MachineCtx::buffer_bytes`]) addressed to absolute offsets —
-    ///    each the elements' [`Wire`] images in packed frames and their
-    ///    rest raw ([`buffer`]) — so the receiver unpacks each arriving
-    ///    chunk straight into place while still sending its own outgoing
-    ///    data (no barrier between send and receive). A machine none of
-    ///    whose remote ranges exceeds one buffer has nothing to overlap —
-    ///    each stream is a single flush — so it flushes them itself and
-    ///    then receives, instead of handing them to its workers. The
-    ///    fabric is unbounded, a send never waits for a receive, so every
-    ///    machine decides this for itself from its own offsets;
+    ///    ([`MachineCtx::buffer_bytes`]) addressed to offsets in their
+    ///    stream — each the elements' [`Wire`] images in packed frames and
+    ///    their rest raw ([`buffer`]) — so the receiver unpacks each
+    ///    arriving chunk straight into place while still sending its own
+    ///    outgoing data (no barrier between send and receive). The
+    ///    machine's own thread ships every opener first, so no receiver
+    ///    waits on a stream queued behind another; the workers ship the
+    ///    rest. A machine none of whose remote ranges exceeds one buffer
+    ///    has nothing to overlap — each range is a single flush — so it
+    ///    flushes the rest itself and then receives, instead of handing it
+    ///    to its workers. The fabric is unbounded, a send never waits for a
+    ///    receive, so every machine decides this for itself from its own
+    ///    offsets;
     /// 3. returns `(assembled, bounds)` laid out batch-major, source-minor
     ///    (`B·p + 1` bounds): `assembled[bounds[b·p + s]..bounds[b·p + s + 1]]`
     ///    is the batch-`b` run received from machine `s` (runs stay
     ///    contiguous so the final merge can consume them and provenance
     ///    stays recoverable).
-    // Offset arithmetic is verified by the count phase (and the debug
-    // checker's offset tiling); bounds checks panicking here catch corruption
-    // rather than writing stray bytes.
+    // Offset arithmetic is verified against the openers' counts (and the
+    // debug checker's offset tiling); bounds checks panicking here catch
+    // corruption rather than writing stray bytes.
     pub fn exchange<W: Wire>(&mut self, data: &[W], send_offsets: &[usize]) -> (Vec<W>, Vec<usize>) {
         let (id, p) = (self.id, self.p);
         let ranges = send_offsets.len().saturating_sub(1);
@@ -346,70 +375,41 @@ impl MachineCtx {
             "need B·p+1 send offsets (B ≥ 1 batches)"
         );
         assert_eq!(*send_offsets.last().unwrap(), data.len());
-
-        // --- 1. count exchange ------------------------------------------------
-        let counts_tag = Tag {
-            kind: kinds::EXCHANGE_COUNTS,
-            seq: self.next_seq(),
+        let seq = self.next_seq();
+        let open_tag = Tag {
+            kind: kinds::EXCHANGE_OPEN,
+            seq,
         };
-        let (bounds, send_bases) = self.exchange_count_phase(send_offsets, counts_tag);
-        let total = bounds[ranges];
-
-        // --- 2. overlapped send/receive --------------------------------------
         let data_tag = Tag {
             kind: kinds::EXCHANGE_DATA,
-            seq: self.next_seq(),
+            seq,
         };
-        // Every slot is written exactly once below (self-copies + per-source
-        // chunks tile [0, total) by construction of the count matrix),
-        // asserted by the placement accounting before `assume_init` (and
-        // verified span-by-span by the protocol checker's offset ledger in
-        // debug builds).
-        let mut out: Box<[MaybeUninit<W>]> = Box::new_uninit_slice(total);
-        let mut ledger = self.comm.checker().offset_ledger(id, data_tag, total);
-
-        // Self parts: one memcpy per batch straight into place, no fabric
-        // involved.
-        let mut self_len = 0usize;
-        for own in (id..ranges).step_by(p) {
-            let self_slice = &data[send_offsets[own]..send_offsets[own + 1]];
-            let base = bounds[own];
-            out[base..base + self_slice.len()].write_copy_of_slice(self_slice);
-            self.stats
-                .exchange
-                .record_bytes_placed(std::mem::size_of_val(self_slice));
-            ledger.record(base, self_slice.len());
-            if let Some(t) = &self.trace {
-                t.instant(
-                    LANE_MAIN,
-                    EventKind::ChunkPlace,
-                    base as u64,
-                    std::mem::size_of_val(self_slice) as u64,
-                );
-            }
-            self_len += self_slice.len();
-        }
-
-        let expected_remote = total - self_len;
         let sender = self.comm.sender();
         let buffer_bytes = self.buffer_bytes;
 
-        // One send task per destination (staggered so machine 0 is not
-        // everyone's first target), streaming that destination's range of
-        // every batch.
+        // One send stream per destination (staggered so machine 0 is not
+        // everyone's first target): that destination's range of every
+        // batch. This thread opens every stream, shipping its range lengths
+        // and its first chunk, so each receiver can lay its output out as
+        // soon as every machine has done so, however few workers carry the
+        // rest; a task per destination ships the rest of its stream.
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
             Vec::with_capacity(p.saturating_sub(1));
         for step in 1..p {
             let dst = (id + step) % p;
-            if (dst..ranges)
+            let counts: Vec<u64> = (dst..ranges)
                 .step_by(p)
-                .all(|i| send_offsets[i] == send_offsets[i + 1])
-            {
-                continue;
-            }
+                .map(|i| (send_offsets[i + 1] - send_offsets[i]) as u64)
+                .collect();
+            let mut buf = RequestBuffer::new(dst, data_tag, buffer_bytes, &self.pool);
+            buf.open(open_tag, counts);
+            let first = (dst..ranges)
+                .step_by(p)
+                .find(|&i| send_offsets[i] < send_offsets[i + 1]);
+            let opened = first.map_or(0, |i| {
+                buf.send_chunk(&data[send_offsets[i]..send_offsets[i + 1]], 0, &sender)
+            });
             let sender = sender.clone();
-            let pool = self.pool.clone();
-            let send_bases = &send_bases;
             let lane = 1 + tasks.len() as u32;
             let index = tasks.len() as u64;
             tasks.push(task::traced_task(
@@ -418,48 +418,89 @@ impl MachineCtx {
                 dst as u64,
                 index,
                 Box::new(move || {
-                    let mut buf = RequestBuffer::new(dst, data_tag, buffer_bytes, &pool);
+                    // `at` is the stream offset the range starts at; the
+                    // opener carried the head of the first non-empty one.
+                    let mut at = 0;
                     for i in (dst..ranges).step_by(p) {
                         let slice = &data[send_offsets[i]..send_offsets[i + 1]];
-                        buf.send(slice, send_bases[i], &sender);
+                        let skip = if Some(i) == first { opened } else { 0 };
+                        buf.send(&slice[skip..], at + skip, &sender);
+                        at += slice.len();
                     }
-                    // Fault plans may have parked a chunk of this stream
-                    // (drop-with-redelivery); the stream is over, so force
-                    // it out. No-op without a plan.
-                    sender.flush_held_chunks(dst, data_tag);
+                    buf.finish::<W>(&sender);
                 }),
             ));
         }
 
-        // The receive loop: unpack each arriving chunk into its slots and
-        // hand its backing stores to the pool, where this machine's send
-        // tasks (and the next exchange) pick them back up. Arriving chunks
-        // were acquired from the *sender's* pool, hence `release_inbound`.
+        // The receive side: the openers, then the output laid out from
+        // their counts, the self parts copied in, and every chunk unpacked
+        // into its slots, its backing stores handed to the pool, where this
+        // machine's send tasks (and the next exchange) pick them back up.
+        // Arriving chunks were acquired from the *sender's* pool, hence
+        // `release_inbound`.
         let comm = &mut self.comm;
         let pool = &self.pool;
         let stats = &self.stats;
         let trace = &self.trace;
-        let slots = &mut out;
-        let receive = move || {
+        let mut receive = move || {
             let loop_start = trace.as_ref().map(|t| t.now_ns());
+            let openers = comm.recv_openers::<W::Rest>(open_tag, ranges / p);
+            let bounds = layout(&openers, send_offsets, id);
+            let total = bounds[ranges];
+            // Every slot is written exactly once below (self-copies and
+            // per-source chunks tile [0, total) by construction of the
+            // layout), asserted by the placement accounting before
+            // `assume_init` (and verified span-by-span by the protocol
+            // checker's offset ledger in debug builds).
+            let mut out: Box<[MaybeUninit<W>]> = Box::new_uninit_slice(total);
+            let mut ledger = comm.checker().offset_ledger(id, data_tag, total);
+
+            // Self parts: one memcpy per batch straight into place, no
+            // fabric involved.
+            let mut self_len = 0usize;
+            for own in (id..ranges).step_by(p) {
+                let self_slice = &data[send_offsets[own]..send_offsets[own + 1]];
+                let base = bounds[own];
+                out[base..base + self_slice.len()].write_copy_of_slice(self_slice);
+                stats.exchange.record_bytes_placed(std::mem::size_of_val(self_slice));
+                ledger.record(base, self_slice.len());
+                if let Some(t) = trace {
+                    let bytes = std::mem::size_of_val(self_slice) as u64;
+                    t.instant(LANE_MAIN, EventKind::ChunkPlace, base as u64, bytes);
+                }
+                self_len += self_slice.len();
+            }
+
+            // The chunks the openers carried first, then the data tag's.
+            let expected_remote = total - self_len;
+            let mut held = openers.into_iter().enumerate().filter_map(|(src, opener)| {
+                let (_, frames, rest, wire_bytes) = opener?;
+                (!rest.is_empty()).then_some((src, frames, rest, wire_bytes))
+            });
             let mut remote_received = 0usize;
             let mut images = Vec::new();
             while remote_received < expected_remote {
-                let pkt = comm.recv_packet(data_tag);
-                let (src, wire_bytes) = (pkt.src, pkt.wire_bytes);
-                let (offset, frames, rest) = pkt.into_value::<buffer::Chunk<W::Rest>>();
-                assert!(offset <= total, "chunk at {offset} past the output's end, {total}");
+                let (src, offset, frames, rest, wire_bytes) = match held.next() {
+                    Some((src, frames, rest, wire_bytes)) => (src, 0, frames, rest, wire_bytes),
+                    None => {
+                        let pkt = comm.recv_packet(data_tag);
+                        let (src, wire_bytes) = (pkt.src, pkt.wire_bytes);
+                        let (offset, frames, rest) = pkt.into_value::<buffer::Chunk<W::Rest>>();
+                        (src, offset, frames, rest, wire_bytes)
+                    }
+                };
                 let len = rest.len();
-                W::decode(&frames, &rest, &mut slots[offset..], &mut images, Sealed);
+                let slot = stream_slot(&bounds, p, src, offset, len);
+                W::decode(&frames, &rest, &mut out[slot..slot + len], &mut images, Sealed);
                 pool.release_inbound(frames);
                 pool.release_inbound(rest);
-                ledger.record(offset, len);
+                ledger.record(slot, len);
                 remote_received += len;
                 let bytes = len * std::mem::size_of::<W>();
                 stats.exchange.record_bytes_placed(bytes);
                 if let Some(t) = trace {
                     t.instant(LANE_MAIN, EventKind::ChunkRecv, src as u64, wire_bytes as u64);
-                    t.instant(LANE_MAIN, EventKind::ChunkPlace, offset as u64, bytes as u64);
+                    t.instant(LANE_MAIN, EventKind::ChunkPlace, slot as u64, bytes as u64);
                 }
             }
             // Debug builds: prove the self-copy and the arrived chunks
@@ -474,31 +515,32 @@ impl MachineCtx {
                     0,
                 );
             }
-            remote_received
+            assert_eq!(
+                self_len + remote_received,
+                total,
+                "exchange did not fill the output buffer"
+            );
+            // SAFETY: every one of the `total` slots was written (the assert
+            // above: the self-copies and the placed chunks tile the output,
+            // and a chunk's decode writes each slot it counts).
+            (unsafe { out.assume_init() }, bounds)
         };
-        // The workers run the send tasks while the receive loop drains
+        // The workers run the send tasks while the receive side drains
         // arrivals — true send-while-receive — unless every remote range
-        // fits one request buffer: then a task is one flush, a thread
-        // costs more than all of them, and the caller runs them first.
+        // fits one request buffer: then the openers carried each stream's
+        // first range whole, a task is at most one flush per later batch, a
+        // thread costs more than all of them, and the caller runs them
+        // first.
         let one_buffer = buffer::capacity_elems::<W>(buffer_bytes);
         let single_flushes = (0..ranges)
             .filter(|i| i % p != id)
             .all(|i| send_offsets[i + 1] - send_offsets[i] <= one_buffer);
-        let placed = if single_flushes {
+        let (out, bounds) = if single_flushes {
             self.task.run_tasks_on_caller(tasks);
             receive()
         } else {
             self.task.run_tasks_overlapping(tasks, receive)
         };
-        assert_eq!(
-            self_len + placed,
-            total,
-            "exchange did not fill the output buffer"
-        );
-        // SAFETY: every one of the `total` slots was written (the assert
-        // above: the self-copies and the placed chunks tile the output, and
-        // a chunk's decode writes each slot it counts).
-        let out = unsafe { out.assume_init() };
         (out.into_vec(), bounds)
     }
 
@@ -528,80 +570,53 @@ impl MachineCtx {
         let (out, bounds) = self.exchange(items, send_offsets);
         (out.into_iter().map(|item| item.0).collect(), bounds)
     }
+}
 
-    /// Count phase of the exchange: all-gathers every machine's per-range
-    /// counts and derives the receiver-side run bounds (batch-major,
-    /// source-minor) and the receiver-side base offset of each of this
-    /// machine's send ranges.
-    // The count matrix is dense p×B·p (the row-length assert rejects a peer
-    // with another batch count); indexing by machine id and range cannot miss.
-    fn exchange_count_phase(
-        &mut self,
-        send_offsets: &[usize],
-        counts_tag: Tag,
-    ) -> (Vec<usize>, Vec<usize>) {
-        let my_counts: Vec<u64> = send_offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as u64)
-            .collect();
-        let ranges = my_counts.len();
-        let matrix = self.all_gather_with_tag(my_counts, counts_tag);
-        assert!(
-            matrix.iter().all(|row| row.len() == ranges),
-            "every machine must exchange the same number of batches"
-        );
-
-        // Every receiver lays its runs out batch by batch, arrivals from
-        // lower-numbered sources first; walking each destination's layout
-        // gives this machine's own bounds and where its ranges land.
-        let mut bounds = Vec::with_capacity(ranges + 1);
-        bounds.push(0usize);
-        let mut send_bases = vec![0usize; ranges];
-        for dst in 0..self.p {
-            let mut at = 0usize;
-            for batch in (0..ranges).step_by(self.p) {
-                for (src, row) in matrix.iter().enumerate() {
-                    if src == self.id {
-                        send_bases[batch + dst] = at;
-                    }
-                    at += row[batch + dst] as usize;
-                    if dst == self.id {
-                        bounds.push(at);
-                    }
-                }
-            }
+/// The `B·p + 1` run bounds of a receiver's output, laid out batch by
+/// batch, arrivals from lower-numbered sources first, from the range
+/// lengths `openers` carried (indexed by source) and this machine's own
+/// send offsets `own`, whose ranges for itself are the runs it copies in.
+// Sources are machine ids < p, and every other machine's opener was
+// received with `B` range lengths.
+fn layout<R>(openers: &[Option<Opened<R>>], own: &[usize], id: usize) -> Vec<usize> {
+    let p = openers.len();
+    let ranges = own.len() - 1;
+    let mut bounds = Vec::with_capacity(ranges + 1);
+    bounds.push(0usize);
+    for b in 0..ranges / p {
+        for opener in openers {
+            let len = match opener {
+                Some((lens, ..)) => lens[b] as usize,
+                None => own[b * p + id + 1] - own[b * p + id],
+            };
+            bounds.push(bounds[bounds.len() - 1] + len);
         }
-        (bounds, send_bases)
     }
+    bounds
+}
 
-    /// All-gather with a caller-provided tag (used by the exchange's count
-    /// phase so counts and data cannot be confused). One shared payload
-    /// per contributor; per-receiver wire accounting is unchanged.
-    // Indexing is by machine id < p and a missing packet is a protocol bug
-    // worth a panic.
-    fn all_gather_with_tag<T: Send + Sync + Clone + 'static>(
-        &mut self,
-        data: Vec<T>,
-        tag: Tag,
-    ) -> Vec<Vec<T>> {
-        let shared = Arc::new(data);
-        let sender = self.comm.sender();
-        for dst in 0..self.p {
-            if dst != self.id {
-                sender.send_shared_vec(dst, tag, shared.clone());
-            }
+/// The output slot of the `len` elements at `offset` in `src`'s stream,
+/// whose runs `bounds` lays out (`B·p + 1` bounds, run `b·p + src` the
+/// stream's `b`-th range). Panics, naming the source, unless the elements
+/// lie inside one run: a chunk never spans two ranges.
+fn stream_slot(bounds: &[usize], p: usize, src: usize, offset: usize, len: usize) -> usize {
+    let mut at = offset;
+    for run in (src..bounds.len() - 1).step_by(p) {
+        let n = bounds[run + 1] - bounds[run];
+        if at < n {
+            assert!(
+                len <= n - at,
+                "chunk from machine {src} at stream offset {offset} overruns its opener's \
+                 counts: {len} keys, {} left in its run",
+                n - at
+            );
+            return bounds[run] + at;
         }
-        let mut received: Vec<Option<Vec<T>>> = (0..self.p).map(|_| None).collect();
-        let mine = Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone());
-        received[self.id] = Some(mine);
-        for _ in 1..self.p {
-            let (src, v) = self.comm.recv_shared_vec::<T>(tag);
-            debug_assert!(received[src].is_none());
-            received[src] = Some(v);
-        }
-        received
-            .into_iter()
-            .map(|v| v.expect("missing all_gather part"))
-            .collect()
+        at -= n;
     }
+    panic!(
+        "chunk from machine {src} at stream offset {offset} overruns its opener's counts: \
+         its stream holds {} keys",
+        offset - at
+    )
 }

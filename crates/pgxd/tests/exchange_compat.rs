@@ -2,7 +2,8 @@
 //! generically over its own item trait, against the typed `exchange` the
 //! sorter calls. `u64` must take the typed path byte for byte; any other
 //! element type ships whole behind a constant image, so its chunks are the
-//! elements raw behind one width-0 frame header and the offset.
+//! elements raw behind one width-0 frame header and the offset (the range
+//! length, in a stream's opener).
 
 use pgxd::cluster::{Cluster, ClusterConfig, RunReport};
 use pgxd::MachineCtx;
@@ -12,7 +13,8 @@ const P: usize = 4;
 /// A frame header: smallest key (8), key count (4), byte width (1).
 const HEADER: usize = 13;
 
-/// The receiver-side offset every chunk travels behind.
+/// The stream offset every later chunk travels behind, and the one range
+/// length an opener carries in its place (`B = 1`).
 const OFFSET: usize = 8;
 
 /// Machine `m`'s `i`-th element, as a key.
@@ -87,19 +89,20 @@ fn any_other_item_ships_raw_behind_a_bare_header() {
             assert_eq!(bounds.len(), P + 1);
         }
         // A chunk is a width-0 frame header, its elements raw, and the
-        // offset: as many elements as fit beside the header.
+        // offset: as many elements as fit beside the header. An empty
+        // stream is its opener's range length alone.
         let per_chunk = ((buffer - HEADER) / size).max(1);
-        let (mut bytes, mut chunks) = ((P * (P - 1) * P * 8) as u64, 0u64);
+        let (mut bytes, mut chunks) = (0u64, 0u64);
         for src in 0..P {
             for dst in (0..P).filter(|&dst| dst != src) {
                 let n = uneven(src, dst);
                 let c = n.div_ceil(per_chunk);
-                chunks += c as u64;
-                bytes += (c * (HEADER + OFFSET) + n * size) as u64;
+                chunks += c.max(1) as u64;
+                bytes += (c * (HEADER + OFFSET) + n * size).max(OFFSET) as u64;
             }
         }
         assert_eq!(report.comm.exchange.chunks_sent, chunks, "buffer {buffer}");
         assert_eq!(report.comm.bytes_sent, bytes, "buffer {buffer}");
-        assert_eq!(report.comm.messages_sent, P as u64 * (P as u64 - 1) + chunks);
+        assert_eq!(report.comm.messages_sent, chunks, "buffer {buffer}");
     }
 }

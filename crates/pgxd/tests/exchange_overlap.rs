@@ -120,13 +120,13 @@ fn ranges_of_one_buffer_are_flushed_before_the_receive_loop() {
         assert_eq!(sends.count(), P - 1, "one send task per destination");
     }
     assert_eq!(log.exchange_overlap_ratios(), vec![0.0; P]);
-    // Per ordered pair of machines: one count row of P u64 and one chunk of
-    // items behind a frame header and an 8-byte offset. Nothing else is on
-    // the wire.
+    // Per ordered pair of machines: one opener, the range's items behind a
+    // frame header and the range's 8-byte length. Nothing else is on the
+    // wire.
     let pairs = (P * (P - 1)) as u64;
-    let chunk_bytes = (HEADER + per_range * 20 + 8) as u64;
-    assert_eq!(comm.messages_sent, pairs * 2);
-    assert_eq!(comm.bytes_sent, pairs * (P as u64 * 8 + chunk_bytes));
+    let opener_bytes = (HEADER + per_range * 20 + 8) as u64;
+    assert_eq!(comm.messages_sent, pairs);
+    assert_eq!(comm.bytes_sent, pairs * opener_bytes);
     assert_eq!(comm.exchange.chunks_sent, pairs);
 }
 

@@ -96,8 +96,8 @@ fn try_run_reports_typed_panic_without_losing_the_run() {
 
 #[test]
 fn panic_mid_exchange_releases_blocked_survivors() {
-    // Machine 0 dies before contributing its exchange counts; machines 1
-    // and 2 are blocked in the count phase waiting on it. The abort path
+    // Machine 0 dies before it opens any exchange stream; machines 1 and 2
+    // send theirs and then block waiting for its openers. The abort path
     // must wake them (sympathetic unwind), the primary failure must stay
     // machine 0, and the checker — active in debug builds with packets
     // legitimately in flight — must stand down instead of panicking about
@@ -127,8 +127,9 @@ fn panic_mid_exchange_releases_blocked_survivors() {
     assert!(err.peer_aborts >= 1, "survivors must unwind sympathetically");
     if cfg!(debug_assertions) {
         let residual = err.residual.expect("checker active in debug builds");
-        // Machines 1 and 2 had sent count packets to the dead machine;
-        // the abort teardown reports them as residue instead of leaking.
+        // Machines 1 and 2 had sent their openers and chunks to the dead
+        // machine; the abort teardown reports them as residue instead of
+        // leaking.
         let _ = residual.in_flight_packets + residual.live_chunks + residual.parked_chunks;
     }
 }

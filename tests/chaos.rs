@@ -6,12 +6,17 @@
 //! mailbox, never corrupt it. Runs are seeded end to end: any failing cell
 //! replays bit-identically from its `(plan seed, data seed)` pair. Clean
 //! completion also implies protocol-checker quiescence (in debug builds
-//! teardown panics on undelivered packets or leaked chunks).
+//! teardown panics on undelivered packets or leaked chunks). The last three
+//! tests take the exchange's stream openers through the fault plane, each
+//! under a hard bound: a parked opener, a machine that dies before its
+//! openers, and a deadline that expires while receivers wait for them.
 
 use std::collections::BTreeMap;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use pgxd::cluster::{Cluster, ClusterConfig, RunReport};
+use pgxd::comm::kinds;
 use pgxd::fault::FaultPlan;
 use pgxd::trace::EventKind;
 use pgxd::{RunErrorKind, TraceConfig};
@@ -197,9 +202,11 @@ fn kill_mid_exchange_is_a_structured_error_not_a_hang() {
     // the checker reporting residue (not panicking) on the surviving
     // teardown path.
     let parts = generate_partitioned(Distribution::duplicate_heavy(64), N, MACHINES, 7);
-    // Threshold 3 lands inside the exchange's count-phase all-gather
-    // (p-1 = 3 mainline receives) no matter how skewed the data chunk
-    // routing is, so the victim always dies mid-exchange.
+    // Machine 1's first mainline receive is the splitter broadcast and the
+    // next p − 1 = 3 are the exchange's stream openers, which it takes
+    // before any data chunk however skewed the routing is: threshold 3
+    // lands among them, after its own openers went out, so the victim
+    // always dies mid-exchange.
     let plan = FaultPlan::chaos(31)
         .kill(1, 3)
         .step_timeout(Duration::from_secs(5));
@@ -289,4 +296,129 @@ fn try_run_ok_carries_the_full_report() {
         .expect("benign plan must succeed");
     assert_eq!(report.results.concat(), flat_sorted(&parts));
     assert!(report.comm.bytes_sent > 0);
+}
+
+/// Runs `f` on a thread of its own and returns what it returns, failing
+/// the test if that takes longer than `limit`: a run that hangs fails
+/// here instead of stalling the suite.
+fn within<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Timeout) => panic!("the run did not end within {limit:?}"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(run.join().expect_err("the thread sent nothing"))
+        }
+    }
+}
+
+/// Machine `id` of `p` in a bare exchange: `100·p` keys, distinct across
+/// machines, a hundred for every machine.
+fn hundreds(p: usize, id: usize) -> (Vec<u64>, Vec<usize>) {
+    let data: Vec<u64> = (0..100 * p as u64).map(|k| k * p as u64 + id as u64).collect();
+    let offsets = (0..=p).map(|d| d * 100).collect();
+    (data, offsets)
+}
+
+#[test]
+fn a_parked_opener_is_delivered_behind_its_streams_later_chunks() {
+    // Every stream's first message is dropped and parked: with one key a
+    // chunk, each opener arrives after the 99 later chunks of its stream,
+    // which wait in the receiver's mailbox until it does. Redelivery is the
+    // plan's promise, so the run completes, exactly; were an opener
+    // stranded, the step deadline would end it in a structured timeout.
+    let p = 4;
+    let plan = FaultPlan::enabled(5)
+        .drop_chunks(1000, 1)
+        .step_timeout(Duration::from_secs(10));
+    let config = ClusterConfig::new(p)
+        .buffer_bytes(1)
+        .trace(TraceConfig::enabled())
+        .fault(plan);
+    let report = within(Duration::from_secs(60), move || {
+        Cluster::new(config)
+            .try_run(|ctx| {
+                let (data, offsets) = hundreds(p, ctx.id());
+                ctx.exchange(&data, &offsets)
+            })
+            .map_err(|err| err.message)
+    })
+    .expect("a parked opener is redelivered");
+    for (dst, (out, bounds)) in report.results.iter().enumerate() {
+        assert_eq!(bounds, &vec![0, 100, 200, 300, 400], "machine {dst}");
+        for src in 0..p {
+            let (data, _) = hundreds(p, src);
+            assert_eq!(out[src * 100..(src + 1) * 100], data[dst * 100..(dst + 1) * 100]);
+        }
+    }
+    // Every message still went out once: an opener and 99 chunks a stream.
+    assert_eq!(report.comm.messages_sent, (p * (p - 1) * 100) as u64);
+    // Each stream's lane shows the parking: its first two flushes (the
+    // opener and the chunk after it) came before its first send.
+    let trace = report.trace.expect("tracing was enabled");
+    assert_eq!(trace.dropped, 0);
+    for m in 0..p as u32 {
+        for dst in (0..p as u32).filter(|&dst| dst != m) {
+            let lane: Vec<EventKind> = trace
+                .events
+                .iter()
+                .filter(|e| e.machine == m && e.lane == 1 + dst)
+                .filter(|e| matches!(e.kind, EventKind::ChunkFlush | EventKind::ChunkSend))
+                .map(|e| e.kind)
+                .collect();
+            assert_eq!(lane[..2], [EventKind::ChunkFlush; 2], "{m} → {dst}");
+        }
+    }
+}
+
+#[test]
+fn a_machine_that_dies_before_its_openers_fails_the_run() {
+    // Machine 1 is killed at its first receive, the splitter-like
+    // broadcast before the exchange: it never opens a stream, and the
+    // others block waiting for its openers until the abort releases them.
+    let p = 4;
+    let plan = FaultPlan::enabled(9)
+        .kill(1, 1)
+        .step_timeout(Duration::from_secs(10));
+    let err = within(Duration::from_secs(60), move || {
+        Cluster::new(ClusterConfig::new(p).fault(plan))
+            .try_run(|ctx| {
+                let from_master = ctx.is_master().then(|| vec![7u64]);
+                ctx.broadcast_from_master(from_master);
+                let (data, offsets) = hundreds(p, ctx.id());
+                ctx.exchange(&data, &offsets)
+            })
+            .map(|_| ())
+            .expect_err("the killed machine fails the run")
+    });
+    assert_eq!(err.kind, RunErrorKind::InjectedKill, "{}", err.message);
+    assert_eq!(err.machine, Some(1));
+    assert!(err.peer_aborts >= 1, "the survivors unwind: {}", err.message);
+}
+
+#[test]
+fn the_step_deadline_ends_a_wait_for_openers() {
+    // Machine 2 reaches the exchange a second late; the others send their
+    // openers and wait for its, past a 200 ms deadline.
+    let p = 3;
+    let plan = FaultPlan::enabled(11).step_timeout(Duration::from_millis(200));
+    let err = within(Duration::from_secs(60), move || {
+        Cluster::new(ClusterConfig::new(p).fault(plan))
+            .try_run(|ctx| {
+                if ctx.id() == 2 {
+                    std::thread::sleep(Duration::from_secs(1));
+                }
+                let (data, offsets) = hundreds(p, ctx.id());
+                ctx.exchange(&data, &offsets)
+            })
+            .map(|_| ())
+            .expect_err("the late machine fails the run")
+    });
+    assert_eq!(err.kind, RunErrorKind::StepTimeout, "{}", err.message);
+    assert_ne!(err.machine, Some(2), "{}", err.message);
+    let waiting = format!("waiting for tag Tag {{ kind: {}, seq: 0 }}", kinds::EXCHANGE_OPEN);
+    assert!(err.message.contains(&waiting), "{}", err.message);
 }

@@ -5,9 +5,10 @@
 //!
 //! The replayed samples, splitters and ranges also predict, exactly, every
 //! byte and message the sort puts on the wire: the sample gather, the
-//! splitter broadcast, the exchange's count rows, and each exchange chunk,
-//! each in its one wire format — the elements' `u64` images in packed
-//! frame-of-reference frames, then whatever else they hold, raw.
+//! splitter broadcast, and each exchange stream — its opener (the stream's
+//! range lengths and its first chunk) and every later chunk — each in its
+//! one wire format: the elements' `u64` images in packed frame-of-reference
+//! frames, then whatever else they hold, raw.
 
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd::{MachineCtx, DEFAULT_BUFFER_BYTES};
@@ -18,8 +19,13 @@ use pgxd_datagen::{generate_partitioned, Distribution};
 
 const KEY_BYTES: usize = std::mem::size_of::<u64>();
 
-/// The receiver-side offset every exchange chunk travels behind.
+/// The stream offset every exchange chunk but a stream's first travels
+/// behind.
 const OFFSET_BYTES: usize = 8;
+
+/// One range length in a stream's opener, which carries one a batch in
+/// place of its first chunk's offset.
+const COUNT_BYTES: usize = 8;
 
 /// A packed frame's header: smallest key (8), key count (4), byte width (1).
 const PACKED_HEADER_BYTES: usize = 13;
@@ -168,54 +174,104 @@ impl<K> Columns<K> {
         }
         (bytes, chunks)
     }
+
+    /// `(wire bytes, messages)` of one exchange stream, its ranges one a
+    /// batch: every range in chunks, the first chunk the stream's opener,
+    /// whose range lengths replace its offset. An empty stream is its
+    /// opener's range lengths alone.
+    fn stream(&self, ranges: &[&[K]], buffer: usize) -> (usize, usize) {
+        let (mut bytes, mut chunks) = (COUNT_BYTES * ranges.len(), 0);
+        for range in ranges {
+            let (b, c) = self.range(range, buffer);
+            (bytes, chunks) = (bytes + b, chunks + c);
+        }
+        match chunks {
+            0 => (bytes, 1),
+            _ => (bytes - OFFSET_BYTES, chunks),
+        }
+    }
 }
 
-/// One machine's part of a sort: its shard in, its slice of the output out.
-type Sort<K> = fn(&DistSorter, &mut MachineCtx, Vec<K>) -> Vec<K>;
+/// One machine's part of a sort: its shard of each batch in, its slice of
+/// each batch's output out.
+type Sort<K> = fn(&DistSorter, &mut MachineCtx, Vec<Vec<K>>) -> Vec<Vec<K>>;
 
-/// `DistSorter::sort`.
+/// `DistSorter::sort`, on a batch of one.
 fn plain<K: pgxd_algos::Key + pgxd::Wire>(
     sorter: &DistSorter,
     ctx: &mut MachineCtx,
-    shard: Vec<K>,
-) -> Vec<K> {
-    sorter.sort(ctx, shard).data
+    mut shards: Vec<Vec<K>>,
+) -> Vec<Vec<K>> {
+    assert_eq!(shards.len(), 1, "a plain sort is one batch");
+    vec![sorter.sort(ctx, shards.pop().unwrap()).data]
 }
 
-/// Sorts `shards` with `sort` and checks its output, its partition, and its
-/// wire bytes and messages against the replay; `columns` prices each
-/// message in the element type's format. Returns the run's wire bytes and
-/// messages.
-fn assert_replayed<K>(shards: &[Vec<K>], sort: Sort<K>, columns: Columns<K>, what: &str) -> (u64, u64)
+/// `DistSorter::sort_batch`.
+fn batched<K: pgxd_algos::Key + pgxd::Wire>(
+    sorter: &DistSorter,
+    ctx: &mut MachineCtx,
+    shards: Vec<Vec<K>>,
+) -> Vec<Vec<K>> {
+    let parts = sorter.sort_batch(ctx, shards);
+    parts.into_iter().map(|part| part.data).collect()
+}
+
+/// Sorts `batches` (each one shard per machine) with `sort` and checks
+/// each batch's output and partition, and the run's wire bytes and
+/// messages, against the replay; `columns` prices each message in the
+/// element type's format. Returns the run's wire bytes and messages.
+fn assert_replayed<K>(
+    batches: &[Vec<Vec<K>>],
+    sort: Sort<K>,
+    columns: Columns<K>,
+    what: &str,
+) -> (u64, u64)
 where
     K: Ord + Copy + Send + Sync + std::fmt::Debug + 'static,
 {
-    let p = shards.len();
+    let p = batches[0].len();
     let key_bytes = std::mem::size_of::<K>();
-    let budget = SortConfig::default().samples_per_machine(DEFAULT_BUFFER_BYTES, p, key_bytes);
-    let report = Cluster::new(ClusterConfig::new(p))
-        .run(|ctx| sort(&DistSorter::default(), ctx, shards[ctx.id()].clone()));
-    let mut expect = shards.concat();
-    expect.sort_unstable();
-    assert!(report.results.concat() == expect, "{what}: output");
-    let sorted = sorted_shards(shards);
-    let replayed = replay(&sorted, budget);
-    let sizes: Vec<usize> = report.results.iter().map(Vec::len).collect();
-    assert_eq!(replayed.sizes, sizes, "{what}: partition");
+    let budget = SortConfig::default().samples_per_machine(
+        DEFAULT_BUFFER_BYTES,
+        p * batches.len(),
+        key_bytes,
+    );
+    let report = Cluster::new(ClusterConfig::new(p)).run(|ctx| {
+        let shards = batches.iter().map(|shards| shards[ctx.id()].clone()).collect();
+        sort(&DistSorter::default(), ctx, shards)
+    });
+    let sorted: Vec<Vec<Vec<K>>> = batches.iter().map(|shards| sorted_shards(shards)).collect();
+    let replayed: Vec<Replayed<K>> = sorted.iter().map(|s| replay(s, budget)).collect();
+    for (b, (shards, replayed)) in batches.iter().zip(&replayed).enumerate() {
+        let mut expect = shards.concat();
+        expect.sort_unstable();
+        let got: Vec<K> = report.results.iter().flat_map(|parts| parts[b].clone()).collect();
+        assert!(got == expect, "{what}: batch {b} output");
+        let sizes: Vec<usize> = report.results.iter().map(|parts| parts[b].len()).collect();
+        assert_eq!(replayed.sizes, sizes, "{what}: batch {b} partition");
+    }
 
-    // Samples to the master, p − 1 splitters to everyone else, and a row of
-    // p counts from every machine to every other one.
-    let p_ = p as u64;
-    let samples: usize = replayed.samples[1..].iter().map(|s| columns.run(s)).sum();
-    let mut bytes =
-        samples as u64 + (p_ - 1) * columns.run(&replayed.splitters) as u64 + p_ * (p_ - 1) * p_ * 8;
-    let mut messages = 2 * (p_ - 1) + p_ * (p_ - 1);
-    for (src, data) in sorted.iter().enumerate() {
+    // Every machine but the master ships its sample runs in one message,
+    // and the master the splitter runs to every other machine in one each.
+    let samples: usize = replayed
+        .iter()
+        .flat_map(|r| &r.samples[1..])
+        .map(|s| columns.run(s))
+        .sum();
+    let splitters: usize = replayed.iter().map(|r| columns.run(&r.splitters)).sum();
+    let mut bytes = (samples + (p - 1) * splitters) as u64;
+    let mut messages = 2 * (p as u64 - 1);
+    // One stream per ordered pair of machines, a range of every batch.
+    for src in 0..p {
         for dst in (0..p).filter(|&dst| dst != src) {
-            let cut = &replayed.offsets[src];
-            let (b, chunks) = columns.range(&data[cut[dst]..cut[dst + 1]], DEFAULT_BUFFER_BYTES);
+            let ranges: Vec<&[K]> = sorted
+                .iter()
+                .zip(&replayed)
+                .map(|(sorted, r)| &sorted[src][r.offsets[src][dst]..r.offsets[src][dst + 1]])
+                .collect();
+            let (b, m) = columns.stream(&ranges, DEFAULT_BUFFER_BYTES);
             bytes += b as u64;
-            messages += chunks as u64;
+            messages += m as u64;
         }
     }
     assert_eq!(report.comm.bytes_sent, bytes, "{what}: wire bytes");
@@ -233,7 +289,7 @@ fn replayed_partition_is_the_sorters() {
     ] {
         let shards = generate_partitioned(dist, machines * shard, machines, 20170529);
         let what = format!("{machines} x {shard} {}", dist.name());
-        assert_replayed(&shards, plain, KEYS, &what);
+        assert_replayed(std::slice::from_ref(&shards), plain, KEYS, &what);
     }
 
     // Duplicate runs, the shape of the benchmark's `expdup_4m`: 8 machines,
@@ -262,7 +318,8 @@ fn replayed_partition_is_the_sorters() {
         .filter(|&(lo, hi, _)| lo == hi)
         .count();
     assert!(bare > machines, "{bare} width-0 frames");
-    assert_replayed(&shards, plain, KEYS, "8 x 32768 exponential, duplicate runs");
+    let what = "8 x 32768 exponential, duplicate runs";
+    assert_replayed(std::slice::from_ref(&shards), plain, KEYS, what);
 
     // The packed format's edge cases, end to end: every shard holds `0` and
     // `u64::MAX` and keys on both sides of every `2^(8k)`, so each sample
@@ -291,7 +348,7 @@ fn replayed_partition_is_the_sorters() {
             8 * k
         );
     }
-    assert_replayed(&shards, plain, KEYS, "0 and u64::MAX with every 2^(8k)");
+    assert_replayed(std::slice::from_ref(&shards), plain, KEYS, "0 and u64::MAX with every 2^(8k)");
 }
 
 /// `machines` shards of `2 + 16 · per_edge` keys each: `0` and `u64::MAX`,
@@ -331,7 +388,7 @@ fn records_pack_their_keys_beside_a_raw_payload() {
         image: |r: &(u64, [u64; 3])| r.0,
         rest: 24,
     };
-    let (bytes, _) = assert_replayed(&shards, plain, records, "records");
+    let (bytes, _) = assert_replayed(std::slice::from_ref(&shards), plain, records, "records");
     // The keys are uniform on all of `u64`, yet a 32-key block of a sorted
     // range spans far less: they ship narrower than the eight bytes they
     // took raw.
@@ -364,7 +421,8 @@ fn a_descending_sort_ships_exactly_what_the_complemented_keys_do() {
     assert_eq!(desc.results, asc.results);
     assert_eq!(desc.comm.bytes_sent, asc.comm.bytes_sent);
     assert_eq!(desc.comm.messages_sent, asc.comm.messages_sent);
-    let (bytes, messages) = assert_replayed(&complemented, plain, KEYS, "complemented keys");
+    let complemented = std::slice::from_ref(&complemented);
+    let (bytes, messages) = assert_replayed(complemented, plain, KEYS, "complemented keys");
     assert_eq!((desc.comm.bytes_sent, desc.comm.messages_sent), (bytes, messages));
 }
 
@@ -383,11 +441,11 @@ fn a_provenance_sort_packs_its_keys_beside_origin_and_index() {
         image: |k: &Keyed<u64>| k.key,
         rest: 16,
     };
-    let sort_keyed: Sort<Keyed<u64>> = |sorter, ctx, shard| {
-        let keys: Vec<u64> = shard.iter().map(|k| k.key).collect();
-        sorter.sort_keyed(ctx, &keys).data
+    let sort_keyed: Sort<Keyed<u64>> = |sorter, ctx, shards| {
+        let keys: Vec<u64> = shards[0].iter().map(|k| k.key).collect();
+        vec![sorter.sort_keyed(ctx, &keys).data]
     };
-    assert_replayed(&shards, sort_keyed, keyed, "provenance");
+    assert_replayed(std::slice::from_ref(&shards), sort_keyed, keyed, "provenance");
 }
 
 /// `B` batches share the one read buffer the master receives: each batch
@@ -431,4 +489,40 @@ fn sample_budget_is_one_read_buffer_for_any_batch_count() {
         0 < sample_bytes && sample_bytes <= buffer_bytes,
         "B = {batches}: {sample_bytes} B of samples against a {buffer_bytes} B buffer"
     );
+}
+
+/// The shapes that move the openers most, each pinned to its figures as
+/// well as to the model: three batches in one exchange, so every opener
+/// carries three range lengths; a machine with nothing for one
+/// destination, whose stream there is an opener of range lengths alone;
+/// and eight machines over six distinct keys, runs of one key cut across
+/// machines by the investigator.
+#[test]
+fn openers_carry_every_batch_and_open_empty_streams() {
+    let machines = 4;
+    let dists = [Distribution::Uniform, Distribution::Exponential, Distribution::Normal];
+    let inputs: Vec<Vec<Vec<u64>>> = (0..3)
+        .map(|b| generate_partitioned(dists[b], machines * 16_384, machines, 20170529 + b as u64))
+        .collect();
+    let figures = assert_replayed(&inputs, batched, KEYS, "sort_batch, B = 3");
+    assert_eq!(figures, (476_957, 42), "sort_batch, B = 3");
+
+    // Machine 0 holds keys of the lower half only: the top splitter sits
+    // near two thirds of the range, so it has nothing for machine 3.
+    let n = machines * 16_384;
+    let mut shards = generate_partitioned(Distribution::Uniform, n, machines, 20170529);
+    shards[0].iter_mut().for_each(|k| *k /= 2);
+    let budget =
+        SortConfig::default().samples_per_machine(DEFAULT_BUFFER_BYTES, machines, KEY_BYTES);
+    let cut = &replay(&sorted_shards(&shards), budget).offsets[0];
+    assert!(cut[3] == cut[4] && cut[2] < cut[3], "machine 0's ranges: {cut:?}");
+    let figures = assert_replayed(std::slice::from_ref(&shards), plain, KEYS, "an empty stream");
+    assert_eq!(figures, (225_924, 18), "an empty stream");
+
+    let machines = 8;
+    let six_keys = Distribution::duplicate_heavy(6);
+    let shards = generate_partitioned(six_keys, machines * 4096, machines, 20170529);
+    let what = "8 machines, 6 distinct keys";
+    let figures = assert_replayed(std::slice::from_ref(&shards), plain, KEYS, what);
+    assert_eq!(figures, (11_600, 70), "{what}");
 }

@@ -63,7 +63,7 @@ pub struct Guard {
     pub idx: usize,
     /// 1-based source line.
     pub line: usize,
-    /// Resolved lock name, e.g. `ChunkPool::shards`.
+    /// Resolved lock name, e.g. `ProtocolChecker::ledger`.
     pub lock: String,
     /// Binding name for `let`-bound guards.
     pub binding: Option<String>,

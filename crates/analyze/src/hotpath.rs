@@ -1,19 +1,19 @@
 //! Hot-path allocation pass (`hot-path-alloc`).
 //!
-//! The paper's §IV-C speedup rests on a steady-state data plane that
-//! *recycles* buffers: once a run is warm, per-element and per-chunk work
-//! draws scratch from `ChunkPool`, not the global allocator. The
-//! pool/memtrack suites check this *dynamically*; this pass is the
-//! static twin: it inventories **hot regions**, walks the resolved call
-//! graph from them, and flags every heap-allocation site reachable on
-//! the way.
+//! The paper's §IV-C speedup rests on a data plane whose per-element work
+//! does not allocate: a chunk allocates the columns it ships, once, and
+//! nothing else on the way does. The memtrack suites
+//! (`alloc_regression.rs`, `alloc_step_path.rs`) check this
+//! *dynamically*; this pass is the static twin: it inventories **hot
+//! regions**, walks the resolved call graph from them, and flags every
+//! heap-allocation site reachable on the way.
 //!
 //! Hot regions (the BFS roots) are the per-element data plane only:
 //!
 //! * **kernel** — every function in the local-sort kernel, the merges
 //!   and the request buffer (`quicksort.rs`, `merge.rs`, `kway.rs`,
 //!   `buffer.rs`);
-//! * **exchange** — the chunk path of `MachineCtx::exchange`: its
+//! * **exchange** — the chunk path of `MachineCtx::exchange_into`: its
 //!   innermost loop bodies (the per-batch self copy, the per-range send
 //!   inside each destination's task, the receive loop). The stream
 //!   openers' receive and layout and the per-destination set-up around
@@ -81,7 +81,7 @@ const PREFIX_ROOTS: [(&str, &[&str], &str); 3] = [
 ];
 
 /// The function whose innermost loop bodies are the exchange's chunk path.
-const EXCHANGE_ROOT: (&str, &str) = ("crates/pgxd/src/machine.rs", "MachineCtx::exchange");
+const EXCHANGE_ROOT: (&str, &str) = ("crates/pgxd/src/machine.rs", "MachineCtx::exchange_into");
 
 /// Owning std types whose `new`/`from` constructors allocate.
 const ALLOC_TYPES: [&str; 10] = [
@@ -339,7 +339,7 @@ pub fn analyze_hotpath(files: &[ParsedFile], graph: &CallGraph) -> HotPaths {
                 operation: format!("alloc({})", a.kind),
                 chain,
                 message: format!(
-                    "alloc `{}` at {}:{} in `{fn_name}` <- reachable from {root_desc}{via} — steady-state buffers come from `ChunkPool`; annotate genuinely cold/amortized paths with `analyze: allow(hot-path-alloc): <reason>`",
+                    "alloc `{}` at {}:{} in `{fn_name}` <- reachable from {root_desc}{via} — per-element work must not allocate; annotate genuinely cold/amortized paths (or a chunk's own columns) with `analyze: allow(hot-path-alloc): <reason>`",
                     a.kind, pf.rel, a.line
                 ),
             });
@@ -410,7 +410,7 @@ mod tests {
 
     #[test]
     fn exchange_roots_are_its_innermost_loops_and_step_bodies_are_cold() {
-        let src = "impl MachineCtx {\n    fn exchange(&mut self, ctx: &C) {\n        let counts = self.counts.to_vec();\n        for dst in 0..p {\n            let h = self.pool.clone();\n            for i in 0..n {\n                let copy = self.data.to_vec();\n            }\n        }\n        ctx.step(steps::EXCHANGE, |c| {\n            let v = vec![0u8; 4];\n        });\n    }\n}\n";
+        let src = "impl MachineCtx {\n    fn exchange_into(&mut self, ctx: &C) {\n        let counts = self.counts.to_vec();\n        for dst in 0..p {\n            let h = self.sender.clone();\n            for i in 0..n {\n                let copy = self.data.to_vec();\n            }\n        }\n        ctx.step(steps::EXCHANGE, |c| {\n            let v = vec![0u8; 4];\n        });\n    }\n}\n";
         let r = analyze_hotpath(&[parse_file("crates/pgxd/src/machine.rs", src)]);
         let regions: Vec<(&str, usize)> = r.regions.iter().map(|h| (h.kind.as_str(), h.line)).collect();
         assert_eq!(regions, [("exchange", 6)]);

@@ -10,7 +10,7 @@
 //!    resolved call chain) becomes an edge; cycles fail the build with the
 //!    full acquisition chain.
 //! 2. **blocking-under-lock** — barrier/condvar waits, channel send/recv,
-//!    `ChunkPool::acquire`, and joins reachable while a guard is live are
+//!    semaphore-style `acquire`, and joins reachable while a guard is live are
 //!    findings unless `analyze.allow` carries a justified entry.
 //! 3. **wait-graph** — barrier/send/recv sites per §IV step with
 //!    asymmetric-barrier and recv-without-send shape checks (see
@@ -27,10 +27,9 @@
 //!    loops; never allowlistable (see [`loopdisc`]).
 //!
 //! Passes 1, 2, 3 and 5 follow calls through one [`CallGraph`], built
-//! once per run. Chunk custody (every pooled chunk released once) is not
-//! a static pass: the runtime protocol checker's ledger enforces it in
-//! every debug run, and rustc's move check rules out a second release of
-//! the same buffer.
+//! once per run. Chunk custody is not a pass: a chunk is a pair of
+//! `Vec`s moved from sender to receiver, so rustc's move check is its
+//! rule.
 //!
 //! Inline `analyze: allow(<rule>): <reason>` markers cover
 //! atomics-ordering and hot-path-alloc findings, and a marker that covers

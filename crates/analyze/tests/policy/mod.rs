@@ -78,7 +78,7 @@ const ROWS: &[Row] = &[
     pub fn trailing(x: &u8) -> u8 {
         unsafe { *(x as *const u8) } // SAFETY: after the block. // planted: clippy::undocumented_unsafe_blocks
     }"),
-    ("safety_comment_same_line_or_above_accepted", "crates/pgxd/src/pool.rs",
+    ("safety_comment_same_line_or_above_accepted", "crates/pgxd/src/machine.rs",
     "pub fn above(x: &u8) -> u8 {
         // SAFETY: `x` is a reference, valid for reads.
         unsafe { *(x as *const u8) }
@@ -89,7 +89,7 @@ const ROWS: &[Row] = &[
     pub struct Raw(*mut u8);
     // SAFETY: `Raw` is never dereferenced.
     unsafe impl Send for Raw {}"),
-    ("unsafe_fn_declaration_exempt_from_safety_comment", "crates/pgxd/src/pool.rs",
+    ("unsafe_fn_declaration_exempt_from_safety_comment", "crates/pgxd/src/machine.rs",
     "/// Contract: `_p` is valid for reads.
     pub unsafe fn f(_p: *const u8) {}
     pub struct R(pub unsafe fn(*mut u8));"),

@@ -1,9 +1,6 @@
-//! The analyzer gate over the real workspace, plus the regression guard
-//! for the PR 3 review race: `ChunkPool::acquire`/`release` may touch the
-//! checker ledger while a shard guard is held (that ordering is the fix),
-//! but must never reach a communication or barrier primitive from inside
-//! the critical section. The must-fail table at the end plants known
-//! defects into the real sources, in memory, and requires each to fail.
+//! The analyzer gate over the real workspace. The must-fail table at the
+//! end plants known defects into the real sources, in memory, and requires
+//! each to fail.
 
 use std::path::Path;
 
@@ -23,55 +20,15 @@ fn workspace_is_clean_and_acyclic() {
         pgxd_analyze::render_human(&r)
     );
     assert!(r.cycles.is_empty());
-    // The canonical order is a DAG rooted at the pool shard locks.
-    assert!(r.graph_nodes.contains(&"ChunkPool::shards".to_string()));
-}
-
-/// The fixed ordering from the PR 3 review: ledger hooks run inside the
-/// shard critical section — and nothing else does. Every operation the
-/// allowlist admits under a shard guard is a leaf lock acquisition; if a
-/// send/recv/wait/join/acquire ever becomes reachable there, this fails
-/// even if someone allowlists it.
-#[test]
-fn pool_critical_sections_never_block_on_comm_or_barriers() {
-    let r = analyze_workspace(root()).expect("workspace sources readable");
-    for f in r.findings.iter().chain(r.allowlisted.iter()) {
-        if f.held.as_deref() == Some("ChunkPool::shards") {
-            assert!(
-                f.operation.starts_with("lock("),
-                "blocking primitive `{}` reachable under a shard guard at {}:{} (via {:?})",
-                f.operation,
-                f.file,
-                f.line,
-                f.chain
-            );
-            assert!(
-                !f.chain.iter().any(|c| c.contains("CommSender") || c.contains("barrier")),
-                "pool critical section reaches comm/barrier code: {:?}",
-                f.chain
-            );
-        }
-    }
-    // The ordering itself: the ledger hooks ARE under the shard guard
-    // (regression guard for the custody race — if someone "fixes" the
-    // analyzer findings by moving them back outside, this fails).
-    let keys: Vec<String> = r.allowlisted.iter().map(|f| f.key()).collect();
-    for expected in [
-        "blocking-under-lock | crates/pgxd/src/pool.rs | ChunkPool::acquire | ChunkPool::shards | lock(ProtocolChecker::ledger)",
-        "blocking-under-lock | crates/pgxd/src/pool.rs | ChunkPool::acquire | ChunkPool::shards | lock(ChunkPool::known_caps)",
-        "blocking-under-lock | crates/pgxd/src/pool.rs | ChunkPool::release_impl | ChunkPool::shards | lock(ProtocolChecker::ledger)",
-        "blocking-under-lock | crates/pgxd/src/pool.rs | ChunkPool::drop | ChunkPool::shards | lock(ProtocolChecker::ledger)",
-    ] {
-        assert!(
-            keys.contains(&expected.to_string()),
-            "expected allowlisted hook missing: {expected}\nhave: {keys:#?}"
-        );
+    // The lock pass still sees the runtime's shared locks.
+    for lock in ["ProtocolChecker::ledger", "MachineTrace::sink", "ClusterBarrier::state"] {
+        assert!(r.graph_nodes.contains(&lock.to_string()), "{lock}: {:?}", r.graph_nodes);
     }
 }
 
 /// The v2 inventories over the real tree: if a refactor renames the sort
-/// driver or the pool entry points out of the analyzer's sight, the new
-/// passes silently go blind — this pins the coverage floor.
+/// driver or the exchange's send/recv sites out of the analyzer's sight,
+/// the new passes silently go blind — this pins the coverage floor.
 #[test]
 fn v2_inventories_cover_the_runtime() {
     let r = analyze_workspace(root()).expect("workspace sources readable");
@@ -110,12 +67,7 @@ fn v2_inventories_cover_the_runtime() {
 /// have a cycle among the named runtime locks.
 #[test]
 fn canonical_lock_order_holds() {
-    let order = [
-        "ChunkPool::shards",
-        "ChunkPool::known_caps",
-        "ProtocolChecker::ledger",
-        "MachineTrace::sink",
-    ];
+    let order = ["ProtocolChecker::ledger", "MachineTrace::sink"];
     let rank = |n: &str| order.iter().position(|o| *o == n);
     let r = analyze_workspace(root()).expect("workspace sources readable");
     for e in &r.graph_edges {
@@ -153,7 +105,7 @@ fn v3_inventories_cover_the_runtime() {
         .filter(|h| h.kind == "exchange")
         .map(|h| h.name.as_str())
         .collect();
-    assert_eq!(exchange, ["MachineCtx::exchange"; 3], "{:?}", r.hot_regions);
+    assert_eq!(exchange, ["MachineCtx::exchange_into"; 3], "{:?}", r.hot_regions);
     // Step bodies are not roots.
     assert!(r.hot_regions.iter().all(|h| !h.name.starts_with("step:")));
     // The fabric's receive pumps are inventoried as recv loops.
@@ -216,7 +168,7 @@ const MUST_FAIL: &[(&str, &str, &str, &str, &str)] = &[
         "let slice = &data[send_offsets[i]..send_offsets[i + 1]];",
         "let slice = &data[send_offsets[i]..send_offsets[i + 1]]; let _inj = data.to_vec();",
         "hot-path-alloc",
-        "in `MachineCtx::exchange`",
+        "in `MachineCtx::exchange_into`",
     ),
     // PR 10's catch: an `Arc` clone on every receive.
     (

@@ -290,14 +290,8 @@ fn fig7(opts: &Opts) {
     );
     let (xn, xs) = (&rn.report.comm.exchange, &rs.report.comm.exchange);
     println!(
-        "exchange pool: normal {:.1}% hit rate ({} chunks sent, {} recycled); \
-         right-skewed {:.1}% hit rate ({} sent, {} recycled)",
-        100.0 * xn.pool_hit_rate(),
-        xn.chunks_sent,
-        xn.chunks_recycled,
-        100.0 * xs.pool_hit_rate(),
-        xs.chunks_sent,
-        xs.chunks_recycled,
+        "exchange chunks sent: normal {}, right-skewed {}",
+        xn.chunks_sent, xs.chunks_sent
     );
     save_json("fig7", &[rn, rs]);
 }
@@ -629,11 +623,12 @@ fn buffer_sweep(opts: &Opts) {
 // Perfetto plus the derived views (step Gantt, overlap, barrier skew).
 // ---------------------------------------------------------------------------
 
-/// Default knobs for `exp trace`: the acceptance workload of 2^20 uniform
-/// keys on a 4-machine cluster.
+/// Default knobs for `exp trace`: the acceptance workload of 2^22 uniform
+/// keys on a 4-machine cluster, whose streams hold several request buffers
+/// each, so the worker tasks send while the receive loop runs.
 fn trace_defaults() -> Opts {
     Opts {
-        n: 1 << 20,
+        n: 1 << 22,
         procs: vec![4],
         ..Opts::default()
     }
@@ -968,9 +963,9 @@ fn health_cmd(opts: &Opts) {
         .unwrap_or_else(|| panic!("no step names machine {straggler} at >= 1.5x: {steps:?}"));
     println!("caught: machine {straggler} is the slowest in `{step}` ({ratio:.2}x the lower median)");
 
-    let (c, x) = (&report.comm, &report.comm.exchange);
+    let c = &report.comm;
     let doc = Json::Object(vec![
-        ("schema", "pgxd-health/3".into()),
+        ("schema", "pgxd-health/4".into()),
         ("steps", rows.into()),
         (
             "comm",
@@ -978,8 +973,6 @@ fn health_cmd(opts: &Opts) {
                 ("bytes_sent", c.bytes_sent.into()),
                 ("messages_sent", c.messages_sent.into()),
                 ("max_recv_bytes", c.max_recv_bytes.into()),
-                ("pool_hits", x.pool_hits.into()),
-                ("pool_misses", x.pool_misses.into()),
             ]),
         ),
         ("per_dst_bytes", report.per_dst_bytes.into()),
@@ -1046,7 +1039,7 @@ fn main() {
         "fig11" => fig11(&opts),
         "ablation" => ablation(&opts),
         "buffer" => buffer_sweep(&opts),
-        // Own defaults (2^20 keys, p=4): re-parse the flags on top of them.
+        // Own defaults (2^22 keys, p=4): re-parse the flags on top of them.
         "trace" => trace_cmd(&opts_or_exit(trace_defaults(), flags)),
         // Own defaults (2 × 10^5 keys, p=8), same flag re-parse.
         "chaos" => chaos_cmd(&opts_or_exit(chaos_defaults(), flags)),

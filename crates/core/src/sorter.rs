@@ -3,8 +3,7 @@
 //! 1. **local sort** — data divided evenly among the machine's worker
 //!    threads, every worker quicksorts its chunk
 //!    ([`pgxd_algos::quicksort`]), chunks combined with a parallel k-way
-//!    merge, cut into equal parts at exact co-ranks, into a pool-recycled
-//!    buffer.
+//!    merge, cut into equal parts at exact co-ranks, into a fresh buffer.
 //! 2. **sampling** — regular samples (the buffer-sized rule is their
 //!    budget, one key in eight their densest) sent to master.
 //! 3. **splitters** — master selects the `p − 1` regular splitters out of
@@ -68,17 +67,12 @@ pub mod steps {
 /// worker pool and combines the per-worker runs with a parallel k-way
 /// merge cut at exact co-ranks.
 ///
-/// Returns `(sorted, leftover)`. With several chunks `sorted` was acquired
-/// from the machine's [`ChunkPool`](pgxd::pool::ChunkPool) — with room for
-/// `capacity` elements, so the caller can append to it without moving the
-/// chunk — and `leftover` is the chunk-sorted input it was merged from: a
-/// spent allocation of the same size the machine still owns. The caller
-/// must hand `sorted` back with `ctx.pool().release(..)` once the exchange
-/// has consumed it: the protocol checker's chunk ledger fails a debug run
-/// on a chunk still out at a barrier or at teardown. No barrier sits
-/// between step 1 and the exchange, so holding the chunk across steps 2–5
-/// is legal. With one chunk the input is sorted in place: `sorted` is the
-/// caller's own allocation and there is no `leftover`.
+/// Returns `(sorted, leftover)`. With several chunks `sorted` is a fresh
+/// `Vec` with room for `capacity` elements, so the caller can append to it
+/// without moving it, and `leftover` is the chunk-sorted input it was
+/// merged from: a spent allocation of the same size, which the exchange
+/// receives into. With one chunk the input is sorted in place:
+/// `sorted` is the caller's own allocation and there is no `leftover`.
 // The `data[0]` seed read sits past the one-worker return, so `data` holds at
 // least two workers' minimum chunks.
 fn run_local_sort<T: Key>(
@@ -89,7 +83,7 @@ fn run_local_sort<T: Key>(
     let n = data.len();
     let workers = ctx.workers().max(1).min((n / MIN_ITEMS_PER_WORKER).max(1));
     if workers == 1 {
-        // One chunk: sorted inline — no task, no merge, no pooled buffer.
+        // One chunk: sorted inline — no task, no merge, no second buffer.
         quicksort(&mut data);
         return (data, None);
     }
@@ -102,7 +96,7 @@ fn run_local_sort<T: Key>(
         tasks.push(Box::new(move || quicksort(chunk)));
     }
     ctx.tasks().run_tasks(tasks);
-    let mut out = ctx.pool().acquire::<T>(n.max(capacity));
+    let mut out = Vec::with_capacity(n.max(capacity));
     out.resize(n, data[0]);
     ctx.phase_scope("local.merge", || {
         merge_runs_with_tasks(ctx.tasks(), &data, &bounds, &mut out, workers)
@@ -391,7 +385,7 @@ impl DistSorter {
         let input_items: usize = locals.iter().map(Vec::len).sum();
 
         // Step 1: local parallel sort of each batch (chunk → quicksort →
-        // parallel k-way merge into a pool-recycled buffer). The first
+        // parallel k-way merge into a fresh buffer). The first
         // batch's buffer, given room for all of them, is the array the
         // exchange will read; later batches are appended to it.
         let (sorted, leftover, batch_bounds) = ctx.step(steps::LOCAL_SORT, move |ctx| {
@@ -400,12 +394,9 @@ impl DistSorter {
             let (mut sorted, leftover) = run_local_sort(ctx, first, input_items);
             let mut bounds = vec![0, sorted.len()];
             for batch in locals {
-                let (run, run_leftover) = run_local_sort(ctx, batch, 0);
+                let (run, _) = run_local_sort(ctx, batch, 0);
                 sorted.extend_from_slice(&run);
                 bounds.push(sorted.len());
-                if run_leftover.is_some() {
-                    ctx.pool().release(run);
-                }
             }
             (sorted, leftover, bounds)
         });
@@ -457,21 +448,13 @@ impl DistSorter {
             send_offsets
         });
 
-        // Step 5: asynchronous offset-addressed exchange.
+        // Step 5: asynchronous offset-addressed exchange, received into the
+        // spent input step 1 merged from, if it left one. Either way the
+        // step-1 array is spent after it: the second buffer step 6 needs.
         let (mut received, bounds) = ctx.step(steps::EXCHANGE, |ctx| {
-            ctx.exchange(&sorted, &send_offsets)
+            ctx.exchange_into(&sorted, &send_offsets, leftover.unwrap_or_default())
         });
-        // The exchange consumed the step-1 array. A pooled chunk goes back
-        // before the teardown quiescence check; either way the machine is
-        // left owning one spent buffer of its input's size, which is the
-        // second buffer step 6 needs.
-        let mut spare = match leftover {
-            Some(input) => {
-                ctx.pool().release(sorted);
-                input
-            }
-            None => sorted,
-        };
+        let mut spare = sorted;
 
         // Step 6: balanced merge (Fig. 2) of each batch's p per-source
         // sorted runs. The batches arrived back to back: the later ones

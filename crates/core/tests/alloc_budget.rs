@@ -23,7 +23,7 @@ const N_PER_MACHINE: usize = 256 * 1024; // u64 keys
 const WARMUPS: usize = 2;
 
 /// Bytes the whole cluster allocates during one `DistSorter::sort`, after
-/// `WARMUPS` identical sorts have filled the chunk pool.
+/// `WARMUPS` identical sorts.
 fn warm_sort_allocation(workers: usize) -> usize {
     let cluster = Cluster::new(ClusterConfig::new(P).workers_per_machine(workers));
     let sorter = DistSorter::default();

@@ -1,4 +1,4 @@
-//! Step 1's chunk → task pool → parallel k-way merge → pooled buffer path
+//! Step 1's chunk → task pool → parallel k-way merge → merged buffer path
 //! and step 6's parallel Fig. 2 tree, at worker and machine counts the
 //! benchmark does not run: machines × workers × input shape, each against
 //! `sort_unstable` on the concatenated input.
@@ -9,11 +9,11 @@
 //! grouped per thread) but fewer than three or four (each merge split).
 //!
 //! The batch leg sends three unequal batches through the same grid in one
-//! `sort_batch`, so a debug build's protocol checker sees every custody
-//! path of the step-1 buffers: the first batch's pooled chunk released
-//! after the exchange, a later batch's released inside step 1, an unpooled
-//! single-chunk batch, and the one spare buffer step 6 hands from batch to
-//! batch (shrinking and growing on the way).
+//! `sort_batch`, so every path of the step-1 buffers runs: the first
+//! batch's merged buffer, later batches appended to it, a single-chunk
+//! batch, the exchange receiving into the first batch's spent input, and
+//! the one spare buffer step 6 hands from batch to batch (shrinking and
+//! growing on the way).
 
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd::trace::{EventKind, TraceConfig};

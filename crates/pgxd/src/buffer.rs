@@ -51,7 +51,6 @@
 //! is the one decoder, for chunks and runs alike.
 
 use crate::comm::{CommSender, Tag};
-use crate::pool::ChunkPool;
 use crate::trace::EventKind;
 use crate::wire::Wire;
 use std::mem::MaybeUninit;
@@ -442,15 +441,12 @@ fn run_keys(frames_bytes: &[u8], total: usize) -> Vec<Vec<u64>> {
 }
 
 /// A destination's outgoing request buffer, which flushes at a byte
-/// capacity. Chunk backing stores are acquired from the machine's
-/// [`ChunkPool`] — in a steady-state exchange the receiver releases
-/// consumed chunks back, so the same allocations circulate for the whole
-/// run.
-pub struct RequestBuffer<'p> {
+/// capacity. Each chunk it ships owns columns sized to what it carries;
+/// the receiver frees them once it has decoded the chunk.
+pub struct RequestBuffer {
     dst: usize,
     tag: Tag,
     capacity_bytes: usize,
-    pool: &'p ChunkPool,
     /// The image column of the elements being cut into a chunk, when they
     /// are not their own images.
     images: Vec<u64>,
@@ -461,17 +457,16 @@ pub struct RequestBuffer<'p> {
     counts: Option<Vec<u64>>,
 }
 
-impl<'p> RequestBuffer<'p> {
+impl RequestBuffer {
     /// A buffer for `dst` that ships chunks tagged `tag`.
     // analyze: allow(hot-path-alloc): one buffer per destination stream; its
     // image scratch stays empty for `u64` and is reused across the stream's
     // chunks otherwise.
-    pub fn new(dst: usize, tag: Tag, capacity_bytes: usize, pool: &'p ChunkPool) -> Self {
+    pub fn new(dst: usize, tag: Tag, capacity_bytes: usize) -> Self {
         RequestBuffer {
             dst,
             tag,
             capacity_bytes,
-            pool,
             images: Vec::new(),
             open_tag: None,
             counts: None,
@@ -502,6 +497,9 @@ impl<'p> RequestBuffer<'p> {
     /// offset `offset` of the stream — or as the stream's opener, if the
     /// stream is open and its opener has not shipped. Returns how many
     /// elements it took.
+    // analyze: allow(hot-path-alloc): a chunk's two columns are the message
+    // it ships, allocated at the size it carries and freed by the receiver
+    // once decoded.
     pub fn send_chunk<W: Wire>(
         &mut self,
         items: &[W],
@@ -509,9 +507,6 @@ impl<'p> RequestBuffer<'p> {
         sender: &CommSender,
     ) -> usize {
         let rest_bytes = std::mem::size_of::<W::Rest>();
-        // Backing stores of one size per stream, whatever each chunk holds,
-        // so the pool can hand any parked one to the next chunk.
-        let frames_cap = frames_capacity(self.capacity_bytes, rest_bytes);
         // A chunk whose elements carry a rest holds at most this many (its
         // frames take a header at least), so their images are gathered a
         // chunk's worth at a time, while the elements are still in cache
@@ -522,11 +517,13 @@ impl<'p> RequestBuffer<'p> {
         };
         let head = &items[..items.len().min(window)];
         let keys = W::images(head, &mut self.images);
-        let mut frames: Vec<u8> = self.pool.acquire(frames_cap);
+        // The frames of a head are never larger than one frame over it, nor
+        // than the capacity leaves beside their rest column.
+        let frames_cap = frames_capacity(self.capacity_bytes, rest_bytes)
+            .min(PACKED_HEADER_BYTES.saturating_add(keys.len().saturating_mul(8)));
+        let mut frames = Vec::with_capacity(frames_cap);
         let taken = pack_frames(keys, self.capacity_bytes, rest_bytes, false, &mut frames);
-        let rest_cap = if rest_bytes == 0 { taken } else { window };
-        let mut rest: Vec<W::Rest> = self.pool.acquire(rest_cap);
-        rest.extend(head[..taken].iter().map(W::rest));
+        let rest: Vec<W::Rest> = head[..taken].iter().map(W::rest).collect();
         let bytes = frames.len() + taken * rest_bytes;
         // Flush marker: the data-manager capacity edge, distinct from the
         // `ChunkSend` the sender emits at the fabric edge.
@@ -571,14 +568,13 @@ mod tests {
 
     const H: usize = PACKED_HEADER_BYTES;
 
-    /// Machines 0 and 1 of a two-machine fabric, plus a chunk pool on the
-    /// same stats.
-    fn fabric2() -> (CommManager, CommManager, ChunkPool, SharedCommStats) {
+    /// Machines 0 and 1 of a two-machine fabric, and their stats.
+    fn fabric2() -> (CommManager, CommManager, SharedCommStats) {
         let stats = Arc::new(CommStats::new(2, Default::default()));
         let mut f = CommManager::fabric(2, stats.clone());
         let m1 = f.pop().unwrap();
         let m0 = f.pop().unwrap();
-        (m0, m1, ChunkPool::new(stats.clone()), stats)
+        (m0, m1, stats)
     }
 
     /// A chunk's elements: its frames unpacked and joined with its rest
@@ -599,9 +595,9 @@ mod tests {
     /// Sends `items` as one range through a buffer at `capacity` bytes and
     /// returns the chunks it shipped, decoded.
     fn sent_chunks<W: Wire>(items: &[W], capacity: usize) -> Vec<(usize, Vec<W>, usize)> {
-        let (m0, mut m1, pool, stats) = fabric2();
+        let (m0, mut m1, stats) = fabric2();
         let tag = Tag::user(0, 7);
-        RequestBuffer::new(1, tag, capacity, &pool).send(items, 0, &m0.sender());
+        RequestBuffer::new(1, tag, capacity).send(items, 0, &m0.sender());
         let chunks = stats.summary().exchange.chunks_sent as usize;
         (0..chunks).map(|_| recv_chunk(&mut m1, tag)).collect()
     }
@@ -779,12 +775,12 @@ mod tests {
 
     #[test]
     fn flushes_on_capacity() {
-        let (m0, mut m1, pool, _) = fabric2();
+        let (m0, mut m1, _) = fabric2();
         let tag = Tag::user(0, 0);
         // Keys 0..10 span one byte: a header plus four keys is 17 bytes.
         let cap = H + 4;
         let keys: Vec<u64> = (0..10).collect();
-        RequestBuffer::new(1, tag, cap, &pool).send(&keys, 100, &m0.sender());
+        RequestBuffer::new(1, tag, cap).send(&keys, 100, &m0.sender());
         assert_eq!(recv_chunk(&mut m1, tag), (100, vec![0, 1, 2, 3], cap));
         assert_eq!(recv_chunk(&mut m1, tag), (104, vec![4, 5, 6, 7], cap));
         assert_eq!(recv_chunk(&mut m1, tag), (108, vec![8, 9], H + 2));
@@ -792,7 +788,7 @@ mod tests {
         // A pair ships its key in the frames and its value raw beside them:
         // five bytes a pair, so a header and 20 bytes are four pairs.
         let pairs: Vec<(u64, u32)> = (0..10).map(|i| (i, 7)).collect();
-        RequestBuffer::new(1, tag, H + 20, &pool).send(&pairs, 100, &m0.sender());
+        RequestBuffer::new(1, tag, H + 20).send(&pairs, 100, &m0.sender());
         for (offset, range, bytes) in [(100, 0..4, H + 20), (104, 4..8, H + 20), (108, 8..10, H + 10)] {
             let chunk = recv_chunk::<(u64, u32)>(&mut m1, tag);
             assert_eq!(chunk, (offset, pairs[range].to_vec(), bytes));
@@ -857,38 +853,41 @@ mod tests {
     }
 
     #[test]
-    fn pooled_buffer_recycles_chunk_backing_stores() {
-        let (m0, mut m1, pool, stats) = fabric2();
+    fn a_chunk_reserves_what_it_carries() {
+        let (m0, mut m1, stats) = fabric2();
         let tag = Tag::user(0, 9);
-        // Room for four one-byte keys: each round ships one chunk.
-        let mut buf = RequestBuffer::new(1, tag, H + 4, &pool);
-        for round in 0..3u64 {
-            let keys: Vec<u64> = (0..4).map(|v| round * 4 + v).collect();
-            buf.send(&keys, round as usize * 4, &m0.sender());
-            // Receiver consumes the chunk and returns its backing store; a
-            // `u64` chunk's rest column is empty and allocates nothing.
-            let (_, (off, frames, rest)) = m1.recv_value::<Chunk<()>>(tag);
-            assert_eq!((off as u64, rest.len()), (round * 4, 4));
-            pool.release(frames);
+        let cap = crate::DEFAULT_BUFFER_BYTES;
+        // Three one-byte keys under a 256 KiB buffer: the frames column
+        // reserves one frame over them, not the buffer.
+        RequestBuffer::new(1, tag, cap).send(&[1u64, 2, 3], 0, &m0.sender());
+        let (_, (_, frames, rest)) = m1.recv_value::<Chunk<()>>(tag);
+        assert_eq!((frames.len(), rest.len()), (H + 3, 3));
+        assert_eq!(frames.capacity(), H + 3 * 8);
+        // Pairs: the rest column holds exactly the pairs the chunk took.
+        let pairs: Vec<(u64, u32)> = (0..5).map(|i| (i, 7)).collect();
+        RequestBuffer::new(1, tag, cap).send(&pairs, 0, &m0.sender());
+        let (_, (_, frames, rest)) = m1.recv_value::<Chunk<((), u32)>>(tag);
+        assert_eq!((frames.len(), rest.len(), rest.capacity()), (H + 5, 5, 5));
+        assert_eq!(frames.capacity(), H + 5 * 8);
+        // Full chunks never reserve more than the capacity allows.
+        let keys: Vec<u64> = (0..100_000).map(|k| k * 1_000_003).collect();
+        RequestBuffer::new(1, tag, cap).send(&keys, 0, &m0.sender());
+        // The two sends above shipped one chunk each.
+        let chunks = stats.summary().exchange.chunks_sent - 2;
+        assert!(chunks > 1, "{chunks} chunks");
+        for _ in 0..chunks {
+            let (_, (_, frames, _)) = m1.recv_value::<Chunk<()>>(tag);
+            assert!(frames.capacity() <= cap, "{} B reserved", frames.capacity());
         }
-        let ex = stats.summary().exchange;
-        assert_eq!(ex.chunks_sent, 3);
-        // The three shipped chunks came back; no store was acquired unused.
-        assert_eq!(ex.chunks_recycled, 3);
-        // The first acquisition misses; once chunks come back, sends hit
-        // the pool.
-        assert_eq!((ex.pool_misses, ex.pool_hits), (1, 2));
     }
 
     #[test]
     fn empty_flush_is_noop() {
-        // An empty range ships nothing and takes no backing store.
-        let (m0, _m1, pool, stats) = fabric2();
-        RequestBuffer::new(1, Tag::user(0, 2), 64, &pool).send::<u64>(&[], 0, &m0.sender());
-        RequestBuffer::new(1, Tag::user(0, 2), 64, &pool).send::<(u64, u32)>(&[], 0, &m0.sender());
-        let ex = stats.summary().exchange;
-        assert_eq!((ex.chunks_sent, ex.pool_misses, ex.pool_hits), (0, 0, 0));
-        assert_eq!(pool.held_bytes(), 0);
+        // An empty range ships nothing.
+        let (m0, _m1, stats) = fabric2();
+        RequestBuffer::new(1, Tag::user(0, 2), 64).send::<u64>(&[], 0, &m0.sender());
+        RequestBuffer::new(1, Tag::user(0, 2), 64).send::<(u64, u32)>(&[], 0, &m0.sender());
+        assert_eq!(stats.summary().exchange.chunks_sent, 0);
     }
 
     #[test]

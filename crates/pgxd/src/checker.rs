@@ -3,14 +3,13 @@
 //!
 //! The paper's correctness story rests on invariants the type system
 //! cannot see: every packet sent is eventually received by a matching
-//! tag (§IV-B/§IV-C collective sequence discipline), every pooled chunk
-//! released exactly once, and the precomputed write offsets of
-//! [`exchange`](crate::machine::MachineCtx::exchange)
+//! tag (§IV-B/§IV-C collective sequence discipline), and the precomputed
+//! write offsets of [`exchange`](crate::machine::MachineCtx::exchange)
 //! tiling each destination buffer exactly once (§IV-C). A violation of
-//! any of these shows up — if at all — as a rare hang, a corrupted output
-//! permutation, or a use-after-free that only Miri notices. This module
-//! makes each one a loud panic with machine/tag context, at the moment the
-//! fabric can first prove it happened: a [`barrier`] or fabric teardown.
+//! either shows up — if at all — as a rare hang or a corrupted output
+//! permutation. This module makes each one a loud panic with machine/tag
+//! context, at the moment the fabric can first prove it happened: a
+//! [`barrier`] or fabric teardown.
 //!
 //! One [`ProtocolChecker`] is shared by every machine of a fabric (created
 //! inside `CommManager::fabric_with` around the run's control plane, whose
@@ -33,23 +32,14 @@ use crate::fault::ClusterBarrier;
 use crate::sync::Mutex;
 use crate::trace::{violation, EventKind, MachineTrace, LANE_MAIN};
 use std::collections::HashMap;
-// std Arc for the same reason as the pool's checker handle: plain shared
-// ownership of non-loom-modeled state, handed around as std::sync::Arc.
+// A std Arc, not the loom one from crate::sync: plain shared ownership of
+// non-loom-modeled state, handed around as std::sync::Arc.
 use std::sync::Arc;
 
 /// Whether the checker hooks are compiled in. `const`, so the hot-path
 /// call sites fold to nothing in release builds without the `checker`
 /// feature.
 pub const ENABLED: bool = cfg!(any(debug_assertions, feature = "checker"));
-
-/// What one parked pool chunk looks like in the ledger.
-#[derive(Debug, Clone, Copy)]
-struct ChunkInfo {
-    /// Machine whose pool currently owns the allocation.
-    machine: usize,
-    /// Byte capacity of the allocation.
-    cap_bytes: usize,
-}
 
 #[derive(Default)]
 struct Ledger {
@@ -58,18 +48,10 @@ struct Ledger {
     /// the map stays bounded by the number of *in-flight* packets, not the
     /// number ever sent.
     in_flight: HashMap<(usize, usize, Tag), usize>,
-    /// Pool chunks checked out of a pool and not yet released, keyed by
-    /// allocation address.
-    live_chunks: HashMap<usize, ChunkInfo>,
-    /// Pool chunks currently parked in a pool free list, keyed by
-    /// allocation address — releasing one of these again is the
-    /// double-release diagnostic.
-    parked_chunks: HashMap<usize, ChunkInfo>,
 }
 
-/// Fabric-wide ledger of sends, receives, and pool chunk custody. All
-/// hooks are cheap (one mutex, one hash op) and compiled out entirely when
-/// [`ENABLED`] is false.
+/// Fabric-wide ledger of sends and receives. All hooks are cheap (one
+/// mutex, one hash op) and compiled out entirely when [`ENABLED`] is false.
 pub struct ProtocolChecker {
     machines: usize,
     ledger: Mutex<Ledger>,
@@ -81,8 +63,8 @@ pub struct ProtocolChecker {
     traces: Vec<Arc<MachineTrace>>,
     /// The run's control plane. Once it is aborted (a machine failed or a
     /// step timed out) the quiescence checks stand down, because a run
-    /// that died mid-exchange legitimately strands packets and chunk
-    /// custody. The stranded state is still reported — as
+    /// that died mid-exchange legitimately strands packets. The stranded
+    /// state is still reported — as
     /// [`RunError::residual`](crate::fault::RunError) via
     /// [`ProtocolChecker::residual`] — instead of panicking over it.
     control: Arc<ClusterBarrier>,
@@ -94,11 +76,6 @@ pub struct ProtocolChecker {
 pub struct ResidualReport {
     /// Packets sent but never consumed.
     pub in_flight_packets: usize,
-    /// Chunks checked out of a pool and never released.
-    pub live_chunks: usize,
-    /// Chunks parked in pool free lists (normal at teardown; reported for
-    /// completeness).
-    pub parked_chunks: usize,
 }
 
 impl ProtocolChecker {
@@ -133,15 +110,11 @@ impl ProtocolChecker {
         }
     }
 
-    /// Counts the ledger state a failed run left behind (packets never
-    /// consumed, chunk custody never returned). Meaningful after teardown
-    /// of an aborted run; all zeros for a clean one.
+    /// Counts the packets a failed run left unconsumed. Meaningful after
+    /// teardown of an aborted run; zero for a clean one.
     pub fn residual(&self) -> ResidualReport {
-        let ledger = self.ledger.lock();
         ResidualReport {
-            in_flight_packets: ledger.in_flight.values().sum(),
-            live_chunks: ledger.live_chunks.len(),
-            parked_chunks: ledger.parked_chunks.len(),
+            in_flight_packets: self.ledger.lock().in_flight.values().sum(),
         }
     }
 
@@ -201,77 +174,8 @@ impl ProtocolChecker {
         }
     }
 
-    /// Records a chunk allocation leaving a pool (`machine`'s pool handed
-    /// out the buffer at `addr`).
-    pub fn chunk_acquired(&self, machine: usize, addr: usize, cap_bytes: usize) {
-        if !ENABLED {
-            return;
-        }
-        let mut ledger = self.ledger.lock();
-        ledger.parked_chunks.remove(&addr);
-        if let Some(prev) = ledger
-            .live_chunks
-            .insert(addr, ChunkInfo { machine, cap_bytes })
-        {
-            drop(ledger);
-            if self.control.is_aborted() {
-                // Senders of an aborted run drop their packets on the
-                // floor, chunk included: the allocation is freed with the
-                // ledger still holding it live, and the allocator may hand
-                // the address straight back.
-                return;
-            }
-            self.trace_violation(Some(machine), violation::DOUBLE_ACQUIRE);
-            panic!(
-                "protocol checker: machine {machine} acquired chunk {addr:#x} \
-                 ({cap_bytes} B) which machine {} already holds live ({} B) — \
-                 pool handed out one allocation twice",
-                prev.machine, prev.cap_bytes
-            );
-        }
-    }
-
-    /// Records a chunk allocation returning to `machine`'s pool. `parked`
-    /// is true when the pool actually kept the allocation on a free list
-    /// (false when it was dropped at the retention bound — the allocation
-    /// is gone, so its address may be legitimately reused later).
-    ///
-    /// Panics on a double release: the address is already parked in a pool
-    /// free list.
-    pub fn chunk_released(&self, machine: usize, addr: usize, cap_bytes: usize, parked: bool) {
-        if !ENABLED {
-            return;
-        }
-        let mut ledger = self.ledger.lock();
-        if let Some(prev) = ledger.parked_chunks.get(&addr) {
-            let prev_machine = prev.machine;
-            drop(ledger);
-            self.trace_violation(Some(machine), violation::DOUBLE_RELEASE);
-            panic!(
-                "protocol checker: machine {machine} double-released chunk {addr:#x} \
-                 ({cap_bytes} B) — already parked in machine {prev_machine}'s pool"
-            );
-        }
-        ledger.live_chunks.remove(&addr);
-        if parked {
-            ledger
-                .parked_chunks
-                .insert(addr, ChunkInfo { machine, cap_bytes });
-        }
-    }
-
-    /// Forgets a parked chunk whose allocation a pool is about to free
-    /// (pool drop). The address may be reused by a future allocation.
-    pub fn chunk_freed(&self, addr: usize) {
-        if !ENABLED {
-            return;
-        }
-        self.ledger.lock().parked_chunks.remove(&addr);
-    }
-
-    /// Verifies the fabric is quiescent: no packet sent but unreceived, no
-    /// chunk checked out of a pool but never released. Called with every
-    /// machine parked (between the two waits of
+    /// Verifies the fabric is quiescent: no packet sent but unreceived.
+    /// Called with every machine parked (between the two waits of
     /// [`MachineCtx::barrier`](crate::machine::MachineCtx::barrier)) or at
     /// fabric teardown. `context` names the call site for the diagnostic;
     /// `machine` is the reporting machine, if the check is machine-local.
@@ -288,47 +192,29 @@ impl ProtocolChecker {
             return;
         }
         let ledger = self.ledger.lock();
+        if ledger.in_flight.is_empty() {
+            return;
+        }
+        let mut undelivered: Vec<_> = ledger
+            .in_flight
+            .iter()
+            .map(|(&(src, dst, tag), &n)| (src, dst, tag, n))
+            .collect();
+        drop(ledger);
+        undelivered.sort();
+        let listing: Vec<String> = undelivered
+            .iter()
+            .map(|(src, dst, tag, n)| format!("{n}× {src}→{dst} tag {tag:?}"))
+            .collect();
         let who = match machine {
             Some(m) => format!("machine {m}"),
             None => "fabric".to_string(),
         };
-        if !ledger.in_flight.is_empty() {
-            let mut undelivered: Vec<_> = ledger
-                .in_flight
-                .iter()
-                .map(|(&(src, dst, tag), &n)| (src, dst, tag, n))
-                .collect();
-            undelivered.sort();
-            let listing: Vec<String> = undelivered
-                .iter()
-                .map(|(src, dst, tag, n)| format!("{n}× {src}→{dst} tag {tag:?}"))
-                .collect();
-            drop(ledger);
-            self.trace_violation(machine, violation::UNDELIVERED_PACKETS);
-            panic!(
-                "protocol checker: undelivered packet(s) at {context} ({who}): [{}]",
-                listing.join(", ")
-            );
-        }
-        if !ledger.live_chunks.is_empty() {
-            let mut leaked: Vec<_> = ledger
-                .live_chunks
-                .iter()
-                .map(|(&addr, info)| (info.machine, addr, info.cap_bytes))
-                .collect();
-            leaked.sort();
-            let listing: Vec<String> = leaked
-                .iter()
-                .map(|(m, addr, b)| format!("machine {m} chunk {addr:#x} ({b} B)"))
-                .collect();
-            drop(ledger);
-            self.trace_violation(machine, violation::LEAKED_CHUNKS);
-            panic!(
-                "protocol checker: leaked chunk(s) at {context} ({who}): [{}] — \
-                 acquired from a pool but never released",
-                listing.join(", ")
-            );
-        }
+        self.trace_violation(machine, violation::UNDELIVERED_PACKETS);
+        panic!(
+            "protocol checker: undelivered packet(s) at {context} ({who}): [{}]",
+            listing.join(", ")
+        );
     }
 
     /// A ledger for one machine's side of an offset exchange: records the
@@ -471,25 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_custody_roundtrip() {
-        let c = ProtocolChecker::new(1);
-        c.chunk_acquired(0, 0x1000, 256);
-        c.chunk_released(0, 0x1000, 256, true);
-        c.chunk_acquired(0, 0x1000, 256);
-        c.chunk_released(0, 0x1000, 256, false);
-        c.check_quiescent("test", None);
-    }
-
-    #[test]
-    #[cfg(any(debug_assertions, feature = "checker"))]
-    #[should_panic(expected = "leaked chunk")]
-    fn leaked_chunk_reported() {
-        let c = ProtocolChecker::new(1);
-        c.chunk_acquired(0, 0x2000, 64);
-        c.check_quiescent("test", Some(0));
-    }
-
-    #[test]
     fn offset_ledger_accepts_exact_tiling() {
         let mut l = OffsetLedger::new(0, tag(), 10);
         l.record(4, 6);
@@ -508,16 +375,11 @@ mod tests {
         let control = Arc::new(ClusterBarrier::new(2, None));
         let c = ProtocolChecker::with_control(2, Vec::new(), control.clone());
         c.packet_sent(0, 1, tag());
-        c.chunk_acquired(0, 0x3000, 128);
         control.abort();
-        // Would panic on both counts if the check were still armed.
+        // Would panic if the check were still armed.
         c.check_quiescent("teardown after abort", None);
-        // A chunk dropped with its packet comes back at the same address.
-        c.chunk_acquired(0, 0x3000, 128);
-        let r = c.residual();
         if ENABLED {
-            assert_eq!(r.in_flight_packets, 1);
-            assert_eq!(r.live_chunks, 1);
+            assert_eq!(c.residual().in_flight_packets, 1);
         }
     }
 }

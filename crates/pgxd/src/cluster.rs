@@ -329,8 +329,7 @@ impl Cluster {
         }
 
         // Every machine has exited and dropped its context: any packet
-        // still unconsumed or chunk still checked out of a pool is a
-        // protocol bug the run masked. No-op in release builds without
+        // still unconsumed is a protocol bug the run masked. No-op in release builds without
         // the `checker` feature.
         if checker::ENABLED {
             fabric_checker.check_quiescent("fabric teardown", None);

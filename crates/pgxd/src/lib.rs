@@ -48,15 +48,16 @@
 //!   shim, which also owns the fabric's queue, so `RUSTFLAGS="--cfg loom"`
 //!   (built through `modelcheck/Cargo.toml`, the one manifest that names
 //!   the crate) swaps in [loom](https://docs.rs/loom) and the
-//!   `loom_pool`/`loom_exchange` tests model-check the chunk pool and the
-//!   overlapped exchange across every interleaving.
+//!   `loom_exchange` test model-checks the overlapped exchange across
+//!   every interleaving.
 //! - [`checker`] — a debug-mode protocol checker keeps a per-fabric ledger
-//!   of sends, receives, and pool chunk custody; barriers and fabric
-//!   teardown turn undelivered packets, leaked/double-released chunks, and
-//!   overlapping §IV-C write-offset ranges into deterministic panics.
+//!   of sends and receives; barriers and fabric teardown turn undelivered
+//!   packets and overlapping §IV-C write-offset ranges into deterministic
+//!   panics. A chunk is a plain pair of `Vec`s moved from sender to
+//!   receiver, so rustc's move check is its custody rule.
 //! - [`trace`] — an opt-in structured event layer: lock-free per-machine
 //!   ring buffers of timestamped spans/instants at every runtime edge
-//!   (steps, barriers, tasks, chunk traffic, pool hits, checker verdicts),
+//!   (steps, barriers, tasks, chunk traffic, checker verdicts),
 //!   merged on a unified clock and exported as Chrome `trace_event` JSON
 //!   (Perfetto / `chrome://tracing`) plus derived views. Off by default;
 //!   disabled runs pay ~one branch per event site.
@@ -68,7 +69,7 @@
 //!   [`fault::RunError`] via [`cluster::Cluster::try_run`]. Off by
 //!   default; disabled runs pay ~one branch per fault site.
 //! - Compiler lints, from the manifests — `unsafe_code` confines `unsafe`
-//!   to an allowlist (`pgxd::machine`, `pgxd::pool`, `memtrack`), clippy's
+//!   to an allowlist (`pgxd::machine`, `memtrack`), clippy's
 //!   `undocumented_unsafe_blocks` requires `// SAFETY:` on every unsafe
 //!   block, and its `disallowed_types` / `disallowed_methods`
 //!   (`clippy.toml`) ban raw `std::thread::spawn` / `std::sync::Mutex` and
@@ -94,14 +95,12 @@ pub mod checker;
 pub mod cluster;
 pub mod comm;
 pub mod fault;
-// The unsafe allowlist: the exchange's placement path (`machine`) and the
-// chunk pool under it (`pool`). The manifest denies `unsafe` everywhere else.
+// The unsafe allowlist: the exchange's placement path (`machine`). The
+// manifest denies `unsafe` everywhere else.
 #[allow(unsafe_code)]
 pub mod machine;
 pub mod metrics;
 pub mod net;
-#[allow(unsafe_code)]
-pub mod pool;
 pub mod sync;
 pub mod task;
 pub mod trace;
@@ -112,7 +111,6 @@ pub use cluster::{Cluster, ClusterConfig, RunReport};
 pub use fault::{FaultPlan, RunError, RunErrorKind};
 pub use machine::MachineCtx;
 pub use metrics::{CommSummary, Counter, ExchangeSummary, StepReport};
-pub use pool::ChunkPool;
 pub use net::NetworkModel;
 pub use trace::{TraceConfig, TraceLog};
 pub use wire::Wire;

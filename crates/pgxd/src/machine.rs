@@ -11,12 +11,10 @@ use crate::checker;
 use crate::comm::{kinds, CommManager, Opened, Tag};
 use crate::fault::{BarrierWait, FaultInjector, InjectedFailure};
 use crate::metrics::{CommSummary, SharedCommStats, StepTimer};
-use crate::pool::ChunkPool;
 use crate::task::{self, TaskManager};
 use crate::trace::{EventKind, MachineTrace, LANE_MAIN};
 use crate::wire::{Opaque, Sealed, Wire};
 use std::any::{Any, TypeId};
-use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 /// The master machine's id (the paper's "Master" is processor 0).
@@ -34,9 +32,6 @@ pub struct MachineCtx {
     /// The run's fault plane; `None` (one branch per site) when no
     /// [`FaultPlan`](crate::fault::FaultPlan) is armed.
     fault: Option<Arc<FaultInjector>>,
-    /// Recycled chunk backing stores for the exchange pipeline, shared
-    /// between this machine's receive thread and its send workers.
-    pool: Arc<ChunkPool>,
     /// This machine's trace sink; `None` (one branch per event site) when
     /// the run is untraced.
     trace: Option<Arc<MachineTrace>>,
@@ -47,15 +42,8 @@ impl MachineCtx {
     pub(crate) fn new(comm: CommManager, task: TaskManager, buffer_bytes: usize) -> Self {
         // The cells the fabric already counts into: one set per run.
         let stats = comm.stats().clone();
-        let mut pool = ChunkPool::with_checker(stats.clone(), comm.checker().clone(), comm.id());
-        // The fabric handed this machine its trace sink; the pool takes
-        // it before it is shared.
         let trace = comm.trace().cloned();
-        if let Some(t) = &trace {
-            pool.set_trace(t.clone());
-        }
         let fault = comm.fault().cloned();
-        let pool = Arc::new(pool);
         MachineCtx {
             id: comm.id(),
             p: comm.num_machines(),
@@ -63,7 +51,6 @@ impl MachineCtx {
             task,
             timer: StepTimer::default(),
             buffer_bytes,
-            pool,
             stats,
             fault,
             trace,
@@ -101,9 +88,10 @@ impl MachineCtx {
         self.buffer_bytes
     }
 
-    /// This machine's chunk pool (recycled exchange buffers).
-    pub fn pool(&self) -> &Arc<ChunkPool> {
-        &self.pool
+    /// harness surface: item 12 deletes this. No program path calls it.
+    #[doc(hidden)]
+    pub fn pool(&self) -> &ChunkPool {
+        &ChunkPool
     }
 
     /// Mutable access to the raw communication manager, for protocols the
@@ -160,13 +148,12 @@ impl MachineCtx {
     ///
     /// In debug builds (or with the `checker` feature) the barrier also
     /// verifies the fabric is quiescent: a barrier is the one point where
-    /// every packet sent must have been consumed and every pooled chunk
-    /// returned, so an undelivered packet or a leaked chunk here is a
-    /// protocol bug. The check runs between two waits — after the first,
-    /// every machine is parked inside this function, so the ledger cannot
-    /// change under the scan; the verdict is computed from shared state,
-    /// so all machines agree (a failure panics everywhere at once instead
-    /// of deadlocking the survivors).
+    /// every packet sent must have been consumed, so an undelivered packet
+    /// here is a protocol bug. The check runs between two waits — after
+    /// the first, every machine is parked inside this function, so the
+    /// ledger cannot change under the scan; the verdict is computed from
+    /// shared state, so all machines agree (a failure panics everywhere at
+    /// once instead of deadlocking the survivors).
     pub fn barrier(&self) {
         // The span covers enter → leave; collect numbers it by its order
         // on this machine, which SPMD ordering makes comparable across
@@ -364,10 +351,22 @@ impl MachineCtx {
     ///    is the batch-`b` run received from machine `s` (runs stay
     ///    contiguous so the final merge can consume them and provenance
     ///    stays recoverable).
+    pub fn exchange<W: Wire>(&mut self, data: &[W], send_offsets: &[usize]) -> (Vec<W>, Vec<usize>) {
+        self.exchange_into(data, send_offsets, Vec::new())
+    }
+
+    /// [`MachineCtx::exchange`] into `spent`'s allocation: a buffer the
+    /// caller no longer needs, whose contents are discarded, grown if what
+    /// arrives outnumbers its capacity.
     // Offset arithmetic is verified against the openers' counts (and the
     // debug checker's offset tiling); bounds checks panicking here catch
     // corruption rather than writing stray bytes.
-    pub fn exchange<W: Wire>(&mut self, data: &[W], send_offsets: &[usize]) -> (Vec<W>, Vec<usize>) {
+    pub fn exchange_into<W: Wire>(
+        &mut self,
+        data: &[W],
+        send_offsets: &[usize],
+        spent: Vec<W>,
+    ) -> (Vec<W>, Vec<usize>) {
         let (id, p) = (self.id, self.p);
         let ranges = send_offsets.len().saturating_sub(1);
         assert!(
@@ -401,7 +400,7 @@ impl MachineCtx {
                 .step_by(p)
                 .map(|i| (send_offsets[i + 1] - send_offsets[i]) as u64)
                 .collect();
-            let mut buf = RequestBuffer::new(dst, data_tag, buffer_bytes, &self.pool);
+            let mut buf = RequestBuffer::new(dst, data_tag, buffer_bytes);
             buf.open(open_tag, counts);
             let first = (dst..ranges)
                 .step_by(p)
@@ -434,15 +433,11 @@ impl MachineCtx {
 
         // The receive side: the openers, then the output laid out from
         // their counts, the self parts copied in, and every chunk unpacked
-        // into its slots, its backing stores handed to the pool, where this
-        // machine's send tasks (and the next exchange) pick them back up.
-        // Arriving chunks were acquired from the *sender's* pool, hence
-        // `release_inbound`.
+        // into its slots and dropped.
         let comm = &mut self.comm;
-        let pool = &self.pool;
         let stats = &self.stats;
         let trace = &self.trace;
-        let mut receive = move || {
+        let receive = move || {
             let loop_start = trace.as_ref().map(|t| t.now_ns());
             let openers = comm.recv_openers::<W::Rest>(open_tag, ranges / p);
             let bounds = layout(&openers, send_offsets, id);
@@ -450,9 +445,12 @@ impl MachineCtx {
             // Every slot is written exactly once below (self-copies and
             // per-source chunks tile [0, total) by construction of the
             // layout), asserted by the placement accounting before
-            // `assume_init` (and verified span-by-span by the protocol
+            // `set_len` (and verified span-by-span by the protocol
             // checker's offset ledger in debug builds).
-            let mut out: Box<[MaybeUninit<W>]> = Box::new_uninit_slice(total);
+            let mut assembled = spent;
+            assembled.clear();
+            assembled.reserve_exact(total);
+            let out = &mut assembled.spare_capacity_mut()[..total];
             let mut ledger = comm.checker().offset_ledger(id, data_tag, total);
 
             // Self parts: one memcpy per batch straight into place, no
@@ -492,8 +490,6 @@ impl MachineCtx {
                 let len = rest.len();
                 let slot = stream_slot(&bounds, p, src, offset, len);
                 W::decode(&frames, &rest, &mut out[slot..slot + len], &mut images, Sealed);
-                pool.release_inbound(frames);
-                pool.release_inbound(rest);
                 ledger.record(slot, len);
                 remote_received += len;
                 let bytes = len * std::mem::size_of::<W>();
@@ -520,10 +516,12 @@ impl MachineCtx {
                 total,
                 "exchange did not fill the output buffer"
             );
-            // SAFETY: every one of the `total` slots was written (the assert
-            // above: the self-copies and the placed chunks tile the output,
-            // and a chunk's decode writes each slot it counts).
-            (unsafe { out.assume_init() }, bounds)
+            // SAFETY: `total` is within the capacity, and every one of the
+            // `total` slots was written (the assert above: the self-copies
+            // and the placed chunks tile the output, and a chunk's decode
+            // writes each slot it counts).
+            unsafe { assembled.set_len(total) };
+            (assembled, bounds)
         };
         // The workers run the send tasks while the receive side drains
         // arrivals — true send-while-receive — unless every remote range
@@ -535,13 +533,12 @@ impl MachineCtx {
         let single_flushes = (0..ranges)
             .filter(|i| i % p != id)
             .all(|i| send_offsets[i + 1] - send_offsets[i] <= one_buffer);
-        let (out, bounds) = if single_flushes {
+        if single_flushes {
             self.task.run_tasks_on_caller(tasks);
             receive()
         } else {
             self.task.run_tasks_overlapping(tasks, receive)
-        };
-        (out.into_vec(), bounds)
+        }
     }
 
     /// [`MachineCtx::exchange`] for an element type with no [`Wire`] bound
@@ -619,4 +616,23 @@ fn stream_slot(bounds: &[usize], p: usize, src: usize, offset: usize, len: usize
          its stream holds {} keys",
         offset - at
     )
+}
+
+/// harness surface: item 12 deletes this. What the benchmark's pool probe
+/// still calls: `acquire` allocates, `release` drops.
+#[doc(hidden)]
+#[derive(Clone, Debug, Default)]
+pub struct ChunkPool;
+
+impl ChunkPool {
+    /// harness surface: item 12 deletes this. An empty `Vec` with room for
+    /// `cap_elems` elements.
+    pub fn acquire<T>(&self, cap_elems: usize) -> Vec<T> {
+        Vec::with_capacity(cap_elems)
+    }
+
+    /// harness surface: item 12 deletes this. Drops `buf`.
+    pub fn release<T>(&self, buf: Vec<T>) {
+        drop(buf);
+    }
 }

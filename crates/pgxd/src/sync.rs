@@ -9,8 +9,8 @@
 //! `--cfg loom` through `crates/pgxd/modelcheck/Cargo.toml` (the manifest
 //! that names the `loom` crate, so the default workspace never resolves
 //! it), every export resolves to the `loom` equivalent, so the loom tests
-//! can exhaustively explore thread interleavings of the chunk pool and the
-//! overlapped-exchange protocol instead of sampling whichever schedule the
+//! can exhaustively explore thread interleavings of the overlapped-exchange
+//! protocol instead of sampling whichever schedule the
 //! OS happens to produce.
 //!
 //! Everything in `pgxd` that synchronizes between threads must go through
@@ -66,7 +66,7 @@ pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 #[cfg(loom)]
 pub type MutexGuard<'a, T> = loom::sync::MutexGuard<'a, T>;
 
-/// Mutual exclusion for the pool shards, the checker ledgers and the fabric
+/// Mutual exclusion for the checker ledger, the trace sinks and the fabric
 /// queues: `std::sync::Mutex` in production builds, `loom::sync::Mutex`
 /// under `--cfg loom`.
 ///

@@ -8,8 +8,7 @@
 //! send-while-receive overlap or where a bad splitter stalls one machine.
 //! This module records timestamped spans and instant events at every
 //! interesting runtime edge (step begin/end, barrier enter/leave, task
-//! start/end, chunk flush/send/receive/place, pool hit/miss, protocol
-//! checker verdicts) and merges them on one clock so a whole cluster run
+//! start/end, chunk flush/send/receive/place, protocol checker verdicts) and merges them on one clock so a whole cluster run
 //! can be replayed event-by-event in `chrome://tracing` / Perfetto.
 //!
 //! # Overhead budget
@@ -27,7 +26,7 @@
 //!
 //! Each machine has one sink: a locked `Vec` that grows on demand up to
 //! 64 Ki events per run. Every thread of the machine pushes to it — the
-//! mainline, its send tasks, its chunk pool and the protocol checker. A
+//! mainline, its send tasks and the protocol checker. A
 //! lane (0 = mainline, 1.. = worker/destination lanes) is a label on the
 //! event, not a buffer. Past the cap the sink keeps the **first** events
 //! and counts the rest in [`TraceLog::dropped`], so nothing is lost
@@ -59,14 +58,8 @@ const EVENTS_PER_MACHINE: usize = 64 * 1024;
 pub mod violation {
     /// A packet surfaced that was never sent (tag mismatch / duplicate).
     pub const PHANTOM_DELIVERY: u64 = 1;
-    /// A pool handed the same allocation out twice.
-    pub const DOUBLE_ACQUIRE: u64 = 2;
-    /// A chunk was released into a pool free list twice.
-    pub const DOUBLE_RELEASE: u64 = 3;
     /// Quiescence check found sent-but-unreceived packets.
     pub const UNDELIVERED_PACKETS: u64 = 4;
-    /// Quiescence check found chunks checked out but never released.
-    pub const LEAKED_CHUNKS: u64 = 5;
     /// §IV-C offset ledger: two spans overlapped.
     pub const OFFSET_OVERLAP: u64 = 6;
     /// §IV-C offset ledger: a gap was never written.
@@ -76,10 +69,7 @@ pub mod violation {
     pub fn label(code: u64) -> &'static str {
         match code {
             PHANTOM_DELIVERY => "phantom_delivery",
-            DOUBLE_ACQUIRE => "double_acquire",
-            DOUBLE_RELEASE => "double_release",
             UNDELIVERED_PACKETS => "undelivered_packets",
-            LEAKED_CHUNKS => "leaked_chunks",
             OFFSET_OVERLAP => "offset_overlap",
             OFFSET_GAP => "offset_gap",
             _ => "unknown_violation",
@@ -130,10 +120,6 @@ pub enum EventKind {
     /// A chunk was placed — copied, or unpacked — (`a` = element offset,
     /// `b` = element bytes).
     ChunkPlace,
-    /// A pool acquisition served from recycled memory (`a` = bytes).
-    PoolHit,
-    /// A pool acquisition that allocated fresh memory (`a` = bytes).
-    PoolMiss,
     /// A protocol-checker verdict (`a` = [`violation`] code), emitted
     /// just before the checker panics.
     Checker,
@@ -165,8 +151,6 @@ impl EventKind {
             EventKind::ChunkSend => "chunk_send",
             EventKind::ChunkRecv => "chunk_recv",
             EventKind::ChunkPlace => "chunk_place",
-            EventKind::PoolHit => "pool_hit",
-            EventKind::PoolMiss => "pool_miss",
             EventKind::Checker => "checker",
             EventKind::SortPhase => "sort_phase",
         }
@@ -182,7 +166,6 @@ impl EventKind {
             | EventKind::ChunkSend
             | EventKind::ChunkRecv
             | EventKind::ChunkPlace => "chunk",
-            EventKind::PoolHit | EventKind::PoolMiss => "pool",
             EventKind::Checker => "checker",
             EventKind::SortPhase => "step",
         }
@@ -198,7 +181,6 @@ impl EventKind {
             EventKind::ChunkFlush | EventKind::ChunkSend => ("dst", "bytes"),
             EventKind::ChunkRecv => ("src", "bytes"),
             EventKind::ChunkPlace => ("offset", "bytes"),
-            EventKind::PoolHit | EventKind::PoolMiss => ("bytes", "unused"),
             EventKind::Checker => ("violation", "unused"),
             EventKind::SortPhase => ("name_id", "unused"),
         }
@@ -244,7 +226,7 @@ struct Sink {
 
 /// One machine's trace sink on the cluster's unified clock. Shared by
 /// `Arc` between the machine's mainline thread, its send workers, its comm
-/// sender clones, its chunk pool, and the protocol checker.
+/// sender clones, and the protocol checker.
 #[derive(Debug)]
 pub struct MachineTrace {
     machine: u32,
@@ -697,8 +679,8 @@ mod tests {
         let c = TraceCollector::new(2);
         let m0 = c.machine(0);
         let m1 = c.machine(1);
-        m0.instant(LANE_MAIN, EventKind::PoolMiss, 64, 0);
-        m1.instant(1, EventKind::PoolHit, 128, 0);
+        m0.instant(LANE_MAIN, EventKind::ChunkFlush, 1, 64);
+        m1.instant(1, EventKind::ChunkSend, 0, 128);
         let start = m0.now_ns();
         m0.span_since_named(EventKind::Step, start, "local_sort");
         m1.span_since_named(EventKind::Step, start, "local_sort");
@@ -736,14 +718,14 @@ mod tests {
     fn jsonl_is_one_object_per_line() {
         let c = TraceCollector::new(1);
         let m = c.machine(0);
-        m.instant(LANE_MAIN, EventKind::PoolHit, 256, 0);
-        m.instant(LANE_MAIN, EventKind::PoolMiss, 512, 0);
+        m.instant(LANE_MAIN, EventKind::ChunkSend, 1, 256);
+        m.instant(LANE_MAIN, EventKind::ChunkRecv, 1, 512);
         let jsonl = c.collect().to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         for l in lines {
             assert!(l.starts_with('{') && l.ends_with('}'));
-            assert!(l.contains("\"kind\":\"pool_"));
+            assert!(l.contains("\"kind\":\"chunk_"));
         }
     }
 

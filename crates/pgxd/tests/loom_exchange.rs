@@ -11,19 +11,16 @@
 //! The real fabric receives with a deadline, which loom (it has no clock)
 //! cannot model, so this test drives a miniature single-destination fabric
 //! of the same shape: a queue behind [`pgxd::sync`]'s `Mutex`/`Condvar`,
-//! the primitives the real queues, the chunk pool and the checker ledger use. The protocol under test is the exchange's
-//! essential concurrency: a sender thread acquiring chunk backing stores
-//! from a shared [`ChunkPool`] and publishing offset-addressed chunks,
+//! the primitives the real queues and the checker ledger use. The
+//! protocol under test is the exchange's essential concurrency: a sender
+//! thread allocating each chunk and publishing it, offset-addressed,
 //! while the receiving thread concurrently drains them, writes each into
-//! its slot of a preallocated output, and releases the backing store to
-//! the same pool. Every interleaving must produce the identity
-//! permutation, write each output slot exactly once, and return every
-//! allocation to the pool.
+//! its slot of a preallocated output, and drops it. Every interleaving
+//! must produce the identity permutation and write each output slot
+//! exactly once.
 
 #![cfg(loom)]
 
-use pgxd::metrics::CommStats;
-use pgxd::pool::ChunkPool;
 use pgxd::sync::{thread, Arc, Condvar, Mutex};
 use std::collections::VecDeque;
 
@@ -77,26 +74,21 @@ const TOTAL: usize = CHUNK * CHUNKS;
 #[test]
 fn send_while_receiving_round() {
     loom::model(|| {
-        let stats = std::sync::Arc::new(CommStats::default());
-        let pool = Arc::new(ChunkPool::new(stats.clone()));
         let fabric = Arc::new(MiniFabric::new());
 
         let sender = {
-            let pool = pool.clone();
             let fabric = fabric.clone();
             thread::spawn(move || {
                 for c in 0..CHUNKS {
-                    let mut chunk: Vec<u64> = pool.acquire(CHUNK);
                     let base = c * CHUNK;
-                    chunk.extend((base..base + CHUNK).map(|v| v as u64));
-                    fabric.send(base, chunk);
+                    fabric.send(base, (base..base + CHUNK).map(|v| v as u64).collect());
                 }
                 fabric.finish_sending();
             })
         };
 
         // Receive concurrently: place each chunk at its offset, count the
-        // writes per slot, recycle the backing store.
+        // writes per slot, drop the chunk.
         let mut out = [0u64; TOTAL];
         let mut writes = [0usize; TOTAL];
         while let Some((offset, chunk)) = fabric.recv() {
@@ -104,20 +96,12 @@ fn send_while_receiving_round() {
                 out[offset + i] = *v;
                 writes[offset + i] += 1;
             }
-            pool.release(chunk);
         }
         sender.join().unwrap();
 
         // Interleaving-independent invariants: exact tiling (each slot
-        // written exactly once), identity permutation, and every allocation
-        // back in the pool (held = chunk bytes × misses).
+        // written exactly once) and the identity permutation.
         assert!(writes.iter().all(|&n| n == 1), "offset tiling violated");
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64));
-        let ex = stats.exchange.summary();
-        assert_eq!(ex.chunks_recycled as usize, CHUNKS);
-        assert_eq!(
-            pool.held_bytes(),
-            CHUNK * std::mem::size_of::<u64>() * ex.pool_misses as usize
-        );
     });
 }

@@ -1,41 +1,16 @@
 //! Small, deterministic exercises of the exchange pipeline's unsafe code
 //! — the uninitialised output every chunk is decoded into and its
-//! `assume_init`, the untyped entry's two slice views (a `u64` range as
-//! keys, any other range as constant-image elements), and the chunk pool's
-//! type-erased `Vec::from_raw_parts` recycling — sized so `cargo miri test
-//! -p pgxd --test miri_exchange` finishes in minutes. Each exchange runs
-//! four ways: `u64` keys and `(u64, u32)` pairs (an image and a rest
-//! column) through the typed `exchange`, and `u64` keys and `(u32, u64)`
-//! pairs (no `Wire` impl) through the untyped `exchange_by_offsets`. CI
-//! runs exactly that command; the same tests also run natively in the
-//! normal test sweep.
+//! `set_len`, and the untyped entry's two slice views (a `u64` range
+//! as keys, any other range as constant-image elements) — sized so `cargo
+//! miri test -p pgxd --test miri_exchange` finishes in minutes. Each
+//! exchange runs four ways: `u64` keys and `(u64, u32)` pairs (an image
+//! and a rest column) through the typed `exchange`, and `u64` keys and
+//! `(u32, u64)` pairs (no `Wire` impl) through the untyped
+//! `exchange_by_offsets`. CI runs exactly that command; the same tests
+//! also run natively in the normal test sweep.
 
 use pgxd::cluster::{Cluster, ClusterConfig};
-use pgxd::metrics::CommStats;
-use pgxd::pool::ChunkPool;
 use pgxd::{MachineCtx, Wire};
-use std::sync::Arc;
-
-#[test]
-fn pool_roundtrip_and_drop_are_sound() {
-    let stats = Arc::new(CommStats::default());
-    let pool = ChunkPool::new(stats);
-    // Mix types and capacities so hits rebuild Vecs through the erased
-    // (TypeId, byte-capacity) key, then drop the pool with buffers parked.
-    for round in 0..3 {
-        let a: Vec<u64> = pool.acquire(16);
-        let b: Vec<u32> = pool.acquire(24);
-        let c: Vec<(u32, u64)> = pool.acquire(8);
-        assert!(a.capacity() >= 16 && b.capacity() >= 24 && c.capacity() >= 8);
-        pool.release(a);
-        pool.release(b);
-        if round < 2 {
-            pool.release(c); // leave one type unparked on the last round
-        }
-    }
-    assert!(pool.held_bytes() > 0);
-    drop(pool); // Drop impl frees parked buffers via their drop_fn
-}
 
 /// Machine `id`'s `i`-th element, as a `u64` key or as a pair.
 trait Element: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
@@ -76,7 +51,7 @@ fn untyped<T: Copy + Send + Sync + 'static>(
 }
 
 /// Nine elements per machine, three to each of three machines, exchanged
-/// twice (the second round against a warm pool).
+/// twice.
 fn three_by_three<T: Element>(config: ClusterConfig, exchange: Exchange<T>) {
     let p = 3;
     let report = Cluster::new(config).run(|ctx| {
@@ -106,7 +81,7 @@ fn three_by_three_every_way(config: impl Fn() -> ClusterConfig) {
 #[test]
 fn small_exchange_places_every_element_exactly_once() {
     // 3 machines, 2 workers, 16-byte buffers (one element per chunk):
-    // enough to drive worker-side sends, pooled flush/finish, and the
+    // enough to drive worker-side sends, flush/finish, and the
     // decode into uninitialised slots with a handful of elements.
     three_by_three_every_way(|| {
         ClusterConfig::new(3)

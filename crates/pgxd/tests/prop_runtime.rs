@@ -86,8 +86,7 @@ fn exchange_preserves_multiset_and_run_order() {
         let buffer_bytes = g.select(&[8usize, 16, 64, 256, 256 * 1024]);
         // Build per-machine shards of sorted data and random cut points.
         // `workers` exercises the worker-driven send path; `rounds > 1`
-        // exercises a warm chunk pool (the second exchange reuses the
-        // buffers the first one recycled).
+        // runs consecutive exchanges on one cluster.
         let p = p.min(shard_lens.len()).max(1);
         let shards: Vec<Vec<u64>> = (0..p)
             .map(|m| {

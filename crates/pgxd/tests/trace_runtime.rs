@@ -44,20 +44,6 @@ fn phantom_delivery_event_recorded_before_panic() {
 }
 
 #[test]
-fn double_release_event_recorded_before_panic() {
-    let (collector, checker) = traced_checker();
-    checker.chunk_acquired(0, 0xbeef0, 128);
-    checker.chunk_released(0, 0xbeef0, 128, true);
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        checker.chunk_released(0, 0xbeef0, 128, true);
-    }))
-    .expect_err("double release must panic");
-    let msg = err.downcast_ref::<String>().expect("panic carries a message");
-    assert!(msg.contains("double-released"), "unexpected panic: {msg}");
-    assert_eq!(checker_codes(collector), vec![violation::DOUBLE_RELEASE]);
-}
-
-#[test]
 fn quiescence_verdicts_recorded_before_panic() {
     let (collector, checker) = traced_checker();
     checker.packet_sent(0, 0, Tag::user(5, 5));
@@ -92,8 +78,6 @@ fn clean_checker_run_records_no_checker_events() {
     let (collector, checker) = traced_checker();
     checker.packet_sent(0, 0, Tag::user(6, 6));
     checker.packet_delivered(0, 0, Tag::user(6, 6));
-    checker.chunk_acquired(0, 0xf00d0, 64);
-    checker.chunk_released(0, 0xf00d0, 64, false);
     checker.check_quiescent("teardown", None);
     assert!(checker_codes(collector).is_empty());
 }

@@ -27,8 +27,8 @@ pub struct LoserTree<'a, T> {
 
 impl<'a, T: Ord + Copy> LoserTree<'a, T> {
     /// Builds the tree over the given sorted runs (empty runs allowed).
-    // analyze: allow(hot-path-alloc): O(k) run pointers and tree nodes per
-    // merge; k is the run count, never the element count.
+    // O(k) run pointers and tree nodes per merge; k is the run count, never
+    // the element count.
     pub fn new(runs: Vec<&'a [T]>) -> Self {
         let k = runs.len().max(1);
         let mut lt = LoserTree {
@@ -75,8 +75,8 @@ impl<'a, T: Ord + Copy> LoserTree<'a, T> {
     /// that pads positions with no real leaf.
     // `winner` has 2k slots and `tree` k; every node index is below k, so its
     // children are below 2k.
-    // analyze: allow(hot-path-alloc): O(k) node reset when a merge is
-    // re-seeded; amortized over the whole merged output.
+    // O(k) node reset when a merge is re-seeded; amortized over the whole
+    // merged output.
     fn rebuild(&mut self) {
         let k = self.k;
         self.tree = vec![usize::MAX; k];
@@ -136,8 +136,8 @@ impl<'a, T: Ord + Copy> LoserTree<'a, T> {
 /// taking the lower run. No caller outside tests: it is the stable merge
 /// spelled out, the reference [`crate::search::multi_co_rank`] and the
 /// master's splitter selection are checked against.
-// analyze: allow(hot-path-alloc): O(k) run-slice copies plus the output
-// vector — the output IS the merge result handed back to the caller.
+// O(k) run-slice copies plus the output vector — the output IS the merge
+// result handed back to the caller.
 pub fn kway_merge<T: Ord + Copy>(runs: &[&[T]]) -> Vec<T> {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let mut out = Vec::with_capacity(total);
@@ -155,8 +155,8 @@ pub fn kway_merge<T: Ord + Copy>(runs: &[&[T]]) -> Vec<T> {
 /// output segments in place.
 // Each arm reads only the runs its length matched, and the tree holds exactly
 // `out.len()` elements (asserted).
-// analyze: allow(hot-path-alloc): O(k) run-slice copy to seed the loser
-// tree; the element payload goes to the caller-provided slice.
+// O(k) run-slice copy to seed the loser tree; the element payload goes to
+// the caller-provided slice.
 pub fn kway_merge_into<T: Ord + Copy>(runs: &[&[T]], out: &mut [T]) {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     assert_eq!(total, out.len(), "output size mismatch");

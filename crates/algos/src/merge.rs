@@ -164,8 +164,6 @@ pub const PARALLEL_MERGE_CUTOFF: usize = 1 << 14;
 ///
 /// Allocates the tree's second buffer; a caller that owns a spent one
 /// hands it to [`balanced_merge_with`] instead.
-// analyze: allow(hot-path-alloc): the tree's second buffer, for callers
-// with no spent one to lend; step 6 lends the one step 1 left behind.
 pub fn balanced_merge<T: Ord + Copy + Send + Sync>(
     data: Vec<T>,
     bounds: &[usize],
@@ -191,8 +189,8 @@ pub fn balanced_merge<T: Ord + Copy + Send + Sync>(
 // The bounds are asserted to start at 0, never decrease and end at
 // `data.len()`; pair indices are below the run count they were cut into, and a
 // merge worker's panic is re-raised when its scope closes.
-// analyze: allow(hot-path-alloc): O(runs) bookkeeping per level — the run
-// bounds and one (run, run, region) job per pair; never per element.
+// O(runs) bookkeeping per level — the run bounds and one (run, run, region)
+// job per pair; never per element.
 pub fn balanced_merge_with<T: Ord + Copy + Send + Sync>(
     mut data: Vec<T>,
     scratch: &mut Vec<T>,
@@ -292,8 +290,8 @@ pub fn balanced_merge_with<T: Ord + Copy + Send + Sync>(
 ///
 /// so the parts can be merged independently into disjoint output segments
 /// and their concatenation *is* the stable merge.
-// analyze: allow(hot-path-alloc): the parts + 1 target ranks, next to the
-// O(parts × k) plan they are solved into — sized by run and part counts.
+// The parts + 1 target ranks, next to the O(parts × k) plan they are solved
+// into — sized by run and part counts.
 pub fn plan_multiway_splits<T: Ord + Copy>(runs: &[&[T]], parts: usize) -> Vec<Vec<usize>> {
     let parts = parts.max(1);
     let total: usize = runs.iter().map(|r| r.len()).sum();

@@ -109,9 +109,8 @@ pub fn multi_co_rank<T: Ord>(runs: &[&[T]], r: usize) -> Vec<usize> {
 /// on either side of it — on runs that barely overlap, where one rank alone
 /// has to walk the runs one by one, that is what keeps `k − 1` ranks from
 /// costing `k − 1` walks.
-// analyze: allow(hot-path-alloc): the rows of cuts are the product, and the
-// search keeps four more rows of working state — sized by the run and rank
-// counts, never by the elements.
+// The rows of cuts are the product, and the search keeps four more rows of
+// working state — sized by the run and rank counts, never by the elements.
 pub fn multi_co_ranks<T: Ord>(runs: &[&[T]], ranks: &[usize]) -> Vec<Vec<usize>> {
     let k = runs.len();
     let ends: Vec<usize> = runs.iter().map(|run| run.len()).collect();

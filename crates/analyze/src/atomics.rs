@@ -118,7 +118,6 @@ pub fn analyze_atomics(files: &[ParsedFile]) -> Vec<Finding> {
                         file: pf.rel.clone(),
                         line,
                         function: f.name.clone(),
-                        held: None,
                         operation: format!("{name}(Relaxed)"),
                         chain: vec![format!("atomic op at {}:{}", pf.rel, pf.toks[i].line)],
                         message: format!(

@@ -9,9 +9,8 @@
 //! service pump does not) and no drain-class call (`pop*`/`remove`/
 //! `drain`/`clear`/`truncate`/`split_off`) on the *same* receiver chain
 //! inside the loop. Such a loop falls behind its producer by allocating,
-//! which no allowlist entry or inline marker can excuse — like custody
-//! leaks, the fix is a bound or a drain, not a justification.
-//! `apply_allowlist` enforces that.
+//! which no inline marker can excuse (the rule reads none): the fix is a
+//! bound or a drain, not a justification.
 //!
 //! Scope: every workspace file under `crates/` (the pass is cheap and
 //! the rule is global), plus any file carrying an
@@ -60,18 +59,17 @@ fn in_scope(pf: &ParsedFile) -> bool {
 }
 
 /// One loop inside a function body.
-pub(crate) struct Loop {
+struct Loop {
     /// Token index of the loop keyword.
-    pub(crate) kw: usize,
+    kw: usize,
     /// Tokens of the condition / iterated expression (empty for `loop`).
     head: (usize, usize),
     /// Body token range (inside the braces).
-    pub(crate) body: (usize, usize),
+    body: (usize, usize),
 }
 
-/// Finds the loops in `body`, nested ones included. Shared with the
-/// hot-path pass, which walks the same loop bodies.
-pub(crate) fn find_loops(pf: &ParsedFile, body: (usize, usize)) -> Vec<Loop> {
+/// Finds the loops in `body`, nested ones included.
+fn find_loops(pf: &ParsedFile, body: (usize, usize)) -> Vec<Loop> {
     let toks = &pf.toks;
     let mut out = Vec::new();
     for i in body.0..body.1 {
@@ -157,14 +155,13 @@ pub fn analyze_loops(files: &[ParsedFile]) -> LoopDiscipline {
                         file: pf.rel.clone(),
                         line,
                         function: f.name.clone(),
-                        held: None,
                         operation: format!("unbounded-growth({name}:{key})"),
                         chain: vec![
                             format!("recv loop at {}:{loop_line}", pf.rel),
                             format!("growth at {}:{line}", pf.rel),
                         ],
                         message: format!(
-                            "`{key}.{name}(..)` grows without bound inside the recv loop at {}:{loop_line} — no break/return and no drain on `{key}`; a service pump that allocates per message falls behind its producer. Add a bound or a drain; this finding cannot be allowlisted",
+                            "`{key}.{name}(..)` grows without bound inside the recv loop at {}:{loop_line} — no break/return and no drain on `{key}`; a service pump that allocates per message falls behind its producer. Add a bound or a drain; no marker covers this finding",
                             pf.rel
                         ),
                     });

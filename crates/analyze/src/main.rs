@@ -1,6 +1,6 @@
-//! `cargo run -q -p pgxd-analyze [-- --json]`: runs the six passes over the
-//! workspace, writes `results/analyze_report.json`, prints the report, and
-//! exits 1 if any finding survives the markers and `analyze.allow`.
+//! `cargo run -q -p pgxd-analyze [-- --json]`: runs the three passes over
+//! the workspace, writes `results/analyze_report.json`, prints the report,
+//! and exits 1 if any finding survives the markers.
 //!
 //! The persisted file gets `"timings_ms": null`: per-pass wall times only
 //! ride the `--json` stdout path, so the committed report never drifts on

@@ -3,21 +3,20 @@
 //! A marker covers its own line and the next code line (blank, comment
 //! and attribute lines are skipped), or the whole body when that line
 //! starts a `fn`. The reason after the colon is mandatory. Only
-//! [`INLINE_RULES`] read markers; the other rules are fixed in code or
-//! justified in `analyze.allow`.
+//! [`INLINE_RULE`] reads markers; the other rules are fixed in code.
 //!
-//! Every marker must pay for itself, as an `analyze.allow` entry must:
-//! a marker that names a rule no pass reads inline, sits in a file
-//! outside its rule's scope, has no reason, or covers no finding is a
-//! `dead-marker` finding, and no allowlist entry can silence it.
+//! Every marker must pay for itself: a marker that names a rule no pass
+//! reads inline, sits in a file outside its rule's scope, has no reason,
+//! or covers no finding is a `dead-marker` finding, and nothing can
+//! silence it.
 
 use std::collections::BTreeSet;
 
 use crate::items::ParsedFile;
 use crate::report::Finding;
 
-/// Rules whose findings an inline marker may cover.
-pub const INLINE_RULES: [&str; 2] = ["atomics-ordering", "hot-path-alloc"];
+/// The rule whose findings an inline marker may cover.
+pub const INLINE_RULE: &str = "atomics-ordering";
 
 const PREFIX: &str = "analyze: allow(";
 
@@ -71,7 +70,7 @@ pub fn apply_markers(files: &[ParsedFile], findings: Vec<Finding>) -> Vec<Findin
     let mut out = Vec::new();
     for f in findings {
         let mut covered = false;
-        if INLINE_RULES.contains(&f.rule.as_str()) {
+        if f.rule == INLINE_RULE {
             for m in markers.iter_mut() {
                 if m.rule == f.rule && m.covers.contains(&f.line) && files[m.file].rel == f.file {
                     m.used = true;
@@ -85,11 +84,11 @@ pub fn apply_markers(files: &[ParsedFile], findings: Vec<Finding>) -> Vec<Findin
     }
     for m in markers.iter().filter(|m| !m.used) {
         let pf = &files[m.file];
-        let why = if !INLINE_RULES.contains(&m.rule.as_str()) {
+        let why = if m.rule != INLINE_RULE {
             format!("no pass reads `allow({})` inline", m.rule)
         } else if m.covers.is_empty() {
             "it has no reason after the colon".to_string()
-        } else if m.rule == "atomics-ordering" && !crate::atomics::in_scope(pf) {
+        } else if !crate::atomics::in_scope(pf) {
             format!("`{}` is outside the atomics-ordering scope", pf.rel)
         } else {
             format!("it covers no {} finding", m.rule)
@@ -99,7 +98,6 @@ pub fn apply_markers(files: &[ParsedFile], findings: Vec<Finding>) -> Vec<Findin
             file: pf.rel.clone(),
             line: m.line,
             function: String::new(),
-            held: None,
             operation: format!("allow({})", m.rule),
             chain: Vec::new(),
             message: format!(

@@ -12,9 +12,10 @@
 //!   `send_vec`, `send_shared_vec`, `send_offset_chunk`, …),
 //! * **recv** — any `.recv_*(..)` / `.try_recv_*(..)` method call,
 //!
-//! attributes each site to its enclosing function, tags it with the §IV
-//! step when it sits inside a `ctx.step(steps::X, ..)` region, and
-//! propagates send/recv/barrier *effects* along the run's shared
+//! attributes each site to its enclosing function, records the §IV step
+//! sequence each function walks through its `ctx.step(steps::X, ..)`
+//! regions, and propagates send/recv/barrier *effects* along the run's
+//! shared
 //! [`CallGraph`], restricted to edges between scoped functions (so
 //! `exchange` is known to send because it drives
 //! `RequestBuffer::send → send_offset_chunk`). Two rules:
@@ -38,10 +39,10 @@
 //! send/recv primitives are the *implementation* of the edges this
 //! graph models, not protocol participants.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use crate::analysis::{block_close, call_open_paren, CallGraph, FnSites};
-use crate::items::{matching_delim, ParsedFile};
+use crate::items::ParsedFile;
 use crate::report::Finding;
 
 /// Files modeled by the wait-graph (suffix match on workspace paths).
@@ -72,8 +73,7 @@ impl OpKind {
     }
 }
 
-/// One wait site, attributed to a function and (when inside a
-/// `ctx.step(steps::X, ..)` region) a §IV step.
+/// One wait site, attributed to a function.
 #[derive(Debug, Clone)]
 pub struct WaitOp {
     pub kind: OpKind,
@@ -82,7 +82,6 @@ pub struct WaitOp {
     pub function: String,
     /// Method actually called (`wait_or_unwind`, `recv_packet`, …).
     pub callee: String,
-    pub step: Option<String>,
 }
 
 /// Step-transition edge: `function` runs step `from` then step `to`.
@@ -126,22 +125,18 @@ fn classify_call(pf: &ParsedFile, dot: usize) -> Option<(OpKind, String)> {
     Some((kind, name.to_string()))
 }
 
-/// `ctx.step(steps::X, ..)` regions in a body: `(start, end, step)` with
-/// the step constant lowercased to match the `steps::` string values.
-fn step_regions(pf: &ParsedFile, body: (usize, usize)) -> Vec<(usize, usize, String)> {
+/// The steps of the `ctx.step(steps::X, ..)` regions in a body, in order,
+/// each constant lowercased to match the `steps::` string values.
+fn step_sequence(pf: &ParsedFile, body: (usize, usize)) -> Vec<String> {
     let toks = &pf.toks;
-    let mut out = Vec::new();
-    for i in body.0..body.1.saturating_sub(5) {
-        if toks[i].text != "step" || toks[i + 1].text != "(" {
-            continue;
-        }
-        if toks[i + 2].text != "steps" || toks[i + 3].text != ":" || toks[i + 4].text != ":" {
-            continue;
-        }
-        let close = matching_delim(toks, i + 1);
-        out.push((i + 1, close, toks[i + 5].text.to_lowercase()));
-    }
-    out
+    let opens = |i: &usize| {
+        let t = |k: usize| toks[i + k].text.as_str();
+        (t(0), t(1), t(2), t(3), t(4)) == ("step", "(", "steps", ":", ":")
+    };
+    (body.0..body.1.saturating_sub(5))
+        .filter(opens)
+        .map(|i| toks[i + 5].text.to_lowercase())
+        .collect()
 }
 
 /// True when the condition/scrutinee tokens are compile-time uniform
@@ -199,18 +194,17 @@ pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
 
     for (pf, _) in &scoped {
         for f in &pf.functions {
-            let regions = step_regions(pf, f.body);
-            let mut seen_steps: Vec<String> = Vec::new();
-            for (_, _, step) in &regions {
-                if seen_steps.last() != Some(step) {
-                    if let Some(prev) = seen_steps.last() {
-                        edges.push(StepEdge {
-                            from: prev.clone(),
-                            to: step.clone(),
-                            function: f.name.clone(),
-                        });
-                    }
-                    seen_steps.push(step.clone());
+            let mut last: Option<String> = None;
+            for step in step_sequence(pf, f.body) {
+                if last.as_ref() == Some(&step) {
+                    continue;
+                }
+                if let Some(from) = last.replace(step.clone()) {
+                    edges.push(StepEdge {
+                        from,
+                        to: step,
+                        function: f.name.clone(),
+                    });
                 }
             }
             for i in f.body.0..f.body.1 {
@@ -220,10 +214,6 @@ pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
                 let Some((kind, callee)) = classify_call(pf, i) else {
                     continue;
                 };
-                let step = regions
-                    .iter()
-                    .find(|&&(s, e, _)| i > s && i < e)
-                    .map(|(_, _, st)| st.clone());
                 direct.entry(&f.name).or_default().insert(kind);
                 ops.push(WaitOp {
                     kind,
@@ -231,7 +221,6 @@ pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
                     line: pf.toks[i].line,
                     function: f.name.clone(),
                     callee,
-                    step,
                 });
             }
         }
@@ -281,7 +270,6 @@ pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
                 file: pf.rel.clone(),
                 line: site.line,
                 function: f.name.clone(),
-                held: None,
                 operation: format!("recv-without-send({})", site.callee),
                 chain: vec![format!("receives at {}:{}", pf.rel, site.line)],
                 message: format!(
@@ -384,7 +372,6 @@ pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
                                 file: pf.rel.clone(),
                                 line: pf.toks[site].line,
                                 function: f.name.clone(),
-                                held: None,
                                 operation: "asymmetric-barrier".into(),
                                 chain: vec![format!(
                                     "branch at {}:{}",
@@ -438,7 +425,6 @@ pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
                             file: pf.rel.clone(),
                             line: pf.toks[site].line,
                             function: f.name.clone(),
-                            held: None,
                             operation: "asymmetric-barrier".into(),
                             chain: vec![format!("match at {}:{}", pf.rel, pf.toks[i].line)],
                             message: format!(
@@ -459,22 +445,6 @@ pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
     ops.sort_by(|a, b| (a.file.as_str(), a.line, a.kind).cmp(&(b.file.as_str(), b.line, b.kind)));
 
     WaitGraph { findings, ops, edges }
-}
-
-/// Aggregated per-step counts for the report: `(step, barriers, sends,
-/// recvs)`, alphabetical, for steps that appear at all.
-pub fn step_counts(ops: &[WaitOp]) -> Vec<(String, usize, usize, usize)> {
-    let mut agg: BTreeMap<String, (usize, usize, usize)> = BTreeMap::new();
-    for op in ops {
-        let Some(step) = &op.step else { continue };
-        let e = agg.entry(step.clone()).or_default();
-        match op.kind {
-            OpKind::Barrier => e.0 += 1,
-            OpKind::Send => e.1 += 1,
-            OpKind::Recv => e.2 += 1,
-        }
-    }
-    agg.into_iter().map(|(s, (b, sd, r))| (s, b, sd, r)).collect()
 }
 
 #[cfg(test)]
@@ -582,19 +552,14 @@ mod tests {
     }
 
     #[test]
-    fn step_regions_tag_ops_and_make_edges() {
+    fn step_regions_make_edges() {
         let r = run(
             "impl M { fn run(&self, ctx: &C) { ctx.step(steps::SAMPLING, |c| { c.comm.send_vec(0, &v); c.comm.recv_vec(1); }); ctx.step(steps::EXCHANGE, |c| { c.comm.send_vec(0, &v); c.comm.recv_vec(1); }); } }",
         );
         assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!(
-            r.ops.iter().filter(|o| o.step.as_deref() == Some("sampling")).count(),
-            2
-        );
+        assert_eq!(r.ops.len(), 4);
         assert_eq!(r.edges.len(), 1);
         assert_eq!((r.edges[0].from.as_str(), r.edges[0].to.as_str()), ("sampling", "exchange"));
-        let sc = step_counts(&r.ops);
-        assert_eq!(sc.len(), 2);
     }
 
     #[test]

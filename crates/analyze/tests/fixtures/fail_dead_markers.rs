@@ -1,8 +1,6 @@
-//! Should-fail fixture: four dead inline markers and one live one. A
-//! marker naming a rule no pass reads inline, one in a file outside its
-//! rule's scope, and one covering no finding are each a `dead-marker`
-//! finding; the marker that covers the `vec!` is not.
-// analyze: scope(hot-path-alloc)
+//! Should-fail fixture: four dead inline markers. A marker naming a rule
+//! no pass reads inline (one of them a deleted pass's) and one in a file
+//! outside its rule's scope are each a `dead-marker` finding.
 
 impl InjMarked {
     fn inj_wait(&self) {
@@ -21,10 +19,8 @@ impl InjMarked {
         self.inj_n.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn hot_fill(&self) {
-        // analyze: allow(hot-path-alloc): the live marker, covering the vec!
-        let v = vec![0u8; 4];
-        // analyze: allow(hot-path-alloc): nothing on the next line allocates
-        drop(v);
+    fn inj_fill(&self) -> Vec<u8> {
+        // analyze: allow(hot-path-alloc): the pass that read this is gone too
+        vec![0u8; 4]
     }
 }

@@ -1,7 +1,7 @@
 //! Should-fail fixture: packets accumulate in a receive loop with no
 //! drain, break, or escape. The inline marker below must NOT silence
-//! it, and neither may an `analyze.allow` entry — unbounded growth in a
-//! pump loop is a structural leak, never a judgment call.
+//! it — unbounded growth in a pump loop is a structural leak, never a
+//! judgment call.
 // analyze: scope(loop-discipline)
 
 impl InjPump {

@@ -134,14 +134,20 @@ const ROWS: &[Row] = &[
     }"),
 ];
 
-/// Planted in a second pass, over the root package alone: every root
-/// test links `pgxd`, which the first pass leaves failing, so cargo
-/// would never check this file there.
-const ROOT_ROWS: &[Row] = &[(
-    "tests_and_benches_are_scanned_too",
-    "tests/end_to_end.rs",
-    READ,
-)];
+/// Planted in a second pass, over the root package, `core` and `algos`:
+/// the first pass leaves `pgxd` and `datagen` failing, and these files
+/// build on one of them, so cargo would never check them there. The sync
+/// primitives' ban in `core` and `algos` is planted in their test
+/// targets, which nothing builds on (`pgxd` builds on `algos`, the root
+/// package on both); the ban covers every target of a crate alike.
+const SECOND_PASS_ROWS: &[Row] = &[
+    ("tests_and_benches_are_scanned_too", "tests/end_to_end.rs", READ),
+    ("sync_primitives_banned_in_core_and_algos", "crates/core/tests/alloc_budget.rs",
+    "pub struct Wait(pub std::sync::Condvar); // planted: clippy::disallowed_types"),
+    ("sync_primitives_banned_in_core_and_algos", "crates/algos/tests/merge_kernel.rs",
+    "pub type Lock = std::sync::Mutex<u64>; // planted: clippy::disallowed_types
+    pub fn make() { let (_tx, _rx) = std::sync::mpsc::channel::<u8>(); } // planted: clippy::disallowed_methods"),
+];
 
 /// A `(file, line, lint)` that clippy reports or a row expects.
 type Hit = (String, usize, String);
@@ -192,8 +198,17 @@ fn planted() -> &'static Planted {
                 &["--workspace", "--keep-going", "--message-format=json"],
             ),
             (
-                ROOT_ROWS,
-                &["--package", "pgxd-sort-repro", "--message-format=json"],
+                SECOND_PASS_ROWS,
+                &[
+                    "--package",
+                    "pgxd-sort-repro",
+                    "--package",
+                    "pgxd-core",
+                    "--package",
+                    "pgxd-algos",
+                    "--keep-going",
+                    "--message-format=json",
+                ],
             ),
         ];
         for (rows, args) in passes {
@@ -306,6 +321,7 @@ rows!(
     newly_banned_literal_paths_flagged,
     banned_sync_primitive_in_pgxd_flagged,
     aliased_use_fixture_produces_expected_findings,
+    sync_primitives_banned_in_core_and_algos,
     sync_shim_itself_may_name_the_primitives,
     shim_and_harmless_imports_pass,
 );

@@ -12,18 +12,13 @@ fn root() -> &'static Path {
 }
 
 #[test]
-fn workspace_is_clean_and_acyclic() {
+fn workspace_is_clean() {
     let r = analyze_workspace(root()).expect("workspace sources readable");
     assert!(
         r.is_clean(),
         "analyzer findings on the workspace:\n{}",
         pgxd_analyze::render_human(&r)
     );
-    assert!(r.cycles.is_empty());
-    // The lock pass still sees the runtime's shared locks.
-    for lock in ["ProtocolChecker::ledger", "MachineTrace::sink", "ClusterBarrier::state"] {
-        assert!(r.graph_nodes.contains(&lock.to_string()), "{lock}: {:?}", r.graph_nodes);
-    }
 }
 
 /// The v2 inventories over the real tree: if a refactor renames the sort
@@ -62,52 +57,12 @@ fn v2_inventories_cover_the_runtime() {
     );
 }
 
-/// The canonical acquisition order documented in DESIGN.md, checked
-/// structurally: every edge goes forward in the order, so the graph cannot
-/// have a cycle among the named runtime locks.
-#[test]
-fn canonical_lock_order_holds() {
-    let order = ["ProtocolChecker::ledger", "MachineTrace::sink"];
-    let rank = |n: &str| order.iter().position(|o| *o == n);
-    let r = analyze_workspace(root()).expect("workspace sources readable");
-    for e in &r.graph_edges {
-        if let (Some(a), Some(b)) = (rank(&e.from), rank(&e.to)) {
-            assert!(
-                a < b,
-                "edge {} -> {} at {}:{} violates the canonical order",
-                e.from,
-                e.to,
-                e.file,
-                e.line
-            );
-        }
-    }
-}
-
-/// The v3 inventories over the real tree: hot regions and recv loops must
-/// keep covering the runtime. If a rename moves the exchange's chunk path,
-/// the fabric surface, or a receive pump out of the analyzer's sight,
-/// these floors fail before the passes silently go blind.
+/// The v3 inventory over the real tree: if a rename moves a receive pump
+/// out of the analyzer's sight, this floor fails before the
+/// loop-discipline pass silently goes blind.
 #[test]
 fn v3_inventories_cover_the_runtime() {
     let r = analyze_workspace(root()).expect("workspace sources readable");
-    // Every root class is populated: the sort kernels, the exchange's
-    // chunk path, the fabric send/recv surface, and the trace and counter
-    // emit paths.
-    for kind in ["kernel", "exchange", "fabric", "metrics-emit", "trace-emit"] {
-        assert!(r.hot_regions.iter().any(|h| h.kind == kind), "no {kind} roots: {:?}", r.hot_regions);
-    }
-    // The chunk path is the innermost loops of the one exchange: the
-    // self copy, the per-range send, and the receive loop.
-    let exchange: Vec<&str> = r
-        .hot_regions
-        .iter()
-        .filter(|h| h.kind == "exchange")
-        .map(|h| h.name.as_str())
-        .collect();
-    assert_eq!(exchange, ["MachineCtx::exchange_into"; 3], "{:?}", r.hot_regions);
-    // Step bodies are not roots.
-    assert!(r.hot_regions.iter().all(|h| !h.name.starts_with("step:")));
     // The fabric's receive pumps are inventoried as recv loops.
     assert!(r.loop_sites.iter().any(|s| s.file.ends_with("comm.rs")), "{:?}", r.loop_sites);
 }
@@ -118,13 +73,6 @@ fn v3_inventories_cover_the_runtime() {
 /// `anchor` in `file` is replaced. Every row must produce a finding of
 /// `rule` whose message contains the fragment.
 const MUST_FAIL: &[(&str, &str, &str, &str, &str)] = &[
-    (
-        "crates/pgxd/src/injected.rs",
-        "",
-        include_str!("fixtures/fail_lock_cycle.rs"),
-        "lock-order",
-        "InjCyclePool::inj_ring -> InjCyclePool::inj_slab",
-    ),
     (
         "crates/pgxd/src/injected.rs",
         "",
@@ -162,22 +110,6 @@ const MUST_FAIL: &[(&str, &str, &str, &str, &str)] = &[
         "loop-discipline",
         "grows without bound",
     ),
-    // A copy per range on the exchange's chunk path.
-    (
-        "crates/pgxd/src/machine.rs",
-        "let slice = &data[send_offsets[i]..send_offsets[i + 1]];",
-        "let slice = &data[send_offsets[i]..send_offsets[i + 1]]; let _inj = data.to_vec();",
-        "hot-path-alloc",
-        "in `MachineCtx::exchange_into`",
-    ),
-    // PR 10's catch: an `Arc` clone on every receive.
-    (
-        "crates/pgxd/src/comm.rs",
-        "if let Some(f) = self.sender.fault.as_ref() {",
-        "if let Some(f) = self.sender.fault.clone() {",
-        "hot-path-alloc",
-        "in `CommManager::recv_packet`",
-    ),
     // A marker for a deleted pass covers nothing.
     (
         "crates/pgxd/src/comm.rs",
@@ -186,12 +118,18 @@ const MUST_FAIL: &[(&str, &str, &str, &str, &str)] = &[
         "dead-marker",
         "no pass reads `allow(panic-surface)` inline",
     ),
+    (
+        "crates/algos/src/merge.rs",
+        "pub fn merge_into<",
+        "// analyze: allow(hot-path-alloc): the memtrack tests bound it now\npub fn merge_into<",
+        "dead-marker",
+        "no pass reads `allow(hot-path-alloc)` inline",
+    ),
 ];
 
 #[test]
 fn planted_defects_fail_the_gate() {
     let base = workspace_sources(root()).expect("workspace sources readable");
-    let allow = std::fs::read_to_string(root().join("analyze.allow")).unwrap_or_default();
     for &(file, anchor, replacement, rule, fragment) in MUST_FAIL {
         let mut sources = base.clone();
         if anchor.is_empty() {
@@ -201,7 +139,7 @@ fn planted_defects_fail_the_gate() {
             assert!(src.contains(anchor), "anchor `{anchor}` gone from {file}");
             *src = src.replacen(anchor, replacement, 1);
         }
-        let r = analyze_sources(&sources, &allow, "analyze.allow");
+        let r = analyze_sources(&sources);
         assert!(
             r.findings.iter().any(|f| f.rule == rule && f.message.contains(fragment)),
             "planting `{replacement}` into {file} must raise [{rule}] `{fragment}`; got:\n{}",

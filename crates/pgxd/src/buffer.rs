@@ -31,7 +31,7 @@
 //! A chunk is charged its frames, its rest column and its 8-byte offset;
 //! an opener its frames, its rest column and 8 bytes a range length.
 //!
-//! Where a frame ends (`pack_frames`): the encoder walks the keys in
+//! Where a frame ends (`plan_frames`): the encoder walks the keys in
 //! `BLOCK`-key blocks and adds each block to the open frame unless a fresh
 //! frame for it is cheaper than widening the open one. A fresh frame costs
 //! a header plus the block at its own width; widening costs the block, and
@@ -84,20 +84,10 @@ fn packed_width(span: u64) -> usize {
 /// least 1): a header, and eight image bytes plus the rest per element.
 /// The exchange reads it too: a range no longer than this leaves its
 /// stream in one chunk, whatever its keys, because the frames
-/// `pack_frames` cuts are never larger than one frame over the same keys.
+/// `plan_frames` cuts are never larger than one frame over the same keys.
 pub(crate) fn capacity_elems<W: Wire>(capacity_bytes: usize) -> usize {
     let per_elem = 8 + std::mem::size_of::<W::Rest>();
     (capacity_bytes.saturating_sub(PACKED_HEADER_BYTES) / per_elem).max(1)
-}
-
-/// The most frame bytes a chunk under `capacity` can hold beside
-/// `rest_bytes` per key. Its frames are at most a header plus eight bytes
-/// a key, and its frames and rest column at most `capacity` (unless it
-/// holds one key); the bound is where the two meet.
-fn frames_capacity(capacity: usize, rest_bytes: usize) -> usize {
-    let h = PACKED_HEADER_BYTES;
-    let meet = (h * rest_bytes).saturating_add(capacity.saturating_mul(8)) / (rest_bytes + 8);
-    meet.max(h + 8)
 }
 
 /// A frame the encoder plans: `len` keys from `start`, spanning
@@ -163,10 +153,10 @@ fn place(open: Option<Frame>, block: Frame) -> (Option<Frame>, Frame) {
     }
 }
 
-/// Appends to `out` the frames of the longest head of `keys` that fits
-/// `capacity` bytes together with `rest_bytes` per key of rest column — at
-/// least one key — and returns how many keys they hold; with `run_end`,
-/// the last frame carries the mark. Empty `keys` is one empty frame.
+/// Plans into `plan` (cleared first) the frames of the longest head of
+/// `keys` that fits `capacity` bytes together with `rest_bytes` per key of
+/// rest column — at least one key — and returns how many keys they hold.
+/// Empty `keys` is one empty frame.
 ///
 /// The frames are never larger than one frame over the same keys. Widening
 /// a frame that holds a full block by a byte costs at least `BLOCK` bytes,
@@ -176,13 +166,8 @@ fn place(open: Option<Frame>, block: Frame) -> (Option<Frame>, Frame) {
 /// that saves a byte on each of its `BLOCK` or more keys, which pays for
 /// both headers it can be charged with, and a short last block that opens
 /// a frame saves more than its header by the rule itself.
-fn pack_frames(
-    keys: &[u64],
-    capacity: usize,
-    rest_bytes: usize,
-    run_end: bool,
-    out: &mut Vec<u8>,
-) -> usize {
+fn plan_frames(keys: &[u64], capacity: usize, rest_bytes: usize, plan: &mut Vec<Frame>) -> usize {
+    plan.clear();
     let (mut written, mut open, mut at) = (0, None, 0);
     while at < keys.len() {
         let block = BLOCK.min(keys.len() - at);
@@ -213,20 +198,29 @@ fn pack_frames(
         }
         let (closed, next) = place(open, head);
         if let Some(frame) = closed {
-            written += write_frame(keys, frame, false, out);
+            written += frame.bytes();
+            plan.push(frame);
         }
         (open, at) = (Some(next), at + head.len);
         if head.len < block {
             break;
         }
     }
-    write_frame(keys, open.unwrap_or(Frame::EMPTY), run_end, out);
+    plan.push(open.unwrap_or(Frame::EMPTY));
     at
 }
 
-/// Appends `frame` of `keys` to `out`, header then body; returns its
-/// length.
-fn write_frame(keys: &[u64], frame: Frame, run_end: bool, out: &mut Vec<u8>) -> usize {
+/// Appends the frames of `plan` over `keys` to `out`, reserving their
+/// length at once; with `run_end`, the last frame carries the mark.
+fn write_frames(keys: &[u64], plan: &[Frame], run_end: bool, out: &mut Vec<u8>) {
+    out.reserve_exact(plan.iter().map(|frame| frame.bytes()).sum());
+    for (i, &frame) in plan.iter().enumerate() {
+        write_frame(keys, frame, run_end && i + 1 == plan.len(), out);
+    }
+}
+
+/// Appends `frame` of `keys` to `out`, header then body.
+fn write_frame(keys: &[u64], frame: Frame, run_end: bool, out: &mut Vec<u8>) {
     let (width, bytes) = (frame.width(), frame.bytes());
     let at = out.len();
     out.resize(at + bytes, 0);
@@ -247,7 +241,6 @@ fn write_frame(keys: &[u64], frame: Frame, run_end: bool, out: &mut Vec<u8>) -> 
         8 => pack_body::<8>(keys, frame.min, body),
         _ => {}
     }
-    bytes
 }
 
 /// Each key minus `min`, in `W` little-endian bytes.
@@ -389,15 +382,16 @@ fn unpack_column_into<S>(frames_bytes: &[u8], rest: usize, out: &mut [S], slot: 
 
 /// `runs` as one message: each run's frames, back to back, its last one
 /// marked, and the rest column of every run after them.
-// analyze: allow(hot-path-alloc): one message per sample or splitter
-// collective; the image scratch allocates only for elements that are not
-// their own images.
+// One message per sample or splitter collective; the image scratch
+// allocates only for elements that are not their own images.
 pub(crate) fn pack_runs<W: Wire>(runs: &[Vec<W>]) -> (Vec<u8>, Vec<W::Rest>) {
     let elems: usize = runs.iter().map(Vec::len).sum();
     let mut frames = Vec::with_capacity(runs.len() * PACKED_HEADER_BYTES + elems * 8);
-    let (mut rest, mut scratch) = (Vec::with_capacity(elems), Vec::new());
+    let (mut rest, mut scratch, mut plan) = (Vec::with_capacity(elems), Vec::new(), Vec::new());
     for run in runs {
-        pack_frames(W::images(run, &mut scratch), usize::MAX, 0, true, &mut frames);
+        let keys = W::images(run, &mut scratch);
+        plan_frames(keys, usize::MAX, 0, &mut plan);
+        write_frames(keys, &plan, true, &mut frames);
         rest.extend(run.iter().map(W::rest));
     }
     (frames, rest)
@@ -406,8 +400,8 @@ pub(crate) fn pack_runs<W: Wire>(runs: &[Vec<W>]) -> (Vec<u8>, Vec<W::Rest>) {
 /// The runs of a [`pack_runs`] message, in order. Panics, naming the
 /// frame, if the frames do not tile the message, the message ends inside a
 /// run, or the rest column does not hold one element per key.
-// analyze: allow(hot-path-alloc): the runs are what the message carries —
-// one vector per run, B per message.
+// The runs are what the message carries — one vector per run, B per
+// message.
 pub(crate) fn unpack_runs<W: Wire>(frames: &[u8], rest: Vec<W::Rest>) -> Vec<Vec<W>> {
     let runs = run_keys(frames, rest.len());
     let mut rest = rest.into_iter();
@@ -417,7 +411,6 @@ pub(crate) fn unpack_runs<W: Wire>(frames: &[u8], rest: Vec<W::Rest>) -> Vec<Vec
 
 /// The key images of a runs message's frames, one vector per run, checked
 /// against a rest column of `total` elements.
-// analyze: allow(hot-path-alloc): one vector per run, as above.
 fn run_keys(frames_bytes: &[u8], total: usize) -> Vec<Vec<u64>> {
     let (mut runs, mut run) = (Vec::new(), Vec::new());
     let (mut ended, mut at) = (true, 0);
@@ -450,6 +443,8 @@ pub struct RequestBuffer {
     /// The image column of the elements being cut into a chunk, when they
     /// are not their own images.
     images: Vec<u64>,
+    /// The frames planned for the chunk being cut.
+    plan: Vec<Frame>,
     /// The opener's tag, once [`RequestBuffer::open`] made this buffer's
     /// stream an exchange stream.
     open_tag: Option<Tag>,
@@ -459,15 +454,15 @@ pub struct RequestBuffer {
 
 impl RequestBuffer {
     /// A buffer for `dst` that ships chunks tagged `tag`.
-    // analyze: allow(hot-path-alloc): one buffer per destination stream; its
-    // image scratch stays empty for `u64` and is reused across the stream's
-    // chunks otherwise.
+    // One buffer per destination stream; its image scratch stays empty for
+    // `u64` and is reused across the stream's chunks otherwise.
     pub fn new(dst: usize, tag: Tag, capacity_bytes: usize) -> Self {
         RequestBuffer {
             dst,
             tag,
             capacity_bytes,
             images: Vec::new(),
+            plan: Vec::new(),
             open_tag: None,
             counts: None,
         }
@@ -497,9 +492,8 @@ impl RequestBuffer {
     /// offset `offset` of the stream — or as the stream's opener, if the
     /// stream is open and its opener has not shipped. Returns how many
     /// elements it took.
-    // analyze: allow(hot-path-alloc): a chunk's two columns are the message
-    // it ships, allocated at the size it carries and freed by the receiver
-    // once decoded.
+    // A chunk's two columns are the message it ships, allocated at the size
+    // it carries and freed by the receiver once decoded.
     pub fn send_chunk<W: Wire>(
         &mut self,
         items: &[W],
@@ -517,12 +511,9 @@ impl RequestBuffer {
         };
         let head = &items[..items.len().min(window)];
         let keys = W::images(head, &mut self.images);
-        // The frames of a head are never larger than one frame over it, nor
-        // than the capacity leaves beside their rest column.
-        let frames_cap = frames_capacity(self.capacity_bytes, rest_bytes)
-            .min(PACKED_HEADER_BYTES.saturating_add(keys.len().saturating_mul(8)));
-        let mut frames = Vec::with_capacity(frames_cap);
-        let taken = pack_frames(keys, self.capacity_bytes, rest_bytes, false, &mut frames);
+        let taken = plan_frames(keys, self.capacity_bytes, rest_bytes, &mut self.plan);
+        let mut frames = Vec::new();
+        write_frames(keys, &self.plan, false, &mut frames);
         let rest: Vec<W::Rest> = head[..taken].iter().map(W::rest).collect();
         let bytes = frames.len() + taken * rest_bytes;
         // Flush marker: the data-manager capacity edge, distinct from the
@@ -543,8 +534,8 @@ impl RequestBuffer {
     /// Ends the stream: an opener that has not shipped (the stream was
     /// empty) goes alone, and a chunk of either tag that the fault plane
     /// parked is delivered.
-    // analyze: allow(hot-path-alloc): an empty stream's opener carries empty
-    // columns; `Vec::new` reserves nothing.
+    // An empty stream's opener carries empty columns; `Vec::new` reserves
+    // nothing.
     pub fn finish<W: Wire>(mut self, sender: &CommSender) {
         if let Some(tag) = self.open_tag {
             if let Some(counts) = self.counts.take() {
@@ -858,26 +849,30 @@ mod tests {
         let tag = Tag::user(0, 9);
         let cap = crate::DEFAULT_BUFFER_BYTES;
         // Three one-byte keys under a 256 KiB buffer: the frames column
-        // reserves one frame over them, not the buffer.
+        // reserves the one frame it holds, not the buffer.
         RequestBuffer::new(1, tag, cap).send(&[1u64, 2, 3], 0, &m0.sender());
         let (_, (_, frames, rest)) = m1.recv_value::<Chunk<()>>(tag);
         assert_eq!((frames.len(), rest.len()), (H + 3, 3));
-        assert_eq!(frames.capacity(), H + 3 * 8);
+        assert_eq!(frames.capacity(), H + 3);
+        // A run of equal keys: a bare header.
+        RequestBuffer::new(1, tag, cap).send(&[9u64; 1000], 0, &m0.sender());
+        let (_, (_, frames, _)) = m1.recv_value::<Chunk<()>>(tag);
+        assert_eq!((frames.len(), frames.capacity()), (H, H));
         // Pairs: the rest column holds exactly the pairs the chunk took.
         let pairs: Vec<(u64, u32)> = (0..5).map(|i| (i, 7)).collect();
         RequestBuffer::new(1, tag, cap).send(&pairs, 0, &m0.sender());
         let (_, (_, frames, rest)) = m1.recv_value::<Chunk<((), u32)>>(tag);
         assert_eq!((frames.len(), rest.len(), rest.capacity()), (H + 5, 5, 5));
-        assert_eq!(frames.capacity(), H + 5 * 8);
-        // Full chunks never reserve more than the capacity allows.
+        assert_eq!(frames.capacity(), H + 5);
+        // Full chunks reserve their frames too, however many.
         let keys: Vec<u64> = (0..100_000).map(|k| k * 1_000_003).collect();
         RequestBuffer::new(1, tag, cap).send(&keys, 0, &m0.sender());
-        // The two sends above shipped one chunk each.
-        let chunks = stats.summary().exchange.chunks_sent - 2;
+        // The three sends above shipped one chunk each.
+        let chunks = stats.summary().exchange.chunks_sent - 3;
         assert!(chunks > 1, "{chunks} chunks");
         for _ in 0..chunks {
             let (_, (_, frames, _)) = m1.recv_value::<Chunk<()>>(tag);
-            assert!(frames.capacity() <= cap, "{} B reserved", frames.capacity());
+            assert_eq!(frames.capacity(), frames.len());
         }
     }
 
@@ -964,8 +959,9 @@ mod tests {
     /// 2^40 at width 0.
     fn two_frame_chunk() -> Vec<u8> {
         let keys = [(0..64).collect(), vec![1u64 << 40; 36]].concat();
-        let mut chunk = Vec::new();
-        assert_eq!(pack_frames(&keys, 1 << 20, 0, false, &mut chunk), 100);
+        let (mut plan, mut chunk) = (Vec::new(), Vec::new());
+        assert_eq!(plan_frames(&keys, 1 << 20, 0, &mut plan), 100);
+        write_frames(&keys, &plan, false, &mut chunk);
         assert_eq!(chunk.len(), 2 * H + 64);
         chunk
     }

@@ -290,9 +290,9 @@ impl CommSender {
 }
 
 /// A payload boxed for the fabric.
-// analyze: allow(hot-path-alloc): the boxed payload IS the wire format —
-// the in-process fabric ships `Box<dyn Any>` envelopes, one per message
-// (an exchange chunk's amortized over the chunk's elements).
+// The boxed payload IS the wire format — the in-process fabric ships
+// `Box<dyn Any>` envelopes, one per message (an exchange chunk's amortized
+// over the chunk's elements).
 fn envelope<T: Send + 'static>(payload: T) -> Box<dyn Any + Send> {
     Box::new(payload)
 }
@@ -511,8 +511,7 @@ impl CommManager {
     /// range lengths and the first chunk of its stream. Panics, naming the
     /// source, on an opener whose count list is not `batches` long or a
     /// second opener from one source.
-    // analyze: allow(hot-path-alloc): one slot per machine, once per
-    // exchange.
+    // One slot per machine, once per exchange.
     pub(crate) fn recv_openers<R: Send + 'static>(
         &mut self,
         tag: Tag,
@@ -539,10 +538,9 @@ impl CommManager {
     /// the last receiver to drop its handle takes the allocation for free,
     /// everyone else clones locally — at most one clone per receiver
     /// instead of `p − 1` clones on the sender.
-    // analyze: allow(hot-path-alloc): the clone is this collective's
-    // documented fallback — the last receiver takes the allocation for
-    // free, earlier receivers clone once locally instead of the sender
-    // cloning p-1 times.
+    // The clone is this collective's documented fallback — the last
+    // receiver takes the allocation for free, earlier receivers clone once
+    // locally instead of the sender cloning p-1 times.
     pub fn recv_shared_vec<T: Clone + Send + Sync + 'static>(&mut self, tag: Tag) -> (usize, Vec<T>) {
         let pkt = self.recv_packet(tag);
         let src = pkt.src;

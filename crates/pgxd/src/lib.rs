@@ -49,7 +49,8 @@
 //!   (built through `modelcheck/Cargo.toml`, the one manifest that names
 //!   the crate) swaps in [loom](https://docs.rs/loom) and the
 //!   `loom_exchange` test model-checks the overlapped exchange across
-//!   every interleaving.
+//!   every interleaving. In debug builds its mutex checks that a thread
+//!   holds one guard at a time and blocks under none.
 //! - [`checker`] — a debug-mode protocol checker keeps a per-fabric ledger
 //!   of sends and receives; barriers and fabric teardown turn undelivered
 //!   packets and overlapping §IV-C write-offset ranges into deterministic

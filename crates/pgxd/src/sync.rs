@@ -3,8 +3,10 @@
 //! implementations and [loom]'s model-checked versions.
 //!
 //! Compiled normally, every export is `std`, wrapped only where the runtime
-//! needs a different contract: [`Mutex`] and [`Condvar`] never poison, and
-//! the fabric queue ([`unbounded`]) is a `VecDeque` behind that pair. The
+//! needs a different contract: [`Mutex`] and [`Condvar`] never poison, a
+//! debug build checks that no thread holds two guards or blocks under one
+//! ([one guard at a time](Mutex#one-guard-at-a-time)), and the fabric
+//! queue ([`unbounded`]) is a `VecDeque` behind that pair. The
 //! crate has no dependency outside the workspace. Compiled with
 //! `--cfg loom` through `crates/pgxd/modelcheck/Cargo.toml` (the manifest
 //! that names the `loom` crate, so the default workspace never resolves
@@ -39,7 +41,9 @@
 
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 #[cfg(not(loom))]
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
@@ -59,12 +63,30 @@ pub use std::thread;
 #[cfg(loom)]
 pub use loom::thread;
 
-/// Guard type returned by [`Mutex::lock`].
-#[cfg(not(loom))]
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-/// Guard type returned by [`Mutex::lock`].
-#[cfg(loom)]
-pub type MutexGuard<'a, T> = loom::sync::MutexGuard<'a, T>;
+/// Guard returned by [`Mutex::lock`]: the primitive's own guard, and the
+/// thread's [one-guard](Mutex#one-guard-at-a-time) token beside it. It has
+/// no `Drop` of its own, so [`Condvar::wait`] can take it apart.
+pub struct MutexGuard<'a, T> {
+    #[cfg(not(loom))]
+    inner: std::sync::MutexGuard<'a, T>,
+    #[cfg(loom)]
+    inner: loom::sync::MutexGuard<'a, T>,
+    held: Held,
+}
+
+impl<T> Deref for MutexGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.inner
+    }
+}
+
+impl<T> DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
+}
 
 /// Mutual exclusion for the checker ledger, the trace sinks and the fabric
 /// queues: `std::sync::Mutex` in production builds, `loom::sync::Mutex`
@@ -75,6 +97,18 @@ pub type MutexGuard<'a, T> = loom::sync::MutexGuard<'a, T>;
 /// still lock, and every structure guarded here is valid between any two
 /// of its updates. Under loom, poisoning cannot be observed because a
 /// panicking model execution aborts the run.
+///
+/// # One guard at a time
+///
+/// No thread holds two guards: the runtime's lock graph has no edge, so
+/// it cannot have a cycle. Debug builds check this where it runs. `lock`
+/// panics, naming both guarded types, if the thread already holds a
+/// guard; so do the fabric's send and receive and the cluster barrier,
+/// which lock their own mutex, and [`TaskManager`]'s joins. A
+/// [`Condvar`] wait gives the thread's guard up for its sleep. Release
+/// builds and loom check nothing, and the guard's token is zero-sized.
+///
+/// [`TaskManager`]: crate::task::TaskManager
 pub struct Mutex<T> {
     #[cfg(not(loom))]
     inner: std::sync::Mutex<T>,
@@ -93,16 +127,70 @@ impl<T> Mutex<T> {
         }
     }
 
-    /// Acquires the mutex, blocking until it is available.
+    /// Acquires the mutex, blocking until it is available. In debug
+    /// builds, panics if this thread already holds a guard.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        // Checked before blocking: a second lock of the same mutex would
+        // otherwise deadlock instead of panicking.
+        let held = Held::take::<T>();
         #[cfg(not(loom))]
-        {
-            self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-        }
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         #[cfg(loom)]
-        {
-            self.inner.lock().unwrap()
+        let inner = self.inner.lock().unwrap();
+        MutexGuard { inner, held }
+    }
+}
+
+/// Whether this build checks the one-guard rule: debug builds do, release
+/// builds and loom (whose model threads share one OS thread) do not.
+const CHECKED: bool = cfg!(all(debug_assertions, not(loom)));
+
+thread_local! {
+    /// The type the thread's live guard protects, if it holds one.
+    static HELD: Cell<Option<&'static str>> = const { Cell::new(None) };
+}
+
+/// The type the thread's live guard protects, if it holds one and this
+/// build checks.
+fn held() -> Option<&'static str> {
+    if CHECKED {
+        HELD.get()
+    } else {
+        None
+    }
+}
+
+/// The thread's one-guard token, zero-sized: taking it records the
+/// guarded type, and dropping it, with its guard or for a condvar's
+/// sleep, clears it.
+struct Held;
+
+impl Held {
+    fn take<T>() -> Held {
+        let wanted = std::any::type_name::<T>();
+        if let Some(held) = held() {
+            panic!("locking a `Mutex<{wanted}>` while holding a `Mutex<{held}>` guard: pgxd takes one lock at a time");
         }
+        if CHECKED {
+            HELD.set(Some(wanted));
+        }
+        Held
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        if CHECKED {
+            HELD.set(None);
+        }
+    }
+}
+
+/// Panics if this thread holds a guard while it is about to `block`
+/// (where the build checks the one-guard rule).
+pub(crate) fn assert_no_guard(block: &str) {
+    if let Some(held) = held() {
+        panic!("{block} while holding a `Mutex<{held}>` guard: pgxd blocks under no lock");
     }
 }
 
@@ -141,15 +229,18 @@ impl Condvar {
 
     /// Blocks on `guard` until notified, reacquiring the lock on wake.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        let MutexGuard { inner, held } = guard;
+        drop(held);
         #[cfg(not(loom))]
-        {
-            self.inner
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner)
-        }
+        let inner = self
+            .inner
+            .wait(inner)
+            .unwrap_or_else(PoisonError::into_inner);
         #[cfg(loom)]
-        {
-            self.inner.wait(guard).unwrap()
+        let inner = self.inner.wait(inner).unwrap();
+        MutexGuard {
+            inner,
+            held: Held::take::<T>(),
         }
     }
 
@@ -167,16 +258,24 @@ impl Condvar {
     ) -> (MutexGuard<'a, T>, bool) {
         #[cfg(not(loom))]
         {
-            let (guard, result) = self
+            let MutexGuard { inner, held } = guard;
+            drop(held);
+            let (inner, result) = self
                 .inner
-                .wait_timeout(guard, timeout)
+                .wait_timeout(inner, timeout)
                 .unwrap_or_else(PoisonError::into_inner);
-            (guard, result.timed_out())
+            (
+                MutexGuard {
+                    inner,
+                    held: Held::take::<T>(),
+                },
+                result.timed_out(),
+            )
         }
         #[cfg(loom)]
         {
             let _ = timeout;
-            (self.inner.wait(guard).unwrap(), false)
+            (self.wait(guard), false)
         }
     }
 
@@ -289,6 +388,7 @@ impl<T> Drop for Receiver<T> {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn mutex_roundtrip() {
@@ -333,6 +433,93 @@ mod tests {
         });
         assert!(holder.join().is_err());
         assert_eq!(*m.lock(), 2);
+        // A guard unwound by a panic gives the thread's token back.
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _g = m.lock();
+            panic!("holder unwinds with the lock held");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(held(), None);
+        assert_eq!(*m.lock(), 2);
+    }
+
+    /// The message of the panic `f` raises.
+    #[cfg(debug_assertions)]
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("the call panics");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload.downcast_ref::<&str>().expect("a message").to_string(),
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_nested_lock_panics_naming_both_types() {
+        let (a, b) = (Mutex::new(0u8), Mutex::new(String::new()));
+        let _a = a.lock();
+        let message = panic_message(|| drop(b.lock()));
+        assert!(message.contains("`Mutex<alloc::string::String>`"), "{message}");
+        assert!(message.contains("`Mutex<u8>` guard"), "{message}");
+        // Relocking the held mutex panics too, where it would deadlock.
+        let message = panic_message(|| drop(a.lock()));
+        assert!(message.contains("`Mutex<u8>` while holding a `Mutex<u8>`"), "{message}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_queue_send_or_receive_under_a_guard_panics() {
+        let (tx, rx) = unbounded::<u32>();
+        let m = Mutex::new(0u16);
+        let _g = m.lock();
+        let message = panic_message(|| {
+            let _ = tx.send(1);
+        });
+        assert!(message.contains("while holding a `Mutex<u16>` guard"), "{message}");
+        let message = panic_message(|| {
+            let _ = rx.recv_timeout(Duration::ZERO);
+        });
+        assert!(message.contains("while holding a `Mutex<u16>` guard"), "{message}");
+    }
+
+    #[test]
+    fn waits_give_the_guard_up_and_a_dropped_guard_can_be_retaken() {
+        let (a, b) = (Mutex::new(()), Mutex::new(()));
+        let cv = Condvar::new();
+        let (g, timed_out) = cv.wait_for(a.lock(), Duration::from_millis(1));
+        assert!(timed_out);
+        assert_eq!(held(), CHECKED.then_some("()"));
+        drop(g);
+        let g = b.lock();
+        drop(g);
+        let flag = Arc::new(Mutex::new(false));
+        let flag2 = flag.clone();
+        let cv = Arc::new(Condvar::new());
+        let cv2 = cv.clone();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                *flag2.lock() = true;
+                cv2.notify_one();
+            });
+            let mut g = flag.lock();
+            while !*g {
+                g = cv.wait(g);
+            }
+        });
+        assert_eq!(held(), None);
+        drop(a.lock());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn joining_tasks_under_a_guard_panics() {
+        let tm = crate::task::TaskManager::new(2);
+        let m = Mutex::new(0i8);
+        let _g = m.lock();
+        let message = panic_message(|| tm.run_tasks(vec![Box::new(|| ())]));
+        assert!(message.contains("joining a step's tasks while holding a `Mutex<i8>`"), "{message}");
+        let message = panic_message(|| tm.run_tasks_overlapping(vec![Box::new(|| ())], || ()));
+        assert!(message.contains("joining a step's tasks while holding"), "{message}");
     }
 
     #[test]

@@ -71,8 +71,10 @@ impl TaskManager {
     }
 
     /// Executes every task on the worker pool and waits for completion.
-    /// Workers grab tasks from the shared list as they free up.
+    /// Workers grab tasks from the shared list as they free up. A debug
+    /// build panics if the caller holds a [`crate::sync::Mutex`] guard.
     pub fn run_tasks<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+        crate::sync::assert_no_guard("joining a step's tasks");
         if tasks.is_empty() {
             return;
         }
@@ -101,7 +103,9 @@ impl TaskManager {
     /// thread free to drain arrivals. Unlike [`run_tasks`], tasks are
     /// *never* run inline on the caller — `foreground` may block until the
     /// tasks make progress (and vice versa), so even a one-worker pool
-    /// spawns a thread here. With no tasks, `foreground` runs inline.
+    /// spawns a thread here. With no tasks, `foreground` runs inline. Like
+    /// [`run_tasks`], it panics in a debug build if the caller holds a
+    /// guard.
     ///
     /// [`run_tasks`]: TaskManager::run_tasks
     pub fn run_tasks_overlapping<'env, R>(
@@ -109,6 +113,7 @@ impl TaskManager {
         tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
         foreground: impl FnOnce() -> R,
     ) -> R {
+        crate::sync::assert_no_guard("joining a step's tasks");
         if tasks.is_empty() {
             return foreground();
         }

@@ -1,7 +1,8 @@
 //! Memtrack-based bound on what an exchange allocates: its output buffers,
-//! the bytes it ships, and a small constant per chunk. A chunk's columns
-//! are allocated at the size of what it carries, so allocation follows the
-//! bytes on the wire, not the number of chunks or the buffer capacity.
+//! the bytes it ships, and a small constant per chunk and per stream. A
+//! chunk's columns are allocated at the size of what it carries, so
+//! allocation follows the bytes on the wire, not the number of chunks or
+//! the buffer capacity.
 //!
 //! This binary installs the tracking allocator globally, so everything it
 //! measures includes the cluster's machine threads. All measurements live
@@ -16,9 +17,15 @@ const P: usize = 4;
 const N_PER_MACHINE: usize = 64 * 1024; // u64 keys
 const MEASURED_ROUNDS: usize = 4;
 /// Bytes a chunk may allocate beyond the bytes it is charged: its fabric
-/// envelope, and its share of the receive loop's bookkeeping (both
-/// buffer sizes below read 150–180).
-const PER_CHUNK_BYTES: usize = 320;
+/// envelope, and its share of the receive loop's bookkeeping (the two
+/// buffer sizes below differ by 117 B a chunk).
+const PER_CHUNK_BYTES: usize = 256;
+/// Bytes a stream may allocate beyond its chunks, once an exchange: its
+/// send task, its opener's range lengths and its buffer's frame plan
+/// (all-equal keys, one chunk a stream, read 835 B with the chunk).
+const PER_STREAM_BYTES: usize = 1024;
+/// Streams an exchange round ships: one a machine pair.
+const STREAMS: usize = P * (P - 1);
 
 /// One round's totals on all machines together.
 #[derive(Debug)]
@@ -28,10 +35,16 @@ struct Round {
     chunks: usize,
 }
 
-/// Runs `1 + MEASURED_ROUNDS` identical all-to-all exchanges inside one
-/// cluster at `buffer_bytes` and returns the mean of the measured rounds.
-/// The first round warms the fabric's queues and the checker's ledger.
-fn measure(buffer_bytes: usize) -> Round {
+/// Machine `m`'s `i`-th key, scattered over the whole `u64` range.
+fn scattered(m: u64, i: u64) -> u64 {
+    i.wrapping_mul(0x9e3779b97f4a7c15) ^ m
+}
+
+/// Runs `1 + MEASURED_ROUNDS` identical all-to-all exchanges of the keys
+/// `key(machine, index)` inside one cluster at `buffer_bytes` and returns
+/// the mean of the measured rounds. The first round warms the fabric's
+/// queues and the checker's ledger.
+fn measure(buffer_bytes: usize, key: fn(u64, u64) -> u64) -> Round {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
     static SENT: AtomicUsize = AtomicUsize::new(0);
@@ -44,7 +57,7 @@ fn measure(buffer_bytes: usize) -> Round {
     );
     cluster.run(|ctx| {
         let data: Vec<u64> = (0..N_PER_MACHINE as u64)
-            .map(|i| i.wrapping_mul(0x9e3779b97f4a7c15) ^ ctx.id() as u64)
+            .map(|i| key(ctx.id() as u64, i))
             .collect();
         // Even split across machines.
         let per_dst = N_PER_MACHINE / P;
@@ -80,12 +93,13 @@ fn measure(buffer_bytes: usize) -> Round {
 fn exchange_allocates_its_output_and_what_it_ships() {
     // Every machine's assembled output: the allocation no exchange avoids.
     let out_bytes = P * N_PER_MACHINE * std::mem::size_of::<u64>();
-    let bound = |r: &Round| out_bytes + r.bytes_sent + PER_CHUNK_BYTES * r.chunks;
+    let bound =
+        |r: &Round| out_bytes + r.bytes_sent + PER_CHUNK_BYTES * r.chunks + PER_STREAM_BYTES * STREAMS;
 
     // 8 KiB buffers: about 1000 keys a chunk, 17 chunks a stream, the last
     // one short. A chunk reserving the whole buffer for its frames would
     // allocate ≈ 8 KiB more for each short chunk than it ships.
-    let at_8k = measure(8 * 1024);
+    let at_8k = measure(8 * 1024, scattered);
     assert!(
         at_8k.allocated <= bound(&at_8k),
         "8 KiB buffers: {at_8k:?} against {out_bytes} B of output \
@@ -94,7 +108,7 @@ fn exchange_allocates_its_output_and_what_it_ships() {
     );
 
     // 2 KiB buffers: four times the chunks.
-    let at_2k = measure(2 * 1024);
+    let at_2k = measure(2 * 1024, scattered);
     assert!(
         at_2k.chunks > 3 * at_8k.chunks,
         "{at_2k:?} against {at_8k:?}"
@@ -112,5 +126,16 @@ fn exchange_allocates_its_output_and_what_it_ships() {
         "4x the chunks grew allocation from {} to {} B a round",
         at_8k.allocated,
         at_2k.allocated
+    );
+
+    // All-equal keys: each stream is one 13-byte frame, whatever it holds.
+    // A chunk reserving a whole buffer for its frames would allocate
+    // ≈ 8 KiB more than it ships.
+    let equal = measure(8 * 1024, |_, _| 7);
+    assert!(
+        equal.allocated <= bound(&equal),
+        "all-equal keys: {equal:?} against {out_bytes} B of output \
+         (bound {} B)",
+        bound(&equal)
     );
 }

@@ -183,10 +183,12 @@ mod tests {
 
     #[test]
     fn total_f64_orders_nan_last() {
-        let mut v = [TotalF64(f64::NAN),
+        let mut v = [
+            TotalF64(f64::NAN),
             TotalF64(1.0),
             TotalF64(-1.0),
-            TotalF64(0.0)];
+            TotalF64(0.0),
+        ];
         v.sort();
         assert_eq!(v[0].0, -1.0);
         assert_eq!(v[1].0, 0.0);

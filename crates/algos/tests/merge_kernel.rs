@@ -232,11 +232,21 @@ fn merge_into_is_the_reference_stable_merge() {
         let modulus = g.select(&[1u64, 2, 5, 300, u64::MAX]);
         // Lifts `b` (or `a`) clear of the other side: the gallop's shape.
         let lift = g.select(&[(0u64, 0u64), (300, 0), (0, 300)]);
-        let keys = |v: Vec<u64>, up: u64| v.into_iter().map(|k| (k % modulus).saturating_add(up)).collect();
+        let keys = |v: Vec<u64>, up: u64| {
+            v.into_iter()
+                .map(|k| (k % modulus).saturating_add(up))
+                .collect()
+        };
         let a = tagged_run(0, keys(a, lift.0));
         let b = tagged_run(1, keys(b, lift.1));
         let (expect, from_a) = reference_merge(&a, &b);
-        let mut out = vec![Tagged { key: 0, tag: (9, 0) }; a.len() + b.len()];
+        let mut out = vec![
+            Tagged {
+                key: 0,
+                tag: (9, 0)
+            };
+            a.len() + b.len()
+        ];
         merge_into(&a, &b, &mut out);
         assert_eq!(bits(&out), bits(&expect));
         let r = from_a.len() / 2;

@@ -13,24 +13,149 @@ use crate::lexer::Tok;
 /// `get`. A `self.name(..)` call on a type that defines `name` resolves
 /// before this list is consulted.
 const METHOD_DENYLIST: &[&str] = &[
-    "get", "get_mut", "insert", "remove", "push", "pop", "len", "is_empty", "iter", "iter_mut",
-    "into_iter", "map", "map_err", "filter", "filter_map", "flat_map", "flatten", "take",
-    "replace", "clone", "cloned", "copied", "collect", "sum", "min", "max", "min_by_key",
-    "max_by_key", "position", "find", "any", "all", "fold", "for_each", "zip", "rev", "chain",
-    "enumerate", "values", "keys", "entry", "contains", "contains_key", "extend", "drain",
-    "clear", "retain", "next", "last", "first", "count", "nth", "skip", "take_while",
-    "skip_while", "step_by", "chunks", "windows", "split_at", "split_at_mut", "to_vec",
-    "to_string", "as_str", "as_slice", "as_ref", "as_mut", "as_bytes", "unwrap", "expect",
-    "unwrap_or", "unwrap_or_else", "unwrap_or_default", "ok", "err", "and_then", "or_else",
-    "is_some", "is_none", "is_ok", "is_err", "load", "store", "swap", "fetch_add", "fetch_sub",
-    "fetch_or", "fetch_and", "compare_exchange", "saturating_add", "saturating_sub",
-    "checked_add", "checked_sub", "wrapping_add", "elapsed", "duration_since", "as_secs_f64",
-    "as_nanos", "as_micros", "sort", "sort_by", "sort_by_key", "sort_unstable", "binary_search",
-    "resize", "reserve", "with_capacity", "copy_from_slice", "clone_from_slice", "fill",
-    "starts_with", "ends_with", "trim", "split", "lines", "abs", "powi", "sqrt", "floor",
-    "ceil", "round", "to_le_bytes", "to_ne_bytes", "eq", "ne", "cmp", "partial_cmp", "hash",
-    "fmt", "borrow", "borrow_mut", "deref", "truncate", "append", "as_ptr", "as_mut_ptr",
-    "cast", "offset", "add", "sub", "read_volatile", "write_volatile", "then", "then_some",
+    "get",
+    "get_mut",
+    "insert",
+    "remove",
+    "push",
+    "pop",
+    "len",
+    "is_empty",
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "map",
+    "map_err",
+    "filter",
+    "filter_map",
+    "flat_map",
+    "flatten",
+    "take",
+    "replace",
+    "clone",
+    "cloned",
+    "copied",
+    "collect",
+    "sum",
+    "min",
+    "max",
+    "min_by_key",
+    "max_by_key",
+    "position",
+    "find",
+    "any",
+    "all",
+    "fold",
+    "for_each",
+    "zip",
+    "rev",
+    "chain",
+    "enumerate",
+    "values",
+    "keys",
+    "entry",
+    "contains",
+    "contains_key",
+    "extend",
+    "drain",
+    "clear",
+    "retain",
+    "next",
+    "last",
+    "first",
+    "count",
+    "nth",
+    "skip",
+    "take_while",
+    "skip_while",
+    "step_by",
+    "chunks",
+    "windows",
+    "split_at",
+    "split_at_mut",
+    "to_vec",
+    "to_string",
+    "as_str",
+    "as_slice",
+    "as_ref",
+    "as_mut",
+    "as_bytes",
+    "unwrap",
+    "expect",
+    "unwrap_or",
+    "unwrap_or_else",
+    "unwrap_or_default",
+    "ok",
+    "err",
+    "and_then",
+    "or_else",
+    "is_some",
+    "is_none",
+    "is_ok",
+    "is_err",
+    "load",
+    "store",
+    "swap",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_or",
+    "fetch_and",
+    "compare_exchange",
+    "saturating_add",
+    "saturating_sub",
+    "checked_add",
+    "checked_sub",
+    "wrapping_add",
+    "elapsed",
+    "duration_since",
+    "as_secs_f64",
+    "as_nanos",
+    "as_micros",
+    "sort",
+    "sort_by",
+    "sort_by_key",
+    "sort_unstable",
+    "binary_search",
+    "resize",
+    "reserve",
+    "with_capacity",
+    "copy_from_slice",
+    "clone_from_slice",
+    "fill",
+    "starts_with",
+    "ends_with",
+    "trim",
+    "split",
+    "lines",
+    "abs",
+    "powi",
+    "sqrt",
+    "floor",
+    "ceil",
+    "round",
+    "to_le_bytes",
+    "to_ne_bytes",
+    "eq",
+    "ne",
+    "cmp",
+    "partial_cmp",
+    "hash",
+    "fmt",
+    "borrow",
+    "borrow_mut",
+    "deref",
+    "truncate",
+    "append",
+    "as_ptr",
+    "as_mut_ptr",
+    "cast",
+    "offset",
+    "add",
+    "sub",
+    "read_volatile",
+    "write_volatile",
+    "then",
+    "then_some",
 ];
 
 /// A function's resolved workspace call sites.
@@ -45,13 +170,17 @@ impl FnSites {
     /// Resolved workspace call sites (token index, line, targets): the
     /// edges of the [`CallGraph`] that wait-graph walks.
     pub(crate) fn calls(&self) -> impl Iterator<Item = (usize, usize, &[String])> + '_ {
-        self.sites.iter().map(|(idx, line, targets)| (*idx, *line, targets.as_slice()))
+        self.sites
+            .iter()
+            .map(|(idx, line, targets)| (*idx, *line, targets.as_slice()))
     }
 }
 
 /// True for an identifier: a word that is not a keyword.
 pub fn is_ident(t: &str) -> bool {
-    t.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_')
+    t.chars()
+        .next()
+        .is_some_and(|c| c.is_alphabetic() || c == '_')
         && !KEYWORDS.contains(&t)
 }
 
@@ -244,7 +373,12 @@ impl FnIndex {
         ix
     }
 
-    fn resolve_method(&self, name: &str, receiver_is_self: bool, self_type: Option<&str>) -> Vec<String> {
+    fn resolve_method(
+        &self,
+        name: &str,
+        receiver_is_self: bool,
+        self_type: Option<&str>,
+    ) -> Vec<String> {
         if receiver_is_self {
             if let Some(ty) = self_type {
                 if self.type_methods.get(ty).is_some_and(|m| m.contains(name)) {
@@ -300,7 +434,12 @@ impl CallGraph {
         let ix = FnIndex::build(files);
         let fns = files
             .iter()
-            .map(|pf| pf.functions.iter().map(|f| extract_fn(pf, f, &ix)).collect())
+            .map(|pf| {
+                pf.functions
+                    .iter()
+                    .map(|f| extract_fn(pf, f, &ix))
+                    .collect()
+            })
             .collect();
         CallGraph { fns }
     }
@@ -320,8 +459,11 @@ fn extract_fn(pf: &ParsedFile, f: &Function, ix: &FnIndex) -> FnSites {
                 continue;
             };
             let receiver_is_self = i > s && pf.toks[i - 1].text == "self";
-            let targets =
-                ix.resolve_method(&pf.toks[i + 1].text, receiver_is_self, f.self_type.as_deref());
+            let targets = ix.resolve_method(
+                &pf.toks[i + 1].text,
+                receiver_is_self,
+                f.self_type.as_deref(),
+            );
             if !targets.is_empty() {
                 sites.push((i, pf.toks[i].line, targets));
             }
@@ -359,7 +501,9 @@ fn extract_fn(pf: &ParsedFile, f: &Function, ix: &FnIndex) -> FnSites {
 }
 
 fn is_ident_or_kw(t: &str) -> bool {
-    t.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_')
+    t.chars()
+        .next()
+        .is_some_and(|c| c.is_alphabetic() || c == '_')
 }
 
 #[cfg(test)]
@@ -374,7 +518,12 @@ mod tests {
             "impl A { fn get(&self) {} fn f(&self) { self.map.get(0); } fn g(&self) { self.get(); } }",
         )];
         let graph = CallGraph::build(&files);
-        let calls = |f: usize| graph.fns[0][f].calls().flat_map(|(_, _, t)| t.to_vec()).collect::<Vec<_>>();
+        let calls = |f: usize| {
+            graph.fns[0][f]
+                .calls()
+                .flat_map(|(_, _, t)| t.to_vec())
+                .collect::<Vec<_>>()
+        };
         // `map.get` is a collection's, not `A::get`; `self.get` is.
         assert!(calls(1).is_empty(), "{:?}", calls(1));
         assert_eq!(calls(2), ["A::get"]);

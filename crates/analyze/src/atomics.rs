@@ -40,10 +40,7 @@ use crate::report::Finding;
 
 /// Files whose atomics implement publication protocols, plus the comm
 /// counters whose Relaxed-only policy is enforced via annotations.
-const ATOMICS_FILES: [&str; 2] = [
-    "crates/pgxd/src/checker.rs",
-    "crates/pgxd/src/metrics.rs",
-];
+const ATOMICS_FILES: [&str; 2] = ["crates/pgxd/src/checker.rs", "crates/pgxd/src/metrics.rs"];
 
 /// Marker pulling extra files (fixtures) into scope.
 pub const SCOPE_MARKER: &str = "analyze: scope(atomics-ordering)";
@@ -67,7 +64,11 @@ const ATOMIC_METHODS: [&str; 13] = [
 
 pub(crate) fn in_scope(pf: &ParsedFile) -> bool {
     ATOMICS_FILES.iter().any(|s| pf.rel.ends_with(s))
-        || pf.stripped.comments.iter().any(|c| c.contains(SCOPE_MARKER))
+        || pf
+            .stripped
+            .comments
+            .iter()
+            .any(|c| c.contains(SCOPE_MARKER))
 }
 
 pub fn analyze_atomics(files: &[ParsedFile]) -> Vec<Finding> {
@@ -111,7 +112,11 @@ pub fn analyze_atomics(files: &[ParsedFile]) -> Vec<Finding> {
                     let receiver = i
                         .checked_sub(1)
                         .map(|p| pf.toks[p].text.clone())
-                        .filter(|t| t.chars().next().is_some_and(|c| c.is_alphanumeric() || c == '_'))
+                        .filter(|t| {
+                            t.chars()
+                                .next()
+                                .is_some_and(|c| c.is_alphanumeric() || c == '_')
+                        })
                         .unwrap_or_else(|| "<atomic>".into());
                     findings.push(Finding {
                         rule: "atomics-ordering".into(),
@@ -172,7 +177,10 @@ mod tests {
     #[test]
     fn annotated_relaxed_is_allowed_and_reason_is_mandatory() {
         let marked = |src: &str| {
-            let files = [parse_file("t.rs", &format!("// analyze: scope(atomics-ordering)\n{src}"))];
+            let files = [parse_file(
+                "t.rs",
+                &format!("// analyze: scope(atomics-ordering)\n{src}"),
+            )];
             let found = crate::markers::apply_markers(&files, analyze_atomics(&files));
             found.into_iter().map(|f| f.rule).collect::<Vec<_>>()
         };
@@ -183,7 +191,11 @@ mod tests {
         let bare = marked(
             "impl S { fn bump(&self) { // analyze: allow(atomics-ordering)\n        self.n.fetch_add(1, Ordering::Relaxed); } }",
         );
-        assert_eq!(bare, ["atomics-ordering", "dead-marker"], "a bare marker covers nothing");
+        assert_eq!(
+            bare,
+            ["atomics-ordering", "dead-marker"],
+            "a bare marker covers nothing"
+        );
     }
 
     #[test]

@@ -179,7 +179,9 @@ fn find_impl_regions(toks: &[Tok]) -> Vec<(usize, usize, String)> {
                     ">" => angle = angle.saturating_sub(1),
                     "for" if angle == 0 => saw_for = true,
                     w if angle == 0
-                        && w.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_')
+                        && w.chars()
+                            .next()
+                            .is_some_and(|c| c.is_alphabetic() || c == '_')
                         && !KEYWORDS.contains(&w) =>
                     {
                         if saw_for {
@@ -195,7 +197,9 @@ fn find_impl_regions(toks: &[Tok]) -> Vec<(usize, usize, String)> {
                 j += 1;
             }
             if j < toks.len() && toks[j].text == "{" {
-                let ty = after_for.or(first_ident).unwrap_or_else(|| "<impl>".to_string());
+                let ty = after_for
+                    .or(first_ident)
+                    .unwrap_or_else(|| "<impl>".to_string());
                 regions.push((j, matching_delim(toks, j), ty));
                 // Continue scanning *inside* the impl for nothing — fns are
                 // found by the flat fn scan; just move past the header.
@@ -275,7 +279,12 @@ fn extract_functions(
         let Some(name_tok) = toks.get(i + 1) else {
             break;
         };
-        if !name_tok.text.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_') {
+        if !name_tok
+            .text
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_alphabetic() || c == '_')
+        {
             i += 1;
             continue;
         }

@@ -280,7 +280,10 @@ mod tests {
     use super::*;
 
     fn toks(src: &str) -> Vec<String> {
-        tokens(&strip(src).code).into_iter().map(|t| t.text).collect()
+        tokens(&strip(src).code)
+            .into_iter()
+            .map(|t| t.text)
+            .collect()
     }
 
     #[test]
@@ -311,8 +314,25 @@ mod tests {
     fn b_prefix_only_swallowed_before_literals() {
         assert_eq!(
             toks("fn broadcast(b: u8) { let x = b\"z\"; let y = br#\"w\"#; }"),
-            ["fn", "broadcast", "(", "b", ":", "u8", ")", "{", "let", "x", "=", ";", "let", "y",
-             "=", ";", "}"]
+            [
+                "fn",
+                "broadcast",
+                "(",
+                "b",
+                ":",
+                "u8",
+                ")",
+                "{",
+                "let",
+                "x",
+                "=",
+                ";",
+                "let",
+                "y",
+                "=",
+                ";",
+                "}"
+            ]
         );
     }
 
@@ -320,7 +340,8 @@ mod tests {
     fn multiline_raw_string_keeps_line_numbers_exact() {
         // Three lines inside the raw literal; the token after it must
         // land on the real source line, hash-count variants included.
-        let src = "let a = r#\"one\ntwo \"quoted\"\nthree\"#;\nlet b = r##\"x\"#\ny\"##;\nfn tail() {}\n";
+        let src =
+            "let a = r#\"one\ntwo \"quoted\"\nthree\"#;\nlet b = r##\"x\"#\ny\"##;\nfn tail() {}\n";
         let t = tokens(&strip(src).code);
         let fn_tok = t.iter().find(|t| t.text == "fn").expect("fn token");
         assert_eq!(fn_tok.line, 6);
@@ -351,14 +372,20 @@ mod tests {
     fn escaped_quote_char_literal_fully_consumed() {
         // `'\''` must not leave the closing quote behind as a stray
         // lifetime token.
-        assert_eq!(toks("let q = '\\''; let n = '\\n';"), ["let", "q", "=", ";", "let", "n", "=", ";"]);
+        assert_eq!(
+            toks("let q = '\\''; let n = '\\n';"),
+            ["let", "q", "=", ";", "let", "n", "=", ";"]
+        );
     }
 
     #[test]
     fn raw_identifiers_do_not_spoof_keywords() {
         // `r#fn` is an identifier, not the `fn` keyword: the item scanner
         // must never see a bare `fn` token from it.
-        assert_eq!(toks("let x = r#fn; call(r#match)"), ["let", "x", "=", "rfn", ";", "call", "(", "rmatch", ")"]);
+        assert_eq!(
+            toks("let x = r#fn; call(r#match)"),
+            ["let", "x", "=", "rfn", ";", "call", "(", "rmatch", ")"]
+        );
     }
 
     #[test]

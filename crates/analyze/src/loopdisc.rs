@@ -34,11 +34,26 @@ use crate::waitgraph::body_open;
 pub const SCOPE_MARKER: &str = "analyze: scope(loop-discipline)";
 
 /// Growth calls checked inside recv loops.
-const GROWTH_CALLS: [&str; 6] = ["push", "push_back", "push_front", "extend", "insert", "append"];
+const GROWTH_CALLS: [&str; 6] = [
+    "push",
+    "push_back",
+    "push_front",
+    "extend",
+    "insert",
+    "append",
+];
 
 /// Drain-class calls that bound growth on the same receiver.
-const DRAIN_CALLS: [&str; 8] =
-    ["pop", "pop_front", "pop_back", "remove", "drain", "clear", "truncate", "split_off"];
+const DRAIN_CALLS: [&str; 8] = [
+    "pop",
+    "pop_front",
+    "pop_back",
+    "remove",
+    "drain",
+    "clear",
+    "truncate",
+    "split_off",
+];
 
 /// One inventoried recv/poll loop.
 #[derive(Debug, Clone)]
@@ -55,7 +70,11 @@ pub struct LoopDiscipline {
 
 fn in_scope(pf: &ParsedFile) -> bool {
     pf.rel.starts_with("crates/")
-        || pf.stripped.comments.iter().any(|c| c.contains(SCOPE_MARKER))
+        || pf
+            .stripped
+            .comments
+            .iter()
+            .any(|c| c.contains(SCOPE_MARKER))
 }
 
 /// One loop inside a function body.
@@ -77,7 +96,9 @@ fn find_loops(pf: &ParsedFile, body: (usize, usize)) -> Vec<Loop> {
         if !matches!(kw, "for" | "while" | "loop") {
             continue;
         }
-        let Some(open) = body_open(pf, i + 1, body.1) else { continue };
+        let Some(open) = body_open(pf, i + 1, body.1) else {
+            continue;
+        };
         let head_start = if kw == "for" {
             // `for PAT in EXPR {`: require the `in`; `for<'a>` bounds
             // have none.
@@ -88,7 +109,11 @@ fn find_loops(pf: &ParsedFile, body: (usize, usize)) -> Vec<Loop> {
         } else {
             i + 1
         };
-        out.push(Loop { kw: i, head: (head_start, open), body: (open + 1, matching_delim(toks, open)) });
+        out.push(Loop {
+            kw: i,
+            head: (head_start, open),
+            body: (open + 1, matching_delim(toks, open)),
+        });
     }
     out
 }
@@ -110,7 +135,10 @@ fn receiver_key(pf: &ParsedFile, dot: usize, start: usize) -> String {
 
 /// The method name when token `i` is the `.` of a method call.
 fn method_call_at(pf: &ParsedFile, i: usize) -> Option<&str> {
-    let name = pf.toks.get(i + 1).filter(|t| pf.toks[i].text == "." && is_ident(&t.text))?;
+    let name = pf
+        .toks
+        .get(i + 1)
+        .filter(|t| pf.toks[i].text == "." && is_ident(&t.text))?;
     call_open_paren(&pf.toks, i + 1)?;
     Some(&name.text)
 }
@@ -129,7 +157,11 @@ pub fn analyze_loops(files: &[ParsedFile]) -> LoopDiscipline {
                     continue;
                 }
                 let loop_line = pf.toks[kw].line;
-                sites.push(LoopSite { file: pf.rel.clone(), line: loop_line, function: f.name.clone() });
+                sites.push(LoopSite {
+                    file: pf.rel.clone(),
+                    line: loop_line,
+                    function: f.name.clone(),
+                });
                 let escapes = pf.toks[body.0..body.1]
                     .iter()
                     .any(|t| t.text == "return" || t.text == "break");
@@ -192,9 +224,16 @@ mod tests {
             "impl S {\n    fn pump(&mut self) {\n        loop {\n            let pkt = self.rx.recv_packet();\n            self.backlog.push(pkt);\n        }\n    }\n}\n",
         );
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-        assert_eq!(r.findings[0].operation, "unbounded-growth(push:self.backlog)");
+        assert_eq!(
+            r.findings[0].operation,
+            "unbounded-growth(push:self.backlog)"
+        );
         assert_eq!(r.findings[0].line, 6);
-        assert!(r.findings[0].chain[0].contains(":4"), "{:?}", r.findings[0].chain);
+        assert!(
+            r.findings[0].chain[0].contains(":4"),
+            "{:?}",
+            r.findings[0].chain
+        );
     }
 
     #[test]
@@ -223,7 +262,12 @@ mod tests {
         let r = run(
             "impl S {\n    fn pump(&mut self) {\n        loop {\n            let p = self.rx.recv_packet();\n            // analyze: allow(loop-discipline): we promise it is fine\n            self.backlog.push(p);\n        }\n    }\n}\n",
         );
-        assert_eq!(r.findings.len(), 1, "inline markers cannot excuse growth: {:?}", r.findings);
+        assert_eq!(
+            r.findings.len(),
+            1,
+            "inline markers cannot excuse growth: {:?}",
+            r.findings
+        );
     }
 
     #[test]
@@ -232,7 +276,11 @@ mod tests {
             "impl S { fn pump(&mut self) { while let Ok(p) = self.rx.try_recv() { if p.last { break; } self.seen.push(p); } } fn scan(&self, n: usize) { for i in 0..n { let g = self.state.lock(); } } }",
         );
         assert!(r.findings.is_empty(), "{:?}", r.findings);
-        let sites: Vec<(&str, usize)> = r.sites.iter().map(|s| (s.function.as_str(), s.line)).collect();
+        let sites: Vec<(&str, usize)> = r
+            .sites
+            .iter()
+            .map(|s| (s.function.as_str(), s.line))
+            .collect();
         assert_eq!(sites, [("S::pump", 2)], "only the receiving loop is a site");
     }
 

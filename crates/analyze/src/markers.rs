@@ -32,9 +32,13 @@ struct Marker {
 fn markers_of(fi: usize, pf: &ParsedFile) -> Vec<Marker> {
     let mut out = Vec::new();
     for (li, comment) in pf.stripped.comments.iter().enumerate() {
-        let Some(pos) = comment.find(PREFIX) else { continue };
+        let Some(pos) = comment.find(PREFIX) else {
+            continue;
+        };
         let rest = &comment[pos + PREFIX.len()..];
-        let Some(close) = rest.find(')') else { continue };
+        let Some(close) = rest.find(')') else {
+            continue;
+        };
         let line = li + 1;
         let mut covers = BTreeSet::new();
         if !rest[close + 1..].trim_start_matches(':').trim().is_empty() {
@@ -51,13 +55,23 @@ fn markers_of(fi: usize, pf: &ParsedFile) -> Vec<Marker> {
             }
             if n <= code.len() {
                 let last = match pf.functions.iter().find(|f| f.line == n) {
-                    Some(f) => pf.toks.get(f.body.1).or(pf.toks.last()).map_or(n, |t| t.line),
+                    Some(f) => pf
+                        .toks
+                        .get(f.body.1)
+                        .or(pf.toks.last())
+                        .map_or(n, |t| t.line),
                     None => n,
                 };
                 covers.extend(n..=last);
             }
         }
-        out.push(Marker { file: fi, line, rule: rest[..close].to_string(), covers, used: false });
+        out.push(Marker {
+            file: fi,
+            line,
+            rule: rest[..close].to_string(),
+            covers,
+            used: false,
+        });
     }
     out
 }
@@ -65,8 +79,11 @@ fn markers_of(fi: usize, pf: &ParsedFile) -> Vec<Marker> {
 /// Drops every finding a marker covers and appends one `dead-marker`
 /// finding per marker that covered nothing.
 pub fn apply_markers(files: &[ParsedFile], findings: Vec<Finding>) -> Vec<Finding> {
-    let mut markers: Vec<Marker> =
-        files.iter().enumerate().flat_map(|(fi, pf)| markers_of(fi, pf)).collect();
+    let mut markers: Vec<Marker> = files
+        .iter()
+        .enumerate()
+        .flat_map(|(fi, pf)| markers_of(fi, pf))
+        .collect();
     let mut out = Vec::new();
     for f in findings {
         let mut covered = false;

@@ -40,7 +40,11 @@ impl Finding {
 
 impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file, self.line, self.rule, self.message
+        )
     }
 }
 
@@ -106,7 +110,10 @@ pub fn json_escape(s: &str) -> String {
 }
 
 fn json_str_array(items: &[String]) -> String {
-    let inner: Vec<String> = items.iter().map(|s| format!("\"{}\"", json_escape(s))).collect();
+    let inner: Vec<String> = items
+        .iter()
+        .map(|s| format!("\"{}\"", json_escape(s)))
+        .collect();
     format!("[{}]", inner.join(","))
 }
 

@@ -100,7 +100,11 @@ pub struct WaitGraph {
 
 fn in_scope(pf: &ParsedFile) -> bool {
     WAIT_FILES.iter().any(|s| pf.rel.ends_with(s))
-        || pf.stripped.comments.iter().any(|c| c.contains(SCOPE_MARKER))
+        || pf
+            .stripped
+            .comments
+            .iter()
+            .any(|c| c.contains(SCOPE_MARKER))
 }
 
 fn classify_call(pf: &ParsedFile, dot: usize) -> Option<(OpKind, String)> {
@@ -108,7 +112,10 @@ fn classify_call(pf: &ParsedFile, dot: usize) -> Option<(OpKind, String)> {
     let name = toks.get(dot + 1)?.text.as_str();
     // Look through `::<T>` turbofish (`.recv_vec::<u64>(tag)`).
     let open = call_open_paren(toks, dot + 1)?;
-    let recv_ident = dot.checked_sub(1).map(|p| toks[p].text.as_str()).unwrap_or("");
+    let recv_ident = dot
+        .checked_sub(1)
+        .map(|p| toks[p].text.as_str())
+        .unwrap_or("");
     let empty_args = toks.get(open + 1).map(|t| t.text.as_str()) == Some(")");
     let kind = if name == "wait_or_unwind"
         || (name == "barrier" && empty_args)
@@ -147,7 +154,8 @@ fn uniform_condition(toks: &[crate::lexer::Tok], range: (usize, usize)) -> bool 
         s == "cfg"
             || (s.len() >= 2
                 && s.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                && s.chars().all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit()))
+                && s.chars()
+                    .all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit()))
     })
 }
 
@@ -157,7 +165,13 @@ fn diverging(toks: &[crate::lexer::Tok], range: (usize, usize)) -> bool {
     toks[range.0..range.1].iter().any(|t| {
         matches!(
             t.text.as_str(),
-            "return" | "panic" | "panic_any" | "unreachable" | "abort" | "exit" | "break"
+            "return"
+                | "panic"
+                | "panic_any"
+                | "unreachable"
+                | "abort"
+                | "exit"
+                | "break"
                 | "continue"
         )
     })
@@ -234,7 +248,10 @@ pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
     let mut calls: HashMap<&str, Vec<&str>> = HashMap::new();
     for fs in scoped_fns() {
         let targets = fs.calls().flat_map(|(_, _, t)| t).map(String::as_str);
-        calls.entry(&fs.name).or_default().extend(targets.filter(|t| names.contains(t)));
+        calls
+            .entry(&fs.name)
+            .or_default()
+            .extend(targets.filter(|t| names.contains(t)));
     }
     let effects: HashMap<&str, HashSet<OpKind>> = names
         .iter()
@@ -291,7 +308,9 @@ pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
         let enters = |t: &String| has(&effects, t, OpKind::Barrier);
         let mut hits: Vec<usize> = fs
             .calls()
-            .filter(|&(j, _, t)| j >= range.0 && j < range.1 && !is_barrier(j) && t.iter().any(enters))
+            .filter(|&(j, _, t)| {
+                j >= range.0 && j < range.1 && !is_barrier(j) && t.iter().any(enters)
+            })
             .map(|(j, _, _)| j)
             .collect();
         hits.extend(direct);
@@ -363,10 +382,7 @@ pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
                             live.push(0); // the implicit empty else arm
                         }
                         if live.len() > 1 && live.iter().any(|&c| c != live[0]) {
-                            let site = counts
-                                .iter()
-                                .find_map(|c| c.1)
-                                .unwrap_or(first_open);
+                            let site = counts.iter().find_map(|c| c.1).unwrap_or(first_open);
                             findings.push(Finding {
                                 rule: "wait-graph".into(),
                                 file: pf.rel.clone(),
@@ -444,7 +460,11 @@ pub fn analyze_waitgraph(files: &[ParsedFile], graph: &CallGraph) -> WaitGraph {
 
     ops.sort_by(|a, b| (a.file.as_str(), a.line, a.kind).cmp(&(b.file.as_str(), b.line, b.kind)));
 
-    WaitGraph { findings, ops, edges }
+    WaitGraph {
+        findings,
+        ops,
+        edges,
+    }
 }
 
 #[cfg(test)]
@@ -497,7 +517,11 @@ mod tests {
         // The marker comment prepended by `run` shifts everything down a
         // line: the barrier site is line 5, the branch line 4.
         assert_eq!(r.findings[0].line, 5);
-        assert!(r.findings[0].chain.iter().any(|c| c.ends_with(":4")), "{:?}", r.findings[0].chain);
+        assert!(
+            r.findings[0].chain.iter().any(|c| c.ends_with(":4")),
+            "{:?}",
+            r.findings[0].chain
+        );
     }
 
     #[test]
@@ -548,7 +572,10 @@ mod tests {
             "impl M { fn wait_or_unwind(&self) { match self.barrier.wait() { R::Released => {} R::Aborted => panic_any(1), } } }",
         );
         assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!(r.ops.iter().filter(|o| o.kind == OpKind::Barrier).count(), 1);
+        assert_eq!(
+            r.ops.iter().filter(|o| o.kind == OpKind::Barrier).count(),
+            1
+        );
     }
 
     #[test]
@@ -559,7 +586,10 @@ mod tests {
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.ops.len(), 4);
         assert_eq!(r.edges.len(), 1);
-        assert_eq!((r.edges[0].from.as_str(), r.edges[0].to.as_str()), ("sampling", "exchange"));
+        assert_eq!(
+            (r.edges[0].from.as_str(), r.edges[0].to.as_str()),
+            ("sampling", "exchange")
+        );
     }
 
     #[test]
@@ -576,7 +606,10 @@ mod tests {
 
     #[test]
     fn out_of_scope_files_are_ignored() {
-        let pf = parse_file("crates/pgxd/src/comm.rs", "impl C { fn pump(&self) { let x = self.rx.recv_packet(0); } }");
+        let pf = parse_file(
+            "crates/pgxd/src/comm.rs",
+            "impl C { fn pump(&self) { let x = self.rx.recv_packet(0); } }",
+        );
         let r = analyze_waitgraph(&[pf]);
         assert!(r.findings.is_empty());
         assert!(r.ops.is_empty());

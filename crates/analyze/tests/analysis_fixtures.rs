@@ -43,11 +43,23 @@ fn unbounded_recv_push_cannot_be_silenced() {
     // must not cover structural growth, so the marker itself is dead.
     let r = run("fail_unbounded_recv_push.rs", src);
     let rules: Vec<&str> = r.findings.iter().map(|f| f.rule.as_str()).collect();
-    assert_eq!(rules, ["loop-discipline", "dead-marker"], "{:?}", r.findings);
+    assert_eq!(
+        rules,
+        ["loop-discipline", "dead-marker"],
+        "{:?}",
+        r.findings
+    );
     let f = &r.findings[0];
-    assert_eq!((f.file.as_str(), f.line), ("fail_unbounded_recv_push.rs", 12));
+    assert_eq!(
+        (f.file.as_str(), f.line),
+        ("fail_unbounded_recv_push.rs", 12)
+    );
     assert_eq!(f.operation, "unbounded-growth(push:self.backlog)");
-    assert!(f.chain[0].contains("fail_unbounded_recv_push.rs:9"), "{:?}", f.chain);
+    assert!(
+        f.chain[0].contains("fail_unbounded_recv_push.rs:9"),
+        "{:?}",
+        f.chain
+    );
     assert_eq!(r.findings[1].line, 11);
 }
 
@@ -73,7 +85,19 @@ fn dead_markers_are_findings() {
     );
     assert!(r.findings.iter().all(|f| f.rule == "dead-marker"));
     let why = |line: usize| &r.findings.iter().find(|f| f.line == line).unwrap().message;
-    assert!(why(7).contains("no pass reads `allow(blocking-under-lock)` inline"), "{}", why(7));
-    assert!(why(18).contains("outside the atomics-ordering scope"), "{}", why(18));
-    assert!(why(23).contains("no pass reads `allow(hot-path-alloc)` inline"), "{}", why(23));
+    assert!(
+        why(7).contains("no pass reads `allow(blocking-under-lock)` inline"),
+        "{}",
+        why(7)
+    );
+    assert!(
+        why(18).contains("outside the atomics-ordering scope"),
+        "{}",
+        why(18)
+    );
+    assert!(
+        why(23).contains("no pass reads `allow(hot-path-alloc)` inline"),
+        "{}",
+        why(23)
+    );
 }

@@ -8,7 +8,11 @@ use pgxd_analyze::{analyze_sources, analyze_workspace, workspace_sources};
 
 fn root() -> &'static Path {
     // crates/analyze -> workspace root
-    Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap()
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .unwrap()
+        .parent()
+        .unwrap()
 }
 
 #[test]
@@ -30,7 +34,9 @@ fn v2_inventories_cover_the_runtime() {
     // Wait-graph: the cluster barrier and the exchange send/recv sites
     // are all visible.
     assert!(
-        r.wait_ops.iter().any(|o| o.file.ends_with("machine.rs") && o.callee == "wait"),
+        r.wait_ops
+            .iter()
+            .any(|o| o.file.ends_with("machine.rs") && o.callee == "wait"),
         "{:?}",
         r.wait_ops
     );
@@ -64,7 +70,11 @@ fn v2_inventories_cover_the_runtime() {
 fn v3_inventories_cover_the_runtime() {
     let r = analyze_workspace(root()).expect("workspace sources readable");
     // The fabric's receive pumps are inventoried as recv loops.
-    assert!(r.loop_sites.iter().any(|s| s.file.ends_with("comm.rs")), "{:?}", r.loop_sites);
+    assert!(
+        r.loop_sites.iter().any(|s| s.file.ends_with("comm.rs")),
+        "{:?}",
+        r.loop_sites
+    );
 }
 
 /// Known defects, each planted into the real sources in memory: `(file,
@@ -141,7 +151,9 @@ fn planted_defects_fail_the_gate() {
         }
         let r = analyze_sources(&sources);
         assert!(
-            r.findings.iter().any(|f| f.rule == rule && f.message.contains(fragment)),
+            r.findings
+                .iter()
+                .any(|f| f.rule == rule && f.message.contains(fragment)),
             "planting `{replacement}` into {file} must raise [{rule}] `{fragment}`; got:\n{}",
             pgxd_analyze::render_human(&r)
         );

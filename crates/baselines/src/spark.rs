@@ -113,7 +113,11 @@ impl SparkEngine {
 
     /// The bulk-synchronous `sortByKey`. SPMD: call from every machine
     /// with its local shard.
-    pub fn sort_by_key<R: Record>(&self, ctx: &mut MachineCtx, local: Vec<R>) -> SparkSortResult<R> {
+    pub fn sort_by_key<R: Record>(
+        &self,
+        ctx: &mut MachineCtx,
+        local: Vec<R>,
+    ) -> SparkSortResult<R> {
         let p = ctx.num_machines();
         let k = self.partitions_per_machine;
         let num_output = p * k;
@@ -154,7 +158,9 @@ impl SparkEngine {
                 let bounds: Vec<R> = if m == 0 {
                     Vec::new()
                 } else {
-                    (0..num_output - 1).map(|j| all[(j + 1) * m / num_output]).collect()
+                    (0..num_output - 1)
+                        .map(|j| all[(j + 1) * m / num_output])
+                        .collect()
                 };
                 encode_all(&bounds)
             });
@@ -353,10 +359,7 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::new(machines));
         let engine = SparkEngine::default();
         let report = cluster.run(|ctx| {
-            let local: Vec<(u64, u64)> = parts[ctx.id()]
-                .iter()
-                .map(|&x| (x, x ^ 0xabcd))
-                .collect();
+            let local: Vec<(u64, u64)> = parts[ctx.id()].iter().map(|&x| (x, x ^ 0xabcd)).collect();
             engine.sort_by_key(ctx, local).data
         });
         let flat: Vec<(u64, u64)> = report.results.concat();

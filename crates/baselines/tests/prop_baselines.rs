@@ -5,8 +5,8 @@
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd_baselines::serialize::{decode_all, encode_all};
 use pgxd_baselines::SparkEngine;
-use pgxd_datagen::partition_even;
 use pgxd_datagen::cases::{check, Gen};
+use pgxd_datagen::partition_even;
 
 fn sorted_copy(v: &[u64]) -> Vec<u64> {
     let mut s = v.to_vec();

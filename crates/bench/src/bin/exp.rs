@@ -143,7 +143,11 @@ fn save_json(name: &str, results: &[ExpResult]) {
 }
 
 fn save_records(name: &str, records: Vec<Json>) {
-    write_result_file(&format!("{name}.json"), "raw results", Json::from(records).pretty());
+    write_result_file(
+        &format!("{name}.json"),
+        "raw results",
+        Json::from(records).pretty(),
+    );
 }
 
 /// The cluster every experiment runs on: `p` machines of `opts.workers`
@@ -241,7 +245,10 @@ fn fig6(opts: &Opts) {
 // ---------------------------------------------------------------------------
 fn fig7(opts: &Opts) {
     let p = *opts.procs.first().unwrap_or(&8);
-    println!("\n=== Fig. 7: per-step time (p = {p}, n = {}) ===\n", opts.n);
+    println!(
+        "\n=== Fig. 7: per-step time (p = {p}, n = {}) ===\n",
+        opts.n
+    );
     let trace_cfg = if opts.trace {
         TraceConfig::enabled()
     } else {
@@ -249,7 +256,12 @@ fn fig7(opts: &Opts) {
     };
     let run = |dist, trace| {
         let w = dist_workload(dist, opts);
-        run_pgxd(&w, &w.generate(p), cluster(p, opts).trace(trace), SortConfig::default())
+        run_pgxd(
+            &w,
+            &w.generate(p),
+            cluster(p, opts).trace(trace),
+            SortConfig::default(),
+        )
     };
     let rn = run(Distribution::Normal, trace_cfg);
     let rs = run(Distribution::RightSkewed, TraceConfig::disabled());
@@ -280,7 +292,10 @@ fn fig7(opts: &Opts) {
     }
     let exchange_share = |r: &ExpResult| {
         let s = &r.report.steps;
-        let total: f64 = steps::ALL.iter().map(|n| s.max_across_machines(n).as_secs_f64()).sum();
+        let total: f64 = steps::ALL
+            .iter()
+            .map(|n| s.max_across_machines(n).as_secs_f64())
+            .sum();
         100.0 * s.max_across_machines(steps::EXCHANGE).as_secs_f64() / total
     };
     println!(
@@ -313,7 +328,12 @@ fn table2(opts: &Opts) {
         let w = dist_workload(dist, opts);
         let r = run_pgxd(&w, &w.generate(p), cluster(p, opts), SortConfig::default());
         let mut cells = vec![dist.name().to_string()];
-        cells.extend(r.load().shares().iter().map(|s| format!("{:.3}%", s * 100.0)));
+        cells.extend(
+            r.load()
+                .shares()
+                .iter()
+                .map(|s| format!("{:.3}%", s * 100.0)),
+        );
         table.row(cells);
         results.push(r);
     }
@@ -357,7 +377,12 @@ fn table3(opts: &Opts) {
     );
     let mut results = Vec::new();
     for p in [8usize, 12, 16] {
-        let r = run_pgxd(&workload, &workload.generate(p), cluster(p, opts), SortConfig::default());
+        let r = run_pgxd(
+            &workload,
+            &workload.generate(p),
+            cluster(p, opts),
+            SortConfig::default(),
+        );
         let ranges = r.ranges();
         println!("p = {p}:");
         let mut table = Table::new(vec!["proc", "range"]);
@@ -470,7 +495,10 @@ fn fig10(opts: &Opts) {
 // ---------------------------------------------------------------------------
 fn fig11(opts: &Opts) {
     let workload = twitter_workload(opts);
-    println!("\n=== Fig. 11: memory consumption ({}) ===\n", workload.label());
+    println!(
+        "\n=== Fig. 11: memory consumption ({}) ===\n",
+        workload.label()
+    );
     let mut table = Table::new(vec![
         "procs",
         "input bytes",
@@ -561,7 +589,10 @@ fn ablation(opts: &Opts) {
     let kway_wall = started.elapsed();
     assert_eq!(balanced, kway);
     let mut t2 = Table::new(vec!["merge", "wall"]);
-    t2.row(vec!["balanced (Fig. 2)".to_string(), fmt_secs(balanced_wall)]);
+    t2.row(vec![
+        "balanced (Fig. 2)".to_string(),
+        fmt_secs(balanced_wall),
+    ]);
     t2.row(vec!["sequential k-way".to_string(), fmt_secs(kway_wall)]);
     t2.print();
 
@@ -599,7 +630,14 @@ fn buffer_sweep(opts: &Opts) {
     let mut table = Table::new(vec!["buffer", "messages", "comm bytes", "wall"]);
     let mut results = Vec::new();
     let parts = workload.generate(p);
-    for buffer in [4usize << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20] {
+    for buffer in [
+        4usize << 10,
+        16 << 10,
+        64 << 10,
+        256 << 10,
+        1 << 20,
+        4 << 20,
+    ] {
         let cluster = cluster(p, opts).buffer_bytes(buffer);
         let r = run_pgxd(&workload, &parts, cluster, SortConfig::default());
         table.row(vec![
@@ -784,7 +822,10 @@ fn chaos_cmd(opts: &Opts) {
         ("delays", Box::new(FaultPlan::delays)),
         ("reorders", Box::new(FaultPlan::reorders)),
         ("drops", Box::new(FaultPlan::drops)),
-        ("straggler", Box::new(move |s| FaultPlan::straggler(s, 1 % p.max(1)))),
+        (
+            "straggler",
+            Box::new(move |s| FaultPlan::straggler(s, 1 % p.max(1))),
+        ),
         ("chaos", Box::new(FaultPlan::chaos)),
         (
             "chaos+kill",
@@ -801,7 +842,13 @@ fn chaos_cmd(opts: &Opts) {
     ];
 
     let mut table = Table::new(vec![
-        "plan", "survived", "killed", "timed out", "panicked", "mean wall", "slowdown",
+        "plan",
+        "survived",
+        "killed",
+        "timed out",
+        "panicked",
+        "mean wall",
+        "slowdown",
     ]);
     let mut cells = Vec::new();
     let mut summary = Vec::new();
@@ -959,9 +1006,11 @@ fn health_cmd(opts: &Opts) {
 
     // The whole point: the view names the machine we sabotaged, and the
     // step it lagged in.
-    let (step, ratio) = caught
-        .unwrap_or_else(|| panic!("no step names machine {straggler} at >= 1.5x: {steps:?}"));
-    println!("caught: machine {straggler} is the slowest in `{step}` ({ratio:.2}x the lower median)");
+    let (step, ratio) =
+        caught.unwrap_or_else(|| panic!("no step names machine {straggler} at >= 1.5x: {steps:?}"));
+    println!(
+        "caught: machine {straggler} is the slowest in `{step}` ({ratio:.2}x the lower median)"
+    );
 
     let c = &report.comm;
     let doc = Json::Object(vec![
@@ -996,7 +1045,9 @@ fn env_report(opts: &Opts) {
         "2x Xeon E5-2660, 16 cores".into(),
         format!(
             "{} host core(s); {} workers per simulated machine",
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
             opts.workers
         ),
     ]);
@@ -1008,7 +1059,10 @@ fn env_report(opts: &Opts) {
     table.row(vec![
         "buffer".to_string(),
         "256 KiB read buffer".into(),
-        format!("{} (configurable)", pgxd_memtrack::fmt_bytes(pgxd::DEFAULT_BUFFER_BYTES)),
+        format!(
+            "{} (configurable)",
+            pgxd_memtrack::fmt_bytes(pgxd::DEFAULT_BUFFER_BYTES)
+        ),
     ]);
     table.row(vec![
         "dataset".to_string(),

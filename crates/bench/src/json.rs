@@ -130,7 +130,10 @@ mod tests {
     #[test]
     fn strings_and_keys_are_escaped() {
         let doc = Json::Object(vec![("a\"b", "line\nfeed \\ \u{1}".into())]);
-        assert_eq!(doc.pretty(), "{\n  \"a\\\"b\": \"line\\nfeed \\\\ \\u0001\"\n}");
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"a\\\"b\": \"line\\nfeed \\\\ \\u0001\"\n}"
+        );
     }
 
     #[test]

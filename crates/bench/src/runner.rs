@@ -43,7 +43,9 @@ impl Workload {
     pub fn label(&self) -> String {
         match self {
             Workload::Dist { dist, n, .. } => format!("{} (n={n})", dist.name()),
-            Workload::Twitter { scale, edge_factor, .. } => {
+            Workload::Twitter {
+                scale, edge_factor, ..
+            } => {
                 format!("twitter-like (rmat s={scale} ef={edge_factor})")
             }
         }
@@ -53,7 +55,11 @@ impl Workload {
     pub fn generate(&self, machines: usize) -> Vec<Vec<u64>> {
         match *self {
             Workload::Dist { dist, n, seed } => generate_partitioned(dist, n, machines, seed),
-            Workload::Twitter { scale, edge_factor, seed } => {
+            Workload::Twitter {
+                scale,
+                edge_factor,
+                seed,
+            } => {
                 let keys = twitter_like_keys(scale, edge_factor, seed);
                 partition_even(&keys, machines)
             }
@@ -106,8 +112,11 @@ impl ExpResult {
         let (report, comm, x) = (&self.report, &self.report.comm, &self.report.comm.exchange);
         let series = |of: fn(&StepReport, &str) -> Duration| -> Json {
             let steps = &report.steps;
-            let named: Vec<(&str, f64)> =
-                steps.step_names().into_iter().map(|n| (n, of(steps, n).as_secs_f64())).collect();
+            let named: Vec<(&str, f64)> = steps
+                .step_names()
+                .into_iter()
+                .map(|n| (n, of(steps, n).as_secs_f64()))
+                .collect();
             named.into()
         };
         let load = self.load();
@@ -124,9 +133,15 @@ impl ExpResult {
             ("step_secs_p95", series(StepReport::p95_across_machines)),
             ("comm_bytes", comm.bytes_sent.into()),
             ("comm_messages", comm.messages_sent.into()),
-            ("modeled_comm_secs", comm.modeled_wire_time.as_secs_f64().into()),
+            (
+                "modeled_comm_secs",
+                comm.modeled_wire_time.as_secs_f64().into(),
+            ),
             ("max_recv_bytes", comm.max_recv_bytes.into()),
-            ("bottleneck_comm_secs", comm.bottleneck_wire_time.as_secs_f64().into()),
+            (
+                "bottleneck_comm_secs",
+                comm.bottleneck_wire_time.as_secs_f64().into(),
+            ),
             ("exchange_chunks_sent", x.chunks_sent.into()),
             ("exchange_bytes_placed", x.bytes_placed.into()),
             ("per_dst_bytes", report.per_dst_bytes.clone().into()),
@@ -174,7 +189,10 @@ pub fn run_spark(workload: &Workload, parts: &[Vec<u64>], cluster: ClusterConfig
     let engine = SparkEngine::default();
     let report = run_shards(parts, cluster, |ctx, local| {
         let data = engine.sort_by_key(ctx, local).data;
-        (data.len(), data.first().zip(data.last()).map(|(a, b)| (*a, *b)))
+        (
+            data.len(),
+            data.first().zip(data.last()).map(|(a, b)| (*a, *b)),
+        )
     });
     ExpResult {
         system: "spark",
@@ -204,9 +222,16 @@ fn run_shards(
         sort(ctx, local)
     });
     let held: usize = report.results.iter().map(|r| r.0).sum();
-    assert_eq!(held, parts.iter().map(Vec::len).sum::<usize>(), "sort must conserve keys");
+    assert_eq!(
+        held,
+        parts.iter().map(Vec::len).sum::<usize>(),
+        "sort must conserve keys"
+    );
     let ranges = RangeStats::new(report.results.iter().map(|r| r.1).collect());
-    assert!(ranges.is_ascending(), "machine ranges must ascend with machine id");
+    assert!(
+        ranges.is_ascending(),
+        "machine ranges must ascend with machine id"
+    );
     report
 }
 
@@ -312,7 +337,10 @@ mod tests {
         let r = run_spark(&workload, &workload.generate(3), cluster);
         assert_eq!(r.load().total(), 10_000);
         assert!(r.ranges().is_ascending());
-        assert_eq!(r.report.steps.step_names(), pgxd_baselines::spark::stages::ALL);
+        assert_eq!(
+            r.report.steps.step_names(),
+            pgxd_baselines::spark::stages::ALL
+        );
     }
 
     #[test]
@@ -381,7 +409,10 @@ mod tests {
             let max = steps.max_across_machines(name);
             let p50 = steps.p50_across_machines(name);
             let p95 = steps.p95_across_machines(name);
-            assert!(p50 <= p95 && p95 <= max, "{name}: {p50:?} ≤ {p95:?} ≤ {max:?}");
+            assert!(
+                p50 <= p95 && p95 <= max,
+                "{name}: {p50:?} ≤ {p95:?} ≤ {max:?}"
+            );
         }
         // The record's three series are those, under the same step names.
         let text = r.to_json().pretty();
@@ -399,7 +430,12 @@ mod tests {
         };
         let traced = |trace: TraceConfig| {
             let cluster = ClusterConfig::new(3).workers_per_machine(2).trace(trace);
-            run_pgxd(&workload, &workload.generate(3), cluster, SortConfig::default())
+            run_pgxd(
+                &workload,
+                &workload.generate(3),
+                cluster,
+                SortConfig::default(),
+            )
         };
         let r = traced(TraceConfig::enabled());
         assert!(r.ranges().is_ascending());
@@ -445,10 +481,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "sort must conserve keys")]
     fn a_run_that_loses_keys_is_rejected() {
-        run_shards(&[vec![1, 2], vec![3]], ClusterConfig::new(2), |_, mut local| {
-            local.pop();
-            (local.len(), local.first().map(|&k| (k, k)))
-        });
+        run_shards(
+            &[vec![1, 2], vec![3]],
+            ClusterConfig::new(2),
+            |_, mut local| {
+                local.pop();
+                (local.len(), local.first().map(|&k| (k, k)))
+            },
+        );
     }
 
     #[test]

@@ -146,7 +146,8 @@ fn regenerated(name: &str, args: &[&str]) -> Value {
 
 /// `exp <name> <args>` against the committed records that `pinned` keeps.
 fn assert_counts_match(name: &str, args: &[&str], pinned: impl Fn(&Value) -> bool) {
-    let (Value::Array(fresh), Value::Array(all)) = (regenerated(name, args), committed(name)) else {
+    let (Value::Array(fresh), Value::Array(all)) = (regenerated(name, args), committed(name))
+    else {
         panic!("{name}.json is not an array of records")
     };
     let pinned: Vec<&Value> = all.iter().filter(|record| pinned(record)).collect();

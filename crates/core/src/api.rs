@@ -26,10 +26,8 @@ impl<K: Key> GlobalIndex<K> {
     /// Builds the index collectively (all machines must call this).
     pub fn build(ctx: &mut MachineCtx, part: &SortedPartition<K>) -> Self {
         // Encode (count, min, max) as an Option-carrying triple per machine.
-        let summary: Vec<(usize, Option<(K, K)>)> = vec![(
-            part.len(),
-            part.range().map(|(a, b)| (*a, *b)),
-        )];
+        let summary: Vec<(usize, Option<(K, K)>)> =
+            vec![(part.len(), part.range().map(|(a, b)| (*a, *b)))];
         let all = ctx.all_gather(summary);
         let mut ranges = Vec::with_capacity(all.len());
         let mut counts = Vec::with_capacity(all.len());
@@ -201,10 +199,7 @@ mod tests {
     use pgxd::cluster::{Cluster, ClusterConfig};
     use pgxd_datagen::{generate, partition_even, Distribution};
 
-    fn sorted_fixture(
-        machines: usize,
-        n: usize,
-    ) -> (Vec<u64>, Cluster, Vec<Vec<u64>>) {
+    fn sorted_fixture(machines: usize, n: usize) -> (Vec<u64>, Cluster, Vec<Vec<u64>>) {
         let data = generate(Distribution::Uniform, n, 99);
         let parts = partition_even(&data, machines);
         let mut expect = data;
@@ -370,9 +365,18 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::new(2));
         let report = cluster.run(|ctx| {
             let keys: Vec<u64> = (0..=31).filter(|k| k % 2 == ctx.id() as u64).collect();
-            let full = [0, 7, u64::MAX].into_iter().filter(|_| ctx.id() == 0).collect();
-            let halves = SortedPartition { data: keys, splitters: vec![] };
-            let whole = SortedPartition { data: full, splitters: vec![] };
+            let full = [0, 7, u64::MAX]
+                .into_iter()
+                .filter(|_| ctx.id() == 0)
+                .collect();
+            let halves = SortedPartition {
+                data: keys,
+                splitters: vec![],
+            };
+            let whole = SortedPartition {
+                data: full,
+                splitters: vec![],
+            };
             (
                 global_histogram(ctx, &halves, 0, 31, 16),
                 global_histogram(ctx, &whole, 0, u64::MAX, 1),

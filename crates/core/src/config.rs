@@ -96,7 +96,10 @@ mod tests {
         let base = SortConfig::default();
         let b = base.samples_per_machine(256 * 1024, 8, 8);
         assert_eq!(small.samples_per_machine(256 * 1024, 8, 8), 16);
-        assert_eq!(big.samples_per_machine(256 * 1024, 8, 8), (b as f64 * 1.4) as usize);
+        assert_eq!(
+            big.samples_per_machine(256 * 1024, 8, 8),
+            (b as f64 * 1.4) as usize
+        );
     }
 
     #[test]

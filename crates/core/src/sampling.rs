@@ -102,7 +102,11 @@ mod tests {
         assert!(select_regular_samples(&data, 0).is_empty());
         for (keys, samples) in [(0u64, 0), (1, 1), (7, 1), (8, 1), (9, 2)] {
             let shard: Vec<u64> = (0..keys).collect();
-            assert_eq!(select_regular_samples(&shard, 5).len(), samples, "{keys} keys");
+            assert_eq!(
+                select_regular_samples(&shard, 5).len(),
+                samples,
+                "{keys} keys"
+            );
         }
         // One sample a machine is enough for p − 1 splitters: shards under
         // one stride are still partitioned, not routed to machine 0 whole.
@@ -115,8 +119,16 @@ mod tests {
         let report = Cluster::new(ClusterConfig::new(machines))
             .run(|ctx| DistSorter::default().sort(ctx, shards[ctx.id()].clone()));
         let parts = &report.results;
-        assert!(parts.iter().all(|part| part.splitters.len() == machines - 1));
-        assert_eq!(parts.iter().flat_map(|part| part.data.clone()).collect::<Vec<_>>(), expect);
+        assert!(parts
+            .iter()
+            .all(|part| part.splitters.len() == machines - 1));
+        assert_eq!(
+            parts
+                .iter()
+                .flat_map(|part| part.data.clone())
+                .collect::<Vec<_>>(),
+            expect
+        );
         assert!(parts[0].len() < expect.len(), "everything on machine 0");
     }
 
@@ -150,10 +162,15 @@ mod tests {
         let buffer_bytes = pgxd::DEFAULT_BUFFER_BYTES;
         let sorter = DistSorter::default();
         for machines in [2usize, 3, 4, 8] {
-            let budget = sorter.config().samples_per_machine(buffer_bytes, machines, key_bytes);
+            let budget = sorter
+                .config()
+                .samples_per_machine(buffer_bytes, machines, key_bytes);
             let slack = machines * MIN_SAMPLE_STRIDE + machines;
             for shard in [64usize, 1000, 16_384] {
-                assert!(shard.div_ceil(MIN_SAMPLE_STRIDE) < budget, "the floor must bind");
+                assert!(
+                    shard.div_ceil(MIN_SAMPLE_STRIDE) < budget,
+                    "the floor must bind"
+                );
                 check(2, |g| {
                     // Distinct keys dealt round-robin, in blocks of
                     // consecutive keys, or hashed (an odd multiplier
@@ -164,7 +181,11 @@ mod tests {
                             false => i * machines + m,
                         };
                         let shards: Vec<Vec<u64>> = (0..machines)
-                            .map(|m| (0..shard).map(|i| mul.wrapping_mul(key(m, i) as u64)).collect())
+                            .map(|m| {
+                                (0..shard)
+                                    .map(|i| mul.wrapping_mul(key(m, i) as u64))
+                                    .collect()
+                            })
                             .collect();
                         let sizes = Cluster::new(ClusterConfig::new(machines))
                             .run(|ctx| sorter.sort(ctx, shards[ctx.id()].clone()).len())

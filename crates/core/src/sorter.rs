@@ -328,7 +328,11 @@ impl DistSorter {
             .collect();
         let part = self.sort_one(ctx, keyed);
         SortedPartition {
-            data: part.data.into_iter().map(|kr| (kr.key, kr.record)).collect(),
+            data: part
+                .data
+                .into_iter()
+                .map(|kr| (kr.key, kr.record))
+                .collect(),
             splitters: part
                 .splitters
                 .into_iter()
@@ -495,10 +499,7 @@ const SPLITTER_RUNS: u16 = 0x5b;
 /// rest, see [`CommSender::send_runs`](pgxd::comm::CommSender::send_runs));
 /// `Some([source][batch])` there, `None` elsewhere.
 // Sources are machine ids < p.
-fn gather_runs<T: Wire>(
-    ctx: &mut MachineCtx,
-    runs: Vec<Vec<T>>,
-) -> Option<Vec<Vec<Vec<T>>>> {
+fn gather_runs<T: Wire>(ctx: &mut MachineCtx, runs: Vec<Vec<T>>) -> Option<Vec<Vec<Vec<T>>>> {
     let tag = Tag::user(SAMPLE_RUNS, 0);
     if !ctx.is_master() {
         ctx.comm_mut().sender().send_runs(MASTER, tag, runs);
@@ -516,10 +517,7 @@ fn gather_runs<T: Wire>(
 /// [`MachineCtx::broadcast_from_master`] for one run per batch: the master
 /// passes `Some(runs)`, everyone returns them.
 // The master supplying no splitters is a caller bug.
-fn broadcast_runs<T: Wire>(
-    ctx: &mut MachineCtx,
-    runs: Option<Vec<Vec<T>>>,
-) -> Vec<Vec<T>> {
+fn broadcast_runs<T: Wire>(ctx: &mut MachineCtx, runs: Option<Vec<Vec<T>>>) -> Vec<Vec<T>> {
     let tag = Tag::user(SPLITTER_RUNS, 0);
     if !ctx.is_master() {
         return ctx.comm_mut().recv_runs(tag).1;
@@ -750,7 +748,9 @@ mod tests {
         assert_eq!(flat.len(), 6000);
         assert!(flat.windows(2).all(|w| w[0].0 <= w[1].0));
         // Payloads stay attached to their keys.
-        assert!(flat.iter().all(|(k, r)| r.id == *k && r.weight == (k % 97) as f32));
+        assert!(flat
+            .iter()
+            .all(|(k, r)| r.id == *k && r.weight == (k % 97) as f32));
     }
 
     #[test]
@@ -959,11 +959,7 @@ mod tests {
         let (splitters, _) = &report.results[0];
         assert_eq!(splitters.len(), 3);
         // Machine ranges must be non-overlapping and ordered by id.
-        let ranges: Vec<(u64, u64)> = report
-            .results
-            .iter()
-            .filter_map(|(_, r)| *r)
-            .collect();
+        let ranges: Vec<(u64, u64)> = report.results.iter().filter_map(|(_, r)| *r).collect();
         for w in ranges.windows(2) {
             assert!(w[0].1 <= w[1].0, "overlapping ranges {ranges:?}");
         }

@@ -26,7 +26,10 @@ impl LoadStats {
         if total == 0 {
             return vec![0.0; self.counts.len()];
         }
-        self.counts.iter().map(|&c| c as f64 / total as f64).collect()
+        self.counts
+            .iter()
+            .map(|&c| c as f64 / total as f64)
+            .collect()
     }
 
     /// Smallest per-machine count (Fig. 10's min series).

@@ -62,7 +62,9 @@ impl Csr {
     /// All out-degrees as a vector (a classic sort key for Fig. 8-style
     /// experiments).
     pub fn degrees(&self) -> Vec<u64> {
-        (0..self.num_vertices()).map(|v| self.degree(v) as u64).collect()
+        (0..self.num_vertices())
+            .map(|v| self.degree(v) as u64)
+            .collect()
     }
 
     /// All edge destinations (heavily duplicated on power-law graphs —

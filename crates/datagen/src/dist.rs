@@ -54,7 +54,9 @@ impl Distribution {
     /// equal one hot value. The fraction is rounded to permille.
     pub fn skew_storm(hot_key_fraction: f64) -> Self {
         let permille = (hot_key_fraction.clamp(0.0, 1.0) * 1000.0).round() as u32;
-        Distribution::SkewStorm { hot_key_permille: permille }
+        Distribution::SkewStorm {
+            hot_key_permille: permille,
+        }
     }
 
     /// A duplicate-heavy stream over `distinct` values (0 treated as 1).
@@ -116,7 +118,9 @@ impl Distribution {
             Distribution::DuplicateHeavy { distinct } => {
                 // Spread by a large odd stride so the distinct values are
                 // not all adjacent integers (exercises splitter search).
-                rng.range_u64(0..(*distinct).max(1)).wrapping_mul(0x9e37_79b9) & ((1 << 40) - 1)
+                rng.range_u64(0..(*distinct).max(1))
+                    .wrapping_mul(0x9e37_79b9)
+                    & ((1 << 40) - 1)
             }
         }
     }
@@ -279,7 +283,12 @@ mod tests {
     #[test]
     fn skew_storm_concentrates_on_hot_key() {
         let dist = Distribution::skew_storm(0.9);
-        assert_eq!(dist, Distribution::SkewStorm { hot_key_permille: 900 });
+        assert_eq!(
+            dist,
+            Distribution::SkewStorm {
+                hot_key_permille: 900
+            }
+        );
         let v = generate(dist, N, 11);
         let hot = v.iter().filter(|&&x| x == 1u64 << 39).count();
         let frac = hot as f64 / v.len() as f64;

@@ -311,7 +311,10 @@ mod tests {
         assert!(before > 700, "star should cross heavily: {before}");
         let parts = partition_graph(1000, &edges, &PartitionConfig::new(4).ghost_fraction(0.01));
         let after: usize = parts.iter().map(|p| p.crossing_edges).sum();
-        assert!(after < before / 10, "ghosting must cut crossings: {after} vs {before}");
+        assert!(
+            after < before / 10,
+            "ghosting must cut crossings: {after} vs {before}"
+        );
     }
 
     #[test]
@@ -358,7 +361,9 @@ mod tests {
         let chunks = &parts[0].chunks;
         assert_eq!(chunks.len(), 8);
         assert!(chunks.iter().all(|c| c.edges == 128 || c.edges == 104));
-        assert!(chunks.iter().all(|c| c.first_vertex == 0 && c.last_vertex == 0));
+        assert!(chunks
+            .iter()
+            .all(|c| c.first_vertex == 0 && c.last_vertex == 0));
         let total: usize = chunks.iter().map(|c| c.edges).sum();
         assert_eq!(total, 1000);
     }
@@ -367,7 +372,9 @@ mod tests {
     fn empty_graph_partitions_cleanly() {
         let parts = partition_graph(10, &[], &PartitionConfig::new(3));
         assert_eq!(parts.len(), 3);
-        assert!(parts.iter().all(|p| p.csr.num_edges() == 0 && p.chunks.is_empty()));
+        assert!(parts
+            .iter()
+            .all(|p| p.csr.num_edges() == 0 && p.chunks.is_empty()));
     }
 
     #[test]

@@ -64,8 +64,7 @@ pub fn rmat_edges(config: &RmatConfig) -> Vec<(u32, u32)> {
 fn rmat_edges_on(config: &RmatConfig, threads: usize) -> Vec<(u32, u32)> {
     let mut edges = vec![(0u32, 0u32); config.num_edges()];
     fill_chunked(&mut edges, CHUNK, threads, |c, chunk| {
-        let mut rng =
-            SplitMix64::new(config.seed ^ (c as u64).wrapping_mul(0xd1342543de82ef95));
+        let mut rng = SplitMix64::new(config.seed ^ (c as u64).wrapping_mul(0xd1342543de82ef95));
         chunk.fill_with(|| one_edge(config, &mut rng));
     });
     edges
@@ -170,9 +169,6 @@ mod tests {
         let edges = rmat_edges(&cfg);
         let g = crate::csr::Csr::from_edges(cfg.num_vertices(), &edges);
         assert_eq!(g.num_edges(), edges.len());
-        assert_eq!(
-            g.degrees().iter().sum::<u64>() as usize,
-            edges.len()
-        );
+        assert_eq!(g.degrees().iter().sum::<u64>() as usize, edges.len());
     }
 }

@@ -360,7 +360,12 @@ pub(crate) fn unpack_column_uninit(frames: &[u8], rest: usize, out: &mut [MaybeU
 
 /// [`unpack_column`] for any slot a key can make; `pgxd` instantiates it
 /// for its two callers alone, so the decoder compiles once, here.
-fn unpack_column_into<S>(frames_bytes: &[u8], rest: usize, out: &mut [S], slot: impl Fn(u64) -> S + Copy) {
+fn unpack_column_into<S>(
+    frames_bytes: &[u8],
+    rest: usize,
+    out: &mut [S],
+    slot: impl Fn(u64) -> S + Copy,
+) {
     let mut at = 0;
     for (index, frame) in frames(frames_bytes, "chunk").enumerate() {
         assert!(
@@ -377,7 +382,10 @@ fn unpack_column_into<S>(frames_bytes: &[u8], rest: usize, out: &mut [S], slot: 
         frame.unpack(&mut out[at..at + frame.len], slot);
         at += frame.len;
     }
-    assert_eq!(at, rest, "chunk frames hold {at} keys, its rest column {rest}");
+    assert_eq!(
+        at, rest,
+        "chunk frames hold {at} keys, its rest column {rest}"
+    );
 }
 
 /// `runs` as one message: each run's frames, back to back, its last one
@@ -405,7 +413,12 @@ pub(crate) fn pack_runs<W: Wire>(runs: &[Vec<W>]) -> (Vec<u8>, Vec<W::Rest>) {
 pub(crate) fn unpack_runs<W: Wire>(frames: &[u8], rest: Vec<W::Rest>) -> Vec<Vec<W>> {
     let runs = run_keys(frames, rest.len());
     let mut rest = rest.into_iter();
-    let join = |keys: Vec<u64>| keys.into_iter().zip(rest.by_ref()).map(|(k, r)| W::join(k, r)).collect();
+    let join = |keys: Vec<u64>| {
+        keys.into_iter()
+            .zip(rest.by_ref())
+            .map(|(k, r)| W::join(k, r))
+            .collect()
+    };
     runs.into_iter().map(join).collect()
 }
 
@@ -429,7 +442,10 @@ fn run_keys(frames_bytes: &[u8], total: usize) -> Vec<Vec<u64>> {
         }
     }
     assert!(ended, "runs message ends inside run {}", runs.len());
-    assert_eq!(at, total, "runs frames hold {at} keys, their rest column {total}");
+    assert_eq!(
+        at, total,
+        "runs frames hold {at} keys, their rest column {total}"
+    );
     runs
 }
 
@@ -519,7 +535,12 @@ impl RequestBuffer {
         // Flush marker: the data-manager capacity edge, distinct from the
         // `ChunkSend` the sender emits at the fabric edge.
         if let Some(t) = sender.trace() {
-            t.instant(1 + self.dst as u32, EventKind::ChunkFlush, self.dst as u64, bytes as u64);
+            t.instant(
+                1 + self.dst as u32,
+                EventKind::ChunkFlush,
+                self.dst as u64,
+                bytes as u64,
+            );
         }
         match (self.open_tag, self.counts.take()) {
             (Some(tag), Some(counts)) => {
@@ -573,7 +594,10 @@ mod tests {
     fn decode_chunk<W: Wire>(frames: &[u8], rest: Vec<W::Rest>) -> Vec<W> {
         let mut keys = vec![0u64; rest.len()];
         unpack_column(frames, rest.len(), &mut keys);
-        keys.into_iter().zip(rest).map(|(k, r)| W::join(k, r)).collect()
+        keys.into_iter()
+            .zip(rest)
+            .map(|(k, r)| W::join(k, r))
+            .collect()
     }
 
     /// The next chunk for `tag`: `(offset, elements, frame and rest bytes)`.
@@ -617,7 +641,10 @@ mod tests {
             assert!(*bytes <= capacity || part.len() == 1, "capacity {capacity}");
             let images: Vec<u64> = part.iter().map(W::image).collect();
             let rest = part.len() * std::mem::size_of::<W::Rest>();
-            assert!(*bytes <= one_frame(&images) + rest, "capacity {capacity}: {part:?}");
+            assert!(
+                *bytes <= one_frame(&images) + rest,
+                "capacity {capacity}: {part:?}"
+            );
             at += part.len();
         }
         assert_eq!(at, items.len(), "capacity {capacity}");
@@ -726,7 +753,10 @@ mod tests {
             let desc: Vec<Desc<u64>> = keys.iter().map(|&k| Desc(k)).collect();
             joins_back_in_order(&desc, what);
             // Descending order is the ascending complement.
-            assert!(desc.iter().zip(&keys).all(|(d, &k)| d.image() == !k), "{what}");
+            assert!(
+                desc.iter().zip(&keys).all(|(d, &k)| d.image() == !k),
+                "{what}"
+            );
             round_trips(&desc, what);
             let records: Vec<(u64, [u64; 3])> = keys.iter().map(|&k| (k, [!k, k, 7])).collect();
             joins_back_in_order(&records, what);
@@ -737,7 +767,10 @@ mod tests {
             let strings: Vec<FixedStr<9>> =
                 keys.iter().map(|k| FixedStr::new(&k.to_string())).collect();
             joins_back_in_order(&strings, what);
-            assert!(strings.iter().all(|s| s.image() == 0), "{what}: a constant image");
+            assert!(
+                strings.iter().all(|s| s.image() == 0),
+                "{what}: a constant image"
+            );
             round_trips(&strings, what);
             let opaque: Vec<Opaque<(u32, u64)>> =
                 keys.iter().map(|&k| Opaque((k as u32, k))).collect();
@@ -780,7 +813,11 @@ mod tests {
         // five bytes a pair, so a header and 20 bytes are four pairs.
         let pairs: Vec<(u64, u32)> = (0..10).map(|i| (i, 7)).collect();
         RequestBuffer::new(1, tag, H + 20).send(&pairs, 100, &m0.sender());
-        for (offset, range, bytes) in [(100, 0..4, H + 20), (104, 4..8, H + 20), (108, 8..10, H + 10)] {
+        for (offset, range, bytes) in [
+            (100, 0..4, H + 20),
+            (104, 4..8, H + 20),
+            (108, 8..10, H + 10),
+        ] {
             let chunk = recv_chunk::<(u64, u32)>(&mut m1, tag);
             assert_eq!(chunk, (offset, pairs[range].to_vec(), bytes));
         }
@@ -1004,6 +1041,9 @@ mod tests {
         // The same for an element with a rest column: one pair a chunk.
         let pairs = [(5u64, 1u32), (6, 2)];
         let chunks = checked_chunks(&pairs, 1);
-        assert_eq!(chunks, vec![(0, vec![pairs[0]], H + 4), (1, vec![pairs[1]], H + 4)]);
+        assert_eq!(
+            chunks,
+            vec![(0, vec![pairs[0]], H + 4), (1, vec![pairs[1]], H + 4)]
+        );
     }
 }

@@ -143,7 +143,12 @@ impl ProtocolChecker {
         if !ENABLED {
             return;
         }
-        *self.ledger.lock().in_flight.entry((src, dst, tag)).or_insert(0) += 1;
+        *self
+            .ledger
+            .lock()
+            .in_flight
+            .entry((src, dst, tag))
+            .or_insert(0) += 1;
     }
 
     /// Records a packet being consumed by its receiver. Panics if no

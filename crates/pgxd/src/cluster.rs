@@ -336,7 +336,10 @@ impl Cluster {
         }
 
         Ok(RunReport {
-            results: results.into_iter().map(|r| r.expect("missing result")).collect(),
+            results: results
+                .into_iter()
+                .map(|r| r.expect("missing result"))
+                .collect(),
             comm: stats.summary(),
             steps,
             wall_time: start.elapsed(),
@@ -479,8 +482,9 @@ mod tests {
             assert_eq!(out.len(), 30);
             for src in 0..3 {
                 let run = &out[bounds[src]..bounds[src + 1]];
-                let expect: Vec<u64> =
-                    (0..10).map(|i| src as u64 * 100 + m as u64 * 10 + i).collect();
+                let expect: Vec<u64> = (0..10)
+                    .map(|i| src as u64 * 100 + m as u64 * 10 + i)
+                    .collect();
                 assert_eq!(run, expect.as_slice(), "machine {m} run from {src}");
             }
         }
@@ -491,7 +495,11 @@ mod tests {
         // Machine 0 sends everything to machine 1; others send nothing.
         let cluster = Cluster::new(ClusterConfig::new(3));
         let report = cluster.run(|ctx| {
-            let data: Vec<u64> = if ctx.id() == 0 { (0..100).collect() } else { vec![] };
+            let data: Vec<u64> = if ctx.id() == 0 {
+                (0..100).collect()
+            } else {
+                vec![]
+            };
             let offsets = if ctx.id() == 0 {
                 vec![0, 0, 100, 100]
             } else {
@@ -687,19 +695,23 @@ mod tests {
                 "machine {m} has a step span"
             );
             assert!(
-                log.events_of_kind(EventKind::Barrier).any(|e| e.machine == m),
+                log.events_of_kind(EventKind::Barrier)
+                    .any(|e| e.machine == m),
                 "machine {m} has a barrier span"
             );
             assert!(
-                log.events_of_kind(EventKind::ChunkSend).any(|e| e.machine == m),
+                log.events_of_kind(EventKind::ChunkSend)
+                    .any(|e| e.machine == m),
                 "machine {m} sent chunks"
             );
             assert!(
-                log.events_of_kind(EventKind::ChunkRecv).any(|e| e.machine == m),
+                log.events_of_kind(EventKind::ChunkRecv)
+                    .any(|e| e.machine == m),
                 "machine {m} received chunks"
             );
             assert!(
-                log.events_of_kind(EventKind::ChunkPlace).any(|e| e.machine == m),
+                log.events_of_kind(EventKind::ChunkPlace)
+                    .any(|e| e.machine == m),
                 "machine {m} placed chunks"
             );
         }

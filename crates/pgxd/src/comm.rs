@@ -224,12 +224,23 @@ impl CommSender {
     /// The single exit point for exchange chunks: stats and trace are
     /// recorded here, at the moment the chunk actually enters the fabric,
     /// so a parked-then-redelivered chunk is accounted exactly once.
-    fn send_chunk_packet(&self, dst: usize, tag: Tag, wire_bytes: usize, payload: Box<dyn Any + Send>) {
+    fn send_chunk_packet(
+        &self,
+        dst: usize,
+        tag: Tag,
+        wire_bytes: usize,
+        payload: Box<dyn Any + Send>,
+    ) {
         self.stats.exchange.record_chunk_sent();
         if let Some(t) = &self.trace {
             // Lane 1 + dst keeps each destination's send stream on its own
             // timeline row (and off the mainline lane).
-            t.instant(1 + dst as u32, EventKind::ChunkSend, dst as u64, wire_bytes as u64);
+            t.instant(
+                1 + dst as u32,
+                EventKind::ChunkSend,
+                dst as u64,
+                wire_bytes as u64,
+            );
         }
         self.send_packet(dst, tag, wire_bytes, payload);
     }
@@ -528,7 +539,10 @@ impl CommManager {
                 lens.len()
             );
             let opened = (lens, frames, rest, wire_bytes);
-            assert!(openers[src].replace(opened).is_none(), "second opener from machine {src}");
+            assert!(
+                openers[src].replace(opened).is_none(),
+                "second opener from machine {src}"
+            );
         }
         openers
     }
@@ -541,7 +555,10 @@ impl CommManager {
     // The clone is this collective's documented fallback — the last
     // receiver takes the allocation for free, earlier receivers clone once
     // locally instead of the sender cloning p-1 times.
-    pub fn recv_shared_vec<T: Clone + Send + Sync + 'static>(&mut self, tag: Tag) -> (usize, Vec<T>) {
+    pub fn recv_shared_vec<T: Clone + Send + Sync + 'static>(
+        &mut self,
+        tag: Tag,
+    ) -> (usize, Vec<T>) {
         let pkt = self.recv_packet(tag);
         let src = pkt.src;
         let shared: std::sync::Arc<Vec<T>> = downcast_value(pkt.payload, pkt.tag);
@@ -648,7 +665,8 @@ mod tests {
         let m1 = f.pop().unwrap();
         let mut m0 = f.pop().unwrap();
         let tag = Tag::user(5, 0);
-        m1.sender().send_offset_chunk(0, tag, 17, vec![9u8; 5], vec![1u32, 2, 3]);
+        m1.sender()
+            .send_offset_chunk(0, tag, 17, vec![9u8; 5], vec![1u32, 2, 3]);
         let (src, chunk) = m0.recv_value::<buffer::Chunk<u32>>(tag);
         assert_eq!((src, chunk), (1, (17, vec![9; 5], vec![1, 2, 3])));
         let s = stats.summary();
@@ -673,7 +691,10 @@ mod tests {
         let pairs = vec![vec![(1u64, 2u32)], vec![(3, 4), (5, 6)]];
         m1.sender().send_runs(0, tag, pairs.clone());
         assert_eq!(m0.recv_runs::<(u64, u32)>(tag), (1, pairs));
-        assert_eq!(stats.summary().bytes_sent, 3 * 13 + 7 + (13 + 13 + 2) + 3 * 4);
+        assert_eq!(
+            stats.summary().bytes_sent,
+            3 * 13 + 7 + (13 + 13 + 2) + 3 * 4
+        );
         assert_eq!(stats.summary().messages_sent, 2);
     }
 

@@ -365,7 +365,11 @@ impl std::fmt::Display for RunError {
             RunErrorKind::StepTimeout => "step timeout",
         };
         match self.machine {
-            Some(m) => write!(f, "cluster run failed ({kind} on machine {m}): {}", self.message),
+            Some(m) => write!(
+                f,
+                "cluster run failed ({kind} on machine {m}): {}",
+                self.message
+            ),
             None => write!(f, "cluster run failed ({kind}): {}", self.message),
         }
     }
@@ -564,7 +568,13 @@ impl FaultInjector {
         wire_bytes: usize,
     ) -> Option<Duration> {
         let stream = self.stream(src, dst) as u64;
-        if !chance(self.plan.seed, site::DELAY, stream, seq, self.plan.chunk_delay_permille) {
+        if !chance(
+            self.plan.seed,
+            site::DELAY,
+            stream,
+            seq,
+            self.plan.chunk_delay_permille,
+        ) {
             return None;
         }
         let h = decision(self.plan.seed, site::DELAY_LEN, stream, seq);
@@ -582,7 +592,13 @@ impl FaultInjector {
         if self.drops_done[s].load(Ordering::Relaxed) >= self.plan.max_drops_per_stream {
             return false;
         }
-        if chance(self.plan.seed, site::DROP, s as u64, seq, self.plan.drop_permille) {
+        if chance(
+            self.plan.seed,
+            site::DROP,
+            s as u64,
+            seq,
+            self.plan.drop_permille,
+        ) {
             self.drops_done[s].fetch_add(1, Ordering::Relaxed);
             return true;
         }
@@ -600,9 +616,13 @@ impl FaultInjector {
         wire_bytes: usize,
         payload: Box<dyn Any + Send>,
     ) -> Option<HeldChunk> {
-        self.held
-            .lock()
-            .insert((src, dst, tag), HeldChunk { wire_bytes, payload })
+        self.held.lock().insert(
+            (src, dst, tag),
+            HeldChunk {
+                wire_bytes,
+                payload,
+            },
+        )
     }
 
     /// Takes the parked chunk of a stream for redelivery, if any.
@@ -622,7 +642,8 @@ impl FaultInjector {
         ) {
             return 0;
         }
-        (decision(self.plan.seed, site::REORDER_PICK, machine as u64, recv_seq) % len as u64) as usize
+        (decision(self.plan.seed, site::REORDER_PICK, machine as u64, recv_seq) % len as u64)
+            as usize
     }
 
     /// A mainline fault point (one per blocking receive). Fires the
@@ -644,7 +665,13 @@ impl FaultInjector {
             return;
         }
         let seq = self.steps[machine].fetch_add(1, Ordering::Relaxed);
-        if chance(self.plan.seed, site::PAUSE, machine as u64, seq, self.plan.step_pause_permille) {
+        if chance(
+            self.plan.seed,
+            site::PAUSE,
+            machine as u64,
+            seq,
+            self.plan.step_pause_permille,
+        ) {
             let h = decision(self.plan.seed, site::PAUSE_LEN, machine as u64, seq);
             std::thread::sleep(Duration::from_micros(h % (self.plan.step_pause_micros + 1)));
         }
@@ -658,7 +685,9 @@ impl FaultInjector {
         }
         let seq = self.pickups[machine].fetch_add(1, Ordering::Relaxed);
         let h = decision(self.plan.seed, site::PICKUP, machine as u64, seq);
-        std::thread::sleep(Duration::from_micros(h % (self.plan.straggler_delay_micros + 1)));
+        std::thread::sleep(Duration::from_micros(
+            h % (self.plan.straggler_delay_micros + 1),
+        ));
     }
 }
 
@@ -727,7 +756,9 @@ mod tests {
         let tag = Tag::user(0, 0);
         assert!(inj.park_chunk(0, 1, tag, 8, Box::new(1u64)).is_none());
         // Parking a second chunk evicts (returns) the first.
-        let prev = inj.park_chunk(0, 1, tag, 16, Box::new(2u64)).expect("first chunk returned");
+        let prev = inj
+            .park_chunk(0, 1, tag, 16, Box::new(2u64))
+            .expect("first chunk returned");
         assert_eq!(prev.wire_bytes, 8);
         let held = inj.take_held(0, 1, tag).expect("second chunk parked");
         assert_eq!(held.wire_bytes, 16);
@@ -761,7 +792,10 @@ mod tests {
         let mut joins = Vec::new();
         for _ in 0..2 {
             let b = b.clone();
-            #[allow(clippy::disallowed_methods, reason = "a test waiter on the barrier, joined by the test")]
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "a test waiter on the barrier, joined by the test"
+            )]
             joins.push(crate::sync::thread::spawn(move || b.wait()));
         }
         assert_eq!(b.wait(), BarrierWait::Released);
@@ -773,7 +807,10 @@ mod tests {
     #[test]
     fn barrier_abort_wakes_waiters() {
         let b = Arc::new(ClusterBarrier::new(2, None));
-        #[allow(clippy::disallowed_methods, reason = "a test waiter on the barrier, joined by the test")]
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a test waiter on the barrier, joined by the test"
+        )]
         let waiter = {
             let b = b.clone();
             crate::sync::thread::spawn(move || b.wait())
@@ -804,7 +841,9 @@ mod tests {
         inj.fault_point(1);
         let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inj.fault_point(1)));
         let payload = hit.expect_err("third crossing kills");
-        let failure = payload.downcast_ref::<InjectedFailure>().expect("typed payload");
+        let failure = payload
+            .downcast_ref::<InjectedFailure>()
+            .expect("typed payload");
         assert!(matches!(failure, InjectedFailure::Kill { machine: 1 }));
         // Past the threshold the machine is already dead in practice; the
         // counter keeps counting but never re-fires.

@@ -161,7 +161,9 @@ impl MachineCtx {
         let t0 = self.trace.as_ref().map(|t| t.now_ns());
         self.wait_or_unwind();
         if checker::ENABLED {
-            self.comm.checker().check_quiescent("barrier", Some(self.id));
+            self.comm
+                .checker()
+                .check_quiescent("barrier", Some(self.id));
             self.wait_or_unwind();
         }
         if let (Some(t), Some(t0)) = (&self.trace, t0) {
@@ -215,7 +217,12 @@ impl MachineCtx {
             debug_assert!(parts[src].is_none(), "duplicate gather from {src}");
             parts[src] = Some(v);
         }
-        Some(parts.into_iter().map(|v| v.expect("missing gather part")).collect())
+        Some(
+            parts
+                .into_iter()
+                .map(|v| v.expect("missing gather part"))
+                .collect(),
+        )
     }
 
     /// Broadcasts a `Vec<T>` from the master to everyone. The master
@@ -351,7 +358,11 @@ impl MachineCtx {
     ///    is the batch-`b` run received from machine `s` (runs stay
     ///    contiguous so the final merge can consume them and provenance
     ///    stays recoverable).
-    pub fn exchange<W: Wire>(&mut self, data: &[W], send_offsets: &[usize]) -> (Vec<W>, Vec<usize>) {
+    pub fn exchange<W: Wire>(
+        &mut self,
+        data: &[W],
+        send_offsets: &[usize],
+    ) -> (Vec<W>, Vec<usize>) {
         self.exchange_into(data, send_offsets, Vec::new())
     }
 
@@ -392,8 +403,7 @@ impl MachineCtx {
         // and its first chunk, so each receiver can lay its output out as
         // soon as every machine has done so, however few workers carry the
         // rest; a task per destination ships the rest of its stream.
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
-            Vec::with_capacity(p.saturating_sub(1));
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(p.saturating_sub(1));
         for step in 1..p {
             let dst = (id + step) % p;
             let counts: Vec<u64> = (dst..ranges)
@@ -460,7 +470,9 @@ impl MachineCtx {
                 let self_slice = &data[send_offsets[own]..send_offsets[own + 1]];
                 let base = bounds[own];
                 out[base..base + self_slice.len()].write_copy_of_slice(self_slice);
-                stats.exchange.record_bytes_placed(std::mem::size_of_val(self_slice));
+                stats
+                    .exchange
+                    .record_bytes_placed(std::mem::size_of_val(self_slice));
                 ledger.record(base, self_slice.len());
                 if let Some(t) = trace {
                     let bytes = std::mem::size_of_val(self_slice) as u64;
@@ -489,13 +501,24 @@ impl MachineCtx {
                 };
                 let len = rest.len();
                 let slot = stream_slot(&bounds, p, src, offset, len);
-                W::decode(&frames, &rest, &mut out[slot..slot + len], &mut images, Sealed);
+                W::decode(
+                    &frames,
+                    &rest,
+                    &mut out[slot..slot + len],
+                    &mut images,
+                    Sealed,
+                );
                 ledger.record(slot, len);
                 remote_received += len;
                 let bytes = len * std::mem::size_of::<W>();
                 stats.exchange.record_bytes_placed(bytes);
                 if let Some(t) = trace {
-                    t.instant(LANE_MAIN, EventKind::ChunkRecv, src as u64, wire_bytes as u64);
+                    t.instant(
+                        LANE_MAIN,
+                        EventKind::ChunkRecv,
+                        src as u64,
+                        wire_bytes as u64,
+                    );
                     t.instant(LANE_MAIN, EventKind::ChunkPlace, slot as u64, bytes as u64);
                 }
             }
@@ -556,14 +579,16 @@ impl MachineCtx {
         if TypeId::of::<T>() == TypeId::of::<u64>() {
             // SAFETY: the TypeIds match, so `T` is `u64`: the same pointer,
             // length and borrow describe `data` as `&[u64]`.
-            let keys = unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u64>(), data.len()) };
+            let keys =
+                unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u64>(), data.len()) };
             let (out, bounds) = self.exchange(keys, send_offsets);
             let out: Box<dyn Any> = Box::new(out);
             return (*out.downcast::<Vec<T>>().expect("`T` is `u64`"), bounds);
         }
         // SAFETY: `Opaque<T>` is `repr(transparent)` over `T`, so the same
         // pointer, length and borrow describe `data` as `&[Opaque<T>]`.
-        let items = unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<Opaque<T>>(), data.len()) };
+        let items =
+            unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<Opaque<T>>(), data.len()) };
         let (out, bounds) = self.exchange(items, send_offsets);
         (out.into_iter().map(|item| item.0).collect(), bounds)
     }

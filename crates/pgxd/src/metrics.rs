@@ -243,7 +243,9 @@ impl CommSummary {
         CommSummary {
             bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
             messages_sent: self.messages_sent.saturating_sub(earlier.messages_sent),
-            modeled_wire_time: self.modeled_wire_time.saturating_sub(earlier.modeled_wire_time),
+            modeled_wire_time: self
+                .modeled_wire_time
+                .saturating_sub(earlier.modeled_wire_time),
             max_recv_bytes: self.max_recv_bytes,
             bottleneck_wire_time: self.bottleneck_wire_time,
             exchange: self.exchange.delta_since(&earlier.exchange),
@@ -450,7 +452,10 @@ mod tests {
         t.record("sample", Duration::from_millis(1));
         assert_eq!(
             t.into_steps(),
-            vec![("merge", Duration::from_millis(12)), ("sample", Duration::from_millis(1))]
+            vec![
+                ("merge", Duration::from_millis(12)),
+                ("sample", Duration::from_millis(1))
+            ]
         );
     }
 
@@ -458,7 +463,10 @@ mod tests {
     fn step_report_aggregations() {
         let report = StepReport {
             per_machine: vec![
-                vec![("a", Duration::from_millis(10)), ("b", Duration::from_millis(1))],
+                vec![
+                    ("a", Duration::from_millis(10)),
+                    ("b", Duration::from_millis(1)),
+                ],
                 vec![("a", Duration::from_millis(20))],
             ],
         };
@@ -524,11 +532,18 @@ mod tests {
         assert_eq!(one.p50_across_machines("a"), ms(7));
         assert_eq!(one.p95_across_machines("a"), ms(7));
         // Empty report.
-        assert_eq!(StepReport::default().p95_across_machines("a"), Duration::ZERO);
+        assert_eq!(
+            StepReport::default().p95_across_machines("a"),
+            Duration::ZERO
+        );
     }
 
     fn report(per_machine: &[&[u64]]) -> StepReport {
-        let steps = |ms: &&[u64]| ms.iter().map(|&t| ("s", Duration::from_millis(t))).collect();
+        let steps = |ms: &&[u64]| {
+            ms.iter()
+                .map(|&t| ("s", Duration::from_millis(t)))
+                .collect()
+        };
         StepReport {
             per_machine: per_machine.iter().map(steps).collect(),
         }
@@ -536,19 +551,28 @@ mod tests {
 
     #[test]
     fn slowest_machine_names_the_straggler_over_the_lower_median() {
-        assert_eq!(report(&[&[20], &[20], &[400], &[30]]).slowest_machine("s"), Some((2, 20.0)));
+        assert_eq!(
+            report(&[&[20], &[20], &[400], &[30]]).slowest_machine("s"),
+            Some((2, 20.0))
+        );
         // p = 2: the lower median is the faster machine, so the slower one
         // reads above 1x (an upper median would be itself).
         assert_eq!(report(&[&[10], &[30]]).slowest_machine("s"), Some((1, 3.0)));
         // A tie names the lowest id.
-        assert_eq!(report(&[&[5], &[9], &[9]]).slowest_machine("s"), Some((1, 1.0)));
+        assert_eq!(
+            report(&[&[5], &[9], &[9]]).slowest_machine("s"),
+            Some((1, 1.0))
+        );
         assert_eq!(StepReport::default().slowest_machine("s"), None);
     }
 
     #[test]
     fn slowest_machine_counts_a_missing_step_as_zero() {
         // Like max/mean: [10, 20, 0] has lower median 10.
-        assert_eq!(report(&[&[10], &[20], &[]]).slowest_machine("s"), Some((1, 2.0)));
+        assert_eq!(
+            report(&[&[10], &[20], &[]]).slowest_machine("s"),
+            Some((1, 2.0))
+        );
     }
 
     #[test]

@@ -48,20 +48,20 @@ use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
-#[cfg(not(loom))]
-pub use std::sync::atomic;
 #[cfg(loom)]
 pub use loom::sync::atomic;
-
 #[cfg(not(loom))]
-pub use std::sync::Arc;
+pub use std::sync::atomic;
+
 #[cfg(loom)]
 pub use loom::sync::Arc;
-
 #[cfg(not(loom))]
-pub use std::thread;
+pub use std::sync::Arc;
+
 #[cfg(loom)]
 pub use loom::thread;
+#[cfg(not(loom))]
+pub use std::thread;
 
 /// Guard returned by [`Mutex::lock`]: the primitive's own guard, and the
 /// thread's [one-guard](Mutex#one-guard-at-a-time) token beside it. It has
@@ -417,8 +417,7 @@ mod tests {
     fn wait_for_reports_timeout() {
         let m = Mutex::new(());
         let cv = Condvar::new();
-        let (_guard, timed_out) =
-            cv.wait_for(m.lock(), std::time::Duration::from_millis(10));
+        let (_guard, timed_out) = cv.wait_for(m.lock(), std::time::Duration::from_millis(10));
         assert!(timed_out);
     }
 
@@ -449,7 +448,10 @@ mod tests {
         let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("the call panics");
         match payload.downcast::<String>() {
             Ok(message) => *message,
-            Err(payload) => payload.downcast_ref::<&str>().expect("a message").to_string(),
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .expect("a message")
+                .to_string(),
         }
     }
 
@@ -459,11 +461,17 @@ mod tests {
         let (a, b) = (Mutex::new(0u8), Mutex::new(String::new()));
         let _a = a.lock();
         let message = panic_message(|| drop(b.lock()));
-        assert!(message.contains("`Mutex<alloc::string::String>`"), "{message}");
+        assert!(
+            message.contains("`Mutex<alloc::string::String>`"),
+            "{message}"
+        );
         assert!(message.contains("`Mutex<u8>` guard"), "{message}");
         // Relocking the held mutex panics too, where it would deadlock.
         let message = panic_message(|| drop(a.lock()));
-        assert!(message.contains("`Mutex<u8>` while holding a `Mutex<u8>`"), "{message}");
+        assert!(
+            message.contains("`Mutex<u8>` while holding a `Mutex<u8>`"),
+            "{message}"
+        );
     }
 
     #[test]
@@ -475,11 +483,17 @@ mod tests {
         let message = panic_message(|| {
             let _ = tx.send(1);
         });
-        assert!(message.contains("while holding a `Mutex<u16>` guard"), "{message}");
+        assert!(
+            message.contains("while holding a `Mutex<u16>` guard"),
+            "{message}"
+        );
         let message = panic_message(|| {
             let _ = rx.recv_timeout(Duration::ZERO);
         });
-        assert!(message.contains("while holding a `Mutex<u16>` guard"), "{message}");
+        assert!(
+            message.contains("while holding a `Mutex<u16>` guard"),
+            "{message}"
+        );
     }
 
     #[test]
@@ -517,9 +531,15 @@ mod tests {
         let m = Mutex::new(0i8);
         let _g = m.lock();
         let message = panic_message(|| tm.run_tasks(vec![Box::new(|| ())]));
-        assert!(message.contains("joining a step's tasks while holding a `Mutex<i8>`"), "{message}");
+        assert!(
+            message.contains("joining a step's tasks while holding a `Mutex<i8>`"),
+            "{message}"
+        );
         let message = panic_message(|| tm.run_tasks_overlapping(vec![Box::new(|| ())], || ()));
-        assert!(message.contains("joining a step's tasks while holding"), "{message}");
+        assert!(
+            message.contains("joining a step's tasks while holding"),
+            "{message}"
+        );
     }
 
     #[test]

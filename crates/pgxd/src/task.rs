@@ -236,7 +236,9 @@ mod tests {
             .collect();
         let got = tm.run_tasks_overlapping(tasks, || {
             let wait = std::time::Duration::from_secs(30);
-            (0..10).map(|_| rx.recv_timeout(wait).expect("a task's value")).sum::<u64>()
+            (0..10)
+                .map(|_| rx.recv_timeout(wait).expect("a task's value"))
+                .sum::<u64>()
         });
         assert_eq!(got, 45);
     }

@@ -478,7 +478,11 @@ impl TraceLog {
     /// bytes src has sent to dst)`.
     pub fn per_destination_byte_timelines(&self) -> BTreeMap<(u32, u32), Vec<(u64, u64)>> {
         let mut out: BTreeMap<(u32, u32), Vec<(u64, u64)>> = BTreeMap::new();
-        for e in self.events.iter().filter(|e| e.kind == EventKind::ChunkSend) {
+        for e in self
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::ChunkSend)
+        {
             let series = out.entry((e.machine, e.a as u32)).or_default();
             let cum = series.last().map(|&(_, c)| c).unwrap_or(0) + e.b;
             series.push((e.t_ns, cum));
@@ -700,7 +704,10 @@ mod tests {
     fn chrome_export_shapes_spans_and_instants() {
         let c = TraceCollector::new(1);
         let m = c.machine(0);
-        m.emit(m.event(LANE_MAIN, EventKind::Step, 1000, 2000, 0, 0), "exchange");
+        m.emit(
+            m.event(LANE_MAIN, EventKind::Step, 1000, 2000, 0, 0),
+            "exchange",
+        );
         m.instant(LANE_MAIN, EventKind::ChunkSend, 3, 4096);
         let json = c.collect().to_chrome_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

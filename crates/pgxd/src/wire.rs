@@ -104,7 +104,13 @@ impl Wire for u64 {
         items
     }
 
-    fn decode(frames: &[u8], rest: &[()], out: &mut [MaybeUninit<u64>], _: &mut Vec<u64>, _: Sealed) {
+    fn decode(
+        frames: &[u8],
+        rest: &[()],
+        out: &mut [MaybeUninit<u64>],
+        _: &mut Vec<u64>,
+        _: Sealed,
+    ) {
         buffer::unpack_column_uninit(frames, rest.len(), out);
     }
 }

@@ -93,8 +93,9 @@ fn measure(buffer_bytes: usize, key: fn(u64, u64) -> u64) -> Round {
 fn exchange_allocates_its_output_and_what_it_ships() {
     // Every machine's assembled output: the allocation no exchange avoids.
     let out_bytes = P * N_PER_MACHINE * std::mem::size_of::<u64>();
-    let bound =
-        |r: &Round| out_bytes + r.bytes_sent + PER_CHUNK_BYTES * r.chunks + PER_STREAM_BYTES * STREAMS;
+    let bound = |r: &Round| {
+        out_bytes + r.bytes_sent + PER_CHUNK_BYTES * r.chunks + PER_STREAM_BYTES * STREAMS
+    };
 
     // 8 KiB buffers: about 1000 keys a chunk, 17 chunks a stream, the last
     // one short. A chunk reserving the whole buffer for its frames would

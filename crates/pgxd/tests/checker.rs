@@ -39,7 +39,8 @@ fn undelivered_packet_reported_at_teardown() {
     let cluster = Cluster::new(ClusterConfig::new(2));
     let _ = cluster.run(|ctx| {
         if ctx.id() == 0 {
-            ctx.comm_mut().send_vec(1, Tag::user(7, 7), vec![1u64, 2, 3]);
+            ctx.comm_mut()
+                .send_vec(1, Tag::user(7, 7), vec![1u64, 2, 3]);
             sent.store(true, Ordering::Release);
         } else {
             while !sent.load(Ordering::Acquire) {

@@ -42,7 +42,12 @@ fn run<T: Copy + Send + Sync + 'static>(
     make: fn(usize, usize) -> T,
     exchange: Exchange<T>,
 ) -> RunReport<(Vec<T>, Vec<usize>)> {
-    Cluster::new(ClusterConfig::new(P).buffer_bytes(buffer).workers_per_machine(2)).run(|ctx| {
+    Cluster::new(
+        ClusterConfig::new(P)
+            .buffer_bytes(buffer)
+            .workers_per_machine(2),
+    )
+    .run(|ctx| {
         let m = ctx.id();
         let cut = offsets(m, len);
         let data: Vec<T> = (0..cut[P]).map(|i| make(m, i)).collect();
@@ -58,13 +63,21 @@ fn uneven(m: usize, dst: usize) -> usize {
 #[test]
 fn u64_through_the_untyped_entry_is_the_typed_exchange() {
     for buffer in [64, 4096, pgxd::DEFAULT_BUFFER_BYTES] {
-        let typed = run(buffer, &uneven, key, |ctx, data, cut| ctx.exchange(data, cut));
+        let typed = run(buffer, &uneven, key, |ctx, data, cut| {
+            ctx.exchange(data, cut)
+        });
         let untyped = run(buffer, &uneven, key, |ctx, data, cut| {
             ctx.exchange_by_offsets(data, cut)
         });
         assert_eq!(typed.results, untyped.results, "buffer {buffer}");
-        assert_eq!(typed.comm.bytes_sent, untyped.comm.bytes_sent, "buffer {buffer}");
-        assert_eq!(typed.comm.messages_sent, untyped.comm.messages_sent, "buffer {buffer}");
+        assert_eq!(
+            typed.comm.bytes_sent, untyped.comm.bytes_sent,
+            "buffer {buffer}"
+        );
+        assert_eq!(
+            typed.comm.messages_sent, untyped.comm.messages_sent,
+            "buffer {buffer}"
+        );
         assert!(typed.comm.exchange.chunks_sent > 0);
     }
 }
@@ -76,7 +89,9 @@ fn any_other_item_ships_raw_behind_a_bare_header() {
     let make = |m: usize, i: usize| (i as u32, key(m, i));
     let size = std::mem::size_of::<Item>();
     for buffer in [64, 4096, pgxd::DEFAULT_BUFFER_BYTES] {
-        let report = run(buffer, &uneven, make, |ctx, data, cut| ctx.exchange_by_offsets(data, cut));
+        let report = run(buffer, &uneven, make, |ctx, data, cut| {
+            ctx.exchange_by_offsets(data, cut)
+        });
         // Every element arrives where the typed exchange would put it.
         for (dst, (out, bounds)) in report.results.iter().enumerate() {
             let expect: Vec<Item> = (0..P)

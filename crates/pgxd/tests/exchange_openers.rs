@@ -120,7 +120,9 @@ fn a_chunk_past_its_openers_counts_is_refused_naming_its_source() {
                 };
                 let mut frame = vec![0u8; HEADER as usize];
                 frame[8] = 2;
-                ctx.comm_mut().sender().send_offset_chunk(0, tag, 2, frame, vec![(); 2]);
+                ctx.comm_mut()
+                    .sender()
+                    .send_offset_chunk(0, tag, 2, frame, vec![(); 2]);
             }
             ctx.exchange(&[1u64, 2, 3, 4, 5, 6], &[0, 3, 6])
         })

@@ -16,7 +16,11 @@ use pgxd::RunErrorKind;
 /// Deterministic per-machine shards: sorted runs, uneven lengths.
 fn shards(p: usize) -> Vec<Vec<u64>> {
     (0..p)
-        .map(|m| (0..(m * 53 + 211) as u64).map(|i| i * 3 + m as u64).collect())
+        .map(|m| {
+            (0..(m * 53 + 211) as u64)
+                .map(|i| i * 3 + m as u64)
+                .collect()
+        })
         .collect()
 }
 
@@ -45,7 +49,11 @@ fn exchange_under(plan: FaultPlan) -> RunReport<(Vec<u64>, Vec<usize>)> {
 /// The exchange invariants that must hold under any non-killing plan:
 /// global multiset preserved, per-source runs contiguous and sorted.
 fn assert_exchange_exact(report: &RunReport<(Vec<u64>, Vec<usize>)>, p: usize) {
-    let mut received: Vec<u64> = report.results.iter().flat_map(|(out, _)| out.clone()).collect();
+    let mut received: Vec<u64> = report
+        .results
+        .iter()
+        .flat_map(|(out, _)| out.clone())
+        .collect();
     let mut sent: Vec<u64> = shards(p).concat();
     received.sort_unstable();
     sent.sort_unstable();
@@ -100,7 +108,10 @@ fn drops_do_not_change_chunk_totals() {
     // run — nothing is ever lost or double-counted.
     let clean = exchange_under(FaultPlan::disabled());
     let dropped = exchange_under(FaultPlan::enabled(9).drop_chunks(500, 64));
-    assert_eq!(clean.comm.exchange.chunks_sent, dropped.comm.exchange.chunks_sent);
+    assert_eq!(
+        clean.comm.exchange.chunks_sent,
+        dropped.comm.exchange.chunks_sent
+    );
     assert_eq!(clean.comm.bytes_sent, dropped.comm.bytes_sent);
 }
 
@@ -113,15 +124,21 @@ fn disabled_plan_is_identical_to_no_plan() {
         Cluster::new(cfg).run(|ctx| {
             let data = shards_ref[ctx.id()].clone();
             let n = data.len();
-            let offsets: Vec<usize> =
-                (0..=ctx.num_machines()).map(|d| d * n / ctx.num_machines()).collect();
+            let offsets: Vec<usize> = (0..=ctx.num_machines())
+                .map(|d| d * n / ctx.num_machines())
+                .collect();
             ctx.exchange(&data, &offsets)
         })
     };
     let plain = run(ClusterConfig::new(p).buffer_bytes(64));
-    let explicit = run(ClusterConfig::new(p).buffer_bytes(64).fault(FaultPlan::disabled()));
+    let explicit = run(ClusterConfig::new(p)
+        .buffer_bytes(64)
+        .fault(FaultPlan::disabled()));
     assert_eq!(plain.results, explicit.results);
-    assert_eq!(plain.comm.exchange.chunks_sent, explicit.comm.exchange.chunks_sent);
+    assert_eq!(
+        plain.comm.exchange.chunks_sent,
+        explicit.comm.exchange.chunks_sent
+    );
     assert_eq!(plain.comm.bytes_sent, explicit.comm.bytes_sent);
 }
 
@@ -139,8 +156,9 @@ fn killed_machine_yields_structured_error_within_timeout() {
         .try_run(|ctx| {
             let data = shards_ref[ctx.id()].clone();
             let n = data.len();
-            let offsets: Vec<usize> =
-                (0..=ctx.num_machines()).map(|d| d * n / ctx.num_machines()).collect();
+            let offsets: Vec<usize> = (0..=ctx.num_machines())
+                .map(|d| d * n / ctx.num_machines())
+                .collect();
             ctx.exchange(&data, &offsets)
         })
         .expect_err("kill plan must fail the run");
@@ -159,7 +177,10 @@ fn killed_machine_yields_structured_error_within_timeout() {
         assert!(err.residual.is_some());
     }
     let msg = err.to_string();
-    assert!(msg.contains("killed machine 1"), "unexpected message: {msg}");
+    assert!(
+        msg.contains("killed machine 1"),
+        "unexpected message: {msg}"
+    );
 }
 
 #[test]
@@ -245,7 +266,11 @@ fn collectives_survive_chaos() {
     });
     for (dst, received) in report.results.iter().enumerate() {
         for (src, block) in received.iter().enumerate() {
-            assert_eq!(block, &vec![(src * 100 + dst) as u64; 7], "src={src} dst={dst}");
+            assert_eq!(
+                block,
+                &vec![(src * 100 + dst) as u64; 7],
+                "src={src} dst={dst}"
+            );
         }
     }
 }

@@ -46,7 +46,10 @@ fn assert_conserved_and_balanced(report: &RunReport<usize>) {
         report.comm.bytes_sent,
         "per-dst bytes must balance bytes_sent"
     );
-    assert_eq!(report.per_dst_bytes.iter().max(), Some(&report.comm.max_recv_bytes));
+    assert_eq!(
+        report.per_dst_bytes.iter().max(),
+        Some(&report.comm.max_recv_bytes)
+    );
 }
 
 #[test]
@@ -58,7 +61,9 @@ fn keys_conserved_and_per_dst_bytes_balance_on_clean_run() {
 fn keys_conserved_and_per_dst_bytes_balance_under_chaos() {
     // Chaos redelivers, reorders, and drops traffic; each packet is still
     // counted once, when it is handed to the fabric.
-    assert_conserved_and_balanced(&all_to_all(ClusterConfig::new(4).fault(FaultPlan::chaos(29))));
+    assert_conserved_and_balanced(&all_to_all(
+        ClusterConfig::new(4).fault(FaultPlan::chaos(29)),
+    ));
 }
 
 #[test]
@@ -74,7 +79,10 @@ fn step_view_names_the_sabotaged_machine() {
         });
         ctx.barrier();
     });
-    let (machine, ratio) = report.steps.slowest_machine("work").expect("four machines ran");
+    let (machine, ratio) = report
+        .steps
+        .slowest_machine("work")
+        .expect("four machines ran");
     assert_eq!(machine, 2, "{:?}", report.steps);
     assert!(ratio > 2.0, "machine 2 at {ratio:.2}x the lower median");
 }
@@ -99,7 +107,10 @@ fn aborted_run_names_its_holdout() {
         .expect_err("the barrier must time out");
     assert_eq!(err.kind, RunErrorKind::StepTimeout, "{err}");
     assert!(matches!(err.machine, Some(1 | 2)), "{err}");
-    let (holdout, ratio) = err.steps.slowest_machine("work").expect("three machines ran");
+    let (holdout, ratio) = err
+        .steps
+        .slowest_machine("work")
+        .expect("three machines ran");
     assert_eq!(holdout, 0, "{:?}", err.steps);
     assert!(ratio > 2.0, "machine 0 at {ratio:.2}x the lower median");
 }
@@ -134,6 +145,9 @@ fn run_error_carries_flight_record() {
     // Every machine completed `warmup`, the killed one included.
     assert_eq!(err.steps.per_machine.len(), 4);
     for (m, steps) in err.steps.per_machine.iter().enumerate() {
-        assert!(steps.iter().any(|(n, _)| *n == "warmup"), "machine {m}: {steps:?}");
+        assert!(
+            steps.iter().any(|(n, _)| *n == "warmup"),
+            "machine {m}: {steps:?}"
+        );
     }
 }

@@ -91,7 +91,11 @@ fn try_run_reports_typed_panic_without_losing_the_run() {
         .expect_err("try_run must fail");
     assert_eq!(err.kind, RunErrorKind::MachinePanic);
     assert_eq!(err.machine, Some(1));
-    assert!(err.message.contains("non-string panic payload"), "{}", err.message);
+    assert!(
+        err.message.contains("non-string panic payload"),
+        "{}",
+        err.message
+    );
 }
 
 #[test]
@@ -107,7 +111,11 @@ fn panic_mid_exchange_releases_blocked_survivors() {
     let shards: Vec<Vec<u64>> = (0..p)
         .map(|m| (0..500u64).map(|i| i * 2 + m as u64).collect())
         .collect();
-    let cluster = Cluster::new(ClusterConfig::new(p).buffer_bytes(64).workers_per_machine(2));
+    let cluster = Cluster::new(
+        ClusterConfig::new(p)
+            .buffer_bytes(64)
+            .workers_per_machine(2),
+    );
     let shards_ref = &shards;
     let err = cluster
         .try_run(|ctx| {
@@ -116,15 +124,23 @@ fn panic_mid_exchange_releases_blocked_survivors() {
             }
             let data = shards_ref[ctx.id()].clone();
             let n = data.len();
-            let offsets: Vec<usize> =
-                (0..=ctx.num_machines()).map(|d| d * n / ctx.num_machines()).collect();
+            let offsets: Vec<usize> = (0..=ctx.num_machines())
+                .map(|d| d * n / ctx.num_machines())
+                .collect();
             ctx.exchange(&data, &offsets)
         })
         .expect_err("dead machine must fail the run");
     assert_eq!(err.kind, RunErrorKind::MachinePanic);
-    assert_eq!(err.machine, Some(0), "primary failure must be the real panic");
+    assert_eq!(
+        err.machine,
+        Some(0),
+        "primary failure must be the real panic"
+    );
     assert!(err.message.contains("died mid-step"), "{}", err.message);
-    assert!(err.peer_aborts >= 1, "survivors must unwind sympathetically");
+    assert!(
+        err.peer_aborts >= 1,
+        "survivors must unwind sympathetically"
+    );
     if cfg!(debug_assertions) {
         let residual = err.residual.expect("checker active in debug builds");
         // Machines 1 and 2 had sent their openers and chunks to the dead
@@ -150,5 +166,9 @@ fn all_sympathetic_failures_still_produce_an_error() {
         })
         .expect_err("must fail");
     assert_eq!(err.kind, RunErrorKind::MachinePanic);
-    assert_eq!(err.machine, Some(2), "first real failure in machine order wins");
+    assert_eq!(
+        err.machine,
+        Some(2),
+        "first real failure in machine order wins"
+    );
 }

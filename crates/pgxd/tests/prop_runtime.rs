@@ -176,9 +176,8 @@ fn exchange_places_every_range_where_the_layout_says() {
                 .workers_per_machine(2),
         );
         let (shards_ref, offsets_ref) = (&shards, &offsets);
-        let report = cluster.run(move |ctx| {
-            ctx.exchange(&shards_ref[ctx.id()], &offsets_ref[ctx.id()])
-        });
+        let report =
+            cluster.run(move |ctx| ctx.exchange(&shards_ref[ctx.id()], &offsets_ref[ctx.id()]));
         for (dst, (out, bounds)) in report.results.iter().enumerate() {
             assert_eq!(bounds.len(), batches * p + 1);
             assert_eq!((bounds[0], bounds[batches * p]), (0, out.len()));
@@ -189,7 +188,10 @@ fn exchange_places_every_range_where_the_layout_says() {
                     assert_eq!(
                         &out[run[0]..run[1]],
                         &shards[src][sent[0]..sent[1]],
-                        "batch {} from {} at {}", batch, src, dst
+                        "batch {} from {} at {}",
+                        batch,
+                        src,
+                        dst
                     );
                 }
             }
@@ -225,7 +227,11 @@ fn exchange_stress_many_small_buffers() {
     // shards — maximal chunk fragmentation.
     let p = 6;
     let shards: Vec<Vec<u64>> = (0..p)
-        .map(|m| (0..(m * 37 + 11) as u64).map(|i| i * 7 + m as u64).collect())
+        .map(|m| {
+            (0..(m * 37 + 11) as u64)
+                .map(|i| i * 7 + m as u64)
+                .collect()
+        })
         .collect();
     let cluster = Cluster::new(ClusterConfig::new(p).buffer_bytes(8));
     let shards_ref = &shards;

@@ -25,7 +25,9 @@ fn traced_checker() -> (TraceCollector, ProtocolChecker) {
 /// Codes of the checker events machine 0 recorded, in emission order.
 fn checker_codes(collector: TraceCollector) -> Vec<u64> {
     let log = collector.collect();
-    log.events_of_kind(EventKind::Checker).map(|e| e.a).collect()
+    log.events_of_kind(EventKind::Checker)
+        .map(|e| e.a)
+        .collect()
 }
 
 #[test]
@@ -38,7 +40,9 @@ fn phantom_delivery_event_recorded_before_panic() {
         checker.packet_delivered(0, 0, Tag::user(3, 3));
     }))
     .expect_err("phantom delivery must panic");
-    let msg = err.downcast_ref::<String>().expect("panic carries a message");
+    let msg = err
+        .downcast_ref::<String>()
+        .expect("panic carries a message");
     assert!(msg.contains("never sent"), "unexpected panic: {msg}");
     assert_eq!(checker_codes(collector), vec![violation::PHANTOM_DELIVERY]);
 }
@@ -51,8 +55,13 @@ fn quiescence_verdicts_recorded_before_panic() {
         checker.check_quiescent("test barrier", Some(0));
     }))
     .expect_err("undelivered packet must panic");
-    let msg = err.downcast_ref::<String>().expect("panic carries a message");
-    assert!(msg.contains("undelivered packet"), "unexpected panic: {msg}");
+    let msg = err
+        .downcast_ref::<String>()
+        .expect("panic carries a message");
+    assert!(
+        msg.contains("undelivered packet"),
+        "unexpected panic: {msg}"
+    );
     assert_eq!(
         checker_codes(collector),
         vec![violation::UNDELIVERED_PACKETS]
@@ -68,8 +77,13 @@ fn offset_ledger_violations_recorded_before_panic() {
     ledger.record(4, 6); // [4, 10) overlaps [0, 6)
     let err = catch_unwind(AssertUnwindSafe(move || ledger.finish()))
         .expect_err("overlapping offsets must panic");
-    let msg = err.downcast_ref::<String>().expect("panic carries a message");
-    assert!(msg.contains("overlapping offset"), "unexpected panic: {msg}");
+    let msg = err
+        .downcast_ref::<String>()
+        .expect("panic carries a message");
+    assert!(
+        msg.contains("overlapping offset"),
+        "unexpected panic: {msg}"
+    );
     assert_eq!(checker_codes(collector), vec![violation::OFFSET_OVERLAP]);
 }
 

@@ -41,7 +41,10 @@ fn main() {
     let (holders, rank_lo, rank_hi, top, bottom) = &report.results[0];
     println!("probe key {probe}:");
     println!("  held by machine(s) {holders:?}");
-    println!("  global rank range [{rank_lo}, {rank_hi}) — {} duplicates", rank_hi - rank_lo);
+    println!(
+        "  global rank range [{rank_lo}, {rank_hi}) — {} duplicates",
+        rank_hi - rank_lo
+    );
     println!("  top-5 keys:    {:?}", top.as_ref().unwrap());
     println!("  bottom-5 keys: {:?}", bottom.as_ref().unwrap());
 

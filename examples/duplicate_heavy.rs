@@ -36,7 +36,11 @@ fn main() {
         let stats = run(investigator, &shards, machines);
         println!(
             "\ninvestigator {}:",
-            if investigator { "ON  (Fig. 3c)" } else { "OFF (Fig. 3b, naive sample sort)" }
+            if investigator {
+                "ON  (Fig. 3c)"
+            } else {
+                "OFF (Fig. 3b, naive sample sort)"
+            }
         );
         print!("  per-machine loads:");
         for c in &stats.counts {

@@ -71,5 +71,9 @@ fn main() {
     }
 
     assert_eq!(all.len(), num_v);
-    println!("\nsorted {} vertex degrees in {:?}", all.len(), report.wall_time);
+    println!(
+        "\nsorted {} vertex degrees in {:?}",
+        all.len(),
+        report.wall_time
+    );
 }

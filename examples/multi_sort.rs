@@ -85,8 +85,7 @@ fn main() {
         )
     });
 
-    let (first_len, newest_head, keyed_len, quartiles, hist, earliest_reading) =
-        &report.results[0];
+    let (first_len, newest_head, keyed_len, quartiles, hist, earliest_reading) = &report.results[0];
     let total: usize = report.results.iter().map(|r| r.0).sum();
     assert_eq!(total, n);
     let _ = (first_len, keyed_len);
@@ -105,6 +104,11 @@ fn main() {
     let max = *hist.iter().max().unwrap() as f64;
     for (b, &count) in hist.iter().enumerate() {
         let bar = "#".repeat((40.0 * count as f64 / max) as usize);
-        println!("  [{:>5}..{:>5}) {:>7}  {bar}", b * 3000, (b + 1) * 3000, count);
+        println!(
+            "  [{:>5}..{:>5}) {:>7}  {bar}",
+            b * 3000,
+            (b + 1) * 3000,
+            count
+        );
     }
 }

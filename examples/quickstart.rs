@@ -27,7 +27,10 @@ fn main() {
         (part.len(), part.range().map(|(lo, hi)| (*lo, *hi)))
     });
 
-    println!("sorted {n} keys across {machines} machines in {:?}", report.wall_time);
+    println!(
+        "sorted {n} keys across {machines} machines in {:?}",
+        report.wall_time
+    );
     println!(
         "communication: {} bytes in {} messages (modeled wire time {:?})",
         report.comm.bytes_sent, report.comm.messages_sent, report.comm.modeled_wire_time
@@ -42,10 +45,17 @@ fn main() {
             loads.shares()[m] * 100.0
         );
     }
-    println!("\nimbalance factor: {:.4} (1.0 = perfect)", loads.imbalance_factor());
+    println!(
+        "\nimbalance factor: {:.4} (1.0 = perfect)",
+        loads.imbalance_factor()
+    );
 
     println!("\nstep breakdown (max across machines):");
     for step in pgxd_core::steps::ALL {
-        println!("  {:<12} {:?}", step, report.steps.max_across_machines(step));
+        println!(
+            "  {:<12} {:?}",
+            step,
+            report.steps.max_across_machines(step)
+        );
     }
 }

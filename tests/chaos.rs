@@ -138,7 +138,11 @@ fn chaos_schedule_replays_from_its_seed() {
         schedule.values().any(|lane| held_back(lane)),
         "the plan dropped no chunk mid-stream"
     );
-    assert_eq!(schedule, send_schedule(&b), "the injected schedule did not replay");
+    assert_eq!(
+        schedule,
+        send_schedule(&b),
+        "the injected schedule did not replay"
+    );
 }
 
 /// A chunk held back and sent behind a later one: two flushes in a row on
@@ -185,11 +189,17 @@ fn drops_reorder_packed_chunks_without_corrupting_them() {
 /// flush with no send behind it, and its redelivery a send with no flush.
 fn send_schedule<R>(report: &RunReport<R>) -> BTreeMap<(u32, u32), Vec<(EventKind, u64)>> {
     let trace = report.trace.as_ref().expect("tracing was enabled");
-    assert_eq!(trace.dropped, 0, "the per-machine cap must hold the whole run");
+    assert_eq!(
+        trace.dropped, 0,
+        "the per-machine cap must hold the whole run"
+    );
     let mut lanes: BTreeMap<(u32, u32), Vec<(EventKind, u64)>> = BTreeMap::new();
     for e in &trace.events {
         if matches!(e.kind, EventKind::ChunkFlush | EventKind::ChunkSend) {
-            lanes.entry((e.machine, e.lane)).or_default().push((e.kind, e.b));
+            lanes
+                .entry((e.machine, e.lane))
+                .or_default()
+                .push((e.kind, e.b));
         }
     }
     lanes
@@ -276,7 +286,10 @@ fn traced_chaos_run_keeps_trace_invariants() {
     let expect = flat_sorted(&parts);
     assert_eq!(report.results.concat(), expect);
     let trace = report.trace.expect("tracing was enabled");
-    assert_eq!(trace.dropped, 0, "the per-machine cap must hold the whole run");
+    assert_eq!(
+        trace.dropped, 0,
+        "the per-machine cap must hold the whole run"
+    );
     let chunk_sends = trace.events_of_kind(EventKind::ChunkSend).count() as u64;
     assert_eq!(chunk_sends, report.comm.exchange.chunks_sent);
 }
@@ -318,7 +331,9 @@ fn within<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'st
 /// Machine `id` of `p` in a bare exchange: `100·p` keys, distinct across
 /// machines, a hundred for every machine.
 fn hundreds(p: usize, id: usize) -> (Vec<u64>, Vec<usize>) {
-    let data: Vec<u64> = (0..100 * p as u64).map(|k| k * p as u64 + id as u64).collect();
+    let data: Vec<u64> = (0..100 * p as u64)
+        .map(|k| k * p as u64 + id as u64)
+        .collect();
     let offsets = (0..=p).map(|d| d * 100).collect();
     (data, offsets)
 }
@@ -351,7 +366,10 @@ fn a_parked_opener_is_delivered_behind_its_streams_later_chunks() {
         assert_eq!(bounds, &vec![0, 100, 200, 300, 400], "machine {dst}");
         for src in 0..p {
             let (data, _) = hundreds(p, src);
-            assert_eq!(out[src * 100..(src + 1) * 100], data[dst * 100..(dst + 1) * 100]);
+            assert_eq!(
+                out[src * 100..(src + 1) * 100],
+                data[dst * 100..(dst + 1) * 100]
+            );
         }
     }
     // Every message still went out once: an opener and 99 chunks a stream.
@@ -396,7 +414,11 @@ fn a_machine_that_dies_before_its_openers_fails_the_run() {
     });
     assert_eq!(err.kind, RunErrorKind::InjectedKill, "{}", err.message);
     assert_eq!(err.machine, Some(1));
-    assert!(err.peer_aborts >= 1, "the survivors unwind: {}", err.message);
+    assert!(
+        err.peer_aborts >= 1,
+        "the survivors unwind: {}",
+        err.message
+    );
 }
 
 #[test]
@@ -419,6 +441,9 @@ fn the_step_deadline_ends_a_wait_for_openers() {
     });
     assert_eq!(err.kind, RunErrorKind::StepTimeout, "{}", err.message);
     assert_ne!(err.machine, Some(2), "{}", err.message);
-    let waiting = format!("waiting for tag Tag {{ kind: {}, seq: 0 }}", kinds::EXCHANGE_OPEN);
+    let waiting = format!(
+        "waiting for tag Tag {{ kind: {}, seq: 0 }}",
+        kinds::EXCHANGE_OPEN
+    );
     assert!(err.message.contains(&waiting), "{}", err.message);
 }

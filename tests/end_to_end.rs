@@ -110,7 +110,9 @@ fn pgxd_beats_spark_on_load_balance_for_duplicates() {
 fn uneven_input_shards_still_sort() {
     // One machine holds 90% of the input; the sort must rebalance it.
     let machines = 4;
-    let big = generate_partitioned(Distribution::Uniform, 18_000, 1, 5).pop().unwrap();
+    let big = generate_partitioned(Distribution::Uniform, 18_000, 1, 5)
+        .pop()
+        .unwrap();
     let small = generate_partitioned(Distribution::Uniform, 2_000, 3, 6);
     let mut parts = vec![big];
     parts.extend(small);
@@ -130,7 +132,9 @@ fn uneven_input_shards_still_sort() {
 fn some_machines_start_empty() {
     let machines = 5;
     let mut parts = vec![Vec::new(); machines];
-    parts[2] = generate_partitioned(Distribution::Normal, 10_000, 1, 7).pop().unwrap();
+    parts[2] = generate_partitioned(Distribution::Normal, 10_000, 1, 7)
+        .pop()
+        .unwrap();
     let expect = flat_sorted(&parts);
     let cluster = Cluster::new(ClusterConfig::new(machines).workers_per_machine(2));
     let sorter = DistSorter::default();

@@ -7,8 +7,8 @@ use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd_baselines::SparkEngine;
 use pgxd_core::investigator::splitter_offsets_investigated;
 use pgxd_core::{DistSorter, SortConfig};
-use pgxd_datagen::partition_even;
 use pgxd_datagen::cases::{check, Gen};
+use pgxd_datagen::partition_even;
 
 fn sorted_copy(v: &[u64]) -> Vec<u64> {
     let mut s = v.to_vec();
@@ -126,13 +126,12 @@ fn investigator_never_worse_balance_than_naive_on_uniform_splitters() {
         sorted.sort_unstable();
         // Build splitters the way the sort would: regular positions.
         let p = machines;
-        let splitters: Vec<u64> =
-            (0..p - 1).map(|j| sorted[(j + 1) * sorted.len() / p]).collect();
+        let splitters: Vec<u64> = (0..p - 1)
+            .map(|j| sorted[(j + 1) * sorted.len() / p])
+            .collect();
         let inv = splitter_offsets_investigated(&sorted, &splitters);
         let naive = pgxd_algos::search::naive_splitter_offsets(&sorted, &splitters);
-        let max_share = |off: &[usize]| {
-            off.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
-        };
+        let max_share = |off: &[usize]| off.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
         assert!(max_share(&inv) <= max_share(&naive));
     });
 }
@@ -209,7 +208,9 @@ fn fault_plan_without_drops_is_output_equivalent() {
             .without_drops();
         let run = |plan: FaultPlan| {
             let cluster = Cluster::new(
-                ClusterConfig::new(machines).workers_per_machine(2).fault(plan),
+                ClusterConfig::new(machines)
+                    .workers_per_machine(2)
+                    .fault(plan),
             );
             let sorter = DistSorter::default();
             let parts_ref = &parts;
@@ -219,7 +220,10 @@ fn fault_plan_without_drops_is_output_equivalent() {
         let clean = run(FaultPlan::disabled());
         assert_eq!(&faulted.results.concat(), &expect);
         assert_eq!(faulted.results, clean.results);
-        assert_eq!(faulted.comm.exchange.chunks_sent, clean.comm.exchange.chunks_sent);
+        assert_eq!(
+            faulted.comm.exchange.chunks_sent,
+            clean.comm.exchange.chunks_sent
+        );
     });
 }
 

@@ -237,7 +237,10 @@ where
         key_bytes,
     );
     let report = Cluster::new(ClusterConfig::new(p)).run(|ctx| {
-        let shards = batches.iter().map(|shards| shards[ctx.id()].clone()).collect();
+        let shards = batches
+            .iter()
+            .map(|shards| shards[ctx.id()].clone())
+            .collect();
         sort(&DistSorter::default(), ctx, shards)
     });
     let sorted: Vec<Vec<Vec<K>>> = batches.iter().map(|shards| sorted_shards(shards)).collect();
@@ -245,7 +248,11 @@ where
     for (b, (shards, replayed)) in batches.iter().zip(&replayed).enumerate() {
         let mut expect = shards.concat();
         expect.sort_unstable();
-        let got: Vec<K> = report.results.iter().flat_map(|parts| parts[b].clone()).collect();
+        let got: Vec<K> = report
+            .results
+            .iter()
+            .flat_map(|parts| parts[b].clone())
+            .collect();
         assert!(got == expect, "{what}: batch {b} output");
         let sizes: Vec<usize> = report.results.iter().map(|parts| parts[b].len()).collect();
         assert_eq!(replayed.sizes, sizes, "{what}: batch {b} partition");
@@ -348,7 +355,12 @@ fn replayed_partition_is_the_sorters() {
             8 * k
         );
     }
-    assert_replayed(std::slice::from_ref(&shards), plain, KEYS, "0 and u64::MAX with every 2^(8k)");
+    assert_replayed(
+        std::slice::from_ref(&shards),
+        plain,
+        KEYS,
+        "0 and u64::MAX with every 2^(8k)",
+    );
 }
 
 /// `machines` shards of `2 + 16 · per_edge` keys each: `0` and `u64::MAX`,
@@ -423,7 +435,10 @@ fn a_descending_sort_ships_exactly_what_the_complemented_keys_do() {
     assert_eq!(desc.comm.messages_sent, asc.comm.messages_sent);
     let complemented = std::slice::from_ref(&complemented);
     let (bytes, messages) = assert_replayed(complemented, plain, KEYS, "complemented keys");
-    assert_eq!((desc.comm.bytes_sent, desc.comm.messages_sent), (bytes, messages));
+    assert_eq!(
+        (desc.comm.bytes_sent, desc.comm.messages_sent),
+        (bytes, messages)
+    );
 }
 
 #[test]
@@ -431,7 +446,12 @@ fn a_provenance_sort_packs_its_keys_beside_origin_and_index() {
     // `Keyed<u64>`: the key packs, and its origin (4 bytes) and index (8),
     // 16 bytes with their alignment, ride raw beside it.
     let machines = 4;
-    let keys = generate_partitioned(Distribution::Exponential, machines * 8192, machines, 20170529);
+    let keys = generate_partitioned(
+        Distribution::Exponential,
+        machines * 8192,
+        machines,
+        20170529,
+    );
     let shards: Vec<Vec<Keyed<u64>>> = keys
         .iter()
         .enumerate()
@@ -445,7 +465,12 @@ fn a_provenance_sort_packs_its_keys_beside_origin_and_index() {
         let keys: Vec<u64> = shards[0].iter().map(|k| k.key).collect();
         vec![sorter.sort_keyed(ctx, &keys).data]
     };
-    assert_replayed(std::slice::from_ref(&shards), sort_keyed, keyed, "provenance");
+    assert_replayed(
+        std::slice::from_ref(&shards),
+        sort_keyed,
+        keyed,
+        "provenance",
+    );
 }
 
 /// `B` batches share the one read buffer the master receives: each batch
@@ -500,7 +525,11 @@ fn sample_budget_is_one_read_buffer_for_any_batch_count() {
 #[test]
 fn openers_carry_every_batch_and_open_empty_streams() {
     let machines = 4;
-    let dists = [Distribution::Uniform, Distribution::Exponential, Distribution::Normal];
+    let dists = [
+        Distribution::Uniform,
+        Distribution::Exponential,
+        Distribution::Normal,
+    ];
     let inputs: Vec<Vec<Vec<u64>>> = (0..3)
         .map(|b| generate_partitioned(dists[b], machines * 16_384, machines, 20170529 + b as u64))
         .collect();
@@ -515,8 +544,16 @@ fn openers_carry_every_batch_and_open_empty_streams() {
     let budget =
         SortConfig::default().samples_per_machine(DEFAULT_BUFFER_BYTES, machines, KEY_BYTES);
     let cut = &replay(&sorted_shards(&shards), budget).offsets[0];
-    assert!(cut[3] == cut[4] && cut[2] < cut[3], "machine 0's ranges: {cut:?}");
-    let figures = assert_replayed(std::slice::from_ref(&shards), plain, KEYS, "an empty stream");
+    assert!(
+        cut[3] == cut[4] && cut[2] < cut[3],
+        "machine 0's ranges: {cut:?}"
+    );
+    let figures = assert_replayed(
+        std::slice::from_ref(&shards),
+        plain,
+        KEYS,
+        "an empty stream",
+    );
     assert_eq!(figures, (225_924, 18), "an empty stream");
 
     let machines = 8;

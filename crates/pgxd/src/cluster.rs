@@ -263,7 +263,12 @@ impl Cluster {
                             buffer_bytes,
                         );
                         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                        if outcome.is_err() {
+                        if outcome.is_ok() {
+                            // A machine that returned enters no further
+                            // barrier: a peer still waiting at one, or
+                            // arriving later, unwinds instead of hanging.
+                            barrier.depart(machine_id);
+                        } else {
                             // First failure wins the race to abort: every
                             // peer blocked at a barrier or a receive
                             // unwinds promptly, and the quiescence checks

@@ -423,12 +423,12 @@ impl CommManager {
     }
 
     /// Takes one parked packet with `tag` from the mailbox. FIFO, unless
-    /// the fault plane reorders the drain of a multi-entry queue.
+    /// the fault plane reorders the drain of a multi-entry queue. A tag
+    /// leaves the mailbox with its last packet: every exchange uses fresh
+    /// tags, so an emptied queue kept would never be used again.
     fn take_parked(&mut self, tag: Tag) -> Option<Packet> {
-        let len = self.mailbox.get(&tag).map_or(0, |q| q.len());
-        if len == 0 {
-            return None;
-        }
+        let queue = self.mailbox.get_mut(&tag)?;
+        let len = queue.len();
         let pick = match &self.sender.fault {
             Some(f) if len > 1 => {
                 let seq = self.recv_seq;
@@ -437,7 +437,11 @@ impl CommManager {
             }
             _ => 0,
         };
-        self.mailbox.get_mut(&tag).and_then(|q| q.remove(pick))
+        let pkt = queue.remove(pick);
+        if queue.is_empty() {
+            self.mailbox.remove(&tag);
+        }
+        pkt
     }
 
     /// Receives the next packet with `tag` from any source, blocking.
@@ -484,11 +488,7 @@ impl CommManager {
                         machine: self.sender.id,
                         context: format!(
                             "waiting for tag {tag:?} (mailbox holds tags {:?})",
-                            self.mailbox
-                                .iter()
-                                .filter(|(_, q)| !q.is_empty())
-                                .map(|(&t, _)| t)
-                                .collect::<BTreeSet<Tag>>()
+                            self.mailbox.keys().collect::<BTreeSet<_>>()
                         ),
                     });
                 }

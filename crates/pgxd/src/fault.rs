@@ -52,7 +52,9 @@
 //! slowest machine of a step in [`RunError::steps`]. A starved receive's
 //! message also names the tag it waited for and the tags parked in its
 //! mailbox. Without a `step_timeout`, a receive gives up only after the
-//! two-minute protocol-bug guard, and barriers never time out.
+//! two-minute protocol-bug guard, and barriers never time out; a barrier
+//! that a machine which has returned from the run would have to complete
+//! ends at once either way (`ClusterBarrier::depart`).
 
 use crate::checker::ResidualReport;
 use crate::comm::Tag;
@@ -387,11 +389,17 @@ pub(crate) enum BarrierWait {
     /// This waiter's step timeout elapsed first; it has already marked
     /// the run aborted on behalf of everyone.
     TimedOut,
+    /// The named machine returned from the run: this generation can
+    /// never complete.
+    Departed(usize),
 }
 
 struct BarrierGen {
     arrived: usize,
     generation: u64,
+    /// The first machine whose closure returned; see
+    /// [`ClusterBarrier::depart`].
+    departed: Option<usize>,
 }
 
 /// The run's control plane: an abortable, optionally timeout-bounded
@@ -401,7 +409,8 @@ struct BarrierGen {
 /// the deadline here, so a dead machine can never wedge the survivors.
 /// Aborting wakes every waiter, and (with the plan's `step_timeout`) a
 /// barrier nobody completes converts into a structured failure instead
-/// of a hang.
+/// of a hang. So does a barrier that a machine which has already returned
+/// from the run would have to complete, with or without a deadline.
 ///
 /// [`CommManager::fabric_with`]: crate::comm::CommManager::fabric_with
 ///
@@ -424,16 +433,21 @@ impl ClusterBarrier {
             state: Mutex::new(BarrierGen {
                 arrived: 0,
                 generation: 0,
+                departed: None,
             }),
             cv: Condvar::new(),
         }
     }
 
-    /// Waits for all `n` machines (or an abort, or the timeout).
+    /// Waits for all `n` machines (or an abort, the timeout, or a
+    /// machine's departure).
     pub(crate) fn wait(&self) -> BarrierWait {
         let mut g = self.state.lock();
         if self.aborted.load(Ordering::Acquire) {
             return BarrierWait::Aborted;
+        }
+        if let Some(m) = g.departed {
+            return BarrierWait::Departed(m);
         }
         g.arrived += 1;
         if g.arrived == self.n {
@@ -452,6 +466,9 @@ impl ClusterBarrier {
             }
             if g.generation != gen {
                 return BarrierWait::Released;
+            }
+            if let Some(m) = g.departed {
+                return BarrierWait::Departed(m);
             }
             match deadline {
                 // Condvar wait on the barrier's own mutex — the guard is
@@ -482,6 +499,17 @@ impl ClusterBarrier {
         // Taking the lock pairs the store with any waiter that checked the
         // flag and is about to park — no lost wakeup.
         let _g = self.state.lock();
+        self.cv.notify_all();
+    }
+
+    /// Records that `machine`'s closure returned and wakes every waiter.
+    /// A machine that has returned enters no further barrier, so no
+    /// generation unreleased by now can complete: its waiters, and every
+    /// later arriver, get [`BarrierWait::Departed`] naming the first
+    /// machine that returned.
+    pub(crate) fn depart(&self, machine: usize) {
+        let mut g = self.state.lock();
+        g.departed.get_or_insert(machine);
         self.cv.notify_all();
     }
 
@@ -822,6 +850,49 @@ mod tests {
         assert!(b.is_aborted());
         // Later arrivals see the abort immediately.
         assert_eq!(b.wait(), BarrierWait::Aborted);
+    }
+
+    #[test]
+    fn departure_ends_a_barrier_it_would_have_to_complete() {
+        let b = Arc::new(ClusterBarrier::new(3, None));
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a test waiter on the barrier, joined by the test"
+        )]
+        let waiter = {
+            let b = b.clone();
+            crate::sync::thread::spawn(move || b.wait())
+        };
+        // Give the waiter a moment to park, then depart instead of
+        // arriving.
+        std::thread::sleep(Duration::from_millis(20));
+        b.depart(2);
+        assert_eq!(waiter.join().unwrap(), BarrierWait::Departed(2));
+        // A late arriver sees the first departure, not the run aborted.
+        b.depart(1);
+        assert_eq!(b.wait(), BarrierWait::Departed(2));
+        assert!(!b.is_aborted());
+    }
+
+    #[test]
+    fn a_generation_released_before_a_departure_reads_released() {
+        let b = Arc::new(ClusterBarrier::new(2, None));
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a test waiter on the barrier, joined by the test"
+        )]
+        let waiter = {
+            let b = b.clone();
+            crate::sync::thread::spawn(move || b.wait())
+        };
+        // Complete the waiter's generation and depart at once, before the
+        // waiter (usually) wakes: it still passed the barrier.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(b.wait(), BarrierWait::Released);
+        b.depart(1);
+        assert_eq!(waiter.join().unwrap(), BarrierWait::Released);
+        // The next generation can never complete.
+        assert_eq!(b.wait(), BarrierWait::Departed(1));
     }
 
     #[test]

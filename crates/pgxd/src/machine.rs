@@ -173,8 +173,10 @@ impl MachineCtx {
 
     /// One abortable barrier wait. A peer's failure (or this machine's own
     /// step timeout) unwinds with a typed payload instead of deadlocking
-    /// the cluster; [`Cluster::try_run`](crate::cluster::Cluster::try_run)
-    /// converts the payload into a structured [`RunError`](crate::fault::RunError).
+    /// the cluster, and a peer that returned from the run (so never
+    /// arrives) with a panic naming it;
+    /// [`Cluster::try_run`](crate::cluster::Cluster::try_run) converts
+    /// either into a structured [`RunError`](crate::fault::RunError).
     // The only way out of a barrier whose peers are dead is to unwind; the
     // typed payload keeps the failure attributable.
     fn wait_or_unwind(&self) {
@@ -187,6 +189,10 @@ impl MachineCtx {
                 machine: self.id,
                 context: "at barrier".to_string(),
             }),
+            BarrierWait::Departed(m) => panic!(
+                "machine {}: barrier can never complete: machine {m} returned from the run",
+                self.id
+            ),
         }
     }
 

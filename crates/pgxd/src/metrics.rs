@@ -29,9 +29,8 @@
 //! Every [`Counter`] is a `std::sync::atomic` cell updated `Relaxed`, and
 //! deliberately *not* [`crate::sync`]: these are monotonic statistics
 //! that never gate control flow, so keeping them invisible to loom keeps
-//! the model checker's state space tractable. The `atomics-ordering`
-//! analyze pass audits this file; every `Relaxed` site carries an inline
-//! justification.
+//! the model checker's state space tractable. Every `Relaxed` site says
+//! why it needs no stronger ordering.
 
 use crate::net::NetworkModel;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,22 +46,21 @@ pub struct Counter {
 
 impl Counter {
     /// Adds one.
-    // analyze: allow(atomics-ordering): monotonic statistic, never gates
-    // control flow; readers tolerate staleness by design.
+    // Monotonic statistic, never gates control flow; readers tolerate
+    // staleness by design.
     pub fn inc(&self) {
         self.cell.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n`.
-    // analyze: allow(atomics-ordering): monotonic statistic, never gates
-    // control flow; readers tolerate staleness by design.
+    // Monotonic statistic, never gates control flow; readers tolerate
+    // staleness by design.
     pub fn add(&self, n: u64) {
         self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
-    // analyze: allow(atomics-ordering): statistics read; no
-    // happens-before obligation on the value.
+    // Statistics read; no happens-before obligation on the value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }

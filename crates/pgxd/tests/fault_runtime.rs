@@ -185,14 +185,18 @@ fn killed_machine_yields_structured_error_within_timeout() {
 
 #[test]
 fn hung_barrier_converts_to_step_timeout_error() {
-    // Machine 0 never arrives at the barrier; the configured step timeout
-    // must convert the hang into a structured error, fast.
+    // Machine 0 stalls well past the step timeout and then returns without
+    // arriving at the barrier; the configured step timeout must convert
+    // the stall into a structured error, fast. (Had it returned at once,
+    // its departure would end the barrier first.)
     let plan = FaultPlan::enabled(5).step_timeout(Duration::from_millis(300));
     let cluster = Cluster::new(ClusterConfig::new(3).fault(plan));
     let started = Instant::now();
     let err = cluster
         .try_run(|ctx| {
-            if ctx.id() != 0 {
+            if ctx.id() == 0 {
+                std::thread::sleep(Duration::from_secs(2));
+            } else {
                 ctx.barrier();
             }
             ctx.id()
@@ -206,6 +210,31 @@ fn hung_barrier_converts_to_step_timeout_error() {
         "timeout must fire near the configured bound"
     );
     assert!(err.to_string().contains("step timeout"), "{err}");
+}
+
+#[test]
+fn a_barrier_past_a_returned_machine_ends_the_run() {
+    // Machine 0 enters one more barrier than its peers, with no step
+    // timeout to bound the wait: its peers' return ends the run instead
+    // of a hang, and the error names both machines.
+    let cluster = Cluster::new(ClusterConfig::new(3));
+    let started = Instant::now();
+    let err = cluster
+        .try_run(|ctx| {
+            ctx.barrier();
+            if ctx.id() == 0 {
+                ctx.barrier();
+            }
+        })
+        .expect_err("a barrier its peers never enter cannot complete");
+    assert!(started.elapsed() < Duration::from_secs(1), "{err}");
+    assert_eq!(err.kind, RunErrorKind::MachinePanic);
+    assert_eq!(err.machine, Some(0));
+    assert!(
+        err.message.contains("returned from the run")
+            && (err.message.contains("machine 1") || err.message.contains("machine 2")),
+        "{err}"
+    );
 }
 
 #[test]

@@ -251,14 +251,17 @@ fn kill_mid_exchange_is_a_structured_error_not_a_hang() {
 
 #[test]
 fn hung_step_times_out_under_the_sorter_closure_shape() {
-    // A machine that never reaches the collective converts the barrier
-    // into a StepTimeout within the configured bound.
+    // A machine that stalls past the step timeout before the collective
+    // (and then returns without it) converts the barrier into a
+    // StepTimeout within the configured bound.
     let plan = FaultPlan::enabled(3).step_timeout(Duration::from_millis(250));
     let cluster = Cluster::new(ClusterConfig::new(3).fault(plan));
     let started = Instant::now();
     let err = cluster
         .try_run(|ctx| {
-            if ctx.id() != 0 {
+            if ctx.id() == 0 {
+                std::thread::sleep(Duration::from_secs(2));
+            } else {
                 ctx.barrier();
             }
         })

@@ -1,13 +1,16 @@
 //! Loser-tree k-way merge.
 //!
-//! Used by step 1 to combine the per-worker runs (one comparison per tree
-//! level per emitted element instead of the `log₂ k`-swap churn of a binary
-//! heap), each worker merging one part of the
-//! [`plan_multiway_splits`](crate::merge::plan_multiway_splits) plan. The
-//! master's step 3 does *not* merge its sample runs: the splitters are read
-//! off their k-way co-rank ([`crate::search::multi_co_ranks`]), and the
-//! owned-output [`kway_merge`] is kept as the reference that selection is
-//! tested against.
+//! One comparison per tree level per emitted element instead of the
+//! `log₂ k`-swap churn of a binary heap. The sorter calls none of it: step
+//! 1 combines its per-worker runs with the Fig. 2 tree
+//! ([`balanced_merge_with`](crate::merge::balanced_merge_with)): two of
+//! its levels cost about 4 ns a key at `k = 4`, the loser tree 24. What
+//! still calls it: `exp`'s merge comparison (`kway_merge_into` against
+//! the tree), the benchmark harness's replay of the old step-1 merge (a
+//! part of the [`plan_multiway_splits`](crate::merge::plan_multiway_splits)
+//! plan per worker), and the tests, where the owned-output [`kway_merge`]
+//! is the reference that step 3's rank selection
+//! ([`crate::search::multi_co_ranks`]) is checked against.
 
 /// A tournament loser tree over `k` sorted runs.
 ///

@@ -6,15 +6,15 @@
 //!
 //! - [`quicksort`] — the paper's per-worker local sort: the standard
 //!   library's pattern-defeating quicksort (`sort_unstable`).
-//! - [`merge`] — the **balanced merge handler** of Fig. 2 (§IV step 6): a
-//!   power-of-two pairwise merge tree whose steps each run in parallel,
-//!   merging runs of (almost) equal size at every level to keep caches warm
-//!   and work even, over one branchless two-lane merge kernel with a
-//!   galloping escape; and the planner that cuts a k-way merge into
-//!   independent parts of equal size at exact co-ranks (§IV step 1 merges
-//!   its per-worker runs that way).
-//! - [`kway`] — loser-tree k-way merge: the per-part merge of step 1, and
-//!   the reference the rank selection is tested against.
+//! - [`merge`] — the **balanced merge handler** of Fig. 2 (§IV steps 1 and
+//!   6): a power-of-two pairwise merge tree whose steps each run in
+//!   parallel, merging runs of (almost) equal size at every level to keep
+//!   caches warm and work even, over one branchless two-lane merge kernel
+//!   with a galloping escape. Runs already in order are concatenated and
+//!   equal-key groups copied instead of merged. Also the planner that cuts
+//!   a k-way merge into independent parts of equal size at exact co-ranks.
+//! - [`kway`] — loser-tree k-way merge: what `exp` compares the tree
+//!   against, and the reference the rank selection is tested against.
 //! - [`timsort`] — a from-scratch TimSort (run detection, binary insertion
 //!   ([`insertion`]) bulking to min-run, galloping merges) as used by
 //!   Spark's `sortByKey`; this is the baseline's local sort.

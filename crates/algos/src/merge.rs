@@ -16,9 +16,15 @@
 //! the data and one scratch buffer the caller may already own
 //! ([`balanced_merge_with`]); it never clones its input.
 //!
-//! Step 1's merge of the per-worker runs is planned here too:
+//! The tree merges only runs that overlap: runs already in order are
+//! concatenated and runs of equal keys copied, so a machine pays for the
+//! distinct keys it holds, not for their copies. Step 1 combines its
+//! per-worker runs with this tree, and step 6 the `p` received ones.
+//!
 //! [`plan_multiway_splits`] cuts a k-way merge into parts of equal size at
-//! exact output ranks, one k-way co-rank per boundary.
+//! exact output ranks, one k-way co-rank per boundary. The sorter no
+//! longer calls it: `exp`'s merge comparison and the benchmark harness's
+//! replay of the old step-1 merge do, with `kway_merge_into`.
 
 use crate::exec;
 use crate::search::{co_rank, gallop_left, gallop_right, multi_co_ranks};
@@ -176,6 +182,17 @@ pub fn balanced_merge<T: Ord + Copy + Send + Sync>(
 /// `scratch`: every level merges the runs of one buffer pairwise into the
 /// other, so no level allocates and nothing is copied that is not merged.
 ///
+/// Only runs that overlap are merged. First, at O(runs) cost, every bound
+/// where the keys do not step down is dropped, and every empty run: runs
+/// in order concatenate to their merge, and if one run is left `data`
+/// comes back untouched and `scratch` is not touched either. Otherwise
+/// the runs' equal-key groups are gathered into `scratch`, smallest key
+/// first, each group a prefix of every run in run order, until the groups
+/// average fewer than 64 keys a run (the kernel's gallop trigger); then
+/// the tree runs over the remaining runs and overwrites what the gather
+/// wrote. Random keys give up after one group, at a cost of a compare and
+/// a gallop a run.
+///
 /// `scratch` may come in with any length and contents; it is only
 /// truncated or grown to `data.len()`. On return it holds whichever of the
 /// two allocations the result did not end up in, contents unspecified, so
@@ -215,22 +232,31 @@ pub fn balanced_merge_with<T: Ord + Copy + Send + Sync>(
             bounds[r]
         );
     }
-    if bounds.len() <= 2 {
-        return data; // zero or one run: already sorted
+    // Two runs in order concatenate to their stable merge, and an empty
+    // run merges to nothing: only a bound where the keys step down cuts.
+    let n = data.len();
+    let cuts = |w: &[usize]| w[0] < w[1] && w[1] < n && data[w[1] - 1] > data[w[1]];
+    if !bounds.windows(2).any(cuts) {
+        return data; // one run in order: already sorted
     }
-    let Some(&fill) = data.first() else {
-        return data; // only empty runs
-    };
-    // Every slot is written by the first level before anything reads it;
-    // the fill value only gives a grown tail *some* initialised content.
-    scratch.resize(data.len(), fill);
-    let workers = if data.len() < PARALLEL_MERGE_CUTOFF {
+    let mut cur: Vec<usize> = std::iter::once(0)
+        .chain(bounds.windows(2).filter(|w| cuts(w)).map(|w| w[1]))
+        .chain(std::iter::once(n))
+        .collect();
+    // Every slot is written by the gather or the first level before
+    // anything reads it; the fill value only gives a grown tail *some*
+    // initialised content.
+    scratch.resize(n, data[0]);
+    if gather_groups(&data, &cur, scratch) {
+        std::mem::swap(&mut data, scratch);
+        return data;
+    }
+    let workers = if n < PARALLEL_MERGE_CUTOFF {
         1
     } else {
         workers.max(1)
     };
 
-    let mut cur: Vec<usize> = bounds.to_vec();
     while cur.len() > 2 {
         // Plan this step's merges: pair (2k, 2k+1) of `data` -> run k of
         // `scratch`, each pair with its own output region.
@@ -274,6 +300,38 @@ pub fn balanced_merge_with<T: Ord + Copy + Send + Sync>(
         std::mem::swap(&mut data, scratch);
     }
     data
+}
+
+/// Copies the equal-key groups of the sorted runs `data[bounds[r]..
+/// bounds[r + 1]]` into `out`, smallest key first: a group is the prefix
+/// of every run up to its smallest head `v` (`gallop_right`), in run order,
+/// which keeps the result stable. Returns `true` once every key is copied,
+/// so `out` holds the stable merge, and `false` as soon as the groups
+/// average fewer than [`BLOCK`] keys a run, leaving `out` partly written.
+// One cursor per run, each kept within its run's bounds by the gallop.
+// O(runs) cursors per merge; never per element.
+fn gather_groups<T: Ord + Copy>(data: &[T], bounds: &[usize], out: &mut [T]) -> bool {
+    let runs = bounds.len() - 1;
+    let mut heads = bounds[..runs].to_vec();
+    let (mut copied, mut groups) = (0, 0);
+    while let Some(v) = heads
+        .iter()
+        .zip(&bounds[1..])
+        .filter(|(head, end)| head < end)
+        .map(|(&head, _)| data[head])
+        .min()
+    {
+        if copied < groups * BLOCK * runs {
+            return false;
+        }
+        groups += 1;
+        for (head, &end) in heads.iter_mut().zip(&bounds[1..]) {
+            let len = gallop_right(&v, &data[*head..end]);
+            out[copied..copied + len].copy_from_slice(&data[*head..*head + len]);
+            (copied, *head) = (copied + len, *head + len);
+        }
+    }
+    true
 }
 
 /// Plans a `parts`-way partition of a k-way merge: returns `parts + 1`

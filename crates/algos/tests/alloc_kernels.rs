@@ -1,8 +1,9 @@
 //! The sort kernels never allocate per element: each allocates the same
-//! bytes at `n` and `4n` keys, and the two-run merge and the quicksort
-//! allocate nothing at all. What a kernel may allocate is bookkeeping
-//! sized by its run or part count: the loser tree's nodes, the merge
-//! tree's run bounds, the multiway plan's rows.
+//! bytes at `n` and `4n` keys, and the two-run merge, the quicksort and a
+//! merge of runs already in order allocate nothing at all. What a kernel
+//! may allocate is bookkeeping sized by its run or part count: the loser
+//! tree's nodes, the merge tree's run bounds and group cursors, the
+//! multiway plan's rows.
 //!
 //! This binary installs the tracking allocator globally. The counters are
 //! process-global: all measurements live in one `#[test]`.
@@ -77,13 +78,33 @@ fn kernels(n: usize) -> Vec<(&'static str, usize)> {
     let tree = allocated(|| merged = balanced_merge_with(data, &mut spare, &bounds, 1));
     assert!(merged.is_sorted());
 
+    // Runs in order are one run: nothing merged, and the spare untouched.
+    let ordered: Vec<u64> = (0..n as u64).collect();
+    let mut spare = keys(n / 3);
+    let (len, capacity, contents) = (spare.len(), spare.capacity(), spare.clone());
+    let coalesced = allocated(|| merged = balanced_merge_with(ordered, &mut spare, &bounds, 1));
+    assert!(merged.is_sorted());
+    assert_eq!((spare.len(), spare.capacity()), (len, capacity));
+    assert_eq!(spare, contents);
+
+    // Two keys in every run: two groups gathered, no tree.
+    let two_valued: Vec<u64> = bounds
+        .windows(2)
+        .flat_map(|w| (w[0]..w[1]).map(move |i| u64::from(i >= (w[0] + w[1]) / 2)))
+        .collect();
+    let mut spare = vec![0; n];
+    let gather = allocated(|| merged = balanced_merge_with(two_valued, &mut spare, &bounds, 1));
+    assert!(merged.is_sorted());
+
     vec![
         ("quicksort", quick),
         ("merge_into", two),
         ("merge_into, galloping", gallop),
+        ("balanced_merge_with, runs in order", coalesced),
         ("kway_merge_into", kway),
         ("plan_multiway_splits", splits),
         ("balanced_merge_with", tree),
+        ("balanced_merge_with, equal-key groups", gather),
     ]
 }
 
@@ -99,11 +120,11 @@ fn kernels_allocate_nothing_per_element() {
             4 * N
         );
     }
-    for (kernel, bytes) in &at_n[..3] {
+    for (kernel, bytes) in &at_n[..4] {
         assert_eq!(*bytes, 0, "{kernel} allocates");
     }
     assert!(
-        at_n[3..].iter().all(|&(_, bytes)| bytes > 0),
+        at_n[4..].iter().all(|&(_, bytes)| bytes > 0),
         "the run bookkeeping is measured: {at_n:?}"
     );
 }

@@ -253,3 +253,105 @@ fn merge_into_is_the_reference_stable_merge() {
         assert_eq!(co_rank(&a, &b, r), (from_a[r], r - from_a[r]));
     });
 }
+
+/// The input shapes of [`balanced_merge_with_is_the_reference_stable_merge`],
+/// one per path of the merge: runs that coalesce, groups the gather copies
+/// whole, a gather that gives up and leaves the tree to overwrite it, and
+/// keys the tree merges from the start.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    AllEqual,
+    InOrder,
+    /// `[v1… | v2…]` in every run: each machine's share of two duplicated
+    /// splitter values.
+    TwoValued,
+    /// One group of a key every run holds many of, then distinct keys.
+    BigGroupThenDistinct,
+    Random,
+}
+
+/// Run `r`'s keys, sorted, for `shape`.
+fn shaped_run(g: &mut Gen, shape: Shape, r: usize, len: usize) -> Vec<u64> {
+    let mut keys: Vec<u64> = match shape {
+        Shape::AllEqual => vec![5; len],
+        // Run r spans [1000 r, 1000 (r + 1)]: neighbours may share a key.
+        Shape::InOrder => (0..len)
+            .map(|_| 1000 * r as u64 + g.u64_in(0..1001))
+            .collect(),
+        Shape::TwoValued => {
+            let split = g.usize_in(0..len + 1);
+            (0..len).map(|i| if i < split { 3 } else { 9 }).collect()
+        }
+        Shape::BigGroupThenDistinct => (0..len)
+            .map(|i| {
+                if i < len / 2 {
+                    0
+                } else {
+                    g.u64_in(1..u64::MAX)
+                }
+            })
+            .collect(),
+        Shape::Random => {
+            let modulus = g.select(&[3u64, 1000, u64::MAX]);
+            (0..len).map(|_| g.u64() % modulus).collect()
+        }
+    };
+    keys.sort_unstable();
+    keys
+}
+
+#[test]
+fn balanced_merge_with_is_the_reference_stable_merge() {
+    let shapes = [
+        Shape::AllEqual,
+        Shape::InOrder,
+        Shape::TwoValued,
+        Shape::BigGroupThenDistinct,
+        Shape::Random,
+    ];
+    check(24, |g| {
+        let shape = g.select(&shapes);
+        // Past PARALLEL_MERGE_CUTOFF in all at the top length and k ≥ 5.
+        let max_len = g.select(&[40usize, 400, 4000]);
+        let empty_runs = g.select(&[false, true]);
+        for k in 1..=9 {
+            let mut data = Vec::new();
+            let mut bounds = vec![0];
+            for r in 0..k {
+                // Empty runs at both ends and in the middle.
+                let empty = empty_runs && (r == 0 || r == k - 1 || r == k / 2);
+                let len = if empty { 0 } else { g.usize_in(0..max_len) };
+                data.extend(shaped_run(g, shape, r, len));
+                bounds.push(data.len());
+            }
+            // Tagged with run and position: equal keys are told apart.
+            let data: Vec<Tagged> = bounds
+                .windows(2)
+                .enumerate()
+                .flat_map(|(r, w)| {
+                    let run = &data[w[0]..w[1]];
+                    run.iter().enumerate().map(move |(i, &key)| Tagged {
+                        key,
+                        tag: (r as u8, i as u32),
+                    })
+                })
+                .collect();
+            // A stable sort of the runs back to back is their stable merge.
+            let mut expect = data.clone();
+            expect.sort_by_key(|t| t.key);
+            for workers in [1, 2, 4] {
+                let garbage = Tagged {
+                    key: g.u64(),
+                    tag: (99, 0),
+                };
+                let mut scratch = vec![garbage; g.usize_in(0..2 * data.len() + 2)];
+                let got = balanced_merge_with(data.clone(), &mut scratch, &bounds, workers);
+                assert_eq!(
+                    bits(&got),
+                    bits(&expect),
+                    "{shape:?}, k = {k}, {workers} workers, lengths {bounds:?}"
+                );
+            }
+        }
+    });
+}

@@ -2,8 +2,8 @@
 //!
 //! 1. **local sort** — data divided evenly among the machine's worker
 //!    threads, every worker quicksorts its chunk
-//!    ([`pgxd_algos::quicksort`]), chunks combined with a parallel k-way
-//!    merge, cut into equal parts at exact co-ranks, into a fresh buffer.
+//!    ([`pgxd_algos::quicksort`]), chunks combined by the same balanced
+//!    merge as step 6, ping-ponging with a fresh buffer.
 //! 2. **sampling** — regular samples (the buffer-sized rule is their
 //!    budget, one key in eight their densest) sent to master.
 //! 3. **splitters** — master selects the `p − 1` regular splitters out of
@@ -16,7 +16,8 @@
 //! 6. **final merge** — the `p` per-source sorted runs combined by the
 //!    §IV-A balanced merge handler (Fig. 2,
 //!    [`pgxd_algos::merge::balanced_merge_with`]), ping-ponging between the
-//!    received buffer and the spent buffer step 1 left behind.
+//!    received buffer and the spent buffer step 1 left behind. Runs in
+//!    order are concatenated and equal-key groups copied, not merged.
 //!
 //! The result is globally sorted across machines: machine 0 holds the
 //! smallest keys, machine `p − 1` the largest, every machine's slice
@@ -28,11 +29,9 @@ use crate::item::{tag_with_provenance, Keyed};
 use crate::sampling::{select_regular_samples, select_splitters};
 use pgxd::comm::Tag;
 use pgxd::machine::{MachineCtx, MASTER};
-use pgxd::task::TaskManager;
 use pgxd::Wire;
 use pgxd_algos::exec::{even_chunk_bounds, MIN_ITEMS_PER_WORKER};
-use pgxd_algos::kway::kway_merge_into;
-use pgxd_algos::merge::{balanced_merge_with, plan_multiway_splits, PARALLEL_MERGE_CUTOFF};
+use pgxd_algos::merge::balanced_merge_with;
 use pgxd_algos::quicksort::quicksort;
 use pgxd_algos::Key;
 
@@ -64,17 +63,15 @@ pub mod steps {
 }
 
 /// Step 1 driver: quicksorts `data` in even chunks across the machine's
-/// worker pool and combines the per-worker runs with a parallel k-way
-/// merge cut at exact co-ranks.
+/// worker pool and combines the per-worker runs with the Fig. 2 tree
+/// ([`balanced_merge_with`]), the merge step 6 uses.
 ///
-/// Returns `(sorted, leftover)`. With several chunks `sorted` is a fresh
-/// `Vec` with room for `capacity` elements, so the caller can append to it
-/// without moving it, and `leftover` is the chunk-sorted input it was
-/// merged from: a spent allocation of the same size, which the exchange
-/// receives into. With one chunk the input is sorted in place:
-/// `sorted` is the caller's own allocation and there is no `leftover`.
-// The `data[0]` seed read sits past the one-worker return, so `data` holds at
-// least two workers' minimum chunks.
+/// Returns `(sorted, leftover)`. With several chunks the tree ping-pongs
+/// between the input and a fresh buffer with room for `capacity` elements;
+/// `sorted` is whichever holds the result, and `leftover` the other: a
+/// spent allocation, which the exchange receives into. With one chunk the
+/// input is sorted in place: `sorted` is the caller's own allocation and
+/// there is no `leftover`.
 fn run_local_sort<T: Key>(
     ctx: &MachineCtx,
     mut data: Vec<T>,
@@ -96,53 +93,11 @@ fn run_local_sort<T: Key>(
         tasks.push(Box::new(move || quicksort(chunk)));
     }
     ctx.tasks().run_tasks(tasks);
-    let mut out = Vec::with_capacity(n.max(capacity));
-    out.resize(n, data[0]);
-    ctx.phase_scope("local.merge", || {
-        merge_runs_with_tasks(ctx.tasks(), &data, &bounds, &mut out, workers)
+    let mut spare = Vec::with_capacity(n.max(capacity));
+    let sorted = ctx.phase_scope("local.merge", || {
+        balanced_merge_with(data, &mut spare, &bounds, workers)
     });
-    (out, Some(data))
-}
-
-/// Merges the sorted runs `data[bounds[i]..bounds[i+1]]` into `out`
-/// (same total length) using the machine's task pool: the output is cut
-/// into `workers` ranges of equal length at their k-way co-ranks
-/// ([`plan_multiway_splits`]) and each range is k-way merged
-/// independently. Small inputs fall back to one sequential merge.
-// Run and segment indexing follows plan_multiway_splits rows, which are
-// monotone per run and sum to out.len() by construction.
-fn merge_runs_with_tasks<T: Key>(
-    tasks: &TaskManager,
-    data: &[T],
-    bounds: &[usize],
-    out: &mut [T],
-    workers: usize,
-) {
-    let runs: Vec<&[T]> = bounds.windows(2).map(|w| &data[w[0]..w[1]]).collect();
-    if workers <= 1 || out.len() < PARALLEL_MERGE_CUTOFF {
-        kway_merge_into(&runs, out);
-        return;
-    }
-    let rows = plan_multiway_splits(&runs, workers);
-    let mut boxed: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(workers);
-    let mut rest: &mut [T] = out;
-    for pair in rows.windows(2) {
-        let (lo, hi) = (&pair[0], &pair[1]);
-        let part_len: usize = lo.iter().zip(hi.iter()).map(|(&a, &b)| b - a).sum();
-        let taken = std::mem::take(&mut rest);
-        let (segment, tail) = taken.split_at_mut(part_len);
-        rest = tail;
-        if part_len == 0 {
-            continue;
-        }
-        let part_runs: Vec<&[T]> = runs
-            .iter()
-            .zip(lo.iter().zip(hi.iter()))
-            .map(|(run, (&a, &b))| &run[a..b])
-            .collect();
-        boxed.push(Box::new(move || kway_merge_into(&part_runs, segment)));
-    }
-    tasks.run_tasks(boxed);
+    (sorted, Some(spare))
 }
 
 /// Internal record wrapper ordering *only* by key, so payload types need
@@ -389,9 +344,10 @@ impl DistSorter {
         let input_items: usize = locals.iter().map(Vec::len).sum();
 
         // Step 1: local parallel sort of each batch (chunk → quicksort →
-        // parallel k-way merge into a fresh buffer). The first
-        // batch's buffer, given room for all of them, is the array the
-        // exchange will read; later batches are appended to it.
+        // balanced merge with a fresh buffer). The first batch's result is
+        // the array the exchange will read, and later batches are appended
+        // to it; the first batch's spare is the one the exchange receives
+        // into.
         let (sorted, leftover, batch_bounds) = ctx.step(steps::LOCAL_SORT, move |ctx| {
             let mut locals = locals.into_iter();
             let first = locals.next().unwrap_or_default();

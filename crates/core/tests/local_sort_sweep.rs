@@ -1,5 +1,5 @@
-//! Step 1's chunk → task pool → parallel k-way merge → merged buffer path
-//! and step 6's parallel Fig. 2 tree, at worker and machine counts the
+//! Step 1's chunk → task pool → Fig. 2 tree path and step 6's parallel
+//! Fig. 2 tree, at worker and machine counts the
 //! benchmark does not run: machines × workers × input shape, each against
 //! `sort_unstable` on the concatenated input.
 //!
@@ -11,7 +11,7 @@
 //! The batch leg sends three unequal batches through the same grid in one
 //! `sort_batch`, so every path of the step-1 buffers runs: the first
 //! batch's merged buffer, later batches appended to it, a single-chunk
-//! batch, the exchange receiving into the first batch's spent input, and
+//! batch, the exchange receiving into the first batch's spare, and
 //! the one spare buffer step 6 hands from batch to batch (shrinking and
 //! growing on the way).
 
@@ -114,5 +114,67 @@ fn every_machine_and_worker_count_sorts_a_batch_of_three() {
                 );
             }
         }
+    }
+}
+
+/// `n` keys of the benchmark's `expdup` shape from `seed`: `⌊−2 ln u⌋ · 1000`
+/// for `u` uniform on `(0, 1]`, so a few values hold most keys and several
+/// splitters repeat.
+fn expdup(n: usize, seed: u64) -> Vec<u64> {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let u = ((x >> 11) + 1) as f64 / (1u64 << 53) as f64;
+            (-2.0 * u.ln()).floor() as u64 * 1000
+        })
+        .collect()
+}
+
+/// Runs that coalesce and equal-key groups that step 6 copies rather than
+/// merges: machines that receive one key value, presorted input (every
+/// run of step 1 and step 6 in order) and reverse-sorted input (every
+/// run in the wrong order). The output is the gathered `sort_unstable`,
+/// and the largest machine's share, the `imbalance` count, is pinned to
+/// what the merge tree alone gave.
+#[test]
+fn runs_in_order_and_equal_key_groups_keep_output_and_balance() {
+    let presorted = |machines: usize| -> Vec<Vec<u64>> {
+        (0..machines as u64)
+            .map(|m| (m * SHARD as u64..(m + 1) * SHARD as u64).collect())
+            .collect()
+    };
+    let reversed = |machines: usize| -> Vec<Vec<u64>> {
+        let mut parts = presorted(machines);
+        parts.reverse();
+        parts.iter_mut().for_each(|part| part.reverse());
+        parts
+    };
+    // (input, workers, largest machine's share)
+    let mut cells: Vec<(String, Vec<Vec<u64>>, usize, usize)> = Vec::new();
+    for (machines, largest) in [(4usize, 20_480), (8, 20_493)] {
+        let parts: Vec<Vec<u64>> = (0..machines).map(|m| expdup(SHARD, 1 + m as u64)).collect();
+        for workers in [1, 2] {
+            let name = format!("expdup, {machines} machines");
+            cells.push((name, parts.clone(), workers, largest));
+        }
+    }
+    for workers in [2, 4] {
+        cells.push(("presorted".into(), presorted(4), workers, 20_488));
+        cells.push(("reverse-sorted".into(), reversed(4), workers, 20_488));
+    }
+    for (name, parts, workers, largest) in &cells {
+        let machines = parts.len();
+        let mut expect = parts.concat();
+        expect.sort_unstable();
+        let config = ClusterConfig::new(machines).workers_per_machine(*workers);
+        let sorter = DistSorter::default();
+        let report = Cluster::new(config).run(|ctx| sorter.sort(ctx, parts[ctx.id()].clone()).data);
+        let what = format!("{name}, {workers} workers");
+        assert_eq!(report.results.concat(), expect, "{what}");
+        let shares: Vec<usize> = report.results.iter().map(Vec::len).collect();
+        assert_eq!(shares.iter().max(), Some(largest), "{what}: {shares:?}");
     }
 }

@@ -37,7 +37,11 @@
 //! a header plus the block at its own width; widening costs the block, and
 //! every key already in the frame, at the width of both. A run of equal
 //! keys thus ships as a bare header, and keys past a byte edge pay the
-//! wider width only in their own frame. The encoder is handed a whole
+//! wider width only in their own frame. Once a full block leaves the open
+//! frame one key wide, the encoder sweeps every following whole block of
+//! that key into it with a branch-free equality test a key and no span
+//! fold: the rule's own decision for those blocks, so a run of one key
+//! costs a compare a key. The encoder is handed a whole
 //! range, so it writes each frame once, at its final width. The codec is
 //! written for `u64` alone, not generic over the element type: it compiles
 //! once, here, instead of once in every crate that sorts.
@@ -205,9 +209,41 @@ fn plan_frames(keys: &[u64], capacity: usize, rest_bytes: usize, plan: &mut Vec<
         if head.len < block {
             break;
         }
+        if next.min == next.max {
+            let swept = sweep_equal(keys, next, capacity.saturating_sub(written), rest_bytes);
+            open = Some(Frame {
+                len: next.len + swept,
+                ..next
+            });
+            at += swept;
+        }
     }
     plan.push(open.unwrap_or(Frame::EMPTY));
     at
+}
+
+/// The keys of the whole blocks right after `open`, a frame of one key
+/// `v`, that equal `v` and fit `room` bytes with it, counting `rest_bytes`
+/// a key, and the frame's `u32` length: what the cost rule gives such
+/// blocks one by one (each joins `open` at no cost), without folding each
+/// block's span. A branch-free compare a key.
+// A chunk's first key is taken even past `capacity`, so `room` may not hold
+// a header and `end` may fall short of `at`: then nothing is swept.
+fn sweep_equal(keys: &[u64], open: Frame, room: usize, rest_bytes: usize) -> usize {
+    let (at, v) = (open.start + open.len, open.min);
+    let by_bytes = match rest_bytes {
+        0 => keys.len(),
+        r => room.saturating_sub(PACKED_HEADER_BYTES) / r,
+    };
+    let end = keys
+        .len()
+        .min(by_bytes)
+        .min(at + (u32::MAX as usize - open.len));
+    keys[at..end.max(at)]
+        .chunks_exact(BLOCK)
+        .take_while(|block| block.iter().fold(true, |ok, &k| ok & (k == v)))
+        .count()
+        * BLOCK
 }
 
 /// Appends the frames of `plan` over `keys` to `out`, reserving their
@@ -1028,6 +1064,97 @@ mod tests {
     #[should_panic(expected = "chunk frame 1 reaches key 100 of a rest column of 99")]
     fn a_chunk_whose_rest_column_is_short_panics() {
         unpack_column(&two_frame_chunk(), 99, &mut [0u64; 100]);
+    }
+
+    /// The planner without its equal-run sweep: every block priced by the
+    /// cost rule alone, the oracle the sweep must match frame for frame.
+    fn plan_by_block(keys: &[u64], capacity: usize, rest_bytes: usize) -> (Vec<Frame>, usize) {
+        let (mut plan, mut written, mut open, mut at) = (Vec::new(), 0, None, 0);
+        while at < keys.len() {
+            let block = BLOCK.min(keys.len() - at);
+            let fits = |head: Frame| {
+                let (closed, next) = place(open, head);
+                let rest = (head.start + head.len) * rest_bytes;
+                written + closed.map_or(0, Frame::bytes) + next.bytes() + rest <= capacity
+            };
+            let mut head = Frame::of(keys, at, block);
+            if !fits(head) {
+                let (mut lo, mut hi) = (usize::from(at == 0), block);
+                while hi - lo > 1 {
+                    let mid = (lo + hi) / 2;
+                    if fits(Frame::of(keys, at, mid)) {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                if lo == 0 {
+                    break;
+                }
+                head = Frame::of(keys, at, lo);
+            }
+            let (closed, next) = place(open, head);
+            if let Some(frame) = closed {
+                written += frame.bytes();
+                plan.push(frame);
+            }
+            (open, at) = (Some(next), at + head.len);
+            if head.len < block {
+                break;
+            }
+        }
+        plan.push(open.unwrap_or(Frame::EMPTY));
+        (plan, at)
+    }
+
+    #[test]
+    fn sweeping_runs_of_one_key_plans_the_frames_the_blocks_do() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Runs of one key, whole blocks and not, between distinct keys.
+        let mut mixed: Vec<u64> = (0..50).map(|i| i * 3).collect();
+        for (v, len) in [(200, 5000), (201, 64), (202, 33), (203, 1), (500, 1000)] {
+            mixed.extend(std::iter::repeat_n(v, len));
+            mixed.extend((0..37).map(|i| 1000 + v * 50 + i));
+        }
+        mixed.extend(std::iter::repeat_n(u64::MAX, 700));
+        // The same, shuffled by pieces: runs of one key above and below
+        // their neighbours, and unsorted keys of every width between.
+        let mut unsorted: Vec<u64> = Vec::new();
+        for piece in mixed.chunks(97).rev() {
+            unsorted.extend(piece);
+            unsorted.extend((0..20).map(|_| next() >> (next() % 64)));
+        }
+        let equal = vec![7u64; 3 * 4096 + 5];
+        for (what, keys) in [("mixed", mixed), ("unsorted", unsorted), ("equal", equal)] {
+            for rest_bytes in [0, 24, 32] {
+                let one_key = H + 8 + rest_bytes;
+                let capacities = [1, one_key, one_key + 1, 2 * one_key, 300, 4096, 1 << 18];
+                for capacity in capacities {
+                    let mut plan = Vec::new();
+                    let mut at = 0;
+                    while at < keys.len() {
+                        let taken = plan_frames(&keys[at..], capacity, rest_bytes, &mut plan);
+                        let (expect, expect_taken) =
+                            plan_by_block(&keys[at..], capacity, rest_bytes);
+                        let frames = |plan: &[Frame]| -> Vec<(usize, usize, u64, u64)> {
+                            plan.iter()
+                                .map(|f| (f.start, f.len, f.min, f.max))
+                                .collect()
+                        };
+                        let case = format!("{what}, {capacity} B, rest {rest_bytes} B, key {at}");
+                        assert_eq!(taken, expect_taken, "{case}");
+                        assert_eq!(frames(&plan), frames(&expect), "{case}");
+                        at += taken;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

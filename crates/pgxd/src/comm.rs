@@ -497,6 +497,13 @@ impl CommManager {
         }
     }
 
+    /// Frees the inbox's queue buffer if nothing is waiting in it: an
+    /// exchange calls it when its receive loop ends, so the inbox does not
+    /// keep the peak of its largest burst for the rest of the run.
+    pub(crate) fn release_idle_inbox(&self) {
+        self.inbox.release_if_empty();
+    }
+
     /// Receives a `Vec<T>` with `tag` from any source; returns `(src, data)`.
     pub fn recv_vec<T: Send + 'static>(&mut self, tag: Tag) -> (usize, Vec<T>) {
         let pkt = self.recv_packet(tag);

@@ -122,7 +122,7 @@ impl MachineCtx {
     }
 
     /// Times `f` as a [`EventKind::SortPhase`] span under `name` on the
-    /// mainline lane — a sub-step phase (the step-1 or step-6 k-way merge)
+    /// mainline lane — a sub-step phase (the step-1 merge of the worker runs)
     /// nested inside a [`Self::step`] Gantt row. Free when tracing is off.
     pub fn phase_scope<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let Some(t) = &self.trace else { return f() };
@@ -528,6 +528,7 @@ impl MachineCtx {
                     t.instant(LANE_MAIN, EventKind::ChunkPlace, slot as u64, bytes as u64);
                 }
             }
+            comm.release_idle_inbox();
             // Debug builds: prove the self-copy and the arrived chunks
             // tiled [0, total) exactly once (§IV-C disjoint placement).
             ledger.finish();

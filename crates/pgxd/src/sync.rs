@@ -377,6 +377,15 @@ impl<T> Receiver<T> {
             state = self.queue.ready.wait_for(state, left).0;
         }
     }
+
+    /// Frees the queue's buffer if it holds nothing, so a queue keeps no
+    /// memory of its largest burst between bursts.
+    pub fn release_if_empty(&self) {
+        let mut state = self.queue.inner.lock();
+        if state.values.is_empty() {
+            state.values = VecDeque::new();
+        }
+    }
 }
 
 impl<T> Drop for Receiver<T> {

@@ -146,9 +146,9 @@ fn exchange_allocates_its_output_and_what_it_ships() {
     );
     flat("8 KiB buffers", &at_8k);
 
-    // 2 KiB buffers: four times the chunks. Its inboxes keep reaching new
-    // high-water marks for longer (a doubling read 12 KiB), so what it
-    // leaves live is not bounded here; a leak shows at 8 KiB too.
+    // 2 KiB buffers: four times the chunks. An exchange frees its idle
+    // inbox's queue buffer, so this row leaves no more live than the
+    // 8 KiB one (an inbox that kept its peak read up to 18 KiB here).
     let at_2k = measure(2 * 1024, scattered);
     assert!(
         at_2k.chunks > 3 * at_8k.chunks,
@@ -160,6 +160,7 @@ fn exchange_allocates_its_output_and_what_it_ships() {
          (bound {} B)",
         bound(&at_2k)
     );
+    flat("2 KiB buffers", &at_2k);
     // Four times the chunks leave allocation within 10 % (it read +3 %):
     // it follows the bytes, not the chunk count.
     assert!(

@@ -2,10 +2,9 @@
 //! typed: a [`RunReport`] on success, a [`RunError`] carrying the same
 //! `comm`, `per_dst_bytes` and `steps` when a machine fails.
 
-use crate::checker;
 use crate::comm::CommManager;
 use crate::fault::{
-    ClusterBarrier, FaultInjector, FaultPlan, InjectedFailure, RunError, RunErrorKind,
+    self, ClusterBarrier, FaultInjector, FaultPlan, InjectedFailure, RunError, RunErrorKind,
 };
 use crate::machine::MachineCtx;
 use crate::metrics::{CommStats, CommSummary, StepReport};
@@ -191,9 +190,9 @@ impl Cluster {
     /// instead of panicking. The first failing machine (in machine order,
     /// skipping sympathetic peer aborts) is reported as primary. The error
     /// carries the run's flight record: what moved before the abort, the
-    /// steps every machine completed, and the protocol checker's leftover
-    /// ledger state ([`RunError::residual`]), so tests can assert what a
-    /// dead machine stranded.
+    /// steps every machine completed, and the packets still in flight
+    /// ([`RunError::residual`]), so tests can assert what a dead machine
+    /// stranded.
     // The error is the run's whole post-mortem and is built once per failed
     // run; boxing it would change the signature the benchmark and every
     // caller pin.
@@ -237,7 +236,6 @@ impl Cluster {
             injector.clone(),
             collector.as_ref(),
         );
-        let fabric_checker = comms[0].checker().clone();
         let start = Instant::now();
 
         let mut results: Vec<Option<R>> = (0..p).map(|_| None).collect();
@@ -271,11 +269,9 @@ impl Cluster {
                         } else {
                             // First failure wins the race to abort: every
                             // peer blocked at a barrier or a receive
-                            // unwinds promptly, and the quiescence checks
-                            // stand down (an aborted run legitimately
-                            // strands packets and chunk custody). This runs
-                            // before `ctx` drops this machine's inbox, so a
-                            // peer mid-send here unwinds as `PeerAborted`
+                            // unwinds promptly. This runs before `ctx`
+                            // drops this machine's inbox, so a peer
+                            // mid-send here unwinds as `PeerAborted`
                             // instead of failing on the closed link.
                             barrier.abort();
                         }
@@ -322,7 +318,7 @@ impl Cluster {
                 machine: Some(primary.machine),
                 message,
                 peer_aborts,
-                residual: checker::ENABLED.then(|| fabric_checker.residual()),
+                residual: barrier.residual(),
                 comm: stats.summary(),
                 per_dst_bytes: stats.per_dst_snapshot(),
                 steps,
@@ -334,11 +330,13 @@ impl Cluster {
         }
 
         // Every machine has exited and dropped its context: any packet
-        // still unconsumed is a protocol bug the run masked. No-op in release builds without
-        // the `checker` feature.
-        if checker::ENABLED {
-            fabric_checker.check_quiescent("fabric teardown", None);
-        }
+        // still unconsumed is a protocol bug the run masked.
+        let undelivered = barrier.undelivered();
+        assert!(
+            undelivered.is_empty(),
+            "undelivered packet(s) at fabric teardown: {}",
+            fault::describe_undelivered(&undelivered)
+        );
 
         Ok(RunReport {
             results: results

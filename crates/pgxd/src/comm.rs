@@ -19,7 +19,6 @@
 //! machines run ahead; a per-machine mailbox holds early arrivals.
 
 use crate::buffer;
-use crate::checker::ProtocolChecker;
 use crate::fault::{ClusterBarrier, FaultInjector, InjectedFailure};
 use crate::metrics::SharedCommStats;
 use crate::sync::{Receiver, Sender};
@@ -98,16 +97,14 @@ pub struct CommSender {
     id: usize,
     links: Vec<Sender<Packet>>,
     stats: SharedCommStats,
-    /// Fabric-wide protocol-checker ledger (hooks are no-ops in release
-    /// builds without the `checker` feature).
-    checker: Arc<ProtocolChecker>,
     /// This machine's trace sink; `None` (one branch per send) when the
     /// run is untraced.
     trace: Option<Arc<MachineTrace>>,
     /// The run's fault plane; `None` (one branch per send) when no
     /// [`FaultPlan`](crate::fault::FaultPlan) is armed.
     fault: Option<Arc<FaultInjector>>,
-    /// The run's control plane: its one abort flag and step deadline.
+    /// The run's control plane: its one abort flag, its step deadline and
+    /// the fabric's in-flight count per inbox.
     control: Arc<ClusterBarrier>,
 }
 
@@ -279,23 +276,31 @@ impl CommSender {
         if self.control.is_aborted() {
             return;
         }
-        if dst != self.id {
-            self.stats.record_packet(wire_bytes, dst);
-        }
-        self.checker.packet_sent(self.id, dst, tag);
+        // Counted in before it is queued, so its receiver never counts it
+        // out first.
+        self.control.packet_sent(dst);
         let sent = self.links[dst].send(Packet {
             src: self.id,
             tag,
             wire_bytes,
             payload,
         });
-        if sent.is_err() && !self.control.is_aborted() {
-            // A send error with no abort in flight is a protocol bug (a
-            // machine returned while peers still address it), not a fault
-            // injection: keep the loud crash. When the abort flag is up the
-            // receiver's teardown is expected; the caller unwinds via its
-            // next controlled receive or barrier wait instead.
-            panic!("fabric receiver dropped — machine exited early");
+        if sent.is_err() {
+            self.control.packet_taken(dst);
+            if !self.control.is_aborted() {
+                // A send error with no abort in flight is a protocol bug (a
+                // machine returned while peers still address it), not a
+                // fault injection: keep the loud crash. When the abort flag
+                // is up the receiver's teardown is expected; the caller
+                // unwinds via its next controlled receive or barrier wait
+                // instead.
+                panic!("fabric receiver dropped — machine exited early");
+            }
+            return;
+        }
+        // Charged once it is in the fabric.
+        if dst != self.id {
+            self.stats.record_packet(wire_bytes, dst);
         }
     }
 }
@@ -328,10 +333,9 @@ impl CommManager {
     }
 
     /// [`CommManager::fabric`] for a cluster run: the run's control plane
-    /// on every sender and on the protocol checker, the run's fault plane
-    /// on every sender (`None` for a fault-free fabric) and, on a traced
-    /// run, each machine's trace sink on its sender and every sink on the
-    /// protocol checker.
+    /// and its fault plane (`None` for a fault-free fabric) on every
+    /// sender and, on a traced run, each machine's trace sink on its
+    /// sender.
     pub(crate) fn fabric_with(
         p: usize,
         stats: SharedCommStats,
@@ -339,10 +343,6 @@ impl CommManager {
         fault: Option<Arc<FaultInjector>>,
         trace: Option<&TraceCollector>,
     ) -> Vec<CommManager> {
-        let sinks: Vec<Arc<MachineTrace>> =
-            trace.map_or_else(Vec::new, |c| (0..p).map(|m| c.machine(m)).collect());
-        let checker = ProtocolChecker::with_control(p, sinks.clone(), control.clone());
-        let checker = Arc::new(checker);
         let mut txs = Vec::with_capacity(p);
         let mut rxs = Vec::with_capacity(p);
         for _ in 0..p {
@@ -357,8 +357,7 @@ impl CommManager {
                     id,
                     links: txs.clone(),
                     stats: stats.clone(),
-                    checker: checker.clone(),
-                    trace: sinks.get(id).cloned(),
+                    trace: trace.map(|c| c.machine(id)),
                     fault: fault.clone(),
                     control: control.clone(),
                 },
@@ -367,11 +366,6 @@ impl CommManager {
                 recv_seq: 0,
             })
             .collect()
-    }
-
-    /// The fabric-wide protocol checker shared by every machine's manager.
-    pub fn checker(&self) -> &Arc<ProtocolChecker> {
-        &self.sender.checker
     }
 
     /// This machine's trace sink, if the run is traced.
@@ -394,12 +388,10 @@ impl CommManager {
         self.sender.fault.as_ref()
     }
 
-    /// Records a packet being handed to its consumer (checker bookkeeping;
-    /// a no-op unless the checker is compiled in).
-    fn note_delivered(&self, pkt: &Packet) {
-        self.sender
-            .checker
-            .packet_delivered(pkt.src, self.sender.id, pkt.tag);
+    /// Counts a packet out of this machine's inbox as it is handed to its
+    /// consumer.
+    fn note_delivered(&self) {
+        self.sender.control.packet_taken(self.sender.id);
     }
 
     /// This machine's id.
@@ -446,7 +438,9 @@ impl CommManager {
 
     /// Receives the next packet with `tag` from any source, blocking.
     /// Polls in short slices so a peer's failure (the run's abort flag)
-    /// unwinds this machine promptly, and bounds the whole wait by the
+    /// unwinds this machine promptly — once the run is aborted no receive
+    /// takes a packet, even one parked in the mailbox, so what the failure
+    /// stranded stays counted — and bounds the whole wait by the
     /// plan's `step_timeout` (two minutes, the protocol-bug guard, when
     /// the plan sets none). A timeout aborts the whole run and panics with
     /// a typed `InjectedFailure::Timeout` payload naming the tag waited
@@ -458,8 +452,11 @@ impl CommManager {
             // Mainline fault point: the plan's kill fires here.
             f.fault_point(self.sender.id);
         }
+        if self.sender.control.is_aborted() {
+            std::panic::panic_any(InjectedFailure::PeerAborted);
+        }
         if let Some(pkt) = self.take_parked(tag) {
-            self.note_delivered(&pkt);
+            self.note_delivered();
             return pkt;
         }
         let ctrl = &self.sender.control;
@@ -472,17 +469,15 @@ impl CommManager {
             }
             match self.inbox.recv_timeout(slice) {
                 Some(pkt) if pkt.tag == tag => {
-                    self.note_delivered(&pkt);
+                    self.note_delivered();
                     return pkt;
                 }
                 Some(pkt) => self.mailbox.entry(pkt.tag).or_default().push_back(pkt),
                 None if Instant::now() >= deadline => {
                     // This machine is starved past the step budget: a peer
                     // died or stalled, or the SPMD protocol is broken.
-                    // Abort the run (waking every barrier waiter and
-                    // standing the quiescence checks down, since an aborted
-                    // run legitimately strands custody) and unwind with a
-                    // typed payload.
+                    // Abort the run (waking every barrier waiter) and
+                    // unwind with a typed payload.
                     ctrl.abort();
                     std::panic::panic_any(InjectedFailure::Timeout {
                         machine: self.sender.id,

@@ -36,7 +36,7 @@
 //! exactly from its seed. Sites whose event index depends on OS
 //! scheduling (worker pickup order, the victim's Nth receive) still draw
 //! the same decision *sequence* from the seed; the verdicts the chaos
-//! harness asserts (sorted output, checker quiescence, structured errors)
+//! harness asserts (sorted output, fabric quiescence, structured errors)
 //! are schedule-independent by design.
 //!
 //! # Timeout semantics
@@ -56,7 +56,6 @@
 //! that a machine which has returned from the run would have to complete
 //! ends at once either way (`ClusterBarrier::depart`).
 
-use crate::checker::ResidualReport;
 use crate::comm::Tag;
 use crate::metrics::{CommSummary, StepReport};
 use crate::net::NetworkModel;
@@ -66,8 +65,9 @@ use std::collections::HashMap;
 // Monotonic counters only (never gate control flow): plain std atomics,
 // same policy as `metrics` (see `sync` module docs). The abort flag *is*
 // control flow but is intentionally racy-read (a late observer just
-// unwinds one poll later).
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+// unwinds one poll later), and the in-flight counts are read only where a
+// lock or a join orders every update before the read.
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A deterministic fault-injection plan. All probabilities are in
@@ -329,7 +329,7 @@ pub enum RunErrorKind {
 
 /// A structured run failure: what failed, where, and the run's flight
 /// record — what moved before the abort, the steps every machine
-/// completed, and what the protocol checker's ledger still held when the
+/// completed, and how many packets the fabric still held when the
 /// surviving machines tore down.
 #[derive(Debug, Clone)]
 pub struct RunError {
@@ -342,11 +342,11 @@ pub struct RunError {
     pub message: String,
     /// Peers that unwound in sympathy after the primary failure.
     pub peer_aborts: usize,
-    /// Checker-ledger debris at teardown (in-flight packets / chunk
-    /// custody the dead machine stranded). `None` in builds without the
-    /// checker. A failed run legitimately strands state; the surviving
-    /// teardown path reports it here instead of panicking.
-    pub residual: Option<ResidualReport>,
+    /// Packets sent but never consumed, summed over every machine's
+    /// inbox and mailbox at teardown: what the failure stranded. A failed
+    /// run legitimately strands packets; a clean one that did would panic
+    /// instead.
+    pub residual: usize,
     /// Communication totals up to the abort, as on
     /// [`RunReport::comm`](crate::cluster::RunReport::comm).
     pub comm: CommSummary,
@@ -380,7 +380,7 @@ impl std::fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Outcome of one [`ClusterBarrier::wait`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum BarrierWait {
     /// Everyone arrived; proceed.
     Released,
@@ -392,6 +392,18 @@ pub(crate) enum BarrierWait {
     /// The named machine returned from the run: this generation can
     /// never complete.
     Departed(usize),
+    /// Everyone arrived, but packets were still in flight: each machine
+    /// whose inbox or mailbox held any, with how many.
+    Undelivered(Vec<(usize, usize)>),
+}
+
+/// `(machine, packets)` pairs as a diagnostic: "2 in machine 1's inbox or
+/// mailbox, …".
+pub(crate) fn describe_undelivered(held: &[(usize, usize)]) -> String {
+    let each: Vec<String> = (held.iter())
+        .map(|(m, n)| format!("{n} in machine {m}'s inbox or mailbox"))
+        .collect();
+    each.join(", ")
 }
 
 struct BarrierGen {
@@ -400,13 +412,23 @@ struct BarrierGen {
     /// The first machine whose closure returned; see
     /// [`ClusterBarrier::depart`].
     departed: Option<usize>,
+    /// The last released generation's verdict: what
+    /// [`ClusterBarrier::undelivered`] read while every machine was
+    /// parked, empty when the fabric was quiescent.
+    undelivered: Vec<(usize, usize)>,
 }
 
 /// The run's control plane: an abortable, optionally timeout-bounded
-/// barrier that owns the run's one abort flag and its step deadline.
-/// Every fabric is built around one ([`CommManager::fabric_with`]): the
-/// senders, the receive loop and the protocol checker read the flag and
-/// the deadline here, so a dead machine can never wedge the survivors.
+/// barrier that owns the run's one abort flag, its step deadline and its
+/// in-flight count per inbox. Every fabric is built around one
+/// ([`CommManager::fabric_with`]): the senders and the receive loop read
+/// the flag and the deadline here, so a dead machine can never wedge the
+/// survivors, and count each packet in when it enters an inbox and out
+/// when its receiver consumes it, so a packet parked in a mailbox still
+/// counts. The last machine to arrive at a barrier reads the counts while
+/// every machine is parked in it, when no packet can move: a barrier is
+/// the one point where every packet sent must have been consumed, and
+/// every waiter of that generation unwinds alike on the verdict.
 /// Aborting wakes every waiter, and (with the plan's `step_timeout`) a
 /// barrier nobody completes converts into a structured failure instead
 /// of a hang. So does a barrier that a machine which has already returned
@@ -420,6 +442,8 @@ pub(crate) struct ClusterBarrier {
     n: usize,
     timeout: Option<Duration>,
     aborted: AtomicBool,
+    /// Packets each machine's inbox or mailbox holds, by machine.
+    in_flight: Vec<AtomicUsize>,
     state: Mutex<BarrierGen>,
     cv: Condvar,
 }
@@ -430,17 +454,59 @@ impl ClusterBarrier {
             n,
             timeout,
             aborted: AtomicBool::new(false),
+            in_flight: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             state: Mutex::new(BarrierGen {
                 arrived: 0,
                 generation: 0,
                 departed: None,
+                undelivered: Vec::new(),
             }),
             cv: Condvar::new(),
         }
     }
 
+    // `Relaxed` suffices for the counts: a packet is counted in before its
+    // sender's queue lock publishes it, and counted out after its
+    // receiver's queue lock took it, so a count never goes below zero; and
+    // every read happens under the barrier's lock with every machine
+    // parked, or after the machines are joined.
+
+    /// Counts a packet entering `dst`'s inbox, before it is queued.
+    pub(crate) fn packet_sent(&self, dst: usize) {
+        self.in_flight[dst].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a packet out of `dst`'s inbox: consumed by its receiver, or
+    /// refused by a queue whose receiver is gone.
+    pub(crate) fn packet_taken(&self, dst: usize) {
+        self.in_flight[dst].fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Each machine whose inbox or mailbox holds packets, with how many.
+    pub(crate) fn undelivered(&self) -> Vec<(usize, usize)> {
+        (self.in_flight.iter().enumerate())
+            .map(|(m, n)| (m, n.load(Ordering::Relaxed)))
+            .filter(|&(_, n)| n > 0)
+            .collect()
+    }
+
+    /// Packets sent but not consumed, over the whole fabric.
+    pub(crate) fn residual(&self) -> usize {
+        self.undelivered().iter().map(|&(_, n)| n).sum()
+    }
+
+    /// A released generation's outcome, from its verdict.
+    fn released(g: &BarrierGen) -> BarrierWait {
+        if g.undelivered.is_empty() {
+            BarrierWait::Released
+        } else {
+            BarrierWait::Undelivered(g.undelivered.clone())
+        }
+    }
+
     /// Waits for all `n` machines (or an abort, the timeout, or a
-    /// machine's departure).
+    /// machine's departure), then reports whether any packet was in
+    /// flight when the last of them arrived.
     pub(crate) fn wait(&self) -> BarrierWait {
         let mut g = self.state.lock();
         if self.aborted.load(Ordering::Acquire) {
@@ -453,8 +519,11 @@ impl ClusterBarrier {
         if g.arrived == self.n {
             g.arrived = 0;
             g.generation = g.generation.wrapping_add(1);
+            // Every machine is parked here, so no packet moves while this
+            // reads the counts. A quiescent fabric allocates nothing.
+            g.undelivered = self.undelivered();
             self.cv.notify_all();
-            return BarrierWait::Released;
+            return Self::released(&g);
         }
         let gen = g.generation;
         // Wall clock only arms the abort timeout; it never orders replayed
@@ -465,7 +534,9 @@ impl ClusterBarrier {
                 return BarrierWait::Aborted;
             }
             if g.generation != gen {
-                return BarrierWait::Released;
+                // No later generation can have released: it needs this
+                // machine too.
+                return Self::released(&g);
             }
             if let Some(m) = g.departed {
                 return BarrierWait::Departed(m);
@@ -896,6 +967,25 @@ mod tests {
     }
 
     #[test]
+    fn every_waiter_reads_the_verdict_on_packets_in_flight() {
+        let b = Arc::new(ClusterBarrier::new(2, None));
+        b.packet_sent(1);
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a test waiter on the barrier, joined by the test"
+        )]
+        let waiter = {
+            let b = b.clone();
+            crate::sync::thread::spawn(move || b.wait())
+        };
+        // Whichever arrives last reads the counts; the other, its verdict.
+        let held = BarrierWait::Undelivered(vec![(1, 1)]);
+        assert_eq!(b.wait(), held);
+        assert_eq!(waiter.join().unwrap(), held);
+        assert_eq!(b.residual(), 1);
+    }
+
+    #[test]
     fn barrier_times_out_and_aborts_the_run() {
         let b = ClusterBarrier::new(2, Some(Duration::from_millis(30)));
         let start = Instant::now();
@@ -928,7 +1018,7 @@ mod tests {
             machine: Some(2),
             message: "fault plan killed machine 2".into(),
             peer_aborts: 3,
-            residual: None,
+            residual: 0,
             comm: CommSummary::default(),
             per_dst_bytes: vec![0; 4],
             steps: StepReport::default(),

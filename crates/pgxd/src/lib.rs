@@ -51,14 +51,17 @@
 //!   `loom_exchange` test model-checks the overlapped exchange across
 //!   every interleaving. In debug builds its mutex checks that a thread
 //!   holds one guard at a time and blocks under none.
-//! - [`checker`] — a debug-mode protocol checker keeps a per-fabric ledger
-//!   of sends and receives; barriers and fabric teardown turn undelivered
-//!   packets and overlapping §IV-C write-offset ranges into deterministic
-//!   panics. A chunk is a plain pair of `Vec`s moved from sender to
-//!   receiver, so rustc's move check is its custody rule.
-//! - [`trace`] — an opt-in structured event layer: lock-free per-machine
-//!   ring buffers of timestamped spans/instants at every runtime edge
-//!   (steps, barriers, tasks, chunk traffic, checker verdicts),
+//! - Two protocol checks that hold in every build. *Quiescence*: the
+//!   fabric counts the packets in flight to each inbox, and every
+//!   [`barrier`](machine::MachineCtx::barrier) and the cluster's teardown
+//!   panic, naming each machine whose inbox or mailbox still holds
+//!   packets. *Tiling*: before an exchange hands its output back, its
+//!   receive loop proves that the self-copies and placed chunks cover the
+//!   output exactly once (§IV-C). A chunk is a plain pair of `Vec`s moved
+//!   from sender to receiver, so rustc's move check is its custody rule.
+//! - [`trace`] — an opt-in structured event layer: one sink per machine
+//!   of timestamped spans/instants at every runtime edge
+//!   (steps, barriers, tasks, chunk traffic),
 //!   merged on a unified clock and exported as Chrome `trace_event` JSON
 //!   (Perfetto / `chrome://tracing`) plus derived views. Off by default;
 //!   disabled runs pay ~one branch per event site.
@@ -92,7 +95,6 @@
 //! ```
 
 pub mod buffer;
-pub mod checker;
 pub mod cluster;
 pub mod comm;
 pub mod fault;
@@ -107,7 +109,6 @@ pub mod task;
 pub mod trace;
 pub mod wire;
 
-pub use checker::ResidualReport;
 pub use cluster::{Cluster, ClusterConfig, RunReport};
 pub use fault::{FaultPlan, RunError, RunErrorKind};
 pub use machine::MachineCtx;

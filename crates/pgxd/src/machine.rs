@@ -7,9 +7,8 @@
 //! number enforces packet matching across consecutive collectives).
 
 use crate::buffer::{self, RequestBuffer};
-use crate::checker;
 use crate::comm::{kinds, CommManager, Opened, Tag};
-use crate::fault::{BarrierWait, FaultInjector, InjectedFailure};
+use crate::fault::{self, BarrierWait, FaultInjector, InjectedFailure};
 use crate::metrics::{CommSummary, SharedCommStats, StepTimer};
 use crate::task::{self, TaskManager};
 use crate::trace::{EventKind, MachineTrace, LANE_MAIN};
@@ -144,45 +143,28 @@ impl MachineCtx {
         self.stats.summary()
     }
 
-    /// Synchronizes all machines.
+    /// Synchronizes all machines, and checks that the fabric is
+    /// quiescent: a barrier is the one point where every packet sent must
+    /// have been consumed, so a packet still in an inbox or mailbox here
+    /// is a protocol bug. The last machine to arrive reads the fabric's
+    /// in-flight counts while every other one is parked, and every machine
+    /// unwinds alike on the verdict, which names each machine holding
+    /// packets.
     ///
-    /// In debug builds (or with the `checker` feature) the barrier also
-    /// verifies the fabric is quiescent: a barrier is the one point where
-    /// every packet sent must have been consumed, so an undelivered packet
-    /// here is a protocol bug. The check runs between two waits — after
-    /// the first, every machine is parked inside this function, so the
-    /// ledger cannot change under the scan; the verdict is computed from
-    /// shared state, so all machines agree (a failure panics everywhere at
-    /// once instead of deadlocking the survivors).
+    /// A peer's failure (or this machine's own step timeout) unwinds with
+    /// a typed payload instead of deadlocking the cluster, and a peer that
+    /// returned from the run (so never arrives) with a panic naming it;
+    /// [`Cluster::try_run`](crate::cluster::Cluster::try_run) converts
+    /// each into a structured [`RunError`](crate::fault::RunError).
+    // The only way out of a barrier whose peers are dead is to unwind; the
+    // typed payload keeps the failure attributable.
     pub fn barrier(&self) {
         // The span covers enter → leave; collect numbers it by its order
         // on this machine, which SPMD ordering makes comparable across
         // machines (barrier wait skew in the trace's derived views).
         let t0 = self.trace.as_ref().map(|t| t.now_ns());
-        self.wait_or_unwind();
-        if checker::ENABLED {
-            self.comm
-                .checker()
-                .check_quiescent("barrier", Some(self.id));
-            self.wait_or_unwind();
-        }
-        if let (Some(t), Some(t0)) = (&self.trace, t0) {
-            t.span_since(LANE_MAIN, EventKind::Barrier, t0, 0, 0);
-        }
-    }
-
-    /// One abortable barrier wait. A peer's failure (or this machine's own
-    /// step timeout) unwinds with a typed payload instead of deadlocking
-    /// the cluster, and a peer that returned from the run (so never
-    /// arrives) with a panic naming it;
-    /// [`Cluster::try_run`](crate::cluster::Cluster::try_run) converts
-    /// either into a structured [`RunError`](crate::fault::RunError).
-    // The only way out of a barrier whose peers are dead is to unwind; the
-    // typed payload keeps the failure attributable.
-    fn wait_or_unwind(&self) {
         // The run's control plane, which the fabric was built around.
-        let barrier = self.comm.control();
-        match barrier.wait() {
+        match self.comm.control().wait() {
             BarrierWait::Released => {}
             BarrierWait::Aborted => std::panic::panic_any(InjectedFailure::PeerAborted),
             BarrierWait::TimedOut => std::panic::panic_any(InjectedFailure::Timeout {
@@ -193,6 +175,14 @@ impl MachineCtx {
                 "machine {}: barrier can never complete: machine {m} returned from the run",
                 self.id
             ),
+            BarrierWait::Undelivered(held) => panic!(
+                "machine {}: undelivered packet(s) at barrier: {}",
+                self.id,
+                fault::describe_undelivered(&held)
+            ),
+        }
+        if let (Some(t), Some(t0)) = (&self.trace, t0) {
+            t.span_since(LANE_MAIN, EventKind::Barrier, t0, 0, 0);
         }
     }
 
@@ -375,9 +365,9 @@ impl MachineCtx {
     /// [`MachineCtx::exchange`] into `spent`'s allocation: a buffer the
     /// caller no longer needs, whose contents are discarded, grown if what
     /// arrives outnumbers its capacity.
-    // Offset arithmetic is verified against the openers' counts (and the
-    // debug checker's offset tiling); bounds checks panicking here catch
-    // corruption rather than writing stray bytes.
+    // Offset arithmetic is verified against the openers' counts and the
+    // placements' tiling; bounds checks panicking here catch corruption
+    // rather than writing stray bytes.
     pub fn exchange_into<W: Wire>(
         &mut self,
         data: &[W],
@@ -460,14 +450,13 @@ impl MachineCtx {
             let total = bounds[ranges];
             // Every slot is written exactly once below (self-copies and
             // per-source chunks tile [0, total) by construction of the
-            // layout), asserted by the placement accounting before
-            // `set_len` (and verified span-by-span by the protocol
-            // checker's offset ledger in debug builds).
+            // layout), which `assert_tiling` proves from the `(slot, len)`
+            // span of each before `set_len`.
             let mut assembled = spent;
             assembled.clear();
             assembled.reserve_exact(total);
             let out = &mut assembled.spare_capacity_mut()[..total];
-            let mut ledger = comm.checker().offset_ledger(id, data_tag, total);
+            let mut spans = Vec::new();
 
             // Self parts: one memcpy per batch straight into place, no
             // fabric involved.
@@ -479,7 +468,7 @@ impl MachineCtx {
                 stats
                     .exchange
                     .record_bytes_placed(std::mem::size_of_val(self_slice));
-                ledger.record(base, self_slice.len());
+                spans.push((base, self_slice.len()));
                 if let Some(t) = trace {
                     let bytes = std::mem::size_of_val(self_slice) as u64;
                     t.instant(LANE_MAIN, EventKind::ChunkPlace, base as u64, bytes);
@@ -514,7 +503,7 @@ impl MachineCtx {
                     &mut images,
                     Sealed,
                 );
-                ledger.record(slot, len);
+                spans.push((slot, len));
                 remote_received += len;
                 let bytes = len * std::mem::size_of::<W>();
                 stats.exchange.record_bytes_placed(bytes);
@@ -529,9 +518,7 @@ impl MachineCtx {
                 }
             }
             comm.release_idle_inbox();
-            // Debug builds: prove the self-copy and the arrived chunks
-            // tiled [0, total) exactly once (§IV-C disjoint placement).
-            ledger.finish();
+            assert_tiling(&mut spans, total, id);
             if let (Some(t), Some(t0)) = (trace, loop_start) {
                 t.span_since(
                     LANE_MAIN,
@@ -541,15 +528,11 @@ impl MachineCtx {
                     0,
                 );
             }
-            assert_eq!(
-                self_len + remote_received,
-                total,
-                "exchange did not fill the output buffer"
-            );
             // SAFETY: `total` is within the capacity, and every one of the
-            // `total` slots was written (the assert above: the self-copies
-            // and the placed chunks tile the output, and a chunk's decode
-            // writes each slot it counts).
+            // `total` slots was written: `assert_tiling` proved that the
+            // self-copies and the placed chunks cover each slot exactly
+            // once, and a copy or a chunk's decode writes each slot it
+            // covers.
             unsafe { assembled.set_len(total) };
             (assembled, bounds)
         };
@@ -622,6 +605,34 @@ fn layout<R>(openers: &[Option<Opened<R>>], own: &[usize], id: usize) -> Vec<usi
         }
     }
     bounds
+}
+
+/// Panics unless the `(slot, len)` spans machine `id` placed tile its
+/// output `[0, total)` exactly once (§IV-C: the precomputed write offsets
+/// are disjoint and complete): sorted, each starts where the one before it
+/// ends, and the last ends at `total`. An exchange places tens to hundreds
+/// of spans, so the sort costs nothing measurable.
+fn assert_tiling(spans: &mut [(usize, usize)], total: usize, id: usize) {
+    spans.sort_unstable();
+    let mut end = 0;
+    for &(slot, len) in spans.iter().filter(|&&(_, len)| len > 0) {
+        assert!(
+            slot == end,
+            "machine {id}: exchange placement [{slot}, {}) {} the placements before it, \
+             which end at {end}",
+            slot + len,
+            if slot < end {
+                "overlaps"
+            } else {
+                "leaves a gap after"
+            }
+        );
+        end += len;
+    }
+    assert!(
+        end == total,
+        "machine {id}: exchange placements end at {end}, not at its output's {total}"
+    );
 }
 
 /// The output slot of the `len` elements at `offset` in `src`'s stream,

@@ -88,12 +88,13 @@ impl<T> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Mutual exclusion for the checker ledger, the trace sinks and the fabric
-/// queues: `std::sync::Mutex` in production builds, `loom::sync::Mutex`
-/// under `--cfg loom`.
+/// Mutual exclusion for the fabric queues, the cluster barrier, the trace
+/// sinks, the fault plane's parked chunks and a task list:
+/// `std::sync::Mutex` in production builds, `loom::sync::Mutex` under
+/// `--cfg loom`.
 ///
 /// `lock` is infallible: a holder that panicked does not poison the lock.
-/// The checker's shared verdict makes several machines panic while others
+/// A barrier's shared verdict makes several machines panic while others
 /// still lock, and every structure guarded here is valid between any two
 /// of its updates. Under loom, poisoning cannot be observed because a
 /// panicking model execution aborts the run.

@@ -8,8 +8,9 @@
 //! send-while-receive overlap or where a bad splitter stalls one machine.
 //! This module records timestamped spans and instant events at every
 //! interesting runtime edge (step begin/end, barrier enter/leave, task
-//! start/end, chunk flush/send/receive/place, protocol checker verdicts) and merges them on one clock so a whole cluster run
-//! can be replayed event-by-event in `chrome://tracing` / Perfetto.
+//! start/end, chunk flush/send/receive/place) and merges them on one
+//! clock so a whole cluster run can be replayed event-by-event in
+//! `chrome://tracing` / Perfetto.
 //!
 //! # Overhead budget
 //!
@@ -26,7 +27,7 @@
 //!
 //! Each machine has one sink: a locked `Vec` that grows on demand up to
 //! 64 Ki events per run. Every thread of the machine pushes to it — the
-//! mainline, its send tasks and the protocol checker. A
+//! mainline and its send tasks. A
 //! lane (0 = mainline, 1.. = worker/destination lanes) is a label on the
 //! event, not a buffer. Past the cap the sink keeps the **first** events
 //! and counts the rest in [`TraceLog::dropped`], so nothing is lost
@@ -52,30 +53,6 @@ pub const LANE_MAIN: u32 = 0;
 
 /// Events one machine keeps per run; [`TraceLog::dropped`] counts the rest.
 const EVENTS_PER_MACHINE: usize = 64 * 1024;
-
-/// Protocol-checker verdict codes carried in the `a` payload of
-/// [`EventKind::Checker`] instants.
-pub mod violation {
-    /// A packet surfaced that was never sent (tag mismatch / duplicate).
-    pub const PHANTOM_DELIVERY: u64 = 1;
-    /// Quiescence check found sent-but-unreceived packets.
-    pub const UNDELIVERED_PACKETS: u64 = 4;
-    /// §IV-C offset ledger: two spans overlapped.
-    pub const OFFSET_OVERLAP: u64 = 6;
-    /// §IV-C offset ledger: a gap was never written.
-    pub const OFFSET_GAP: u64 = 7;
-
-    /// Human-readable label for a verdict code.
-    pub fn label(code: u64) -> &'static str {
-        match code {
-            PHANTOM_DELIVERY => "phantom_delivery",
-            UNDELIVERED_PACKETS => "undelivered_packets",
-            OFFSET_OVERLAP => "offset_overlap",
-            OFFSET_GAP => "offset_gap",
-            _ => "unknown_violation",
-        }
-    }
-}
 
 /// Tracing configuration, carried by
 /// [`ClusterConfig`](crate::cluster::ClusterConfig).
@@ -109,7 +86,7 @@ pub enum EventKind {
     /// One task-manager task (`a` = caller-supplied label, e.g. the
     /// destination of an exchange send task; `b` = task index). Span.
     Task,
-    /// The exchange receive loop, first wait→ledger close. Span.
+    /// The exchange receive loop, first wait→tiling check. Span.
     RecvLoop,
     /// A request buffer flushed a chunk (`a` = dst, `b` = encoded bytes).
     ChunkFlush,
@@ -120,9 +97,6 @@ pub enum EventKind {
     /// A chunk was placed — copied, or unpacked — (`a` = element offset,
     /// `b` = element bytes).
     ChunkPlace,
-    /// A protocol-checker verdict (`a` = [`violation`] code), emitted
-    /// just before the checker panics.
-    Checker,
     /// One sub-step phase span within a step (`a` indexes [`TraceLog::names`]).
     SortPhase,
 }
@@ -151,7 +125,6 @@ impl EventKind {
             EventKind::ChunkSend => "chunk_send",
             EventKind::ChunkRecv => "chunk_recv",
             EventKind::ChunkPlace => "chunk_place",
-            EventKind::Checker => "checker",
             EventKind::SortPhase => "sort_phase",
         }
     }
@@ -166,7 +139,6 @@ impl EventKind {
             | EventKind::ChunkSend
             | EventKind::ChunkRecv
             | EventKind::ChunkPlace => "chunk",
-            EventKind::Checker => "checker",
             EventKind::SortPhase => "step",
         }
     }
@@ -181,7 +153,6 @@ impl EventKind {
             EventKind::ChunkFlush | EventKind::ChunkSend => ("dst", "bytes"),
             EventKind::ChunkRecv => ("src", "bytes"),
             EventKind::ChunkPlace => ("offset", "bytes"),
-            EventKind::Checker => ("violation", "unused"),
             EventKind::SortPhase => ("name_id", "unused"),
         }
     }
@@ -225,8 +196,8 @@ struct Sink {
 }
 
 /// One machine's trace sink on the cluster's unified clock. Shared by
-/// `Arc` between the machine's mainline thread, its send workers, its comm
-/// sender clones, and the protocol checker.
+/// `Arc` between the machine's mainline thread, its send workers and its
+/// comm sender clones.
 #[derive(Debug)]
 pub struct MachineTrace {
     machine: u32,
@@ -407,8 +378,7 @@ pub struct TraceLog {
 
 impl TraceLog {
     /// Display name of an event: the interned step name for step spans,
-    /// a destination-qualified label for tasks, the violation label for
-    /// checker instants, the kind label otherwise.
+    /// a destination-qualified label for tasks, the kind label otherwise.
     pub fn event_name(&self, ev: &TraceEvent) -> String {
         match ev.kind {
             EventKind::Step | EventKind::SortPhase => self
@@ -417,7 +387,6 @@ impl TraceLog {
                 .cloned()
                 .unwrap_or_else(|| format!("step#{}", ev.a)),
             EventKind::Task => format!("send→{}", ev.a),
-            EventKind::Checker => format!("checker:{}", violation::label(ev.a)),
             k => k.label().to_string(),
         }
     }

@@ -57,7 +57,7 @@ fn scattered(m: u64, i: u64) -> u64 {
 /// exchanges of the keys `key(machine, index)` inside one cluster at
 /// `buffer_bytes` and returns the mean of the measured rounds, and what
 /// the retained rounds left live. The first round warms the fabric's
-/// queues and the checker's ledger.
+/// queues.
 fn measure(buffer_bytes: usize, key: fn(u64, u64) -> u64) -> Round {
     use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
     static ALLOCATED: AtomicUsize = AtomicUsize::new(0);

@@ -5,12 +5,10 @@
 //!
 //! This binary installs the tracking allocator globally, so the count
 //! includes every machine thread. One `#[test]`: the counters are
-//! process-global. The window is fenced by a plain `std` barrier rather
-//! than `ctx.barrier()`, whose debug-build quiescence check formats its
-//! diagnostics on every crossing.
+//! process-global. The window is fenced by `ctx.barrier()`, so its
+//! quiescence check is held to zero bytes too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
 
 use pgxd::cluster::{Cluster, ClusterConfig};
 
@@ -22,22 +20,20 @@ const STEPS: usize = 1000;
 
 #[test]
 fn warm_steps_and_phase_scopes_allocate_nothing() {
-    let fence = Barrier::new(P);
     let before = AtomicUsize::new(0);
     let after = AtomicUsize::new(0);
     Cluster::new(ClusterConfig::new(P)).run(|ctx| {
         // Warm-up: the timer's entry for "s" exists from here on.
         ctx.step("s", |c| c.phase_scope("p", || ()));
         ctx.barrier();
-        fence.wait();
         if ctx.is_master() {
             before.store(pgxd_memtrack::total_allocated_bytes(), Ordering::SeqCst);
         }
-        fence.wait();
+        ctx.barrier();
         for _ in 0..STEPS {
             ctx.step("s", |c| c.phase_scope("p", || ()));
         }
-        fence.wait();
+        ctx.barrier();
         if ctx.is_master() {
             after.store(pgxd_memtrack::total_allocated_bytes(), Ordering::SeqCst);
         }

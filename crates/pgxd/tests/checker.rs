@@ -1,17 +1,21 @@
-//! Integration tests proving each protocol-checker diagnostic actually
-//! fires — an undelivered packet, a delivery nobody sent, and a malformed
-//! offset tiling each produce their documented panic.
+//! The runtime's two protocol checks, which hold in every build: each
+//! diagnostic fires with its documented panic in debug and release alike.
 //!
-//! Compiled only when the checker hooks are (debug builds or the
-//! `checker` feature); in a plain `--release` test sweep the whole file
-//! vanishes rather than failing its `#[should_panic]` expectations.
+//! - Quiescence: a packet nobody receives is named at the next barrier,
+//!   or at the fabric's teardown if no barrier follows.
+//! - Tiling: an exchange whose placements overlap, or leave a gap, panics
+//!   before it hands its output back. A forged peer, which ships its stream
+//!   through a `RequestBuffer` at offsets of its own choosing, plays the
+//!   defect.
+//!
+//! A tag nobody receives is named by the receive's deadline.
 
-#![cfg(any(debug_assertions, feature = "checker"))]
-
-use pgxd::checker::{OffsetLedger, ProtocolChecker};
+use pgxd::buffer::RequestBuffer;
 use pgxd::cluster::{Cluster, ClusterConfig};
-use pgxd::comm::Tag;
+use pgxd::comm::{kinds, Tag};
+use pgxd::fault::FaultPlan;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 #[test]
 fn clean_run_passes_barriers_and_teardown() {
@@ -29,7 +33,7 @@ fn clean_run_passes_barriers_and_teardown() {
 }
 
 #[test]
-#[should_panic(expected = "undelivered packet")]
+#[should_panic(expected = "undelivered packet(s) at fabric teardown: 1 in machine 1's inbox")]
 fn undelivered_packet_reported_at_teardown() {
     // Machine 0 sends a packet nobody ever receives; every machine exits
     // normally, and the teardown sweep on the calling thread reports it.
@@ -51,11 +55,11 @@ fn undelivered_packet_reported_at_teardown() {
 }
 
 #[test]
-#[should_panic(expected = "undelivered packet(s) at barrier")]
+#[should_panic(expected = "undelivered packet(s) at barrier: 1 in machine 1's inbox")]
 fn undelivered_packet_reported_at_barrier() {
     // The same stray send is caught earlier if the fabric hits a barrier:
-    // all machines are parked between the two waits, so the ledger scan is
-    // race-free and every machine panics on the shared verdict.
+    // the last machine to arrive reads the counts while the others are
+    // parked, and every machine panics on that one verdict.
     let cluster = Cluster::new(ClusterConfig::new(2));
     let _ = cluster.run(|ctx| {
         if ctx.id() == 0 {
@@ -65,29 +69,68 @@ fn undelivered_packet_reported_at_barrier() {
     });
 }
 
+/// Machine 0 exchanges ten keys with itself (its range for machine 1 is
+/// empty), while machine 1 forges its side: a stream of ten keys to
+/// machine 0, shipped as the `(offset, len)` chunks given, the first as
+/// the opener. Machine 1 then takes machine 0's opener, so the one defect
+/// is the placement.
+fn forged_exchange(chunks: &[(usize, usize)]) {
+    let keys: Vec<u64> = (0..10).collect();
+    let cluster = Cluster::new(ClusterConfig::new(2));
+    cluster.run(|ctx| {
+        if ctx.id() == 0 {
+            ctx.exchange(&keys, &[0, 10, 10]);
+            return;
+        }
+        // Machine 0's first collective: sequence 0.
+        let open = Tag {
+            kind: kinds::EXCHANGE_OPEN,
+            seq: 0,
+        };
+        let data = Tag {
+            kind: kinds::EXCHANGE_DATA,
+            seq: 0,
+        };
+        let sender = ctx.comm_mut().sender();
+        let mut stream = RequestBuffer::new(0, data, pgxd::DEFAULT_BUFFER_BYTES);
+        stream.open(open, vec![keys.len() as u64]);
+        for &(offset, len) in chunks {
+            stream.send_chunk(&keys[offset..offset + len], offset, &sender);
+        }
+        ctx.comm_mut().recv_packet(open);
+    });
+}
+
 #[test]
-#[should_panic(expected = "overlapping offset range")]
+#[should_panic(expected = "placement [14, 18) overlaps the placements before it, which end at 16")]
 fn overlapping_offset_ranges_reported() {
-    let mut ledger = OffsetLedger::new(1, Tag::user(0, 3), 10);
-    ledger.record(0, 6);
-    ledger.record(4, 6); // [4, 10) overlaps [0, 6)
-    ledger.finish();
+    // [4, 8) of the stream overlaps [0, 6); together they count ten keys.
+    forged_exchange(&[(0, 6), (4, 4)]);
 }
 
 #[test]
-#[should_panic(expected = "gap in offset ranges")]
+#[should_panic(
+    expected = "placement [15, 18) leaves a gap after the placements before it, which end at 14"
+)]
 fn offset_gap_reported() {
-    let mut ledger = OffsetLedger::new(0, Tag::user(0, 4), 10);
-    ledger.record(0, 4);
-    ledger.record(7, 3); // [4, 7) never written
-    ledger.finish();
+    // [4, 5) of the stream is never written, and [7, 8) twice.
+    forged_exchange(&[(0, 4), (5, 3), (7, 3)]);
 }
 
 #[test]
-#[should_panic(expected = "never sent")]
+#[should_panic(
+    expected = "waiting for tag Tag { kind: 17, seq: 2 } (mailbox holds tags {Tag { kind: 17, seq: 1 }})"
+)]
 fn tag_mismatch_delivery_reported() {
-    let checker = ProtocolChecker::new(2);
-    checker.packet_sent(0, 1, Tag::user(1, 1));
-    // Delivery under a different tag than anything in flight.
-    checker.packet_delivered(0, 1, Tag::user(1, 2));
+    // Machine 1 waits under a different tag than anything sent to it: the
+    // receive's deadline names both.
+    let plan = FaultPlan::enabled(1).step_timeout(Duration::from_millis(200));
+    let cluster = Cluster::new(ClusterConfig::new(2).fault(plan));
+    cluster.run(|ctx| {
+        if ctx.id() == 0 {
+            ctx.comm_mut().send_vec(1, Tag::user(1, 1), vec![1u64]);
+        } else {
+            ctx.comm_mut().recv_vec::<u64>(Tag::user(1, 2));
+        }
+    });
 }

@@ -172,10 +172,12 @@ fn killed_machine_yields_structured_error_within_timeout() {
     // Survivors that die sympathetically are reported, not counted as the
     // primary failure.
     assert!(err.peer_aborts < p);
-    if cfg!(debug_assertions) {
-        // Checker stands down on abort but reports what was stranded.
-        assert!(err.residual.is_some());
-    }
+    // Machine 1 took one opener before it died, and an aborted run takes
+    // no more. Whoever else sent it an opener stranded that packet; if only
+    // the machine it came from did, machine 1's opener to another was
+    // stranded instead, since a machine ships its openers before it
+    // receives any.
+    assert!(err.residual >= 1, "residual {}", err.residual);
     let msg = err.to_string();
     assert!(
         msg.contains("killed machine 1"),

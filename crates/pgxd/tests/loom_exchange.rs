@@ -11,7 +11,7 @@
 //! The real fabric receives with a deadline, which loom (it has no clock)
 //! cannot model, so this test drives a miniature single-destination fabric
 //! of the same shape: a queue behind [`pgxd::sync`]'s `Mutex`/`Condvar`,
-//! the primitives the real queues and the checker ledger use. The
+//! the primitives the real queues and the cluster barrier use. The
 //! protocol under test is the exchange's essential concurrency: a sender
 //! thread allocating each chunk and publishing it, offset-addressed,
 //! while the receiving thread concurrently drains them, writes each into

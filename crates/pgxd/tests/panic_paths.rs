@@ -5,8 +5,8 @@
 //! surface with its payload intact — `run` re-panics strings with context
 //! and `resume_unwind`s typed payloads; `try_run` converts everything into
 //! a structured [`RunError`] — and survivors blocked mid-exchange must be
-//! released, with the protocol checker standing down rather than
-//! reporting bogus custody leaks on the teardown path.
+//! released, with the packets the dead machine stranded counted in the
+//! error rather than failing the teardown.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -100,13 +100,12 @@ fn try_run_reports_typed_panic_without_losing_the_run() {
 
 #[test]
 fn panic_mid_exchange_releases_blocked_survivors() {
-    // Machine 0 dies before it opens any exchange stream; machines 1 and 2
-    // send theirs and then block waiting for its openers. The abort path
-    // must wake them (sympathetic unwind), the primary failure must stay
-    // machine 0, and the checker — active in debug builds with packets
-    // legitimately in flight — must stand down instead of panicking about
-    // custody leaks during the surviving teardown. The test completing at
-    // all is the custody-leak assertion.
+    // Machine 0 dies before it opens any exchange stream, once four
+    // messages are in the fabric; machines 1 and 2 send theirs and then
+    // block waiting for its openers. The abort path must wake them
+    // (sympathetic unwind), the primary failure must stay machine 0, and
+    // the packets legitimately in flight must be counted as the error's
+    // residue instead of failing the teardown.
     let p = 3;
     let shards: Vec<Vec<u64>> = (0..p)
         .map(|m| (0..500u64).map(|i| i * 2 + m as u64).collect())
@@ -120,6 +119,11 @@ fn panic_mid_exchange_releases_blocked_survivors() {
     let err = cluster
         .try_run(|ctx| {
             if ctx.id() == 0 {
+                // A machine's first two messages are its openers, so one of
+                // the other two has sent machine 0 its opener by now.
+                while ctx.comm_summary().messages_sent < 4 {
+                    std::thread::yield_now();
+                }
                 panic!("died mid-step");
             }
             let data = shards_ref[ctx.id()].clone();
@@ -141,13 +145,9 @@ fn panic_mid_exchange_releases_blocked_survivors() {
         err.peer_aborts >= 1,
         "survivors must unwind sympathetically"
     );
-    if cfg!(debug_assertions) {
-        let residual = err.residual.expect("checker active in debug builds");
-        // Machines 1 and 2 had sent their openers and chunks to the dead
-        // machine; the abort teardown reports them as residue instead of
-        // leaking.
-        let _ = residual.in_flight_packets;
-    }
+    // The openers sent to the dead machine are never consumed; the abort
+    // teardown reports them as residue.
+    assert!(err.residual >= 1, "residual {}", err.residual);
 }
 
 #[test]

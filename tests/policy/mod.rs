@@ -32,7 +32,7 @@ const ROWS: &[Row] = &[
     // forbid crate's rows sit in one that `pgxd` does not build on
     // (`datagen`), so their errors cannot stop cargo from checking the
     // `pgxd` rows.
-    ("unallowed_unsafe_flagged", "crates/pgxd/src/checker.rs", READ),
+    ("unallowed_unsafe_flagged", "crates/pgxd/src/comm.rs", READ),
     ("unallowed_unsafe_flagged", "crates/datagen/src/dist.rs", READ),
     // A forbid crate cannot allow it back.
     ("missing_forbid_attribute_flagged", "crates/datagen/src/cases.rs",

@@ -14,7 +14,9 @@
 //! [`merge_into`]: branchless steps, two lanes in lock-step, and a
 //! galloping escape for one-sided stretches. The tree ping-pongs between
 //! the data and one scratch buffer the caller may already own
-//! ([`balanced_merge_with`]); it never clones its input.
+//! ([`balanced_merge_with`]); it never clones its input, and never
+//! regrows a scratch buffer a few keys short: those keys, the largest,
+//! are merged through a buffer of their own.
 //!
 //! The tree merges only runs that overlap: runs already in order are
 //! concatenated and runs of equal keys copied, so a machine pays for the
@@ -27,7 +29,8 @@
 //! replay of the old step-1 merge do, with `kway_merge_into`.
 
 use crate::exec;
-use crate::search::{co_rank, gallop_left, gallop_right, multi_co_ranks};
+use crate::search::{co_rank, gallop_left, gallop_right, multi_co_rank, multi_co_ranks};
+use std::ops::Range;
 
 /// Steps a merge lane takes between two looks at how far its runs reach,
 /// and the length of a one-sided stretch that switches it to galloping.
@@ -193,21 +196,27 @@ pub fn balanced_merge<T: Ord + Copy + Send + Sync>(
 /// wrote. Random keys give up after one group, at a cost of a compare and
 /// a gallop a run.
 ///
-/// `scratch` may come in with any length and contents; it is only
-/// truncated or grown to `data.len()`. On return it holds whichever of the
-/// two allocations the result did not end up in, contents unspecified, so
-/// one spare serves any number of merges.
+/// `scratch` may come in with any length and contents, and is never
+/// reallocated unless it has no allocation at all, which is then made
+/// `data.len()` long. A spare of `m` slots, fewer than the `n` keys, is
+/// used as it is: the stable merge's first `m` keys (the runs' heads,
+/// cut at their k-way co-rank) are gathered or merged through it, and the
+/// last `n − m` (the tails) through a buffer of their own, level one of
+/// their tree reading them out of `data` before anything overwrites it.
+/// The result comes back in `data`'s or `scratch`'s allocation; `scratch`
+/// holds the other on return, contents unspecified, so one spare serves
+/// any number of merges.
 ///
 /// `workers` caps the threads used *per step*: the pair-merges of one step
 /// run concurrently (the caller's thread takes its share), and leftover
 /// worker budget parallelizes the individual merges of the later (wider)
-/// steps. Below [`PARALLEL_MERGE_CUTOFF`] the same tree runs on the
-/// caller's thread alone: spawns would dominate.
+/// steps. Below [`PARALLEL_MERGE_CUTOFF`] a level runs on the caller's
+/// thread alone: spawns would dominate.
 // The bounds are asserted to start at 0, never decrease and end at
-// `data.len()`; pair indices are below the run count they were cut into, and a
-// merge worker's panic is re-raised when its scope closes.
-// O(runs) bookkeeping per level — the run bounds and one (run, run, region)
-// job per pair; never per element.
+// `data.len()`; the co-rank cuts each run within its length, and the heads and
+// tails are each merged between two buffers of their own total length.
+// O(runs) bookkeeping — the runs, their cuts and one job per pair; never per
+// element.
 pub fn balanced_merge_with<T: Ord + Copy + Send + Sync>(
     mut data: Vec<T>,
     scratch: &mut Vec<T>,
@@ -239,94 +248,156 @@ pub fn balanced_merge_with<T: Ord + Copy + Send + Sync>(
     if !bounds.windows(2).any(cuts) {
         return data; // one run in order: already sorted
     }
-    let mut cur: Vec<usize> = std::iter::once(0)
+    let kept: Vec<usize> = std::iter::once(0)
         .chain(bounds.windows(2).filter(|w| cuts(w)).map(|w| w[1]))
         .chain(std::iter::once(n))
         .collect();
+    let mut heads: Vec<Range<usize>> = kept.windows(2).map(|w| w[0]..w[1]).collect();
+
     // Every slot is written by the gather or the first level before
-    // anything reads it; the fill value only gives a grown tail *some*
+    // anything reads it; the fill value only gives the slots *some*
     // initialised content.
-    scratch.resize(n, data[0]);
-    if gather_groups(&data, &cur, scratch) {
-        std::mem::swap(&mut data, scratch);
-        return data;
-    }
-    let workers = if n < PARALLEL_MERGE_CUTOFF {
-        1
-    } else {
-        workers.max(1)
+    let m = match scratch.capacity() {
+        0 => n,
+        spare => spare.min(n),
     };
-
-    while cur.len() > 2 {
-        // Plan this step's merges: pair (2k, 2k+1) of `data` -> run k of
-        // `scratch`, each pair with its own output region.
-        let mut jobs: Vec<(&[T], &[T], &mut [T])> = Vec::with_capacity(cur.len() / 2);
-        let mut rest: &mut [T] = scratch;
-        for pair in cur.windows(3).step_by(2) {
-            let (lo, mid, hi) = (pair[0], pair[1], pair[2]);
-            let (region, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-            rest = tail;
-            jobs.push((&data[lo..mid], &data[mid..hi], region));
+    scratch.resize(m, data[0]);
+    // A short spare takes the stable merge's first `m` keys, the heads. The
+    // tails leave `data` through level one of their own tree before anything
+    // overwrites it, then ping-pong with `data[m..]`, which the heads' later
+    // levels do not touch.
+    let (mut tails, mut tail_runs) = (Vec::new(), Vec::new());
+    if m < n {
+        let runs: Vec<&[T]> = heads.iter().map(|run| &data[run.clone()]).collect();
+        for (run, cut) in heads.iter_mut().zip(multi_co_rank(&runs, m)) {
+            tail_runs.push(run.start + cut..run.end);
+            run.end = run.start + cut;
         }
-        // Odd run out (or nothing): carried to the next level unchanged.
-        rest.copy_from_slice(&data[data.len() - rest.len()..]);
-
-        // With many pairs, each thread handles a contiguous group of pairs
-        // sequentially; with few pairs, the surplus budget parallelizes
-        // inside each merge.
-        let per_thread = jobs.len().div_ceil(workers);
-        let per_merge = (workers / jobs.len()).max(1);
-        let run = |group: &mut [(&[T], &[T], &mut [T])]| {
-            for (a, b, region) in group {
-                parallel_merge_into(a, b, region, per_merge);
-            }
-        };
-        std::thread::scope(|scope| {
-            let mut groups = jobs.chunks_mut(per_thread);
-            let mine = groups.next();
-            for group in groups {
-                scope.spawn(move || run(group));
-            }
-            if let Some(group) = mine {
-                run(group);
-            }
-        });
-
-        // Output run k spans input runs 2k and 2k + 1, so every other bound
-        // survives; the end of an odd run out has an odd index and is put
-        // back.
-        let orphan_end = cur.len().is_multiple_of(2).then_some(data.len());
-        cur = cur.iter().copied().step_by(2).chain(orphan_end).collect();
+        tails = vec![data[0]; n - m];
+        tail_runs = merge_level(&data, &tail_runs, &mut tails, workers);
+    }
+    let in_scratch = gather_groups(&data, &heads, scratch) || {
+        let runs = merge_level(&data, &heads, scratch, workers);
+        ping_pong(scratch, &mut data[..m], runs, workers)
+    };
+    if m < n && ping_pong(&mut tails, &mut data[m..], tail_runs, workers) {
+        data[m..].copy_from_slice(&tails);
+    }
+    if in_scratch && m < n {
+        data[..m].copy_from_slice(scratch);
+    } else if in_scratch {
         std::mem::swap(&mut data, scratch);
     }
     data
 }
 
-/// Copies the equal-key groups of the sorted runs `data[bounds[r]..
-/// bounds[r + 1]]` into `out`, smallest key first: a group is the prefix
-/// of every run up to its smallest head `v` (`gallop_right`), in run order,
-/// which keeps the result stable. Returns `true` once every key is copied,
-/// so `out` holds the stable merge, and `false` as soon as the groups
-/// average fewer than [`BLOCK`] keys a run, leaving `out` partly written.
-// One cursor per run, each kept within its run's bounds by the gallop.
+/// One level of the tree: the runs `src[runs[2k]]` and `src[runs[2k + 1]]`
+/// merged into run `k` of `dst`, an odd run out copied after them.
+/// Returns where the level's runs lie in `dst`.
+///
+/// With many pairs, each thread handles a contiguous group of pairs
+/// sequentially; with few pairs, the surplus budget parallelizes inside
+/// each merge.
+// `dst` is asserted to be as long as the runs together, and each pair's
+// region is split off it in order. O(runs) jobs and ranges; never per element.
+fn merge_level<T: Ord + Copy + Send + Sync>(
+    src: &[T],
+    runs: &[Range<usize>],
+    dst: &mut [T],
+    workers: usize,
+) -> Vec<Range<usize>> {
+    assert_eq!(
+        runs.iter().map(|run| run.len()).sum::<usize>(),
+        dst.len(),
+        "a level's output holds its runs"
+    );
+    let workers = if dst.len() < PARALLEL_MERGE_CUTOFF {
+        1
+    } else {
+        workers.max(1)
+    };
+    let mut jobs: Vec<(&[T], &[T], &mut [T])> = Vec::with_capacity(runs.len() / 2);
+    let mut merged = Vec::with_capacity(runs.len().div_ceil(2));
+    let mut rest: &mut [T] = dst;
+    let mut at = 0;
+    let pairs = runs.chunks_exact(2);
+    let odd = pairs.remainder().first();
+    for pair in pairs {
+        let (a, b) = (&src[pair[0].clone()], &src[pair[1].clone()]);
+        let (region, tail) = std::mem::take(&mut rest).split_at_mut(a.len() + b.len());
+        rest = tail;
+        merged.push(at..at + region.len());
+        at += region.len();
+        jobs.push((a, b, region));
+    }
+    // Odd run out (or nothing): carried to the next level unchanged.
+    if let Some(run) = odd {
+        rest.copy_from_slice(&src[run.clone()]);
+        merged.push(at..at + rest.len());
+    }
+
+    let per_thread = jobs.len().div_ceil(workers);
+    let per_merge = (workers / jobs.len()).max(1);
+    let run = |group: &mut [(&[T], &[T], &mut [T])]| {
+        for (a, b, region) in group {
+            parallel_merge_into(a, b, region, per_merge);
+        }
+    };
+    std::thread::scope(|scope| {
+        let mut groups = jobs.chunks_mut(per_thread);
+        let mine = groups.next();
+        for group in groups {
+            scope.spawn(move || run(group));
+        }
+        if let Some(group) = mine {
+            run(group);
+        }
+    });
+    merged
+}
+
+/// The tree's levels from the `runs` of `held` on, ping-ponging with
+/// `other` (as long as `held`) until one run is left. Returns whether that
+/// run is in `held`.
+fn ping_pong<'a, T: Ord + Copy + Send + Sync>(
+    mut held: &'a mut [T],
+    mut other: &'a mut [T],
+    mut runs: Vec<Range<usize>>,
+    workers: usize,
+) -> bool {
+    let mut in_held = true;
+    while runs.len() > 1 {
+        runs = merge_level(held, &runs, other, workers);
+        std::mem::swap(&mut held, &mut other);
+        in_held = !in_held;
+    }
+    in_held
+}
+
+/// Copies the equal-key groups of the sorted runs `data[runs[r]]` into
+/// `out`, smallest key first: a group is the prefix of every run up to its
+/// smallest head `v` (`gallop_right`), in run order, which keeps the result
+/// stable. Returns `true` once every key is copied, so `out` holds the
+/// stable merge, and `false` as soon as the groups average fewer than
+/// [`BLOCK`] keys a run, leaving `out` partly written.
+// One cursor per run, each kept within its run by the gallop.
 // O(runs) cursors per merge; never per element.
-fn gather_groups<T: Ord + Copy>(data: &[T], bounds: &[usize], out: &mut [T]) -> bool {
-    let runs = bounds.len() - 1;
-    let mut heads = bounds[..runs].to_vec();
+fn gather_groups<T: Ord + Copy>(data: &[T], runs: &[Range<usize>], out: &mut [T]) -> bool {
+    let mut heads: Vec<usize> = runs.iter().map(|run| run.start).collect();
     let (mut copied, mut groups) = (0, 0);
     while let Some(v) = heads
         .iter()
-        .zip(&bounds[1..])
-        .filter(|(head, end)| head < end)
+        .zip(runs)
+        .filter(|(&head, run)| head < run.end)
         .map(|(&head, _)| data[head])
         .min()
     {
-        if copied < groups * BLOCK * runs {
+        if copied < groups * BLOCK * runs.len() {
             return false;
         }
         groups += 1;
-        for (head, &end) in heads.iter_mut().zip(&bounds[1..]) {
-            let len = gallop_right(&v, &data[*head..end]);
+        for (head, run) in heads.iter_mut().zip(runs) {
+            let len = gallop_right(&v, &data[*head..run.end]);
             out[copied..copied + len].copy_from_slice(&data[*head..*head + len]);
             (copied, *head) = (copied + len, *head + len);
         }

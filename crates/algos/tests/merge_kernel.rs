@@ -6,6 +6,8 @@
 //! take each of its paths — few distinct keys and disjoint ranges (the
 //! gallop), empty sides (the copy), lengths either side of the 64-step
 //! block — and `co_rank`, which cuts the lanes, is checked at every rank.
+//! The merge tree is held to the same reference with spares of every
+//! length, and must merge through the spare it is lent, never a new one.
 
 use pgxd_algos::merge::{balanced_merge, balanced_merge_with, merge_into, PARALLEL_MERGE_CUTOFF};
 use pgxd_algos::search::co_rank;
@@ -179,6 +181,28 @@ fn sorted_runs(runs: usize, per_run: usize, with_empty: bool) -> (Vec<u64>, Vec<
     (data, bounds)
 }
 
+/// [`balanced_merge_with`], checking that the spare's allocation was kept:
+/// on return `scratch` holds its own allocation or `data`'s, never a new
+/// one, unless it came in with none.
+fn merge_keeping_the_spare<T: Ord + Copy + Send + Sync>(
+    data: Vec<T>,
+    scratch: &mut Vec<T>,
+    bounds: &[usize],
+    workers: usize,
+    what: &str,
+) -> Vec<T> {
+    let (data_at, spare_at, had_one) = (data.as_ptr(), scratch.as_ptr(), scratch.capacity() > 0);
+    let got = balanced_merge_with(data, scratch, bounds, workers);
+    if had_one {
+        let now = scratch.as_ptr();
+        assert!(
+            now == spare_at || now == data_at,
+            "{what}: the spare's allocation was replaced"
+        );
+    }
+    got
+}
+
 #[test]
 fn any_scratch_gives_the_same_tree() {
     for per_run in [200, PARALLEL_MERGE_CUTOFF / 2] {
@@ -192,14 +216,23 @@ fn any_scratch_gives_the_same_tree() {
                     let scratches = [
                         ("empty", Vec::new()),
                         ("shorter", vec![1; n / 3]),
+                        ("1 key short", vec![3; n - 1]),
+                        ("64 keys short", vec![4; n - 64]),
+                        ("n/2 short", vec![5; n - n / 2]),
                         ("longer", vec![2; 2 * n + 5]),
                         ("garbage", xorshift_keys(99, n, u64::MAX)),
                     ];
                     for (name, mut scratch) in scratches {
-                        let got = balanced_merge_with(data.clone(), &mut scratch, &bounds, workers);
                         let what = format!(
                             "{name} scratch: {runs} runs of ~{per_run}, {workers} workers, \
                              empty runs: {with_empty}"
+                        );
+                        let got = merge_keeping_the_spare(
+                            data.clone(),
+                            &mut scratch,
+                            &bounds,
+                            workers,
+                            &what,
                         );
                         assert_eq!(got, expect, "{what}");
                     }
@@ -254,10 +287,11 @@ fn merge_into_is_the_reference_stable_merge() {
     });
 }
 
-/// The input shapes of [`balanced_merge_with_is_the_reference_stable_merge`],
-/// one per path of the merge: runs that coalesce, groups the gather copies
-/// whole, a gather that gives up and leaves the tree to overwrite it, and
-/// keys the tree merges from the start.
+/// The input shapes of [`balanced_merge_with_is_the_reference_stable_merge`]
+/// and [`a_short_spare_gives_the_reference_stable_merge`], one per path of
+/// the merge: runs that coalesce, groups the gather copies whole, a gather
+/// that gives up and leaves the tree to overwrite it, and keys the tree
+/// merges from the start.
 #[derive(Clone, Copy, Debug)]
 enum Shape {
     AllEqual,
@@ -300,57 +334,102 @@ fn shaped_run(g: &mut Gen, shape: Shape, r: usize, len: usize) -> Vec<u64> {
     keys
 }
 
+/// `k` runs of `shape` tagged with run and position, so equal keys are
+/// told apart, back to back; their bounds; and their stable merge (a
+/// stable sort of the runs back to back).
+fn tagged_runs(
+    g: &mut Gen,
+    shape: Shape,
+    k: usize,
+    max_len: usize,
+    empty_runs: bool,
+) -> (Vec<Tagged>, Vec<usize>, Vec<Tagged>) {
+    let mut keys = Vec::new();
+    let mut bounds = vec![0];
+    for r in 0..k {
+        // Empty runs at both ends and in the middle.
+        let empty = empty_runs && (r == 0 || r == k - 1 || r == k / 2);
+        let len = if empty { 0 } else { g.usize_in(0..max_len) };
+        keys.extend(shaped_run(g, shape, r, len));
+        bounds.push(keys.len());
+    }
+    let data: Vec<Tagged> = bounds
+        .windows(2)
+        .enumerate()
+        .flat_map(|(r, w)| {
+            let run = &keys[w[0]..w[1]];
+            run.iter().enumerate().map(move |(i, &key)| Tagged {
+                key,
+                tag: (r as u8, i as u32),
+            })
+        })
+        .collect();
+    let mut expect = data.clone();
+    expect.sort_by_key(|t| t.key);
+    (data, bounds, expect)
+}
+
+const SHAPES: [Shape; 5] = [
+    Shape::AllEqual,
+    Shape::InOrder,
+    Shape::TwoValued,
+    Shape::BigGroupThenDistinct,
+    Shape::Random,
+];
+
 #[test]
 fn balanced_merge_with_is_the_reference_stable_merge() {
-    let shapes = [
-        Shape::AllEqual,
-        Shape::InOrder,
-        Shape::TwoValued,
-        Shape::BigGroupThenDistinct,
-        Shape::Random,
-    ];
     check(24, |g| {
-        let shape = g.select(&shapes);
+        let shape = g.select(&SHAPES);
         // Past PARALLEL_MERGE_CUTOFF in all at the top length and k ≥ 5.
         let max_len = g.select(&[40usize, 400, 4000]);
         let empty_runs = g.select(&[false, true]);
         for k in 1..=9 {
-            let mut data = Vec::new();
-            let mut bounds = vec![0];
-            for r in 0..k {
-                // Empty runs at both ends and in the middle.
-                let empty = empty_runs && (r == 0 || r == k - 1 || r == k / 2);
-                let len = if empty { 0 } else { g.usize_in(0..max_len) };
-                data.extend(shaped_run(g, shape, r, len));
-                bounds.push(data.len());
-            }
-            // Tagged with run and position: equal keys are told apart.
-            let data: Vec<Tagged> = bounds
-                .windows(2)
-                .enumerate()
-                .flat_map(|(r, w)| {
-                    let run = &data[w[0]..w[1]];
-                    run.iter().enumerate().map(move |(i, &key)| Tagged {
-                        key,
-                        tag: (r as u8, i as u32),
-                    })
-                })
-                .collect();
-            // A stable sort of the runs back to back is their stable merge.
-            let mut expect = data.clone();
-            expect.sort_by_key(|t| t.key);
+            let (data, bounds, expect) = tagged_runs(g, shape, k, max_len, empty_runs);
             for workers in [1, 2, 4] {
                 let garbage = Tagged {
                     key: g.u64(),
                     tag: (99, 0),
                 };
                 let mut scratch = vec![garbage; g.usize_in(0..2 * data.len() + 2)];
-                let got = balanced_merge_with(data.clone(), &mut scratch, &bounds, workers);
-                assert_eq!(
-                    bits(&got),
-                    bits(&expect),
-                    "{shape:?}, k = {k}, {workers} workers, lengths {bounds:?}"
+                let what = format!("{shape:?}, k = {k}, {workers} workers, lengths {bounds:?}");
+                let got =
+                    merge_keeping_the_spare(data.clone(), &mut scratch, &bounds, workers, &what);
+                assert_eq!(bits(&got), bits(&expect), "{what}");
+            }
+        }
+    });
+}
+
+#[test]
+fn a_short_spare_gives_the_reference_stable_merge() {
+    // k = 1..=9 runs take 0 to 4 levels, so the heads end in either buffer,
+    // and the two-valued shape is gathered in one pass; the spare's length
+    // does not matter, its capacity does.
+    check(16, |g| {
+        let shape = g.select(&SHAPES);
+        let max_len = g.select(&[40usize, 400, 4000]);
+        let empty_runs = g.select(&[false, true]);
+        for k in 1..=9 {
+            let (data, bounds, expect) = tagged_runs(g, shape, k, max_len, empty_runs);
+            let n = data.len();
+            let step = n.div_ceil(16).max(1);
+            let spares = (1..n).step_by(step).chain([n.saturating_sub(1)]);
+            for spare in spares.filter(|&m| m > 0) {
+                let workers = g.select(&[1, 2, 4]);
+                let garbage = Tagged {
+                    key: g.u64(),
+                    tag: (99, 0),
+                };
+                let mut scratch = vec![garbage; spare];
+                scratch.truncate(g.usize_in(0..spare + 1));
+                let what = format!(
+                    "{shape:?}, k = {k}, spare {spare} of {n}, {workers} workers, \
+                     lengths {bounds:?}"
                 );
+                let got =
+                    merge_keeping_the_spare(data.clone(), &mut scratch, &bounds, workers, &what);
+                assert_eq!(bits(&got), bits(&expect), "{what}");
             }
         }
     });

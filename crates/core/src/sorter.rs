@@ -16,8 +16,10 @@
 //! 6. **final merge** — the `p` per-source sorted runs combined by the
 //!    §IV-A balanced merge handler (Fig. 2,
 //!    [`pgxd_algos::merge::balanced_merge_with`]), ping-ponging between the
-//!    received buffer and the spent buffer step 1 left behind. Runs in
-//!    order are concatenated and equal-key groups copied, not merged.
+//!    received buffer and the spent buffer step 1 left behind, which is
+//!    never regrown: a machine that receives a few keys more than it sent
+//!    merges the largest few through a buffer of their own. Runs in order
+//!    are concatenated and equal-key groups copied, not merged.
 //!
 //! The result is globally sorted across machines: machine 0 holds the
 //! smallest keys, machine `p − 1` the largest, every machine's slice
@@ -419,7 +421,9 @@ impl DistSorter {
         // Step 6: balanced merge (Fig. 2) of each batch's p per-source
         // sorted runs. The batches arrived back to back: the later ones
         // are split off the tail, the first keeps the received buffer. Each
-        // merge ping-pongs with the spare and leaves it for the next.
+        // merge ping-pongs with the spare and leaves it for the next; a
+        // spare shorter than a batch (a machine received more than its
+        // input) is merged through at its own length, not regrown.
         ctx.step(steps::FINAL_MERGE, move |_| {
             let mut parts: Vec<SortedPartition<T>> = (0..batches)
                 .rev()

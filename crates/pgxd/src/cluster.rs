@@ -261,12 +261,7 @@ impl Cluster {
                             buffer_bytes,
                         );
                         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                        if outcome.is_ok() {
-                            // A machine that returned enters no further
-                            // barrier: a peer still waiting at one, or
-                            // arriving later, unwinds instead of hanging.
-                            barrier.depart(machine_id);
-                        } else {
+                        if outcome.is_err() {
                             // First failure wins the race to abort: every
                             // peer blocked at a barrier or a receive
                             // unwinds promptly. This runs before `ctx`
@@ -275,6 +270,10 @@ impl Cluster {
                             // instead of failing on the closed link.
                             barrier.abort();
                         }
+                        // Dropping the context publishes that this machine
+                        // returned: a peer waiting for it, at a barrier or
+                        // in a receive, can then find its wait can never
+                        // end instead of hanging.
                         (machine_id, outcome, ctx.into_steps())
                     }));
                 }

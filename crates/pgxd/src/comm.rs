@@ -27,7 +27,7 @@ use crate::wire::Wire;
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Message tag: `(kind, sequence)`. Collectives derive these; user code
 /// can use [`Tag::user`]. Ordered so diagnostics can list tags
@@ -83,11 +83,6 @@ pub struct Packet {
     pub wire_bytes: usize,
     payload: Box<dyn Any + Send>,
 }
-
-/// Receiving anything takes longer than this ⇒ the SPMD protocol is
-/// broken (mismatched collective order); unwind instead of hanging. Bounds
-/// every receive of a run whose plan sets no `step_timeout`.
-const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// The send half of a machine's communication manager. Cheap to clone, so
 /// a machine can send from a helper thread while its main thread receives
@@ -433,6 +428,7 @@ impl CommManager {
         if queue.is_empty() {
             self.mailbox.remove(&tag);
         }
+        self.sender.control.packet_unparked(self.sender.id);
         pkt
     }
 
@@ -440,17 +436,21 @@ impl CommManager {
     /// Polls in short slices so a peer's failure (the run's abort flag)
     /// unwinds this machine promptly — once the run is aborted no receive
     /// takes a packet, even one parked in the mailbox, so what the failure
-    /// stranded stays counted — and bounds the whole wait by the
-    /// plan's `step_timeout` (two minutes, the protocol-bug guard, when
-    /// the plan sets none). A timeout aborts the whole run and panics with
-    /// a typed `InjectedFailure::Timeout` payload naming the tag waited
-    /// for and the tags parked in the mailbox, which
-    /// [`Cluster::try_run`](crate::cluster::Cluster::try_run) converts
-    /// into a structured error.
+    /// stranded stays counted. After each slice that comes up empty it
+    /// publishes what it waits for and checks the control plane's stall
+    /// rule: a receive that can never be served aborts the run and panics
+    /// with a message naming the tag it waited for, the tags parked in its
+    /// mailbox and every other machine's state, which
+    /// [`Cluster::try_run`](crate::cluster::Cluster::try_run) reports as
+    /// a `MachinePanic`. The plan's `step_timeout`, when set, bounds the
+    /// whole wait: past it the receive aborts the run and panics with a
+    /// typed `InjectedFailure::Timeout` payload naming the same tags,
+    /// which `try_run` converts into a `StepTimeout`.
     pub fn recv_packet(&mut self, tag: Tag) -> Packet {
+        let id = self.sender.id;
         if let Some(f) = self.sender.fault.as_ref() {
             // Mainline fault point: the plan's kill fires here.
-            f.fault_point(self.sender.id);
+            f.fault_point(id);
         }
         if self.sender.control.is_aborted() {
             std::panic::panic_any(InjectedFailure::PeerAborted);
@@ -460,36 +460,57 @@ impl CommManager {
             return pkt;
         }
         let ctrl = &self.sender.control;
-        let timeout = ctrl.timeout().unwrap_or(RECV_TIMEOUT);
-        let deadline = Instant::now() + timeout;
-        let slice = (timeout / 8).clamp(Duration::from_millis(1), Duration::from_millis(25));
+        let deadline = ctrl.timeout().map(|t| Instant::now() + t);
+        let slice = ctrl.slice();
+        // Whether this receive has published that it waits.
+        let mut waiting = false;
         loop {
             if ctrl.is_aborted() {
                 std::panic::panic_any(InjectedFailure::PeerAborted);
             }
             match self.inbox.recv_timeout(slice) {
                 Some(pkt) if pkt.tag == tag => {
+                    // Running again before the packet is counted out, so
+                    // the stall rule never reads this machine waiting with
+                    // nothing to take.
+                    if waiting {
+                        ctrl.running(id);
+                    }
                     self.note_delivered();
                     return pkt;
                 }
-                Some(pkt) => self.mailbox.entry(pkt.tag).or_default().push_back(pkt),
-                None if Instant::now() >= deadline => {
+                Some(pkt) => {
+                    ctrl.packet_parked(id);
+                    self.mailbox.entry(pkt.tag).or_default().push_back(pkt);
+                }
+                None if deadline.is_some_and(|d| Instant::now() >= d) => {
                     // This machine is starved past the step budget: a peer
-                    // died or stalled, or the SPMD protocol is broken.
-                    // Abort the run (waking every barrier waiter) and
-                    // unwind with a typed payload.
+                    // stalled. Abort the run (waking every barrier waiter)
+                    // and unwind with a typed payload.
                     ctrl.abort();
                     std::panic::panic_any(InjectedFailure::Timeout {
-                        machine: self.sender.id,
-                        context: format!(
-                            "waiting for tag {tag:?} (mailbox holds tags {:?})",
-                            self.mailbox.keys().collect::<BTreeSet<_>>()
-                        ),
+                        machine: id,
+                        context: self.awaiting(tag),
                     });
                 }
-                None => {}
+                None => {
+                    waiting = true;
+                    if let Some(others) = ctrl.receiving(id, tag) {
+                        panic!(
+                            "machine {id}: wait can never end: {}{others}",
+                            self.awaiting(tag)
+                        );
+                    }
+                }
             }
         }
+    }
+
+    /// "waiting for tag … (mailbox holds tags {…})": what a starved
+    /// receive for `tag` reports.
+    fn awaiting(&self, tag: Tag) -> String {
+        let parked: BTreeSet<_> = self.mailbox.keys().collect();
+        format!("waiting for tag {tag:?} (mailbox holds tags {parked:?})")
     }
 
     /// Frees the inbox's queue buffer if nothing is waiting in it: an
@@ -566,6 +587,14 @@ impl CommManager {
         let shared: std::sync::Arc<Vec<T>> = downcast_value(pkt.payload, pkt.tag);
         let data = std::sync::Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone());
         (src, data)
+    }
+}
+
+impl Drop for CommManager {
+    /// A machine whose manager drops has returned from the run: it waits
+    /// for nothing and sends nothing more, which the stall rule reads.
+    fn drop(&mut self) {
+        self.sender.control.returned(self.sender.id);
     }
 }
 

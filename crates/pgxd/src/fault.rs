@@ -21,8 +21,8 @@
 //!   designated machine is delayed, and steps can be paused at their
 //!   boundary (pause/resume) on any machine.
 //! - **`Cluster`** — a machine can be killed mid-step via an injected
-//!   panic, and a configurable per-step timeout converts a hung barrier
-//!   or a starved receive into a structured [`RunError`] through
+//!   panic, and a configurable per-step timeout converts a machine that
+//!   stalls past it into a structured [`RunError`] through
 //!   [`Cluster::try_run`](crate::cluster::Cluster::try_run) instead of a
 //!   wedged process.
 //!
@@ -51,10 +51,17 @@
 //! ran out — a waiter, not the machine it waited for; the holdout is the
 //! slowest machine of a step in [`RunError::steps`]. A starved receive's
 //! message also names the tag it waited for and the tags parked in its
-//! mailbox. Without a `step_timeout`, a receive gives up only after the
-//! two-minute protocol-bug guard, and barriers never time out; a barrier
-//! that a machine which has returned from the run would have to complete
-//! ends at once either way (`ClusterBarrier::depart`).
+//! mailbox. The deadline is the plan's one clock, the guard against a
+//! machine that computes forever; a run whose plan sets none is never cut
+//! off by time.
+//!
+//! A wait that can never end needs no clock. Each machine publishes what
+//! it waits for, and a waiter whose slice comes up empty checks one rule,
+//! `ClusterBarrier`'s stall rule: when every live machine waits, no
+//! receiver has a packet in its inbox queue and no barrier waiter's
+//! generation has been released, nothing can wake anyone. The waiter then
+//! aborts the run with a panic naming every machine's state, which
+//! `try_run` reports as [`RunErrorKind::MachinePanic`], deadline or not.
 
 use crate::comm::Tag;
 use crate::metrics::{CommSummary, StepReport};
@@ -62,12 +69,13 @@ use crate::net::NetworkModel;
 use crate::sync::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::HashMap;
-// Monotonic counters only (never gate control flow): plain std atomics,
-// same policy as `metrics` (see `sync` module docs). The abort flag *is*
-// control flow but is intentionally racy-read (a late observer just
-// unwinds one poll later), and the in-flight counts are read only where a
-// lock or a join orders every update before the read.
+// Plain std atomics, as in `metrics` (see `sync` module docs): the
+// injector's counters never gate control flow; the abort flag *is* control
+// flow but is intentionally racy-read (a late observer just unwinds one
+// poll later); and the packet counts are read under the barrier's lock or
+// after the join, in the order the comment beside them gives.
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A deterministic fault-injection plan. All probabilities are in
@@ -106,7 +114,8 @@ pub struct FaultPlan {
     /// fires — letting tests place the kill mid-exchange.
     pub kill_after_events: u64,
     /// Per-step timeout: bounds barrier waits and fabric receives, and
-    /// converts a hung run into a structured [`RunError`] under
+    /// converts a machine that stalls past it into a structured
+    /// [`RunError`] under
     /// [`Cluster::try_run`](crate::cluster::Cluster::try_run).
     pub step_timeout: Option<Duration>,
 }
@@ -319,7 +328,8 @@ impl std::fmt::Display for InjectedFailure {
 /// Why [`Cluster::try_run`](crate::cluster::Cluster::try_run) failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunErrorKind {
-    /// A machine's SPMD closure (or the runtime under it) panicked.
+    /// A machine's SPMD closure (or the runtime under it) panicked: a
+    /// protocol check failed, or a wait could never end.
     MachinePanic,
     /// The fault plan's kill fired.
     InjectedKill,
@@ -389,9 +399,10 @@ pub(crate) enum BarrierWait {
     /// This waiter's step timeout elapsed first; it has already marked
     /// the run aborted on behalf of everyone.
     TimedOut,
-    /// The named machine returned from the run: this generation can
-    /// never complete.
-    Departed(usize),
+    /// The stall rule found that this generation can never complete; the
+    /// waiter has aborted the run. Its own state, then every other
+    /// machine's.
+    NeverEnds(String),
     /// Everyone arrived, but packets were still in flight: each machine
     /// whose inbox or mailbox held any, with how many.
     Undelivered(Vec<(usize, usize)>),
@@ -406,21 +417,51 @@ pub(crate) fn describe_undelivered(held: &[(usize, usize)]) -> String {
     each.join(", ")
 }
 
+/// What a machine waits for, as it last published it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    /// Not in a wait, or in one that has not come up empty yet.
+    Running,
+    /// In a receive for this tag, a slice of which came up empty.
+    Receiving(Tag),
+    /// At this barrier generation.
+    Barrier(u64),
+    /// Returned from the run: it waits for nothing and sends nothing.
+    Returned,
+}
+
+impl std::fmt::Display for Wait {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Wait::Running => write!(f, "running"),
+            Wait::Receiving(tag) => write!(f, "waiting for tag {tag:?}"),
+            Wait::Barrier(g) => write!(f, "at barrier generation {g}"),
+            Wait::Returned => write!(f, "returned from the run"),
+        }
+    }
+}
+
+/// How long a waiter sleeps between two checks of the stall rule when no
+/// step deadline is nearer.
+const SLICE: Duration = Duration::from_millis(25);
+
 struct BarrierGen {
     arrived: usize,
     generation: u64,
-    /// The first machine whose closure returned; see
-    /// [`ClusterBarrier::depart`].
-    departed: Option<usize>,
     /// The last released generation's verdict: what
     /// [`ClusterBarrier::undelivered`] read while every machine was
     /// parked, empty when the fabric was quiescent.
     undelivered: Vec<(usize, usize)>,
+    /// Each machine's published wait, by machine.
+    waits: Vec<Wait>,
+    /// Each machine's unfinished send tasks: a machine with any counts as
+    /// running whatever its own thread waits for.
+    sending: Vec<usize>,
 }
 
-/// The run's control plane: an abortable, optionally timeout-bounded
-/// barrier that owns the run's one abort flag, its step deadline and its
-/// in-flight count per inbox. Every fabric is built around one
+/// The run's control plane: an abortable barrier that owns the run's one
+/// abort flag, its step deadline, its in-flight count per inbox and what
+/// each machine waits for. Every fabric is built around one
 /// ([`CommManager::fabric_with`]): the senders and the receive loop read
 /// the flag and the deadline here, so a dead machine can never wedge the
 /// survivors, and count each packet in when it enters an inbox and out
@@ -430,62 +471,88 @@ struct BarrierGen {
 /// the one point where every packet sent must have been consumed, and
 /// every waiter of that generation unwinds alike on the verdict.
 /// Aborting wakes every waiter, and (with the plan's `step_timeout`) a
-/// barrier nobody completes converts into a structured failure instead
-/// of a hang. So does a barrier that a machine which has already returned
-/// from the run would have to complete, with or without a deadline.
+/// wait past the deadline converts into a structured failure instead of
+/// a hang. A wait that can never end does so at once, deadline or not:
+/// see `ClusterBarrier::verdict`, the stall rule.
 ///
 /// [`CommManager::fabric_with`]: crate::comm::CommManager::fabric_with
 ///
-/// Built on [`crate::sync`] so loom builds compile; under loom the
-/// timeout degrades to a plain wait (cluster runs are not loom-modeled).
+/// Built on [`crate::sync`] so loom builds compile; under loom a timed
+/// wait degrades to a plain wait (cluster runs are not loom-modeled).
 pub(crate) struct ClusterBarrier {
     n: usize,
     timeout: Option<Duration>,
     aborted: AtomicBool,
     /// Packets each machine's inbox or mailbox holds, by machine.
     in_flight: Vec<AtomicUsize>,
+    /// Packets each machine's mailbox holds, by machine.
+    parked: Vec<AtomicUsize>,
     state: Mutex<BarrierGen>,
     cv: Condvar,
 }
 
 impl ClusterBarrier {
     pub(crate) fn new(n: usize, timeout: Option<Duration>) -> Self {
+        let counts = || (0..n).map(|_| AtomicUsize::new(0)).collect();
         ClusterBarrier {
             n,
             timeout,
             aborted: AtomicBool::new(false),
-            in_flight: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            in_flight: counts(),
+            parked: counts(),
             state: Mutex::new(BarrierGen {
                 arrived: 0,
                 generation: 0,
-                departed: None,
                 undelivered: Vec::new(),
+                waits: vec![Wait::Running; n],
+                sending: vec![0; n],
             }),
             cv: Condvar::new(),
         }
     }
 
-    // `Relaxed` suffices for the counts: a packet is counted in before its
-    // sender's queue lock publishes it, and counted out after its
-    // receiver's queue lock took it, so a count never goes below zero; and
-    // every read happens under the barrier's lock with every machine
-    // parked, or after the machines are joined.
+    // The counts are updated `AcqRel` and read `Acquire`. A packet is
+    // counted in before its sender's queue lock publishes it, and counted
+    // out after its receiver's queue lock took it, so a count never goes
+    // below zero. A packet is parked after its in-flight count went up, so
+    // the stall rule, which reads `parked` before `in_flight`, never counts
+    // a receiver's inbox queue short. The quiescence reads happen under
+    // the barrier's lock with every machine parked, or after the join.
 
     /// Counts a packet entering `dst`'s inbox, before it is queued.
     pub(crate) fn packet_sent(&self, dst: usize) {
-        self.in_flight[dst].fetch_add(1, Ordering::Relaxed);
+        self.in_flight[dst].fetch_add(1, Ordering::AcqRel);
     }
 
     /// Counts a packet out of `dst`'s inbox: consumed by its receiver, or
     /// refused by a queue whose receiver is gone.
     pub(crate) fn packet_taken(&self, dst: usize) {
-        self.in_flight[dst].fetch_sub(1, Ordering::Relaxed);
+        self.in_flight[dst].fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Counts a packet into `dst`'s mailbox, after its receiver pulled it.
+    pub(crate) fn packet_parked(&self, dst: usize) {
+        self.parked[dst].fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Counts a packet out of `dst`'s mailbox, before it is consumed.
+    pub(crate) fn packet_unparked(&self, dst: usize) {
+        self.parked[dst].fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Packets in machine `m`'s inbox queue, or pulled from it and not yet
+    /// consumed or parked: what can still end a receive.
+    fn queued(&self, m: usize) -> usize {
+        let parked = self.parked[m].load(Ordering::Acquire);
+        self.in_flight[m]
+            .load(Ordering::Acquire)
+            .saturating_sub(parked)
     }
 
     /// Each machine whose inbox or mailbox holds packets, with how many.
     pub(crate) fn undelivered(&self) -> Vec<(usize, usize)> {
         (self.in_flight.iter().enumerate())
-            .map(|(m, n)| (m, n.load(Ordering::Relaxed)))
+            .map(|(m, n)| (m, n.load(Ordering::Acquire)))
             .filter(|&(_, n)| n > 0)
             .collect()
     }
@@ -504,16 +571,91 @@ impl ClusterBarrier {
         }
     }
 
-    /// Waits for all `n` machines (or an abort, the timeout, or a
-    /// machine's departure), then reports whether any packet was in
-    /// flight when the last of them arrived.
-    pub(crate) fn wait(&self) -> BarrierWait {
+    /// How long a waiter sleeps between two checks of the stall rule and
+    /// of its deadline.
+    pub(crate) fn slice(&self) -> Duration {
+        self.timeout
+            .map_or(SLICE, |t| (t / 8).clamp(Duration::from_millis(1), SLICE))
+    }
+
+    /// The stall rule, the one place that decides that a wait can never
+    /// end, read under the lock that every published wait is written
+    /// under. The run can never progress when every live machine waits
+    /// (none running, none with an unfinished send task), no receiver
+    /// has a packet in its inbox queue, and no barrier waiter's generation
+    /// has been released. Then `me`'s wait can never end: this aborts the
+    /// run and returns every other machine's state, each as "; machine m
+    /// …". `None` while the run can progress, or once it is aborted.
+    ///
+    /// Every sender is a running machine's thread or one of its send
+    /// tasks, so a machine the rule reads as waiting sends nothing until
+    /// it publishes that it runs, under this lock; and a receiver counts a
+    /// packet out only after it has published that it runs. So a snapshot
+    /// read under the lock that looks stuck is stuck.
+    fn verdict(&self, g: &BarrierGen, me: usize) -> Option<String> {
+        if self.aborted.load(Ordering::Acquire) {
+            return None;
+        }
+        let stuck = (0..self.n).all(|m| match g.waits[m] {
+            Wait::Returned => true,
+            _ if g.sending[m] > 0 => false,
+            Wait::Running => false,
+            Wait::Receiving(_) => self.queued(m) == 0,
+            Wait::Barrier(generation) => generation == g.generation,
+        });
+        if !stuck {
+            return None;
+        }
+        self.aborted.store(true, Ordering::Release);
+        self.cv.notify_all();
+        let others = (0..self.n).filter(|&m| m != me);
+        Some(
+            others
+                .map(|m| format!("; machine {m} {}", g.waits[m]))
+                .collect(),
+        )
+    }
+
+    /// Publishes that `me` waits in a receive for `tag` which came up
+    /// empty for a slice, and checks the stall rule: `Some` (the other
+    /// machines' states) when the receive can never end, the run now
+    /// aborted.
+    pub(crate) fn receiving(&self, me: usize, tag: Tag) -> Option<String> {
+        let mut g = self.state.lock();
+        g.waits[me] = Wait::Receiving(tag);
+        self.verdict(&g, me)
+    }
+
+    /// Publishes that `me` runs again, after a wait it published.
+    pub(crate) fn running(&self, me: usize) {
+        self.state.lock().waits[me] = Wait::Running;
+    }
+
+    /// Publishes that `me` returned from the run, and wakes every barrier
+    /// waiter to check the stall rule. Idempotent.
+    pub(crate) fn returned(&self, me: usize) {
+        let mut g = self.state.lock();
+        g.waits[me] = Wait::Returned;
+        self.cv.notify_all();
+    }
+
+    /// Counts one unfinished send task of machine `me` until the returned
+    /// guard drops: while any is alive, `me` counts as running.
+    pub(crate) fn sending(self: &Arc<Self>, me: usize) -> Sending {
+        self.state.lock().sending[me] += 1;
+        Sending {
+            control: self.clone(),
+            machine: me,
+        }
+    }
+
+    /// Waits for all `n` machines (or an abort, the timeout, or the stall
+    /// rule's verdict), then reports whether any packet was in flight when
+    /// the last of them arrived. `me` is the arriving machine.
+    pub(crate) fn wait(&self, me: usize) -> BarrierWait {
         let mut g = self.state.lock();
         if self.aborted.load(Ordering::Acquire) {
             return BarrierWait::Aborted;
-        }
-        if let Some(m) = g.departed {
-            return BarrierWait::Departed(m);
         }
         g.arrived += 1;
         if g.arrived == self.n {
@@ -526,42 +668,42 @@ impl ClusterBarrier {
             return Self::released(&g);
         }
         let gen = g.generation;
+        g.waits[me] = Wait::Barrier(gen);
         // Wall clock only arms the abort timeout; it never orders replayed
         // events.
         let deadline = self.timeout.map(|t| Instant::now() + t);
-        loop {
+        let outcome = loop {
             if self.aborted.load(Ordering::Acquire) {
-                return BarrierWait::Aborted;
+                break BarrierWait::Aborted;
             }
             if g.generation != gen {
                 // No later generation can have released: it needs this
                 // machine too.
-                return Self::released(&g);
+                break Self::released(&g);
             }
-            if let Some(m) = g.departed {
-                return BarrierWait::Departed(m);
+            if let Some(others) = self.verdict(&g, me) {
+                break BarrierWait::NeverEnds(format!("{}{others}", Wait::Barrier(gen)));
             }
-            match deadline {
-                // Condvar wait on the barrier's own mutex — the guard is
-                // released for the wait; no other lock is held.
-                None => g = self.cv.wait(g),
-                Some(d) => {
-                    // Timeout-expiry check — aborts the run, never feeds
-                    // replayed ordering.
-                    let now = Instant::now();
-                    if now >= d {
-                        // This generation can never complete: a peer died
-                        // or stalled past the plan's budget. Abort the run
-                        // so every machine unwinds instead of hanging.
-                        self.aborted.store(true, Ordering::Release);
-                        self.cv.notify_all();
-                        return BarrierWait::TimedOut;
-                    }
-                    let (g2, _timed_out) = self.cv.wait_for(g, d - now);
-                    g = g2;
+            let mut slice = self.slice();
+            if let Some(d) = deadline {
+                // Timeout-expiry check — aborts the run, never feeds
+                // replayed ordering.
+                let now = Instant::now();
+                if now >= d {
+                    // A peer stalled past the plan's budget. Abort the run
+                    // so every machine unwinds instead of hanging.
+                    self.aborted.store(true, Ordering::Release);
+                    self.cv.notify_all();
+                    break BarrierWait::TimedOut;
                 }
+                slice = slice.min(d - now);
             }
-        }
+            // Condvar wait on the barrier's own mutex — the guard is
+            // released for the wait; no other lock is held.
+            g = self.cv.wait_for(g, slice).0;
+        };
+        g.waits[me] = Wait::Running;
+        outcome
     }
 
     /// Marks the run aborted and wakes every barrier waiter. Idempotent.
@@ -570,17 +712,6 @@ impl ClusterBarrier {
         // Taking the lock pairs the store with any waiter that checked the
         // flag and is about to park — no lost wakeup.
         let _g = self.state.lock();
-        self.cv.notify_all();
-    }
-
-    /// Records that `machine`'s closure returned and wakes every waiter.
-    /// A machine that has returned enters no further barrier, so no
-    /// generation unreleased by now can complete: its waiters, and every
-    /// later arriver, get [`BarrierWait::Departed`] naming the first
-    /// machine that returned.
-    pub(crate) fn depart(&self, machine: usize) {
-        let mut g = self.state.lock();
-        g.departed.get_or_insert(machine);
         self.cv.notify_all();
     }
 
@@ -593,6 +724,25 @@ impl ClusterBarrier {
     /// is bounded by; `None` when the plan sets no `step_timeout`.
     pub(crate) fn timeout(&self) -> Option<Duration> {
         self.timeout
+    }
+}
+
+/// One unfinished send task of a machine, counted by
+/// [`ClusterBarrier::sending`] until it drops, with its task's closure.
+pub(crate) struct Sending {
+    control: Arc<ClusterBarrier>,
+    machine: usize,
+}
+
+impl Drop for Sending {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // A send task that panics leaves its streams, and any task
+            // queued behind it, unfinished: abort the run, or its receivers
+            // would wait for them with this machine counted as running.
+            self.control.abort();
+        }
+        self.control.state.lock().sending[self.machine] -= 1;
     }
 }
 
@@ -793,7 +943,6 @@ impl FaultInjector {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn disabled_plan_is_default_and_unarmed() {
@@ -885,19 +1034,21 @@ mod tests {
         assert!(never.chunk_send_delay(0, 1, 0, 1024).is_none());
     }
 
+    /// A barrier waiter on its own thread, joined by the test.
+    fn waiter(b: &Arc<ClusterBarrier>, me: usize) -> crate::sync::thread::JoinHandle<BarrierWait> {
+        let b = b.clone();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a test waiter on the barrier, joined by the test"
+        )]
+        crate::sync::thread::spawn(move || b.wait(me))
+    }
+
     #[test]
     fn barrier_releases_all_waiters() {
         let b = Arc::new(ClusterBarrier::new(3, None));
-        let mut joins = Vec::new();
-        for _ in 0..2 {
-            let b = b.clone();
-            #[allow(
-                clippy::disallowed_methods,
-                reason = "a test waiter on the barrier, joined by the test"
-            )]
-            joins.push(crate::sync::thread::spawn(move || b.wait()));
-        }
-        assert_eq!(b.wait(), BarrierWait::Released);
+        let joins = [waiter(&b, 1), waiter(&b, 2)];
+        assert_eq!(b.wait(0), BarrierWait::Released);
         for j in joins {
             assert_eq!(j.join().unwrap(), BarrierWait::Released);
         }
@@ -906,82 +1057,120 @@ mod tests {
     #[test]
     fn barrier_abort_wakes_waiters() {
         let b = Arc::new(ClusterBarrier::new(2, None));
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "a test waiter on the barrier, joined by the test"
-        )]
-        let waiter = {
-            let b = b.clone();
-            crate::sync::thread::spawn(move || b.wait())
-        };
+        let parked = waiter(&b, 0);
         // Give the waiter a moment to park, then abort instead of arriving.
         std::thread::sleep(Duration::from_millis(20));
         b.abort();
-        assert_eq!(waiter.join().unwrap(), BarrierWait::Aborted);
+        assert_eq!(parked.join().unwrap(), BarrierWait::Aborted);
         assert!(b.is_aborted());
         // Later arrivals see the abort immediately.
-        assert_eq!(b.wait(), BarrierWait::Aborted);
+        assert_eq!(b.wait(1), BarrierWait::Aborted);
     }
 
     #[test]
     fn departure_ends_a_barrier_it_would_have_to_complete() {
         let b = Arc::new(ClusterBarrier::new(3, None));
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "a test waiter on the barrier, joined by the test"
-        )]
-        let waiter = {
-            let b = b.clone();
-            crate::sync::thread::spawn(move || b.wait())
-        };
-        // Give the waiter a moment to park, then depart instead of
-        // arriving.
-        std::thread::sleep(Duration::from_millis(20));
-        b.depart(2);
-        assert_eq!(waiter.join().unwrap(), BarrierWait::Departed(2));
-        // A late arriver sees the first departure, not the run aborted.
-        b.depart(1);
-        assert_eq!(b.wait(), BarrierWait::Departed(2));
+        let parked = waiter(&b, 0);
+        // Machine 2 returns instead of arriving; machine 1 still runs, so
+        // the waiter waits on through several slices.
+        b.returned(2);
+        std::thread::sleep(4 * SLICE);
+        assert!(!parked.is_finished());
         assert!(!b.is_aborted());
+        // Once machine 1 returns too, the generation can never complete:
+        // the waiter's rule ends it, naming both, and aborts the run.
+        b.returned(1);
+        let BarrierWait::NeverEnds(states) = parked.join().unwrap() else {
+            panic!("the stall rule must end the wait");
+        };
+        assert_eq!(
+            states,
+            "at barrier generation 0; machine 1 returned from the run; \
+             machine 2 returned from the run"
+        );
+        assert!(b.is_aborted());
+        // A late arriver finds the run aborted.
+        assert_eq!(b.wait(0), BarrierWait::Aborted);
     }
 
     #[test]
     fn a_generation_released_before_a_departure_reads_released() {
         let b = Arc::new(ClusterBarrier::new(2, None));
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "a test waiter on the barrier, joined by the test"
-        )]
-        let waiter = {
-            let b = b.clone();
-            crate::sync::thread::spawn(move || b.wait())
-        };
-        // Complete the waiter's generation and depart at once, before the
+        let parked = waiter(&b, 0);
+        // Complete the waiter's generation and return at once, before the
         // waiter (usually) wakes: it still passed the barrier.
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(b.wait(), BarrierWait::Released);
-        b.depart(1);
-        assert_eq!(waiter.join().unwrap(), BarrierWait::Released);
-        // The next generation can never complete.
-        assert_eq!(b.wait(), BarrierWait::Departed(1));
+        assert_eq!(b.wait(1), BarrierWait::Released);
+        b.returned(1);
+        assert_eq!(parked.join().unwrap(), BarrierWait::Released);
+        // The next generation can never complete, and its arriver finds
+        // so as it arrives.
+        assert_eq!(
+            b.wait(0),
+            BarrierWait::NeverEnds(
+                "at barrier generation 1; machine 1 returned from the run".into()
+            )
+        );
+    }
+
+    #[test]
+    fn waiters_released_but_not_yet_woken_are_not_stuck() {
+        // Machines 1 and 2 wait at generation 0, which machine 0 released
+        // as the last arriver before entering a receive; they have not
+        // woken yet to publish that they run.
+        let b = ClusterBarrier::new(3, None);
+        {
+            let mut g = b.state.lock();
+            g.waits[1] = Wait::Barrier(0);
+            g.waits[2] = Wait::Barrier(0);
+            g.generation = 1;
+        }
+        assert_eq!(b.receiving(0, Tag::user(0, 0)), None);
+        // Unreleased, the same waits can never end.
+        b.state.lock().generation = 0;
+        let others = b.receiving(0, Tag::user(0, 0)).expect("stuck");
+        assert_eq!(
+            others,
+            "; machine 1 at barrier generation 0; machine 2 at barrier generation 0"
+        );
+    }
+
+    #[test]
+    fn a_packet_pulled_but_not_yet_consumed_is_not_stuck() {
+        // Machine 1 waits for `tag` and has pulled its packet from the
+        // inbox, but not yet left its wait: the packet still counts in.
+        let tag = Tag::user(0, 1);
+        let b = ClusterBarrier::new(2, None);
+        b.packet_sent(1);
+        b.state.lock().waits[1] = Wait::Receiving(tag);
+        assert_eq!(b.receiving(0, Tag::user(0, 0)), None);
+        // Parked in the mailbox instead, under another tag, it wakes no one.
+        b.packet_parked(1);
+        let others = b.receiving(0, Tag::user(0, 0)).expect("stuck");
+        assert_eq!(others, format!("; machine 1 waiting for tag {tag:?}"));
+    }
+
+    #[test]
+    fn a_machine_whose_send_tasks_run_is_not_stuck() {
+        // Machine 1's thread waits in a receive while one of its send
+        // tasks still runs; once the task ends, nothing can feed anyone.
+        let b = Arc::new(ClusterBarrier::new(2, None));
+        let task = b.sending(1);
+        assert_eq!(b.receiving(1, Tag::user(0, 1)), None);
+        assert_eq!(b.receiving(0, Tag::user(0, 0)), None);
+        drop(task);
+        assert!(b.receiving(0, Tag::user(0, 0)).is_some());
     }
 
     #[test]
     fn every_waiter_reads_the_verdict_on_packets_in_flight() {
         let b = Arc::new(ClusterBarrier::new(2, None));
         b.packet_sent(1);
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "a test waiter on the barrier, joined by the test"
-        )]
-        let waiter = {
-            let b = b.clone();
-            crate::sync::thread::spawn(move || b.wait())
-        };
+        let parked = waiter(&b, 0);
         // Whichever arrives last reads the counts; the other, its verdict.
         let held = BarrierWait::Undelivered(vec![(1, 1)]);
-        assert_eq!(b.wait(), held);
-        assert_eq!(waiter.join().unwrap(), held);
+        assert_eq!(b.wait(1), held);
+        assert_eq!(parked.join().unwrap(), held);
         assert_eq!(b.residual(), 1);
     }
 
@@ -989,7 +1178,7 @@ mod tests {
     fn barrier_times_out_and_aborts_the_run() {
         let b = ClusterBarrier::new(2, Some(Duration::from_millis(30)));
         let start = Instant::now();
-        assert_eq!(b.wait(), BarrierWait::TimedOut);
+        assert_eq!(b.wait(0), BarrierWait::TimedOut);
         assert!(start.elapsed() >= Duration::from_millis(30));
         assert!(b.is_aborted());
     }

@@ -69,9 +69,11 @@
 //!   [`fault::FaultPlan`] on [`cluster::ClusterConfig`] arms per-chunk
 //!   delays/jitter, mailbox reordering, bounded drop-with-redelivery,
 //!   straggler workers, step pauses, mid-step machine kills, and a
-//!   per-step timeout that converts a hung run into a structured
-//!   [`fault::RunError`] via [`cluster::Cluster::try_run`]. Off by
-//!   default; disabled runs pay ~one branch per fault site.
+//!   per-step timeout that converts a machine stalled past it into a
+//!   structured [`fault::RunError`] via [`cluster::Cluster::try_run`].
+//!   Off by default; disabled runs pay ~one branch per fault site. Its
+//!   control plane also holds the stall rule that fails, in every run, a
+//!   wait that can never end.
 //! - Compiler lints, from the manifests — `unsafe_code` confines `unsafe`
 //!   to an allowlist (`pgxd::machine`, `memtrack`), clippy's
 //!   `undocumented_unsafe_blocks` requires `// SAFETY:` on every unsafe

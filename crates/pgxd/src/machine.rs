@@ -152,8 +152,10 @@ impl MachineCtx {
     /// packets.
     ///
     /// A peer's failure (or this machine's own step timeout) unwinds with
-    /// a typed payload instead of deadlocking the cluster, and a peer that
-    /// returned from the run (so never arrives) with a panic naming it;
+    /// a typed payload instead of deadlocking the cluster, and a barrier
+    /// that can never complete (the control plane's stall rule: say, a
+    /// peer returned from the run instead of arriving) with a panic naming
+    /// every machine's state;
     /// [`Cluster::try_run`](crate::cluster::Cluster::try_run) converts
     /// each into a structured [`RunError`](crate::fault::RunError).
     // The only way out of a barrier whose peers are dead is to unwind; the
@@ -164,17 +166,16 @@ impl MachineCtx {
         // machines (barrier wait skew in the trace's derived views).
         let t0 = self.trace.as_ref().map(|t| t.now_ns());
         // The run's control plane, which the fabric was built around.
-        match self.comm.control().wait() {
+        match self.comm.control().wait(self.id) {
             BarrierWait::Released => {}
             BarrierWait::Aborted => std::panic::panic_any(InjectedFailure::PeerAborted),
             BarrierWait::TimedOut => std::panic::panic_any(InjectedFailure::Timeout {
                 machine: self.id,
                 context: "at barrier".to_string(),
             }),
-            BarrierWait::Departed(m) => panic!(
-                "machine {}: barrier can never complete: machine {m} returned from the run",
-                self.id
-            ),
+            BarrierWait::NeverEnds(states) => {
+                panic!("machine {}: wait can never end: {states}", self.id)
+            }
             BarrierWait::Undelivered(held) => panic!(
                 "machine {}: undelivered packet(s) at barrier: {}",
                 self.id,
@@ -210,8 +211,10 @@ impl MachineCtx {
         parts[MASTER] = Some(data);
         for _ in 1..self.p {
             let (src, v) = self.comm.recv_vec::<T>(tag);
-            debug_assert!(parts[src].is_none(), "duplicate gather from {src}");
-            parts[src] = Some(v);
+            assert!(
+                parts[src].replace(v).is_none(),
+                "second gather part from machine {src}"
+            );
         }
         Some(
             parts
@@ -240,7 +243,10 @@ impl MachineCtx {
         };
         if self.id != MASTER {
             let (src, v) = self.comm.recv_shared_vec::<T>(tag);
-            debug_assert_eq!(src, MASTER);
+            assert_eq!(
+                src, MASTER,
+                "broadcast part from machine {src}, not the master"
+            );
             return v;
         }
         let shared = Arc::new(data.expect("the master must supply the broadcast data"));
@@ -277,8 +283,10 @@ impl MachineCtx {
         received[self.id] = Some(std::mem::take(&mut parts[self.id]));
         for _ in 1..self.p {
             let (src, v) = self.comm.recv_vec::<T>(tag);
-            debug_assert!(received[src].is_none());
-            received[src] = Some(v);
+            assert!(
+                received[src].replace(v).is_none(),
+                "second all_to_all part from machine {src}"
+            );
         }
         received
             .into_iter()
@@ -308,8 +316,10 @@ impl MachineCtx {
         received[self.id] = Some(mine);
         for _ in 1..self.p {
             let (src, v) = self.comm.recv_shared_vec::<T>(tag);
-            debug_assert!(received[src].is_none());
-            received[src] = Some(v);
+            assert!(
+                received[src].replace(v).is_none(),
+                "second all_gather part from machine {src}"
+            );
         }
         received
             .into_iter()
@@ -415,6 +425,9 @@ impl MachineCtx {
                 buf.send_chunk(&data[send_offsets[i]..send_offsets[i + 1]], 0, &sender)
             });
             let sender = sender.clone();
+            // Until the task ends this machine counts as running for the
+            // stall rule, whatever its own thread waits for.
+            let sending = self.comm.control().sending(id);
             let lane = 1 + tasks.len() as u32;
             let index = tasks.len() as u64;
             tasks.push(task::traced_task(
@@ -423,6 +436,7 @@ impl MachineCtx {
                 dst as u64,
                 index,
                 Box::new(move || {
+                    let _sending = sending;
                     // `at` is the stream offset the range starts at; the
                     // opener carried the head of the first non-empty one.
                     let mut at = 0;

@@ -30,12 +30,12 @@
 //!   ordering that never gate control flow, and keeping them invisible to
 //!   loom keeps the model state space tractable.
 //! - The fabric's queues ([`unbounded`], used by [`comm`](crate::comm))
-//!   receive with a deadline, and loom has no time model, so the loom
-//!   tests exercise a miniature fabric of the same shape — a queue behind
-//!   this module's `Mutex`/`Condvar` — instead
-//!   (`tests/loom_exchange.rs`). The cluster barrier
-//!   (`fault::ClusterBarrier`) is built on this
-//!   module's primitives directly.
+//!   receive in timed slices, between which a waiter checks the run's
+//!   stall rule, and loom has no time model, so the loom tests exercise a
+//!   miniature fabric of the same shape — a queue behind this module's
+//!   `Mutex`/`Condvar` — instead (`tests/loom_exchange.rs`). The cluster
+//!   barrier (`fault::ClusterBarrier`) is built on this module's
+//!   primitives directly.
 //!
 //! [loom]: https://docs.rs/loom
 
@@ -250,8 +250,8 @@ impl Condvar {
     ///
     /// Under loom this degrades to an untimed [`Condvar::wait`] that never
     /// reports a timeout: loom has no time model, and the callers (the
-    /// cluster barrier's fault-plan step timeout, the fabric's receive)
-    /// are not exercised by the loom suites.
+    /// cluster barrier's and the fabric receive's slices) are not
+    /// exercised by the loom suites.
     pub fn wait_for<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,

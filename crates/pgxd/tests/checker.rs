@@ -8,14 +8,13 @@
 //!   through a `RequestBuffer` at offsets of its own choosing, plays the
 //!   defect.
 //!
-//! A tag nobody receives is named by the receive's deadline.
+//! A tag nobody receives is named by the stall rule, and a second part
+//! from one source by the collective that receives it.
 
 use pgxd::buffer::RequestBuffer;
 use pgxd::cluster::{Cluster, ClusterConfig};
 use pgxd::comm::{kinds, Tag};
-use pgxd::fault::FaultPlan;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 #[test]
 fn clean_run_passes_barriers_and_teardown() {
@@ -122,15 +121,44 @@ fn offset_gap_reported() {
     expected = "waiting for tag Tag { kind: 17, seq: 2 } (mailbox holds tags {Tag { kind: 17, seq: 1 }})"
 )]
 fn tag_mismatch_delivery_reported() {
-    // Machine 1 waits under a different tag than anything sent to it: the
-    // receive's deadline names both.
-    let plan = FaultPlan::enabled(1).step_timeout(Duration::from_millis(200));
-    let cluster = Cluster::new(ClusterConfig::new(2).fault(plan));
+    // Machine 1 waits under a different tag than anything sent to it, and
+    // machine 0 returns: the stall rule names both tags.
+    let cluster = Cluster::new(ClusterConfig::new(2));
     cluster.run(|ctx| {
         if ctx.id() == 0 {
             ctx.comm_mut().send_vec(1, Tag::user(1, 1), vec![1u64]);
         } else {
             ctx.comm_mut().recv_vec::<u64>(Tag::user(1, 2));
+        }
+    });
+}
+
+#[test]
+#[should_panic(expected = "second gather part from machine 1")]
+fn a_second_gather_part_from_one_source_is_refused_naming_it() {
+    // Machine 1 forges a part of the master's first gather before it sends
+    // its real one; machine 2 sends only after both, so the master takes
+    // machine 1's two parts first.
+    let forged = AtomicBool::new(false);
+    let cluster = Cluster::new(ClusterConfig::new(3));
+    cluster.run(|ctx| match ctx.id() {
+        1 => {
+            let tag = Tag {
+                kind: kinds::GATHER,
+                seq: 0,
+            };
+            ctx.comm_mut().send_vec(0, tag, vec![0u64]);
+            ctx.gather_to_master(vec![1u64]);
+            forged.store(true, Ordering::Release);
+        }
+        2 => {
+            while !forged.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            ctx.gather_to_master(vec![2u64]);
+        }
+        _ => {
+            ctx.gather_to_master(vec![0u64]);
         }
     });
 }

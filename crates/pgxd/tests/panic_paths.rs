@@ -9,8 +9,11 @@
 //! error rather than failing the teardown.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 use pgxd::cluster::{Cluster, ClusterConfig};
+use pgxd::comm::{kinds, Tag};
+use pgxd::fault::FaultPlan;
 use pgxd::RunErrorKind;
 
 /// A typed panic payload that must cross the machine-thread boundary
@@ -171,4 +174,40 @@ fn all_sympathetic_failures_still_produce_an_error() {
         Some(2),
         "first real failure in machine order wins"
     );
+}
+
+#[test]
+fn a_send_task_that_panics_ends_the_run() {
+    // Machine 0 exchanges with one worker, so its send task for machine 2
+    // waits behind its task for machine 1. Machines 1 and 2 each take
+    // machine 0's opener and return: the task for machine 1 panics on the
+    // closed link, and the task for machine 2 never runs. The panic must
+    // abort the run, or machine 0, counted as running while a send task
+    // is unfinished, would wait for openers forever; the step deadline
+    // only bounds the test.
+    let plan = FaultPlan::enabled(3)
+        .chunk_delay(1000, 1000)
+        .step_timeout(Duration::from_secs(20));
+    let config = ClusterConfig::new(3)
+        .buffer_bytes(64)
+        .workers_per_machine(1)
+        .fault(plan);
+    let started = Instant::now();
+    let err = Cluster::new(config)
+        .try_run(|ctx| {
+            if ctx.id() == 0 {
+                let data: Vec<u64> = (0..3000).collect();
+                ctx.exchange(&data, &[0, 1000, 2000, 3000]);
+            } else {
+                let open = Tag {
+                    kind: kinds::EXCHANGE_OPEN,
+                    seq: 0,
+                };
+                ctx.comm_mut().recv_packet(open);
+            }
+        })
+        .expect_err("a send task's panic must fail the run");
+    assert!(started.elapsed() < Duration::from_secs(5), "{err}");
+    assert_eq!(err.kind, RunErrorKind::MachinePanic, "{err}");
+    assert_eq!(err.machine, Some(0), "{err}");
 }

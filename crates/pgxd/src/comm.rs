@@ -86,7 +86,11 @@ pub struct Packet {
 
 /// The send half of a machine's communication manager. Cheap to clone, so
 /// a machine can send from a helper thread while its main thread receives
-/// (the §IV-C "send while receiving" pattern).
+/// (the §IV-C "send while receiving" pattern). The stall rule counts a
+/// machine as running while its exchange's send tasks run
+/// ([`MachineCtx::exchange`](crate::machine::MachineCtx::exchange)); it
+/// does not see any other helper, so a helper that sends while every
+/// machine's own thread waits must be one of those tasks.
 #[derive(Clone)]
 pub struct CommSender {
     id: usize,
